@@ -79,17 +79,7 @@ from .recon import (
     temporal_functions,
 )
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme, span_for
-from .solver import (
-    DataMatrix,
-    SolverConfig,
-    SolverReport,
-    VarproProblem,
-    data_matrix,
-    inner_beta,
-    solve,
-    varpro_gradient,
-    varpro_objective,
-)
+from .solver import SolverConfig, SolverReport, VarproProblem, inner_beta, solve
 from .tensorio import read_tensor, write_tensor
 
 __version__ = "0.1.0"

@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .psmodel import HarmonicOrder, build_theta, face_split, legendre_basis
+from .psmodel import HarmonicOrder, build_L2, build_theta, face_split, legendre_basis
 from .radon import DetectorGrid, Frame, radon_energy_check
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme
 
@@ -109,15 +109,6 @@ class CondL2Result(NamedTuple):
     kappa_Gamma: float
 
 
-def _build_L2_fast(theta_hat: np.ndarray, u_hat: np.ndarray, beta_cols: np.ndarray,
-                   order: HarmonicOrder) -> np.ndarray:
-    B3 = beta_cols.reshape(order.n_harmonics, order.n_temporal, beta_cols.shape[1])
-    C = np.einsum("in,nkj->ijk", theta_hat, B3)
-    L2 = C[:, :, :, None] * u_hat[:, None, None, :]
-    return L2.reshape(theta_hat.shape[0] * beta_cols.shape[1],
-                      order.n_temporal * u_hat.shape[1])
-
-
 def cond_L2(
     K: int,
     N: int,
@@ -147,7 +138,7 @@ def cond_L2(
     if orthonormal_u:
         U, _ = np.linalg.qr(U)
     beta_cols = rng.standard_normal((order.cols, J))
-    L2 = _build_L2_fast(H.theta_hat, U, beta_cols, order)
+    L2 = build_L2(beta_cols, H.theta_hat, U, order).matrix
     s = np.linalg.svd(L2, compute_uv=False)
     kappa_L2 = _kappa_from_singvals(s, L2.shape[1])
     ev = np.linalg.eigvalsh(beta_cols @ beta_cols.T)

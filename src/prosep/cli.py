@@ -9,8 +9,10 @@ replay the run bit-for-bit.  Arrays are exchanged as binary tensor files
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver stopped at
 the iteration cap without reaching its tolerance.
 
-The environment variable ``PROSEP_THREADS`` caps the worker count used
-for the per-frame FBP loops.
+The environment variable ``PROSEP_THREADS`` (a positive integer, default
+1) caps the worker count of the phantom's per-frame loops in
+``simulate``: rendering the truth movie and projecting and FBP-ing the
+benchmark movie.
 """
 
 from __future__ import annotations
@@ -81,11 +83,16 @@ class ConfigError(ProsepError):
 
 
 def worker_count() -> int:
+    """Worker count from ``PROSEP_THREADS``; anything but a positive integer is an error."""
     raw = os.environ.get("PROSEP_THREADS", "1")
     try:
-        return max(1, int(raw))
+        workers = int(raw)
     except ValueError:
-        return 1
+        workers = 0
+    if workers < 1:
+        raise ConfigError(f"environment variable PROSEP_THREADS: must be a positive "
+                          f"integer, got {raw!r}")
+    return workers
 
 
 def _write_text_atomic(path, text: str) -> None:
@@ -367,7 +374,7 @@ def cmd_reconstruct(args) -> int:
     pixel = manifest["grid"]["support_diameter"] / width
     movie = reconstruct_movie(
         solution, fbp_angles_count=manifest["fbp_angles_count"],
-        width=width, pixel_size=pixel, workers=worker_count(),
+        width=width, pixel_size=pixel,
     )
 
     out = args.out or indir

@@ -308,14 +308,15 @@ def build_L2(
     return OperatorMatrix(matrix=L2, kind="L2", meta=info)
 
 
-def real_trig_theta(scheme: AngularScheme, N: int) -> np.ndarray:
+def real_trig_theta(scheme: AngularScheme | np.ndarray, N: int) -> np.ndarray:
     """Real trigonometric harmonic matrix, columns [1, sqrt2 cos, sqrt2 sin, ...].
 
-    Related to the complex matrix of ``build_theta`` by a unitary column
-    transform, so face-splitting products built from either share their
-    singular values.  Row norms are all sqrt(2N+1).
+    One row per view angle of ``scheme``, which may also be a bare array
+    of angles.  Related to the complex matrix of ``build_theta`` by a
+    unitary column transform, so face-splitting products built from either
+    share their singular values.  Row norms are all sqrt(2N+1).
     """
-    angles = scheme.angles
+    angles = np.asarray(getattr(scheme, "angles", scheme), dtype=float)
     T = np.empty((angles.size, 2 * N + 1))
     T[:, 0] = 1.0
     for n in range(1, N + 1):

@@ -2,9 +2,11 @@
 
 The solver returns temporal coefficients Z and per-offset harmonic
 coefficients beta.  Forming Psi = U Z gives the sampled temporal
-functions; evaluating the harmonic expansion at arbitrary angles then
-yields a dense synthetic sinogram for every time instant, which FBP
-turns into a frame.
+functions; evaluating the harmonic expansion at arbitrary angles yields
+a dense synthetic sinogram for any time instant.  Since synthesis and
+FBP are linear, the movie is itself a partially separable image model:
+FBP of the K+1 component sinograms gives spatial images phi_k, and frame
+p is sum_k psi_k(t_p) phi_k.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .phantom import Movie, TimeSequentialSinogram
-from .psmodel import HarmonicCoefficients, HarmonicOrder
+from .psmodel import HarmonicCoefficients, HarmonicOrder, real_trig_theta
 from .radon import DetectorGrid, Frame, Sinogram, fbp
 from .sampling import AngularScheme
 
@@ -80,15 +82,6 @@ def temporal_functions(U: np.ndarray, Z: np.ndarray) -> np.ndarray:
     return U @ Z
 
 
-def _trig_rows(angles: np.ndarray, N: int) -> np.ndarray:
-    T = np.empty((angles.size, 2 * N + 1))
-    T[:, 0] = 1.0
-    for n in range(1, N + 1):
-        T[:, 2 * n - 1] = np.sqrt(2.0) * np.cos(n * angles)
-        T[:, 2 * n] = np.sqrt(2.0) * np.sin(n * angles)
-    return T
-
-
 def synthesize_sinogram(solution: ProSepSolution, p: int, out_angles) -> Sinogram:
     """Model projections at frame index p for arbitrary view angles.
 
@@ -104,7 +97,7 @@ def synthesize_sinogram(solution: ProSepSolution, p: int, out_angles) -> Sinogra
     # h[n, j] = sum_k beta[(n,k), j] * psi_p[k]
     B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
     h = np.einsum("nkj,k->nj", B3, psi_p)
-    T = _trig_rows(out_angles, order.N)  # A x (2N+1)
+    T = real_trig_theta(out_angles, order.N)  # A x (2N+1)
     values = (T @ h).T  # J x A
     return Sinogram(values=values, angles=out_angles, detector=solution.detector)
 
@@ -114,23 +107,32 @@ def reconstruct_movie(
     fbp_angles_count: int | None = None,
     width: int | None = None,
     pixel_size: float | None = None,
-    workers: int = 1,
 ) -> Movie:
-    """FBP-reconstruct every frame from its synthesized dense sinogram.
+    """FBP-reconstruct every frame of the fitted model on a dense angle set.
 
-    The synthesis angle count defaults to P uniform angles in [0, pi),
-    matching the information budget of the benchmark movie.
+    The synthesized sinogram of frame p is sum_k psi_k(t_p) g_k with
+    component sinograms g_k = T_dense beta[:, k, :], so FBP runs once per
+    component, phi_k = FBP(g_k), and frame p is sum_k psi_k(t_p) phi_k.
+    This equals FBP of ``synthesize_sinogram`` for every frame up to
+    rounding.  The synthesis angle count defaults to P uniform angles in
+    [0, pi), matching the information budget of the benchmark movie.
     """
-    from .phantom import _ordered_map
-
     count = fbp_angles_count if fbp_angles_count is not None else solution.P
     angles = np.arange(count) * (np.pi / count)
-
-    def one(p):
-        sino = synthesize_sinogram(solution, p, angles)
-        return fbp(sino, width=width, pixel_size=pixel_size)
-
-    frames = tuple(_ordered_map(one, range(solution.P), workers))
+    order = solution.model
+    T = real_trig_theta(angles, order.N)  # A x (2N+1)
+    B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
+    phis = [
+        fbp(Sinogram(values=(T @ B3[:, k, :]).T, angles=angles, detector=solution.detector),
+            width=width, pixel_size=pixel_size)
+        for k in range(order.n_temporal)
+    ]
+    phi = np.stack([f.values for f in phis])  # (K+1) x W x W
+    psi = temporal_functions(solution.U, solution.Z)
+    frames = tuple(
+        Frame(values=np.tensordot(psi_p, phi, axes=1), pixel_size=phis[0].pixel_size)
+        for psi_p in psi
+    )
     return Movie(frames=frames, times=solution.times)
 
 

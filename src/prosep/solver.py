@@ -1,15 +1,16 @@
 """Variable-projection solver for the bilinear recovery problem.
 
+Stack the measurements as data columns G = [g_hat(s_1), ..., g_hat(s_J)].
 The inner linear variable beta(s) is eliminated in closed form, leaving
 
-    min_Z  tr( P_perp(L1(Z)) Xi ),   Xi = sum_s g_hat(s) g_hat(s)^T,
+    min_Z  ||P_perp(L1(Z)) G||_F^2
 
-over Z with orthonormal columns.  The orthonormality constraint is
-relaxed to a penalty and the reduced objective is minimized with Adam;
-the returned Z is re-orthonormalized through its polar factor and the
-coefficients are recovered per detector offset by truncated least
-squares.  Everything runs in the real trigonometric parameterization,
-so all matrices are real.
+over Z with orthonormal columns, evaluated on G directly.  The
+orthonormality constraint is relaxed to a penalty and the reduced
+objective is minimized with Adam; the returned Z is re-orthonormalized
+through its polar factor and the coefficients are recovered per
+detector offset by truncated least squares.  Everything runs in the real
+trigonometric parameterization, so all matrices are real.
 """
 
 from __future__ import annotations
@@ -24,39 +25,13 @@ from .phantom import TimeSequentialSinogram
 from .psmodel import HarmonicCoefficients, HarmonicOrder, face_split, real_trig_theta_hat, real_trig_theta
 
 __all__ = [
-    "DataMatrix",
     "SolverConfig",
     "SolverReport",
     "VarproProblem",
     "stacked_data",
-    "data_matrix",
     "inner_beta",
-    "varpro_objective",
-    "varpro_gradient",
     "solve",
 ]
-
-
-@dataclass(frozen=True)
-class DataMatrix:
-    """The measurement aggregate Xi = sum_s g_hat(s) g_hat(s)^T (PSD)."""
-
-    Xi: np.ndarray
-    symmetric: bool = True
-
-    def __post_init__(self):
-        Xi = np.asarray(self.Xi, dtype=float)
-        object.__setattr__(self, "Xi", Xi)
-        if Xi.ndim != 2 or Xi.shape[0] != Xi.shape[1]:
-            raise ValueError("Xi must be square")
-        asym = np.abs(Xi - Xi.T).max()
-        scale = max(np.abs(Xi).max(), 1.0)
-        if asym > 1e-12 * scale:
-            raise ValueError(f"Xi must be symmetric (asymmetry {asym:.2e})")
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.Xi))
 
 
 def stacked_data(data: TimeSequentialSinogram, symmetric: bool) -> np.ndarray:
@@ -69,12 +44,6 @@ def stacked_data(data: TimeSequentialSinogram, symmetric: bool) -> np.ndarray:
     if not symmetric:
         return g.T.copy()  # columns g(s_j) of length P
     return np.vstack([g.T, g[::-1, :].T])  # 2P x J
-
-
-def data_matrix(data: TimeSequentialSinogram, symmetric: bool = True) -> DataMatrix:
-    """Build Xi from a time-sequential sinogram."""
-    G = stacked_data(data, symmetric)
-    return DataMatrix(Xi=G @ G.T, symmetric=symmetric)
 
 
 def inner_beta(L1: np.ndarray, g_hat: np.ndarray, rank_rtol: float = 1e-10) -> np.ndarray:
@@ -116,57 +85,30 @@ class VarproProblem:
     def l1(self, Z: np.ndarray) -> np.ndarray:
         return face_split(self.theta_hat, self.u_hat @ Z)
 
-    def objective(self, Z: np.ndarray, Xi: np.ndarray) -> float:
-        """tr(P_perp(L1(Z)) Xi) = tr(Xi) - tr(Q^T Xi Q), Q a range basis."""
-        Q, _ = np.linalg.qr(self.l1(Z))
-        QtXi = Q.T @ Xi
-        return float(np.trace(Xi) - np.sum(QtXi * Q.T))
-
-    def objective_and_gradient(self, Z: np.ndarray, Xi: np.ndarray, mu: float = 0.0):
-        """Penalized objective and its exact gradient with respect to Z.
-
-        The projector derivative contracts to grad = -2 U_hat^T M with
-        M[i, k] = sum_n theta_hat[i, n] * (P_perp Xi pinv(L1)^T)[i, (n, k)];
-        the penalty adds 4 mu Z (Z^T Z - I).
-        """
-        L1 = self.l1(Z)
-        Q, R = np.linalg.qr(L1)
-        QtXi = Q.T @ Xi
-        F = float(np.trace(Xi) - np.sum(QtXi * Q.T))
-        S = Xi - Q @ QtXi  # P_perp Xi
-        # pinv(L1) S^T through the QR factors when safely full rank,
-        # truncated least squares otherwise
-        diag = np.abs(np.diagonal(R))
-        if diag.min() > self.rank_rtol * max(diag.max(), 1e-300):
-            Wt = solve_triangular(R, Q.T @ S.T, lower=False)
-        else:
-            Wt, *_ = np.linalg.lstsq(L1, S.T, rcond=self.rank_rtol)
-        return self._finish_gradient(Z, F, Wt.T, mu)
-
     def objective_and_gradient_from_data(self, Z: np.ndarray, G: np.ndarray,
                                          mu: float = 0.0):
-        """Same values as ``objective_and_gradient`` with Xi = G G^T.
+        """Penalized objective ||P_perp(L1(Z)) G||_F^2 and its exact gradient in Z.
 
-        Works on the stacked data columns directly, which for J << 2P
-        avoids the dense 2P x 2P products: the contraction matrix is
-        (G - Q Q^T G) beta*^T with beta* the per-column least squares
-        solutions.
+        With Q R = L1(Z) and beta* = pinv(L1) G the per-column least
+        squares solutions, the projector derivative contracts to
+        grad = -2 U_hat^T M with
+        M[i, k] = sum_n theta_hat[i, n] * ((G - Q Q^T G) beta*^T)[i, (n, k)];
+        the penalty mu ||Z^T Z - I||_F^2 adds 4 mu Z (Z^T Z - I).
         """
         L1 = self.l1(Z)
         Q, R = np.linalg.qr(L1)
         QtG = Q.T @ G
         F = float(np.sum(G * G) - np.sum(QtG * QtG))
         resid = G - Q @ QtG
+        # beta* through the QR factors when safely full rank,
+        # truncated least squares otherwise
         diag = np.abs(np.diagonal(R))
         if diag.min() > self.rank_rtol * max(diag.max(), 1e-300):
             beta = solve_triangular(R, QtG, lower=False)
         else:
             beta, *_ = np.linalg.lstsq(L1, G, rcond=self.rank_rtol)
-        return self._finish_gradient(Z, F, resid @ beta.T, mu)
-
-    def _finish_gradient(self, Z, F, W, mu):
-        """Contract W[i, (n, k)] into the gradient and add the penalty term."""
-        W3 = W.reshape(self.rows, self.order.n_harmonics, self.order.n_temporal)
+        W3 = (resid @ beta.T).reshape(self.rows, self.order.n_harmonics,
+                                      self.order.n_temporal)
         M = np.einsum("in,ink->ik", self.theta_hat, W3)
         grad = -2.0 * (self.u_hat.T @ M)
         if mu:
@@ -174,19 +116,6 @@ class VarproProblem:
             F += mu * float(np.sum(ZtZ**2))
             grad = grad + 4.0 * mu * (Z @ ZtZ)
         return F, grad
-
-
-def varpro_objective(Z: np.ndarray, Xi: DataMatrix | np.ndarray, problem: VarproProblem) -> float:
-    """Reduced objective tr(P_perp(L1(Z)) Xi); equals sum_s ||g_hat - L1 beta*||^2."""
-    Xi = Xi.Xi if isinstance(Xi, DataMatrix) else Xi
-    return problem.objective(Z, Xi)
-
-
-def varpro_gradient(Z: np.ndarray, Xi: DataMatrix | np.ndarray, mu: float,
-                    problem: VarproProblem) -> np.ndarray:
-    """Gradient of varpro_objective(Z) + mu * ||Z^T Z - I||_F^2."""
-    Xi = Xi.Xi if isinstance(Xi, DataMatrix) else Xi
-    return problem.objective_and_gradient(Z, Xi, mu)[1]
 
 
 @dataclass(frozen=True)
@@ -347,7 +276,7 @@ def solve(
         )
     problem = VarproProblem(data.scheme, U, model, symmetric, config.pinv_rank_rtol)
     G = stacked_data(data, symmetric)
-    tr = float(np.sum(G * G))  # = tr(Xi) for Xi = G G^T
+    tr = float(np.sum(G * G))
     if tr <= 0.0:
         # all-zero data: the zero model is exact
         Z = _polar_orthonormalize(np.eye(model.d)[:, : model.n_temporal])
@@ -366,7 +295,7 @@ def solve(
         )
         return Z, beta, report
 
-    G_n = G / np.sqrt(tr)  # so that G_n G_n^T = Xi / tr(Xi)
+    G_n = G / np.sqrt(tr)  # unit Frobenius norm: objectives are relative to ||G||^2
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best = None
     restart_objectives = []

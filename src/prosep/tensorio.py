@@ -7,6 +7,7 @@ through a temporary file and an atomic rename.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 
@@ -50,12 +51,10 @@ def read_tensor(path) -> np.ndarray:
                 raise TensorFormatError("truncated dimension list")
             dims.append(struct.unpack("<Q", raw)[0])
         payload = f.read()
-    expected = 8 * int(np.prod(dims, dtype=np.int64)) if dims else 8
-    if ndims == 0:
-        expected = 8
+    expected = 8 * math.prod(dims)  # Python integers: no overflow on huge headers
     if len(payload) != expected:
         raise TensorFormatError(
             f"payload length {len(payload)} != 8 * prod(dims) = {expected}"
         )
     arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return arr.reshape(dims) if dims else arr.reshape(())
+    return arr.reshape(dims)

@@ -1,10 +1,11 @@
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
-from prosep.cli import ConfigError, load_config, main
+from prosep.cli import ConfigError, load_config, main, worker_count
 from prosep.errors import TensorFormatError
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
 
@@ -62,6 +63,17 @@ def test_tensor_rejects_corruption(tmp_path):
     trunc.write_bytes(read_bytes(path)[:-4])
     with pytest.raises(TensorFormatError):
         read_tensor(trunc)
+
+
+def test_tensor_rejects_overflowing_dims(tmp_path):
+    """8 * 2**32 * 2**32 wraps to 0 in int64; an empty payload must still fail."""
+    huge = tmp_path / "huge.tensor"
+    huge.write_bytes(MAGIC + struct.pack("<I", 2) + struct.pack("<QQ", 2**32, 2**32))
+    with pytest.raises(TensorFormatError, match="payload length"):
+        read_tensor(huge)
+    rc = main(["metrics", "--movie", str(huge), "--benchmark", str(huge),
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
 
 
 # ------------------------------------------------------------- config
@@ -124,6 +136,19 @@ def test_simulate_invalid_config_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "P" in err  # message names the offending field
+
+
+def test_prosep_threads_must_be_positive_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("PROSEP_THREADS", "2")
+    assert worker_count() == 2
+    for raw in ("abc", "0", "-3", ""):
+        monkeypatch.setenv("PROSEP_THREADS", raw)
+        with pytest.raises(ConfigError, match="PROSEP_THREADS"):
+            worker_count()
+    monkeypatch.setenv("PROSEP_THREADS", "abc")
+    assert run_simulate(tmp_path / "t") == 1
+    assert "PROSEP_THREADS" in capsys.readouterr().err
+    assert not (tmp_path / "t").exists()
 
 
 def test_manifest_replay_reproduces_run(tmp_path):

@@ -133,6 +133,19 @@ def test_reconstruct_movie_shape_contract():
     assert movie.frames[0].width == sol.detector.count  # detector-implied grid
 
 
+def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
+    """Oracle: the K+1 component images rebuild FBP of every synthesized frame."""
+    sol, *_ = solved_solution()
+    count = 48
+    angles = np.arange(count) * (np.pi / count)
+    movie = reconstruct_movie(sol, fbp_angles_count=count)
+    assert len(movie) == sol.P
+    for p in range(sol.P):
+        ref = fbp(synthesize_sinogram(sol, p, angles))
+        assert movie.frames[p].pixel_size == ref.pixel_size
+        assert np.abs(movie.frames[p].values - ref.values).max() < 1e-12
+
+
 def test_reconstruct_movie_matches_truth_fbp():
     """Exact-model data: the reconstruction matches FBP of the true sinograms."""
     sol, data, U, Z0, beta0, order = solved_solution()

@@ -3,20 +3,11 @@ import pytest
 
 from conftest import make_exact_model_data, max_principal_angle
 from prosep.phantom import TimeSequentialSinogram
-from prosep.psmodel import HarmonicOrder, spline_interpolator
+from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator
 from prosep.radon import DetectorGrid
+from prosep.recon import ProSepSolution, synthesize_sinogram
 from prosep.sampling import bit_reversed, random_scheme
-from prosep.solver import (
-    DataMatrix,
-    SolverConfig,
-    VarproProblem,
-    data_matrix,
-    inner_beta,
-    solve,
-    stacked_data,
-    varpro_gradient,
-    varpro_objective,
-)
+from prosep.solver import SolverConfig, VarproProblem, inner_beta, solve, stacked_data
 
 
 def small_problem(rng, P=24, N=3, K=1, d=3, symmetric=True):
@@ -31,40 +22,27 @@ def random_Z(rng, d, K):
     return np.linalg.qr(rng.standard_normal((d, K + 1)))[0]
 
 
-# ---------------------------------------------------------------- data matrix
+# ---------------------------------------------------------------- data columns
 
-def test_data_matrix_single_bin_rank_one():
+def test_stacked_data_single_bin_layout():
     P = 4
     scheme = bit_reversed(P, span=np.pi)
     det = DetectorGrid(count=1, spacing=1.0)
     vals = np.zeros((1, P))
     vals[0, 0] = 1.0  # g_hat(s_1) = e_1 (+ its mirror copy e_{P+1})
     data = TimeSequentialSinogram(values=vals, scheme=scheme, detector=det)
-    dm = data_matrix(data, symmetric=False)
-    e1 = np.zeros(P)
+    e1 = np.zeros((P, 1))
     e1[0] = 1.0
-    assert np.array_equal(dm.Xi, np.outer(e1, e1))
+    assert np.array_equal(stacked_data(data, symmetric=False), e1)
+    assert np.array_equal(stacked_data(data, symmetric=True), np.vstack([e1, e1]))
 
 
-def test_data_matrix_trace_identity(rng):
-    data, *_ = make_exact_model_data(P=16, K=1, N=2, d=2, J=8, seed=4)
-    dm = data_matrix(data, symmetric=True)
-    G = stacked_data(data, symmetric=True)
-    assert dm.trace == pytest.approx(np.sum(G**2), rel=1e-12)
-
-
-def test_data_matrix_rank_bounded_by_model_size():
+def test_stacked_data_rank_bounded_by_model_size():
     P, K, N = 64, 2, 4
     data, *_ = make_exact_model_data(P=P, K=K, N=N, d=4, J=40, seed=1)
-    dm = data_matrix(data, symmetric=True)
-    s = np.linalg.svd(dm.Xi, compute_uv=False)
+    s = np.linalg.svd(stacked_data(data, symmetric=True), compute_uv=False)
     rank = int(np.sum(s > 1e-10 * s[0]))
     assert rank <= (2 * N + 1) * (K + 1)
-
-
-def test_data_matrix_requires_symmetric_xi():
-    with pytest.raises(ValueError):
-        DataMatrix(Xi=np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 # ---------------------------------------------------------------- inner beta
@@ -98,13 +76,16 @@ def test_inner_beta_orthogonal_rhs_gives_zero(rng):
 
 # ---------------------------------------------------------------- objective
 
+def objective(problem, Z, G):
+    return problem.objective_and_gradient_from_data(Z, G)[0]
+
+
 def test_objective_zero_for_in_range_data(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
     L1 = problem.l1(Z)
     G = L1 @ rng.standard_normal((order.cols, 5))
-    Xi = G @ G.T
-    assert varpro_objective(Z, Xi, problem) <= 1e-10 * np.trace(Xi)
+    assert objective(problem, Z, G) <= 1e-10 * np.sum(G**2)
 
 
 def test_objective_zero_for_square_full_rank_L1(rng):
@@ -114,16 +95,15 @@ def test_objective_zero_for_square_full_rank_L1(rng):
     U = spline_interpolator(3, 2)
     problem = VarproProblem(scheme, U, order, symmetric=True)
     Z = random_Z(rng, 2, 1)
-    Xi = np.eye(6)
-    assert varpro_objective(Z, Xi, problem) <= 1e-10 * 6
+    G = np.eye(6)
+    assert objective(problem, Z, G) <= 1e-10 * 6
 
 
 def test_objective_matches_brute_force_residual(rng):
     _, order, _, problem = small_problem(rng, P=20, N=2, K=2, d=4)
     Z = random_Z(rng, order.d, order.K)
     G = rng.standard_normal((problem.rows, 9))
-    Xi = G @ G.T
-    F = varpro_objective(Z, Xi, problem)
+    F = objective(problem, Z, G)
     L1 = problem.l1(Z)
     beta = inner_beta(L1, G)
     brute = float(np.sum((G - L1 @ beta) ** 2))
@@ -134,18 +114,51 @@ def test_objective_bounds_and_range_invariance(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
     G = rng.standard_normal((problem.rows, 7))
-    Xi = G @ G.T
-    F = varpro_objective(Z, Xi, problem)
-    assert 0.0 <= F <= np.trace(Xi) * (1 + 1e-12)
+    F = objective(problem, Z, G)
+    assert 0.0 <= F <= np.sum(G**2) * (1 + 1e-12)
     # right-multiplying Z by an orthogonal matrix preserves range(L1)
     O = np.linalg.qr(rng.standard_normal((order.K + 1, order.K + 1)))[0]
-    F2 = varpro_objective(Z @ O, Xi, problem)
+    F2 = objective(problem, Z @ O, G)
     assert F2 == pytest.approx(F, rel=1e-10)
+
+
+def test_z_not_unique_when_d_equals_k_plus_1():
+    """With d = K+1 every invertible Z spans the same range(L1): same fit."""
+    data, U, *_, order = make_exact_model_data(P=32, K=1, N=3, d=2, J=12, seed=11)
+    r = np.random.default_rng(17)
+    noisy = TimeSequentialSinogram(
+        values=data.values + 0.05 * np.abs(data.values).max()
+        * r.standard_normal(data.values.shape),
+        scheme=data.scheme,
+        detector=data.detector,
+    )
+    problem = VarproProblem(noisy.scheme, U, order, symmetric=True)
+    G = stacked_data(noisy, symmetric=True)
+    G /= np.linalg.norm(G)
+    Za, Zb = random_Z(r, order.d, order.K), random_Z(r, order.d, order.K)
+    Fa, ga = problem.objective_and_gradient_from_data(Za, G)
+    Fb, gb = problem.objective_and_gradient_from_data(Zb, G)
+    assert Fa > 1e-4  # the noisy data do not fit exactly
+    assert Fb == pytest.approx(Fa, rel=1e-10)
+    assert max(np.linalg.norm(ga), np.linalg.norm(gb)) < 1e-12
+    sinos = []
+    for Z in (Za, Zb):
+        beta = HarmonicCoefficients(beta=inner_beta(problem.l1(Z), G), order=order)
+        sol = ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=noisy.scheme,
+                             detector=noisy.detector, times=noisy.times)
+        angles = np.arange(48) * np.pi / 48
+        sinos.append(np.stack([synthesize_sinogram(sol, p, angles).values
+                               for p in (0, 13, 31)]))
+    assert np.linalg.norm(sinos[1] - sinos[0]) < 1e-12 * np.linalg.norm(sinos[0])
 
 
 # ---------------------------------------------------------------- gradient
 
-def _fd_gradient(problem, Z, Xi, mu, h=1e-6):
+def _penalized(problem, Z, G, mu):
+    return objective(problem, Z, G) + mu * np.sum((Z.T @ Z - np.eye(Z.shape[1])) ** 2)
+
+
+def _fd_gradient(problem, Z, G, mu, h=1e-6):
     g = np.zeros_like(Z)
     for a in range(Z.shape[0]):
         for b in range(Z.shape[1]):
@@ -153,9 +166,7 @@ def _fd_gradient(problem, Z, Xi, mu, h=1e-6):
             Zp[a, b] += h
             Zm = Z.copy()
             Zm[a, b] -= h
-            fp = problem.objective(Zp, Xi) + mu * np.sum((Zp.T @ Zp - np.eye(Z.shape[1])) ** 2)
-            fm = problem.objective(Zm, Xi) + mu * np.sum((Zm.T @ Zm - np.eye(Z.shape[1])) ** 2)
-            g[a, b] = (fp - fm) / (2 * h)
+            g[a, b] = (_penalized(problem, Zp, G, mu) - _penalized(problem, Zm, G, mu)) / (2 * h)
     return g
 
 
@@ -166,42 +177,27 @@ def test_gradient_matches_finite_differences(rng):
         _, order, _, problem = small_problem(r, P=16, N=2, K=1, d=3)
         Z = random_Z(r, order.d, order.K) + 0.1 * r.standard_normal((order.d, order.K + 1))
         G = r.standard_normal((problem.rows, 6))
-        Xi = G @ G.T
-        Xi /= np.trace(Xi)
+        G /= np.linalg.norm(G)
         mu = 1.0
-        g = varpro_gradient(Z, Xi, mu, problem)
-        g_fd = _fd_gradient(problem, Z, Xi, mu)
+        g = problem.objective_and_gradient_from_data(Z, G, mu)[1]
+        g_fd = _fd_gradient(problem, Z, G, mu)
         rel = np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd)
         assert rel < 1e-5, f"trial {trial}: rel err {rel:.2e}"
-
-
-def test_gradient_data_path_matches_xi_path(rng):
-    """The G-factored evaluation equals the dense-Xi evaluation."""
-    for trial in range(5):
-        r = np.random.default_rng(900 + trial)
-        _, order, _, problem = small_problem(r, P=16, N=2, K=1, d=3)
-        Z = random_Z(r, order.d, order.K) + 0.05 * r.standard_normal((order.d, order.K + 1))
-        G = r.standard_normal((problem.rows, 6))
-        f1, g1 = problem.objective_and_gradient(Z, G @ G.T, 1.0)
-        f2, g2 = problem.objective_and_gradient_from_data(Z, G, 1.0)
-        assert f1 == pytest.approx(f2, rel=1e-12)
-        assert np.allclose(g1, g2, rtol=1e-10, atol=1e-12 * np.abs(g1).max())
 
 
 def test_gradient_zero_at_exact_solution(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
     G = problem.l1(Z) @ rng.standard_normal((order.cols, 8))
-    Xi = G @ G.T
-    g = varpro_gradient(Z, Xi, 1.0, problem)
-    assert np.linalg.norm(g) < 1e-8 * np.trace(Xi)
+    g = problem.objective_and_gradient_from_data(Z, G, 1.0)[1]
+    assert np.linalg.norm(g) < 1e-8 * np.sum(G**2)
 
 
 def test_penalty_gradient_zero_on_stiefel(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    Xi = np.zeros((problem.rows, problem.rows))
-    g = varpro_gradient(Z, Xi, 3.0, problem)  # objective part vanishes with Xi = 0
+    G = np.zeros((problem.rows, 1))
+    g = problem.objective_and_gradient_from_data(Z, G, 3.0)[1]  # objective part vanishes with G = 0
     assert np.linalg.norm(g) < 1e-12
 
 
