@@ -9,10 +9,8 @@ replay the run bit-for-bit.  Arrays are exchanged as binary tensor files
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver stopped at
 the iteration cap without reaching its tolerance.
 
-The environment variable ``PROSEP_THREADS`` (a positive integer, default
-1) caps the worker count of the phantom's per-frame loops in
-``simulate``: rendering the truth movie and projecting and FBP-ing the
-benchmark movie.
+``simulate`` renders the truth movie once and computes both the
+acquisition and the benchmark movie from it.
 """
 
 from __future__ import annotations
@@ -30,6 +28,7 @@ from .errors import ProsepError
 from .phantom import (
     Ellipse,
     MotionSpec,
+    Movie,
     PhantomSpec,
     TimeSequentialSinogram,
     benchmark_movie,
@@ -37,7 +36,7 @@ from .phantom import (
     simulate_acquisition,
 )
 from .psmodel import HarmonicOrder, spline_interpolator
-from .radon import DetectorGrid
+from .radon import DetectorGrid, Frame
 from .recon import ProSepSolution, movie_metrics, reconstruct_movie
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme, span_for
 from .solver import SolverConfig, solve
@@ -80,19 +79,6 @@ DEFAULT_CONFIG = {
 
 class ConfigError(ProsepError):
     """Invalid run configuration; the message names the offending field."""
-
-
-def worker_count() -> int:
-    """Worker count from ``PROSEP_THREADS``; anything but a positive integer is an error."""
-    raw = os.environ.get("PROSEP_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ConfigError(f"environment variable PROSEP_THREADS: must be a positive "
-                          f"integer, got {raw!r}")
-    return workers
 
 
 def _write_text_atomic(path, text: str) -> None:
@@ -160,6 +146,9 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
              "must be a nonnegative integer")
     need(model["d"] >= model["K"] + 1, "model.d", "must be at least K + 1")
     need(cfg.get("noise_sigma", 0) >= 0, "noise_sigma", "must be nonnegative")
+    fbp_count = cfg.get("fbp_angles_count")
+    need(fbp_count is None or (isinstance(fbp_count, int) and fbp_count >= 2),
+         "fbp_angles_count", "must be null or an integer >= 2")
     cols = (2 * model["N"] + 1) * (model["K"] + 1)
     if 2 * cfg["P"] < cols and not force:
         raise ConfigError(
@@ -298,16 +287,11 @@ def cmd_simulate(args) -> int:
     motion = _motion_from_config(cfg)
     scheme = _scheme_from_config(cfg)
     detector = _detector_from_config(cfg)
-    workers = worker_count()
 
+    truth = render_movie(spec, motion, cfg["P"])
     data = simulate_acquisition(
-        spec, motion, scheme, detector,
-        noise_sigma=cfg["noise_sigma"], seed=cfg["seed"],
+        truth, scheme, detector, noise_sigma=cfg["noise_sigma"], seed=cfg["seed"],
     )
-    fbp_count = cfg["fbp_angles_count"] or cfg["P"]
-    truth = render_movie(spec, motion, cfg["P"], workers=workers)
-    bench = benchmark_movie(spec, motion, cfg["P"], fbp_count, detector=detector,
-                            workers=workers)
 
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -315,6 +299,7 @@ def cmd_simulate(args) -> int:
     write_tensor(os.path.join(out, "angles.tensor"), scheme.angles)
     write_tensor(os.path.join(out, "times.tensor"), data.times)
     write_tensor(os.path.join(out, "truth_movie.tensor"), truth.as_array())
+    bench = benchmark_movie(truth, cfg["fbp_angles_count"] or cfg["P"], detector=detector)
     write_tensor(os.path.join(out, "benchmark_movie.tensor"), bench.as_array())
     manifest = _resolved_manifest(cfg, spec)
     _write_text_atomic(
@@ -480,6 +465,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+def _movie_from_tensor(arr: np.ndarray, path: str) -> Movie:
+    """A P x W x W tensor as a movie at times p / P; a malformed one is a ProsepError."""
+    if arr.size == 0:
+        raise ProsepError(f"{path}: not a movie tensor: it is empty, shape {arr.shape}")
+    try:
+        return Movie(frames=tuple(Frame(values=v) for v in arr),
+                     times=np.arange(len(arr)) / len(arr))
+    except ValueError as e:
+        raise ProsepError(f"{path}: not a movie tensor: {e}") from None
+
+
 def cmd_metrics(args) -> int:
     movie_arr = read_tensor(args.movie)
     bench_arr = read_tensor(args.benchmark)
@@ -489,14 +485,8 @@ def cmd_metrics(args) -> int:
             file=sys.stderr,
         )
         return 1
-    from .phantom import Movie
-    from .radon import Frame
-
-    P = movie_arr.shape[0]
-    times = np.arange(P) / P
-    movie = Movie(frames=tuple(Frame(values=v) for v in movie_arr), times=times)
-    bench = Movie(frames=tuple(Frame(values=v) for v in bench_arr), times=times)
-    rows, summary = movie_metrics(movie, bench)
+    rows, summary = movie_metrics(_movie_from_tensor(movie_arr, args.movie),
+                                  _movie_from_tensor(bench_arr, args.benchmark))
     lines = ["frame,psnr,ssim,mae"]
     for p, r in enumerate(rows):
         lines.append(f"{p},{r.psnr!r},{r.ssim!r},{r.mae!r}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SupportError
-from .radon import DetectorGrid, Frame, fbp, grid_coords, radon_project
+from .radon import DetectorGrid, Frame, grid_coords, project_fbp, radon_project
 from .sampling import AngularScheme
 
 __all__ = [
@@ -224,26 +224,14 @@ class TimeSequentialSinogram:
         return self.scheme.P
 
 
-def _ordered_map(fn, items, workers: int = 1):
-    """Map preserving order; optionally threaded (results stay deterministic)."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def render_movie(spec: PhantomSpec, motion: MotionSpec, P: int, workers: int = 1) -> Movie:
+def render_movie(spec: PhantomSpec, motion: MotionSpec, P: int) -> Movie:
     """Ground-truth movie: analytic frames at t_p = p / P."""
     times = sample_times(P)
-    frames = tuple(_ordered_map(lambda t: render_frame(spec, motion, t), times, workers))
-    return Movie(frames=frames, times=times)
+    return Movie(frames=tuple(render_frame(spec, motion, t) for t in times), times=times)
 
 
 def simulate_acquisition(
-    spec: PhantomSpec,
-    motion: MotionSpec,
+    truth: Movie,
     scheme: AngularScheme,
     detector: DetectorGrid,
     noise_sigma: float = 0.0,
@@ -251,49 +239,41 @@ def simulate_acquisition(
 ) -> TimeSequentialSinogram:
     """Time-sequential acquisition: one view angle theta_p per time t_p.
 
-    Column p is the single-angle projection of the frame rendered at
-    t_p = p / P; the object is treated as static within each sampling
-    instant.  Optional iid Gaussian noise with standard deviation
-    ``noise_sigma * max|g|`` is added, seeded for reproducibility.
+    Column p is the single-angle projection of the truth frame at t_p;
+    the object is treated as static within each sampling instant.
+    Optional iid Gaussian noise with standard deviation ``noise_sigma *
+    max|g|`` is added, seeded for reproducibility.
     """
-    P = scheme.P
-    times = sample_times(P)
-    columns = np.empty((detector.count, P))
-    for p, (t, theta) in enumerate(zip(times, scheme.angles)):
-        frame = render_frame(spec, motion, t)
+    if len(truth) != scheme.P:
+        raise ValueError(f"need one frame per view: {len(truth)} frames, P = {scheme.P}")
+    columns = np.empty((detector.count, scheme.P))
+    for p, (frame, theta) in enumerate(zip(truth.frames, scheme.angles)):
         columns[:, p] = radon_project(frame, [theta], detector).values[:, 0]
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         scale = noise_sigma * np.abs(columns).max()
         columns = columns + rng.normal(0.0, scale, size=columns.shape)
-    return TimeSequentialSinogram(values=columns, scheme=scheme, detector=detector, times=times)
+    return TimeSequentialSinogram(values=columns, scheme=scheme, detector=detector,
+                                  times=truth.times)
 
 
 def benchmark_movie(
-    spec: PhantomSpec,
-    motion: MotionSpec,
-    P: int,
+    truth: Movie,
     fbp_angles_count: int = 180,
     detector: DetectorGrid | None = None,
-    workers: int = 1,
 ) -> Movie:
     """Accuracy reference: per-frame FBP from a full simultaneous angle set.
 
-    For each t_p the true frame is projected at ``fbp_angles_count``
-    uniform angles in [0, pi) and reconstructed with FBP, i.e. the
-    reference uses P * fbp_angles_count projections in total.
+    Each truth frame is projected at ``fbp_angles_count`` uniform angles
+    in [0, pi) and reconstructed with FBP on its own grid, i.e. the
+    reference uses P * fbp_angles_count projections in total.  Every frame
+    shares the geometry, so ``project_fbp`` applies each view's projector
+    and backprojector to all P frames at once.  The detector defaults to
+    ``DetectorGrid.for_frame``.
     """
-    times = sample_times(P)
     angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
-
-    def one(t):
-        truth = render_frame(spec, motion, t)
-        det = detector if detector is not None else DetectorGrid.for_frame(truth)
-        sino = radon_project(truth, angles, det)
-        return fbp(sino, width=spec.width, pixel_size=spec.pixel_size)
-
-    frames = tuple(_ordered_map(one, times, workers))
-    return Movie(frames=frames, times=times)
+    det = detector if detector is not None else DetectorGrid.for_frame(truth.frames[0])
+    return Movie(frames=project_fbp(truth.frames, angles, det), times=truth.times)
 
 
 def example_phantom(width: int = 64, support_diameter: float = 2.0) -> PhantomSpec:

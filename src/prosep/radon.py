@@ -6,6 +6,15 @@ that disk are zeroed at construction.  A projection at angle ``theta`` and
 offset ``s`` integrates along the line ``s * (cos t, sin t) + u * (-sin t,
 cos t)``, sampled with bilinear interpolation at steps of half a pixel.
 All arithmetic is float64.
+
+Both operators are built one view at a time as ``scipy.sparse`` CSR
+matrices: the ray-driven projector of a view is J x W^2, the pixel-driven
+linear-interpolation backprojector W^2 x J.  ``radon_project`` and
+``fbp`` apply them to one frame or one sinogram.  ``project_fbp`` is the
+fused batch for many frames on one grid: per view, one projector product
+over all P frames, a ramp filter of the J x P block and one backprojector
+product accumulated into the W^2 x P result, so no sinogram stack and no
+all-view operator is ever held.
 """
 
 from __future__ import annotations
@@ -13,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import map_coordinates
+from scipy.sparse import csr_array
 
 from .errors import CoverageError, InsufficientAnglesError
 
@@ -23,6 +32,7 @@ __all__ = [
     "Sinogram",
     "radon_project",
     "fbp",
+    "project_fbp",
     "radon_energy_check",
 ]
 
@@ -150,47 +160,118 @@ def _reduced_trig(angles: np.ndarray):
     return sign * np.cos(phi), sign * np.sin(phi)
 
 
+def _linear_weights(pos: np.ndarray, n: int):
+    """Linear interpolation on the samples 0..n-1 at positions ``pos``.
+
+    Returns ``(i, t, inside)``: the value at ``pos`` is ``(1 - t) v[i] +
+    t v[i+1]`` where ``inside`` holds, and zero elsewhere, as in
+    ``np.interp(left=0, right=0)`` and ``map_coordinates(order=1,
+    mode="constant")``.  ``i`` is clipped to n-2, so ``pos = n-1`` takes
+    its whole weight from the last sample and ``i+1`` is always a sample.
+    """
+    i = np.clip(np.floor(pos), 0, max(n - 2, 0))
+    return i, pos - i, (pos >= 0.0) & (pos <= n - 1)
+
+
+def _csr_rows(data: np.ndarray, indices: np.ndarray, n_cols: int) -> csr_array:
+    """CSR matrix whose row r holds ``data[r]`` at columns ``indices[r]``.
+
+    Every row has the same number of entries, so ``indptr`` is an
+    arithmetic sequence and no sort is needed.  Rows may repeat a column
+    and CSR products add the repeats; merging them takes a sort per view
+    that costs about what it saves, even in a 128-frame product.
+    """
+    rows = data.shape[0]
+    per_row = data.size // rows
+    indptr = np.arange(rows + 1, dtype=np.int32) * per_row
+    return csr_array((data.ravel(), indices.ravel(), indptr), shape=(rows, n_cols))
+
+
+def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
+                    offsets: np.ndarray) -> csr_array:
+    """J x W^2 matrix of one view: row j integrates the frame along ray s_j.
+
+    Each ray is sampled at 2W+1 points ``pixel_size / 2`` apart over the
+    support chord; each sample is a bilinear blend of its four
+    neighbouring pixels, and the samples add up with weight ``pixel_size /
+    2``.  Applied to ``frame.values.ravel()`` this is one column of
+    ``radon_project``.
+    """
+    W, h = width, pixel_size
+    M = 2 * W + 1
+    du = 0.5 * h
+    u = (np.arange(M) - (M - 1) / 2.0) * du
+    c0 = (W - 1) / 2.0
+    x = offsets[:, None] * cos_t + u[None, :] * (-sin_t)
+    y = offsets[:, None] * sin_t + u[None, :] * cos_t
+    r, tr, r_in = _linear_weights(c0 - y / h, W)
+    k, tk, k_in = _linear_weights(x / h + c0, W)
+    step = int(W > 1)  # a one-pixel frame has no neighbour
+    weight = du * (r_in & k_in)
+    above = weight * tr
+    below = weight - above
+    left = 1.0 - tk
+    data = np.empty((offsets.size, 4, M))
+    np.multiply(below, left, out=data[:, 0])
+    np.multiply(below, tk, out=data[:, 1])
+    np.multiply(above, left, out=data[:, 2])
+    np.multiply(above, tk, out=data[:, 3])
+    indices = np.empty((offsets.size, 4, M), dtype=np.int32)
+    indices[:, 0] = r * W + k
+    indices[:, 1] = indices[:, 0] + step
+    indices[:, 2] = indices[:, 0] + step * W
+    indices[:, 3] = indices[:, 2] + step
+    return _csr_rows(data, indices, W * W)
+
+
+def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray,
+                        detector: DetectorGrid) -> csr_array:
+    """W^2 x J matrix of one view: each pixel reads the projection at its offset.
+
+    Pixel (x, y) takes the filtered projection linearly interpolated at
+    ``s = x cos t + y sin t``, and zero beyond the detector ends.
+    """
+    J = detector.count
+    pos = ((X * cos_t + Y * sin_t - detector.offsets[0]) / detector.spacing).ravel()
+    i, t, inside = _linear_weights(pos, J)
+    data = np.empty((pos.size, 2))
+    data[:, 0] = inside * (1.0 - t)
+    data[:, 1] = inside * t
+    indices = np.empty((pos.size, 2), dtype=np.int32)
+    indices[:, 0] = i
+    indices[:, 1] = indices[:, 0] + int(J > 1)  # a one-bin detector has no neighbour
+    return _csr_rows(data, indices, J)
+
+
+def _require_coverage(detector: DetectorGrid, frame: Frame) -> None:
+    if not detector.covers(frame):
+        raise CoverageError(
+            f"detector width {detector.width:g} does not cover support "
+            f"diameter {2 * frame.support_radius:g}"
+        )
+
+
 def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
     """Parallel-beam projections of ``frame`` at the given angles.
 
     Ray-driven line integrals: each ray is sampled at uniform steps of
     ``pixel_size / 2`` over the support chord, with bilinear interpolation
-    of the pixel values.  Linear in the frame by construction.
+    of the pixel values.  Each view is one sparse matrix (J x W^2) applied
+    to the frame, so the transform is linear in the frame by construction.
 
     Raises
     ------
     CoverageError
         If the detector is narrower than the support disk.
     """
-    if not detector.covers(frame):
-        raise CoverageError(
-            f"detector width {detector.width:g} does not cover support "
-            f"diameter {2 * frame.support_radius:g}"
-        )
+    _require_coverage(detector, frame)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    W = frame.width
-    h = frame.pixel_size
-    L = frame.support_radius
-    offsets = detector.offsets
-
-    # symmetric sample grid over [-L, L] at half-pixel steps
-    M = 2 * W + 1
-    du = 0.5 * h
-    u = (np.arange(M) - (M - 1) / 2.0) * du
-    c0 = (W - 1) / 2.0
-
     cos_t, sin_t = _reduced_trig(angles)
-    out = np.empty((offsets.size, angles.size))
+    f = frame.values.ravel()
+    out = np.empty((detector.count, angles.size))
     for a in range(angles.size):
-        c, s = cos_t[a], sin_t[a]
-        x = offsets[:, None] * c + u[None, :] * (-s)
-        y = offsets[:, None] * s + u[None, :] * c
-        rows = c0 - y / h
-        cols = x / h + c0
-        vals = map_coordinates(
-            frame.values, [rows.ravel(), cols.ravel()], order=1, mode="constant", cval=0.0
-        )
-        out[:, a] = vals.reshape(offsets.size, M).sum(axis=1) * du
+        out[:, a] = _view_projector(cos_t[a], sin_t[a], frame.width, frame.pixel_size,
+                                    detector.offsets) @ f
     return Sinogram(values=out, angles=angles, detector=detector)
 
 
@@ -198,7 +279,9 @@ def _ramlak_transfer(J: int, spacing: float) -> np.ndarray:
     """DFT of the discrete band-limited ramp kernel, zero-padded.
 
     Pad length is twice the next power of two >= J, which eliminates
-    circular-convolution wrap for detector-limited projections.
+    circular-convolution wrap for detector-limited projections.  The
+    kernel is real and even, so its DFT is real and the non-negative
+    frequencies (``npad // 2 + 1`` of them) determine it.
     """
     npad = 2 * (1 << max(int(np.ceil(np.log2(max(J, 2)))), 1))
     n = np.fft.fftfreq(npad, d=1.0 / npad).astype(np.int64)
@@ -206,7 +289,20 @@ def _ramlak_transfer(J: int, spacing: float) -> np.ndarray:
     kern[0] = 1.0 / (4.0 * spacing**2)
     odd = (n % 2) != 0
     kern[odd] = -1.0 / (np.pi**2 * n[odd] ** 2 * spacing**2)
-    return np.real(np.fft.fft(kern))
+    return np.real(np.fft.rfft(kern))
+
+
+def _ramp_filter(values: np.ndarray, transfer: np.ndarray, spacing: float) -> np.ndarray:
+    """Ramp-filter every column of a J x n block with ``_ramlak_transfer``."""
+    J = values.shape[0]
+    npad = 2 * (transfer.size - 1)
+    spectrum = np.fft.rfft(values, n=npad, axis=0) * transfer[:, None]
+    return np.fft.irfft(spectrum, n=npad, axis=0)[:J, :] * spacing
+
+
+def _require_two_angles(angles: np.ndarray) -> None:
+    if angles.size < 2:
+        raise InsufficientAnglesError("fbp needs at least 2 view angles")
 
 
 def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None = None) -> Frame:
@@ -216,40 +312,68 @@ def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None =
     uniformly; either span backprojects with the same pi / A scale thanks
     to the half-turn redundancy of parallel projections.  The output grid
     defaults to the one implied by the detector (width = J, pixel size =
-    spacing).
+    spacing).  Each view backprojects through one sparse matrix (W^2 x J).
 
     Raises
     ------
     InsufficientAnglesError
         If fewer than 2 angles are supplied.
     """
-    if sinogram.angles.size < 2:
-        raise InsufficientAnglesError("fbp needs at least 2 view angles")
-    J = sinogram.detector.count
-    T = sinogram.detector.spacing
+    _require_two_angles(sinogram.angles)
+    det = sinogram.detector
     if width is None:
-        width = J
+        width = det.count
     if pixel_size is None:
-        pixel_size = T
+        pixel_size = det.spacing
 
-    H = _ramlak_transfer(J, T)
-    gpad = np.zeros((H.size, sinogram.angles.size))
-    gpad[:J, :] = sinogram.values
-    filtered = np.real(np.fft.ifft(np.fft.fft(gpad, axis=0) * H[:, None], axis=0))[:J, :] * T
-
+    filtered = _ramp_filter(sinogram.values, _ramlak_transfer(det.count, det.spacing),
+                            det.spacing)
     X, Y = grid_coords(width, pixel_size)
     cos_t, sin_t = _reduced_trig(sinogram.angles)
-    s0 = sinogram.detector.offsets[0]
-    acc = np.zeros((width, width))
-    sample = np.arange(J, dtype=float)
+    acc = np.zeros(width * width)
     for a in range(sinogram.angles.size):
-        sval = X * cos_t[a] + Y * sin_t[a]
-        idx = (sval - s0) / T
-        acc += np.interp(idx.ravel(), sample, filtered[:, a], left=0.0, right=0.0).reshape(
-            width, width
-        )
+        acc += _view_backprojector(cos_t[a], sin_t[a], X, Y, det) @ filtered[:, a]
     acc *= np.pi / sinogram.angles.size
-    return Frame(values=acc, pixel_size=pixel_size)
+    return Frame(values=acc.reshape(width, width), pixel_size=pixel_size)
+
+
+def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
+    """``fbp(radon_project(f, angles, detector), f.width, f.pixel_size)`` of every frame.
+
+    All frames share one grid, so every frame meets the same linear map.
+    The frames are stacked as the columns of one W^2 x P array and the
+    views are visited one at a time: the view's projector meets all P
+    frames in one sparse product, the J x P block is ramp filtered, and
+    the view's backprojector adds it into the W^2 x P result.  No
+    sinogram stack and no all-view operator is held, so memory stays
+    O(P W^2).
+
+    Raises
+    ------
+    CoverageError
+        If the detector is narrower than the support disk.
+    InsufficientAnglesError
+        If fewer than 2 angles are supplied.
+    """
+    first = frames[0]
+    if any((f.width, f.pixel_size) != (first.width, first.pixel_size) for f in frames):
+        raise ValueError("frames must share one grid")
+    _require_coverage(detector, first)
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    _require_two_angles(angles)
+    W, h = first.width, first.pixel_size
+    stack = np.stack([f.values.ravel() for f in frames], axis=1)
+    transfer = _ramlak_transfer(detector.count, detector.spacing)
+    X, Y = grid_coords(W, h)
+    cos_t, sin_t = _reduced_trig(angles)
+    acc = np.zeros(stack.shape)
+    for a in range(angles.size):
+        projected = _view_projector(cos_t[a], sin_t[a], W, h, detector.offsets) @ stack
+        filtered = _ramp_filter(projected, transfer, detector.spacing)
+        acc += _view_backprojector(cos_t[a], sin_t[a], X, Y, detector) @ filtered
+    del stack  # the P output frames below need its memory
+    acc *= np.pi / angles.size
+    return [Frame(values=acc[:, p].reshape(W, W), pixel_size=h) for p in range(acc.shape[1])]
 
 
 def radon_energy_check(frame: Frame, angle: float, detector: DetectorGrid | None = None):

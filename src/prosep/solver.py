@@ -15,6 +15,7 @@ trigonometric parameterization, so all matrices are real.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -198,7 +199,10 @@ def _adam_descent(problem: VarproProblem, G_n: np.ndarray, Z0: np.ndarray,
             return None
         used = it
         raw[it - 1] = f
-        if f < best_f * (1.0 - config.tol_rel_objective) or best_f == np.inf:
+        # relative to |best_f|: an exact fit can round to a tiny negative
+        # objective, and best_f * (1 - tol) would then lie above best_f
+        tol = math.copysign(config.tol_rel_objective, best_f)
+        if f < best_f * (1.0 - tol) or best_f == np.inf:
             best_f = min(best_f, f)
             best_Z = Z.copy()
             last_improve = it

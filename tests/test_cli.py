@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from prosep.cli import ConfigError, load_config, main, worker_count
+from prosep.cli import ConfigError, load_config, main
 from prosep.errors import TensorFormatError
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
 
@@ -99,6 +99,14 @@ def test_config_error_names_field():
         load_config(overrides={"scheme": {"kind": "sequential"}})
 
 
+def test_config_fbp_angles_count_is_null_or_integer_at_least_2():
+    assert load_config(overrides={"fbp_angles_count": None})["fbp_angles_count"] is None
+    assert load_config(overrides={"fbp_angles_count": 2})["fbp_angles_count"] == 2
+    for bad in (2.5, "x", 1, 0, -4, [180]):
+        with pytest.raises(ConfigError, match="fbp_angles_count"):
+            load_config(overrides={"fbp_angles_count": bad})
+
+
 # ------------------------------------------------------------- simulate
 
 def test_simulate_deterministic_and_shapes(tmp_path):
@@ -136,19 +144,6 @@ def test_simulate_invalid_config_exits_1(tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err
     assert "P" in err  # message names the offending field
-
-
-def test_prosep_threads_must_be_positive_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("PROSEP_THREADS", "2")
-    assert worker_count() == 2
-    for raw in ("abc", "0", "-3", ""):
-        monkeypatch.setenv("PROSEP_THREADS", raw)
-        with pytest.raises(ConfigError, match="PROSEP_THREADS"):
-            worker_count()
-    monkeypatch.setenv("PROSEP_THREADS", "abc")
-    assert run_simulate(tmp_path / "t") == 1
-    assert "PROSEP_THREADS" in capsys.readouterr().err
-    assert not (tmp_path / "t").exists()
 
 
 def test_manifest_replay_reproduces_run(tmp_path):
@@ -266,3 +261,20 @@ def test_metrics_dim_mismatch_exits_1(sim_dir, tmp_path, capsys):
                "--benchmark", str(sim_dir / "benchmark_movie.tensor"),
                "--out", str(tmp_path / "m.csv")])
     assert rc == 1
+
+
+@pytest.mark.parametrize("arr, reason", [
+    (np.ones((3, 4, 5)), "frame must be square"),
+    (np.where(np.arange(2 * 8 * 8).reshape(2, 8, 8) == 70, np.nan, 1.0), "finite"),
+    (np.zeros((0, 8, 8)), "empty"),
+])
+def test_metrics_malformed_movie_exits_1_with_one_line(tmp_path, capsys, arr, reason):
+    bad = tmp_path / "bad.tensor"
+    write_tensor(bad, arr)
+    rc = main(["metrics", "--movie", str(bad), "--benchmark", str(bad),
+               "--out", str(tmp_path / "m.csv")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosep metrics: ") and err.count("\n") == 1
+    assert reason in err and str(bad) in err
+    assert not (tmp_path / "m.csv").exists()

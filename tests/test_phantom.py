@@ -121,10 +121,11 @@ def test_simulate_acquisition_deterministic():
     motion = example_motion(width=32)
     sch = bit_reversed(16, span=np.pi)
     det = DetectorGrid(count=33, spacing=spec.pixel_size)
-    a = simulate_acquisition(spec, motion, sch, det, noise_sigma=0.05, seed=11)
-    b = simulate_acquisition(spec, motion, sch, det, noise_sigma=0.05, seed=11)
+    truth = render_movie(spec, motion, 16)
+    a = simulate_acquisition(truth, sch, det, noise_sigma=0.05, seed=11)
+    b = simulate_acquisition(truth, sch, det, noise_sigma=0.05, seed=11)
     assert np.array_equal(a.values, b.values)
-    c = simulate_acquisition(spec, motion, sch, det, noise_sigma=0.05, seed=12)
+    c = simulate_acquisition(truth, sch, det, noise_sigma=0.05, seed=12)
     assert not np.array_equal(a.values, c.values)
 
 
@@ -133,7 +134,7 @@ def test_acquired_column_is_single_angle_projection():
     motion = example_motion(width=32)
     sch = progressive(8, span=np.pi)
     det = DetectorGrid(count=33, spacing=spec.pixel_size)
-    data = simulate_acquisition(spec, motion, sch, det)
+    data = simulate_acquisition(render_movie(spec, motion, 8), sch, det)
     p = 5
     frame = render_frame(spec, motion, p / 8)
     col = radon_project(frame, [sch.angles[p]], det).values[:, 0]
@@ -148,19 +149,42 @@ def test_static_acquisition_consistent_with_static_ct():
     P = 64
     sch = bit_reversed(P, span=np.pi)
     det = DetectorGrid(count=W + 1, spacing=spec.pixel_size)
-    data = simulate_acquisition(spec, motion, sch, det)
+    data = simulate_acquisition(render_movie(spec, motion, P), sch, det)
     rec = fbp(
         Sinogram(values=data.values, angles=sch.angles, detector=det),
         width=W, pixel_size=spec.pixel_size,
     )
-    bench = benchmark_movie(spec, motion, P=1, fbp_angles_count=P, detector=det).frames[0]
+    bench = benchmark_movie(render_movie(spec, motion, 1), fbp_angles_count=P,
+                            detector=det).frames[0]
     rms = np.sqrt(np.mean((rec.values - bench.values) ** 2))
     assert rms < 1e-6
 
 
+def test_simulate_acquisition_needs_one_frame_per_view():
+    spec = example_phantom(width=16)
+    det = DetectorGrid(count=17, spacing=spec.pixel_size)
+    with pytest.raises(ValueError, match="one frame per view"):
+        simulate_acquisition(render_movie(spec, example_motion(width=16), 4),
+                             progressive(8, span=np.pi), det)
+
+
+def test_benchmark_movie_equals_per_frame_fbp_of_projections():
+    """Oracle: the batched reference is fbp(radon_project(truth)) frame by frame."""
+    spec = example_phantom(width=24)
+    truth = render_movie(spec, example_motion(width=24), 5)
+    det = DetectorGrid(count=29, spacing=1.1 * spec.pixel_size)
+    count = 20
+    angles = np.arange(count) * (np.pi / count)
+    movie = benchmark_movie(truth, fbp_angles_count=count, detector=det)
+    assert np.array_equal(movie.times, truth.times)
+    for f, out in zip(truth.frames, movie.frames):
+        ref = fbp(radon_project(f, angles, det), width=f.width, pixel_size=f.pixel_size)
+        assert np.abs(out.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+
+
 def test_benchmark_movie_static_frames_identical():
     spec = example_phantom(width=32)
-    movie = benchmark_movie(spec, MotionSpec.static(), P=4, fbp_angles_count=24)
+    movie = benchmark_movie(render_movie(spec, MotionSpec.static(), 4), fbp_angles_count=24)
     ref = movie.frames[0].values
     for f in movie.frames[1:]:
         assert np.allclose(f.values, ref, atol=1e-12 * max(np.abs(ref).max(), 1))
@@ -174,7 +198,7 @@ def test_benchmark_quality_and_angle_monotonicity():
     peak = max(f.values.max() for f in truth.frames)
     scores = {}
     for A in (180, 360):
-        movie = benchmark_movie(spec, motion, P=2, fbp_angles_count=A)
+        movie = benchmark_movie(truth, fbp_angles_count=A)
         scores[A] = np.mean(
             [psnr(x, t, peak) for x, t in zip(movie.frames, truth.frames)]
         )
@@ -192,11 +216,11 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     P = 256
     sch = bit_reversed(P, span=np.pi)
     det = DetectorGrid(count=W + 1, spacing=spec.pixel_size)
-    data = simulate_acquisition(spec, motion, sch, det)
+    data = simulate_acquisition(render_movie(spec, motion, P), sch, det)
     naive = naive_fbp(data, width=W, pixel_size=spec.pixel_size)
 
     truth = render_movie(spec, motion, P=8)
-    bench = benchmark_movie(spec, motion, P=8, fbp_angles_count=P)
+    bench = benchmark_movie(truth, fbp_angles_count=P)
     peak = max(f.values.max() for f in truth.frames)
     psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.frames, truth.frames)])
     psnr_naive = np.mean([psnr(naive, t, peak) for t in truth.frames])

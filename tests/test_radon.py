@@ -1,15 +1,19 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import area_disk, indicator_disk, random_masked_frame
+from conftest import area_disk, fbp_loop, indicator_disk, project_loop, random_masked_frame
 from prosep.errors import CoverageError, InsufficientAnglesError
 from prosep.radon import (
     DetectorGrid,
     Frame,
     Sinogram,
     fbp,
+    project_fbp,
     radon_energy_check,
     radon_project,
+    support_mask,
 )
 from prosep.recon import psnr
 
@@ -188,3 +192,134 @@ def test_energy_bound_on_random_frames(rng):
         f = random_masked_frame(rng, width=40)
         lhs, rhs = radon_energy_check(f, rng.uniform(0, 2 * np.pi))
         assert lhs <= 1.05 * rhs
+
+
+# ---------------------------------------------------------------- loop oracles
+
+# (width, detector count, detector spacing / pixel size): odd and even widths,
+# the frame-matched detector and wider ones with a different spacing
+GEOMETRIES = [(31, 32, 1.0), (32, 33, 1.0), (33, 40, 1.37), (24, 60, 0.55)]
+
+
+def oracle_angles(rng):
+    """Angles in [0, 2 pi): random pairs theta, theta + pi and the axis directions."""
+    theta = rng.uniform(0, np.pi, 5)
+    return np.concatenate([theta, theta + np.pi, np.arange(4) * (np.pi / 2)])
+
+
+def rel_err(x, ref):
+    return np.abs(x - ref).max() / max(np.abs(ref).max(), 1e-300)
+
+
+@pytest.mark.parametrize("W, J, ratio", GEOMETRIES)
+def test_projector_matches_map_coordinates_loop(rng, W, J, ratio):
+    f = random_masked_frame(rng, width=W)
+    det = DetectorGrid(count=J, spacing=ratio * f.pixel_size)
+    angles = oracle_angles(rng)
+    assert rel_err(radon_project(f, angles, det).values, project_loop(f, angles, det)) < 1e-12
+    single = radon_project(f, angles[:1], det).values
+    assert single.shape == (J, 1)
+    assert rel_err(single, project_loop(f, angles[:1], det)) < 1e-12
+
+
+@pytest.mark.parametrize("W, J, ratio", GEOMETRIES)
+def test_fbp_matches_interp_loop(rng, W, J, ratio):
+    h = 2.0 / W
+    det = DetectorGrid(count=J, spacing=ratio * h)
+    angles = oracle_angles(rng)
+    sino = Sinogram(values=rng.standard_normal((J, angles.size)), angles=angles, detector=det)
+    for width, pixel in ((None, None), (W, h), (W + 3, 0.9 * h)):
+        out = fbp(sino, width=width, pixel_size=pixel)
+        ref = fbp_loop(sino, out.width, out.pixel_size) * support_mask(out.width, out.pixel_size)
+        assert rel_err(out.values, ref) < 1e-12
+
+
+@pytest.mark.parametrize("W, J, ratio", GEOMETRIES)
+def test_project_fbp_equals_per_frame_fbp_of_projections(rng, W, J, ratio):
+    frames = [random_masked_frame(rng, width=W) for _ in range(3)]
+    det = DetectorGrid(count=J, spacing=ratio * frames[0].pixel_size)
+    angles = oracle_angles(rng)
+    batch = project_fbp(frames, angles, det)
+    for f, out in zip(frames, batch):
+        ref = fbp(radon_project(f, angles, det), width=W, pixel_size=f.pixel_size)
+        assert out.pixel_size == ref.pixel_size
+        assert rel_err(out.values, ref.values) < 1e-12
+
+
+def test_project_fbp_rejects_mixed_grids_and_narrow_detectors(rng):
+    a = random_masked_frame(rng, width=16)
+    b = random_masked_frame(rng, width=18)
+    det = DetectorGrid.for_frame(b)
+    with pytest.raises(ValueError, match="one grid"):
+        project_fbp([a, b], [0.0, 1.0], det)
+    with pytest.raises(CoverageError):
+        project_fbp([a], [0.0, 1.0], DetectorGrid(count=4, spacing=a.pixel_size))
+    with pytest.raises(InsufficientAnglesError):
+        project_fbp([a], [0.0], DetectorGrid.for_frame(a))
+
+
+# ---------------------------------------------------------------- properties
+
+PROPERTY = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def geometries(draw, min_angles=1):
+    """A seeded rng for random frames, a covering detector and angles in [0, 2 pi)."""
+    W = draw(st.integers(6, 24))
+    h = 2.0 / W
+    spacing = draw(st.floats(0.5, 1.6)) * h
+    count = max(int(np.ceil(W * h / spacing)) + 1, W + 1) + draw(st.integers(0, 6))
+    angles = draw(st.lists(st.floats(0.0, 2 * np.pi, exclude_max=True),
+                           min_size=min_angles, max_size=5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return rng, W, h, DetectorGrid(count=count, spacing=spacing), np.array(angles)
+
+
+coefficients = st.floats(-4.0, 4.0, allow_subnormal=False)
+
+
+@PROPERTY
+@given(geometries(), coefficients, coefficients)
+def test_projection_is_linear(geometry, a, b):
+    rng, W, h, det, angles = geometry
+    f1 = random_masked_frame(rng, width=W, pixel_size=h)
+    f2 = random_masked_frame(rng, width=W, pixel_size=h)
+    comb = Frame(values=a * f1.values + b * f2.values, pixel_size=h)
+    g1 = radon_project(f1, angles, det).values
+    g2 = radon_project(f2, angles, det).values
+    scale = abs(a) * np.abs(g1).max() + abs(b) * np.abs(g2).max()
+    lhs = radon_project(comb, angles, det).values
+    assert np.abs(lhs - (a * g1 + b * g2)).max() <= 1e-12 * max(scale, 1e-300)
+
+
+@PROPERTY
+@given(geometries())
+def test_half_turn_identity(geometry):
+    """g(-s_j, theta) = g(s_j, theta + pi) on the symmetric detector grid.
+
+    Each pair is (phi - pi, phi) for phi in [pi, 2 pi), so both angles
+    reduce to the same float.  A pair built as (theta, theta + pi) can
+    round to directions one ulp apart; near the axes a sample on the grid
+    edge then moves in or out of it and the columns differ by O(1)
+    (theta = 2 pi - 1 ulp, W = 6: 6 to 24 % of the column peak on random frames).
+    """
+    rng, W, h, det, angles = geometry
+    f = random_masked_frame(rng, width=W, pixel_size=h)
+    phi = np.pi + np.mod(angles, np.pi)
+    g = radon_project(f, np.concatenate([phi - np.pi, phi]), det).values
+    direct, turned = g[:, : angles.size], g[::-1, angles.size:]
+    assert np.abs(turned - direct).max() <= 1e-12 * np.abs(direct).max()
+
+
+@PROPERTY
+@given(geometries(min_angles=2), coefficients, coefficients)
+def test_fbp_is_linear(geometry, a, b):
+    rng, W, h, det, angles = geometry
+    g1, g2 = (rng.standard_normal((det.count, angles.size)) for _ in range(2))
+    r1, r2, rc = (
+        fbp(Sinogram(values=g, angles=angles, detector=det), width=W, pixel_size=h).values
+        for g in (g1, g2, a * g1 + b * g2)
+    )
+    scale = abs(a) * np.abs(r1).max() + abs(b) * np.abs(r2).max()
+    assert np.abs(rc - (a * r1 + b * r2)).max() <= 1e-12 * max(scale, 1e-300)

@@ -7,7 +7,14 @@ from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpola
 from prosep.radon import DetectorGrid
 from prosep.recon import ProSepSolution, synthesize_sinogram
 from prosep.sampling import bit_reversed, random_scheme
-from prosep.solver import SolverConfig, VarproProblem, inner_beta, solve, stacked_data
+from prosep.solver import (
+    SolverConfig,
+    VarproProblem,
+    _adam_descent,
+    inner_beta,
+    solve,
+    stacked_data,
+)
 
 
 def small_problem(rng, P=24, N=3, K=1, d=3, symmetric=True):
@@ -275,3 +282,17 @@ def test_solve_consistency_of_reported_objective():
     problem = VarproProblem(noisy.scheme, U, order, symmetric=True)
     resid = float(np.sum((G - problem.l1(Z) @ beta.beta) ** 2)) / np.sum(G**2)
     assert resid == pytest.approx(report.final_objective, rel=1e-8)
+
+
+@pytest.mark.parametrize("value", [-8.9e-16, 0.0, 3.0e-4])
+def test_descent_stops_on_a_flat_objective_of_any_sign(value):
+    """A constant objective stalls after 350 steps, also when it rounds below 0."""
+
+    class Flat:
+        def objective_and_gradient_from_data(self, Z, G, mu):
+            return value, np.zeros_like(Z)
+
+    _, best_f, raw, _, converged = _adam_descent(
+        Flat(), None, np.eye(3)[:, :2], SolverConfig(max_iters=2000))
+    assert converged and best_f == value
+    assert raw.size == 351
