@@ -44,14 +44,10 @@ from .phantom import (
 from .psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
-    HarmonicSamplingMatrix,
-    OperatorMatrix,
-    TemporalModel,
-    build_A,
-    build_L1,
     build_L2,
     build_theta,
     face_split,
+    l1_factors,
     legendre_basis,
     real_trig_theta,
     real_trig_theta_hat,

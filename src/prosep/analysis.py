@@ -6,9 +6,11 @@ schemes), validates the full-rank and conditioning guarantees on random
 instances, and evaluates the truncation bounds for translational and
 rotational motion of a bandlimited object.
 
-Condition numbers here are computed on the complex-exponential form of
-the harmonic matrices; the real trigonometric form used by the solver is
-unitarily equivalent and shares the spectra.
+kappa(L1) and the rank check are computed on the real trigonometric L1
+the solver fits with (``psmodel.l1_factors``); the complex-exponential
+form is a unitary column transform of it with the same spectrum.  Only
+the kappa(L2) study uses the complex harmonics, because its random
+coefficients are drawn on the complex coordinates.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .psmodel import HarmonicOrder, build_L2, build_theta, face_split, legendre_basis
+from .psmodel import HarmonicOrder, build_L2, build_theta, face_split, l1_factors, legendre_basis
 from .radon import DetectorGrid, Frame, radon_energy_check
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme
 
@@ -68,38 +70,14 @@ def _kappa_from_singvals(s: np.ndarray, n_cols: int) -> float:
     return np.inf if kappa > KAPPA_SINGULAR else kappa
 
 
-def _scheme_psi(P: int, K: int, psi_source: str, seed: int | None) -> np.ndarray:
-    if psi_source == "legendre":
-        return legendre_basis(P, K)
-    if psi_source == "random_stiefel":
-        rng = np.random.default_rng(seed)
-        Q, _ = np.linalg.qr(rng.standard_normal((P, K + 1)))
-        return Q
-    raise ValueError(f"unknown psi_source {psi_source!r}")
-
-
-def _l1_complex(scheme: AngularScheme, N: int, Psi: np.ndarray, symmetric: bool) -> np.ndarray:
-    H = build_theta(scheme, N)
-    if symmetric:
-        return face_split(H.theta_hat, np.vstack([Psi, Psi]).astype(complex))
-    return face_split(H.theta, Psi.astype(complex))
-
-
-def cond_L1(
-    scheme: AngularScheme,
-    K: int,
-    N: int,
-    psi_source: str = "legendre",
-    symmetric: bool = False,
-    seed: int | None = None,
-) -> float:
+def cond_L1(scheme: AngularScheme, K: int, N: int, symmetric: bool = False) -> float:
     """Condition number of Theta_hat * Psi_hat (or Theta * Psi without symmetry).
 
-    Returns the +inf sentinel when the smallest singular value underflows
-    or kappa exceeds 1e15, i.e. when the model is numerically singular.
+    Psi is the orthonormalized Legendre basis of degree 0..K.  Returns the
+    +inf sentinel when the smallest singular value underflows or kappa
+    exceeds 1e15, i.e. when the model is numerically singular.
     """
-    Psi = _scheme_psi(scheme.P, K, psi_source, seed)
-    L1 = _l1_complex(scheme, N, Psi, symmetric)
+    L1 = face_split(*l1_factors(scheme, N, legendre_basis(scheme.P, K), symmetric))
     s = np.linalg.svd(L1, compute_uv=False)
     return _kappa_from_singvals(s, L1.shape[1])
 
@@ -132,13 +110,13 @@ def cond_L2(
     order = HarmonicOrder(N=N, K=K, d=d)
     if scheme is None:
         scheme = bit_reversed(P, span=np.pi)
-    H = build_theta(scheme, N)
+    theta_hat = build_theta(scheme, N)
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((2 * P, d))
     if orthonormal_u:
         U, _ = np.linalg.qr(U)
     beta_cols = rng.standard_normal((order.cols, J))
-    L2 = build_L2(beta_cols, H.theta_hat, U, order).matrix
+    L2 = build_L2(beta_cols, theta_hat, U, order)
     s = np.linalg.svd(L2, compute_uv=False)
     kappa_L2 = _kappa_from_singvals(s, L2.shape[1])
     ev = np.linalg.eigvalsh(beta_cols @ beta_cols.T)
@@ -170,7 +148,7 @@ def rank_check_L1(P: int, K: int, N: int, trials: int = 100, seed: int = 0) -> i
         rng = np.random.default_rng(seeds[t])
         scheme = random_scheme(P, span=np.pi, seed=rng.integers(2**63))
         Psi, _ = np.linalg.qr(rng.standard_normal((P, K + 1)))
-        L1 = _l1_complex(scheme, N, Psi, symmetric=True)
+        L1 = face_split(*l1_factors(scheme, N, Psi, symmetric=True))
         if L1.shape[0] < L1.shape[1]:
             continue
         s = np.linalg.svd(L1, compute_uv=False)

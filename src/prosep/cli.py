@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import os
 import sys
@@ -65,15 +66,7 @@ DEFAULT_CONFIG = {
     "noise_sigma": 0.0,
     "seed": 0,
     "fbp_angles_count": None,
-    "solver": {
-        "max_iters": 5000,
-        "step_size": 0.2,
-        "penalty_weight": 1.0,
-        "tol_rel_objective": 1e-9,
-        "restarts": 5,
-        "seed": 0,
-        "pinv_rank_rtol": 1e-10,
-    },
+    "solver": dataclasses.asdict(SolverConfig()),
 }
 
 
@@ -125,29 +118,51 @@ def load_config(path: str | None = None, preset: str | None = None,
     return cfg
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
 def _validate_config(cfg: dict, force: bool = False) -> None:
     def need(cond, field, msg):
         if not cond:
             raise ConfigError(f"field {field!r}: {msg}")
 
     grid = cfg.get("grid", {})
-    need(isinstance(grid.get("width"), int) and grid["width"] >= 8, "grid.width",
+    need(_is_int(grid.get("width")) and grid["width"] >= 8, "grid.width",
          "must be an integer >= 8")
-    need(grid.get("support_diameter", 0) > 0, "grid.support_diameter", "must be positive")
-    need(isinstance(cfg.get("P"), int) and cfg["P"] >= 2, "P", "must be an integer >= 2")
+    diameter = grid.get("support_diameter")
+    need(_is_number(diameter) and diameter > 0, "grid.support_diameter",
+         "must be a positive number")
+    need(_is_int(cfg.get("P")) and cfg["P"] >= 2, "P", "must be an integer >= 2")
     kind = cfg.get("scheme", {}).get("kind")
     need(kind in ("progressive", "random", "bit_reversed"), "scheme.kind",
          "must be progressive | random | bit_reversed")
     if kind == "bit_reversed":
         need(cfg["P"] & (cfg["P"] - 1) == 0, "P", "must be a power of two for bit_reversed")
+    scheme_seed = cfg.get("scheme", {}).get("seed")
+    need(scheme_seed is None or (_is_int(scheme_seed) and scheme_seed >= 0), "scheme.seed",
+         "must be null or a nonnegative integer")
+    need(_is_int(cfg.get("seed")) and cfg["seed"] >= 0, "seed",
+         "must be a nonnegative integer")
     model = cfg.get("model", {})
     for key in ("K", "N", "d"):
-        need(isinstance(model.get(key), int) and model[key] >= 0, f"model.{key}",
+        need(_is_int(model.get(key)) and model[key] >= 0, f"model.{key}",
              "must be a nonnegative integer")
     need(model["d"] >= model["K"] + 1, "model.d", "must be at least K + 1")
-    need(cfg.get("noise_sigma", 0) >= 0, "noise_sigma", "must be nonnegative")
+    sigma = cfg.get("noise_sigma")
+    need(_is_number(sigma) and sigma >= 0, "noise_sigma", "must be a nonnegative number")
+    det = cfg.get("detector", {})
+    count, spacing = det.get("count"), det.get("spacing")
+    need(count is None or (_is_int(count) and count >= 1), "detector.count",
+         "must be null or an integer >= 1")
+    need(spacing is None or (_is_number(spacing) and spacing > 0), "detector.spacing",
+         "must be null or a positive number")
     fbp_count = cfg.get("fbp_angles_count")
-    need(fbp_count is None or (isinstance(fbp_count, int) and fbp_count >= 2),
+    need(fbp_count is None or (_is_int(fbp_count) and fbp_count >= 2),
          "fbp_angles_count", "must be null or an integer >= 2")
     cols = (2 * model["N"] + 1) * (model["K"] + 1)
     if 2 * cfg["P"] < cols and not force:
@@ -208,30 +223,25 @@ def _scheme_from_config(cfg: dict) -> AngularScheme:
         return progressive(cfg["P"], span)
     if kind == "bit_reversed":
         return bit_reversed(cfg["P"], span)
-    return random_scheme(cfg["P"], span, seed=int(cfg["scheme"].get("seed", 0) or 0))
+    return random_scheme(cfg["P"], span, seed=cfg["scheme"].get("seed") or 0)
 
 
 def _detector_from_config(cfg: dict) -> DetectorGrid:
     grid = cfg["grid"]
     pixel = grid["support_diameter"] / grid["width"]
     det = cfg.get("detector", {})
-    count = det.get("count") or grid["width"] + 1
-    spacing = det.get("spacing") or pixel
-    return DetectorGrid(count=count, spacing=spacing)
+    count = det.get("count")
+    spacing = det.get("spacing")
+    return DetectorGrid(count=grid["width"] + 1 if count is None else count,
+                        spacing=pixel if spacing is None else spacing)
 
 
 def _solver_config(cfg: dict) -> SolverConfig:
     s = cfg["solver"]
+    defaults = DEFAULT_CONFIG["solver"]
     try:
-        return SolverConfig(
-            max_iters=int(s["max_iters"]),
-            step_size=float(s["step_size"]),
-            penalty_weight=float(s["penalty_weight"]),
-            tol_rel_objective=float(s["tol_rel_objective"]),
-            restarts=int(s["restarts"]),
-            seed=int(s["seed"]),
-            pinv_rank_rtol=float(s["pinv_rank_rtol"]),
-        )
+        # each field converted to its default's type (int or float)
+        return SolverConfig(**{key: type(val)(s[key]) for key, val in defaults.items()})
     except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"field 'solver': {e}")
 
@@ -402,29 +412,52 @@ def _fmt(x) -> str:
     return repr(x) if isinstance(x, float) else str(x)
 
 
+# analyze flags -> least accepted value; K = 0 and N = 0 are valid model orders
+_ANALYZE_FLAG_MIN = {"P": 1, "K": 0, "N": 0, "d": 1, "J": 1, "trials": 1, "seed": 0,
+                     "bandwidth": 0, "cmax": 0, "L": 0, "thetamax": 0, "kmax": 0}
+
+
+def _analyze_flags(args) -> dict:
+    """The study flags that were given; a flag left out keeps each study's default."""
+    given = {}
+    for flag, least in _ANALYZE_FLAG_MIN.items():
+        val = getattr(args, flag)
+        if val is None:
+            continue
+        if val < least:
+            raise ConfigError(f"flag '--{flag}': must be at least {least}, got {val}")
+        given[flag] = val
+    return given
+
+
+def _study(fn, **kwargs):
+    """Run one analysis study; study parameters it rejects are a ConfigError."""
+    try:
+        return fn(**kwargs)
+    except ValueError as e:
+        raise ConfigError(str(e)) from None
+
+
 def cmd_analyze(args) -> int:
+    given = _analyze_flags(args)
+    dims = {k: given[k] for k in ("P", "K", "N", "d", "J", "seed") if k in given}
     out = args.out
     os.makedirs(out, exist_ok=True)
     wrote = []
     if args.table1:
-        rows = analysis.table1(
-            P=args.P or 512, K=args.K if args.K is not None else 5,
-            N=args.N if args.N is not None else 28,
-            random_trials=args.trials or 1000, seed=args.seed or 0,
-            d=args.d if args.d is not None else 8, J=args.J or 128,
-        )
+        extra = {"random_trials": given["trials"]} if "trials" in given else {}
+        rows = _study(analysis.table1, **dims, **extra)
         lines = ["quantity,scheme,symmetric,value"]
         for r in rows[:6]:
             lines.append(f"kappa_L1,{r.scheme_kind},{int(r.symmetric)},{_fmt(r.kappa_L1)}")
         lines.append(f"kappa_L2,{rows[6].scheme_kind},{int(rows[6].symmetric)},{_fmt(rows[6].kappa_L2)}")
         _write_text_atomic(os.path.join(out, "table1.csv"), "\n".join(lines) + "\n")
         wrote.append("table1.csv")
+    trials = given.get("trials", 100)
     if args.thm2:
-        P = args.P or 64
-        K = args.K if args.K is not None else 2
-        N = args.N if args.N is not None else 10
-        trials = args.trials or 100
-        passes = analysis.rank_check_L1(P=P, K=K, N=N, trials=trials, seed=args.seed or 0)
+        P, K, N = given.get("P", 64), given.get("K", 2), given.get("N", 10)
+        passes = _study(analysis.rank_check_L1, P=P, K=K, N=N, trials=trials,
+                        seed=given.get("seed", 0))
         lines = [
             "P,K,N,trials,full_rank_passes",
             f"{P},{K},{N},{trials},{passes}",
@@ -432,8 +465,7 @@ def cmd_analyze(args) -> int:
         _write_text_atomic(os.path.join(out, "thm2.csv"), "\n".join(lines) + "\n")
         wrote.append("thm2.csv")
     if args.thm3:
-        trials = args.trials or 100
-        passes, worst = analysis.theorem3_sweep(trials=trials, seed=args.seed or 0)
+        passes, worst = _study(analysis.theorem3_sweep, trials=trials, **dims)
         lines = [
             "trials,bound_satisfied,worst_ratio",
             f"{trials},{passes},{worst!r}",
@@ -441,11 +473,9 @@ def cmd_analyze(args) -> int:
         _write_text_atomic(os.path.join(out, "thm3.csv"), "\n".join(lines) + "\n")
         wrote.append("thm3.csv")
     if args.bounds:
-        B = args.bandwidth if args.bandwidth is not None else 1.0
-        cmax = args.cmax if args.cmax is not None else 1.0
-        L = args.L if args.L is not None else 1.0
-        tmax = args.thetamax if args.thetamax is not None else 1.0
-        kmax = args.kmax if args.kmax is not None else 12
+        B, cmax = given.get("bandwidth", 1.0), given.get("cmax", 1.0)
+        L, tmax = given.get("L", 1.0), given.get("thetamax", 1.0)
+        kmax = given.get("kmax", 12)
         lines = ["K,translation_bound,rotation_bound"]
         for K in range(kmax + 1):
             tb = analysis.translation_bound(

@@ -4,25 +4,27 @@ The sampled projections of a dynamic object obey the bilinear model
 
     g_hat(s) = (Theta_hat * Psi_hat) beta(s),        (row-wise Kronecker)
 
-where Theta collects circular-harmonic exponentials of the view angles,
-Psi = U Z holds the sampled temporal functions, and beta(s) stacks the
+where Theta collects circular harmonics of the view angles, Psi = U Z
+holds the sampled temporal functions, and beta(s) stacks the
 harmonic-by-temporal coefficients for detector offset s (harmonic-major,
-temporal-minor).  This module constructs Theta and its half-turn
-augmented variant, the face-splitting products, the per-row operators
-A_i, the operator L2 linear in vec(Z), and the fixed interpolators
-(cubic B-spline and Legendre bases).
+temporal-minor).  This module constructs the harmonic matrices and their
+half-turn augmented variants, the face-splitting products, the operator
+L2 linear in vec(Z), and the fixed interpolators (cubic B-spline and
+Legendre bases).
 
-Two parameterizations of the harmonic axis are provided: the complex
-exponentials e^{j n theta}, n = -N..N, and a real trigonometric basis
-[1, sqrt(2) cos theta, sqrt(2) sin theta, ...].  They are related by a
-unitary column transform, so every face-splitting product built from
-them has identical singular values; the real form is what the solver
-uses (the data are real), the complex form is kept for analysis.
+The harmonic axis uses the real trigonometric basis
+[1, sqrt(2) cos theta, sqrt(2) sin theta, ...], which the solver, the
+synthesis and the kappa(L1) analysis all share.  The complex
+exponentials e^{j n theta}, n = -N..N, are related to it by a unitary
+column transform (so face-splitting products built from either have
+identical singular values); ``build_theta`` keeps them only for the
+kappa(L2) study, whose random coefficients are drawn on the complex
+coordinates.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import BSpline
@@ -31,21 +33,16 @@ from .sampling import AngularScheme
 
 __all__ = [
     "HarmonicOrder",
-    "HarmonicSamplingMatrix",
-    "TemporalModel",
     "HarmonicCoefficients",
-    "OperatorMatrix",
     "build_theta",
     "face_split",
     "spline_interpolator",
     "legendre_basis",
-    "build_L1",
-    "build_A",
     "build_L2",
     "real_trig_theta",
     "real_trig_theta_hat",
     "harmonic_parity",
-    "vec",
+    "l1_factors",
 ]
 
 
@@ -85,28 +82,17 @@ class HarmonicOrder:
         return 2 * P >= self.cols
 
 
-@dataclass(frozen=True)
-class HarmonicSamplingMatrix:
-    """Complex harmonic sampling matrices of a view-angle scheme.
+def build_theta(scheme: AngularScheme, N: int) -> np.ndarray:
+    """Complex half-turn augmented harmonic matrix, orders -N..N (2P x (2N+1)).
 
-    theta[p, n + N] = e^{j n theta_p}; theta_bar = theta * diag((-1)^n);
-    theta_hat = [theta; theta_bar] implements the half-turn identity
-    g(-s, theta) = g(s, theta + pi).
+    Row p holds e^{j n theta_p}; row P + p holds the same row times
+    (-1)^n, which implements the half-turn identity
+    g(-s, theta) = g(s, theta + pi).  The unaugmented matrix is the first
+    P rows.
     """
-
-    theta: np.ndarray
-    theta_bar: np.ndarray
-    theta_hat: np.ndarray
-    N: int
-
-
-def build_theta(scheme: AngularScheme, N: int) -> HarmonicSamplingMatrix:
-    """Harmonic sampling matrices for the scheme's angles, orders -N..N."""
     n = np.arange(-N, N + 1)
     theta = np.exp(1j * np.outer(scheme.angles, n))
-    theta_bar = theta * ((-1.0) ** n)[None, :]
-    theta_hat = np.vstack([theta, theta_bar])
-    return HarmonicSamplingMatrix(theta=theta, theta_bar=theta_bar, theta_hat=theta_hat, N=N)
+    return np.vstack([theta, theta * ((-1.0) ** n)[None, :]])
 
 
 def face_split(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -172,44 +158,15 @@ def legendre_basis(P: int, K: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TemporalModel:
-    """Low-dimensional temporal model Psi = U Z with orthonormal U."""
-
-    U: np.ndarray
-    Z: np.ndarray
-
-    def __post_init__(self):
-        U = np.asarray(self.U, dtype=float)
-        Z = np.asarray(self.Z, dtype=float)
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "Z", Z)
-        if U.ndim != 2 or Z.ndim != 2 or U.shape[1] != Z.shape[0]:
-            raise ValueError("U (P x d) and Z (d x K+1) have incompatible shapes")
-        defect = np.linalg.norm(U.T @ U - np.eye(U.shape[1]))
-        if defect > 1e-10:
-            raise ValueError(f"U columns not orthonormal (defect {defect:.2e})")
-
-    @property
-    def psi(self) -> np.ndarray:
-        return self.U @ self.Z
-
-    def u_hat(self) -> np.ndarray:
-        """Row-doubled interpolator [U; U] for the half-turn augmented model."""
-        return np.vstack([self.U, self.U])
-
-
-@dataclass(frozen=True)
 class HarmonicCoefficients:
     """Model coefficients beta(s_j) for each detector offset, as columns.
 
-    Layout per column: harmonic-major, temporal-minor.  ``representation``
-    records whether the harmonic axis uses the complex exponentials or the
-    real trigonometric basis [1, sqrt(2) cos, sqrt(2) sin, ...].
+    Layout per column: harmonic-major, temporal-minor, with the harmonic
+    axis in the real trigonometric basis [1, sqrt(2) cos, sqrt(2) sin, ...].
     """
 
     beta: np.ndarray
     order: HarmonicOrder
-    representation: str = field(default="real_trig")
 
     def __post_init__(self):
         beta = np.asarray(self.beta)
@@ -230,54 +187,16 @@ class HarmonicCoefficients:
         return self.beta[:, j].reshape(self.order.n_harmonics, self.order.n_temporal)
 
 
-@dataclass(frozen=True)
-class OperatorMatrix:
-    """A dense model operator with provenance metadata."""
-
-    matrix: np.ndarray
-    kind: str
-    meta: dict = field(default_factory=dict)
-
-    @property
-    def shape(self):
-        return self.matrix.shape
-
-
-def build_L1(theta_hat: np.ndarray, psi_hat: np.ndarray, meta: dict | None = None) -> OperatorMatrix:
-    """Operator linear in beta: L1 = theta_hat * psi_hat (face-splitting)."""
-    L1 = face_split(theta_hat, psi_hat)
-    info = {"rows": L1.shape[0], "cols": L1.shape[1]}
-    if meta:
-        info.update(meta)
-    return OperatorMatrix(matrix=L1, kind="L1", meta=info)
-
-
-def build_A(theta_hat: np.ndarray, i: int, K: int) -> np.ndarray:
-    """Per-row operator A_i = theta_hat[i] (x) I_{K+1}, shape (K+1, (2N+1)(K+1)).
-
-    Rows are 0-indexed.  Since every entry of theta_hat has unit modulus,
-    A_i A_i^H = (2N+1) I_{K+1}.
-    """
-    if not 0 <= i < theta_hat.shape[0]:
-        raise IndexError(f"row index {i} out of range [0, {theta_hat.shape[0]})")
-    return np.kron(theta_hat[i][None, :], np.eye(K + 1))
-
-
-def vec(Z: np.ndarray) -> np.ndarray:
-    """Column-major vectorization: vec(Z)[k*d + m] = Z[m, k]."""
-    return np.asarray(Z).reshape(-1, order="F")
-
-
 def build_L2(
     beta: HarmonicCoefficients | np.ndarray,
     theta_hat: np.ndarray,
     u_hat: np.ndarray,
     order: HarmonicOrder | None = None,
-    meta: dict | None = None,
-) -> OperatorMatrix:
+) -> np.ndarray:
     """Operator linear in vec(Z), stacked per row i then per offset s_j.
 
-    Row (i, j) is beta(s_j)^T A_i^T (I_{K+1} (x) u_hat[i]); the full
+    Row (i, j) is beta(s_j)^T A_i^T (I_{K+1} (x) u_hat[i]) with the
+    per-row operator A_i = theta_hat[i] (x) I_{K+1}; the full
     matrix has shape (rows * J, d * (K+1)) and satisfies
     g_hat_stacked = L2(beta) vec(Z) whenever g_hat(s) = L1(Z) beta(s).
     """
@@ -301,11 +220,7 @@ def build_L2(
     # C[i, j, k] = sum_n theta_hat[i, n] * beta[(n, k), j]
     B3 = Bcols.reshape(order.n_harmonics, Kp1, J)
     C = np.einsum("in,nkj->ijk", theta_hat, B3)
-    L2 = (C[:, :, :, None] * u_hat[:, None, None, :]).reshape(rows * J, Kp1 * d)
-    info = {"rows": L2.shape[0], "cols": L2.shape[1], "J": J}
-    if meta:
-        info.update(meta)
-    return OperatorMatrix(matrix=L2, kind="L2", meta=info)
+    return (C[:, :, :, None] * u_hat[:, None, None, :]).reshape(rows * J, Kp1 * d)
 
 
 def real_trig_theta(scheme: AngularScheme | np.ndarray, N: int) -> np.ndarray:
@@ -338,3 +253,16 @@ def real_trig_theta_hat(scheme: AngularScheme, N: int) -> np.ndarray:
     """Half-turn augmented real trigonometric matrix [T; T * diag((-1)^n)]."""
     T = real_trig_theta(scheme, N)
     return np.vstack([T, T * harmonic_parity(N)[None, :]])
+
+
+def l1_factors(scheme: AngularScheme | np.ndarray, N: int, V: np.ndarray, symmetric: bool):
+    """Row factors (Theta_hat, V_hat) of L1 = face_split(Theta_hat, V_hat Z).
+
+    With the half-turn symmetry Theta_hat = [T; T diag((-1)^n)] and
+    V_hat = [V; V] (2P rows); without it they are T and V (P rows).  T is
+    the real trigonometric matrix of the angles; V is the interpolator U,
+    or the temporal functions Psi themselves (then Z = I).
+    """
+    if symmetric:
+        return real_trig_theta_hat(scheme, N), np.vstack([V, V])
+    return real_trig_theta(scheme, N), V

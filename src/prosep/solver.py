@@ -23,7 +23,7 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .phantom import TimeSequentialSinogram
-from .psmodel import HarmonicCoefficients, HarmonicOrder, face_split, real_trig_theta_hat, real_trig_theta
+from .psmodel import HarmonicCoefficients, HarmonicOrder, face_split, l1_factors
 
 __all__ = [
     "SolverConfig",
@@ -54,7 +54,6 @@ def inner_beta(L1: np.ndarray, g_hat: np.ndarray, rank_rtol: float = 1e-10) -> n
     which keeps the solution bounded when L1 is nearly rank deficient.
     Accepts a single right-hand side or a matrix of stacked columns.
     """
-    L1 = getattr(L1, "matrix", L1)
     sol, *_ = np.linalg.lstsq(L1, g_hat, rcond=rank_rtol)
     return sol
 
@@ -75,12 +74,7 @@ class VarproProblem:
         U = np.asarray(U, dtype=float)
         if U.shape[1] != order.d:
             raise ValueError(f"U has {U.shape[1]} columns, expected d={order.d}")
-        if symmetric:
-            self.theta_hat = real_trig_theta_hat(scheme, order.N)
-            self.u_hat = np.vstack([U, U])
-        else:
-            self.theta_hat = real_trig_theta(scheme, order.N)
-            self.u_hat = U
+        self.theta_hat, self.u_hat = l1_factors(scheme, order.N, U, symmetric)
         self.rows = self.theta_hat.shape[0]
 
     def l1(self, Z: np.ndarray) -> np.ndarray:

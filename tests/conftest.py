@@ -101,6 +101,36 @@ def fbp_loop(sinogram, width, pixel_size):
     return acc * (np.pi / sinogram.angles.size)
 
 
+def complex_l1(angles, N, Psi, symmetric):
+    """Reference L1 on the complex harmonics e^{j n theta}, n = -N..N.
+
+    With the half-turn symmetry the rows are [Theta; Theta diag((-1)^n)]
+    against [Psi; Psi].  It is a unitary column transform of the real
+    trigonometric L1, so both have the same singular values.
+    """
+    n = np.arange(-N, N + 1)
+    theta = np.exp(1j * np.outer(np.asarray(angles, dtype=float), n))
+    Psi = np.asarray(Psi, dtype=complex)
+    if symmetric:
+        theta = np.vstack([theta, theta * ((-1.0) ** n)[None, :]])
+        Psi = np.vstack([Psi, Psi])
+    return (theta[:, :, None] * Psi[:, None, :]).reshape(theta.shape[0], -1)
+
+
+def build_A(theta_hat, i, K):
+    """Per-row operator A_i = theta_hat[i] (x) I_{K+1}, shape (K+1, (2N+1)(K+1)).
+
+    Row i of L1(Z) is vec(Z)^T (A_i (x) u_hat[i]^T); with unit-modulus
+    harmonics A_i A_i^H = (2N+1) I_{K+1}.
+    """
+    return np.kron(theta_hat[i][None, :], np.eye(K + 1))
+
+
+def vec(Z):
+    """Column-major vectorization: vec(Z)[k*d + m] = Z[m, k]."""
+    return np.asarray(Z).reshape(-1, order="F")
+
+
 def random_masked_frame(rng, width=48, pixel_size=None):
     if pixel_size is None:
         pixel_size = 2.0 / width

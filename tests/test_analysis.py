@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import indicator_disk, random_masked_frame
+from conftest import complex_l1, indicator_disk, random_masked_frame
 from prosep.analysis import (
     MotionBoundSpec,
     cond_L1,
@@ -15,7 +15,7 @@ from prosep.analysis import (
     theorem3_sweep,
     translation_bound,
 )
-from prosep.psmodel import build_theta, face_split, legendre_basis
+from prosep.psmodel import face_split, l1_factors, legendre_basis
 from prosep.radon import Frame, grid_coords
 from prosep.sampling import AngularScheme, bit_reversed, progressive, random_scheme
 
@@ -38,11 +38,28 @@ def test_cond_L1_progressive_is_singular():
         assert k >= 1e12 or np.isinf(k)
 
 
-def test_cond_L1_random_stiefel_source_seeded():
-    sch = random_scheme(64, np.pi, seed=5)
-    a = cond_L1(sch, 2, 6, psi_source="random_stiefel", symmetric=True, seed=3)
-    b = cond_L1(sch, 2, 6, psi_source="random_stiefel", symmetric=True, seed=3)
-    assert a == b and np.isfinite(a) and a >= 1.0
+def _complex_kappa(scheme, K, N, symmetric):
+    L1 = complex_l1(scheme.angles, N, legendre_basis(scheme.P, K), symmetric)
+    s = np.linalg.svd(L1, compute_uv=False)
+    kappa = s[0] / s[-1] if s[-1] >= 1e-300 else np.inf
+    return np.inf if kappa > 1e15 else kappa
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_cond_L1_matches_complex_oracle_on_study_dims(symmetric):
+    """The real-trig kappa(L1) equals the complex-exponential one; inf stays inf."""
+    K, N, P = 5, 28, 512
+    span = np.pi if symmetric else 2 * np.pi
+    schemes = [progressive(P, span), bit_reversed(P, span)]
+    schemes += [random_scheme(P, span, seed=s) for s in (0, 1, 2)]
+    for scheme in schemes:
+        got = cond_L1(scheme, K, N, symmetric=symmetric)
+        want = _complex_kappa(scheme, K, N, symmetric)
+        if np.isinf(want):
+            assert np.isinf(got), scheme.kind
+        else:
+            assert abs(got - want) <= 1e-10 * want, (scheme.kind, got, want)
+    assert np.isinf(cond_L1(progressive(P, span), K, N, symmetric=symmetric))
 
 
 # ------------------------------------------------- condition numbers (L2)
@@ -73,6 +90,27 @@ def test_rank_check_full_rank_when_solvable():
     assert rank_check_L1(P=64, K=2, N=10, trials=100, seed=0) == 100
 
 
+def _complex_rank_passes(P, K, N, trials, seed):
+    """rank_check_L1's draws, each tested on the complex-exponential L1."""
+    passes = 0
+    for ss in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(ss)
+        scheme = random_scheme(P, span=np.pi, seed=rng.integers(2**63))
+        Psi, _ = np.linalg.qr(rng.standard_normal((P, K + 1)))
+        L1 = complex_l1(scheme.angles, N, Psi, symmetric=True)
+        if L1.shape[0] < L1.shape[1]:
+            continue
+        s = np.linalg.svd(L1, compute_uv=False)
+        passes += bool(s[-1] / s[0] > 1e-12)
+    return passes
+
+
+@pytest.mark.filterwarnings("ignore:2P")
+@pytest.mark.parametrize("P,K,N", [(64, 2, 10), (11, 2, 3), (16, 2, 10)])
+def test_rank_check_matches_complex_oracle(P, K, N):
+    assert rank_check_L1(P=P, K=K, N=N, trials=30, seed=4) == _complex_rank_passes(P, K, N, 30, 4)
+
+
 def test_rank_check_fails_by_dimension_count():
     # (2N+1)(K+1) = 63 > 2P = 32
     with pytest.warns(UserWarning):
@@ -85,8 +123,7 @@ def test_rank_collapses_for_duplicated_angles():
     angles = np.sort(np.concatenate([base, base + 1e-13]))
     sch = AngularScheme(angles=angles, span=np.pi, kind="custom")
     Psi = legendre_basis(32, 2)
-    H = build_theta(sch, 10)
-    L1 = face_split(H.theta_hat, np.vstack([Psi, Psi]).astype(complex))
+    L1 = face_split(*l1_factors(sch, 10, Psi, symmetric=True))
     s = np.linalg.svd(L1, compute_uv=False)
     assert s[-1] / s[0] < 1e-12
 

@@ -5,6 +5,7 @@ import struct
 import numpy as np
 import pytest
 
+from prosep import analysis
 from prosep.cli import ConfigError, load_config, main
 from prosep.errors import TensorFormatError
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
@@ -105,6 +106,29 @@ def test_config_fbp_angles_count_is_null_or_integer_at_least_2():
     for bad in (2.5, "x", 1, 0, -4, [180]):
         with pytest.raises(ConfigError, match="fbp_angles_count"):
             load_config(overrides={"fbp_angles_count": bad})
+
+
+@pytest.mark.parametrize("field,bad", [
+    ("detector.count", -3), ("detector.count", 2.5), ("detector.count", 0),
+    ("detector.spacing", -1), ("detector.spacing", "x"),
+    ("noise_sigma", "x"), ("noise_sigma", -0.1),
+    ("grid.support_diameter", "x"),
+    ("scheme.seed", "x"), ("scheme.seed", -1),
+    ("seed", "x"),
+])
+def test_config_malformed_field_is_config_error(field, bad):
+    *parents, leaf = field.split(".")
+    overrides = node = {}
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = bad
+    with pytest.raises(ConfigError, match=field):
+        load_config(overrides=overrides)
+
+
+def test_config_detector_accepts_integer_count_and_positive_spacing():
+    for det in ({"count": 1, "spacing": 1}, {"count": 40, "spacing": 0.05}):
+        assert load_config(overrides={"detector": det})["detector"] == det
 
 
 # ------------------------------------------------------------- simulate
@@ -224,6 +248,40 @@ def test_analyze_thm2_and_no_flags(tmp_path, capsys):
     body = (tmp_path / "thm2.csv").read_text().strip().splitlines()
     assert body[1].endswith(",10")  # 10/10 full-rank passes
     assert main(["analyze", "--out", str(tmp_path)]) == 1
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--trials", "0"), ("--P", "0"), ("--d", "0"), ("--J", "0"),
+    ("--K", "-1"), ("--N", "-1"), ("--seed", "-1"),
+    ("--bandwidth", "-1"), ("--cmax", "-0.5"), ("--L", "-1"), ("--thetamax", "-1"),
+    ("--kmax", "-2"),
+])
+def test_analyze_rejects_out_of_range_flag(tmp_path, capsys, flag, value):
+    rc = main(["analyze", "--out", str(tmp_path), "--thm2", "--thm3", "--bounds", flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert f"'{flag}'" in err and len(err.strip().splitlines()) == 1
+    assert not (tmp_path / "thm2.csv").exists()
+    assert not (tmp_path / "bounds.csv").exists()
+
+
+def test_analyze_thm3_forwards_model_flags(tmp_path):
+    rc = main(["analyze", "--out", str(tmp_path), "--thm3", "--trials", "3",
+               "--P", "8", "--K", "4", "--N", "7", "--d", "5", "--J", "80"])
+    assert rc == 0
+    passes, worst = analysis.theorem3_sweep(trials=3, P=8, K=4, N=7, d=5, J=80)
+    assert passes == 3
+    assert (tmp_path / "thm3.csv").read_text() == (
+        f"trials,bound_satisfied,worst_ratio\n3,{passes},{worst!r}\n"
+    )
+
+
+def test_analyze_rejected_study_parameters_exit_1(tmp_path, capsys):
+    # K = 4 needs d >= 5, and theorem3_sweep's default d is 3
+    rc = main(["analyze", "--out", str(tmp_path), "--thm3", "--trials", "2", "--K", "4"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "d must be at least K + 1" in err and len(err.strip().splitlines()) == 1
 
 
 def test_analyze_bounds_monotone_column(tmp_path):

@@ -1,12 +1,10 @@
 import numpy as np
 import pytest
 
+from conftest import build_A, vec
 from prosep.psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
-    TemporalModel,
-    build_A,
-    build_L1,
     build_L2,
     build_theta,
     face_split,
@@ -15,7 +13,6 @@ from prosep.psmodel import (
     real_trig_theta,
     real_trig_theta_hat,
     spline_interpolator,
-    vec,
 )
 from prosep.sampling import AngularScheme, bit_reversed, random_scheme
 
@@ -27,24 +24,25 @@ def scheme_of(angles, span=2 * np.pi):
 # ---------------------------------------------------------------- theta
 
 def test_theta_single_angle_zero():
-    H = build_theta(scheme_of([0.0]), N=1)
-    assert np.allclose(H.theta, [[1.0, 1.0, 1.0]])
+    theta_hat = build_theta(scheme_of([0.0]), N=1)
+    assert theta_hat.shape == (2, 3)
+    assert np.allclose(theta_hat[:1], [[1.0, 1.0, 1.0]])
 
 
 def test_theta_bar_parity_exact():
-    H = build_theta(scheme_of([0.3, 2.2, 4.0]), N=1)
+    theta_hat = build_theta(scheme_of([0.3, 2.2, 4.0]), N=1)
     signs = np.array([-1.0, 1.0, -1.0])  # (-1)^n for n = -1, 0, 1
-    assert np.array_equal(H.theta_bar, H.theta * signs[None, :])
+    assert np.array_equal(theta_hat[3:], theta_hat[:3] * signs[None, :])
 
 
 def test_theta_unit_modulus():
-    H = build_theta(random_scheme(32, seed=5), N=7)
-    assert np.allclose(np.abs(H.theta_hat), 1.0, atol=1e-14)
+    theta_hat = build_theta(random_scheme(32, seed=5), N=7)
+    assert np.allclose(np.abs(theta_hat), 1.0, atol=1e-14)
 
 
 def test_theta_hat_row_norms():
-    H = build_theta(random_scheme(16, seed=2), N=6)
-    norms = np.linalg.norm(H.theta_hat, axis=1) ** 2
+    theta_hat = build_theta(random_scheme(16, seed=2), N=6)
+    norms = np.linalg.norm(theta_hat, axis=1) ** 2
     assert np.allclose(norms, 2 * 6 + 1, rtol=1e-12)
 
 
@@ -52,9 +50,9 @@ def test_augmentation_matches_shifted_angles():
     """Rows P+p of theta_hat equal the theta rows of the angles + pi."""
     angles = np.array([0.13, 1.01, 2.4])
     N = 9
-    H = build_theta(scheme_of(angles), N)
-    H_shift = build_theta(scheme_of((angles + np.pi) % (2 * np.pi)), N)
-    assert np.allclose(H.theta_hat[3:], H_shift.theta, rtol=0, atol=1e-12)
+    theta_hat = build_theta(scheme_of(angles), N)
+    theta_shift = build_theta(scheme_of((angles + np.pi) % (2 * np.pi)), N)[:3]
+    assert np.allclose(theta_hat[3:], theta_shift, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------- face split
@@ -142,79 +140,73 @@ def test_legendre_orthonormal():
 def _setup(rng, P=16, N=3, K=2, d=4, J=6, span=np.pi):
     scheme = bit_reversed(P, span=span)
     order = HarmonicOrder(N=N, K=K, d=d)
-    H = build_theta(scheme, N)
+    theta_hat = build_theta(scheme, N)
     U = spline_interpolator(P, d)
     Z = np.linalg.qr(rng.standard_normal((d, K + 1)))[0]
     beta = rng.standard_normal((order.cols, J))
-    return scheme, order, H, U, Z, beta
+    return scheme, order, theta_hat, U, Z, beta
 
 
 def test_L1_dims_and_k0_column_space(rng):
-    scheme, order, H, U, Z, _ = _setup(rng, K=0, d=1)
+    scheme, order, theta_hat, U, Z, _ = _setup(rng, K=0, d=1)
     psi_hat = np.vstack([U @ Z, U @ Z])
-    L1 = build_L1(H.theta_hat, psi_hat.astype(complex))
+    L1 = face_split(theta_hat, psi_hat.astype(complex))
     assert L1.shape == (2 * scheme.P, order.cols)
     # K = 0: L1 columns are theta_hat columns scaled by the single psi column
-    want = H.theta_hat * psi_hat[:, 0][:, None]
-    assert np.allclose(L1.matrix, want)
+    want = theta_hat * psi_hat[:, 0][:, None]
+    assert np.allclose(L1, want)
 
 
 def test_L1_row_identity_vs_kron_form(rng):
     """Row i of L1(Z) equals vec(Z)^T (A_i kron u_hat_i^T)."""
-    scheme, order, H, U, Z, _ = _setup(rng)
+    scheme, order, theta_hat, U, Z, _ = _setup(rng)
     u_hat = np.vstack([U, U])
     psi_hat = u_hat @ Z
-    L1 = build_L1(H.theta_hat, psi_hat.astype(complex)).matrix
+    L1 = face_split(theta_hat, psi_hat.astype(complex))
     z = vec(Z)
     rows = np.random.default_rng(0).choice(2 * scheme.P, size=20, replace=False)
     for i in rows:
-        A_i = build_A(H.theta_hat, int(i), order.K)
+        A_i = build_A(theta_hat, int(i), order.K)
         row = z @ np.kron(A_i, u_hat[i][:, None])
         assert np.allclose(row, L1[i], rtol=1e-12, atol=1e-12)
 
 
 def test_A_i_scaled_unitary(rng):
-    scheme, order, H, *_ = _setup(rng, N=5, K=3)
+    scheme, order, theta_hat, *_ = _setup(rng, N=5, K=3)
     for i in (0, 7, 2 * scheme.P - 1):
-        A_i = build_A(H.theta_hat, i, order.K)
+        A_i = build_A(theta_hat, i, order.K)
         gram = A_i @ A_i.conj().T
         assert np.allclose(gram, (2 * order.N + 1) * np.eye(order.K + 1), rtol=1e-12)
 
 
 def test_A_i_degenerate_orders(rng):
     scheme = bit_reversed(8, span=np.pi)
-    H0 = build_theta(scheme, N=0)
-    A_i = build_A(H0.theta_hat, 3, K=2)
-    assert np.allclose(A_i, H0.theta_hat[3, 0] * np.eye(3))
-    H = build_theta(scheme, N=4)
-    A_row = build_A(H.theta_hat, 5, K=0)
-    assert np.allclose(A_row, H.theta_hat[5][None, :])
-
-
-def test_A_i_index_out_of_range(rng):
-    scheme, order, H, *_ = _setup(rng)
-    with pytest.raises(IndexError):
-        build_A(H.theta_hat, 2 * scheme.P, order.K)
+    theta0 = build_theta(scheme, N=0)
+    A_i = build_A(theta0, 3, K=2)
+    assert np.allclose(A_i, theta0[3, 0] * np.eye(3))
+    theta_hat = build_theta(scheme, N=4)
+    A_row = build_A(theta_hat, 5, K=0)
+    assert np.allclose(A_row, theta_hat[5][None, :])
 
 
 def test_L2_consistency_with_L1(rng):
     """L1(Z) beta(s), stacked bin-major per row block, equals L2(beta) vec(Z)."""
-    scheme, order, H, U, Z, beta = _setup(rng)
+    scheme, order, theta_hat, U, Z, beta = _setup(rng)
     u_hat = np.vstack([U, U])
-    L1 = build_L1(H.theta_hat, (u_hat @ Z).astype(complex)).matrix
+    L1 = face_split(theta_hat, (u_hat @ Z).astype(complex))
     G = L1 @ beta  # rows x J
     stacked = G.reshape(-1)  # row i block, then s_j within
-    L2 = build_L2(beta, H.theta_hat, u_hat, order=order).matrix
+    L2 = build_L2(beta, theta_hat, u_hat, order=order)
     assert L2.shape == (2 * scheme.P * beta.shape[1], order.d * (order.K + 1))
     pred = L2 @ vec(Z)
     assert np.allclose(pred, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
 
 
 def test_L2_zero_beta_is_zero(rng):
-    scheme, order, H, U, _, beta = _setup(rng)
+    scheme, order, theta_hat, U, _, beta = _setup(rng)
     u_hat = np.vstack([U, U])
-    L2 = build_L2(np.zeros_like(beta), H.theta_hat, u_hat, order=order)
-    assert np.all(L2.matrix == 0)
+    L2 = build_L2(np.zeros_like(beta), theta_hat, u_hat, order=order)
+    assert np.all(L2 == 0)
 
 
 # ---------------------------------------------------------------- real trig form
@@ -234,7 +226,7 @@ def test_real_trig_spectrum_matches_complex(rng):
     P, N, K = 64, 4, 2
     scheme = random_scheme(P, seed=9)
     Psi = legendre_basis(P, K)
-    Tc = build_theta(scheme, N).theta
+    Tc = build_theta(scheme, N)[:P]
     Tr = real_trig_theta(scheme, N)
     s_c = np.linalg.svd(face_split(Tc, Psi.astype(complex)), compute_uv=False)
     s_r = np.linalg.svd(face_split(Tr, Psi), compute_uv=False)
@@ -260,16 +252,6 @@ def test_harmonic_order_validation():
     order = HarmonicOrder(N=28, K=5, d=8)
     assert order.cols == 57 * 6
     assert order.solvable(512) and not order.solvable(100)
-
-
-def test_temporal_model_checks_orthonormality(rng):
-    U = spline_interpolator(32, 4)
-    Z = np.linalg.qr(rng.standard_normal((4, 3)))[0]
-    tm = TemporalModel(U=U, Z=Z)
-    assert np.allclose(tm.psi, U @ Z)
-    assert tm.u_hat().shape == (64, 4)
-    with pytest.raises(ValueError):
-        TemporalModel(U=U * 2.0, Z=Z)
 
 
 def test_harmonic_coefficients_shape_guard():

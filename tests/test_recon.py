@@ -54,6 +54,18 @@ def test_temporal_functions_orthonormal(rng):
     assert np.linalg.norm(Psi.T @ Psi - np.eye(3)) < 1e-8
 
 
+def test_solution_rejects_non_orthonormal_factors():
+    """ProSepSolution is where Psi = U Z is checked: U and Z need orthonormal columns."""
+    data, U, Z0, beta0, order = make_exact_model_data(P=16, K=1, N=2, d=3, J=4, seed=1)
+    beta = HarmonicCoefficients(beta=beta0, order=order)
+    fields = dict(beta=beta, model=order, scheme=data.scheme, detector=data.detector,
+                  times=data.times)
+    ProSepSolution(Z=Z0, U=U, **fields)
+    for bad in ({"Z": Z0, "U": 2.0 * U}, {"Z": 2.0 * Z0, "U": U}):
+        with pytest.raises(ValueError, match="not orthonormal"):
+            ProSepSolution(**bad, **fields)
+
+
 # ---------------------------------------------------------------- synthesis
 
 def test_synthesize_matches_fitted_values_at_acquired_points():
