@@ -7,7 +7,8 @@ replay the run bit-for-bit.  Arrays are exchanged as binary tensor files
 (see ``tensorio``), tables as CSV.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver stopped at
-the iteration cap without reaching its tolerance.
+the iteration cap without reaching its tolerance (only when d > K+1: with
+d = K+1 the solver runs no descent).
 
 ``simulate`` renders the truth movie once and computes both the
 acquisition and the benchmark movie from it.
@@ -126,44 +127,52 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
-def _validate_config(cfg: dict, force: bool = False) -> None:
-    def need(cond, field, msg):
-        if not cond:
-            raise ConfigError(f"field {field!r}: {msg}")
+def _need(cond, field, msg) -> None:
+    if not cond:
+        raise ConfigError(f"field {field!r}: {msg}")
 
-    grid = cfg.get("grid", {})
-    need(_is_int(grid.get("width")) and grid["width"] >= 8, "grid.width",
-         "must be an integer >= 8")
-    diameter = grid.get("support_diameter")
-    need(_is_number(diameter) and diameter > 0, "grid.support_diameter",
-         "must be a positive number")
-    need(_is_int(cfg.get("P")) and cfg["P"] >= 2, "P", "must be an integer >= 2")
-    kind = cfg.get("scheme", {}).get("kind")
-    need(kind in ("progressive", "random", "bit_reversed"), "scheme.kind",
-         "must be progressive | random | bit_reversed")
-    if kind == "bit_reversed":
-        need(cfg["P"] & (cfg["P"] - 1) == 0, "P", "must be a power of two for bit_reversed")
-    scheme_seed = cfg.get("scheme", {}).get("seed")
-    need(scheme_seed is None or (_is_int(scheme_seed) and scheme_seed >= 0), "scheme.seed",
-         "must be null or a nonnegative integer")
-    need(_is_int(cfg.get("seed")) and cfg["seed"] >= 0, "seed",
-         "must be a nonnegative integer")
-    model = cfg.get("model", {})
+
+def _validate_model(model: dict, P: int) -> None:
+    """Model orders: nonnegative integers with K + 1 <= d <= P."""
     for key in ("K", "N", "d"):
-        need(_is_int(model.get(key)) and model[key] >= 0, f"model.{key}",
-             "must be a nonnegative integer")
-    need(model["d"] >= model["K"] + 1, "model.d", "must be at least K + 1")
+        _need(_is_int(model.get(key)) and model[key] >= 0, f"model.{key}",
+              f"must be a nonnegative integer, got {model.get(key)!r}")
+    K, d = model["K"], model["d"]
+    _need(d >= K + 1, "model.d", f"must be at least K + 1 = {K + 1}, got {d}")
+    _need(d <= P, "model.d", f"must be at most P = {P}, got {d}")
+
+
+def _validate_config(cfg: dict, force: bool = False) -> None:
+    grid = cfg.get("grid", {})
+    _need(_is_int(grid.get("width")) and grid["width"] >= 8, "grid.width",
+          "must be an integer >= 8")
+    diameter = grid.get("support_diameter")
+    _need(_is_number(diameter) and diameter > 0, "grid.support_diameter",
+          "must be a positive number")
+    _need(_is_int(cfg.get("P")) and cfg["P"] >= 2, "P", "must be an integer >= 2")
+    kind = cfg.get("scheme", {}).get("kind")
+    _need(kind in ("progressive", "random", "bit_reversed"), "scheme.kind",
+          "must be progressive | random | bit_reversed")
+    if kind == "bit_reversed":
+        _need(cfg["P"] & (cfg["P"] - 1) == 0, "P", "must be a power of two for bit_reversed")
+    scheme_seed = cfg.get("scheme", {}).get("seed")
+    _need(scheme_seed is None or (_is_int(scheme_seed) and scheme_seed >= 0), "scheme.seed",
+          "must be null or a nonnegative integer")
+    _need(_is_int(cfg.get("seed")) and cfg["seed"] >= 0, "seed",
+          "must be a nonnegative integer")
+    model = cfg.get("model", {})
+    _validate_model(model, cfg["P"])
     sigma = cfg.get("noise_sigma")
-    need(_is_number(sigma) and sigma >= 0, "noise_sigma", "must be a nonnegative number")
+    _need(_is_number(sigma) and sigma >= 0, "noise_sigma", "must be a nonnegative number")
     det = cfg.get("detector", {})
     count, spacing = det.get("count"), det.get("spacing")
-    need(count is None or (_is_int(count) and count >= 1), "detector.count",
-         "must be null or an integer >= 1")
-    need(spacing is None or (_is_number(spacing) and spacing > 0), "detector.spacing",
-         "must be null or a positive number")
+    _need(count is None or (_is_int(count) and count >= 1), "detector.count",
+          "must be null or an integer >= 1")
+    _need(spacing is None or (_is_number(spacing) and spacing > 0), "detector.spacing",
+          "must be null or a positive number")
     fbp_count = cfg.get("fbp_angles_count")
-    need(fbp_count is None or (_is_int(fbp_count) and fbp_count >= 2),
-         "fbp_angles_count", "must be null or an integer >= 2")
+    _need(fbp_count is None or (_is_int(fbp_count) and fbp_count >= 2),
+          "fbp_angles_count", "must be null or an integer >= 2")
     cols = (2 * model["N"] + 1) * (model["K"] + 1)
     if 2 * cfg["P"] < cols and not force:
         raise ConfigError(
@@ -339,6 +348,7 @@ def cmd_reconstruct(args) -> int:
         val = getattr(args, key, None)
         if val is not None:
             model_cfg[key] = val
+    _validate_model(model_cfg, manifest["P"])
     symmetric = manifest["symmetric"] if args.symmetric is None else args.symmetric == "on"
     solver_cfg = dict(manifest["solver"])
     for key in ("max_iters", "step_size", "restarts", "seed", "penalty_weight"):
@@ -392,15 +402,20 @@ def cmd_reconstruct(args) -> int:
         "aborted_restarts": report.aborted_restarts,
         "model": model_cfg,
         "symmetric": symmetric,
+        "z_identifiable": report.z_identifiable,
+        "rank_margin": report.rank_margin,
     }
     _write_text_atomic(
         os.path.join(out, "solver_report.json"),
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
     )
-    print(
-        f"reconstruct: objective {report.final_objective:.3e}, "
-        f"{'converged' if report.converged else 'iteration cap reached'}"
-    )
+    if not report.z_identifiable:
+        status = "Z not identifiable (d = K+1), closed-form least squares with Z = I"
+    elif report.converged:
+        status = "converged"
+    else:
+        status = "iteration cap reached"
+    print(f"reconstruct: objective {report.final_objective:.3e}, {status}")
     return 0 if report.converged else 2
 
 

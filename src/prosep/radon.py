@@ -10,11 +10,13 @@ All arithmetic is float64.
 Both operators are built one view at a time as ``scipy.sparse`` CSR
 matrices: the ray-driven projector of a view is J x W^2, the pixel-driven
 linear-interpolation backprojector W^2 x J.  ``radon_project`` and
-``fbp`` apply them to one frame or one sinogram.  ``project_fbp`` is the
-fused batch for many frames on one grid: per view, one projector product
-over all P frames, a ramp filter of the J x P block and one backprojector
-product accumulated into the W^2 x P result, so no sinogram stack and no
-all-view operator is ever held.
+``fbp`` apply them to one frame or one sinogram.  ``fbp_stack`` backprojects
+n sinograms on one angle set together: each view's backprojector is built
+once and meets the view's J x n block.  ``project_fbp`` is the fused batch
+for many frames on one grid: per view, one projector product over all P
+frames, a ramp filter of the J x P block and one backprojector product
+accumulated into the W^2 x P result, so no sinogram stack and no all-view
+operator is ever held.  Both run the same per-view backprojection loop.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "Sinogram",
     "radon_project",
     "fbp",
+    "fbp_stack",
     "project_fbp",
     "radon_energy_check",
 ]
@@ -305,6 +308,27 @@ def _require_two_angles(angles: np.ndarray) -> None:
         raise InsufficientAnglesError("fbp needs at least 2 view angles")
 
 
+def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, width: int,
+                 pixel_size: float) -> np.ndarray:
+    """(pi / A) sum_a B_a F_a over the ramp-filtered J x n blocks F_a, one per view.
+
+    ``B_a`` is view a's backprojector (W^2 x J), built once per view;
+    the result is W^2 x n.  ``fbp_stack`` and ``project_fbp`` both
+    backproject through this loop.
+    """
+    X, Y = grid_coords(width, pixel_size)
+    cos_t, sin_t = _reduced_trig(angles)
+    acc = None
+    for a, block in enumerate(filtered_views):
+        view = _view_backprojector(cos_t[a], sin_t[a], X, Y, detector)
+        if acc is None:
+            acc = view @ block
+        else:
+            acc += view @ block  # the product is freed before the next view's
+    acc *= np.pi / angles.size
+    return acc
+
+
 def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None = None) -> Frame:
     """Ramp-filtered backprojection of a sinogram.
 
@@ -319,22 +343,41 @@ def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None =
     InsufficientAnglesError
         If fewer than 2 angles are supplied.
     """
-    _require_two_angles(sinogram.angles)
-    det = sinogram.detector
-    if width is None:
-        width = det.count
-    if pixel_size is None:
-        pixel_size = det.spacing
+    return fbp_stack(sinogram.values[:, :, None], sinogram.angles, sinogram.detector,
+                     width=width, pixel_size=pixel_size)[0]
 
-    filtered = _ramp_filter(sinogram.values, _ramlak_transfer(det.count, det.spacing),
-                            det.spacing)
-    X, Y = grid_coords(width, pixel_size)
-    cos_t, sin_t = _reduced_trig(sinogram.angles)
-    acc = np.zeros(width * width)
-    for a in range(sinogram.angles.size):
-        acc += _view_backprojector(cos_t[a], sin_t[a], X, Y, det) @ filtered[:, a]
-    acc *= np.pi / sinogram.angles.size
-    return Frame(values=acc.reshape(width, width), pixel_size=pixel_size)
+
+def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int | None = None,
+              pixel_size: float | None = None) -> list[Frame]:
+    """``fbp`` of n sinograms that share one angle set and detector.
+
+    ``sinograms`` is J x A x n.  All of them are ramp filtered at once,
+    and each view's backprojector is built once and applied to the
+    view's J x n block, so n sinograms cost one view loop.
+
+    Raises
+    ------
+    InsufficientAnglesError
+        If fewer than 2 angles are supplied.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    _require_two_angles(angles)
+    values = np.asarray(sinograms, dtype=float)
+    if values.ndim != 3 or values.shape[:2] != (detector.count, angles.size):
+        raise ValueError(f"sinograms must be J x A x n = {detector.count} x {angles.size} "
+                         f"x n, got shape {values.shape}")
+    if width is None:
+        width = detector.count
+    if pixel_size is None:
+        pixel_size = detector.spacing
+    J, A, n = values.shape
+    transfer = _ramlak_transfer(J, detector.spacing)
+    filtered = _ramp_filter(values.reshape(J, A * n), transfer, detector.spacing)
+    filtered = filtered.reshape(J, A, n)
+    acc = _backproject((filtered[:, a] for a in range(A)), angles, detector, width,
+                       pixel_size)
+    return [Frame(values=acc[:, k].reshape(width, width), pixel_size=pixel_size)
+            for k in range(n)]
 
 
 def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
@@ -364,15 +407,14 @@ def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
     W, h = first.width, first.pixel_size
     stack = np.stack([f.values.ravel() for f in frames], axis=1)
     transfer = _ramlak_transfer(detector.count, detector.spacing)
-    X, Y = grid_coords(W, h)
     cos_t, sin_t = _reduced_trig(angles)
-    acc = np.zeros(stack.shape)
-    for a in range(angles.size):
-        projected = _view_projector(cos_t[a], sin_t[a], W, h, detector.offsets) @ stack
-        filtered = _ramp_filter(projected, transfer, detector.spacing)
-        acc += _view_backprojector(cos_t[a], sin_t[a], X, Y, detector) @ filtered
+    filtered_views = (
+        _ramp_filter(_view_projector(cos_t[a], sin_t[a], W, h, detector.offsets) @ stack,
+                     transfer, detector.spacing)
+        for a in range(angles.size)
+    )
+    acc = _backproject(filtered_views, angles, detector, W, h)
     del stack  # the P output frames below need its memory
-    acc *= np.pi / angles.size
     return [Frame(values=acc[:, p].reshape(W, W), pixel_size=h) for p in range(acc.shape[1])]
 
 

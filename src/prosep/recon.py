@@ -18,7 +18,7 @@ from scipy.ndimage import gaussian_filter
 
 from .phantom import Movie, TimeSequentialSinogram
 from .psmodel import HarmonicCoefficients, HarmonicOrder, real_trig_theta
-from .radon import DetectorGrid, Frame, Sinogram, fbp
+from .radon import DetectorGrid, Frame, Sinogram, fbp, fbp_stack
 from .sampling import AngularScheme
 
 __all__ = [
@@ -111,8 +111,9 @@ def reconstruct_movie(
     """FBP-reconstruct every frame of the fitted model on a dense angle set.
 
     The synthesized sinogram of frame p is sum_k psi_k(t_p) g_k with
-    component sinograms g_k = T_dense beta[:, k, :], so FBP runs once per
-    component, phi_k = FBP(g_k), and frame p is sum_k psi_k(t_p) phi_k.
+    component sinograms g_k = T_dense beta[:, k, :], so the K+1 component
+    sinograms are backprojected together (``fbp_stack``, one backprojector
+    per view), phi_k = FBP(g_k), and frame p is sum_k psi_k(t_p) phi_k.
     This equals FBP of ``synthesize_sinogram`` for every frame up to
     rounding.  The synthesis angle count defaults to P uniform angles in
     [0, pi), matching the information budget of the benchmark movie.
@@ -122,11 +123,9 @@ def reconstruct_movie(
     order = solution.model
     T = real_trig_theta(angles, order.N)  # A x (2N+1)
     B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
-    phis = [
-        fbp(Sinogram(values=(T @ B3[:, k, :]).T, angles=angles, detector=solution.detector),
-            width=width, pixel_size=pixel_size)
-        for k in range(order.n_temporal)
-    ]
+    components = np.einsum("an,nkj->jak", T, B3)  # J x A x (K+1)
+    phis = fbp_stack(components, angles, solution.detector, width=width,
+                     pixel_size=pixel_size)
     phi = np.stack([f.values for f in phis])  # (K+1) x W x W
     psi = temporal_functions(solution.U, solution.Z)
     frames = tuple(

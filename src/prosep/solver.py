@@ -5,12 +5,19 @@ The inner linear variable beta(s) is eliminated in closed form, leaving
 
     min_Z  ||P_perp(L1(Z)) G||_F^2
 
-over Z with orthonormal columns, evaluated on G directly.  The
-orthonormality constraint is relaxed to a penalty and the reduced
-objective is minimized with Adam; the returned Z is re-orthonormalized
-through its polar factor and the coefficients are recovered per
-detector offset by truncated least squares.  Everything runs in the real
-trigonometric parameterization, so all matrices are real.
+over Z with orthonormal columns, evaluated on G directly.
+
+When d = K+1, Z is square and U Z spans range(U) for every invertible Z,
+so range(L1(Z)) and the objective do not depend on Z: Z is not
+identifiable.  ``solve`` then takes Z = I (Psi = U) and fits beta with
+one least-squares solve; there is nothing to descend on.
+
+When d > K+1, the orthonormality constraint is relaxed to a penalty and
+the reduced objective is minimized with Adam; the returned Z is
+re-orthonormalized through its polar factor and the coefficients are
+recovered per detector offset by truncated least squares.  Everything
+runs in the real trigonometric parameterization, so all matrices are
+real.
 """
 
 from __future__ import annotations
@@ -95,10 +102,11 @@ class VarproProblem:
         QtG = Q.T @ G
         F = float(np.sum(G * G) - np.sum(QtG * QtG))
         resid = G - Q @ QtG
-        # beta* through the QR factors when safely full rank,
-        # truncated least squares otherwise
+        # beta* through the QR factors when safely full column rank,
+        # truncated least squares otherwise (also when rows < columns,
+        # where R is not square)
         diag = np.abs(np.diagonal(R))
-        if diag.min() > self.rank_rtol * max(diag.max(), 1e-300):
+        if R.shape[0] == R.shape[1] and diag.min() > self.rank_rtol * max(diag.max(), 1e-300):
             beta = solve_triangular(R, QtG, lower=False)
         else:
             beta, *_ = np.linalg.lstsq(L1, G, rcond=self.rank_rtol)
@@ -115,7 +123,13 @@ class VarproProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters of the penalized Adam descent on Z."""
+    """Hyperparameters of the penalized Adam descent on Z.
+
+    The Adam fields (``max_iters``, ``step_size``, ``penalty_weight``,
+    ``tol_rel_objective``), ``restarts`` and ``seed`` apply only when
+    d > K+1; with d = K+1 ``solve`` runs no descent.  ``pinv_rank_rtol``
+    applies to every least-squares solve for beta.
+    """
 
     max_iters: int = 5000
     step_size: float = 0.2
@@ -140,7 +154,14 @@ class SolverReport:
     ``objective_trace`` is the incumbent (best-so-far) normalized
     objective per iteration of the winning restart, which is
     non-increasing by construction; ``raw_objective_trace`` keeps the
-    actual per-iterate values of the same restart.
+    actual per-iterate values of the same restart.  A solve without a
+    descent (d = K+1, or all-zero data) has one entry in each trace, the
+    closed-form objective, and no restarts.
+
+    ``z_identifiable`` is false exactly when d = K+1.  ``rank_margin`` is
+    the number of equations per detector offset minus the number of
+    unknowns, rows(L1) - (2N+1)(K+1), with 2P rows under the half-turn
+    symmetry and P without it; below 0, L1 cannot have full column rank.
     """
 
     objective_trace: np.ndarray
@@ -150,6 +171,8 @@ class SolverReport:
     chosen_restart: int
     iterations_used: int
     converged: bool
+    z_identifiable: bool
+    rank_margin: int
     restart_objectives: list = field(default_factory=list)
     aborted_restarts: list = field(default_factory=list)
 
@@ -239,11 +262,17 @@ def solve(
 ):
     """Recover (Z, beta) from a time-sequential sinogram.
 
-    Runs ``config.restarts`` independent Adam descents from random
-    orthonormal starting points, keeps the lowest objective (ties broken
-    by restart index), re-orthonormalizes the winner through its polar
-    factor, and recovers beta(s_j) for every detector offset by truncated
-    least squares.
+    With d = K+1 the objective is the same for every Z (module
+    docstring), so Z = I and beta comes from one truncated least-squares
+    solve on L1(I); the report says converged after 0 iterations, with
+    ``z_identifiable`` false.  All-zero data take the same path with
+    Z = I_{d x (K+1)}, since the zero model fits them exactly.
+
+    With d > K+1, runs ``config.restarts`` independent Adam descents from
+    random orthonormal starting points, keeps the lowest objective (ties
+    broken by restart index), re-orthonormalizes the winner through its
+    polar factor, and recovers beta(s_j) for every detector offset by
+    truncated least squares.
 
     Parameters
     ----------
@@ -275,22 +304,23 @@ def solve(
     problem = VarproProblem(data.scheme, U, model, symmetric, config.pinv_rank_rtol)
     G = stacked_data(data, symmetric)
     tr = float(np.sum(G * G))
-    if tr <= 0.0:
-        # all-zero data: the zero model is exact
-        Z = _polar_orthonormalize(np.eye(model.d)[:, : model.n_temporal])
-        beta = HarmonicCoefficients(
-            beta=np.zeros((model.cols, data.detector.count)), order=model
-        )
+    identifiable = model.d > model.n_temporal
+    facts = dict(z_identifiable=identifiable, rank_margin=problem.rows - model.cols)
+    if tr <= 0.0 or not identifiable:
+        Z = np.eye(model.d)[:, : model.n_temporal]
+        f = 0.0 if tr <= 0.0 else problem.objective_and_gradient_from_data(Z, G / np.sqrt(tr))[0]
         report = SolverReport(
-            objective_trace=np.zeros(1),
-            raw_objective_trace=np.zeros(1),
-            final_objective=0.0,
+            objective_trace=np.array([f]),
+            raw_objective_trace=np.array([f]),
+            final_objective=f,
             final_orthonormality_defect=0.0,
             chosen_restart=0,
             iterations_used=0,
             converged=True,
-            restart_objectives=[0.0],
+            **facts,
         )
+        beta = HarmonicCoefficients(beta=inner_beta(problem.l1(Z), G, config.pinv_rank_rtol),
+                                    order=model)
         return Z, beta, report
 
     G_n = G / np.sqrt(tr)  # unit Frobenius norm: objectives are relative to ||G||^2
@@ -327,6 +357,7 @@ def solve(
         chosen_restart=r_best,
         iterations_used=raw.size,
         converged=converged,
+        **facts,
         restart_objectives=restart_objectives,
         aborted_restarts=aborted,
     )

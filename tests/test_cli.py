@@ -115,6 +115,7 @@ def test_config_fbp_angles_count_is_null_or_integer_at_least_2():
     ("grid.support_diameter", "x"),
     ("scheme.seed", "x"), ("scheme.seed", -1),
     ("seed", "x"),
+    ("model.d", 300),  # d > P = 256
 ])
 def test_config_malformed_field_is_config_error(field, bad):
     *parents, leaf = field.split(".")
@@ -217,9 +218,58 @@ def test_reconstruct_outputs_and_determinism(sim_dir, tmp_path):
 
 
 def test_reconstruct_exit_2_when_not_converged(sim_dir, tmp_path):
-    rc = main(["reconstruct", "--input", str(sim_dir), "--out", str(tmp_path / "nc"),
-               "--solver-max-iters", "3", "--solver-restarts", "1"])
+    # d = 3 > K+1 = 2: Z is identifiable and the capped descent runs
+    out = tmp_path / "nc"
+    rc = main(["reconstruct", "--input", str(sim_dir), "--out", str(out),
+               "--solver-max-iters", "3", "--solver-restarts", "1", "--d", "3"])
     assert rc == 2
+    summary = json.loads((out / "solver_report.json").read_text())
+    assert summary["z_identifiable"] is True
+    assert summary["rank_margin"] == 64 - 9 * 2  # 2P - (2N+1)(K+1)
+
+
+@pytest.mark.parametrize("symmetric, rows", [("on", 64), ("off", 32)])
+def test_reconstruct_closed_form_when_z_not_identifiable(sim_dir, tmp_path, capsys,
+                                                         symmetric, rows):
+    """d = K+1: no descent runs, so the iteration cap cannot be reached."""
+    out = tmp_path / "cf"
+    rc = main(["reconstruct", "--input", str(sim_dir), "--out", str(out),
+               "--solver-max-iters", "1", "--symmetric", symmetric])
+    assert rc == 0
+    assert "Z not identifiable" in capsys.readouterr().out
+    summary = json.loads((out / "solver_report.json").read_text())
+    assert summary["z_identifiable"] is False
+    assert summary["rank_margin"] == rows - 9 * 2  # rows - (2N+1)(K+1)
+    assert summary["converged"] is True and summary["iterations_used"] == 0
+    assert summary["restart_objectives"] == []
+    assert np.array_equal(read_tensor(out / "Z.tensor"), np.eye(2))
+
+
+def test_reconstruct_underdetermined_override_warns_and_runs(sim_dir, tmp_path):
+    out = tmp_path / "under"
+    with pytest.warns(UserWarning, match="full column rank"):
+        rc = main(["reconstruct", "--input", str(sim_dir), "--out", str(out), "--N", "40"])
+    assert rc == 0
+    summary = json.loads((out / "solver_report.json").read_text())
+    assert summary["rank_margin"] == 64 - 81 * 2
+    assert abs(summary["final_objective"]) < 1e-12
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--K", "9", "model.d"),  # d = 2 < K + 1
+    ("--d", "1", "model.d"),
+    ("--N", "-1", "model.N"),
+    ("--K", "-1", "model.K"),
+    ("--d", "40", "model.d"),  # d > P = 32: no spline interpolator
+])
+def test_reconstruct_rejects_bad_model_override(sim_dir, tmp_path, capsys, flag, value, field):
+    out = tmp_path / "bad"
+    rc = main(["reconstruct", "--input", str(sim_dir), "--out", str(out), flag, value])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosep reconstruct: ") and err.count("\n") == 1
+    assert f"'{field}'" in err
+    assert not out.exists()
 
 
 def test_reconstruct_missing_input_exits_1(tmp_path, capsys):

@@ -10,6 +10,7 @@ from prosep.radon import (
     Frame,
     Sinogram,
     fbp,
+    fbp_stack,
     project_fbp,
     radon_energy_check,
     radon_project,
@@ -232,6 +233,32 @@ def test_fbp_matches_interp_loop(rng, W, J, ratio):
         out = fbp(sino, width=width, pixel_size=pixel)
         ref = fbp_loop(sino, out.width, out.pixel_size) * support_mask(out.width, out.pixel_size)
         assert rel_err(out.values, ref) < 1e-12
+
+
+@pytest.mark.parametrize("W, J, ratio", GEOMETRIES)
+def test_fbp_stack_matches_interp_loop_per_sinogram(rng, W, J, ratio):
+    h = 2.0 / W
+    det = DetectorGrid(count=J, spacing=ratio * h)
+    angles = oracle_angles(rng)
+    stack = rng.standard_normal((J, angles.size, 3))
+    for width, pixel in ((None, None), (W + 3, 0.9 * h)):
+        outs = fbp_stack(stack, angles, det, width=width, pixel_size=pixel)
+        assert len(outs) == 3
+        for k, out in enumerate(outs):
+            sino = Sinogram(values=stack[:, :, k], angles=angles, detector=det)
+            ref = fbp_loop(sino, out.width, out.pixel_size) * support_mask(out.width,
+                                                                            out.pixel_size)
+            assert rel_err(out.values, ref) < 1e-12
+
+
+def test_fbp_stack_rejects_mismatched_shapes_and_one_angle(rng):
+    det = DetectorGrid(count=9, spacing=0.25)
+    with pytest.raises(ValueError, match="J x A x n"):
+        fbp_stack(rng.standard_normal((9, 4)), np.arange(4.0), det)
+    with pytest.raises(ValueError, match="J x A x n"):
+        fbp_stack(rng.standard_normal((9, 5, 2)), np.arange(4.0), det)
+    with pytest.raises(InsufficientAnglesError):
+        fbp_stack(rng.standard_normal((9, 1, 2)), [0.0], det)
 
 
 @pytest.mark.parametrize("W, J, ratio", GEOMETRIES)

@@ -5,12 +5,13 @@ from conftest import make_exact_model_data, max_principal_angle
 from prosep.phantom import TimeSequentialSinogram
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator
 from prosep.radon import DetectorGrid
-from prosep.recon import ProSepSolution, synthesize_sinogram
+from prosep.recon import ProSepSolution, reconstruct_movie, synthesize_sinogram
 from prosep.sampling import bit_reversed, random_scheme
 from prosep.solver import (
     SolverConfig,
     VarproProblem,
     _adam_descent,
+    _polar_orthonormalize,
     inner_beta,
     solve,
     stacked_data,
@@ -104,6 +105,17 @@ def test_objective_zero_for_square_full_rank_L1(rng):
     Z = random_Z(rng, 2, 1)
     G = np.eye(6)
     assert objective(problem, Z, G) <= 1e-10 * 6
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_objective_with_fewer_rows_than_columns(rng, d):
+    """rows(L1) < (2N+1)(K+1): R is not square, and a full-row-rank L1 fits any G."""
+    _, order, _, problem = small_problem(rng, P=8, N=6, K=1, d=d, symmetric=False)
+    assert problem.rows < order.cols
+    G = rng.standard_normal((problem.rows, 5))
+    F, g = problem.objective_and_gradient_from_data(random_Z(rng, d, 1), G)
+    assert abs(F) < 1e-10 * np.sum(G**2)
+    assert np.linalg.norm(g) < 1e-10 * np.sum(G**2)
 
 
 def test_objective_matches_brute_force_residual(rng):
@@ -263,6 +275,8 @@ def test_solve_report_contract():
     assert 0 <= report.chosen_restart < 3
     assert report.iterations_used == report.raw_objective_trace.size
     assert len(report.restart_objectives) == 3
+    assert report.z_identifiable is True  # d = 3 > K+1 = 2
+    assert report.rank_margin == 2 * 32 - 7 * 2
     # final objective equals the best incumbent up to the polar correction
     assert report.final_objective <= report.objective_trace[-1] + 1e-10
 
@@ -282,6 +296,97 @@ def test_solve_consistency_of_reported_objective():
     problem = VarproProblem(noisy.scheme, U, order, symmetric=True)
     resid = float(np.sum((G - problem.l1(Z) @ beta.beta) ** 2)) / np.sum(G**2)
     assert resid == pytest.approx(report.final_objective, rel=1e-8)
+
+
+def noisy_exact_data(P, K, N, d, J, seed, sigma=0.05):
+    data, U, *_, order = make_exact_model_data(P=P, K=K, N=N, d=d, J=J, seed=seed)
+    r = np.random.default_rng(seed + 100)
+    noisy = TimeSequentialSinogram(
+        values=data.values + sigma * np.abs(data.values).max()
+        * r.standard_normal(data.values.shape),
+        scheme=data.scheme,
+        detector=data.detector,
+    )
+    return noisy, U, order
+
+
+def _solution(data, U, Z, beta, order, symmetric):
+    return ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=data.scheme,
+                          detector=data.detector, times=data.times, symmetric=symmetric)
+
+
+def _rel(x, ref):
+    return np.linalg.norm(x - ref) / np.linalg.norm(ref)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("seed", [2, 7])
+def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
+    """Oracle: Adam + polar + inner_beta, the path d = K+1 no longer takes."""
+    data, U, order = noisy_exact_data(P=32, K=2, N=3, d=3, J=12, seed=seed)
+    config = SolverConfig(restarts=1, seed=seed)
+    problem = VarproProblem(data.scheme, U, order, symmetric=symmetric)
+    G = stacked_data(data, symmetric)
+    G_n = G / np.linalg.norm(G)
+    Z0 = _polar_orthonormalize(np.random.default_rng(seed).standard_normal((3, 3)))
+    Z_adam = _polar_orthonormalize(_adam_descent(problem, G_n, Z0, config)[0])
+    beta_adam = HarmonicCoefficients(beta=inner_beta(problem.l1(Z_adam), G), order=order)
+    f_adam = problem.objective_and_gradient_from_data(Z_adam, G_n)[0]
+
+    Z, beta, report = solve(data, order, U, config, symmetric=symmetric)
+    assert report.final_objective > 1e-4  # the noisy data do not fit exactly
+    assert report.final_objective == pytest.approx(f_adam, rel=1e-10)
+    ours = _solution(data, U, Z, beta, order, symmetric)
+    oracle = _solution(data, U, Z_adam, beta_adam, order, symmetric)
+    angles = np.arange(40) * np.pi / 40
+    for p in (0, 11, 31):
+        assert _rel(synthesize_sinogram(ours, p, angles).values,
+                    synthesize_sinogram(oracle, p, angles).values) < 1e-10
+    movie = reconstruct_movie(ours, fbp_angles_count=24).as_array()
+    assert _rel(movie, reconstruct_movie(oracle, fbp_angles_count=24).as_array()) < 1e-10
+
+
+def test_solve_closed_form_report_contract(monkeypatch):
+    data, U, order = noisy_exact_data(P=32, K=1, N=3, d=2, J=12, seed=4)
+    calls = []
+    evaluate = VarproProblem.objective_and_gradient_from_data
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return evaluate(self, *args, **kwargs)
+
+    monkeypatch.setattr(VarproProblem, "objective_and_gradient_from_data", counted)
+    # a cap of one iteration cannot be reached: no descent runs
+    Z, beta, report = solve(data, order, U, SolverConfig(max_iters=1, restarts=3))
+    assert np.array_equal(Z, np.eye(2))
+    assert report.converged and report.iterations_used == 0
+    assert report.restart_objectives == [] and report.aborted_restarts == []
+    assert report.final_orthonormality_defect == 0.0
+    assert report.objective_trace.tolist() == [report.final_objective]
+    assert report.raw_objective_trace.tolist() == [report.final_objective]
+    assert report.z_identifiable is False
+    assert report.rank_margin == 2 * 32 - 7 * 2
+    assert len(calls) == 1
+    # beta is the least-squares fit on L1(I), and the objective is its residual
+    G = stacked_data(data, symmetric=True)
+    problem = VarproProblem(data.scheme, U, order, symmetric=True)
+    assert np.array_equal(beta.beta, inner_beta(problem.l1(np.eye(2)), G))
+    resid = float(np.sum((G - problem.l1(Z) @ beta.beta) ** 2)) / np.sum(G**2)
+    assert resid == pytest.approx(report.final_objective, rel=1e-10)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_solve_zero_data_is_exact_without_descent(d):
+    data, U, order = noisy_exact_data(P=32, K=1, N=3, d=d, J=12, seed=1)
+    zero = TimeSequentialSinogram(values=np.zeros_like(data.values), scheme=data.scheme,
+                                  detector=data.detector)
+    Z, beta, report = solve(zero, order, U, SolverConfig(restarts=2), symmetric=False)
+    assert np.array_equal(Z, np.eye(d)[:, :2])
+    assert np.all(beta.beta == 0.0)
+    assert report.final_objective == 0.0 and report.converged
+    assert report.iterations_used == 0
+    assert report.z_identifiable is (d > 2)
+    assert report.rank_margin == 32 - 7 * 2
 
 
 @pytest.mark.parametrize("value", [-8.9e-16, 0.0, 3.0e-4])
