@@ -8,20 +8,32 @@ rotational motion of a bandlimited object.
 
 kappa(L1) and the rank check are computed on the real trigonometric L1
 the solver fits with (``psmodel.l1_factors``); the complex-exponential
-form is a unitary column transform of it with the same spectrum.  Only
-the kappa(L2) study uses the complex harmonics, because its random
-coefficients are drawn on the complex coordinates.
+form is a unitary column transform of it with the same spectrum.  With
+the half-turn symmetry L1 is held as two column-disjoint P-row blocks,
+one per harmonic parity, and its spectrum is the union of theirs; full
+column rank then needs P >= (N+1)(K+1).  Only the kappa(L2) study uses
+the complex harmonics, because its random coefficients are drawn on the
+complex coordinates; its singular values come from per-row QR factors
+instead of the full L2 (``cond_L2``).
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .psmodel import HarmonicOrder, build_L2, build_theta, face_split, l1_factors, legendre_basis
+from .psmodel import (
+    HarmonicOrder,
+    build_theta,
+    face_split,
+    l1_factors,
+    l2_row_factors,
+    legendre_basis,
+)
 from .radon import DetectorGrid, Frame, radon_energy_check
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme
 
@@ -70,16 +82,28 @@ def _kappa_from_singvals(s: np.ndarray, n_cols: int) -> float:
     return np.inf if kappa > KAPPA_SINGULAR else kappa
 
 
+def _l1_singvals(blocks) -> np.ndarray:
+    """Singular values of L1 = face_split(theta, V) from its blocks, descending.
+
+    The blocks sit on disjoint columns of a row rotation of L1, so its
+    spectrum is the union of theirs.
+    """
+    s = [np.linalg.svd(face_split(b.theta, b.V), compute_uv=False) for b in blocks]
+    return np.sort(np.concatenate(s))[::-1]
+
+
 def cond_L1(scheme: AngularScheme, K: int, N: int, symmetric: bool = False) -> float:
     """Condition number of Theta_hat * Psi_hat (or Theta * Psi without symmetry).
 
-    Psi is the orthonormalized Legendre basis of degree 0..K.  Returns the
-    +inf sentinel when the smallest singular value underflows or kappa
-    exceeds 1e15, i.e. when the model is numerically singular.
+    Psi is the orthonormalized Legendre basis of degree 0..K.  With the
+    symmetry the spectrum is the union of the two parity blocks'
+    (``psmodel.l1_factors``).  Returns the +inf sentinel when the
+    smallest singular value underflows or kappa exceeds 1e15, i.e. when
+    the model is numerically singular, or when a block has fewer rows
+    than columns.
     """
-    L1 = face_split(*l1_factors(scheme, N, legendre_basis(scheme.P, K), symmetric))
-    s = np.linalg.svd(L1, compute_uv=False)
-    return _kappa_from_singvals(s, L1.shape[1])
+    blocks = l1_factors(scheme, N, legendre_basis(scheme.P, K), symmetric)
+    return _kappa_from_singvals(_l1_singvals(blocks), (2 * N + 1) * (K + 1))
 
 
 class CondL2Result(NamedTuple):
@@ -106,6 +130,11 @@ def cond_L2(
     Gaussian draw matches the conditioning study setup.  kappa(Gamma) is
     the +inf sentinel when Gamma is singular (needs J >= (2N+1)(K+1));
     kappa(L2) is still computed and reported.
+
+    L2 (``psmodel.build_L2``) is not built: its row block i is
+    kron(C_i, u_i) with C_i = Q_i R_i (J x (K+1)), and the orthonormal
+    Q_i drop out of the singular values, so the SVD runs on the stacked
+    kron(R_i, u_i), 2P min(J, K+1) rows instead of 2P J.
     """
     order = HarmonicOrder(N=N, K=K, d=d)
     if scheme is None:
@@ -116,9 +145,10 @@ def cond_L2(
     if orthonormal_u:
         U, _ = np.linalg.qr(U)
     beta_cols = rng.standard_normal((order.cols, J))
-    L2 = build_L2(beta_cols, theta_hat, U, order)
-    s = np.linalg.svd(L2, compute_uv=False)
-    kappa_L2 = _kappa_from_singvals(s, L2.shape[1])
+    R = np.linalg.qr(l2_row_factors(beta_cols, theta_hat, order), mode="r")
+    reduced = (R[:, :, :, None] * U[:, None, None, :]).reshape(-1, order.n_temporal * d)
+    s = np.linalg.svd(reduced, compute_uv=False)
+    kappa_L2 = _kappa_from_singvals(s, reduced.shape[1])
     ev = np.linalg.eigvalsh(beta_cols @ beta_cols.T)
     kappa_Gamma = np.inf if ev[0] <= ev[-1] * 1e-12 or ev[0] <= 0 else float(ev[-1] / ev[0])
     return CondL2Result(kappa_L2=kappa_L2, kappa_Gamma=kappa_Gamma)
@@ -129,29 +159,27 @@ def rank_check_L1(P: int, K: int, N: int, trials: int = 100, seed: int = 0) -> i
 
     Each trial draws P distinct angles uniform in [0, pi) and Psi
     uniformly from the Stiefel manifold (orthonormal factor of a Gaussian
-    matrix); L1 is the half-turn augmented product.  Full column rank
-    requires rows >= columns; otherwise sigma_min of the column space is
-    zero by dimension count and the trial fails.
+    matrix); L1 is the half-turn augmented product, held as its two
+    parity blocks.  Full column rank requires every block to have at
+    least as many rows as columns, P >= (N+1)(K+1)
+    (``HarmonicOrder.solvable``); otherwise it is impossible by dimension
+    count and every trial fails.
     """
     order = HarmonicOrder(N=N, K=K, d=K + 1)
-    if not order.solvable(P):
-        import warnings
-
+    if not order.solvable(P, symmetric=True):
         warnings.warn(
-            f"2P = {2 * P} < (2N+1)(K+1) = {order.cols}: full column rank "
-            "is impossible by dimension count",
+            f"P = {P} < (N+1)(K+1) = {P - order.block_margin(P, True)}: full column "
+            "rank is impossible by dimension count",
             stacklevel=2,
         )
+        return 0
     passes = 0
     seeds = np.random.SeedSequence(seed).spawn(trials)
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
         scheme = random_scheme(P, span=np.pi, seed=rng.integers(2**63))
         Psi, _ = np.linalg.qr(rng.standard_normal((P, K + 1)))
-        L1 = face_split(*l1_factors(scheme, N, Psi, symmetric=True))
-        if L1.shape[0] < L1.shape[1]:
-            continue
-        s = np.linalg.svd(L1, compute_uv=False)
+        s = _l1_singvals(l1_factors(scheme, N, Psi, symmetric=True))
         if s[-1] / s[0] > 1e-12:
             passes += 1
     return passes

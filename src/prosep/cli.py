@@ -173,10 +173,13 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
     fbp_count = cfg.get("fbp_angles_count")
     _need(fbp_count is None or (_is_int(fbp_count) and fbp_count >= 2),
           "fbp_angles_count", "must be null or an integer >= 2")
-    cols = (2 * model["N"] + 1) * (model["K"] + 1)
-    if 2 * cfg["P"] < cols and not force:
+    order = HarmonicOrder(N=model["N"], K=model["K"], d=model["d"])
+    symmetric = bool(cfg.get("symmetric"))
+    if not order.solvable(cfg["P"], symmetric) and not force:
+        need = "(N+1)(K+1)" if symmetric else "(2N+1)(K+1)"
         raise ConfigError(
-            f"field 'model': 2P = {2 * cfg['P']} < (2N+1)(K+1) = {cols}; the model is "
+            f"field 'model': P = {cfg['P']} < {need} = "
+            f"{cfg['P'] - order.block_margin(cfg['P'], symmetric)}; the model is "
             "not recoverable (pass --force to proceed anyway)"
         )
 
@@ -404,6 +407,7 @@ def cmd_reconstruct(args) -> int:
         "symmetric": symmetric,
         "z_identifiable": report.z_identifiable,
         "rank_margin": report.rank_margin,
+        "block_rank_margin": report.block_rank_margin,
     }
     _write_text_atomic(
         os.path.join(out, "solver_report.json"),
@@ -566,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--noise-sigma", type=float, dest="noise_sigma")
     sim.add_argument("--seed", type=int)
     sim.add_argument("--force", action="store_true",
-                     help="allow 2P < (2N+1)(K+1)")
+                     help="allow P < (N+1)(K+1) with the symmetry, P < (2N+1)(K+1) without")
     sim.set_defaults(func=cmd_simulate)
 
     rec = sub.add_parser("reconstruct", help="solve and rebuild the movie")

@@ -7,10 +7,20 @@ The sampled projections of a dynamic object obey the bilinear model
 where Theta collects circular harmonics of the view angles, Psi = U Z
 holds the sampled temporal functions, and beta(s) stacks the
 harmonic-by-temporal coefficients for detector offset s (harmonic-major,
-temporal-minor).  This module constructs the harmonic matrices and their
-half-turn augmented variants, the face-splitting products, the operator
-L2 linear in vec(Z), and the fixed interpolators (cubic B-spline and
-Legendre bases).
+temporal-minor).  This module constructs the harmonic matrices, the
+column blocks of L1, the face-splitting products, the operator L2 linear
+in vec(Z), and the fixed interpolators (cubic B-spline and Legendre
+bases).
+
+The half-turn identity g(-s, theta) = g(s, theta + pi) doubles the
+equations: L1_hat = [T; T diag((-1)^n)] * [U; U] Z has 2P rows, and rows
+p and P+p differ only in the sign of the odd harmonics.  Rotating each
+pair to (r_p + r_{P+p}) / sqrt2 and (r_p - r_{P+p}) / sqrt2 turns L1_hat
+into two P-row blocks on disjoint columns, sqrt2 T_even * U Z and
+sqrt2 T_odd * U Z, with the same singular values.  ``l1_factors`` returns
+L1 in this split form only.  Full column rank needs every block to be
+tall: P >= (N+1)(K+1) with the symmetry (the larger parity class has
+N+1 harmonics), P >= (2N+1)(K+1) without it.
 
 The harmonic axis uses the real trigonometric basis
 [1, sqrt(2) cos theta, sqrt(2) sin theta, ...], which the solver, the
@@ -25,9 +35,9 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy.interpolate import BSpline
 
 from .sampling import AngularScheme
 
@@ -39,9 +49,12 @@ __all__ = [
     "spline_interpolator",
     "legendre_basis",
     "build_L2",
+    "l2_row_factors",
     "real_trig_theta",
     "real_trig_theta_hat",
     "harmonic_parity",
+    "harmonic_blocks",
+    "L1Block",
     "l1_factors",
 ]
 
@@ -50,9 +63,12 @@ __all__ = [
 class HarmonicOrder:
     """Model orders: harmonic bandlimit N, temporal order K, subspace dim d.
 
-    The model has (2N+1)(K+1) unknown coefficients per detector offset;
-    with the half-turn augmentation there are 2P equations per offset, so
-    recovery needs 2P >= (2N+1)(K+1).
+    The model has (2N+1)(K+1) unknown coefficients per detector offset.
+    L1 splits into column-disjoint blocks of P rows each (``l1_factors``):
+    with the half-turn symmetry one per harmonic parity, with (N+1)(K+1)
+    columns in the larger, and without it one block of (2N+1)(K+1)
+    columns.  Recovery needs every block to have at least as many rows as
+    columns.
     """
 
     N: int
@@ -78,8 +94,17 @@ class HarmonicOrder:
         """Number of model coefficients per detector offset."""
         return self.n_harmonics * self.n_temporal
 
-    def solvable(self, P: int) -> bool:
-        return 2 * P >= self.cols
+    def block_margin(self, P: int, symmetric: bool) -> int:
+        """Least rows - columns over the blocks of L1, P - |harmonics| (K+1)."""
+        return min(P - h.size * self.n_temporal for h in harmonic_blocks(self.N, symmetric))
+
+    def solvable(self, P: int, symmetric: bool) -> bool:
+        """Whether L1 can have full column rank with P views.
+
+        P >= (N+1)(K+1) with the half-turn symmetry, P >= (2N+1)(K+1)
+        without it.
+        """
+        return self.block_margin(P, symmetric) >= 0
 
 
 def build_theta(scheme: AngularScheme, N: int) -> np.ndarray:
@@ -125,6 +150,27 @@ def _orthonormalize(V: np.ndarray) -> np.ndarray:
     return _fix_column_signs(Q)
 
 
+def _bspline_design(x: np.ndarray, knots: np.ndarray, degree: int) -> np.ndarray:
+    """B-spline basis functions of ``degree`` on ``knots`` at x (Cox-de Boor).
+
+    Degree 0 is the indicator of the half-open knot span [t_i, t_{i+1});
+    each higher degree blends neighbouring functions of the degree below,
+    with 0/0 = 0 on repeated knots.  Points outside [t_0, t_last) give 0.
+    Returns len(x) x (len(knots) - degree - 1).
+    """
+    x = np.asarray(x, dtype=float)[:, None]
+    B = ((knots[:-1] <= x) & (x < knots[1:])).astype(float)
+    for k in range(1, degree + 1):
+        span_l = knots[k:-1] - knots[: -k - 1]  # t_{i+k} - t_i
+        span_r = knots[k + 1:] - knots[1:-k]  # t_{i+k+1} - t_{i+1}
+        left = np.divide(x - knots[: -k - 1], span_l, out=np.zeros((x.size, span_l.size)),
+                         where=span_l > 0)
+        right = np.divide(knots[k + 1:] - x, span_r, out=np.zeros((x.size, span_r.size)),
+                          where=span_r > 0)
+        B = left * B[:, :-1] + right * B[:, 1:]
+    return B
+
+
 def spline_interpolator(P: int, d: int) -> np.ndarray:
     """Orthonormal cubic B-spline interpolator U (P x d).
 
@@ -140,8 +186,7 @@ def spline_interpolator(P: int, d: int) -> np.ndarray:
         [np.zeros(degree + 1), np.linspace(0.0, 1.0, n_inner + 2)[1:-1], np.ones(degree + 1)]
     )
     t = np.arange(P) / float(P)
-    design = BSpline.design_matrix(t, knots, degree, extrapolate=False).toarray()
-    return _orthonormalize(design)
+    return _orthonormalize(_bspline_design(t, knots, degree))
 
 
 def legendre_basis(P: int, K: int) -> np.ndarray:
@@ -214,13 +259,18 @@ def build_L2(
         raise ValueError("u_hat row count must match theta_hat")
     if Bcols.shape[0] != order.cols:
         raise ValueError("beta row count must equal (2N+1)(K+1)")
-    J = Bcols.shape[1]
-    d = u_hat.shape[1]
-    Kp1 = order.n_temporal
-    # C[i, j, k] = sum_n theta_hat[i, n] * beta[(n, k), j]
-    B3 = Bcols.reshape(order.n_harmonics, Kp1, J)
-    C = np.einsum("in,nkj->ijk", theta_hat, B3)
-    return (C[:, :, :, None] * u_hat[:, None, None, :]).reshape(rows * J, Kp1 * d)
+    C = l2_row_factors(Bcols, theta_hat, order)
+    J, d = Bcols.shape[1], u_hat.shape[1]
+    return (C[:, :, :, None] * u_hat[:, None, None, :]).reshape(rows * J, order.n_temporal * d)
+
+
+def l2_row_factors(beta: np.ndarray, theta_hat: np.ndarray, order: HarmonicOrder) -> np.ndarray:
+    """C[i, j, k] = sum_n theta_hat[i, n] beta[(n, k), j], shape rows x J x (K+1).
+
+    Row block i of ``build_L2`` (its J rows) is kron(C[i], u_hat[i]).
+    """
+    B3 = np.asarray(beta).reshape(order.n_harmonics, order.n_temporal, -1)
+    return np.einsum("in,nkj->ijk", theta_hat, B3)
 
 
 def real_trig_theta(scheme: AngularScheme | np.ndarray, N: int) -> np.ndarray:
@@ -250,19 +300,51 @@ def harmonic_parity(N: int) -> np.ndarray:
 
 
 def real_trig_theta_hat(scheme: AngularScheme, N: int) -> np.ndarray:
-    """Half-turn augmented real trigonometric matrix [T; T * diag((-1)^n)]."""
+    """Half-turn augmented real trigonometric matrix [T; T * diag((-1)^n)].
+
+    The 2P-row form of the symmetric model, kept for checks that rebuild
+    it; ``l1_factors`` uses the equivalent parity split.
+    """
     T = real_trig_theta(scheme, N)
     return np.vstack([T, T * harmonic_parity(N)[None, :]])
 
 
-def l1_factors(scheme: AngularScheme | np.ndarray, N: int, V: np.ndarray, symmetric: bool):
-    """Row factors (Theta_hat, V_hat) of L1 = face_split(Theta_hat, V_hat Z).
+def harmonic_blocks(N: int, symmetric: bool) -> list:
+    """Real-trig column indices of each block of L1.
 
-    With the half-turn symmetry Theta_hat = [T; T diag((-1)^n)] and
-    V_hat = [V; V] (2P rows); without it they are T and V (P rows).  T is
-    the real trigonometric matrix of the angles; V is the interpolator U,
-    or the temporal functions Psi themselves (then Z = I).
+    With the half-turn symmetry: the even harmonics, then the odd ones
+    (empty when N = 0).  Without it: all 2N+1 columns in one block.
     """
-    if symmetric:
-        return real_trig_theta_hat(scheme, N), np.vstack([V, V])
-    return real_trig_theta(scheme, N), V
+    if not symmetric:
+        return [np.arange(2 * N + 1)]
+    parity = harmonic_parity(N)
+    return [np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)]
+
+
+class L1Block(NamedTuple):
+    """One block of L1, face_split(theta, V Z).
+
+    Its columns are the coefficients (n, k) with n in ``harmonics``,
+    harmonic-major like beta.
+    """
+
+    theta: np.ndarray
+    V: np.ndarray
+    harmonics: np.ndarray
+
+
+def l1_factors(scheme: AngularScheme | np.ndarray, N: int, V: np.ndarray,
+               symmetric: bool) -> list:
+    """Column-disjoint blocks of L1(Z), one ``L1Block`` per ``harmonic_blocks`` entry.
+
+    With the half-turn symmetry there are two, (sqrt2 T[:, even], V) and
+    (sqrt2 T[:, odd], V): the parity rotation of the 2P-row
+    [T; T diag((-1)^n)] * [V; V] Z (module docstring), with the same
+    singular values.  Without it there is one, (T, V).  T is the real
+    trigonometric matrix of the angles; V is the interpolator U, or the
+    temporal functions Psi themselves (then Z = I).  Every block has P
+    rows.
+    """
+    T = real_trig_theta(scheme, N)
+    scale = np.sqrt(2.0) if symmetric else 1.0
+    return [L1Block(scale * T[:, h], V, h) for h in harmonic_blocks(N, symmetric)]

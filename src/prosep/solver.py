@@ -7,6 +7,12 @@ The inner linear variable beta(s) is eliminated in closed form, leaving
 
 over Z with orthonormal columns, evaluated on G directly.
 
+L1 is held as its column-disjoint blocks (``psmodel.l1_factors``): with
+the half-turn symmetry one P-row block per harmonic parity, without it
+one block.  The data split the same way (``stacked_data``), so the
+objective, its gradient and beta are sums and stacks of per-block
+pieces, each a quarter of the QR work of the 2P-row system.
+
 When d = K+1, Z is square and U Z spans range(U) for every invertible Z,
 so range(L1(Z)) and the objective do not depend on Z: Z is not
 identifiable.  ``solve`` then takes Z = I (Psi = U) and fits beta with
@@ -30,7 +36,13 @@ import numpy as np
 from scipy.linalg import solve_triangular
 
 from .phantom import TimeSequentialSinogram
-from .psmodel import HarmonicCoefficients, HarmonicOrder, face_split, l1_factors
+from .psmodel import (
+    HarmonicCoefficients,
+    HarmonicOrder,
+    face_split,
+    harmonic_parity,
+    l1_factors,
+)
 
 __all__ = [
     "SolverConfig",
@@ -42,16 +54,35 @@ __all__ = [
 ]
 
 
-def stacked_data(data: TimeSequentialSinogram, symmetric: bool) -> np.ndarray:
-    """Stack the measurements as columns g_hat(s_j).
+def _mirror_weights(J: int) -> np.ndarray:
+    """Weights of the ceil(J/2) kept columns: sqrt2 for a bin pair, 1 for a middle bin."""
+    w = np.full((J + 1) // 2, np.sqrt(2.0))
+    if J % 2:
+        w[-1] = 1.0
+    return w
 
-    With the half-turn symmetry, g_hat(s_j) = [g(s_j); g(-s_j)]; the
-    mirrored offset -s_j is exactly detector bin J-1-j.
+
+def stacked_data(data: TimeSequentialSinogram, symmetric: bool) -> list:
+    """The measurements as data blocks matching the blocks of ``l1_factors``.
+
+    Without the symmetry: one block, the columns g(s_j) (P x J).  With
+    it, the 2P-row columns [g(s_j); g(-s_j)] rotated like L1's rows:
+    the even part (g(s_j) + g(-s_j)) / sqrt2 and the odd part
+    (g(s_j) - g(-s_j)) / sqrt2, where -s_j is detector bin J-1-j.  Bins
+    j and J-1-j carry the same parts (the odd one negated), so each block
+    keeps only the first ceil(J/2) columns, weighted by sqrt2, except a
+    middle bin (odd J), which is its own mirror.  The weights keep every
+    sum of squares, so objectives and gradients equal those of the
+    2P x J system.
     """
     g = data.values  # J x P
     if not symmetric:
-        return g.T.copy()  # columns g(s_j) of length P
-    return np.vstack([g.T, g[::-1, :].T])  # 2P x J
+        return [g.T.copy()]
+    J = g.shape[0]
+    half = (J + 1) // 2
+    here, mirrored = g[:half].T, g[::-1][:half].T
+    w = _mirror_weights(J) / np.sqrt(2.0)
+    return [(here + mirrored) * w, (here - mirrored) * w]
 
 
 def inner_beta(L1: np.ndarray, g_hat: np.ndarray, rank_rtol: float = 1e-10) -> np.ndarray:
@@ -65,12 +96,26 @@ def inner_beta(L1: np.ndarray, g_hat: np.ndarray, rank_rtol: float = 1e-10) -> n
     return sol
 
 
+def _block_inner_beta(L_blocks, G_blocks, rank_rtol: float) -> list:
+    """``inner_beta`` per block, with one threshold for all of L1.
+
+    Singular values below ``rank_rtol`` times the largest singular value
+    of the whole L1 (the largest over the blocks) are truncated, so each
+    block truncates exactly what the stacked system would.  A block with
+    nothing above that threshold gets beta = 0 without a solve: LAPACK
+    ignores a relative cut-off of 1 or more.
+    """
+    tops = [np.linalg.norm(L, 2) for L in L_blocks]
+    cut = rank_rtol * max(tops)
+    return [inner_beta(L, G, cut / t) if t > cut else np.zeros((L.shape[1], G.shape[1]))
+            for L, G, t in zip(L_blocks, G_blocks, tops)]
+
+
 class VarproProblem:
     """Reduced-objective evaluations for a fixed scheme, interpolator and order.
 
-    Holds the real trigonometric harmonic matrix and the (row-doubled)
-    interpolator so that repeated objective/gradient evaluations reuse
-    them.
+    Holds the blocks of L1 (``l1_factors``) so that repeated
+    objective/gradient evaluations reuse them.
     """
 
     def __init__(self, scheme, U: np.ndarray, order: HarmonicOrder, symmetric: bool,
@@ -81,39 +126,62 @@ class VarproProblem:
         U = np.asarray(U, dtype=float)
         if U.shape[1] != order.d:
             raise ValueError(f"U has {U.shape[1]} columns, expected d={order.d}")
-        self.theta_hat, self.u_hat = l1_factors(scheme, order.N, U, symmetric)
-        self.rows = self.theta_hat.shape[0]
+        self.blocks = l1_factors(scheme, order.N, U, symmetric)
 
-    def l1(self, Z: np.ndarray) -> np.ndarray:
-        return face_split(self.theta_hat, self.u_hat @ Z)
+    def l1(self, Z: np.ndarray) -> list:
+        """The blocks of L1(Z), one per entry of ``blocks``."""
+        return [face_split(b.theta, b.V @ Z) for b in self.blocks]
 
-    def objective_and_gradient_from_data(self, Z: np.ndarray, G: np.ndarray,
-                                         mu: float = 0.0):
+    def beta(self, Z: np.ndarray, G, J: int) -> np.ndarray:
+        """Truncated least-squares beta for the data blocks G of J detector bins.
+
+        Solved per block, then scattered back to the (2N+1)(K+1) x J layout
+        of beta.  With the symmetry the blocks hold the weighted first
+        ceil(J/2) bins (``stacked_data``); bin J-1-j is bin j times
+        (-1)^n, so even harmonic rows are mirror-symmetric in j and odd
+        rows antisymmetric.
+        """
+        order = self.order
+        betas = _block_inner_beta(self.l1(Z), G, self.rank_rtol)
+        B = np.empty((order.n_harmonics, order.n_temporal, betas[0].shape[1]))
+        for block, beta in zip(self.blocks, betas):
+            B[block.harmonics] = beta.reshape(block.harmonics.size, order.n_temporal, -1)
+        if self.symmetric:
+            B /= _mirror_weights(J)
+            mirror = harmonic_parity(order.N)[:, None, None] * B[:, :, : J // 2]
+            B = np.concatenate([B, mirror[:, :, ::-1]], axis=2)
+        return B.reshape(order.cols, J)
+
+    def objective_and_gradient_from_data(self, Z: np.ndarray, G, mu: float = 0.0):
         """Penalized objective ||P_perp(L1(Z)) G||_F^2 and its exact gradient in Z.
 
-        With Q R = L1(Z) and beta* = pinv(L1) G the per-column least
+        G is the list of data blocks (``stacked_data``); F and the
+        gradient are sums over the blocks of L1.  Per block, with
+        Q R = L1_b(Z) and beta* = pinv(L1_b) G_b the per-column least
         squares solutions, the projector derivative contracts to
-        grad = -2 U_hat^T M with
-        M[i, k] = sum_n theta_hat[i, n] * ((G - Q Q^T G) beta*^T)[i, (n, k)];
+        grad_b = -2 V^T M with
+        M[i, k] = sum_n theta[i, n] * ((G_b - Q Q^T G_b) beta*^T)[i, (n, k)];
         the penalty mu ||Z^T Z - I||_F^2 adds 4 mu Z (Z^T Z - I).
         """
-        L1 = self.l1(Z)
-        Q, R = np.linalg.qr(L1)
-        QtG = Q.T @ G
-        F = float(np.sum(G * G) - np.sum(QtG * QtG))
-        resid = G - Q @ QtG
-        # beta* through the QR factors when safely full column rank,
-        # truncated least squares otherwise (also when rows < columns,
-        # where R is not square)
-        diag = np.abs(np.diagonal(R))
-        if R.shape[0] == R.shape[1] and diag.min() > self.rank_rtol * max(diag.max(), 1e-300):
-            beta = solve_triangular(R, QtG, lower=False)
+        L_blocks = self.l1(Z)
+        QR = [np.linalg.qr(L) for L in L_blocks]
+        QtG = [Q.T @ Gb for (Q, _), Gb in zip(QR, G)]
+        F = sum(float(np.sum(Gb * Gb) - np.sum(q * q)) for Gb, q in zip(G, QtG))
+        # beta* through the QR factors when every block is safely full
+        # column rank, against the largest diagonal over all blocks;
+        # truncated least squares otherwise (also when a block has fewer
+        # rows than columns, where R is not square)
+        diag = np.concatenate([np.abs(np.diagonal(R)) for _, R in QR])
+        if (all(R.shape[0] == R.shape[1] for _, R in QR)
+                and diag.min() > self.rank_rtol * max(diag.max(), 1e-300)):
+            betas = [solve_triangular(R, q, lower=False) for (_, R), q in zip(QR, QtG)]
         else:
-            beta, *_ = np.linalg.lstsq(L1, G, rcond=self.rank_rtol)
-        W3 = (resid @ beta.T).reshape(self.rows, self.order.n_harmonics,
-                                      self.order.n_temporal)
-        M = np.einsum("in,ink->ik", self.theta_hat, W3)
-        grad = -2.0 * (self.u_hat.T @ M)
+            betas = _block_inner_beta(L_blocks, G, self.rank_rtol)
+        grad = 0.0
+        for b, (Q, _), Gb, q, beta in zip(self.blocks, QR, G, QtG, betas):
+            W3 = ((Gb - Q @ q) @ beta.T).reshape(b.theta.shape[0], b.harmonics.size,
+                                                 self.order.n_temporal)
+            grad = grad - 2.0 * (b.V.T @ np.einsum("in,ink->ik", b.theta, W3))
         if mu:
             ZtZ = Z.T @ Z - np.eye(Z.shape[1])
             F += mu * float(np.sum(ZtZ**2))
@@ -160,8 +228,12 @@ class SolverReport:
 
     ``z_identifiable`` is false exactly when d = K+1.  ``rank_margin`` is
     the number of equations per detector offset minus the number of
-    unknowns, rows(L1) - (2N+1)(K+1), with 2P rows under the half-turn
-    symmetry and P without it; below 0, L1 cannot have full column rank.
+    unknowns, 2P - (2N+1)(K+1) under the half-turn symmetry and
+    P - (2N+1)(K+1) without it; below 0, L1 cannot have full column rank.
+    It is necessary, not sufficient: ``block_rank_margin`` is the least
+    rows - columns over the blocks of L1 (``HarmonicOrder.block_margin``),
+    P - (N+1)(K+1) with the symmetry, and L1 can have full column rank
+    exactly when it is at least 0.
     """
 
     objective_trace: np.ndarray
@@ -173,6 +245,7 @@ class SolverReport:
     converged: bool
     z_identifiable: bool
     rank_margin: int
+    block_rank_margin: int
     restart_objectives: list = field(default_factory=list)
     aborted_restarts: list = field(default_factory=list)
 
@@ -264,15 +337,18 @@ def solve(
 
     With d = K+1 the objective is the same for every Z (module
     docstring), so Z = I and beta comes from one truncated least-squares
-    solve on L1(I); the report says converged after 0 iterations, with
-    ``z_identifiable`` false.  All-zero data take the same path with
+    solve per block of L1(I); the report says converged after 0
+    iterations, with ``z_identifiable`` false.  All-zero data take the same path with
     Z = I_{d x (K+1)}, since the zero model fits them exactly.
 
     With d > K+1, runs ``config.restarts`` independent Adam descents from
     random orthonormal starting points, keeps the lowest objective (ties
     broken by restart index), re-orthonormalizes the winner through its
     polar factor, and recovers beta(s_j) for every detector offset by
-    truncated least squares.
+    truncated least squares on the blocks.  Truncation is relative to the
+    largest singular value of the whole L1 in both cases.  A warning is
+    issued when some block of L1 has fewer rows than columns
+    (``HarmonicOrder.solvable``).
 
     Parameters
     ----------
@@ -284,8 +360,9 @@ def solve(
         Fixed orthonormal interpolator, e.g. ``spline_interpolator(P, d)``.
     config : SolverConfig, optional
     symmetric : bool, optional
-        Exploit the half-turn symmetry (doubles the equations).  Default:
-        inferred from the scheme span (enabled for span <= pi).
+        Exploit the half-turn symmetry (doubles the equations, which split
+        into one P-row block per harmonic parity).  Default: inferred
+        from the scheme span (enabled for span <= pi).
 
     Returns
     -------
@@ -294,21 +371,26 @@ def solve(
     config = config or SolverConfig()
     if symmetric is None:
         symmetric = data.scheme.span <= np.pi * (1.0 + 1e-9)
-    P = data.scheme.P
-    if not model.solvable(P):
+    P, J = data.scheme.P, data.values.shape[0]
+    block_margin = model.block_margin(P, symmetric)
+    if not model.solvable(P, symmetric):
         warnings.warn(
-            f"2P = {2 * P} < (2N+1)(K+1) = {model.cols}: the linearized model "
-            "cannot have full column rank and recovery is not unique",
+            f"P = {P} < {P - block_margin} columns in the largest block of L1 "
+            "((N+1)(K+1) with the half-turn symmetry, (2N+1)(K+1) without): the "
+            "linearized model cannot have full column rank and recovery is not unique",
             stacklevel=2,
         )
     problem = VarproProblem(data.scheme, U, model, symmetric, config.pinv_rank_rtol)
     G = stacked_data(data, symmetric)
-    tr = float(np.sum(G * G))
+    tr = sum(float(np.sum(Gb * Gb)) for Gb in G)
     identifiable = model.d > model.n_temporal
-    facts = dict(z_identifiable=identifiable, rank_margin=problem.rows - model.cols)
+    equations = 2 * P if symmetric else P
+    facts = dict(z_identifiable=identifiable, rank_margin=equations - model.cols,
+                 block_rank_margin=block_margin)
     if tr <= 0.0 or not identifiable:
         Z = np.eye(model.d)[:, : model.n_temporal]
-        f = 0.0 if tr <= 0.0 else problem.objective_and_gradient_from_data(Z, G / np.sqrt(tr))[0]
+        f = 0.0 if tr <= 0.0 else problem.objective_and_gradient_from_data(
+            Z, [Gb / np.sqrt(tr) for Gb in G])[0]
         report = SolverReport(
             objective_trace=np.array([f]),
             raw_objective_trace=np.array([f]),
@@ -319,11 +401,10 @@ def solve(
             converged=True,
             **facts,
         )
-        beta = HarmonicCoefficients(beta=inner_beta(problem.l1(Z), G, config.pinv_rank_rtol),
-                                    order=model)
+        beta = HarmonicCoefficients(beta=problem.beta(Z, G, J), order=model)
         return Z, beta, report
 
-    G_n = G / np.sqrt(tr)  # unit Frobenius norm: objectives are relative to ||G||^2
+    G_n = [Gb / np.sqrt(tr) for Gb in G]  # unit norm: objectives are relative to ||G||^2
     seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
     best = None
     restart_objectives = []
@@ -345,8 +426,7 @@ def solve(
 
     r_best, _, (Z_best, _, raw, incumbent, converged) = best
     Z_final = _polar_orthonormalize(Z_best)
-    L1 = problem.l1(Z_final)
-    beta_cols = inner_beta(L1, G, config.pinv_rank_rtol)
+    beta_cols = problem.beta(Z_final, G, J)
     final_obj = problem.objective_and_gradient_from_data(Z_final, G_n)[0]
     defect = float(np.linalg.norm(Z_final.T @ Z_final - np.eye(model.n_temporal)))
     report = SolverReport(

@@ -10,6 +10,7 @@ from prosep.psmodel import (
     face_split,
     harmonic_parity,
     real_trig_theta,
+    real_trig_theta_hat,
     spline_interpolator,
 )
 from prosep.radon import (
@@ -115,6 +116,53 @@ def complex_l1(angles, N, Psi, symmetric):
         theta = np.vstack([theta, theta * ((-1.0) ** n)[None, :]])
         Psi = np.vstack([Psi, Psi])
     return (theta[:, :, None] * Psi[:, None, :]).reshape(theta.shape[0], -1)
+
+
+def l1_2p(scheme, N, V, Z, symmetric):
+    """Reference L1(Z) as one matrix, the form the parity blocks split.
+
+    With the half-turn symmetry [T; T diag((-1)^n)] * [V; V] Z (2P rows),
+    without it T * V Z (P rows).
+    """
+    if symmetric:
+        return face_split(real_trig_theta_hat(scheme, N), np.vstack([V, V]) @ Z)
+    return face_split(real_trig_theta(scheme, N), V @ Z)
+
+
+def data_2p(data, symmetric):
+    """Reference data columns: g_hat(s_j) = [g(s_j); g(-s_j)] (2P x J), g(s_j) without symmetry."""
+    g = data.values  # J x P
+    return np.vstack([g.T, g[::-1].T]) if symmetric else g.T.copy()
+
+
+def rotate_rows(G, symmetric):
+    """Any row-stacked G as data blocks for the split L1, every column kept.
+
+    With the symmetry: (G_top + G_bottom) / sqrt2 and (G_top - G_bottom) /
+    sqrt2, the orthogonal row rotation that splits L1.
+    """
+    if not symmetric:
+        return [G]
+    P = G.shape[0] // 2
+    return [(G[:P] + G[P:]) / np.sqrt(2.0), (G[:P] - G[P:]) / np.sqrt(2.0)]
+
+
+def objective_and_gradient_2p(scheme, N, U, Z, G, K, symmetric):
+    """Reference varpro objective and gradient on the unsplit L1 and data G.
+
+    F = ||G - L1 pinv(L1) G||_F^2, with pinv truncated below 1e-10 of the
+    largest singular value like the solver; the gradient contracts the projector
+    derivative as -2 V_hat^T M with
+    M[i, k] = sum_n theta_hat[i, n] ((G - L1 beta*) beta*^T)[i, (n, k)].
+    """
+    theta_hat = real_trig_theta_hat(scheme, N) if symmetric else real_trig_theta(scheme, N)
+    u_hat = np.vstack([U, U]) if symmetric else U
+    L1 = face_split(theta_hat, u_hat @ Z)
+    beta = np.linalg.pinv(L1, rcond=1e-10) @ G
+    resid = G - L1 @ beta
+    W3 = (resid @ beta.T).reshape(L1.shape[0], 2 * N + 1, K + 1)
+    grad = -2.0 * (u_hat.T @ np.einsum("in,ink->ik", theta_hat, W3))
+    return float(np.sum(resid**2)), grad
 
 
 def build_A(theta_hat, i, K):

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from prosep.analysis import (
     theorem3_sweep,
     translation_bound,
 )
-from prosep.psmodel import face_split, l1_factors, legendre_basis
+from prosep.psmodel import (
+    HarmonicOrder,
+    build_L2,
+    build_theta,
+    face_split,
+    l1_factors,
+    legendre_basis,
+)
 from prosep.radon import Frame, grid_coords
 from prosep.sampling import AngularScheme, bit_reversed, progressive, random_scheme
 
@@ -71,6 +79,30 @@ def test_cond_L2_reference_band():
     assert np.isinf(res.kappa_Gamma)  # J < (2N+1)(K+1): Gamma singular, flagged
 
 
+def _full_kappa_L2(K, N, P, d, J, seed, orthonormal_u):
+    """cond_L2's draws, with kappa(L2) from the SVD of the full build_L2."""
+    scheme = random_scheme(P, span=np.pi, seed=seed)
+    rng = np.random.default_rng(seed)
+    U = rng.standard_normal((2 * P, d))
+    if orthonormal_u:
+        U, _ = np.linalg.qr(U)
+    order = HarmonicOrder(N=N, K=K, d=d)
+    beta = rng.standard_normal((order.cols, J))
+    s = np.linalg.svd(build_L2(beta, build_theta(scheme, N), U, order), compute_uv=False)
+    return scheme, s[0] / s[-1]
+
+
+@pytest.mark.parametrize("K, N, P, d, J", [(1, 2, 16, 3, 1), (3, 2, 16, 5, 2), (2, 3, 20, 4, 9),
+                                           (5, 6, 64, 8, 40)])
+@pytest.mark.parametrize("orthonormal_u", [False, True])
+def test_cond_L2_matches_full_svd(K, N, P, d, J, orthonormal_u):
+    """kappa(L2) from the per-row R factors equals the full L2's, also for J < K+1."""
+    scheme, want = _full_kappa_L2(K, N, P, d, J, seed=5, orthonormal_u=orthonormal_u)
+    got = cond_L2(K=K, N=N, P=P, d=d, J=J, seed=5, scheme=scheme,
+                  orthonormal_u=orthonormal_u).kappa_L2
+    assert abs(got - want) <= 1e-12 * want
+
+
 def test_cond_L2_rank_one_gamma_still_finite():
     res = cond_L2(K=1, N=2, P=16, d=3, J=1, seed=2)
     assert np.isinf(res.kappa_Gamma)
@@ -86,7 +118,7 @@ def test_theorem3_bound_holds_on_random_instances():
 # ------------------------------------------------- rank checks
 
 def test_rank_check_full_rank_when_solvable():
-    # (2N+1)(K+1) = 63 <= 2P = 128
+    # (N+1)(K+1) = 33 <= P = 64
     assert rank_check_L1(P=64, K=2, N=10, trials=100, seed=0) == 100
 
 
@@ -105,27 +137,46 @@ def _complex_rank_passes(P, K, N, trials, seed):
     return passes
 
 
-@pytest.mark.filterwarnings("ignore:2P")
+@pytest.mark.filterwarnings("ignore:P = ")
 @pytest.mark.parametrize("P,K,N", [(64, 2, 10), (11, 2, 3), (16, 2, 10)])
 def test_rank_check_matches_complex_oracle(P, K, N):
     assert rank_check_L1(P=P, K=K, N=N, trials=30, seed=4) == _complex_rank_passes(P, K, N, 30, 4)
 
 
 def test_rank_check_fails_by_dimension_count():
-    # (2N+1)(K+1) = 63 > 2P = 32
+    # (N+1)(K+1) = 33 > P = 16
     with pytest.warns(UserWarning):
         assert rank_check_L1(P=16, K=2, N=10, trials=100, seed=0) == 0
 
 
+@pytest.mark.parametrize("P, passes", [(185, 0), (186, 4)])
+def test_rank_check_needs_P_at_least_N_plus_1_times_K_plus_1(P, passes):
+    """N = 30, K = 5: 2P >= (2N+1)(K+1) = 366 at both P, but the L1 of P = 185 is singular."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert rank_check_L1(P=P, K=5, N=30, trials=4, seed=0) == passes
+    assert any("full column rank" in str(w.message) for w in caught) is (passes == 0)
+    assert _complex_rank_passes(P, 5, 30, 4, 0) == passes
+
+
 def test_rank_collapses_for_duplicated_angles():
-    """Near-duplicate angles degrade the Vandermonde factor to singularity."""
+    """Near-duplicate angles degrade the Vandermonde factor to singularity.
+
+    A static model (K = 0) makes L1 the harmonic matrix itself: 16 distinct
+    angles cannot carry the 21 even and 20 odd harmonics of N = 20, although
+    32 well-spread angles can (both blocks are tall, P >= (N+1)(K+1) = 21).
+    """
+    Psi = legendre_basis(32, 0)
+
+    def ratio(angles):
+        sch = AngularScheme(angles=np.sort(angles), span=np.pi, kind="custom")
+        s = np.concatenate([np.linalg.svd(face_split(b.theta, b.V), compute_uv=False)
+                            for b in l1_factors(sch, 20, Psi, symmetric=True)])
+        return s.min() / s.max()
+
     base = np.linspace(0.05, np.pi - 0.05, 16)
-    angles = np.sort(np.concatenate([base, base + 1e-13]))
-    sch = AngularScheme(angles=angles, span=np.pi, kind="custom")
-    Psi = legendre_basis(32, 2)
-    L1 = face_split(*l1_factors(sch, 10, Psi, symmetric=True))
-    s = np.linalg.svd(L1, compute_uv=False)
-    assert s[-1] / s[0] < 1e-12
+    assert ratio(np.linspace(0.05, np.pi - 0.05, 32)) > 1e-6
+    assert ratio(np.concatenate([base, base + 1e-14])) < 1e-12
 
 
 # ------------------------------------------------- projection energy bound

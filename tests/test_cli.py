@@ -95,6 +95,16 @@ def test_config_rejects_underdetermined_model():
     assert cfg["P"] == 16
 
 
+@pytest.mark.parametrize("P, symmetric, model", [
+    (128, True, {"K": 2, "N": 42, "d": 3}),  # 2P = 256 >= 255, but P < (N+1)(K+1) = 129
+    (64, False, {"K": 1, "N": 20, "d": 2}),  # 2P = 128 >= 82, but P < (2N+1)(K+1) = 82
+])
+def test_config_rejects_model_with_a_wide_block(P, symmetric, model):
+    """The 2P count passes these models; a block of L1 with more columns than rows does not."""
+    with pytest.raises(ConfigError, match="model"):
+        load_config(overrides={"P": P, "symmetric": symmetric, "model": model})
+
+
 def test_config_error_names_field():
     with pytest.raises(ConfigError, match="scheme.kind"):
         load_config(overrides={"scheme": {"kind": "sequential"}})
@@ -226,11 +236,12 @@ def test_reconstruct_exit_2_when_not_converged(sim_dir, tmp_path):
     summary = json.loads((out / "solver_report.json").read_text())
     assert summary["z_identifiable"] is True
     assert summary["rank_margin"] == 64 - 9 * 2  # 2P - (2N+1)(K+1)
+    assert summary["block_rank_margin"] == 32 - 5 * 2  # P - (N+1)(K+1)
 
 
-@pytest.mark.parametrize("symmetric, rows", [("on", 64), ("off", 32)])
+@pytest.mark.parametrize("symmetric, rows, block_cols", [("on", 64, 10), ("off", 32, 18)])
 def test_reconstruct_closed_form_when_z_not_identifiable(sim_dir, tmp_path, capsys,
-                                                         symmetric, rows):
+                                                         symmetric, rows, block_cols):
     """d = K+1: no descent runs, so the iteration cap cannot be reached."""
     out = tmp_path / "cf"
     rc = main(["reconstruct", "--input", str(sim_dir), "--out", str(out),
@@ -240,6 +251,7 @@ def test_reconstruct_closed_form_when_z_not_identifiable(sim_dir, tmp_path, caps
     summary = json.loads((out / "solver_report.json").read_text())
     assert summary["z_identifiable"] is False
     assert summary["rank_margin"] == rows - 9 * 2  # rows - (2N+1)(K+1)
+    assert summary["block_rank_margin"] == 32 - block_cols
     assert summary["converged"] is True and summary["iterations_used"] == 0
     assert summary["restart_objectives"] == []
     assert np.array_equal(read_tensor(out / "Z.tensor"), np.eye(2))
@@ -252,6 +264,7 @@ def test_reconstruct_underdetermined_override_warns_and_runs(sim_dir, tmp_path):
     assert rc == 0
     summary = json.loads((out / "solver_report.json").read_text())
     assert summary["rank_margin"] == 64 - 81 * 2
+    assert summary["block_rank_margin"] == 32 - 41 * 2  # 41 even harmonics of N = 40
     assert abs(summary["final_objective"]) < 1e-12
 
 

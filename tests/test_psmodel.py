@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import build_A, vec
+from conftest import build_A, l1_2p, vec
 from prosep.psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
+    _bspline_design,
     build_L2,
     build_theta,
     face_split,
+    harmonic_blocks,
     harmonic_parity,
+    l1_factors,
     legendre_basis,
     real_trig_theta,
     real_trig_theta_hat,
@@ -110,6 +113,20 @@ def test_spline_orthonormal_and_shape():
         U = spline_interpolator(P, d)
         assert U.shape == (P, d)
         assert np.linalg.norm(U.T @ U - np.eye(d)) < 1e-12
+
+
+@pytest.mark.parametrize("d", range(1, 21))
+def test_bspline_design_matches_scipy_oracle(d):
+    """The Cox-de Boor design equals scipy's BSpline.design_matrix (extrapolate=False)."""
+    from scipy.interpolate import BSpline
+
+    degree = min(3, d - 1)
+    knots = np.concatenate([np.zeros(degree + 1),
+                            np.linspace(0.0, 1.0, d - degree + 1)[1:-1], np.ones(degree + 1)])
+    for P in sorted({d, 10, 33, 64, 128, 300, 512} - set(range(d))):
+        t = np.arange(P) / P
+        want = BSpline.design_matrix(t, knots, degree, extrapolate=False).toarray()
+        assert np.abs(_bspline_design(t, knots, degree) - want).max() <= 1e-14
 
 
 def test_spline_rejects_d_greater_than_P():
@@ -251,7 +268,43 @@ def test_harmonic_order_validation():
         HarmonicOrder(N=1, K=2, d=2)  # d < K + 1
     order = HarmonicOrder(N=28, K=5, d=8)
     assert order.cols == 57 * 6
-    assert order.solvable(512) and not order.solvable(100)
+    assert order.solvable(512, True) and not order.solvable(100, True)
+
+
+@pytest.mark.parametrize("symmetric, P_min", [(True, 186), (False, 366)])
+def test_solvable_needs_every_block_tall(symmetric, P_min):
+    """N = 30, K = 5: P >= (N+1)(K+1) = 186 with the symmetry, (2N+1)(K+1) = 366 without."""
+    order = HarmonicOrder(N=30, K=5, d=6)
+    assert not order.solvable(P_min - 1, symmetric) and order.solvable(P_min, symmetric)
+    for P in (P_min - 1, P_min):
+        blocks = l1_factors(random_scheme(P, span=np.pi, seed=1), 30, np.eye(P)[:, :6],
+                            symmetric)
+        shapes = [face_split(b.theta, b.V).shape for b in blocks]
+        assert order.block_margin(P, symmetric) == min(r - c for r, c in shapes) == P - P_min
+
+
+def test_harmonic_blocks_partition_by_parity():
+    for N in (0, 1, 4, 5):
+        even, odd = harmonic_blocks(N, True)
+        assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(2 * N + 1))
+        assert np.all(harmonic_parity(N)[even] == 1) and np.all(harmonic_parity(N)[odd] == -1)
+        assert max(even.size, odd.size) == N + 1
+        (whole,) = harmonic_blocks(N, False)
+        assert np.array_equal(whole, np.arange(2 * N + 1))
+
+
+@pytest.mark.parametrize("P, N, K", [(64, 6, 2), (256, 30, 5), (512, 28, 5)])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_block_spectra_match_2p_oracle(P, N, K, symmetric):
+    """The union of the block spectra is the spectrum of the unsplit L1."""
+    scheme = random_scheme(P, span=np.pi if symmetric else 2 * np.pi, seed=P)
+    Psi = legendre_basis(P, K)
+    blocks = l1_factors(scheme, N, Psi, symmetric)
+    s = np.sort(np.concatenate([np.linalg.svd(face_split(b.theta, b.V), compute_uv=False)
+                                for b in blocks]))[::-1]
+    want = np.linalg.svd(l1_2p(scheme, N, Psi, np.eye(K + 1), symmetric), compute_uv=False)
+    assert s.shape == want.shape
+    assert np.all(np.abs(s - want) <= 1e-12 * want)
 
 
 def test_harmonic_coefficients_shape_guard():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import make_exact_model_data
+from conftest import l1_2p, make_exact_model_data
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator, face_split, real_trig_theta
 from prosep.radon import DetectorGrid, fbp
 from prosep.recon import (
@@ -70,8 +70,7 @@ def test_solution_rejects_non_orthonormal_factors():
 
 def test_synthesize_matches_fitted_values_at_acquired_points():
     sol, data, *_ = solved_solution()
-    problem = VarproProblem(data.scheme, sol.U, sol.model, symmetric=True)
-    fitted = problem.l1(sol.Z) @ sol.beta.beta  # rows x J
+    fitted = l1_2p(data.scheme, sol.model.N, sol.U, sol.Z, True) @ sol.beta.beta  # 2P x J
     P = sol.P
     for p in (0, 5, P - 1):
         g = synthesize_sinogram(sol, p, [data.scheme.angles[p]])

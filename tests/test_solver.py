@@ -1,9 +1,18 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from conftest import make_exact_model_data, max_principal_angle
+from conftest import (
+    data_2p,
+    l1_2p,
+    make_exact_model_data,
+    max_principal_angle,
+    objective_and_gradient_2p,
+    rotate_rows,
+)
 from prosep.phantom import TimeSequentialSinogram
-from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator
+from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, harmonic_blocks, spline_interpolator
 from prosep.radon import DetectorGrid
 from prosep.recon import ProSepSolution, reconstruct_movie, synthesize_sinogram
 from prosep.sampling import bit_reversed, random_scheme
@@ -11,6 +20,7 @@ from prosep.solver import (
     SolverConfig,
     VarproProblem,
     _adam_descent,
+    _block_inner_beta,
     _polar_orthonormalize,
     inner_beta,
     solve,
@@ -30,6 +40,25 @@ def random_Z(rng, d, K):
     return np.linalg.qr(rng.standard_normal((d, K + 1)))[0]
 
 
+def random_blocks(rng, problem, m):
+    """Random data blocks shaped like the problem's blocks of L1 (P x m each)."""
+    return [rng.standard_normal((b.theta.shape[0], m)) for b in problem.blocks]
+
+
+def in_range_blocks(rng, problem, Z, m):
+    """Data blocks in range(L1(Z)), block by block."""
+    return [L @ rng.standard_normal((L.shape[1], m)) for L in problem.l1(Z)]
+
+
+def normalized(G):
+    norm = np.sqrt(sum(np.sum(Gb**2) for Gb in G))
+    return [Gb / norm for Gb in G]
+
+
+def total_sq(G):
+    return sum(float(np.sum(Gb**2)) for Gb in G)
+
+
 # ---------------------------------------------------------------- data columns
 
 def test_stacked_data_single_bin_layout():
@@ -41,38 +70,61 @@ def test_stacked_data_single_bin_layout():
     data = TimeSequentialSinogram(values=vals, scheme=scheme, detector=det)
     e1 = np.zeros((P, 1))
     e1[0] = 1.0
-    assert np.array_equal(stacked_data(data, symmetric=False), e1)
-    assert np.array_equal(stacked_data(data, symmetric=True), np.vstack([e1, e1]))
+    (plain,) = stacked_data(data, symmetric=False)
+    assert np.array_equal(plain, e1)
+    # the only bin is its own mirror: [e1; e1] rotates to (sqrt2 e1, 0), weight 1
+    even, odd = stacked_data(data, symmetric=True)
+    assert np.allclose(even, np.sqrt(2.0) * e1, rtol=0, atol=1e-15)
+    assert np.array_equal(odd, 0.0 * e1)
+
+
+@pytest.mark.parametrize("J", [6, 7])
+def test_stacked_data_folds_the_rotated_2p_data(J):
+    """Oracle: rotate the 2P x J columns [g(s_j); g(-s_j)], then keep ceil(J/2) bins."""
+    scheme = random_scheme(10, span=np.pi, seed=3)
+    vals = np.random.default_rng(J).standard_normal((J, 10))
+    data = TimeSequentialSinogram(values=vals, scheme=scheme,
+                                  detector=DetectorGrid(count=J, spacing=0.1))
+    half = (J + 1) // 2
+    j = np.arange(half)
+    weights = np.where(j == J - 1 - j, 1.0, np.sqrt(2.0))  # a middle bin is its own mirror
+    for sign, got, rotated in zip((1.0, -1.0), stacked_data(data, symmetric=True),
+                                  rotate_rows(data_2p(data, True), True)):
+        assert got.shape == (10, half)
+        # bin J-1-j carries bin j's even part and its odd part negated
+        assert np.allclose(rotated[:, ::-1], sign * rotated, rtol=0, atol=1e-15)
+        assert np.allclose(got, rotated[:, :half] * weights, rtol=1e-15, atol=1e-15)
 
 
 def test_stacked_data_rank_bounded_by_model_size():
     P, K, N = 64, 2, 4
     data, *_ = make_exact_model_data(P=P, K=K, N=N, d=4, J=40, seed=1)
-    s = np.linalg.svd(stacked_data(data, symmetric=True), compute_uv=False)
-    rank = int(np.sum(s > 1e-10 * s[0]))
-    assert rank <= (2 * N + 1) * (K + 1)
+    for harmonics, block in zip(harmonic_blocks(N, True), stacked_data(data, symmetric=True)):
+        s = np.linalg.svd(block, compute_uv=False)
+        rank = int(np.sum(s > 1e-10 * s[0]))
+        assert rank <= harmonics.size * (K + 1)
 
 
 # ---------------------------------------------------------------- inner beta
 
 def test_inner_beta_recovers_consistent_solution(rng):
-    _, order, _, problem = small_problem(rng)
+    scheme, order, U, _ = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    L1 = problem.l1(Z)
+    L1 = l1_2p(scheme, order.N, U, Z, True)
     beta0 = rng.standard_normal(order.cols)
     ghat = L1 @ beta0
     assert np.allclose(inner_beta(L1, ghat), beta0, rtol=1e-10, atol=1e-10)
 
 
 def test_inner_beta_zero_rhs(rng):
-    _, order, _, problem = small_problem(rng)
-    L1 = problem.l1(random_Z(rng, order.d, order.K))
+    scheme, order, U, _ = small_problem(rng)
+    L1 = l1_2p(scheme, order.N, U, random_Z(rng, order.d, order.K), True)
     assert np.all(inner_beta(L1, np.zeros(L1.shape[0])) == 0.0)
 
 
 def test_inner_beta_orthogonal_rhs_gives_zero(rng):
-    _, order, _, problem = small_problem(rng)
-    L1 = problem.l1(random_Z(rng, order.d, order.K))
+    scheme, order, U, _ = small_problem(rng)
+    L1 = l1_2p(scheme, order.N, U, random_Z(rng, order.d, order.K), True)
     Q, _ = np.linalg.qr(L1)
     g = rng.standard_normal(L1.shape[0])
     g_perp = g - Q @ (Q.T @ g)
@@ -80,6 +132,23 @@ def test_inner_beta_orthogonal_rhs_gives_zero(rng):
     assert np.linalg.norm(beta) < 1e-10 * np.linalg.norm(g_perp)
     resid = np.linalg.norm(g_perp - L1 @ beta)
     assert resid == pytest.approx(np.linalg.norm(g_perp), rel=1e-10)
+
+
+def test_block_truncation_is_relative_to_the_whole_L1():
+    """A block whose singular values are all below 1e-10 of the other block's is truncated.
+
+    Oracle: inner_beta on the block-diagonal stack, which sees one spectrum.
+    """
+    r = np.random.default_rng(2)
+    strong = np.linalg.qr(r.standard_normal((6, 3)))[0] * [3.0, 2.0, 1.0]
+    weak = np.linalg.qr(r.standard_normal((5, 2)))[0] * [4e-11, 1e-11]
+    G = [r.standard_normal((6, 4)), r.standard_normal((5, 4))]
+    got = _block_inner_beta([strong, weak], G, 1e-10)
+    stacked = np.zeros((11, 5))
+    stacked[:6, :3], stacked[6:, 3:] = strong, weak
+    want = inner_beta(stacked, np.vstack(G), 1e-10)
+    assert np.all(got[1] == 0.0)
+    assert np.allclose(np.vstack(got), want, rtol=1e-12, atol=1e-12)
 
 
 # ---------------------------------------------------------------- objective
@@ -91,39 +160,48 @@ def objective(problem, Z, G):
 def test_objective_zero_for_in_range_data(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    L1 = problem.l1(Z)
-    G = L1 @ rng.standard_normal((order.cols, 5))
-    assert objective(problem, Z, G) <= 1e-10 * np.sum(G**2)
+    G = in_range_blocks(rng, problem, Z, 5)
+    assert objective(problem, Z, G) <= 1e-10 * total_sq(G)
 
 
-def test_objective_zero_for_square_full_rank_L1(rng):
-    # (2N+1)(K+1) = 6 = 2P with P = 3: L1 is square and a.s. full rank
-    scheme = random_scheme(3, span=np.pi, seed=8)
+def test_objective_on_square_L1(rng):
+    """(2N+1)(K+1) = 6 equations and unknowns, with and without the symmetry.
+
+    Without it (P = 6) L1 is square and a.s. full rank, so every G fits.
+    With it (2P = 6) the odd block has 4 columns on P = 3 rows, so L1 has
+    rank 5 and G = I leaves one unit of residual, as on the 2P-row oracle.
+    """
     order = HarmonicOrder(N=1, K=1, d=2)
-    U = spline_interpolator(3, 2)
-    problem = VarproProblem(scheme, U, order, symmetric=True)
     Z = random_Z(rng, 2, 1)
-    G = np.eye(6)
-    assert objective(problem, Z, G) <= 1e-10 * 6
+    full = VarproProblem(random_scheme(6, seed=8), spline_interpolator(6, 2), order,
+                         symmetric=False)
+    assert objective(full, Z, [np.eye(6)]) <= 1e-10 * 6
+    scheme, U = random_scheme(3, span=np.pi, seed=8), spline_interpolator(3, 2)
+    problem = VarproProblem(scheme, U, order, symmetric=True)
+    F = objective(problem, Z, rotate_rows(np.eye(6), True))
+    F_ref = objective_and_gradient_2p(scheme, 1, U, Z, np.eye(6), 1, True)[0]
+    assert F_ref == pytest.approx(1.0, rel=1e-10)
+    assert F == pytest.approx(F_ref, rel=1e-10)
 
 
 @pytest.mark.parametrize("d", [2, 3])
 def test_objective_with_fewer_rows_than_columns(rng, d):
     """rows(L1) < (2N+1)(K+1): R is not square, and a full-row-rank L1 fits any G."""
     _, order, _, problem = small_problem(rng, P=8, N=6, K=1, d=d, symmetric=False)
-    assert problem.rows < order.cols
-    G = rng.standard_normal((problem.rows, 5))
+    (block,) = problem.blocks
+    assert block.theta.shape[0] < order.cols
+    G = random_blocks(rng, problem, 5)
     F, g = problem.objective_and_gradient_from_data(random_Z(rng, d, 1), G)
-    assert abs(F) < 1e-10 * np.sum(G**2)
-    assert np.linalg.norm(g) < 1e-10 * np.sum(G**2)
+    assert abs(F) < 1e-10 * total_sq(G)
+    assert np.linalg.norm(g) < 1e-10 * total_sq(G)
 
 
 def test_objective_matches_brute_force_residual(rng):
-    _, order, _, problem = small_problem(rng, P=20, N=2, K=2, d=4)
+    scheme, order, U, problem = small_problem(rng, P=20, N=2, K=2, d=4)
     Z = random_Z(rng, order.d, order.K)
-    G = rng.standard_normal((problem.rows, 9))
-    F = objective(problem, Z, G)
-    L1 = problem.l1(Z)
+    G = rng.standard_normal((40, 9))  # any 2P-row data, rotated into the blocks
+    F = objective(problem, Z, rotate_rows(G, True))
+    L1 = l1_2p(scheme, order.N, U, Z, True)
     beta = inner_beta(L1, G)
     brute = float(np.sum((G - L1 @ beta) ** 2))
     assert F == pytest.approx(brute, rel=1e-10)
@@ -132,9 +210,9 @@ def test_objective_matches_brute_force_residual(rng):
 def test_objective_bounds_and_range_invariance(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    G = rng.standard_normal((problem.rows, 7))
+    G = random_blocks(rng, problem, 7)
     F = objective(problem, Z, G)
-    assert 0.0 <= F <= np.sum(G**2) * (1 + 1e-12)
+    assert 0.0 <= F <= total_sq(G) * (1 + 1e-12)
     # right-multiplying Z by an orthogonal matrix preserves range(L1)
     O = np.linalg.qr(rng.standard_normal((order.K + 1, order.K + 1)))[0]
     F2 = objective(problem, Z @ O, G)
@@ -152,8 +230,7 @@ def test_z_not_unique_when_d_equals_k_plus_1():
         detector=data.detector,
     )
     problem = VarproProblem(noisy.scheme, U, order, symmetric=True)
-    G = stacked_data(noisy, symmetric=True)
-    G /= np.linalg.norm(G)
+    G = normalized(stacked_data(noisy, symmetric=True))
     Za, Zb = random_Z(r, order.d, order.K), random_Z(r, order.d, order.K)
     Fa, ga = problem.objective_and_gradient_from_data(Za, G)
     Fb, gb = problem.objective_and_gradient_from_data(Zb, G)
@@ -162,13 +239,86 @@ def test_z_not_unique_when_d_equals_k_plus_1():
     assert max(np.linalg.norm(ga), np.linalg.norm(gb)) < 1e-12
     sinos = []
     for Z in (Za, Zb):
-        beta = HarmonicCoefficients(beta=inner_beta(problem.l1(Z), G), order=order)
+        L1 = l1_2p(noisy.scheme, order.N, U, Z, True)
+        beta = HarmonicCoefficients(beta=inner_beta(L1, data_2p(noisy, True)), order=order)
         sol = ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=noisy.scheme,
                              detector=noisy.detector, times=noisy.times)
         angles = np.arange(48) * np.pi / 48
         sinos.append(np.stack([synthesize_sinogram(sol, p, angles).values
                                for p in (0, 13, 31)]))
     assert np.linalg.norm(sinos[1] - sinos[0]) < 1e-12 * np.linalg.norm(sinos[0])
+
+
+def _random_sinogram(P, J, seed, symmetric):
+    span = np.pi if symmetric else 2 * np.pi
+    vals = np.random.default_rng(seed).standard_normal((J, P))
+    return TimeSequentialSinogram(values=vals, scheme=random_scheme(P, span=span, seed=seed),
+                                  detector=DetectorGrid(count=J, spacing=2.0 / J))
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("J", [12, 13])
+def test_objective_and_gradient_match_2p_oracle(symmetric, J):
+    """The block sums equal the unsplit L1 on the unfolded data, odd and even J."""
+    P, N, K, d = 64, 4, 2, 5
+    data = _random_sinogram(P, J, seed=J, symmetric=symmetric)
+    U = spline_interpolator(P, d)
+    problem = VarproProblem(data.scheme, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
+    G = stacked_data(data, symmetric)
+    r = np.random.default_rng(3)
+    for _ in range(3):
+        Z = random_Z(r, d, K) + 0.1 * r.standard_normal((d, K + 1))
+        F, g = problem.objective_and_gradient_from_data(Z, G)
+        F_ref, g_ref = objective_and_gradient_2p(data.scheme, N, U, Z, data_2p(data, symmetric),
+                                                 K, symmetric)
+        assert F == pytest.approx(F_ref, rel=1e-12)
+        assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("J", [12, 13])
+@pytest.mark.parametrize("d", [3, 4])
+def test_solve_beta_matches_inner_beta_on_2p_oracle(symmetric, J, d):
+    """beta scattered from the blocks equals pinv of the unsplit L1 on the unfolded data."""
+    P, N, K = 40, 5, 2
+    data = _random_sinogram(P, J, seed=J + d, symmetric=symmetric)
+    U = spline_interpolator(P, d)
+    Z, beta, _ = solve(data, HarmonicOrder(N=N, K=K, d=d), U,
+                       SolverConfig(max_iters=50, restarts=1), symmetric=symmetric)
+    want = inner_beta(l1_2p(data.scheme, N, U, Z, symmetric), data_2p(data, symmetric))
+    assert np.abs(beta.beta - want).max() <= 1e-10 * np.abs(want).max()
+    if symmetric:
+        # bin J-1-j is bin j times (-1)^n: even rows mirror-symmetric, odd antisymmetric
+        B = beta.beta.reshape(2 * N + 1, K + 1, J)
+        even, odd = harmonic_blocks(N, True)
+        assert np.array_equal(B[even], B[even][:, :, ::-1])
+        assert np.array_equal(B[odd], -B[odd][:, :, ::-1])
+
+
+@pytest.mark.parametrize("P, warns, block_margin", [(185, True, -1), (186, False, 0)])
+def test_solve_rank_condition_is_per_block(P, warns, block_margin):
+    """N = 30, K = 5: 2P >= (2N+1)(K+1) = 366 at both P, but full rank needs P >= 186."""
+    data = _random_sinogram(P, 4, seed=P, symmetric=True)
+    order = HarmonicOrder(N=30, K=5, d=6)
+    assert order.solvable(P, symmetric=True) is not warns
+    U = spline_interpolator(P, 6)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        _, _, report = solve(data, order, U, symmetric=True)
+    assert any("full column rank" in str(w.message) for w in caught) is warns
+    assert report.rank_margin == 2 * P - 366
+    assert report.block_rank_margin == block_margin
+    s = np.linalg.svd(l1_2p(data.scheme, 30, U, np.eye(6), True), compute_uv=False)
+    assert bool(s[-1] / s[0] < 1e-12) is warns  # the unsplit L1 is singular exactly then
+
+
+def test_solve_warns_when_underdetermined_without_symmetry():
+    """P = 32 < (2N+1)(K+1) = 35 without the symmetry (2P = 64 would pass)."""
+    data = _random_sinogram(32, 4, seed=1, symmetric=False)
+    order = HarmonicOrder(N=3, K=4, d=5)
+    with pytest.warns(UserWarning, match="full column rank"):
+        _, _, report = solve(data, order, spline_interpolator(32, 5), symmetric=False)
+    assert report.rank_margin == report.block_rank_margin == -3
 
 
 # ---------------------------------------------------------------- gradient
@@ -195,8 +345,7 @@ def test_gradient_matches_finite_differences(rng):
         r = np.random.default_rng(500 + trial)
         _, order, _, problem = small_problem(r, P=16, N=2, K=1, d=3)
         Z = random_Z(r, order.d, order.K) + 0.1 * r.standard_normal((order.d, order.K + 1))
-        G = r.standard_normal((problem.rows, 6))
-        G /= np.linalg.norm(G)
+        G = normalized(random_blocks(r, problem, 6))
         mu = 1.0
         g = problem.objective_and_gradient_from_data(Z, G, mu)[1]
         g_fd = _fd_gradient(problem, Z, G, mu)
@@ -207,15 +356,15 @@ def test_gradient_matches_finite_differences(rng):
 def test_gradient_zero_at_exact_solution(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    G = problem.l1(Z) @ rng.standard_normal((order.cols, 8))
+    G = in_range_blocks(rng, problem, Z, 8)
     g = problem.objective_and_gradient_from_data(Z, G, 1.0)[1]
-    assert np.linalg.norm(g) < 1e-8 * np.sum(G**2)
+    assert np.linalg.norm(g) < 1e-8 * total_sq(G)
 
 
 def test_penalty_gradient_zero_on_stiefel(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    G = np.zeros((problem.rows, 1))
+    G = [np.zeros((b.theta.shape[0], 1)) for b in problem.blocks]
     g = problem.objective_and_gradient_from_data(Z, G, 3.0)[1]  # objective part vanishes with G = 0
     assert np.linalg.norm(g) < 1e-12
 
@@ -229,9 +378,8 @@ def test_solve_exact_model_recovery_small():
     assert report.final_objective < 1e-8  # normalized by tr(Xi)
     assert max_principal_angle(U @ Z, U @ Z0) < 1e-3
     # recovered coefficients reproduce the data
-    G = stacked_data(data, symmetric=True)
-    problem = VarproProblem(data.scheme, U, order, symmetric=True)
-    resid = G - problem.l1(Z) @ beta.beta
+    G = data_2p(data, True)
+    resid = G - l1_2p(data.scheme, order.N, U, Z, True) @ beta.beta
     assert np.linalg.norm(resid) ** 2 < 1e-8 * np.sum(G**2)
 
 
@@ -277,6 +425,7 @@ def test_solve_report_contract():
     assert len(report.restart_objectives) == 3
     assert report.z_identifiable is True  # d = 3 > K+1 = 2
     assert report.rank_margin == 2 * 32 - 7 * 2
+    assert report.block_rank_margin == 32 - 4 * 2
     # final objective equals the best incumbent up to the polar correction
     assert report.final_objective <= report.objective_trace[-1] + 1e-10
 
@@ -292,9 +441,9 @@ def test_solve_consistency_of_reported_objective():
         detector=data.detector,
     )
     Z, beta, report = solve(noisy, order, U, SolverConfig(max_iters=1500, restarts=2, seed=3))
-    G = stacked_data(noisy, symmetric=True)
-    problem = VarproProblem(noisy.scheme, U, order, symmetric=True)
-    resid = float(np.sum((G - problem.l1(Z) @ beta.beta) ** 2)) / np.sum(G**2)
+    G = data_2p(noisy, True)
+    L1 = l1_2p(noisy.scheme, order.N, U, Z, True)
+    resid = float(np.sum((G - L1 @ beta.beta) ** 2)) / np.sum(G**2)
     assert resid == pytest.approx(report.final_objective, rel=1e-8)
 
 
@@ -326,11 +475,11 @@ def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
     data, U, order = noisy_exact_data(P=32, K=2, N=3, d=3, J=12, seed=seed)
     config = SolverConfig(restarts=1, seed=seed)
     problem = VarproProblem(data.scheme, U, order, symmetric=symmetric)
-    G = stacked_data(data, symmetric)
-    G_n = G / np.linalg.norm(G)
+    G_n = normalized(stacked_data(data, symmetric))
     Z0 = _polar_orthonormalize(np.random.default_rng(seed).standard_normal((3, 3)))
     Z_adam = _polar_orthonormalize(_adam_descent(problem, G_n, Z0, config)[0])
-    beta_adam = HarmonicCoefficients(beta=inner_beta(problem.l1(Z_adam), G), order=order)
+    L1 = l1_2p(data.scheme, order.N, U, Z_adam, symmetric)
+    beta_adam = HarmonicCoefficients(beta=inner_beta(L1, data_2p(data, symmetric)), order=order)
     f_adam = problem.objective_and_gradient_from_data(Z_adam, G_n)[0]
 
     Z, beta, report = solve(data, order, U, config, symmetric=symmetric)
@@ -366,12 +515,14 @@ def test_solve_closed_form_report_contract(monkeypatch):
     assert report.raw_objective_trace.tolist() == [report.final_objective]
     assert report.z_identifiable is False
     assert report.rank_margin == 2 * 32 - 7 * 2
+    assert report.block_rank_margin == 32 - 4 * 2  # P - (N+1)(K+1)
     assert len(calls) == 1
     # beta is the least-squares fit on L1(I), and the objective is its residual
-    G = stacked_data(data, symmetric=True)
-    problem = VarproProblem(data.scheme, U, order, symmetric=True)
-    assert np.array_equal(beta.beta, inner_beta(problem.l1(np.eye(2)), G))
-    resid = float(np.sum((G - problem.l1(Z) @ beta.beta) ** 2)) / np.sum(G**2)
+    G = data_2p(data, True)
+    L1 = l1_2p(data.scheme, order.N, U, np.eye(2), True)
+    want = inner_beta(L1, G)
+    assert np.abs(beta.beta - want).max() <= 1e-10 * np.abs(want).max()
+    resid = float(np.sum((G - L1 @ beta.beta) ** 2)) / np.sum(G**2)
     assert resid == pytest.approx(report.final_objective, rel=1e-10)
 
 
@@ -387,6 +538,7 @@ def test_solve_zero_data_is_exact_without_descent(d):
     assert report.iterations_used == 0
     assert report.z_identifiable is (d > 2)
     assert report.rank_margin == 32 - 7 * 2
+    assert report.block_rank_margin == 32 - 7 * 2
 
 
 @pytest.mark.parametrize("value", [-8.9e-16, 0.0, 3.0e-4])
