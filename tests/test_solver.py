@@ -164,20 +164,25 @@ def test_objective_zero_for_in_range_data(rng):
     assert objective(problem, Z, G) <= 1e-10 * total_sq(G)
 
 
-def test_objective_on_square_L1(rng):
-    """(2N+1)(K+1) = 6 equations and unknowns, with and without the symmetry.
+def test_objective_zero_for_square_full_rank_L1(rng):
+    # (2N+1)(K+1) = 6 = P without the symmetry: L1 is square and a.s. full rank
+    order = HarmonicOrder(N=1, K=1, d=2)
+    problem = VarproProblem(random_scheme(6, seed=8), spline_interpolator(6, 2), order,
+                            symmetric=False)
+    Z = random_Z(rng, 2, 1)
+    assert objective(problem, Z, [np.eye(6)]) <= 1e-10 * 6
 
-    Without it (P = 6) L1 is square and a.s. full rank, so every G fits.
-    With it (2P = 6) the odd block has 4 columns on P = 3 rows, so L1 has
-    rank 5 and G = I leaves one unit of residual, as on the 2P-row oracle.
+
+def test_objective_on_square_rank_deficient_symmetric_L1(rng):
+    """2P = 6 = (2N+1)(K+1), but the odd block has 4 columns on P = 3 rows.
+
+    So the square 2P-row L1 has rank 5, and G = I leaves one unit of
+    residual, as on the 2P-row oracle.
     """
     order = HarmonicOrder(N=1, K=1, d=2)
-    Z = random_Z(rng, 2, 1)
-    full = VarproProblem(random_scheme(6, seed=8), spline_interpolator(6, 2), order,
-                         symmetric=False)
-    assert objective(full, Z, [np.eye(6)]) <= 1e-10 * 6
     scheme, U = random_scheme(3, span=np.pi, seed=8), spline_interpolator(3, 2)
     problem = VarproProblem(scheme, U, order, symmetric=True)
+    Z = random_Z(rng, 2, 1)
     F = objective(problem, Z, rotate_rows(np.eye(6), True))
     F_ref = objective_and_gradient_2p(scheme, 1, U, Z, np.eye(6), 1, True)[0]
     assert F_ref == pytest.approx(1.0, rel=1e-10)
@@ -518,6 +523,8 @@ def test_solve_closed_form_report_contract(monkeypatch):
     assert report.block_rank_margin == 32 - 4 * 2  # P - (N+1)(K+1)
     assert len(calls) == 1
     # beta is the least-squares fit on L1(I), and the objective is its residual
+    problem = VarproProblem(data.scheme, U, order, symmetric=True)
+    assert np.array_equal(beta.beta, problem.beta(np.eye(2), stacked_data(data, True), 12))
     G = data_2p(data, True)
     L1 = l1_2p(data.scheme, order.N, U, np.eye(2), True)
     want = inner_beta(L1, G)
