@@ -1,10 +1,14 @@
 """Command-line front end: simulate, reconstruct, analyze, metrics.
 
 All experiment parameters live in a JSON run configuration (every field
-has a default, so flags alone suffice); ``manifest.json`` written next to
-the outputs records the fully resolved configuration and is enough to
-replay the run bit-for-bit.  Arrays are exchanged as binary tensor files
-(see ``tensorio``), tables as CSV.
+has a default, so flags alone suffice).  A key that is not a field of
+``DEFAULT_CONFIG`` is an error, and so is a value of the wrong type or
+range; the solver section holds the three ``SolverConfig`` integers.
+``manifest.json`` written next to the outputs records the fully resolved
+configuration (``format_version`` 2) and is enough to replay the run
+bit-for-bit; ``reconstruct`` reads it back through the same checks,
+together with its ``--solver-*`` and model flags.  Arrays are exchanged as
+binary tensor files (see ``tensorio``), tables as CSV.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver stopped at
 the iteration cap without reaching its tolerance (only when d > K+1: with
@@ -70,6 +74,11 @@ DEFAULT_CONFIG = {
     "solver": dataclasses.asdict(SolverConfig()),
 }
 
+# manifest.json layout; 2 has the three-key solver section
+FORMAT_VERSION = 2
+# least accepted value of each solver field
+_SOLVER_LEAST = {"max_iters": 1, "restarts": 1, "seed": 0}
+
 
 class ConfigError(ProsepError):
     """Invalid run configuration; the message names the offending field."""
@@ -99,11 +108,14 @@ def load_config(path: str | None = None, preset: str | None = None,
     if path is not None:
         try:
             with open(path) as f:
-                cfg = _deep_update(cfg, json.load(f))
+                loaded = json.load(f)
         except FileNotFoundError:
             raise ConfigError(f"config file not found: {path}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file is not valid JSON: {e}")
+        if not isinstance(loaded, dict):
+            raise ConfigError(f"config file {path} does not hold a JSON object")
+        cfg = _deep_update(cfg, loaded)
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(
@@ -132,40 +144,54 @@ def _need(cond, field, msg) -> None:
         raise ConfigError(f"field {field!r}: {msg}")
 
 
-def _validate_model(model: dict, P: int) -> None:
-    """Model orders: nonnegative integers with K + 1 <= d <= P."""
-    for key in ("K", "N", "d"):
-        _need(_is_int(model.get(key)) and model[key] >= 0, f"model.{key}",
-              f"must be a nonnegative integer, got {model.get(key)!r}")
-    K, d = model["K"], model["d"]
-    _need(d >= K + 1, "model.d", f"must be at least K + 1 = {K + 1}, got {d}")
-    _need(d <= P, "model.d", f"must be at most P = {P}, got {d}")
+def _check_keys(cfg: dict) -> None:
+    """Every key is a field of ``DEFAULT_CONFIG``, or the manifest's ``format_version``."""
+    unknown = [key for key in cfg if key not in DEFAULT_CONFIG and key != "format_version"]
+    for key, default in DEFAULT_CONFIG.items():
+        if isinstance(default, dict):
+            _need(isinstance(cfg.get(key), dict), key, "must be an object")
+            unknown += [f"{key}.{sub}" for sub in cfg[key] if sub not in default]
+    if unknown:
+        raise ConfigError(f"unknown field(s) {', '.join(map(repr, unknown))}")
 
 
 def _validate_config(cfg: dict, force: bool = False) -> None:
-    grid = cfg.get("grid", {})
+    _check_keys(cfg)
+    version = cfg.get("format_version", FORMAT_VERSION)
+    _need(_is_int(version) and version == FORMAT_VERSION, "format_version",
+          f"must be {FORMAT_VERSION}, got {version!r}")
+    for key, least in _SOLVER_LEAST.items():
+        val = cfg["solver"].get(key)
+        _need(_is_int(val) and val >= least, f"solver.{key}",
+              f"must be an integer >= {least}, got {val!r}")
+    grid = cfg["grid"]
     _need(_is_int(grid.get("width")) and grid["width"] >= 8, "grid.width",
           "must be an integer >= 8")
     diameter = grid.get("support_diameter")
     _need(_is_number(diameter) and diameter > 0, "grid.support_diameter",
           "must be a positive number")
     _need(_is_int(cfg.get("P")) and cfg["P"] >= 2, "P", "must be an integer >= 2")
-    kind = cfg.get("scheme", {}).get("kind")
+    kind = cfg["scheme"].get("kind")
     _need(kind in ("progressive", "random", "bit_reversed"), "scheme.kind",
           "must be progressive | random | bit_reversed")
     if kind == "bit_reversed":
         _need(cfg["P"] & (cfg["P"] - 1) == 0, "P", "must be a power of two for bit_reversed")
-    scheme_seed = cfg.get("scheme", {}).get("seed")
+    scheme_seed = cfg["scheme"].get("seed")
     _need(scheme_seed is None or (_is_int(scheme_seed) and scheme_seed >= 0), "scheme.seed",
           "must be null or a nonnegative integer")
     _need(_is_int(cfg.get("seed")) and cfg["seed"] >= 0, "seed",
           "must be a nonnegative integer")
-    model = cfg.get("model", {})
-    _validate_model(model, cfg["P"])
+    # model orders: nonnegative integers with K + 1 <= d <= P
+    model = cfg["model"]
+    for key in ("K", "N", "d"):
+        _need(_is_int(model.get(key)) and model[key] >= 0, f"model.{key}",
+              f"must be a nonnegative integer, got {model.get(key)!r}")
+    K, d = model["K"], model["d"]
+    _need(d >= K + 1, "model.d", f"must be at least K + 1 = {K + 1}, got {d}")
+    _need(d <= cfg["P"], "model.d", f"must be at most P = {cfg['P']}, got {d}")
     sigma = cfg.get("noise_sigma")
     _need(_is_number(sigma) and sigma >= 0, "noise_sigma", "must be a nonnegative number")
-    det = cfg.get("detector", {})
-    count, spacing = det.get("count"), det.get("spacing")
+    count, spacing = cfg["detector"].get("count"), cfg["detector"].get("spacing")
     _need(count is None or (_is_int(count) and count >= 1), "detector.count",
           "must be null or an integer >= 1")
     _need(spacing is None or (_is_number(spacing) and spacing > 0), "detector.spacing",
@@ -201,6 +227,8 @@ def _phantom_from_config(cfg: dict) -> PhantomSpec:
             raise ConfigError(f"field 'phantom': file not found: {ph}")
         except json.JSONDecodeError as e:
             raise ConfigError(f"field 'phantom': not valid JSON: {e}")
+    _need(isinstance(ph, dict) and set(ph) == {"ellipses"}, "phantom",
+          "must be \"example\", a file name, or an object with one key 'ellipses'")
     try:
         ells = tuple(
             Ellipse(
@@ -211,8 +239,11 @@ def _phantom_from_config(cfg: dict) -> PhantomSpec:
             )
             for e in ph["ellipses"]
         )
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"field 'phantom.ellipses': {e}")
+    for e in ph["ellipses"]:
+        extra = set(e) - {"center", "semi_axes", "angle", "intensity"}
+        _need(not extra, "phantom.ellipses", f"unknown field(s) {sorted(extra)}")
     return PhantomSpec(ellipses=ells, width=width, pixel_size=diameter / width)
 
 
@@ -248,16 +279,6 @@ def _detector_from_config(cfg: dict) -> DetectorGrid:
                         spacing=pixel if spacing is None else spacing)
 
 
-def _solver_config(cfg: dict) -> SolverConfig:
-    s = cfg["solver"]
-    defaults = DEFAULT_CONFIG["solver"]
-    try:
-        # each field converted to its default's type (int or float)
-        return SolverConfig(**{key: type(val)(s[key]) for key, val in defaults.items()})
-    except (KeyError, TypeError, ValueError) as e:
-        raise ConfigError(f"field 'solver': {e}")
-
-
 def _resolved_manifest(cfg: dict, spec: PhantomSpec) -> dict:
     manifest = copy.deepcopy(cfg)
     manifest["phantom"] = {
@@ -277,7 +298,7 @@ def _resolved_manifest(cfg: dict, spec: PhantomSpec) -> dict:
         "count": _detector_from_config(cfg).count,
         "spacing": _detector_from_config(cfg).spacing,
     }
-    manifest["format_version"] = 1
+    manifest["format_version"] = FORMAT_VERSION
     return manifest
 
 
@@ -332,56 +353,48 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _load_manifest(indir: str) -> dict:
-    path = os.path.join(indir, "manifest.json")
-    if not os.path.exists(path):
-        raise FileNotFoundError(path)
-    with open(path) as f:
-        return json.load(f)
-
-
 def cmd_reconstruct(args) -> int:
     indir = args.input
-    manifest = _load_manifest(indir)
-    sino = read_tensor(os.path.join(indir, "sinogram.tensor"))
-    angles = read_tensor(os.path.join(indir, "angles.tensor"))
-
-    model_cfg = dict(manifest["model"])
+    overrides = {}
     for key in ("K", "N", "d"):
         val = getattr(args, key, None)
         if val is not None:
-            model_cfg[key] = val
-    _validate_model(model_cfg, manifest["P"])
-    symmetric = manifest["symmetric"] if args.symmetric is None else args.symmetric == "on"
-    solver_cfg = dict(manifest["solver"])
-    for key in ("max_iters", "step_size", "restarts", "seed", "penalty_weight"):
-        val = getattr(args, f"solver_{key}", None)
+            overrides.setdefault("model", {})[key] = val
+    if args.symmetric is not None:
+        overrides["symmetric"] = args.symmetric == "on"
+    for f in dataclasses.fields(SolverConfig):
+        val = getattr(args, f"solver_{f.name}")
         if val is not None:
-            solver_cfg[key] = val
+            overrides.setdefault("solver", {})[f.name] = val
+    # a model the linearized system cannot pin down is warned about by solve
+    cfg = load_config(os.path.join(indir, "manifest.json"), overrides=overrides, force=True)
+    sino = read_tensor(os.path.join(indir, "sinogram.tensor"))
+    angles = read_tensor(os.path.join(indir, "angles.tensor"))
+    model_cfg = cfg["model"]
+    symmetric = cfg["symmetric"]
 
-    P = manifest["P"]
+    P = cfg["P"]
     span = span_for(symmetric)
     if np.any(angles >= span):
         raise ConfigError(
             "field 'symmetric': acquired angles exceed [0, pi); the data was "
             "simulated without the half-turn symmetry"
         )
-    scheme = AngularScheme(angles=angles, span=span, kind=manifest["scheme"]["kind"])
-    detector = DetectorGrid(**manifest["detector"])
+    scheme = AngularScheme(angles=angles, span=span, kind=cfg["scheme"]["kind"])
+    detector = DetectorGrid(**cfg["detector"])
     data = TimeSequentialSinogram(values=sino, scheme=scheme, detector=detector)
     order = HarmonicOrder(N=model_cfg["N"], K=model_cfg["K"], d=model_cfg["d"])
     U = spline_interpolator(P, order.d)
-    config = _solver_config({"solver": solver_cfg})
-
-    Z, beta, report = solve(data, order, U, config, symmetric=symmetric)
+    Z, beta, report = solve(data, order, U, SolverConfig(**cfg["solver"]),
+                            symmetric=symmetric)
     solution = ProSepSolution(
         Z=Z, U=U, beta=beta, model=order, scheme=scheme, detector=detector,
         times=data.times, symmetric=symmetric,
     )
-    width = manifest["grid"]["width"]
-    pixel = manifest["grid"]["support_diameter"] / width
+    width = cfg["grid"]["width"]
+    pixel = cfg["grid"]["support_diameter"] / width
     movie = reconstruct_movie(
-        solution, fbp_angles_count=manifest["fbp_angles_count"],
+        solution, fbp_angles_count=cfg["fbp_angles_count"],
         width=width, pixel_size=pixel,
     )
 
@@ -580,11 +593,13 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--N", type=int)
     rec.add_argument("--d", type=int)
     rec.add_argument("--symmetric", choices=["on", "off"])
-    rec.add_argument("--solver-max-iters", type=int, dest="solver_max_iters")
-    rec.add_argument("--solver-step-size", type=float, dest="solver_step_size")
-    rec.add_argument("--solver-restarts", type=int, dest="solver_restarts")
-    rec.add_argument("--solver-seed", type=int, dest="solver_seed")
-    rec.add_argument("--solver-penalty-weight", type=float, dest="solver_penalty_weight")
+    # one --solver-* flag per SolverConfig field
+    rec.add_argument("--solver-max-iters", type=int, dest="solver_max_iters",
+                     help="Adam iteration cap per restart (d > K+1)")
+    rec.add_argument("--solver-restarts", type=int, dest="solver_restarts",
+                     help="random starting points of the descent (d > K+1)")
+    rec.add_argument("--solver-seed", type=int, dest="solver_seed",
+                     help="seed of the starting points (d > K+1)")
     rec.set_defaults(func=cmd_reconstruct)
 
     ana = sub.add_parser("analyze", help="conditioning studies and bound tables")

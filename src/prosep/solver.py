@@ -1,11 +1,16 @@
 """Variable-projection solver for the bilinear recovery problem.
 
 Stack the measurements as data columns G = [g_hat(s_1), ..., g_hat(s_J)].
-The inner linear variable beta(s) is eliminated in closed form, leaving
+The inner linear variable beta(s) is eliminated by least squares
+(variable projection), leaving
 
-    min_Z  ||P_perp(L1(Z)) G||_F^2
+    min_Z  F(Z) = ||G - L1(Z) beta*(Z)||_F^2,  beta*(Z) = pinv(L1(Z)) G,
 
-over Z with orthonormal columns, evaluated on G directly.
+over Z with orthonormal columns, evaluated on G directly.  beta* is
+fitted one way everywhere: by truncated least squares, dropping singular
+values at or below 1e-10 of the largest one of L1 (through the QR
+factors when L1 has safely full column rank, where nothing is dropped).
+F is always the residual of that beta*, so it is never negative.
 
 L1 is held as its column-disjoint blocks (``psmodel.l1_factors``): with
 the half-turn symmetry one P-row block per harmonic parity, without it
@@ -28,7 +33,6 @@ real.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -49,9 +53,24 @@ __all__ = [
     "SolverReport",
     "VarproProblem",
     "stacked_data",
-    "inner_beta",
     "solve",
 ]
+
+# Adam descent on Z (d > K+1): the initial step, the weight mu of the
+# orthonormality penalty, and the relative improvement that resets the
+# plateau counter
+_STEP_SIZE = 0.2
+_PENALTY_WEIGHT = 1.0
+_TOL_REL_OBJECTIVE = 1e-9
+_ADAM_B1 = 0.9
+_ADAM_B2 = 0.999
+_ADAM_EPS = 1e-8
+_PLATEAU_ITERS = 100
+_STEP_DECAY = 0.5
+_STALL_LIMIT = 350
+# every least-squares solve for beta drops singular values at or below
+# this fraction of the largest singular value of the whole L1
+_RANK_RTOL = 1e-10
 
 
 def _mirror_weights(J: int) -> np.ndarray:
@@ -85,30 +104,21 @@ def stacked_data(data: TimeSequentialSinogram, symmetric: bool) -> list:
     return [(here + mirrored) * w, (here - mirrored) * w]
 
 
-def inner_beta(L1: np.ndarray, g_hat: np.ndarray, rank_rtol: float = 1e-10) -> np.ndarray:
-    """Minimum-norm least-squares coefficients beta = pinv(L1) g_hat.
+def _truncated_lstsq(L_blocks, G_blocks) -> list:
+    """Minimum-norm least-squares beta per block, truncated against the whole L1.
 
-    Singular values below ``rank_rtol`` times the largest are truncated,
-    which keeps the solution bounded when L1 is nearly rank deficient.
-    Accepts a single right-hand side or a matrix of stacked columns.
+    One thin SVD per block.  Singular values at or below ``_RANK_RTOL``
+    times the largest singular value over all blocks are dropped, so each
+    block truncates exactly what the stacked (block-diagonal) system
+    would, and a block with nothing above that cut-off gets beta = 0.
     """
-    sol, *_ = np.linalg.lstsq(L1, g_hat, rcond=rank_rtol)
-    return sol
-
-
-def _block_inner_beta(L_blocks, G_blocks, rank_rtol: float) -> list:
-    """``inner_beta`` per block, with one threshold for all of L1.
-
-    Singular values below ``rank_rtol`` times the largest singular value
-    of the whole L1 (the largest over the blocks) are truncated, so each
-    block truncates exactly what the stacked system would.  A block with
-    nothing above that threshold gets beta = 0 without a solve: LAPACK
-    ignores a relative cut-off of 1 or more.
-    """
-    tops = [np.linalg.norm(L, 2) for L in L_blocks]
-    cut = rank_rtol * max(tops)
-    return [inner_beta(L, G, cut / t) if t > cut else np.zeros((L.shape[1], G.shape[1]))
-            for L, G, t in zip(L_blocks, G_blocks, tops)]
+    svds = [np.linalg.svd(L, full_matrices=False) for L in L_blocks]
+    cut = _RANK_RTOL * max((s[0] for _, s, _ in svds if s.size), default=0.0)
+    betas = []
+    for (W, s, Vt), G in zip(svds, G_blocks):
+        keep = s > cut
+        betas.append(Vt[keep].T @ ((W[:, keep].T @ G) / s[keep, None]))
+    return betas
 
 
 class VarproProblem:
@@ -118,11 +128,9 @@ class VarproProblem:
     objective/gradient evaluations reuse them.
     """
 
-    def __init__(self, scheme, U: np.ndarray, order: HarmonicOrder, symmetric: bool,
-                 rank_rtol: float = 1e-10):
+    def __init__(self, scheme, U: np.ndarray, order: HarmonicOrder, symmetric: bool):
         self.order = order
         self.symmetric = symmetric
-        self.rank_rtol = rank_rtol
         U = np.asarray(U, dtype=float)
         if U.shape[1] != order.d:
             raise ValueError(f"U has {U.shape[1]} columns, expected d={order.d}")
@@ -142,7 +150,7 @@ class VarproProblem:
         rows antisymmetric.
         """
         order = self.order
-        betas = _block_inner_beta(self.l1(Z), G, self.rank_rtol)
+        betas = _truncated_lstsq(self.l1(Z), G)
         B = np.empty((order.n_harmonics, order.n_temporal, betas[0].shape[1]))
         for block, beta in zip(self.blocks, betas):
             B[block.harmonics] = beta.reshape(block.harmonics.size, order.n_temporal, -1)
@@ -153,34 +161,34 @@ class VarproProblem:
         return B.reshape(order.cols, J)
 
     def objective_and_gradient_from_data(self, Z: np.ndarray, G, mu: float = 0.0):
-        """Penalized objective ||P_perp(L1(Z)) G||_F^2 and its exact gradient in Z.
+        """Penalized objective ||G - L1(Z) beta*||_F^2 and its exact gradient in Z.
 
         G is the list of data blocks (``stacked_data``); F and the
-        gradient are sums over the blocks of L1.  Per block, with
-        Q R = L1_b(Z) and beta* = pinv(L1_b) G_b the per-column least
-        squares solutions, the projector derivative contracts to
-        grad_b = -2 V^T M with
-        M[i, k] = sum_n theta[i, n] * ((G_b - Q Q^T G_b) beta*^T)[i, (n, k)];
+        gradient are sums over the blocks of L1.  Per block, beta* is the
+        least-squares fit, truncated like ``beta``, and r = G_b - L1_b
+        beta* its residual, so F is a sum of squares and never negative.
+        The projector derivative contracts to grad_b = -2 V^T M with
+        M[i, k] = sum_n theta[i, n] * (r beta*^T)[i, (n, k)];
         the penalty mu ||Z^T Z - I||_F^2 adds 4 mu Z (Z^T Z - I).
         """
         L_blocks = self.l1(Z)
         QR = [np.linalg.qr(L) for L in L_blocks]
-        QtG = [Q.T @ Gb for (Q, _), Gb in zip(QR, G)]
-        F = sum(float(np.sum(Gb * Gb) - np.sum(q * q)) for Gb, q in zip(G, QtG))
         # beta* through the QR factors when every block is safely full
-        # column rank, against the largest diagonal over all blocks;
-        # truncated least squares otherwise (also when a block has fewer
-        # rows than columns, where R is not square)
+        # column rank, against the largest diagonal over all blocks (a QR
+        # is about 4x cheaper than an SVD); truncated least squares
+        # otherwise (also when a block has fewer rows than columns, where
+        # R is not square)
         diag = np.concatenate([np.abs(np.diagonal(R)) for _, R in QR])
         if (all(R.shape[0] == R.shape[1] for _, R in QR)
-                and diag.min() > self.rank_rtol * max(diag.max(), 1e-300)):
-            betas = [solve_triangular(R, q, lower=False) for (_, R), q in zip(QR, QtG)]
+                and diag.min() > _RANK_RTOL * max(diag.max(), 1e-300)):
+            betas = [solve_triangular(R, Q.T @ Gb, lower=False) for (Q, R), Gb in zip(QR, G)]
         else:
-            betas = _block_inner_beta(L_blocks, G, self.rank_rtol)
-        grad = 0.0
-        for b, (Q, _), Gb, q, beta in zip(self.blocks, QR, G, QtG, betas):
-            W3 = ((Gb - Q @ q) @ beta.T).reshape(b.theta.shape[0], b.harmonics.size,
-                                                 self.order.n_temporal)
+            betas = _truncated_lstsq(L_blocks, G)
+        F, grad = 0.0, 0.0
+        for b, L, Gb, beta in zip(self.blocks, L_blocks, G, betas):
+            r = Gb - L @ beta
+            F += float(np.sum(r * r))
+            W3 = (r @ beta.T).reshape(b.theta.shape[0], b.harmonics.size, self.order.n_temporal)
             grad = grad - 2.0 * (b.V.T @ np.einsum("in,ink->ik", b.theta, W3))
         if mu:
             ZtZ = Z.T @ Z - np.eye(Z.shape[1])
@@ -191,40 +199,33 @@ class VarproProblem:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Hyperparameters of the penalized Adam descent on Z.
+    """Settings of the Adam descent on Z.
 
-    The Adam fields (``max_iters``, ``step_size``, ``penalty_weight``,
-    ``tol_rel_objective``), ``restarts`` and ``seed`` apply only when
-    d > K+1; with d = K+1 ``solve`` runs no descent.  ``pinv_rank_rtol``
-    applies to every least-squares solve for beta.
+    The iteration cap per restart, the number of restarts from random
+    orthonormal starting points, and the seed they are drawn from.  They
+    apply only when d > K+1; with d = K+1 ``solve`` runs no descent.
     """
 
     max_iters: int = 5000
-    step_size: float = 0.2
-    penalty_weight: float = 1.0
-    tol_rel_objective: float = 1e-9
     restarts: int = 5
     seed: int = 0
-    pinv_rank_rtol: float = 1e-10
 
     def __post_init__(self):
         if min(self.max_iters, self.restarts) < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if min(self.step_size, self.penalty_weight, self.tol_rel_objective,
-               self.pinv_rank_rtol) <= 0:
-            raise ValueError("step_size, penalty_weight, tolerances must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 @dataclass
 class SolverReport:
     """Convergence record of a solve.
 
-    ``objective_trace`` is the incumbent (best-so-far) normalized
-    objective per iteration of the winning restart, which is
-    non-increasing by construction; ``raw_objective_trace`` keeps the
-    actual per-iterate values of the same restart.  A solve without a
-    descent (d = K+1, or all-zero data) has one entry in each trace, the
-    closed-form objective, and no restarts.
+    ``raw_objective_trace`` is the normalized objective per iteration of
+    the winning restart, and ``objective_trace`` its running minimum, the
+    incumbent (best-so-far) value.  A solve without a descent (d = K+1,
+    or all-zero data) has one entry in each trace, the closed-form
+    objective, and no restarts.
 
     ``z_identifiable`` is false exactly when d = K+1.  ``rank_margin`` is
     the number of equations per detector offset minus the number of
@@ -250,56 +251,40 @@ class SolverReport:
     aborted_restarts: list = field(default_factory=list)
 
 
-_ADAM_B1 = 0.9
-_ADAM_B2 = 0.999
-_ADAM_EPS = 1e-8
-_PLATEAU_ITERS = 100
-_STEP_DECAY = 0.5
-_STALL_LIMIT = 350
-
-
 def _adam_descent(problem: VarproProblem, G_n: np.ndarray, Z0: np.ndarray,
                   config: SolverConfig):
     """One penalized Adam descent with plateau-triggered step decay.
 
-    The step starts at ``config.step_size`` and halves whenever the best
-    objective has not improved by ``tol_rel_objective`` (relative) for
+    The step starts at ``_STEP_SIZE`` and halves whenever the best
+    objective has not improved by ``_TOL_REL_OBJECTIVE`` (relative) for
     100 iterations; each decay restarts from the incumbent best iterate.
     With a constant step Adam's normalized updates orbit the minimizer
     instead of settling, so the decay is what makes deep convergence
-    possible.  Returns None in place of the trace when the objective
-    turns non-finite.
+    possible.  Returns (best Z, best objective, objective per iteration,
+    converged), or None when the objective turns non-finite.
     """
     Z = Z0.copy()
     m = np.zeros_like(Z)
     v = np.zeros_like(Z)
-    lr = config.step_size
-    mu = config.penalty_weight
+    lr = _STEP_SIZE
     best_f = np.inf
     best_Z = Z.copy()
     last_improve = 0
     t_adam = 0
     raw = np.empty(config.max_iters)
-    incumbent = np.empty(config.max_iters)
     used = 0
     converged = False
     for it in range(1, config.max_iters + 1):
-        f, g = problem.objective_and_gradient_from_data(Z, G_n, mu)
+        f, g = problem.objective_and_gradient_from_data(Z, G_n, _PENALTY_WEIGHT)
         if not np.isfinite(f):
             return None
         used = it
         raw[it - 1] = f
-        # relative to |best_f|: an exact fit can round to a tiny negative
-        # objective, and best_f * (1 - tol) would then lie above best_f
-        tol = math.copysign(config.tol_rel_objective, best_f)
-        if f < best_f * (1.0 - tol) or best_f == np.inf:
-            best_f = min(best_f, f)
-            best_Z = Z.copy()
-            last_improve = it
-        elif f < best_f:
+        if f < best_f:
+            if f < best_f * (1.0 - _TOL_REL_OBJECTIVE):
+                last_improve = it
             best_f = f
             best_Z = Z.copy()
-        incumbent[it - 1] = best_f
         stall = it - last_improve
         if stall >= _STALL_LIMIT:
             converged = True
@@ -317,7 +302,7 @@ def _adam_descent(problem: VarproProblem, G_n: np.ndarray, Z0: np.ndarray,
         m_hat = m / (1.0 - _ADAM_B1**t_adam)
         v_hat = v / (1.0 - _ADAM_B2**t_adam)
         Z = Z - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    return best_Z, best_f, raw[:used], incumbent[:used], converged
+    return best_Z, best_f, raw[:used], converged
 
 
 def _polar_orthonormalize(Z: np.ndarray) -> np.ndarray:
@@ -380,7 +365,7 @@ def solve(
             "linearized model cannot have full column rank and recovery is not unique",
             stacklevel=2,
         )
-    problem = VarproProblem(data.scheme, U, model, symmetric, config.pinv_rank_rtol)
+    problem = VarproProblem(data.scheme, U, model, symmetric)
     G = stacked_data(data, symmetric)
     tr = sum(float(np.sum(Gb * Gb)) for Gb in G)
     identifiable = model.d > model.n_temporal
@@ -424,13 +409,13 @@ def solve(
     if best is None:
         raise RuntimeError("all restarts diverged to a non-finite objective")
 
-    r_best, _, (Z_best, _, raw, incumbent, converged) = best
+    r_best, _, (Z_best, _, raw, converged) = best
     Z_final = _polar_orthonormalize(Z_best)
     beta_cols = problem.beta(Z_final, G, J)
     final_obj = problem.objective_and_gradient_from_data(Z_final, G_n)[0]
     defect = float(np.linalg.norm(Z_final.T @ Z_final - np.eye(model.n_temporal)))
     report = SolverReport(
-        objective_trace=incumbent,
+        objective_trace=np.minimum.accumulate(raw),
         raw_objective_trace=raw,
         final_objective=final_obj,
         final_orthonormality_defect=defect,

@@ -165,6 +165,13 @@ def objective_and_gradient_2p(scheme, N, U, Z, G, K, symmetric):
     return float(np.sum(resid**2)), grad
 
 
+def inner_beta(L1, g_hat):
+    """Reference minimum-norm least squares: ``lstsq``, dropping singular values
+    at or below 1e-10 of the largest."""
+    sol, *_ = np.linalg.lstsq(L1, g_hat, rcond=1e-10)
+    return sol
+
+
 def build_A(theta_hat, i, K):
     """Per-row operator A_i = theta_hat[i] (x) I_{K+1}, shape (K+1, (2N+1)(K+1)).
 

@@ -1,19 +1,33 @@
+import argparse
+import dataclasses
 import json
 import os
+import shutil
 import struct
 
 import numpy as np
 import pytest
 
 from prosep import analysis
-from prosep.cli import ConfigError, load_config, main
+from prosep.cli import ConfigError, build_parser, load_config, main
 from prosep.errors import TensorFormatError
+from prosep.solver import SolverConfig
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
 
 
 def read_bytes(path):
     with open(path, "rb") as f:
         return f.read()
+
+
+def nested(field, value):
+    """The override {"a": {"b": value}} for field "a.b"."""
+    *parents, leaf = field.split(".")
+    overrides = node = {}
+    for key in parents:
+        node = node.setdefault(key, {})
+    node[leaf] = value
+    return overrides
 
 
 def run_simulate(out, extra=()):
@@ -126,15 +140,21 @@ def test_config_fbp_angles_count_is_null_or_integer_at_least_2():
     ("scheme.seed", "x"), ("scheme.seed", -1),
     ("seed", "x"),
     ("model.d", 300),  # d > P = 256
+    ("grid", 5),
+    ("solver.restarts", 2.7), ("solver.restarts", True), ("solver.restarts", "12"),
+    ("solver.restarts", 0), ("solver.max_iters", 0), ("solver.max_iters", 1e3),
+    ("solver.seed", -3), ("solver.seed", None),
+    ("format_version", 1), ("format_version", "2"),
 ])
 def test_config_malformed_field_is_config_error(field, bad):
-    *parents, leaf = field.split(".")
-    overrides = node = {}
-    for key in parents:
-        node = node.setdefault(key, {})
-    node[leaf] = bad
     with pytest.raises(ConfigError, match=field):
-        load_config(overrides=overrides)
+        load_config(overrides=nested(field, bad))
+
+
+@pytest.mark.parametrize("field", ["modle", "grid.widht", "solver.restart", "model.k"])
+def test_config_rejects_unknown_field(field):
+    with pytest.raises(ConfigError, match=f"unknown field.*'{field}'"):
+        load_config(overrides=nested(field, 1))
 
 
 def test_config_detector_accepts_integer_count_and_positive_spacing():
@@ -173,6 +193,27 @@ def test_simulate_static_motion_benchmark_constant(tmp_path):
         assert np.allclose(bench[p], bench[0], atol=1e-12 * max(np.abs(bench[0]).max(), 1))
 
 
+@pytest.mark.parametrize("content, named", [
+    ({"modle": {"K": 1}}, "'modle'"),
+    ({"solver": {"seed": -3}}, "'solver.seed'"),
+    ([1, 2], "JSON object"),
+    ({"phantom": {"elipses": []}}, "'phantom'"),
+    ({"phantom": {"ellipses": [{"center": [0, 0], "semi_axes": [0.5, 0.5], "intensty": 2}]}},
+     "'phantom.ellipses'"),
+    ({"phantom": {"ellipses": [{"center": [0, 0], "semi_axes": [0.5, 0.5], "angle": "x"}]}},
+     "'phantom.ellipses'"),
+])
+def test_simulate_bad_config_file_exits_1_with_one_line(tmp_path, capsys, content, named):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(content))
+    rc = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "x")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosep simulate: ") and err.count("\n") == 1
+    assert named in err
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_invalid_config_exits_1(tmp_path, capsys):
     rc = main(["simulate", "--out", str(tmp_path / "x"), "--P", "33",
                "--scheme", "bit_reversed"])
@@ -190,6 +231,9 @@ def test_manifest_replay_reproduces_run(tmp_path):
     assert rc == 0
     for name in ("sinogram.tensor", "benchmark_movie.tensor", "manifest.json"):
         assert read_bytes(out1 / name) == read_bytes(out2 / name), name
+    manifest = json.loads((out1 / "manifest.json").read_text())
+    assert manifest["format_version"] == 2
+    assert manifest["solver"] == {"max_iters": 5000, "restarts": 5, "seed": 0}
 
 
 # ------------------------------------------------------------- reconstruct
@@ -275,6 +319,9 @@ def test_reconstruct_underdetermined_override_warns_and_runs(sim_dir, tmp_path):
     ("--N", "-1", "model.N"),
     ("--K", "-1", "model.K"),
     ("--d", "40", "model.d"),  # d > P = 32: no spline interpolator
+    ("--solver-seed", "-1", "solver.seed"),
+    ("--solver-max-iters", "0", "solver.max_iters"),
+    ("--solver-restarts", "0", "solver.restarts"),
 ])
 def test_reconstruct_rejects_bad_model_override(sim_dir, tmp_path, capsys, flag, value, field):
     out = tmp_path / "bad"
@@ -284,6 +331,32 @@ def test_reconstruct_rejects_bad_model_override(sim_dir, tmp_path, capsys, flag,
     assert err.startswith("prosep reconstruct: ") and err.count("\n") == 1
     assert f"'{field}'" in err
     assert not out.exists()
+
+
+def test_reconstruct_rejects_a_format_1_manifest(sim_dir, tmp_path, capsys):
+    """Format 1 had seven solver keys; the four that became constants are unknown fields."""
+    old = tmp_path / "v1"
+    shutil.copytree(sim_dir, old)
+    manifest = json.loads((old / "manifest.json").read_text())
+    manifest["format_version"] = 1
+    manifest["solver"].update(step_size=0.2, penalty_weight=1.0, tol_rel_objective=1e-9,
+                              pinv_rank_rtol=1e-10)
+    (old / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["reconstruct", "--input", str(old), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosep reconstruct: ") and err.count("\n") == 1
+    assert "'solver.step_size'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reconstruct_solver_flags_are_the_solver_config_fields():
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for a in sub.choices["reconstruct"]._actions for opt in a.option_strings
+             if opt.startswith("--solver-")}
+    assert flags == {"--solver-" + f.name.replace("_", "-")
+                     for f in dataclasses.fields(SolverConfig)}
 
 
 def test_reconstruct_missing_input_exits_1(tmp_path, capsys):

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import (
     data_2p,
+    inner_beta,
     l1_2p,
     make_exact_model_data,
     max_principal_angle,
@@ -15,14 +16,13 @@ from prosep.phantom import TimeSequentialSinogram
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, harmonic_blocks, spline_interpolator
 from prosep.radon import DetectorGrid
 from prosep.recon import ProSepSolution, reconstruct_movie, synthesize_sinogram
-from prosep.sampling import bit_reversed, random_scheme
+from prosep.sampling import AngularScheme, bit_reversed, random_scheme
 from prosep.solver import (
     SolverConfig,
     VarproProblem,
     _adam_descent,
-    _block_inner_beta,
     _polar_orthonormalize,
-    inner_beta,
+    _truncated_lstsq,
     solve,
     stacked_data,
 )
@@ -143,10 +143,10 @@ def test_block_truncation_is_relative_to_the_whole_L1():
     strong = np.linalg.qr(r.standard_normal((6, 3)))[0] * [3.0, 2.0, 1.0]
     weak = np.linalg.qr(r.standard_normal((5, 2)))[0] * [4e-11, 1e-11]
     G = [r.standard_normal((6, 4)), r.standard_normal((5, 4))]
-    got = _block_inner_beta([strong, weak], G, 1e-10)
+    got = _truncated_lstsq([strong, weak], G)
     stacked = np.zeros((11, 5))
     stacked[:6, :3], stacked[6:, 3:] = strong, weak
-    want = inner_beta(stacked, np.vstack(G), 1e-10)
+    want = inner_beta(stacked, np.vstack(G))
     assert np.all(got[1] == 0.0)
     assert np.allclose(np.vstack(got), want, rtol=1e-12, atol=1e-12)
 
@@ -210,6 +210,35 @@ def test_objective_matches_brute_force_residual(rng):
     beta = inner_beta(L1, G)
     brute = float(np.sum((G - L1 @ beta) ** 2))
     assert F == pytest.approx(brute, rel=1e-10)
+
+
+def test_objective_is_the_residual_of_beta_on_a_rank_deficient_tall_L1():
+    """16 angles doubled 1e-14 apart: both blocks are tall (32 rows) but have rank 16.
+
+    F and its gradient are those of the residual of the truncated
+    least-squares beta, as on the 2P-row oracle.  ||G||^2 - ||Q^T G||^2
+    from a QR would count the numerically null directions as fitted.
+    """
+    base = np.linspace(0.05, np.pi - 0.05, 16)
+    scheme = AngularScheme(angles=np.sort(np.concatenate([base, base + 1e-14])), span=np.pi,
+                           kind="custom")
+    U = spline_interpolator(32, 2)
+    problem = VarproProblem(scheme, U, HarmonicOrder(N=20, K=0, d=2), symmetric=True)
+    Z = random_Z(np.random.default_rng(0), 2, 0)
+    G = np.random.default_rng(5).standard_normal((64, 7))
+    F, g = problem.objective_and_gradient_from_data(Z, rotate_rows(G, True))
+    F_ref, g_ref = objective_and_gradient_2p(scheme, 20, U, Z, G, 0, True)
+    assert F == pytest.approx(F_ref, rel=1e-10)
+    assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+
+
+def test_objective_is_never_negative_on_exact_model_data():
+    """An exact fit leaves a residual of rounding size, a sum of squares, not below 0."""
+    for seed in range(120):
+        data, U, Z0, _, order = make_exact_model_data(P=32, K=1, N=3, d=3, J=12, seed=seed)
+        problem = VarproProblem(data.scheme, U, order, symmetric=True)
+        G = normalized(stacked_data(data, symmetric=True))
+        assert 0.0 <= objective(problem, Z0, G) < 1e-20, seed
 
 
 def test_objective_bounds_and_range_invariance(rng):
@@ -375,6 +404,12 @@ def test_penalty_gradient_zero_on_stiefel(rng):
 
 
 # ---------------------------------------------------------------- solve
+
+@pytest.mark.parametrize("field, bad", [("max_iters", 0), ("restarts", 0), ("seed", -1)])
+def test_solver_config_rejects_out_of_range_values(field, bad):
+    with pytest.raises(ValueError, match=field):
+        SolverConfig(**{field: bad})
+
 
 def test_solve_exact_model_recovery_small():
     data, U, Z0, beta0, order = make_exact_model_data(P=64, K=2, N=6, d=4, J=24, seed=3)
@@ -548,15 +583,15 @@ def test_solve_zero_data_is_exact_without_descent(d):
     assert report.block_rank_margin == 32 - 7 * 2
 
 
-@pytest.mark.parametrize("value", [-8.9e-16, 0.0, 3.0e-4])
+@pytest.mark.parametrize("value", [0.0, 3.0e-4])
 def test_descent_stops_on_a_flat_objective_of_any_sign(value):
-    """A constant objective stalls after 350 steps, also when it rounds below 0."""
+    """A constant objective stalls after 350 steps, also at an exact fit (F = 0)."""
 
     class Flat:
         def objective_and_gradient_from_data(self, Z, G, mu):
             return value, np.zeros_like(Z)
 
-    _, best_f, raw, _, converged = _adam_descent(
+    _, best_f, raw, converged = _adam_descent(
         Flat(), None, np.eye(3)[:, :2], SolverConfig(max_iters=2000))
     assert converged and best_f == value
     assert raw.size == 351
