@@ -34,12 +34,11 @@ from .psmodel import (
     l2_row_factors,
     legendre_basis,
 )
-from .radon import DetectorGrid, Frame, radon_energy_check
+from .radon import DetectorGrid, Frame, radon_project
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme
 
 __all__ = [
     "ConditionReport",
-    "MotionBoundSpec",
     "CondL2Result",
     "Theorem1Result",
     "KAPPA_SINGULAR",
@@ -230,41 +229,29 @@ class Theorem1Result(NamedTuple):
 def theorem1_check(frame: Frame, angles, detector: DetectorGrid | None = None) -> Theorem1Result:
     """Projection-energy bound for a residual frame, integrated over angles.
 
-    lhs integrates the per-angle projection energy over a full turn
-    (weight 2*pi / len(angles)); rhs = 2*pi*L*||f||^2 is the stated
+    lhs integrates the per-angle projection energy
+    sum_j |Rf(s_j, theta)|^2 * spacing over a full turn (weight
+    2*pi / len(angles)); rhs = 2*pi*L*||f||^2 is the stated
     projection-domain bound.  ``per_angle_ratio`` holds each angle's
     energy against its own bound 2*L*||f||^2, which is the inequality the
-    proof actually uses and the one asserted by the tests; see the module
-    tests for the constant ambiguity in the integrated form.
+    proof actually uses and the one asserted by the tests; it holds in the
+    continuum for a frame supported in the disk of radius L, and
+    discretization can add a few percent of quadrature slack.  See the
+    module tests for the constant ambiguity in the integrated form.  All
+    angles are projected in one ``radon_project`` call.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     if detector is None:
         detector = DetectorGrid.for_frame(frame)
-    per_angle = np.empty(angles.size)
+    g = radon_project(frame, angles, detector).values
+    # one contiguous row per angle, so each energy is the pairwise sum of its column
+    per_angle = np.sum(np.ascontiguousarray(g.T) ** 2, axis=1) * detector.spacing
     rhs_single = 2.0 * frame.support_radius * frame.norm2_sq()
-    for a, th in enumerate(angles):
-        lhs_a, _ = radon_energy_check(frame, th, detector)
-        per_angle[a] = lhs_a
     dtheta = 2.0 * np.pi / angles.size
     lhs = float(per_angle.sum() * dtheta)
     rhs = float(np.pi * 2.0 * frame.support_radius * frame.norm2_sq())
     ratio = per_angle / rhs_single if rhs_single > 0 else np.zeros_like(per_angle)
     return Theorem1Result(lhs=lhs, rhs=rhs, per_angle_ratio=ratio)
-
-
-@dataclass(frozen=True)
-class MotionBoundSpec:
-    """Inputs of the truncation bounds for affine motion of a bandlimited object."""
-
-    B: float = 0.0
-    c_max: float = 0.0
-    L: float = 0.0
-    theta_max: float = 0.0
-    K: int = 0
-
-    def __post_init__(self):
-        if min(self.B, self.c_max, self.L, self.theta_max) < 0 or self.K < 0:
-            raise ValueError("all bound parameters must be nonnegative")
 
 
 def _taylor_remainder(x: float, K: int) -> float:
@@ -275,18 +262,22 @@ def _taylor_remainder(x: float, K: int) -> float:
     return math.exp((K + 1) * math.log(x) - math.lgamma(K + 2))
 
 
-def translation_bound(spec: MotionBoundSpec) -> float:
+def translation_bound(B: float, c_max: float, K: int) -> float:
     """Temporal truncation bound |B c_max|^{K+1} / (K+1)! for translation."""
-    return _taylor_remainder(spec.B * spec.c_max, spec.K)
+    if min(B, c_max, K) < 0:
+        raise ValueError("all bound parameters must be nonnegative")
+    return _taylor_remainder(B * c_max, K)
 
 
-def rotation_bound(spec: MotionBoundSpec) -> float:
+def rotation_bound(B: float, L: float, theta_max: float, K: int) -> float:
     """Truncation bound |B L theta_max|^{K+1} / (K+1)! for rotation.
 
     B * L is the angular bandlimit of the object in its polar
     representation.
     """
-    return _taylor_remainder(spec.B * spec.L * spec.theta_max, spec.K)
+    if min(B, L, theta_max, K) < 0:
+        raise ValueError("all bound parameters must be nonnegative")
+    return _taylor_remainder(B * L * theta_max, K)
 
 
 def table1(

@@ -10,9 +10,10 @@ bit-for-bit; ``reconstruct`` reads it back through the same checks,
 together with its ``--solver-*`` and model flags.  Arrays are exchanged as
 binary tensor files (see ``tensorio``), tables as CSV.
 
-Exit codes: 0 success, 1 configuration or I/O error, 2 solver stopped at
-the iteration cap without reaching its tolerance (only when d > K+1: with
-d = K+1 the solver runs no descent).
+Exit codes: 0 success, 1 configuration or I/O error (also a malformed input
+tensor, named on one line), 2 solver stopped at the iteration cap without
+reaching its tolerance (only when d > K+1: with d = K+1 the solver runs no
+descent).
 
 ``simulate`` renders the truth movie once and computes both the
 acquisition and the benchmark movie from it.
@@ -368,21 +369,32 @@ def cmd_reconstruct(args) -> int:
             overrides.setdefault("solver", {})[f.name] = val
     # a model the linearized system cannot pin down is warned about by solve
     cfg = load_config(os.path.join(indir, "manifest.json"), overrides=overrides, force=True)
-    sino = read_tensor(os.path.join(indir, "sinogram.tensor"))
-    angles = read_tensor(os.path.join(indir, "angles.tensor"))
+    sino_path = os.path.join(indir, "sinogram.tensor")
+    angles_path = os.path.join(indir, "angles.tensor")
+    sino = read_tensor(sino_path)
+    angles = read_tensor(angles_path)
     model_cfg = cfg["model"]
     symmetric = cfg["symmetric"]
 
     P = cfg["P"]
+    if angles.shape != (P,):
+        raise ProsepError(
+            f"{angles_path}: shape {angles.shape}, but the manifest has P = {P} angles")
     span = span_for(symmetric)
     if np.any(angles >= span):
         raise ConfigError(
             "field 'symmetric': acquired angles exceed [0, pi); the data was "
             "simulated without the half-turn symmetry"
         )
-    scheme = AngularScheme(angles=angles, span=span, kind=cfg["scheme"]["kind"])
+    try:
+        scheme = AngularScheme(angles=angles, span=span, kind=cfg["scheme"]["kind"])
+    except ValueError as e:
+        raise ProsepError(f"{angles_path}: {e}") from None
     detector = DetectorGrid(**cfg["detector"])
-    data = TimeSequentialSinogram(values=sino, scheme=scheme, detector=detector)
+    try:
+        data = TimeSequentialSinogram(values=sino, scheme=scheme, detector=detector)
+    except ValueError as e:
+        raise ProsepError(f"{sino_path}: {e}") from None
     order = HarmonicOrder(N=model_cfg["N"], K=model_cfg["K"], d=model_cfg["d"])
     U = spline_interpolator(P, order.d)
     Z, beta, report = solve(data, order, U, SolverConfig(**cfg["solver"]),
@@ -408,20 +420,9 @@ def cmd_reconstruct(args) -> int:
     for i, (raw, inc) in enumerate(zip(report.raw_objective_trace, report.objective_trace)):
         trace_lines.append(f"{i},{float(raw)!r},{float(inc)!r}")
     _write_text_atomic(os.path.join(out, "solver_report.csv"), "\n".join(trace_lines) + "\n")
-    summary = {
-        "final_objective": report.final_objective,
-        "final_orthonormality_defect": report.final_orthonormality_defect,
-        "chosen_restart": report.chosen_restart,
-        "iterations_used": report.iterations_used,
-        "converged": report.converged,
-        "restart_objectives": report.restart_objectives,
-        "aborted_restarts": report.aborted_restarts,
-        "model": model_cfg,
-        "symmetric": symmetric,
-        "z_identifiable": report.z_identifiable,
-        "rank_margin": report.rank_margin,
-        "block_rank_margin": report.block_rank_margin,
-    }
+    summary = dataclasses.asdict(report)
+    del summary["objective_trace"], summary["raw_objective_trace"]
+    summary.update(model=model_cfg, symmetric=symmetric)
     _write_text_atomic(
         os.path.join(out, "solver_report.json"),
         json.dumps(summary, indent=2, sort_keys=True) + "\n",
@@ -510,12 +511,8 @@ def cmd_analyze(args) -> int:
         kmax = given.get("kmax", 12)
         lines = ["K,translation_bound,rotation_bound"]
         for K in range(kmax + 1):
-            tb = analysis.translation_bound(
-                analysis.MotionBoundSpec(B=B, c_max=cmax, K=K)
-            )
-            rb = analysis.rotation_bound(
-                analysis.MotionBoundSpec(B=B, L=L, theta_max=tmax, K=K)
-            )
+            tb = analysis.translation_bound(B, cmax, K)
+            rb = analysis.rotation_bound(B, L, tmax, K)
             lines.append(f"{K},{tb!r},{rb!r}")
         _write_text_atomic(os.path.join(out, "bounds.csv"), "\n".join(lines) + "\n")
         wrote.append("bounds.csv")

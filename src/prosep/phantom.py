@@ -216,6 +216,8 @@ class TimeSequentialSinogram:
             raise ValueError(
                 f"values shape {v.shape} != (J={self.detector.count}, P={self.scheme.P})"
             )
+        if not np.all(np.isfinite(v)):
+            raise ValueError("sinogram values must be finite")
         times = self.times if self.times is not None else sample_times(self.scheme.P)
         object.__setattr__(self, "times", np.asarray(times, dtype=float))
 

@@ -36,7 +36,6 @@ __all__ = [
     "fbp",
     "fbp_stack",
     "project_fbp",
-    "radon_energy_check",
 ]
 
 
@@ -417,18 +416,3 @@ def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
     del stack  # the P output frames below need its memory
     return [Frame(values=acc[:, p].reshape(W, W), pixel_size=h) for p in range(acc.shape[1])]
 
-
-def radon_energy_check(frame: Frame, angle: float, detector: DetectorGrid | None = None):
-    """Projection energy against the support-disk bound 2 L ||f||^2.
-
-    Returns ``(lhs, rhs)`` with ``lhs = sum_j |Rf(s_j, angle)|^2 * spacing``
-    and ``rhs = 2 * L * ||f||^2``.  For a frame supported in the disk of
-    radius L the continuum inequality lhs <= rhs holds; discretization can
-    add a few percent of quadrature slack.
-    """
-    if detector is None:
-        detector = DetectorGrid.for_frame(frame)
-    g = radon_project(frame, [angle], detector).values[:, 0]
-    lhs = float(np.sum(g**2)) * detector.spacing
-    rhs = 2.0 * frame.support_radius * frame.norm2_sq()
-    return lhs, rhs

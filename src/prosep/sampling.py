@@ -38,7 +38,7 @@ class AngularScheme:
             raise ValueError("angles must be a non-empty 1-D array")
         if self.span <= 0:
             raise ValueError("span must be positive")
-        if np.any(angles < 0) or np.any(angles >= self.span):
+        if not np.all((angles >= 0) & (angles < self.span)):  # also rejects NaN
             raise ValueError("angles must lie in [0, span)")
         if len(np.unique(angles)) != angles.size:
             raise ValueError("angles must be distinct")

@@ -18,17 +18,15 @@ one block.  The data split the same way (``stacked_data``), so the
 objective, its gradient and beta are sums and stacks of per-block
 pieces, each a quarter of the QR work of the 2P-row system.
 
-When d = K+1, Z is square and U Z spans range(U) for every invertible Z,
-so range(L1(Z)) and the objective do not depend on Z: Z is not
-identifiable.  ``solve`` then takes Z = I (Psi = U) and fits beta with
-one least-squares solve; there is nothing to descend on.
-
-When d > K+1, the orthonormality constraint is relaxed to a penalty and
-the reduced objective is minimized with Adam; the returned Z is
-re-orthonormalized through its polar factor and the coefficients are
-recovered per detector offset by truncated least squares.  Everything
-runs in the real trigonometric parameterization, so all matrices are
-real.
+``solve`` is one path: choose Z, then fit beta once.  When d = K+1, Z is
+square and U Z spans range(U) for every invertible Z, so range(L1(Z))
+and the objective do not depend on Z: Z is not identifiable, and Z = I
+(Psi = U).  When d > K+1, the orthonormality constraint is relaxed to a
+penalty, the reduced objective is minimized with Adam, and Z is the
+polar factor of the best restart.  Either way beta comes from one
+truncated least-squares fit on L1(Z), and the reported objective is the
+residual of that beta relative to ||G||^2.  Everything runs in the real
+trigonometric parameterization, so all matrices are real.
 """
 
 from __future__ import annotations
@@ -140,17 +138,21 @@ class VarproProblem:
         """The blocks of L1(Z), one per entry of ``blocks``."""
         return [face_split(b.theta, b.V @ Z) for b in self.blocks]
 
-    def beta(self, Z: np.ndarray, G, J: int) -> np.ndarray:
+    def fit(self, Z: np.ndarray, G, J: int):
         """Truncated least-squares beta for the data blocks G of J detector bins.
 
-        Solved per block, then scattered back to the (2N+1)(K+1) x J layout
-        of beta.  With the symmetry the blocks hold the weighted first
-        ceil(J/2) bins (``stacked_data``); bin J-1-j is bin j times
-        (-1)^n, so even harmonic rows are mirror-symmetric in j and odd
-        rows antisymmetric.
+        Returns (beta, rss): beta solved per block and scattered back to
+        the (2N+1)(K+1) x J layout, and the residual sum of squares
+        sum_b ||G_b - L1_b beta_b||^2 of the fit.  With the symmetry the
+        blocks hold the weighted first ceil(J/2) bins (``stacked_data``),
+        which keep every sum of squares; bin J-1-j is bin j times (-1)^n,
+        so even harmonic rows are mirror-symmetric in j and odd rows
+        antisymmetric.
         """
         order = self.order
-        betas = _truncated_lstsq(self.l1(Z), G)
+        L_blocks = self.l1(Z)
+        betas = _truncated_lstsq(L_blocks, G)
+        rss = sum(float(np.sum((Gb - L @ beta) ** 2)) for L, Gb, beta in zip(L_blocks, G, betas))
         B = np.empty((order.n_harmonics, order.n_temporal, betas[0].shape[1]))
         for block, beta in zip(self.blocks, betas):
             B[block.harmonics] = beta.reshape(block.harmonics.size, order.n_temporal, -1)
@@ -158,14 +160,14 @@ class VarproProblem:
             B /= _mirror_weights(J)
             mirror = harmonic_parity(order.N)[:, None, None] * B[:, :, : J // 2]
             B = np.concatenate([B, mirror[:, :, ::-1]], axis=2)
-        return B.reshape(order.cols, J)
+        return B.reshape(order.cols, J), rss
 
     def objective_and_gradient_from_data(self, Z: np.ndarray, G, mu: float = 0.0):
         """Penalized objective ||G - L1(Z) beta*||_F^2 and its exact gradient in Z.
 
         G is the list of data blocks (``stacked_data``); F and the
         gradient are sums over the blocks of L1.  Per block, beta* is the
-        least-squares fit, truncated like ``beta``, and r = G_b - L1_b
+        least-squares fit, truncated like ``fit``, and r = G_b - L1_b
         beta* its residual, so F is a sum of squares and never negative.
         The projector derivative contracts to grad_b = -2 V^T M with
         M[i, k] = sum_n theta[i, n] * (r beta*^T)[i, (n, k)];
@@ -224,8 +226,13 @@ class SolverReport:
     ``raw_objective_trace`` is the normalized objective per iteration of
     the winning restart, and ``objective_trace`` its running minimum, the
     incumbent (best-so-far) value.  A solve without a descent (d = K+1,
-    or all-zero data) has one entry in each trace, the closed-form
-    objective, and no restarts.
+    or all-zero data) has one entry in each trace, the final objective,
+    and no restarts.  ``final_objective`` is the residual of the returned
+    beta, ||G - L1(Z) beta||^2 / ||G||^2 (0 for all-zero data), which the
+    winning restart's best iterate approximates before the polar step.
+    ``restart_objectives`` holds each restart's best objective, inf for a
+    restart whose objective turned non-finite; ``aborted_restarts`` lists
+    those restarts.
 
     ``z_identifiable`` is false exactly when d = K+1.  ``rank_margin`` is
     the number of equations per detector offset minus the number of
@@ -320,19 +327,20 @@ def solve(
 ):
     """Recover (Z, beta) from a time-sequential sinogram.
 
-    With d = K+1 the objective is the same for every Z (module
-    docstring), so Z = I and beta comes from one truncated least-squares
-    solve per block of L1(I); the report says converged after 0
-    iterations, with ``z_identifiable`` false.  All-zero data take the same path with
-    Z = I_{d x (K+1)}, since the zero model fits them exactly.
+    One path: choose Z, then fit beta once.  Z = I_{d x (K+1)} for
+    all-zero data (the zero model fits them exactly) and for d = K+1,
+    where the objective is the same for every Z (module docstring); the
+    report then says converged after 0 iterations, with
+    ``z_identifiable`` false when d = K+1.  With d > K+1, Z is the polar
+    factor of the best of ``config.restarts`` independent Adam descents
+    from random orthonormal starting points (ties broken by the lowest
+    restart index).
 
-    With d > K+1, runs ``config.restarts`` independent Adam descents from
-    random orthonormal starting points, keeps the lowest objective (ties
-    broken by restart index), re-orthonormalizes the winner through its
-    polar factor, and recovers beta(s_j) for every detector offset by
-    truncated least squares on the blocks.  Truncation is relative to the
-    largest singular value of the whole L1 in both cases.  A warning is
-    issued when some block of L1 has fewer rows than columns
+    beta(s_j) is then recovered for every detector offset by one
+    truncated least-squares fit on the blocks of L1(Z), truncated
+    relative to the largest singular value of the whole L1, and the
+    reported objective is the residual of that beta.  A warning is issued
+    when some block of L1 has fewer rows than columns
     (``HarmonicOrder.solvable``).
 
     Parameters
@@ -369,62 +377,38 @@ def solve(
     G = stacked_data(data, symmetric)
     tr = sum(float(np.sum(Gb * Gb)) for Gb in G)
     identifiable = model.d > model.n_temporal
-    equations = 2 * P if symmetric else P
-    facts = dict(z_identifiable=identifiable, rank_margin=equations - model.cols,
-                 block_rank_margin=block_margin)
-    if tr <= 0.0 or not identifiable:
-        Z = np.eye(model.d)[:, : model.n_temporal]
-        f = 0.0 if tr <= 0.0 else problem.objective_and_gradient_from_data(
-            Z, [Gb / np.sqrt(tr) for Gb in G])[0]
-        report = SolverReport(
-            objective_trace=np.array([f]),
-            raw_objective_trace=np.array([f]),
-            final_objective=f,
-            final_orthonormality_defect=0.0,
-            chosen_restart=0,
-            iterations_used=0,
-            converged=True,
-            **facts,
-        )
-        beta = HarmonicCoefficients(beta=problem.beta(Z, G, J), order=model)
-        return Z, beta, report
 
-    G_n = [Gb / np.sqrt(tr) for Gb in G]  # unit norm: objectives are relative to ||G||^2
-    seeds = np.random.SeedSequence(config.seed).spawn(config.restarts)
-    best = None
-    restart_objectives = []
-    aborted = []
-    for r in range(config.restarts):
-        rng = np.random.default_rng(seeds[r])
-        Z0 = _polar_orthonormalize(rng.standard_normal((model.d, model.n_temporal)))
-        result = _adam_descent(problem, G_n, Z0, config)
-        if result is None:
-            aborted.append(r)
-            restart_objectives.append(np.inf)
-            continue
-        _, f_r, *_ = result
-        restart_objectives.append(f_r)
-        if best is None or f_r < best[1]:
-            best = (r, f_r, result)
-    if best is None:
-        raise RuntimeError("all restarts diverged to a non-finite objective")
+    restart_objectives, chosen, raw, converged = [], 0, None, True
+    Z = np.eye(model.d)[:, : model.n_temporal]
+    if tr > 0.0 and identifiable:
+        G_n = [Gb / np.sqrt(tr) for Gb in G]  # unit norm: objectives are relative to ||G||^2
+        runs = []
+        for seed in np.random.SeedSequence(config.seed).spawn(config.restarts):
+            Z0 = _polar_orthonormalize(
+                np.random.default_rng(seed).standard_normal((model.d, model.n_temporal)))
+            runs.append(_adam_descent(problem, G_n, Z0, config))
+        restart_objectives = [np.inf if run is None else run[1] for run in runs]
+        chosen = int(np.argmin(restart_objectives))
+        if runs[chosen] is None:
+            raise RuntimeError("all restarts diverged to a non-finite objective")
+        Z_best, _, raw, converged = runs[chosen]
+        Z = _polar_orthonormalize(Z_best)
 
-    r_best, _, (Z_best, _, raw, converged) = best
-    Z_final = _polar_orthonormalize(Z_best)
-    beta_cols = problem.beta(Z_final, G, J)
-    final_obj = problem.objective_and_gradient_from_data(Z_final, G_n)[0]
-    defect = float(np.linalg.norm(Z_final.T @ Z_final - np.eye(model.n_temporal)))
+    beta_cols, rss = problem.fit(Z, G, J)
+    final_obj = rss / tr if tr > 0.0 else 0.0
+    trace = np.array([final_obj]) if raw is None else raw
     report = SolverReport(
-        objective_trace=np.minimum.accumulate(raw),
-        raw_objective_trace=raw,
+        objective_trace=np.minimum.accumulate(trace),
+        raw_objective_trace=trace,
         final_objective=final_obj,
-        final_orthonormality_defect=defect,
-        chosen_restart=r_best,
-        iterations_used=raw.size,
+        final_orthonormality_defect=float(np.linalg.norm(Z.T @ Z - np.eye(model.n_temporal))),
+        chosen_restart=chosen,
+        iterations_used=0 if raw is None else raw.size,
         converged=converged,
-        **facts,
+        z_identifiable=identifiable,
+        rank_margin=(2 * P if symmetric else P) - model.cols,
+        block_rank_margin=block_margin,
         restart_objectives=restart_objectives,
-        aborted_restarts=aborted,
+        aborted_restarts=[r for r, f in enumerate(restart_objectives) if f == np.inf],
     )
-    beta = HarmonicCoefficients(beta=beta_cols, order=model)
-    return Z_final, beta, report
+    return Z, HarmonicCoefficients(beta=beta_cols, order=model), report

@@ -6,7 +6,6 @@ import pytest
 
 from conftest import complex_l1, indicator_disk, random_masked_frame
 from prosep.analysis import (
-    MotionBoundSpec,
     cond_L1,
     cond_L2,
     rank_check_L1,
@@ -185,6 +184,8 @@ def test_theorem1_zero_residual():
     f = Frame(values=np.zeros((24, 24)), pixel_size=1 / 12)
     res = theorem1_check(f, np.linspace(0, 2 * np.pi, 8, endpoint=False))
     assert res.lhs == 0.0 and res.rhs == 0.0
+    res = theorem1_check(Frame(values=np.zeros((32, 32)), pixel_size=1 / 16), [0.7])
+    assert res.lhs == 0.0 and res.rhs == 0.0
 
 
 def test_theorem1_per_angle_bound_random_residuals(rng):
@@ -192,6 +193,14 @@ def test_theorem1_per_angle_bound_random_residuals(rng):
         f = random_masked_frame(rng, width=32)
         res = theorem1_check(f, rng.uniform(0, 2 * np.pi, 4))
         assert np.all(res.per_angle_ratio <= 1.05)
+
+
+def test_theorem1_per_angle_bound_on_100_random_frames(rng):
+    """Per-angle energy inequality with <= 5% quadrature slack, 100 draws."""
+    for _ in range(100):
+        f = random_masked_frame(rng, width=40)
+        res = theorem1_check(f, rng.uniform(0, 2 * np.pi))
+        assert res.per_angle_ratio[0] <= 1.05
 
 
 def test_theorem1_integrated_ratio_between_constants():
@@ -208,25 +217,40 @@ def test_theorem1_integrated_ratio_between_constants():
 
 
 def test_theorem1_unit_disk_closed_form():
+    """lhs -> int (2 sqrt(1-s^2))^2 ds = 16/3; rhs -> 2 * L * pi = 2 pi."""
     f = indicator_disk(256, 2.0 / 256, radius=1.0)
     res = theorem1_check(f, [1.1])
     per_angle_lhs = res.per_angle_ratio[0] * 2.0 * f.support_radius * f.norm2_sq()
     assert per_angle_lhs == pytest.approx(16.0 / 3.0, rel=1e-2)
     assert 2.0 * f.support_radius * f.norm2_sq() == pytest.approx(2 * np.pi, rel=1e-2)
+    assert res.per_angle_ratio[0] <= 1.0  # lhs <= rhs
 
 
 # ------------------------------------------------- motion bounds
 
 def test_translation_bound_closed_form():
-    spec = MotionBoundSpec(B=1.0, c_max=1.0, K=3)
-    assert translation_bound(spec) == pytest.approx(1.0 / 24.0, rel=1e-12)
+    assert translation_bound(1.0, 1.0, 3) == pytest.approx(1.0 / 24.0, rel=1e-12)
 
 
 def test_translation_bound_monotone_beyond_threshold():
     B, c = 2.0, 1.7
-    vals = [translation_bound(MotionBoundSpec(B=B, c_max=c, K=K)) for K in range(30)]
+    vals = [translation_bound(B, c, K) for K in range(30)]
     start = math.ceil(B * c - 1) + 1
     assert all(vals[k + 1] < vals[k] for k in range(start, 29))
+
+
+@pytest.mark.parametrize("bound, args", [
+    (translation_bound, (-1.0, 1.0, 2)),
+    (translation_bound, (1.0, -0.1, 2)),
+    (translation_bound, (1.0, 1.0, -1)),
+    (rotation_bound, (-1.0, 1.0, 1.0, 2)),
+    (rotation_bound, (1.0, -1.0, 1.0, 2)),
+    (rotation_bound, (1.0, 1.0, -0.5, 2)),
+    (rotation_bound, (1.0, 1.0, 1.0, -1)),
+])
+def test_motion_bounds_reject_negative_inputs(bound, args):
+    with pytest.raises(ValueError, match="nonnegative"):
+        bound(*args)
 
 
 def test_taylor_remainder_inequality_on_grid():
@@ -242,9 +266,9 @@ def test_taylor_remainder_inequality_on_grid():
 
 
 def test_rotation_bound_closed_form_and_zero():
-    assert rotation_bound(MotionBoundSpec(B=2.0, L=0.5, theta_max=1.0, K=3)) == pytest.approx(1 / 24)
+    assert rotation_bound(2.0, 0.5, 1.0, 3) == pytest.approx(1 / 24)
     assert all(
-        rotation_bound(MotionBoundSpec(B=3.0, L=1.0, theta_max=0.0, K=K)) == 0.0
+        rotation_bound(3.0, 1.0, 0.0, K) == 0.0
         for K in range(8)
     )
 
@@ -271,7 +295,7 @@ def test_rotation_bound_dominates_empirical_truncation():
     errs, bounds = [], []
     for K in range(13):
         err = tails[K + 1] if K + 1 < tails.size else 0.0
-        bound = rotation_bound(MotionBoundSpec(B=B, L=1.0, theta_max=theta_max, K=K))
+        bound = rotation_bound(B, 1.0, theta_max, K)
         errs.append(err)
         bounds.append(bound)
         assert err <= bound + 1e-10

@@ -11,7 +11,7 @@ import pytest
 from prosep import analysis
 from prosep.cli import ConfigError, build_parser, load_config, main
 from prosep.errors import TensorFormatError
-from prosep.solver import SolverConfig
+from prosep.solver import SolverConfig, SolverReport
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
 
 
@@ -357,6 +357,42 @@ def test_reconstruct_solver_flags_are_the_solver_config_fields():
              if opt.startswith("--solver-")}
     assert flags == {"--solver-" + f.name.replace("_", "-")
                      for f in dataclasses.fields(SolverConfig)}
+
+
+def test_reconstruct_report_keys_are_the_solver_report_fields(sim_dir, tmp_path):
+    """solver_report.json is the SolverReport without its traces, plus model and symmetric."""
+    out = tmp_path / "keys"
+    assert main(["reconstruct", "--input", str(sim_dir), "--out", str(out)]) == 0
+    summary = json.loads((out / "solver_report.json").read_text())
+    fields = {f.name for f in dataclasses.fields(SolverReport)}
+    assert set(summary) == fields - {"objective_trace", "raw_objective_trace"} | {
+        "model", "symmetric"}
+
+
+def _nan_at_one_entry(sino):
+    sino = sino.copy()
+    sino[3, 5] = np.nan
+    return sino
+
+
+@pytest.mark.parametrize("name, corrupt, reason", [
+    ("angles.tensor", lambda a: np.concatenate([a[:-1], a[:1]]), "angles must be distinct"),
+    ("sinogram.tensor", lambda g: g[:, :20], "values shape (33, 20) != (J=33, P=32)"),
+    ("angles.tensor", lambda a: a[:16], "shape (16,), but the manifest has P = 32 angles"),
+    ("sinogram.tensor", _nan_at_one_entry, "must be finite"),
+])
+def test_reconstruct_malformed_input_exits_1_with_one_line(sim_dir, tmp_path, capsys,
+                                                           name, corrupt, reason):
+    bad = tmp_path / "bad"
+    shutil.copytree(sim_dir, bad)
+    write_tensor(bad / name, corrupt(read_tensor(bad / name)))
+    out = tmp_path / "out"
+    rc = main(["reconstruct", "--input", str(bad), "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"prosep reconstruct: {bad / name}: ") and err.count("\n") == 1
+    assert reason in err
+    assert not out.exists()
 
 
 def test_reconstruct_missing_input_exits_1(tmp_path, capsys):

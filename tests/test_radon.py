@@ -12,7 +12,6 @@ from prosep.radon import (
     fbp,
     fbp_stack,
     project_fbp,
-    radon_energy_check,
     radon_project,
     support_mask,
 )
@@ -169,30 +168,6 @@ def test_fbp_deterministic():
     r1 = fbp(g, width=W, pixel_size=f.pixel_size)
     r2 = fbp(g, width=W, pixel_size=f.pixel_size)
     assert np.array_equal(r1.values, r2.values)
-
-
-def test_energy_check_zero_frame():
-    f = Frame(values=np.zeros((32, 32)), pixel_size=1 / 16)
-    lhs, rhs = radon_energy_check(f, 0.7)
-    assert lhs == 0.0 and rhs == 0.0
-
-
-def test_energy_check_unit_disk_closed_form():
-    """lhs -> int (2 sqrt(1-s^2))^2 ds = 16/3; rhs -> 2 * L * pi = 2 pi."""
-    W = 256
-    f = indicator_disk(W, 2.0 / W, radius=1.0)
-    lhs, rhs = radon_energy_check(f, 1.1)
-    assert lhs == pytest.approx(16.0 / 3.0, rel=1e-2)
-    assert rhs == pytest.approx(2.0 * np.pi, rel=1e-2)
-    assert lhs <= rhs
-
-
-def test_energy_bound_on_random_frames(rng):
-    """Per-angle energy inequality with <= 5% quadrature slack, 100 draws."""
-    for _ in range(100):
-        f = random_masked_frame(rng, width=40)
-        lhs, rhs = radon_energy_check(f, rng.uniform(0, 2 * np.pi))
-        assert lhs <= 1.05 * rhs
 
 
 # ---------------------------------------------------------------- loop oracles

@@ -90,3 +90,9 @@ def test_span_rule():
 def test_scheme_rejects_duplicates():
     with pytest.raises(ValueError):
         AngularScheme(angles=np.array([0.1, 0.1]), span=np.pi, kind="custom")
+
+
+@pytest.mark.parametrize("bad", [-0.1, np.pi, np.nan])
+def test_scheme_rejects_angles_outside_the_span(bad):
+    with pytest.raises(ValueError, match=r"\[0, span\)"):
+        AngularScheme(angles=np.array([0.1, bad]), span=np.pi, kind="custom")

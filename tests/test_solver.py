@@ -16,6 +16,7 @@ from prosep.phantom import TimeSequentialSinogram
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, harmonic_blocks, spline_interpolator
 from prosep.radon import DetectorGrid
 from prosep.recon import ProSepSolution, reconstruct_movie, synthesize_sinogram
+from prosep import solver as solver_module
 from prosep.sampling import AngularScheme, bit_reversed, random_scheme
 from prosep.solver import (
     SolverConfig,
@@ -535,16 +536,23 @@ def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
     assert _rel(movie, reconstruct_movie(oracle, fbp_angles_count=24).as_array()) < 1e-10
 
 
+def count_calls(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that appends to the returned list per call."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
 def test_solve_closed_form_report_contract(monkeypatch):
     data, U, order = noisy_exact_data(P=32, K=1, N=3, d=2, J=12, seed=4)
-    calls = []
-    evaluate = VarproProblem.objective_and_gradient_from_data
-
-    def counted(self, *args, **kwargs):
-        calls.append(1)
-        return evaluate(self, *args, **kwargs)
-
-    monkeypatch.setattr(VarproProblem, "objective_and_gradient_from_data", counted)
+    calls = count_calls(monkeypatch, VarproProblem, "objective_and_gradient_from_data")
+    fits = count_calls(monkeypatch, solver_module, "_truncated_lstsq")
     # a cap of one iteration cannot be reached: no descent runs
     Z, beta, report = solve(data, order, U, SolverConfig(max_iters=1, restarts=3))
     assert np.array_equal(Z, np.eye(2))
@@ -556,16 +564,56 @@ def test_solve_closed_form_report_contract(monkeypatch):
     assert report.z_identifiable is False
     assert report.rank_margin == 2 * 32 - 7 * 2
     assert report.block_rank_margin == 32 - 4 * 2  # P - (N+1)(K+1)
-    assert len(calls) == 1
+    assert len(calls) == 0 and len(fits) == 1
     # beta is the least-squares fit on L1(I), and the objective is its residual
     problem = VarproProblem(data.scheme, U, order, symmetric=True)
-    assert np.array_equal(beta.beta, problem.beta(np.eye(2), stacked_data(data, True), 12))
+    G_blocks = stacked_data(data, True)
+    fitted, rss = problem.fit(np.eye(2), G_blocks, 12)
+    assert np.array_equal(beta.beta, fitted)
+    assert report.final_objective == rss / total_sq(G_blocks)
     G = data_2p(data, True)
     L1 = l1_2p(data.scheme, order.N, U, np.eye(2), True)
     want = inner_beta(L1, G)
     assert np.abs(beta.beta - want).max() <= 1e-10 * np.abs(want).max()
     resid = float(np.sum((G - L1 @ beta.beta) ** 2)) / np.sum(G**2)
     assert resid == pytest.approx(report.final_objective, rel=1e-10)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_solve_descent_evaluates_the_objective_once_per_iteration(monkeypatch, symmetric):
+    """d > K+1, one restart: the objective runs only inside Adam, and F is the fit's residual."""
+    data, U, order = noisy_exact_data(P=32, K=1, N=3, d=3, J=12, seed=5)
+    calls = count_calls(monkeypatch, VarproProblem, "objective_and_gradient_from_data")
+    Z, beta, report = solve(data, order, U, SolverConfig(max_iters=40, restarts=1),
+                            symmetric=symmetric)
+    assert report.z_identifiable and report.iterations_used == 40
+    assert len(calls) == report.iterations_used
+    G = stacked_data(data, symmetric)
+    fitted, rss = VarproProblem(data.scheme, U, order, symmetric).fit(Z, G, 12)
+    assert np.array_equal(beta.beta, fitted)
+    assert report.final_objective == rss / total_sq(G)
+
+
+def test_solve_picks_the_first_lowest_finite_restart(monkeypatch):
+    """An aborted restart reads inf; the winner is the first argmin of the objectives."""
+    data, U, order = noisy_exact_data(P=32, K=1, N=3, d=3, J=12, seed=6)
+    results = iter([None, (np.eye(3)[:, :2], 2.0, np.array([3.0, 2.0]), True),
+                    (np.eye(3)[:, 1:], 1.0, np.array([1.0]), False),
+                    (np.eye(3)[:, :2], 1.0, np.array([1.0]), True)])
+    monkeypatch.setattr(solver_module, "_adam_descent", lambda *args: next(results))
+    Z, _, report = solve(data, order, U, SolverConfig(restarts=4))
+    assert report.restart_objectives == [np.inf, 2.0, 1.0, 1.0]
+    assert report.aborted_restarts == [0]
+    assert report.chosen_restart == 2 and not report.converged
+    assert np.array_equal(Z, np.eye(3)[:, 1:])
+    assert report.raw_objective_trace.tolist() == [1.0] and report.iterations_used == 1
+
+
+def test_solve_raises_when_every_restart_aborts(monkeypatch):
+    data, U, order = noisy_exact_data(P=32, K=1, N=3, d=3, J=12, seed=6)
+    monkeypatch.setattr(solver_module, "_adam_descent", lambda *args: None)
+    with pytest.raises(RuntimeError, match="all restarts diverged"):
+        solve(data, order, U, SolverConfig(restarts=2))
 
 
 @pytest.mark.parametrize("d", [2, 4])
