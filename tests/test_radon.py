@@ -170,6 +170,29 @@ def test_fbp_deterministic():
     assert np.array_equal(r1.values, r2.values)
 
 
+def _projection_energy(frame, angle):
+    """(sum_j |Rf(s_j, angle)|^2 * spacing, 2 * L * ||f||^2) for one angle."""
+    det = DetectorGrid.for_frame(frame)
+    g = radon_project(frame, [angle], det).values[:, 0]
+    return float(np.sum(g**2)) * det.spacing, 2.0 * frame.support_radius * frame.norm2_sq()
+
+
+def test_energy_check_zero_frame():
+    f = Frame(values=np.zeros((32, 32)), pixel_size=1 / 16)
+    lhs, rhs = _projection_energy(f, 0.7)
+    assert lhs == 0.0 and rhs == 0.0
+
+
+def test_energy_check_unit_disk_closed_form():
+    """lhs -> int (2 sqrt(1-s^2))^2 ds = 16/3; rhs -> 2 * L * pi = 2 pi."""
+    W = 256
+    f = indicator_disk(W, 2.0 / W, radius=1.0)
+    lhs, rhs = _projection_energy(f, 1.1)
+    assert lhs == pytest.approx(16.0 / 3.0, rel=1e-2)
+    assert rhs == pytest.approx(2.0 * np.pi, rel=1e-2)
+    assert lhs <= rhs
+
+
 # ---------------------------------------------------------------- loop oracles
 
 # (width, detector count, detector spacing / pixel size): odd and even widths,
