@@ -539,11 +539,9 @@ def cmd_metrics(args) -> int:
     movie_arr = read_tensor(args.movie)
     bench_arr = read_tensor(args.benchmark)
     if movie_arr.shape != bench_arr.shape or movie_arr.ndim != 3:
-        print(
-            f"metrics: dimension mismatch {movie_arr.shape} vs {bench_arr.shape}",
-            file=sys.stderr,
-        )
-        return 1
+        raise ProsepError(f"dimension mismatch: {args.movie} has shape {movie_arr.shape}, "
+                          f"{args.benchmark} has shape {bench_arr.shape}; both must be "
+                          f"P x W x W of one shape")
     rows, summary = movie_metrics(_movie_from_tensor(movie_arr, args.movie),
                                   _movie_from_tensor(bench_arr, args.benchmark))
     lines = ["frame,psnr,ssim,mae"]

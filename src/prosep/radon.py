@@ -7,14 +7,17 @@ offset ``s`` integrates along the line ``s * (cos t, sin t) + u * (-sin t,
 cos t)``, sampled with bilinear interpolation at steps of half a pixel.
 All arithmetic is float64.
 
-Both operators are built one view at a time as ``scipy.sparse`` CSR
-matrices: the ray-driven projector of a view is J x W^2, the pixel-driven
-linear-interpolation backprojector W^2 x J.  ``radon_project`` and
-``fbp`` apply them to one frame or one sinogram.  ``fbp_stack`` backprojects
-n sinograms on one angle set together: each view's backprojector is built
-once and meets the view's J x n block.  ``project_fbp`` is the fused batch
-for many frames on one grid: per view, one projector product over all P
-frames, a ramp filter of the J x P block and one backprojector product
+Both operators are built one view at a time as a pair of fixed-width
+arrays ``(weights, indices)``: each output value is a weighted sum of a
+fixed number of input values, applied as a numpy gather.  The ray-driven
+projector of a view has J rows of 4(2W+1) entries, the pixel-driven
+linear-interpolation backprojector W^2 rows of 2.  A row may repeat an
+index; its weights add.  ``radon_project`` and ``fbp`` apply
+them to one frame or one sinogram.  ``fbp_stack`` backprojects n
+sinograms on one angle set together: each view's backprojector is built
+once and meets the view's J x n block.  ``project_fbp`` is the fused
+batch for many frames on one grid: per view, one projector pass over all
+P frames, a ramp filter of the J x P block and one backprojector pass
 accumulated into the W^2 x P result, so no sinogram stack and no all-view
 operator is ever held.  Both run the same per-view backprojection loop.
 """
@@ -24,7 +27,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .errors import CoverageError, InsufficientAnglesError
 
@@ -175,28 +177,15 @@ def _linear_weights(pos: np.ndarray, n: int):
     return i, pos - i, (pos >= 0.0) & (pos <= n - 1)
 
 
-def _csr_rows(data: np.ndarray, indices: np.ndarray, n_cols: int) -> csr_array:
-    """CSR matrix whose row r holds ``data[r]`` at columns ``indices[r]``.
-
-    Every row has the same number of entries, so ``indptr`` is an
-    arithmetic sequence and no sort is needed.  Rows may repeat a column
-    and CSR products add the repeats; merging them takes a sort per view
-    that costs about what it saves, even in a 128-frame product.
-    """
-    rows = data.shape[0]
-    per_row = data.size // rows
-    indptr = np.arange(rows + 1, dtype=np.int32) * per_row
-    return csr_array((data.ravel(), indices.ravel(), indptr), shape=(rows, n_cols))
-
-
 def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
-                    offsets: np.ndarray) -> csr_array:
-    """J x W^2 matrix of one view: row j integrates the frame along ray s_j.
+                    offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One view's projector as J rows ``(weights, indices)`` of 4(2W+1) entries.
 
-    Each ray is sampled at 2W+1 points ``pixel_size / 2`` apart over the
-    support chord; each sample is a bilinear blend of its four
-    neighbouring pixels, and the samples add up with weight ``pixel_size /
-    2``.  Applied to ``frame.values.ravel()`` this is one column of
+    Row j integrates the frame along ray s_j.  The ray is sampled at
+    2W+1 points ``pixel_size / 2`` apart over the support chord; each
+    sample is a bilinear blend of its four neighbouring pixels, and the
+    samples add up with weight ``pixel_size / 2``.  Applied to
+    ``frame.values.ravel()`` (``_project_view``) this is one column of
     ``radon_project``.
     """
     W, h = width, pixel_size
@@ -213,36 +202,56 @@ def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
     above = weight * tr
     below = weight - above
     left = 1.0 - tk
-    data = np.empty((offsets.size, 4, M))
-    np.multiply(below, left, out=data[:, 0])
-    np.multiply(below, tk, out=data[:, 1])
-    np.multiply(above, left, out=data[:, 2])
-    np.multiply(above, tk, out=data[:, 3])
-    indices = np.empty((offsets.size, 4, M), dtype=np.int32)
+    weights = np.empty((offsets.size, 4, M))
+    np.multiply(below, left, out=weights[:, 0])
+    np.multiply(below, tk, out=weights[:, 1])
+    np.multiply(above, left, out=weights[:, 2])
+    np.multiply(above, tk, out=weights[:, 3])
+    indices = np.empty((offsets.size, 4, M), dtype=np.intp)
     indices[:, 0] = r * W + k
     indices[:, 1] = indices[:, 0] + step
     indices[:, 2] = indices[:, 0] + step * W
     indices[:, 3] = indices[:, 2] + step
-    return _csr_rows(data, indices, W * W)
+    return weights.reshape(offsets.size, 4 * M), indices.reshape(offsets.size, 4 * M)
+
+
+def _project_view(view, frames: np.ndarray) -> np.ndarray:
+    """One view's projections of ``frames`` (W^2, or W^2 x n): J, or J x n.
+
+    Row j is ``weights[j] @ frames[indices[j]]``.  Gathering one row at a
+    time keeps the gathered block at 4(2W+1) x n; gathering all rows at
+    once would hold J times that.  A row repeats pixels (at W = 64 about
+    150 distinct ones in 4(2W+1) entries); merging the repeats takes a
+    sort per view that costs about what it saves.
+    """
+    weights, indices = view
+    out = np.empty((weights.shape[0],) + frames.shape[1:])
+    for j in range(weights.shape[0]):
+        out[j] = weights[j] @ frames[indices[j]]
+    return out
 
 
 def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray,
-                        detector: DetectorGrid) -> csr_array:
-    """W^2 x J matrix of one view: each pixel reads the projection at its offset.
+                        detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
+    """One view's backprojector as W^2 rows of 2 entries, stored 2 x W^2.
 
-    Pixel (x, y) takes the filtered projection linearly interpolated at
-    ``s = x cos t + y sin t``, and zero beyond the detector ends.
+    Returns ``(weights, indices)``: pixel (x, y) reads the filtered
+    projection linearly interpolated at ``s = x cos t + y sin t``, that is
+    ``weights[0] * p[indices[0]] + weights[1] * p[indices[1]]``, and zero
+    beyond the detector ends.  The two entries are stored as two
+    contiguous rows so that a run of pixels gathers from contiguous index
+    slices.
     """
     J = detector.count
     pos = ((X * cos_t + Y * sin_t - detector.offsets[0]) / detector.spacing).ravel()
     i, t, inside = _linear_weights(pos, J)
-    data = np.empty((pos.size, 2))
-    data[:, 0] = inside * (1.0 - t)
-    data[:, 1] = inside * t
-    indices = np.empty((pos.size, 2), dtype=np.int32)
-    indices[:, 0] = i
-    indices[:, 1] = indices[:, 0] + int(J > 1)  # a one-bin detector has no neighbour
-    return _csr_rows(data, indices, J)
+    weights = np.empty((2, pos.size))
+    weights[0] = inside * (1.0 - t)
+    weights[1] = inside * t
+    indices = np.empty((2, pos.size), dtype=np.intp)
+    indices[0] = i
+    indices[1] = indices[0] + int(J > 1)  # a one-bin detector has no neighbour
+    return weights, indices
 
 
 def _require_coverage(detector: DetectorGrid, frame: Frame) -> None:
@@ -258,8 +267,9 @@ def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
 
     Ray-driven line integrals: each ray is sampled at uniform steps of
     ``pixel_size / 2`` over the support chord, with bilinear interpolation
-    of the pixel values.  Each view is one sparse matrix (J x W^2) applied
-    to the frame, so the transform is linear in the frame by construction.
+    of the pixel values.  Each view is one fixed-width weighted gather (J
+    rows of 4(2W+1) pixels) applied to the frame, so the transform is
+    linear in the frame by construction.
 
     Raises
     ------
@@ -272,8 +282,9 @@ def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
     f = frame.values.ravel()
     out = np.empty((detector.count, angles.size))
     for a in range(angles.size):
-        out[:, a] = _view_projector(cos_t[a], sin_t[a], frame.width, frame.pixel_size,
-                                    detector.offsets) @ f
+        view = _view_projector(cos_t[a], sin_t[a], frame.width, frame.pixel_size,
+                               detector.offsets)
+        out[:, a] = _project_view(view, f)
     return Sinogram(values=out, angles=angles, detector=detector)
 
 
@@ -307,23 +318,43 @@ def _require_two_angles(angles: np.ndarray) -> None:
         raise InsufficientAnglesError("fbp needs at least 2 view angles")
 
 
+# values per backprojection gather buffer (512 KiB of float64): at n = 128
+# columns a run of 512 pixels, whose buffers and result rows stay in cache
+_GATHER_VALUES = 1 << 16
+
+
 def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, width: int,
                  pixel_size: float) -> np.ndarray:
     """(pi / A) sum_a B_a F_a over the ramp-filtered J x n blocks F_a, one per view.
 
-    ``B_a`` is view a's backprojector (W^2 x J), built once per view;
-    the result is W^2 x n.  ``fbp_stack`` and ``project_fbp`` both
-    backproject through this loop.
+    ``B_a`` is view a's backprojector (``_view_backprojector``), built
+    once per view; the result is W^2 x n.  The pixels are visited in runs
+    of about ``_GATHER_VALUES / n``: the run's two rows of F_a per pixel
+    are gathered into preallocated buffers, weighted, and added into the
+    result.  ``fbp_stack`` and ``project_fbp`` both backproject through
+    this loop.
     """
     X, Y = grid_coords(width, pixel_size)
     cos_t, sin_t = _reduced_trig(angles)
+    pixels = X.size
     acc = None
     for a, block in enumerate(filtered_views):
-        view = _view_backprojector(cos_t[a], sin_t[a], X, Y, detector)
+        (w0, w1), (i0, i1) = _view_backprojector(cos_t[a], sin_t[a], X, Y, detector)
         if acc is None:
-            acc = view @ block
-        else:
-            acc += view @ block  # the product is freed before the next view's
+            n = block.shape[1]
+            acc = np.zeros((pixels, n))
+            run = max(1, min(pixels, _GATHER_VALUES // n))
+            lo_buf, hi_buf = np.empty((run, n)), np.empty((run, n))
+        for s in range(0, pixels, run):
+            e = min(s + run, pixels)
+            # mode="clip" lets take write straight into ``out`` (the default
+            # "raise" buffers it); the indices are in range by construction
+            lo = np.take(block, i0[s:e], axis=0, out=lo_buf[: e - s], mode="clip")
+            hi = np.take(block, i1[s:e], axis=0, out=hi_buf[: e - s], mode="clip")
+            lo *= w0[s:e, None]
+            hi *= w1[s:e, None]
+            lo += hi
+            acc[s:e] += lo
     acc *= np.pi / angles.size
     return acc
 
@@ -335,7 +366,8 @@ def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None =
     uniformly; either span backprojects with the same pi / A scale thanks
     to the half-turn redundancy of parallel projections.  The output grid
     defaults to the one implied by the detector (width = J, pixel size =
-    spacing).  Each view backprojects through one sparse matrix (W^2 x J).
+    spacing).  Each view backprojects through one two-entry linear
+    interpolation per pixel, applied as numpy gathers.
 
     Raises
     ------
@@ -384,8 +416,8 @@ def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
 
     All frames share one grid, so every frame meets the same linear map.
     The frames are stacked as the columns of one W^2 x P array and the
-    views are visited one at a time: the view's projector meets all P
-    frames in one sparse product, the J x P block is ramp filtered, and
+    views are visited one at a time: the view's projector gathers from all
+    P frames at once, the J x P block is ramp filtered, and
     the view's backprojector adds it into the W^2 x P result.  No
     sinogram stack and no all-view operator is held, so memory stays
     O(P W^2).
@@ -408,7 +440,8 @@ def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
     transfer = _ramlak_transfer(detector.count, detector.spacing)
     cos_t, sin_t = _reduced_trig(angles)
     filtered_views = (
-        _ramp_filter(_view_projector(cos_t[a], sin_t[a], W, h, detector.offsets) @ stack,
+        _ramp_filter(_project_view(_view_projector(cos_t[a], sin_t[a], W, h, detector.offsets),
+                                   stack),
                      transfer, detector.spacing)
         for a in range(angles.size)
     )

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from .phantom import Movie, TimeSequentialSinogram
 from .psmodel import HarmonicCoefficients, HarmonicOrder, real_trig_theta
@@ -36,6 +35,12 @@ __all__ = [
 ]
 
 PSNR_CAP_DB = 200.0
+# SSIM's Gaussian window: sigma 1.5 truncated at radius 5, an 11 x 11 window
+_SSIM_SIGMA = 1.5
+_SSIM_RADIUS = 5
+# frame values per batched SSIM step (512 KiB of float64), which bounds the
+# memory of its temporaries whatever the movie length
+_SSIM_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -163,22 +168,52 @@ def ssim(x: Frame | np.ndarray, ref: Frame | np.ndarray, data_range: float | Non
     """Structural similarity with an 11x11 Gaussian window, sigma 1.5.
 
     K1 = 0.01, K2 = 0.03; ``data_range`` defaults to the peak of ``ref``.
+    The local means and moments blur with the reflect-boundary Gaussian
+    as a matrix product G X G^T (``_ssim_window``), which equals
+    ``scipy.ndimage.gaussian_filter(X, 1.5, truncate=3.5, mode="reflect")``
+    to rounding.
     """
     xv, rv = _aligned_values(x, ref)
     if data_range is None:
         data_range = float(rv.max()) if rv.max() > 0 else 1.0
+    return float(_mean_ssim(xv[None], rv[None], data_range)[0])
+
+
+def _ssim_window(n: int) -> np.ndarray:
+    """n x n matrix of the 1-D SSIM Gaussian with reflect boundaries.
+
+    Row i holds the 11 taps around sample i; a tap that falls off the
+    edge lands on its half-sample reflection (d c b a | a b c d | d c b a),
+    reflected again as often as a frame narrower than the window needs.
+    """
+    x = np.arange(-_SSIM_RADIUS, _SSIM_RADIUS + 1)
+    taps = np.exp(-0.5 / _SSIM_SIGMA**2 * x**2)
+    taps /= taps.sum()
+    src = np.mod(np.arange(n)[:, None] + x, 2 * n)
+    src = np.where(src < n, src, 2 * n - 1 - src)
+    rows = np.repeat(np.arange(n), x.size)
+    return np.bincount(rows * n + src.ravel(), weights=np.tile(taps, n),
+                       minlength=n * n).reshape(n, n)
+
+
+def _mean_ssim(xs: np.ndarray, rs: np.ndarray, data_range: float) -> np.ndarray:
+    """Mean SSIM of each frame pair of the m x H x W stacks ``xs`` and ``rs``.
+
+    The five blurred moments of all m frames are two batched matrix
+    products with the row and column windows.
+    """
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
-    # truncate chosen so the kernel radius is 5 pixels (11 x 11 window)
-    blur = dict(sigma=1.5, truncate=3.5, mode="reflect")
-    mu_x = gaussian_filter(xv, **blur)
-    mu_r = gaussian_filter(rv, **blur)
-    var_x = gaussian_filter(xv * xv, **blur) - mu_x**2
-    var_r = gaussian_filter(rv * rv, **blur) - mu_r**2
-    cov = gaussian_filter(xv * rv, **blur) - mu_x * mu_r
+    H, W = xs.shape[1:]
+    rows = _ssim_window(H)
+    cols = rows if W == H else _ssim_window(W)
+    mu_x, mu_r, xx, rr, xr = rows @ np.stack([xs, rs, xs * xs, rs * rs, xs * rs]) @ cols.T
+    var_x = xx - mu_x**2
+    var_r = rr - mu_r**2
+    cov = xr - mu_x * mu_r
     num = (2.0 * mu_x * mu_r + c1) * (2.0 * cov + c2)
     den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
-    return float(np.mean(num / den))
+    return np.mean(num / den, axis=(1, 2))
 
 
 def mae(x: Frame | np.ndarray, ref: Frame | np.ndarray) -> float:
@@ -216,7 +251,9 @@ def movie_metrics(movie: Movie, benchmark: Movie, peak: float | None = None):
     """Per-frame metric rows plus their arithmetic mean.
 
     The PSNR/SSIM peak is global: the maximum over the whole benchmark
-    movie, unless given explicitly.
+    movie, unless given explicitly.  SSIM runs on batches of frames
+    (``_mean_ssim``) and equals ``frame_metrics`` frame by frame to
+    rounding.
 
     Returns
     -------
@@ -228,8 +265,17 @@ def movie_metrics(movie: Movie, benchmark: Movie, peak: float | None = None):
         peak = float(max(f.values.max() for f in benchmark.frames))
         if peak <= 0:
             peak = 1.0
+    # every frame of a movie shares its grid, so the first pair checks all
+    _aligned_values(movie.frames[0], benchmark.frames[0])
+    run = max(1, _SSIM_BATCH_VALUES // movie.frames[0].values.size)
+    ssims = []
+    for s in range(0, len(movie), run):
+        ssims.extend(_mean_ssim(np.stack([f.values for f in movie.frames[s:s + run]]),
+                                np.stack([f.values for f in benchmark.frames[s:s + run]]),
+                                peak))
     rows = [
-        frame_metrics(x, ref, peak) for x, ref in zip(movie.frames, benchmark.frames)
+        MetricsRow(psnr=psnr(x, ref, peak), ssim=float(v), mae=mae(x, ref))
+        for x, ref, v in zip(movie.frames, benchmark.frames, ssims)
     ]
     summary = MetricsRow(
         psnr=float(np.mean([r.psnr for r in rows])),

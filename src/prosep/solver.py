@@ -35,7 +35,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .phantom import TimeSequentialSinogram
 from .psmodel import (
@@ -179,11 +178,12 @@ class VarproProblem:
         # column rank, against the largest diagonal over all blocks (a QR
         # is about 4x cheaper than an SVD); truncated least squares
         # otherwise (also when a block has fewer rows than columns, where
-        # R is not square)
+        # R is not square).  R is square and upper triangular, so the
+        # partial pivoting of np.linalg.solve never swaps a row.
         diag = np.concatenate([np.abs(np.diagonal(R)) for _, R in QR])
         if (all(R.shape[0] == R.shape[1] for _, R in QR)
                 and diag.min() > _RANK_RTOL * max(diag.max(), 1e-300)):
-            betas = [solve_triangular(R, Q.T @ Gb, lower=False) for (Q, R), Gb in zip(QR, G)]
+            betas = [np.linalg.solve(R, Q.T @ Gb) for (Q, R), Gb in zip(QR, G)]
         else:
             betas = _truncated_lstsq(L_blocks, G)
         F, grad = 0.0, 0.0

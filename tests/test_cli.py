@@ -488,10 +488,15 @@ def test_metrics_self_comparison_and_row_count(sim_dir, tmp_path):
 def test_metrics_dim_mismatch_exits_1(sim_dir, tmp_path, capsys):
     small = tmp_path / "small.tensor"
     write_tensor(small, np.zeros((2, 8, 8)))
-    rc = main(["metrics", "--movie", str(small),
-               "--benchmark", str(sim_dir / "benchmark_movie.tensor"),
+    bench = sim_dir / "benchmark_movie.tensor"
+    rc = main(["metrics", "--movie", str(small), "--benchmark", str(bench),
                "--out", str(tmp_path / "m.csv")])
     assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosep metrics: dimension mismatch: ") and err.count("\n") == 1
+    assert str(small) in err and str(bench) in err
+    assert "(2, 8, 8)" in err and "(32, 32, 32)" in err
+    assert not (tmp_path / "m.csv").exists()
 
 
 @pytest.mark.parametrize("arr, reason", [

@@ -22,12 +22,68 @@ def test_all_names_resolve(name):
     assert missing == []
 
 
-def test_cli_import_leaves_out_scipy_interpolate():
-    """The B-spline interpolator is numpy only: importing the CLI costs no scipy.interpolate."""
+# prepended to a child's code: any ``import scipy`` or ``import scipy.*`` raises
+BLOCK_SCIPY = """
+import sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"{name} is blocked")
+        return None
+
+
+sys.meta_path.insert(0, BlockScipy())
+"""
+
+
+def run_python(code):
+    """Run ``code`` in a fresh interpreter that imports prosep from this checkout."""
     src = os.path.dirname(prosep.__path__[0])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    code = "import sys, prosep.cli; print('scipy.interpolate' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env)
-    assert out.stdout.strip() == "False"
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env)
+
+
+def test_cli_import_loads_no_scipy():
+    """The runtime is numpy only: importing the CLI loads no scipy module at all."""
+    code = ("import sys, prosep.cli\n"
+            "print([m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')])")
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+def test_scipy_blocker_blocks():
+    out = run_python(BLOCK_SCIPY + "import scipy.linalg")
+    assert out.returncode != 0 and "scipy is blocked" in out.stderr
+
+
+def test_every_cli_stage_runs_without_scipy(tmp_path):
+    """simulate, reconstruct, metrics and analyze --thm2 with ``import scipy`` failing.
+
+    A lazy scipy import inside any stage raises, so the stage fails.
+    """
+    sim, rec, ana = (str(tmp_path / name) for name in ("sim", "rec", "ana"))
+    stages = [
+        ["simulate", "--out", sim, "--P", "16", "--width", "16", "--K", "1", "--N", "3",
+         "--d", "2", "--scheme", "bit_reversed", "--symmetric", "on"],
+        ["reconstruct", "--input", sim, "--out", rec],
+        ["metrics", "--movie", os.path.join(rec, "movie.tensor"),
+         "--benchmark", os.path.join(sim, "benchmark_movie.tensor"),
+         "--out", os.path.join(rec, "metrics.csv")],
+        ["analyze", "--thm2", "--out", ana, "--P", "16", "--K", "1", "--N", "3",
+         "--trials", "2"],
+    ]
+    code = BLOCK_SCIPY + (
+        "from prosep.cli import main\n"
+        f"for argv in {stages!r}:\n"
+        "    if main(argv) != 0:\n"
+        "        raise SystemExit(f'{argv[0]} failed')\n"
+    )
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert os.path.getsize(os.path.join(rec, "metrics.csv")) > 0
+    assert os.path.getsize(os.path.join(ana, "thm2.csv")) > 0

@@ -196,8 +196,10 @@ def test_energy_check_unit_disk_closed_form():
 # ---------------------------------------------------------------- loop oracles
 
 # (width, detector count, detector spacing / pixel size): odd and even widths,
-# the frame-matched detector and wider ones with a different spacing
-GEOMETRIES = [(31, 32, 1.0), (32, 33, 1.0), (33, 40, 1.37), (24, 60, 0.55)]
+# the frame-matched detector and wider ones with a different spacing, and the
+# degenerate one-pixel frame with a one-bin detector and two-pixel frame
+GEOMETRIES = [(1, 1, 1.0), (2, 3, 1.0), (31, 32, 1.0), (32, 33, 1.0), (33, 40, 1.37),
+              (24, 60, 0.55)]
 
 
 def oracle_angles(rng):

@@ -4,6 +4,7 @@ import pytest
 from conftest import l1_2p, make_exact_model_data
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator, face_split, real_trig_theta
 from prosep.radon import DetectorGrid, fbp
+from prosep import recon
 from prosep.recon import (
     MetricsRow,
     ProSepSolution,
@@ -210,6 +211,55 @@ def test_metrics_grid_mismatch():
 def test_metrics_row_validation():
     with pytest.raises(ValueError):
         MetricsRow(psnr=10.0, ssim=0.5, mae=-1.0)
+
+
+@pytest.mark.parametrize("W", [1, 2, 3, 5, 11, 64])
+def test_ssim_window_blur_matches_gaussian_filter(rng, W):
+    """G X G^T is scipy's reflect-boundary Gaussian; W < 5 reflects more than once."""
+    from scipy.ndimage import gaussian_filter
+
+    X = rng.standard_normal((W, W))
+    G = recon._ssim_window(W)
+    ref = gaussian_filter(X, sigma=1.5, truncate=3.5, mode="reflect")
+    assert np.abs(G @ X @ G.T - ref).max() <= 1e-14 * np.abs(ref).max()
+    Y = rng.standard_normal((W, W + 3))
+    ref = gaussian_filter(Y, sigma=1.5, truncate=3.5, mode="reflect")
+    blurred = G @ Y @ recon._ssim_window(W + 3).T
+    assert np.abs(blurred - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_movie_metrics_batches_equal_frame_metrics(monkeypatch):
+    """The batched SSIM of ``movie_metrics`` is ``frame_metrics`` frame by frame.
+
+    Batches of 3 frames over 7 frames leave a last batch of one.
+    """
+    from prosep.phantom import Movie
+    from prosep.radon import Frame
+
+    rng = np.random.default_rng(11)
+    W, P, h = 16, 7, 1 / 8
+    monkeypatch.setattr(recon, "_SSIM_BATCH_VALUES", 3 * W * W)
+    bench = tuple(Frame(values=rng.random((W, W)), pixel_size=h) for _ in range(P))
+    test = tuple(Frame(values=f.values + 0.05 * rng.standard_normal((W, W)), pixel_size=h)
+                 for f in bench)
+    times = np.arange(P) / P
+    peak = max(f.values.max() for f in bench)
+    rows, _ = movie_metrics(Movie(frames=test, times=times), Movie(frames=bench, times=times))
+    assert len(rows) == P
+    for row, x, ref in zip(rows, test, bench):
+        single = frame_metrics(x, ref, peak)
+        for name in ("psnr", "ssim", "mae"):
+            assert getattr(row, name) == pytest.approx(getattr(single, name), rel=1e-12, abs=0)
+
+
+def test_movie_metrics_rejects_grid_mismatch():
+    from prosep.phantom import Movie
+    from prosep.radon import Frame
+
+    a = Movie(frames=(Frame(values=np.ones((8, 8))),), times=[0.0])
+    b = Movie(frames=(Frame(values=np.ones((6, 6))),), times=[0.0])
+    with pytest.raises(ValueError, match="grid mismatch"):
+        movie_metrics(a, b)
 
 
 def test_movie_metrics_average_convention():
