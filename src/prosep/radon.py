@@ -9,17 +9,22 @@ All arithmetic is float64.
 
 Both operators are built one view at a time as a pair of fixed-width
 arrays ``(weights, indices)``: each output value is a weighted sum of a
-fixed number of input values, applied as a numpy gather.  The ray-driven
-projector of a view has J rows of 4(2W+1) entries, the pixel-driven
-linear-interpolation backprojector W^2 rows of 2.  A row may repeat an
-index; its weights add.  ``radon_project`` and ``fbp`` apply
-them to one frame or one sinogram.  ``fbp_stack`` backprojects n
-sinograms on one angle set together: each view's backprojector is built
-once and meets the view's J x n block.  ``project_fbp`` is the fused
-batch for many frames on one grid: per view, one projector pass over all
-P frames, a ramp filter of the J x P block and one backprojector pass
-accumulated into the W^2 x P result, so no sinogram stack and no all-view
-operator is ever held.  Both run the same per-view backprojection loop.
+fixed number of input values.  The ray-driven projector of a view has J
+rays of 4(2W+1) entries, the pixel-driven linear-interpolation
+backprojector W^2 pixels of 2.  A ray may repeat a pixel; its weights
+add.
+``radon_project`` applies the projector to one frame as one numpy gather.
+For many columns at once, each view's operator is recast as dense blocks
+on square tiles of the pixel grid (``_tiling``, ``_tile_blocks``): the
+pixels of one tile meet only a short run of detector bins, so the view's
+map is a few dense matrix products per tile, and a stack of columns
+stored tile by tile is read in place.  ``fbp`` and ``fbp_stack``
+backproject n sinograms on one angle set this way; ``project_fbp`` is
+the fused batch for many frames on one grid: per view, one projector
+pass over all P frames, a ramp filter of the J x P block and one
+backprojector pass accumulated into the W^2 x P result, so no sinogram
+stack and no all-view operator is ever held.  Both run the same
+per-view backprojection loop.
 """
 
 from __future__ import annotations
@@ -179,22 +184,23 @@ def _linear_weights(pos: np.ndarray, n: int):
 
 def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
                     offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """One view's projector as J rows ``(weights, indices)`` of 4(2W+1) entries.
+    """One view's projector as J columns ``(weights, indices)`` of 4(2W+1) entries.
 
-    Row j integrates the frame along ray s_j.  The ray is sampled at
+    Column j integrates the frame along ray s_j.  The ray is sampled at
     2W+1 points ``pixel_size / 2`` apart over the support chord; each
     sample is a bilinear blend of its four neighbouring pixels, and the
     samples add up with weight ``pixel_size / 2``.  Applied to
-    ``frame.values.ravel()`` (``_project_view``) this is one column of
-    ``radon_project``.
+    ``frame.values.ravel()`` this is one column of ``radon_project``.
+    The entries run down the columns, so summing over axis 0 adds each
+    ray's entries in order with one vector add per entry.
     """
     W, h = width, pixel_size
     M = 2 * W + 1
     du = 0.5 * h
     u = (np.arange(M) - (M - 1) / 2.0) * du
     c0 = (W - 1) / 2.0
-    x = offsets[:, None] * cos_t + u[None, :] * (-sin_t)
-    y = offsets[:, None] * sin_t + u[None, :] * cos_t
+    x = offsets[None, :] * cos_t + u[:, None] * (-sin_t)
+    y = offsets[None, :] * sin_t + u[:, None] * cos_t
     r, tr, r_in = _linear_weights(c0 - y / h, W)
     k, tk, k_in = _linear_weights(x / h + c0, W)
     step = int(W > 1)  # a one-pixel frame has no neighbour
@@ -202,33 +208,17 @@ def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
     above = weight * tr
     below = weight - above
     left = 1.0 - tk
-    weights = np.empty((offsets.size, 4, M))
-    np.multiply(below, left, out=weights[:, 0])
-    np.multiply(below, tk, out=weights[:, 1])
-    np.multiply(above, left, out=weights[:, 2])
-    np.multiply(above, tk, out=weights[:, 3])
-    indices = np.empty((offsets.size, 4, M), dtype=np.intp)
-    indices[:, 0] = r * W + k
-    indices[:, 1] = indices[:, 0] + step
-    indices[:, 2] = indices[:, 0] + step * W
-    indices[:, 3] = indices[:, 2] + step
-    return weights.reshape(offsets.size, 4 * M), indices.reshape(offsets.size, 4 * M)
-
-
-def _project_view(view, frames: np.ndarray) -> np.ndarray:
-    """One view's projections of ``frames`` (W^2, or W^2 x n): J, or J x n.
-
-    Row j is ``weights[j] @ frames[indices[j]]``.  Gathering one row at a
-    time keeps the gathered block at 4(2W+1) x n; gathering all rows at
-    once would hold J times that.  A row repeats pixels (at W = 64 about
-    150 distinct ones in 4(2W+1) entries); merging the repeats takes a
-    sort per view that costs about what it saves.
-    """
-    weights, indices = view
-    out = np.empty((weights.shape[0],) + frames.shape[1:])
-    for j in range(weights.shape[0]):
-        out[j] = weights[j] @ frames[indices[j]]
-    return out
+    weights = np.empty((4, M, offsets.size))
+    np.multiply(below, left, out=weights[0])
+    np.multiply(below, tk, out=weights[1])
+    np.multiply(above, left, out=weights[2])
+    np.multiply(above, tk, out=weights[3])
+    indices = np.empty((4, M, offsets.size), dtype=np.intp)
+    indices[0] = r * W + k
+    indices[1] = indices[0] + step
+    indices[2] = indices[0] + step * W
+    indices[3] = indices[2] + step
+    return weights.reshape(4 * M, offsets.size), indices.reshape(4 * M, offsets.size)
 
 
 def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray,
@@ -238,9 +228,7 @@ def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray
     Returns ``(weights, indices)``: pixel (x, y) reads the filtered
     projection linearly interpolated at ``s = x cos t + y sin t``, that is
     ``weights[0] * p[indices[0]] + weights[1] * p[indices[1]]``, and zero
-    beyond the detector ends.  The two entries are stored as two
-    contiguous rows so that a run of pixels gathers from contiguous index
-    slices.
+    beyond the detector ends.
     """
     J = detector.count
     pos = ((X * cos_t + Y * sin_t - detector.offsets[0]) / detector.spacing).ravel()
@@ -268,7 +256,7 @@ def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
     Ray-driven line integrals: each ray is sampled at uniform steps of
     ``pixel_size / 2`` over the support chord, with bilinear interpolation
     of the pixel values.  Each view is one fixed-width weighted gather (J
-    rows of 4(2W+1) pixels) applied to the frame, so the transform is
+    rays of 4(2W+1) pixels) applied to the frame, so the transform is
     linear in the frame by construction.
 
     Raises
@@ -282,35 +270,31 @@ def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
     f = frame.values.ravel()
     out = np.empty((detector.count, angles.size))
     for a in range(angles.size):
-        view = _view_projector(cos_t[a], sin_t[a], frame.width, frame.pixel_size,
-                               detector.offsets)
-        out[:, a] = _project_view(view, f)
+        weights, indices = _view_projector(cos_t[a], sin_t[a], frame.width, frame.pixel_size,
+                                           detector.offsets)
+        # each ray's entries add in order, as in a CSR row product: the
+        # sinogram keeps its last bit, which matters because the d > K+1
+        # descent grows a 1e-16 change in it about 1e4-fold in Z
+        out[:, a] = np.add.reduce(weights * f[indices], axis=0)
     return Sinogram(values=out, angles=angles, detector=detector)
 
 
-def _ramlak_transfer(J: int, spacing: float) -> np.ndarray:
-    """DFT of the discrete band-limited ramp kernel, zero-padded.
+def _ramp_matrix(J: int, spacing: float) -> np.ndarray:
+    """J x J matrix of the discrete band-limited ramp (Ram-Lak) filter.
 
-    Pad length is twice the next power of two >= J, which eliminates
-    circular-convolution wrap for detector-limited projections.  The
-    kernel is real and even, so its DFT is real and the non-negative
-    frequencies (``npad // 2 + 1`` of them) determine it.
+    ``H[i, j] = spacing * k(i - j)`` with ``k(0) = 1 / (4 spacing^2)``,
+    ``k(n) = -1 / (pi^2 n^2 spacing^2)`` for odd n and 0 for even n != 0:
+    the linear convolution of each detector column with the kernel,
+    kept to the J bins of the detector.  ``H @ values`` filters every
+    column of a J x n block.
     """
-    npad = 2 * (1 << max(int(np.ceil(np.log2(max(J, 2)))), 1))
-    n = np.fft.fftfreq(npad, d=1.0 / npad).astype(np.int64)
-    kern = np.zeros(npad)
-    kern[0] = 1.0 / (4.0 * spacing**2)
-    odd = (n % 2) != 0
+    n = np.arange(1 - J, J)
+    kern = np.zeros(n.size)
+    kern[J - 1] = 1.0 / (4.0 * spacing**2)
+    odd = n % 2 != 0
     kern[odd] = -1.0 / (np.pi**2 * n[odd] ** 2 * spacing**2)
-    return np.real(np.fft.rfft(kern))
-
-
-def _ramp_filter(values: np.ndarray, transfer: np.ndarray, spacing: float) -> np.ndarray:
-    """Ramp-filter every column of a J x n block with ``_ramlak_transfer``."""
-    J = values.shape[0]
-    npad = 2 * (transfer.size - 1)
-    spectrum = np.fft.rfft(values, n=npad, axis=0) * transfer[:, None]
-    return np.fft.irfft(spectrum, n=npad, axis=0)[:J, :] * spacing
+    i = np.arange(J)
+    return spacing * kern[(J - 1) + i[:, None] - i[None, :]]
 
 
 def _require_two_angles(angles: np.ndarray) -> None:
@@ -318,9 +302,55 @@ def _require_two_angles(angles: np.ndarray) -> None:
         raise InsufficientAnglesError("fbp needs at least 2 view angles")
 
 
-# values per backprojection gather buffer (512 KiB of float64): at n = 128
-# columns a run of 512 pixels, whose buffers and result rows stay in cache
-_GATHER_VALUES = 1 << 16
+# pixels per side of the square tiles the batched operators are blocked
+# by: in one view a tile meets 9 to 13 detector bins, so its blocks are at
+# most 13 x 64 and dense
+_TILE = 8
+# result values per batched backprojection product (512 KiB of float64):
+# at n = 256 columns a run of 4 tiles, whose temporaries stay in cache
+_RUN_VALUES = 1 << 16
+
+
+def _tiling(width: int) -> tuple[np.ndarray, int]:
+    """Tile-major layout of a W x W grid cut into ``_TILE`` x ``_TILE`` tiles.
+
+    Returns ``(slots, tiles)``: pixel i (row-major) is slot ``slots[i]``
+    of ``tiles * _TILE**2``, and tile t holds the ``_TILE**2`` slots from
+    ``t * _TILE**2`` on.  Tiles cut by the grid edge keep their missing
+    pixels as empty slots.
+    """
+    n = -(-width // _TILE)
+    r = np.arange(width)
+    tile = (r[:, None] // _TILE) * n + r[None, :] // _TILE
+    local = (r[:, None] % _TILE) * _TILE + r[None, :] % _TILE
+    return (tile * _TILE**2 + local).ravel(), n * n
+
+
+def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles: int,
+                 J: int) -> tuple[np.ndarray, np.ndarray]:
+    """One view's map between J detector bins and the tiled pixels, as dense blocks.
+
+    Entry e links bin ``bins[e]`` and pixel slot ``slots[e]`` with weight
+    ``weights[e]``; repeated links add.  Returns ``(blocks, first)``,
+    ``blocks`` of shape ``tiles x depth x _TILE**2``: ``blocks[t, r, l]``
+    links bin ``first[t] + r`` and slot ``t * _TILE**2 + l``.  Every
+    tile's bins lie in ``first[t] .. first[t] + depth - 1 <= J - 1``.
+    """
+    keep = weights != 0
+    bins, slots, weights = bins[keep], slots[keep], weights[keep]
+    tile = slots // _TILE**2
+    first = np.full(tiles, J - 1)
+    np.minimum.at(first, tile, bins)
+    rows = bins - first[tile]
+    depth = int(rows.max(initial=0)) + 1
+    over = np.maximum(first - (J - depth), 0)  # lower a block that would pass bin J - 1
+    if over.any():
+        first -= over
+        rows += over[tile]
+    # slot t * 64 + l goes to cell (t * depth + row) * 64 + l
+    flat = slots + (tile * (depth - 1) + rows) * _TILE**2
+    blocks = np.bincount(flat, weights=weights, minlength=tiles * depth * _TILE**2)
+    return blocks.reshape(tiles, depth, _TILE**2), first
 
 
 def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, width: int,
@@ -328,35 +358,30 @@ def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, wid
     """(pi / A) sum_a B_a F_a over the ramp-filtered J x n blocks F_a, one per view.
 
     ``B_a`` is view a's backprojector (``_view_backprojector``), built
-    once per view; the result is W^2 x n.  The pixels are visited in runs
-    of about ``_GATHER_VALUES / n``: the run's two rows of F_a per pixel
-    are gathered into preallocated buffers, weighted, and added into the
-    result.  ``fbp_stack`` and ``project_fbp`` both backproject through
-    this loop.
+    once per view as tile blocks (``_tile_blocks``); each tile of the
+    result adds its block's transpose times the tile's rows of F_a, for
+    a run of about ``_RUN_VALUES / (64 n)`` tiles per batched product.
+    The result is W^2 x n.  ``fbp_stack`` and ``project_fbp`` both
+    backproject through this loop.
     """
     X, Y = grid_coords(width, pixel_size)
     cos_t, sin_t = _reduced_trig(angles)
-    pixels = X.size
+    slots, tiles = _tiling(width)
+    pixel_slots = np.tile(slots, 2)  # a pixel's two entries
     acc = None
     for a, block in enumerate(filtered_views):
-        (w0, w1), (i0, i1) = _view_backprojector(cos_t[a], sin_t[a], X, Y, detector)
+        weights, indices = _view_backprojector(cos_t[a], sin_t[a], X, Y, detector)
+        blocks, first = _tile_blocks(indices.ravel(), pixel_slots, weights.ravel(), tiles,
+                                     detector.count)
         if acc is None:
-            n = block.shape[1]
-            acc = np.zeros((pixels, n))
-            run = max(1, min(pixels, _GATHER_VALUES // n))
-            lo_buf, hi_buf = np.empty((run, n)), np.empty((run, n))
-        for s in range(0, pixels, run):
-            e = min(s + run, pixels)
-            # mode="clip" lets take write straight into ``out`` (the default
-            # "raise" buffers it); the indices are in range by construction
-            lo = np.take(block, i0[s:e], axis=0, out=lo_buf[: e - s], mode="clip")
-            hi = np.take(block, i1[s:e], axis=0, out=hi_buf[: e - s], mode="clip")
-            lo *= w0[s:e, None]
-            hi *= w1[s:e, None]
-            lo += hi
-            acc[s:e] += lo
+            acc = np.zeros((tiles, _TILE**2, block.shape[1]))
+            run = max(1, _RUN_VALUES // acc[0].size)
+        rows = first[:, None] + np.arange(blocks.shape[1])
+        blocks = blocks.transpose(0, 2, 1)
+        for t in range(0, tiles, run):
+            acc[t:t + run] += blocks[t:t + run] @ block[rows[t:t + run]]
     acc *= np.pi / angles.size
-    return acc
+    return acc.reshape(tiles * _TILE**2, -1)[slots]
 
 
 def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None = None) -> Frame:
@@ -366,8 +391,9 @@ def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None =
     uniformly; either span backprojects with the same pi / A scale thanks
     to the half-turn redundancy of parallel projections.  The output grid
     defaults to the one implied by the detector (width = J, pixel size =
-    spacing).  Each view backprojects through one two-entry linear
-    interpolation per pixel, applied as numpy gathers.
+    spacing).  Each pixel reads each view's filtered projection through
+    one two-entry linear interpolation, applied as dense blocks per tile
+    of pixels.
 
     Raises
     ------
@@ -402,9 +428,7 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int | None = Non
     if pixel_size is None:
         pixel_size = detector.spacing
     J, A, n = values.shape
-    transfer = _ramlak_transfer(J, detector.spacing)
-    filtered = _ramp_filter(values.reshape(J, A * n), transfer, detector.spacing)
-    filtered = filtered.reshape(J, A, n)
+    filtered = (_ramp_matrix(J, detector.spacing) @ values.reshape(J, A * n)).reshape(J, A, n)
     acc = _backproject((filtered[:, a] for a in range(A)), angles, detector, width,
                        pixel_size)
     return [Frame(values=acc[:, k].reshape(width, width), pixel_size=pixel_size)
@@ -415,12 +439,12 @@ def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
     """``fbp(radon_project(f, angles, detector), f.width, f.pixel_size)`` of every frame.
 
     All frames share one grid, so every frame meets the same linear map.
-    The frames are stacked as the columns of one W^2 x P array and the
-    views are visited one at a time: the view's projector gathers from all
-    P frames at once, the J x P block is ramp filtered, and
-    the view's backprojector adds it into the W^2 x P result.  No
-    sinogram stack and no all-view operator is held, so memory stays
-    O(P W^2).
+    The frames are the columns of one W^2 x P array, stored tile by tile
+    (``_tiling``), and the views are visited one at a time: the view's
+    projector blocks (``_tile_blocks``) meet all P frames at once, the
+    J x P block is ramp filtered, and the view's backprojector adds it
+    into the W^2 x P result.  No sinogram stack and no all-view operator
+    is held, so memory stays O(P W^2).
 
     Raises
     ------
@@ -436,16 +460,24 @@ def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     _require_two_angles(angles)
     W, h = first.width, first.pixel_size
-    stack = np.stack([f.values.ravel() for f in frames], axis=1)
-    transfer = _ramlak_transfer(detector.count, detector.spacing)
+    J = detector.count
+    slots, tiles = _tiling(W)
+    tiled = np.zeros((tiles * _TILE**2, len(frames)))
+    tiled[slots] = np.stack([f.values.ravel() for f in frames], axis=1)
+    tiled = tiled.reshape(tiles, _TILE**2, -1)
+    rays = np.tile(np.arange(J), 4 * (2 * W + 1))
+    ramp = _ramp_matrix(J, detector.spacing)
     cos_t, sin_t = _reduced_trig(angles)
-    filtered_views = (
-        _ramp_filter(_project_view(_view_projector(cos_t[a], sin_t[a], W, h, detector.offsets),
-                                   stack),
-                     transfer, detector.spacing)
-        for a in range(angles.size)
-    )
-    acc = _backproject(filtered_views, angles, detector, W, h)
-    del stack  # the P output frames below need its memory
-    return [Frame(values=acc[:, p].reshape(W, W), pixel_size=h) for p in range(acc.shape[1])]
 
+    def filtered_view(a):
+        weights, indices = _view_projector(cos_t[a], sin_t[a], W, h, detector.offsets)
+        blocks, first = _tile_blocks(rays, slots[indices].ravel(), weights.ravel(), tiles, J)
+        depth = blocks.shape[1]
+        sino = np.zeros((J, tiled.shape[2]))
+        for t in range(tiles):
+            sino[first[t]:first[t] + depth] += blocks[t] @ tiled[t]
+        return ramp @ sino
+
+    acc = _backproject((filtered_view(a) for a in range(angles.size)), angles, detector, W, h)
+    del tiled  # the P output frames below need its memory
+    return [Frame(values=acc[:, p].reshape(W, W), pixel_size=h) for p in range(acc.shape[1])]

@@ -38,9 +38,6 @@ PSNR_CAP_DB = 200.0
 # SSIM's Gaussian window: sigma 1.5 truncated at radius 5, an 11 x 11 window
 _SSIM_SIGMA = 1.5
 _SSIM_RADIUS = 5
-# frame values per batched SSIM step (512 KiB of float64), which bounds the
-# memory of its temporaries whatever the movie length
-_SSIM_BATCH_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,18 @@ def ssim(x: Frame | np.ndarray, ref: Frame | np.ndarray, data_range: float | Non
     xv, rv = _aligned_values(x, ref)
     if data_range is None:
         data_range = float(rv.max()) if rv.max() > 0 else 1.0
-    return float(_mean_ssim(xv[None], rv[None], data_range)[0])
+    c1 = (0.01 * data_range) ** 2
+    c2 = (0.03 * data_range) ** 2
+    H, W = xv.shape
+    rows = _ssim_window(H)
+    cols = rows if W == H else _ssim_window(W)
+    mu_x, mu_r, xx, rr, xr = rows @ np.stack([xv, rv, xv * xv, rv * rv, xv * rv]) @ cols.T
+    var_x = xx - mu_x**2
+    var_r = rr - mu_r**2
+    cov = xr - mu_x * mu_r
+    num = (2.0 * mu_x * mu_r + c1) * (2.0 * cov + c2)
+    den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
+    return float(np.mean(num / den))
 
 
 def _ssim_window(n: int) -> np.ndarray:
@@ -194,26 +202,6 @@ def _ssim_window(n: int) -> np.ndarray:
     rows = np.repeat(np.arange(n), x.size)
     return np.bincount(rows * n + src.ravel(), weights=np.tile(taps, n),
                        minlength=n * n).reshape(n, n)
-
-
-def _mean_ssim(xs: np.ndarray, rs: np.ndarray, data_range: float) -> np.ndarray:
-    """Mean SSIM of each frame pair of the m x H x W stacks ``xs`` and ``rs``.
-
-    The five blurred moments of all m frames are two batched matrix
-    products with the row and column windows.
-    """
-    c1 = (0.01 * data_range) ** 2
-    c2 = (0.03 * data_range) ** 2
-    H, W = xs.shape[1:]
-    rows = _ssim_window(H)
-    cols = rows if W == H else _ssim_window(W)
-    mu_x, mu_r, xx, rr, xr = rows @ np.stack([xs, rs, xs * xs, rs * rs, xs * rs]) @ cols.T
-    var_x = xx - mu_x**2
-    var_r = rr - mu_r**2
-    cov = xr - mu_x * mu_r
-    num = (2.0 * mu_x * mu_r + c1) * (2.0 * cov + c2)
-    den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
-    return np.mean(num / den, axis=(1, 2))
 
 
 def mae(x: Frame | np.ndarray, ref: Frame | np.ndarray) -> float:
@@ -251,9 +239,7 @@ def movie_metrics(movie: Movie, benchmark: Movie, peak: float | None = None):
     """Per-frame metric rows plus their arithmetic mean.
 
     The PSNR/SSIM peak is global: the maximum over the whole benchmark
-    movie, unless given explicitly.  SSIM runs on batches of frames
-    (``_mean_ssim``) and equals ``frame_metrics`` frame by frame to
-    rounding.
+    movie, unless given explicitly.
 
     Returns
     -------
@@ -265,17 +251,8 @@ def movie_metrics(movie: Movie, benchmark: Movie, peak: float | None = None):
         peak = float(max(f.values.max() for f in benchmark.frames))
         if peak <= 0:
             peak = 1.0
-    # every frame of a movie shares its grid, so the first pair checks all
-    _aligned_values(movie.frames[0], benchmark.frames[0])
-    run = max(1, _SSIM_BATCH_VALUES // movie.frames[0].values.size)
-    ssims = []
-    for s in range(0, len(movie), run):
-        ssims.extend(_mean_ssim(np.stack([f.values for f in movie.frames[s:s + run]]),
-                                np.stack([f.values for f in benchmark.frames[s:s + run]]),
-                                peak))
     rows = [
-        MetricsRow(psnr=psnr(x, ref, peak), ssim=float(v), mae=mae(x, ref))
-        for x, ref, v in zip(movie.frames, benchmark.frames, ssims)
+        frame_metrics(x, ref, peak) for x, ref in zip(movie.frames, benchmark.frames)
     ]
     summary = MetricsRow(
         psnr=float(np.mean([r.psnr for r in rows])),

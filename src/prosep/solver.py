@@ -179,11 +179,15 @@ class VarproProblem:
         # is about 4x cheaper than an SVD); truncated least squares
         # otherwise (also when a block has fewer rows than columns, where
         # R is not square).  R is square and upper triangular, so the
-        # partial pivoting of np.linalg.solve never swaps a row.
+        # partial pivoting of np.linalg.solve never swaps a row.  beta* is
+        # kept in Fortran order, the order of a LAPACK triangular solve:
+        # the products below round by memory order, and the d > K+1
+        # descent grows that rounding about 1e4-fold in Z.
         diag = np.concatenate([np.abs(np.diagonal(R)) for _, R in QR])
         if (all(R.shape[0] == R.shape[1] for _, R in QR)
                 and diag.min() > _RANK_RTOL * max(diag.max(), 1e-300)):
-            betas = [np.linalg.solve(R, Q.T @ Gb) for (Q, R), Gb in zip(QR, G)]
+            betas = [np.asfortranarray(np.linalg.solve(R, Q.T @ Gb))
+                     for (Q, R), Gb in zip(QR, G)]
         else:
             betas = _truncated_lstsq(L_blocks, G)
         F, grad = 0.0, 0.0

@@ -228,30 +228,6 @@ def test_ssim_window_blur_matches_gaussian_filter(rng, W):
     assert np.abs(blurred - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
-def test_movie_metrics_batches_equal_frame_metrics(monkeypatch):
-    """The batched SSIM of ``movie_metrics`` is ``frame_metrics`` frame by frame.
-
-    Batches of 3 frames over 7 frames leave a last batch of one.
-    """
-    from prosep.phantom import Movie
-    from prosep.radon import Frame
-
-    rng = np.random.default_rng(11)
-    W, P, h = 16, 7, 1 / 8
-    monkeypatch.setattr(recon, "_SSIM_BATCH_VALUES", 3 * W * W)
-    bench = tuple(Frame(values=rng.random((W, W)), pixel_size=h) for _ in range(P))
-    test = tuple(Frame(values=f.values + 0.05 * rng.standard_normal((W, W)), pixel_size=h)
-                 for f in bench)
-    times = np.arange(P) / P
-    peak = max(f.values.max() for f in bench)
-    rows, _ = movie_metrics(Movie(frames=test, times=times), Movie(frames=bench, times=times))
-    assert len(rows) == P
-    for row, x, ref in zip(rows, test, bench):
-        single = frame_metrics(x, ref, peak)
-        for name in ("psnr", "ssim", "mae"):
-            assert getattr(row, name) == pytest.approx(getattr(single, name), rel=1e-12, abs=0)
-
-
 def test_movie_metrics_rejects_grid_mismatch():
     from prosep.phantom import Movie
     from prosep.radon import Frame
