@@ -11,12 +11,16 @@ together with its ``--solver-*`` and model flags.  Arrays are exchanged as
 binary tensor files (see ``tensorio``), tables as CSV.
 
 Exit codes: 0 success, 1 configuration or I/O error (also a malformed input
-tensor, named on one line), 2 solver stopped at the iteration cap without
-reaching its tolerance (only when d > K+1: with d = K+1 the solver runs no
-descent).
+tensor, named on one line), 2 the solver's descent reached the iteration
+cap before its stall test held (``SolverReport.converged`` is false; only
+when d > K+1: with d = K+1 or all-zero data no descent runs).
 
-``simulate`` renders the truth movie once and computes both the
-acquisition and the benchmark movie from it.
+A movie is one P x W x W array from end to end (``phantom.Movie``):
+``simulate`` renders the truth movie once, computes both the acquisition
+and the benchmark movie from it and writes each array as a tensor;
+``reconstruct`` writes the movie ``reconstruct_movie`` returns, and
+``metrics`` reads both tensors back as movies, which masks them to the
+support disk.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .phantom import (
     simulate_acquisition,
 )
 from .psmodel import HarmonicOrder, spline_interpolator
-from .radon import DetectorGrid, Frame
+from .radon import DetectorGrid
 from .recon import ProSepSolution, movie_metrics, reconstruct_movie
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme, span_for
 from .solver import SolverConfig, solve
@@ -342,9 +346,9 @@ def cmd_simulate(args) -> int:
     write_tensor(os.path.join(out, "sinogram.tensor"), data.values)
     write_tensor(os.path.join(out, "angles.tensor"), scheme.angles)
     write_tensor(os.path.join(out, "times.tensor"), data.times)
-    write_tensor(os.path.join(out, "truth_movie.tensor"), truth.as_array())
+    write_tensor(os.path.join(out, "truth_movie.tensor"), truth.values)
     bench = benchmark_movie(truth, cfg["fbp_angles_count"] or cfg["P"], detector=detector)
-    write_tensor(os.path.join(out, "benchmark_movie.tensor"), bench.as_array())
+    write_tensor(os.path.join(out, "benchmark_movie.tensor"), bench.values)
     manifest = _resolved_manifest(cfg, spec)
     _write_text_atomic(
         os.path.join(out, "manifest.json"),
@@ -415,7 +419,7 @@ def cmd_reconstruct(args) -> int:
     write_tensor(os.path.join(out, "Z.tensor"), Z)
     write_tensor(os.path.join(out, "beta.tensor"), beta.beta)
     write_tensor(os.path.join(out, "psi.tensor"), U @ Z)
-    write_tensor(os.path.join(out, "movie.tensor"), movie.as_array())
+    write_tensor(os.path.join(out, "movie.tensor"), movie.values)
     trace_lines = ["iter,objective,incumbent"]
     for i, (raw, inc) in enumerate(zip(report.raw_objective_trace, report.objective_trace)):
         trace_lines.append(f"{i},{float(raw)!r},{float(inc)!r}")
@@ -524,26 +528,23 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _movie_from_tensor(arr: np.ndarray, path: str) -> Movie:
-    """A P x W x W tensor as a movie at times p / P; a malformed one is a ProsepError."""
-    if arr.size == 0:
-        raise ProsepError(f"{path}: not a movie tensor: it is empty, shape {arr.shape}")
+def _movie_from_tensor(path: str) -> Movie:
+    """A P x W x W tensor file as a movie; a malformed one is a ProsepError."""
+    arr = read_tensor(path)
     try:
-        return Movie(frames=tuple(Frame(values=v) for v in arr),
-                     times=np.arange(len(arr)) / len(arr))
+        return Movie(values=arr)
     except ValueError as e:
         raise ProsepError(f"{path}: not a movie tensor: {e}") from None
 
 
 def cmd_metrics(args) -> int:
-    movie_arr = read_tensor(args.movie)
-    bench_arr = read_tensor(args.benchmark)
-    if movie_arr.shape != bench_arr.shape or movie_arr.ndim != 3:
-        raise ProsepError(f"dimension mismatch: {args.movie} has shape {movie_arr.shape}, "
-                          f"{args.benchmark} has shape {bench_arr.shape}; both must be "
+    movie = _movie_from_tensor(args.movie)
+    bench = _movie_from_tensor(args.benchmark)
+    if movie.values.shape != bench.values.shape:
+        raise ProsepError(f"dimension mismatch: {args.movie} has shape {movie.values.shape}, "
+                          f"{args.benchmark} has shape {bench.values.shape}; both must be "
                           f"P x W x W of one shape")
-    rows, summary = movie_metrics(_movie_from_tensor(movie_arr, args.movie),
-                                  _movie_from_tensor(bench_arr, args.benchmark))
+    rows, summary = movie_metrics(movie, bench)
     lines = ["frame,psnr,ssim,mae"]
     for p, r in enumerate(rows):
         lines.append(f"{p},{r.psnr!r},{r.ssim!r},{r.mae!r}")

@@ -5,6 +5,10 @@ affine warp built from smooth raised-cosine trajectories (scaling, then
 rotation, then translation).  Frames are rendered analytically by
 inverse-warping each pixel center, so the ground truth carries no
 interpolation error.
+
+A ``Movie`` is one P x W x W array, masked to the support disk once when
+it is built; tensor files, ``radon.project_fbp`` and the metrics take it
+as it is.  A single image is a ``radon.Frame``.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import SupportError
-from .radon import DetectorGrid, Frame, grid_coords, project_fbp, radon_project
+from .radon import DetectorGrid, Frame, grid_coords, project_fbp, radon_project, support_masked
 from .sampling import AngularScheme
 
 __all__ = [
@@ -94,18 +98,6 @@ class MotionSpec:
         if min(self.scaling) <= -1.0:
             raise ValueError("scaling amplitude must keep scale factors positive")
 
-    @property
-    def c_max(self) -> float:
-        return float(np.hypot(*self.translation))
-
-    @property
-    def theta_max(self) -> float:
-        return abs(self.rotation)
-
-    @classmethod
-    def static(cls) -> "MotionSpec":
-        return cls()
-
 
 def motion_at(motion: MotionSpec, t: float):
     """Affine forward map (A, b) at normalized time t in [0, 1].
@@ -167,30 +159,37 @@ def render_frame(spec: PhantomSpec, motion: MotionSpec, t: float) -> Frame:
 
 @dataclass(frozen=True)
 class Movie:
-    """A list of frames on a common grid at uniform, increasing times."""
+    """P square frames on one grid at uniform, increasing times.
 
-    frames: tuple
-    times: np.ndarray
+    ``values`` is the P x W x W float64 array of frames, masked to the
+    support disk at construction exactly as ``Frame`` masks one image.
+    ``times`` defaults to t_p = p / P.
+    """
+
+    values: np.ndarray
+    times: np.ndarray = None
+    pixel_size: float = 1.0
 
     def __post_init__(self):
-        frames = tuple(self.frames)
-        times = np.asarray(self.times, dtype=float)
-        object.__setattr__(self, "frames", frames)
-        object.__setattr__(self, "times", times)
-        if len(frames) == 0 or times.size != len(frames):
+        if np.size(self.values) == 0:
+            raise ValueError(f"movie is empty, shape {np.shape(self.values)}")
+        v = support_masked(self.values, self.pixel_size, ndim=3)
+        times = np.asarray(sample_times(len(v)) if self.times is None else self.times, dtype=float)
+        if times.shape != (len(v),):
             raise ValueError("need one time per frame")
-        if len({(f.width, f.pixel_size) for f in frames}) != 1:
-            raise ValueError("frames must share one grid")
-        if len(frames) > 1:
+        if len(v) > 1:
             dt = np.diff(times)
             if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
                 raise ValueError("times must be strictly increasing and uniform")
+        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "times", times)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.values)
 
-    def as_array(self) -> np.ndarray:
-        return np.stack([f.values for f in self.frames])
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
 
 
 def sample_times(P: int) -> np.ndarray:
@@ -229,7 +228,8 @@ class TimeSequentialSinogram:
 def render_movie(spec: PhantomSpec, motion: MotionSpec, P: int) -> Movie:
     """Ground-truth movie: analytic frames at t_p = p / P."""
     times = sample_times(P)
-    return Movie(frames=tuple(render_frame(spec, motion, t) for t in times), times=times)
+    values = np.stack([render_frame(spec, motion, t).values for t in times])
+    return Movie(values=values, times=times, pixel_size=spec.pixel_size)
 
 
 def simulate_acquisition(
@@ -249,7 +249,8 @@ def simulate_acquisition(
     if len(truth) != scheme.P:
         raise ValueError(f"need one frame per view: {len(truth)} frames, P = {scheme.P}")
     columns = np.empty((detector.count, scheme.P))
-    for p, (frame, theta) in enumerate(zip(truth.frames, scheme.angles)):
+    for p, (values, theta) in enumerate(zip(truth.values, scheme.angles)):
+        frame = Frame(values=values, pixel_size=truth.pixel_size)
         columns[:, p] = radon_project(frame, [theta], detector).values[:, 0]
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
@@ -270,12 +271,13 @@ def benchmark_movie(
     in [0, pi) and reconstructed with FBP on its own grid, i.e. the
     reference uses P * fbp_angles_count projections in total.  Every frame
     shares the geometry, so ``project_fbp`` applies each view's projector
-    and backprojector to all P frames at once.  The detector defaults to
-    ``DetectorGrid.for_frame``.
+    and backprojector to the whole P x W x W array at once.  The detector
+    defaults to ``DetectorGrid.for_frame``.
     """
     angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
-    det = detector if detector is not None else DetectorGrid.for_frame(truth.frames[0])
-    return Movie(frames=project_fbp(truth.frames, angles, det), times=truth.times)
+    det = detector if detector is not None else DetectorGrid.for_frame(truth)
+    return Movie(values=project_fbp(truth.values, truth.pixel_size, angles, det),
+                 times=truth.times, pixel_size=truth.pixel_size)
 
 
 def example_phantom(width: int = 64, support_diameter: float = 2.0) -> PhantomSpec:

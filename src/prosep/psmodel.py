@@ -227,10 +227,6 @@ class HarmonicCoefficients:
     def J(self) -> int:
         return self.beta.shape[1]
 
-    def bin_matrix(self, j: int) -> np.ndarray:
-        """beta(s_j) reshaped to (harmonics x temporal)."""
-        return self.beta[:, j].reshape(self.order.n_harmonics, self.order.n_temporal)
-
 
 def build_L2(
     beta: HarmonicCoefficients | np.ndarray,

@@ -13,18 +13,19 @@ fixed number of input values.  The ray-driven projector of a view has J
 rays of 4(2W+1) entries, the pixel-driven linear-interpolation
 backprojector W^2 pixels of 2.  A ray may repeat a pixel; its weights
 add.
-``radon_project`` applies the projector to one frame as one numpy gather.
-For many columns at once, each view's operator is recast as dense blocks
-on square tiles of the pixel grid (``_tiling``, ``_tile_blocks``): the
-pixels of one tile meet only a short run of detector bins, so the view's
-map is a few dense matrix products per tile, and a stack of columns
-stored tile by tile is read in place.  ``fbp`` and ``fbp_stack``
-backproject n sinograms on one angle set this way; ``project_fbp`` is
-the fused batch for many frames on one grid: per view, one projector
-pass over all P frames, a ramp filter of the J x P block and one
-backprojector pass accumulated into the W^2 x P result, so no sinogram
-stack and no all-view operator is ever held.  Both run the same
-per-view backprojection loop.
+``radon_project`` applies the projector to one ``Frame`` as one numpy
+gather.  For many columns at once, each view's operator is recast as
+dense blocks on square tiles of the pixel grid (``_tiling``,
+``_tile_blocks``): the pixels of one tile meet only a short run of
+detector bins, so the view's map is a few dense matrix products per
+tile, and a stack of columns stored tile by tile is read in place.  The
+batched functions take and return plain n x W x W arrays, masked to the
+support disk like a ``Frame``: ``fbp_stack`` backprojects n sinograms on
+one angle set, and ``project_fbp`` is the fused batch for a movie of P
+frames on one grid: per view, one projector pass over all P frames, a
+ramp filter of the J x P block and one backprojector pass accumulated
+into the W^2 x P result, so no sinogram stack and no all-view operator
+is ever held.  ``fbp`` of one sinogram is ``fbp_stack`` with n = 1.
 """
 
 from __future__ import annotations
@@ -54,23 +55,11 @@ class Frame:
     pixel_size: float = 1.0
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"frame must be square, got shape {v.shape}")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("frame values must be finite")
-        if self.pixel_size <= 0:
-            raise ValueError("pixel_size must be positive")
-        v = v * support_mask(v.shape[0], self.pixel_size)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", support_masked(self.values, self.pixel_size))
 
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
 
     @property
     def support_radius(self) -> float:
@@ -87,6 +76,19 @@ def support_mask(width: int, pixel_size: float = 1.0) -> np.ndarray:
     x = (np.arange(width) - (width - 1) / 2.0) * pixel_size
     r2 = x[None, :] ** 2 + x[:, None] ** 2
     return r2 <= (0.5 * width * pixel_size) ** 2
+
+
+def support_masked(values, pixel_size: float, ndim: int = 2) -> np.ndarray:
+    """float64 copy of a W x W frame (or, with ``ndim`` 3, of P frames) zeroed off the disk."""
+    v = np.asarray(values, dtype=np.float64)
+    if v.ndim != ndim or v.shape[-2:-1] != v.shape[-1:]:
+        raise ValueError(f"frame must be square: expected {'P x ' * (ndim - 2)}W x W, "
+                         f"got shape {v.shape}")
+    if not np.all(np.isfinite(v)):
+        raise ValueError("frame values must be finite")
+    if pixel_size <= 0:
+        raise ValueError("pixel_size must be positive")
+    return v * support_mask(v.shape[-1], pixel_size)
 
 
 def grid_coords(width: int, pixel_size: float = 1.0):
@@ -120,15 +122,10 @@ class DetectorGrid:
     def width(self) -> float:
         return self.count * self.spacing
 
-    def covers(self, frame: Frame) -> bool:
-        return self.width >= 2.0 * frame.support_radius - 1e-12
-
     @classmethod
-    def for_frame(cls, frame: Frame, count: int | None = None) -> "DetectorGrid":
-        """Detector matching the frame grid: spacing = pixel_size, J = width + 1."""
-        if count is None:
-            count = frame.width + 1
-        return cls(count=count, spacing=frame.pixel_size)
+    def for_frame(cls, frame) -> "DetectorGrid":
+        """Detector matching a frame's or movie's grid: spacing = pixel_size, J = width + 1."""
+        return cls(count=frame.width + 1, spacing=frame.pixel_size)
 
 
 @dataclass(frozen=True)
@@ -242,12 +239,10 @@ def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray
     return weights, indices
 
 
-def _require_coverage(detector: DetectorGrid, frame: Frame) -> None:
-    if not detector.covers(frame):
-        raise CoverageError(
-            f"detector width {detector.width:g} does not cover support "
-            f"diameter {2 * frame.support_radius:g}"
-        )
+def _require_coverage(detector: DetectorGrid, width: int, pixel_size: float) -> None:
+    if detector.width < width * pixel_size - 1e-12:
+        raise CoverageError(f"detector width {detector.width:g} does not cover support "
+                            f"diameter {width * pixel_size:g}")
 
 
 def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
@@ -264,7 +259,7 @@ def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
     CoverageError
         If the detector is narrower than the support disk.
     """
-    _require_coverage(detector, frame)
+    _require_coverage(detector, frame.width, frame.pixel_size)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     cos_t, sin_t = _reduced_trig(angles)
     f = frame.values.ravel()
@@ -361,8 +356,9 @@ def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, wid
     once per view as tile blocks (``_tile_blocks``); each tile of the
     result adds its block's transpose times the tile's rows of F_a, for
     a run of about ``_RUN_VALUES / (64 n)`` tiles per batched product.
-    The result is W^2 x n.  ``fbp_stack`` and ``project_fbp`` both
-    backproject through this loop.
+    The result is n x W x W, masked to the support disk as a ``Frame``
+    is.  ``fbp_stack`` and ``project_fbp`` both backproject through this
+    loop.
     """
     X, Y = grid_coords(width, pixel_size)
     cos_t, sin_t = _reduced_trig(angles)
@@ -381,7 +377,9 @@ def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, wid
         for t in range(0, tiles, run):
             acc[t:t + run] += blocks[t:t + run] @ block[rows[t:t + run]]
     acc *= np.pi / angles.size
-    return acc.reshape(tiles * _TILE**2, -1)[slots]
+    out = acc.reshape(tiles * _TILE**2, -1)[slots]
+    out *= support_mask(width, pixel_size).reshape(-1, 1)
+    return out.T.reshape(-1, width, width)
 
 
 def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None = None) -> Frame:
@@ -400,17 +398,20 @@ def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None =
     InsufficientAnglesError
         If fewer than 2 angles are supplied.
     """
-    return fbp_stack(sinogram.values[:, :, None], sinogram.angles, sinogram.detector,
-                     width=width, pixel_size=pixel_size)[0]
+    h = sinogram.detector.spacing if pixel_size is None else pixel_size
+    values = fbp_stack(sinogram.values[:, :, None], sinogram.angles, sinogram.detector, width, h)
+    return Frame(values=values[0], pixel_size=h)
 
 
 def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int | None = None,
-              pixel_size: float | None = None) -> list[Frame]:
-    """``fbp`` of n sinograms that share one angle set and detector.
+              pixel_size: float | None = None) -> np.ndarray:
+    """``fbp`` of n sinograms that share one angle set and detector, as n x W x W.
 
     ``sinograms`` is J x A x n.  All of them are ramp filtered at once,
     and each view's backprojector is built once and applied to the
-    view's J x n block, so n sinograms cost one view loop.
+    view's J x n block, so n sinograms cost one view loop.  Image k is
+    ``fbp`` of sinogram k: masked to the support disk, on the grid of
+    ``width`` and ``pixel_size`` (default: the detector's, as in ``fbp``).
 
     Raises
     ------
@@ -429,22 +430,22 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int | None = Non
         pixel_size = detector.spacing
     J, A, n = values.shape
     filtered = (_ramp_matrix(J, detector.spacing) @ values.reshape(J, A * n)).reshape(J, A, n)
-    acc = _backproject((filtered[:, a] for a in range(A)), angles, detector, width,
-                       pixel_size)
-    return [Frame(values=acc[:, k].reshape(width, width), pixel_size=pixel_size)
-            for k in range(n)]
+    return _backproject((filtered[:, a] for a in range(A)), angles, detector, width,
+                        pixel_size)
 
 
-def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
-    """``fbp(radon_project(f, angles, detector), f.width, f.pixel_size)`` of every frame.
+def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np.ndarray:
+    """``fbp(radon_project(f, angles, detector), W, pixel_size)`` of every frame f.
 
-    All frames share one grid, so every frame meets the same linear map.
-    The frames are the columns of one W^2 x P array, stored tile by tile
-    (``_tiling``), and the views are visited one at a time: the view's
-    projector blocks (``_tile_blocks``) meet all P frames at once, the
-    J x P block is ramp filtered, and the view's backprojector adds it
-    into the W^2 x P result.  No sinogram stack and no all-view operator
-    is held, so memory stays O(P W^2).
+    ``frames`` is a P x W x W array of images on one grid, already masked
+    to the support disk (as ``phantom.Movie`` holds them); the result is
+    the P x W x W array of their reconstructions.  Every frame meets the
+    same linear map, so the frames are the columns of one W^2 x P array,
+    stored tile by tile (``_tiling``), and the views are visited one at a
+    time: the view's projector blocks (``_tile_blocks``) meet all P
+    frames at once, the J x P block is ramp filtered, and the view's
+    backprojector adds it into the W^2 x P result.  No sinogram stack and
+    no all-view operator is held, so memory stays O(P W^2).
 
     Raises
     ------
@@ -453,31 +454,30 @@ def project_fbp(frames, angles, detector: DetectorGrid) -> list[Frame]:
     InsufficientAnglesError
         If fewer than 2 angles are supplied.
     """
-    first = frames[0]
-    if any((f.width, f.pixel_size) != (first.width, first.pixel_size) for f in frames):
-        raise ValueError("frames must share one grid")
-    _require_coverage(detector, first)
+    frames = np.asarray(frames, dtype=float)
+    if frames.ndim != 3 or frames.shape[1] != frames.shape[2]:
+        raise ValueError(f"frames must be P x W x W, got shape {frames.shape}")
+    P, W = frames.shape[:2]
+    _require_coverage(detector, W, pixel_size)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     _require_two_angles(angles)
-    W, h = first.width, first.pixel_size
     J = detector.count
     slots, tiles = _tiling(W)
-    tiled = np.zeros((tiles * _TILE**2, len(frames)))
-    tiled[slots] = np.stack([f.values.ravel() for f in frames], axis=1)
-    tiled = tiled.reshape(tiles, _TILE**2, -1)
+    tiled = np.zeros((tiles * _TILE**2, P))
+    tiled[slots] = frames.reshape(P, W * W).T
+    tiled = tiled.reshape(tiles, _TILE**2, P)
     rays = np.tile(np.arange(J), 4 * (2 * W + 1))
     ramp = _ramp_matrix(J, detector.spacing)
     cos_t, sin_t = _reduced_trig(angles)
 
     def filtered_view(a):
-        weights, indices = _view_projector(cos_t[a], sin_t[a], W, h, detector.offsets)
+        weights, indices = _view_projector(cos_t[a], sin_t[a], W, pixel_size, detector.offsets)
         blocks, first = _tile_blocks(rays, slots[indices].ravel(), weights.ravel(), tiles, J)
         depth = blocks.shape[1]
-        sino = np.zeros((J, tiled.shape[2]))
+        sino = np.zeros((J, P))
         for t in range(tiles):
             sino[first[t]:first[t] + depth] += blocks[t] @ tiled[t]
         return ramp @ sino
 
-    acc = _backproject((filtered_view(a) for a in range(angles.size)), angles, detector, W, h)
-    del tiled  # the P output frames below need its memory
-    return [Frame(values=acc[:, p].reshape(W, W), pixel_size=h) for p in range(acc.shape[1])]
+    return _backproject((filtered_view(a) for a in range(angles.size)), angles, detector, W,
+                        pixel_size)

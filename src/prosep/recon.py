@@ -5,8 +5,10 @@ coefficients beta.  Forming Psi = U Z gives the sampled temporal
 functions; evaluating the harmonic expansion at arbitrary angles yields
 a dense synthetic sinogram for any time instant.  Since synthesis and
 FBP are linear, the movie is itself a partially separable image model:
-FBP of the K+1 component sinograms gives spatial images phi_k, and frame
-p is sum_k psi_k(t_p) phi_k.
+FBP of the K+1 component sinograms gives spatial images phi_k, and the
+P x W^2 movie matrix is the rank-(K+1) product Psi Phi, frame p being
+sum_k psi_k(t_p) phi_k.  Metrics compare two movies frame by frame on
+their P x W x W arrays.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .sampling import AngularScheme
 __all__ = [
     "ProSepSolution",
     "MetricsRow",
-    "temporal_functions",
     "synthesize_sinogram",
     "reconstruct_movie",
     "naive_fbp",
@@ -75,15 +76,6 @@ class ProSepSolution:
         return self.scheme.P
 
 
-def temporal_functions(U: np.ndarray, Z: np.ndarray) -> np.ndarray:
-    """Sampled temporal functions Psi = U Z (P x (K+1))."""
-    U = np.asarray(U, dtype=float)
-    Z = np.asarray(Z, dtype=float)
-    if U.ndim != 2 or Z.ndim != 2 or U.shape[1] != Z.shape[0]:
-        raise ValueError("incompatible shapes for U @ Z")
-    return U @ Z
-
-
 def synthesize_sinogram(solution: ProSepSolution, p: int, out_angles) -> Sinogram:
     """Model projections at frame index p for arbitrary view angles.
 
@@ -115,10 +107,13 @@ def reconstruct_movie(
     The synthesized sinogram of frame p is sum_k psi_k(t_p) g_k with
     component sinograms g_k = T_dense beta[:, k, :], so the K+1 component
     sinograms are backprojected together (``fbp_stack``, one backprojector
-    per view), phi_k = FBP(g_k), and frame p is sum_k psi_k(t_p) phi_k.
-    This equals FBP of ``synthesize_sinogram`` for every frame up to
-    rounding.  The synthesis angle count defaults to P uniform angles in
-    [0, pi), matching the information budget of the benchmark movie.
+    per view) into the images phi_k = FBP(g_k), and the whole movie is one
+    product: the P x W^2 matrix Psi Phi, with Psi = U Z and Phi the
+    (K+1) x W^2 matrix of the phi_k.  This equals FBP of
+    ``synthesize_sinogram`` for every frame up to rounding.  The synthesis
+    angle count defaults to P uniform angles in [0, pi), matching the
+    information budget of the benchmark movie; the grid defaults to the
+    detector's, as in ``fbp``.
     """
     count = fbp_angles_count if fbp_angles_count is not None else solution.P
     angles = np.arange(count) * (np.pi / count)
@@ -126,15 +121,11 @@ def reconstruct_movie(
     T = real_trig_theta(angles, order.N)  # A x (2N+1)
     B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
     components = np.einsum("an,nkj->jak", T, B3)  # J x A x (K+1)
-    phis = fbp_stack(components, angles, solution.detector, width=width,
-                     pixel_size=pixel_size)
-    phi = np.stack([f.values for f in phis])  # (K+1) x W x W
-    psi = temporal_functions(solution.U, solution.Z)
-    frames = tuple(
-        Frame(values=np.tensordot(psi_p, phi, axes=1), pixel_size=phis[0].pixel_size)
-        for psi_p in psi
-    )
-    return Movie(frames=frames, times=solution.times)
+    h = solution.detector.spacing if pixel_size is None else pixel_size
+    phi = fbp_stack(components, angles, solution.detector, width, h)  # (K+1) x W x W
+    psi = solution.U @ solution.Z  # P x (K+1)
+    movie = (psi @ phi.reshape(order.n_temporal, -1)).reshape(-1, *phi.shape[1:])
+    return Movie(values=movie, times=solution.times, pixel_size=h)
 
 
 def naive_fbp(
@@ -231,7 +222,7 @@ class MetricsRow:
             raise ValueError("invalid metric values")
 
 
-def frame_metrics(x: Frame, ref: Frame, peak: float) -> MetricsRow:
+def frame_metrics(x: Frame | np.ndarray, ref: Frame | np.ndarray, peak: float) -> MetricsRow:
     return MetricsRow(psnr=psnr(x, ref, peak), ssim=ssim(x, ref, data_range=peak), mae=mae(x, ref))
 
 
@@ -248,12 +239,10 @@ def movie_metrics(movie: Movie, benchmark: Movie, peak: float | None = None):
     if len(movie) != len(benchmark):
         raise ValueError("movies must have the same number of frames")
     if peak is None:
-        peak = float(max(f.values.max() for f in benchmark.frames))
+        peak = float(benchmark.values.max())
         if peak <= 0:
             peak = 1.0
-    rows = [
-        frame_metrics(x, ref, peak) for x, ref in zip(movie.frames, benchmark.frames)
-    ]
+    rows = [frame_metrics(x, ref, peak) for x, ref in zip(movie.values, benchmark.values)]
     summary = MetricsRow(
         psnr=float(np.mean([r.psnr for r in rows])),
         ssim=float(np.mean([r.ssim for r in rows])),

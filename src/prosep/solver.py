@@ -238,6 +238,12 @@ class SolverReport:
     restart whose objective turned non-finite; ``aborted_restarts`` lists
     those restarts.
 
+    ``converged`` is true when the winning restart's descent went
+    ``_STALL_LIMIT`` (350) iterations without improving its best objective
+    by ``_TOL_REL_OBJECTIVE`` (1e-9, relative), or when no descent ran
+    (d = K+1, or all-zero data): a stall test, not a test that Z is
+    stationary.  False means the descent reached ``config.max_iters`` first.
+
     ``z_identifiable`` is false exactly when d = K+1.  ``rank_margin`` is
     the number of equations per detector offset minus the number of
     unknowns, 2P - (2N+1)(K+1) under the half-turn symmetry and

@@ -485,6 +485,27 @@ def test_metrics_self_comparison_and_row_count(sim_dir, tmp_path):
     assert float(avg[1]) == pytest.approx(np.mean(psnrs), rel=1e-12)
 
 
+def test_metrics_ignores_pixels_outside_the_support_disk(tmp_path, rng):
+    """Two tensor pairs that differ only outside the inscribed disk score alike."""
+    from prosep.radon import support_mask
+
+    inside = support_mask(12)
+    movie = rng.random((3, 12, 12)) * inside
+    bench = rng.random((3, 12, 12)) * inside
+    csvs = []
+    for name, offset in (("masked", 0.0), ("outside", 5.0)):
+        pair = [tmp_path / f"{name}_{k}.tensor" for k in ("movie", "bench")]
+        write_tensor(pair[0], movie + offset * rng.standard_normal(movie.shape) * ~inside)
+        write_tensor(pair[1], bench + offset * rng.random(bench.shape) * ~inside)
+        out = tmp_path / f"{name}.csv"
+        assert main(["metrics", "--movie", str(pair[0]), "--benchmark", str(pair[1]),
+                     "--out", str(out)]) == 0
+        csvs.append(read_bytes(out))
+    assert not np.array_equal(read_tensor(tmp_path / "masked_movie.tensor"),
+                              read_tensor(tmp_path / "outside_movie.tensor"))
+    assert csvs[0] == csvs[1]
+
+
 def test_metrics_dim_mismatch_exits_1(sim_dir, tmp_path, capsys):
     small = tmp_path / "small.tensor"
     write_tensor(small, np.zeros((2, 8, 8)))

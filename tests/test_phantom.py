@@ -5,6 +5,7 @@ from prosep.errors import SupportError
 from prosep.phantom import (
     Ellipse,
     MotionSpec,
+    Movie,
     PhantomSpec,
     benchmark_movie,
     example_motion,
@@ -14,7 +15,7 @@ from prosep.phantom import (
     render_movie,
     simulate_acquisition,
 )
-from prosep.radon import DetectorGrid, Sinogram, fbp, radon_project
+from prosep.radon import DetectorGrid, Frame, Sinogram, fbp, radon_project
 from prosep.recon import psnr
 from prosep.sampling import bit_reversed, progressive
 
@@ -50,8 +51,8 @@ def test_motion_composition_order():
 
 def test_static_phantom_constant_in_time():
     spec = example_phantom(width=48)
-    f0 = render_frame(spec, MotionSpec.static(), 0.0)
-    f1 = render_frame(spec, MotionSpec.static(), 0.63)
+    f0 = render_frame(spec, MotionSpec(), 0.0)
+    f1 = render_frame(spec, MotionSpec(), 0.63)
     assert np.array_equal(f0.values, f1.values)
 
 
@@ -65,7 +66,7 @@ def test_translation_by_whole_pixels_is_exact_shift():
     k = 3
     m = MotionSpec(translation=(k * spec.pixel_size, 0.0))
     shifted = render_frame(spec, m, 0.5)  # shift right by k pixels
-    base = render_frame(spec, MotionSpec.static(), 0.0)
+    base = render_frame(spec, MotionSpec(), 0.0)
     assert np.array_equal(shifted.values[:, k:], base.values[:, :-k])
 
 
@@ -116,6 +117,36 @@ def test_support_violation_raises():
         render_frame(spec, m, 0.5)
 
 
+def test_movie_masks_each_frame_as_frame_does(rng):
+    """Movie.values is, byte for byte, the stack of the frames' masked values."""
+    values = rng.standard_normal((3, 9, 9))
+    values[1, 0, 0] = -2.0  # a negative corner outside the disk
+    movie = Movie(values=values, times=[0.0, 0.25, 0.5], pixel_size=0.3)
+    want = np.stack([Frame(values=v, pixel_size=0.3).values for v in values])
+    assert movie.values.dtype == np.float64 and movie.values.shape == (3, 9, 9)
+    assert movie.values.tobytes() == want.tobytes()
+    assert movie.values[1, 0, 0] == 0.0 and values[1, 0, 0] == -2.0  # input untouched
+    assert len(movie) == 3 and movie.width == 9
+
+
+@pytest.mark.parametrize("values, times, match", [
+    (np.zeros((0, 4, 4)), [], "empty"),
+    (np.zeros((2, 0, 0)), [0.0, 0.5], "empty"),
+    (np.zeros((2, 4, 5)), [0.0, 0.5], "frame must be square"),
+    (np.zeros((4, 4)), [0.0, 0.5, 1.0, 1.5], "frame must be square"),
+    (np.full((2, 4, 4), np.inf), [0.0, 0.5], "finite"),
+    (np.where(np.arange(32).reshape(2, 4, 4) == 5, np.nan, 0.0), [0.0, 0.5], "finite"),
+    (np.zeros((3, 4, 4)), [0.0, 0.5], "one time per frame"),
+    (np.zeros((2, 4, 4)), [0.0, 0.5, 1.0], "one time per frame"),
+    (np.zeros((3, 4, 4)), [0.0, 0.5, 0.25], "increasing and uniform"),
+    (np.zeros((3, 4, 4)), [0.0, 0.0, 0.0], "increasing and uniform"),
+    (np.zeros((3, 4, 4)), [0.0, 0.25, 0.75], "increasing and uniform"),
+])
+def test_movie_rejects_malformed_input(values, times, match):
+    with pytest.raises(ValueError, match=match):
+        Movie(values=values, times=times)
+
+
 def test_simulate_acquisition_deterministic():
     spec = example_phantom(width=32)
     motion = example_motion(width=32)
@@ -145,7 +176,7 @@ def test_static_acquisition_consistent_with_static_ct():
     """With no motion the time-sequential set is an ordinary sinogram."""
     W = 48
     spec = example_phantom(width=W)
-    motion = MotionSpec.static()
+    motion = MotionSpec()
     P = 64
     sch = bit_reversed(P, span=np.pi)
     det = DetectorGrid(count=W + 1, spacing=spec.pixel_size)
@@ -155,8 +186,8 @@ def test_static_acquisition_consistent_with_static_ct():
         width=W, pixel_size=spec.pixel_size,
     )
     bench = benchmark_movie(render_movie(spec, motion, 1), fbp_angles_count=P,
-                            detector=det).frames[0]
-    rms = np.sqrt(np.mean((rec.values - bench.values) ** 2))
+                            detector=det).values[0]
+    rms = np.sqrt(np.mean((rec.values - bench) ** 2))
     assert rms < 1e-6
 
 
@@ -177,17 +208,19 @@ def test_benchmark_movie_equals_per_frame_fbp_of_projections():
     angles = np.arange(count) * (np.pi / count)
     movie = benchmark_movie(truth, fbp_angles_count=count, detector=det)
     assert np.array_equal(movie.times, truth.times)
-    for f, out in zip(truth.frames, movie.frames):
+    assert movie.pixel_size == truth.pixel_size
+    for values, out in zip(truth.values, movie.values):
+        f = Frame(values=values, pixel_size=truth.pixel_size)
         ref = fbp(radon_project(f, angles, det), width=f.width, pixel_size=f.pixel_size)
-        assert np.abs(out.values - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
+        assert np.abs(out - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
 
 
 def test_benchmark_movie_static_frames_identical():
     spec = example_phantom(width=32)
-    movie = benchmark_movie(render_movie(spec, MotionSpec.static(), 4), fbp_angles_count=24)
-    ref = movie.frames[0].values
-    for f in movie.frames[1:]:
-        assert np.allclose(f.values, ref, atol=1e-12 * max(np.abs(ref).max(), 1))
+    movie = benchmark_movie(render_movie(spec, MotionSpec(), 4), fbp_angles_count=24)
+    ref = movie.values[0]
+    for f in movie.values[1:]:
+        assert np.allclose(f, ref, atol=1e-12 * max(np.abs(ref).max(), 1))
 
 
 def test_benchmark_quality_and_angle_monotonicity():
@@ -195,13 +228,11 @@ def test_benchmark_quality_and_angle_monotonicity():
     spec = example_phantom(width=128)
     motion = example_motion(width=128)
     truth = render_movie(spec, motion, P=2)
-    peak = max(f.values.max() for f in truth.frames)
+    peak = truth.values.max()
     scores = {}
     for A in (180, 360):
         movie = benchmark_movie(truth, fbp_angles_count=A)
-        scores[A] = np.mean(
-            [psnr(x, t, peak) for x, t in zip(movie.frames, truth.frames)]
-        )
+        scores[A] = np.mean([psnr(x, t, peak) for x, t in zip(movie.values, truth.values)])
     assert scores[180] >= 28.0
     assert scores[360] >= scores[180] - 0.1  # doubling angles must not hurt
 
@@ -221,7 +252,7 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
 
     truth = render_movie(spec, motion, P=8)
     bench = benchmark_movie(truth, fbp_angles_count=P)
-    peak = max(f.values.max() for f in truth.frames)
-    psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.frames, truth.frames)])
-    psnr_naive = np.mean([psnr(naive, t, peak) for t in truth.frames])
+    peak = truth.values.max()
+    psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.values, truth.values)])
+    psnr_naive = np.mean([psnr(naive, t, peak) for t in truth.values])
     assert psnr_naive <= psnr_bench - 5.0

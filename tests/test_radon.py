@@ -243,12 +243,13 @@ def test_fbp_stack_matches_interp_loop_per_sinogram(rng, W, J, ratio):
     stack = rng.standard_normal((J, angles.size, 3))
     for width, pixel in ((None, None), (W + 3, 0.9 * h)):
         outs = fbp_stack(stack, angles, det, width=width, pixel_size=pixel)
-        assert len(outs) == 3
+        width = width or J
+        pixel = pixel or det.spacing
+        assert outs.shape == (3, width, width)
         for k, out in enumerate(outs):
             sino = Sinogram(values=stack[:, :, k], angles=angles, detector=det)
-            ref = fbp_loop(sino, out.width, out.pixel_size) * support_mask(out.width,
-                                                                            out.pixel_size)
-            assert rel_err(out.values, ref) < 1e-12
+            ref = fbp_loop(sino, width, pixel) * support_mask(width, pixel)
+            assert rel_err(out, ref) < 1e-12
 
 
 def test_fbp_stack_rejects_mismatched_shapes_and_one_angle(rng):
@@ -264,25 +265,25 @@ def test_fbp_stack_rejects_mismatched_shapes_and_one_angle(rng):
 @pytest.mark.parametrize("W, J, ratio", GEOMETRIES)
 def test_project_fbp_equals_per_frame_fbp_of_projections(rng, W, J, ratio):
     frames = [random_masked_frame(rng, width=W) for _ in range(3)]
-    det = DetectorGrid(count=J, spacing=ratio * frames[0].pixel_size)
+    h = frames[0].pixel_size
+    det = DetectorGrid(count=J, spacing=ratio * h)
     angles = oracle_angles(rng)
-    batch = project_fbp(frames, angles, det)
+    batch = project_fbp(np.stack([f.values for f in frames]), h, angles, det)
+    assert batch.shape == (3, W, W)
     for f, out in zip(frames, batch):
-        ref = fbp(radon_project(f, angles, det), width=W, pixel_size=f.pixel_size)
-        assert out.pixel_size == ref.pixel_size
-        assert rel_err(out.values, ref.values) < 1e-12
+        ref = fbp(radon_project(f, angles, det), width=W, pixel_size=h)
+        assert rel_err(out, ref.values) < 1e-12
 
 
 def test_project_fbp_rejects_mixed_grids_and_narrow_detectors(rng):
     a = random_masked_frame(rng, width=16)
-    b = random_masked_frame(rng, width=18)
-    det = DetectorGrid.for_frame(b)
-    with pytest.raises(ValueError, match="one grid"):
-        project_fbp([a, b], [0.0, 1.0], det)
+    h = a.pixel_size
+    with pytest.raises(ValueError, match="P x W x W"):
+        project_fbp(a.values[None, :, 1:], h, [0.0, 1.0], DetectorGrid.for_frame(a))
     with pytest.raises(CoverageError):
-        project_fbp([a], [0.0, 1.0], DetectorGrid(count=4, spacing=a.pixel_size))
+        project_fbp(a.values[None], h, [0.0, 1.0], DetectorGrid(count=4, spacing=h))
     with pytest.raises(InsufficientAnglesError):
-        project_fbp([a], [0.0], DetectorGrid.for_frame(a))
+        project_fbp(a.values[None], h, [0.0], DetectorGrid.for_frame(a))
 
 
 # ---------------------------------------------------------------- properties

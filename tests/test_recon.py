@@ -15,7 +15,6 @@ from prosep.recon import (
     reconstruct_movie,
     ssim,
     synthesize_sinogram,
-    temporal_functions,
 )
 from prosep.sampling import bit_reversed
 from prosep.solver import SolverConfig, VarproProblem, solve, stacked_data
@@ -42,18 +41,6 @@ def solved_solution(P=64, K=2, N=6, d=4, J=24, seed=3, psi0=None, max_iters=3000
 
 
 # ---------------------------------------------------------------- temporal
-
-def test_temporal_functions_identity_Z():
-    U = spline_interpolator(32, 3)
-    assert np.array_equal(temporal_functions(U, np.eye(3)), U)
-
-
-def test_temporal_functions_orthonormal(rng):
-    U = spline_interpolator(64, 5)
-    Z = np.linalg.qr(rng.standard_normal((5, 3)))[0]
-    Psi = temporal_functions(U, Z)
-    assert np.linalg.norm(Psi.T @ Psi - np.eye(3)) < 1e-8
-
 
 def test_solution_rejects_non_orthonormal_factors():
     """ProSepSolution is where Psi = U Z is checked: U and Z need orthonormal columns."""
@@ -131,10 +118,10 @@ def test_reconstruct_movie_static_is_time_constant():
     psi0 = np.ones((P, 1)) / np.sqrt(P)
     sol, *_ = solved_solution(P=P, K=0, N=5, d=d, J=16, seed=6, psi0=psi0)
     movie = reconstruct_movie(sol, fbp_angles_count=32)
-    ref = movie.frames[0].values
+    ref = movie.values[0]
     scale = max(np.abs(ref).max(), 1e-30)
-    for f in movie.frames[1:]:
-        rms = np.sqrt(np.mean((f.values - ref) ** 2))
+    for f in movie.values[1:]:
+        rms = np.sqrt(np.mean((f - ref) ** 2))
         assert rms < 1e-6 * scale
 
 
@@ -142,7 +129,9 @@ def test_reconstruct_movie_shape_contract():
     sol, *_ = solved_solution(P=32, K=1, N=3, d=3, J=12, max_iters=300)
     movie = reconstruct_movie(sol, fbp_angles_count=16)
     assert len(movie) == sol.P
-    assert movie.frames[0].width == sol.detector.count  # detector-implied grid
+    assert movie.values.shape == (sol.P, sol.detector.count, sol.detector.count)
+    assert movie.pixel_size == sol.detector.spacing  # detector-implied grid
+    assert np.array_equal(movie.times, sol.times)
 
 
 def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
@@ -154,8 +143,8 @@ def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
     assert len(movie) == sol.P
     for p in range(sol.P):
         ref = fbp(synthesize_sinogram(sol, p, angles))
-        assert movie.frames[p].pixel_size == ref.pixel_size
-        assert np.abs(movie.frames[p].values - ref.values).max() < 1e-12
+        assert movie.pixel_size == ref.pixel_size
+        assert np.abs(movie.values[p] - ref.values).max() < 1e-12
 
 
 def test_reconstruct_movie_matches_truth_fbp():
@@ -175,7 +164,7 @@ def test_reconstruct_movie_matches_truth_fbp():
         g_true = (T @ h).T
         bench = fbp(Sinogram(values=g_true, angles=angles, detector=data.detector))
         peaks.append(bench.values.max())
-        scores.append((movie.frames[p], bench))
+        scores.append((movie.values[p], bench))
     peak = max(peaks)
     for rec_frame, bench in scores:
         assert psnr(rec_frame, bench, peak) >= 35.0
@@ -230,29 +219,22 @@ def test_ssim_window_blur_matches_gaussian_filter(rng, W):
 
 def test_movie_metrics_rejects_grid_mismatch():
     from prosep.phantom import Movie
-    from prosep.radon import Frame
 
-    a = Movie(frames=(Frame(values=np.ones((8, 8))),), times=[0.0])
-    b = Movie(frames=(Frame(values=np.ones((6, 6))),), times=[0.0])
+    a = Movie(values=np.ones((1, 8, 8)), times=[0.0])
+    b = Movie(values=np.ones((1, 6, 6)), times=[0.0])
     with pytest.raises(ValueError, match="grid mismatch"):
         movie_metrics(a, b)
 
 
 def test_movie_metrics_average_convention():
     from prosep.phantom import Movie
-    from prosep.radon import Frame
 
     rng = np.random.default_rng(7)
     h = 1 / 8
-    bench_frames = tuple(Frame(values=rng.random((16, 16)), pixel_size=h) for _ in range(4))
-    test_frames = tuple(
-        Frame(values=f.values + 0.01 * rng.standard_normal((16, 16)), pixel_size=h)
-        for f in bench_frames
-    )
-    times = np.arange(4) / 4
-    rows, summary = movie_metrics(
-        Movie(frames=test_frames, times=times), Movie(frames=bench_frames, times=times)
-    )
+    bench = rng.random((4, 16, 16))
+    test = bench + 0.01 * rng.standard_normal((4, 16, 16))
+    rows, summary = movie_metrics(Movie(values=test, pixel_size=h),
+                                  Movie(values=bench, pixel_size=h))
     assert len(rows) == 4
     assert summary.psnr == pytest.approx(np.mean([r.psnr for r in rows]), rel=1e-12)
     assert summary.ssim == pytest.approx(np.mean([r.ssim for r in rows]), rel=1e-12)

@@ -532,8 +532,8 @@ def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
     for p in (0, 11, 31):
         assert _rel(synthesize_sinogram(ours, p, angles).values,
                     synthesize_sinogram(oracle, p, angles).values) < 1e-10
-    movie = reconstruct_movie(ours, fbp_angles_count=24).as_array()
-    assert _rel(movie, reconstruct_movie(oracle, fbp_angles_count=24).as_array()) < 1e-10
+    movie = reconstruct_movie(ours, fbp_angles_count=24).values
+    assert _rel(movie, reconstruct_movie(oracle, fbp_angles_count=24).values) < 1e-10
 
 
 def count_calls(monkeypatch, owner, name):
