@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -38,7 +37,6 @@ from .radon import DetectorGrid, Frame, radon_project
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme
 
 __all__ = [
-    "ConditionReport",
     "CondL2Result",
     "Theorem1Result",
     "KAPPA_SINGULAR",
@@ -54,23 +52,6 @@ __all__ = [
 
 # kappa beyond double precision is reported as the +inf sentinel
 KAPPA_SINGULAR = 1e15
-
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """One row of the conditioning study."""
-
-    scheme_kind: str
-    symmetric: bool
-    K: int
-    N: int
-    P: int
-    d: int | None = None
-    kappa_L1: float | None = None
-    kappa_L2: float | None = None
-    kappa_Gamma: float | None = None
-    bound_sqrt_kappa_Gamma: float | None = None
-    full_rank: bool | None = None
 
 
 def _kappa_from_singvals(s: np.ndarray, n_cols: int) -> float:
@@ -293,8 +274,9 @@ def table1(
 
     Deterministic schemes are evaluated once; the random-scheme entries
     take the best (smallest) kappa over ``random_trials`` seeded draws.
-    Returns seven ConditionReport rows: six kappa(L1) entries and one
-    kappa(L2) entry.
+    Returns the seven rows of ``table1.csv`` as (quantity, scheme,
+    symmetric, value) tuples: the six kappa(L1) rows, then the kappa(L2)
+    row, which is computed for bit-reversed sampling with the symmetry.
     """
     rows = []
     for symmetric in (False, True):
@@ -311,32 +293,7 @@ def table1(
                     sub_seed = int(np.random.default_rng(seeds[t]).integers(2**63))
                     sch = random_scheme(P, span, seed=sub_seed)
                     kappa = min(kappa, cond_L1(sch, K, N, symmetric=symmetric))
-            rows.append(
-                ConditionReport(
-                    scheme_kind=kind,
-                    symmetric=symmetric,
-                    K=K,
-                    N=N,
-                    P=P,
-                    kappa_L1=kappa,
-                    full_rank=bool(np.isfinite(kappa)),
-                )
-            )
-    res = cond_L2(K=K, N=N, P=P, d=d, J=J, seed=seed)
-    rows.append(
-        ConditionReport(
-            scheme_kind="bit_reversed",
-            symmetric=True,
-            K=K,
-            N=N,
-            P=P,
-            d=d,
-            kappa_L2=res.kappa_L2,
-            kappa_Gamma=res.kappa_Gamma,
-            bound_sqrt_kappa_Gamma=float(np.sqrt(res.kappa_Gamma))
-            if np.isfinite(res.kappa_Gamma)
-            else np.inf,
-            full_rank=bool(np.isfinite(res.kappa_L2)),
-        )
-    )
+            rows.append(("kappa_L1", kind, symmetric, kappa))
+    kappa_L2 = cond_L2(K=K, N=N, P=P, d=d, J=J, seed=seed).kappa_L2
+    rows.append(("kappa_L2", "bit_reversed", True, kappa_L2))
     return rows

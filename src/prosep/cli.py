@@ -4,11 +4,24 @@ All experiment parameters live in a JSON run configuration (every field
 has a default, so flags alone suffice).  A key that is not a field of
 ``DEFAULT_CONFIG`` is an error, and so is a value of the wrong type or
 range; the solver section holds the three ``SolverConfig`` integers.
-``manifest.json`` written next to the outputs records the fully resolved
-configuration (``format_version`` 2) and is enough to replay the run
-bit-for-bit; ``reconstruct`` reads it back through the same checks,
-together with its ``--solver-*`` and model flags.  Arrays are exchanged as
-binary tensor files (see ``tensorio``), tables as CSV.
+
+Each command-line setting is declared once, in a flag table.
+``_SETTING_FLAGS`` maps every ``simulate`` and ``reconstruct`` setting flag
+to its config path, its argparse type or choices and the commands that
+take it; the parser declares those flags from it, and both commands turn
+the flags given into config overrides with it.  ``_ANALYZE_FLAGS`` holds
+the type, least accepted value and help of each ``analyze`` study flag.
+
+Three defaults depend on other fields and are null in the configuration:
+``detector.count`` (W + 1), ``detector.spacing`` (the pixel size D / W)
+and ``fbp_angles_count`` (P).  ``_resolve_nulls`` is the one rule that
+fills them in, and ``simulate`` and ``reconstruct`` both apply it.  The
+``manifest.json`` that ``simulate`` writes next to its outputs is that
+resolved configuration, with the phantom written out as its ellipses
+(``format_version`` 2); it is enough to replay the run bit-for-bit.
+``reconstruct`` reads it back through the same checks and the same
+resolution, together with its flags.  Arrays are exchanged as binary
+tensor files (see ``tensorio``), tables as CSV.
 
 Exit codes: 0 success, 1 configuration or I/O error (also a malformed input
 tensor, named on one line), 2 the solver's descent reached the iteration
@@ -83,6 +96,40 @@ DEFAULT_CONFIG = {
 FORMAT_VERSION = 2
 # least accepted value of each solver field
 _SOLVER_LEAST = {"max_iters": 1, "restarts": 1, "seed": 0}
+SCHEME_KINDS = ("progressive", "random", "bit_reversed")
+
+_SIM, _REC, _BOTH = ("simulate",), ("reconstruct",), ("simulate", "reconstruct")
+# setting flag -> (config path, argparse type or {choice: config value}, commands, help);
+# the --solver-* rows are the SolverConfig fields
+_SETTING_FLAGS = {
+    "P": ("P", int, _SIM, "number of views / time samples"),
+    "scheme": ("scheme.kind", dict(zip(SCHEME_KINDS, SCHEME_KINDS)), _SIM, None),
+    "scheme-seed": ("scheme.seed", int, _SIM, None),
+    "symmetric": ("symmetric", {"on": True, "off": False}, _BOTH, None),
+    "K": ("model.K", int, _BOTH, None),
+    "N": ("model.N", int, _BOTH, None),
+    "d": ("model.d", int, _BOTH, None),
+    "width": ("grid.width", int, _SIM, "grid width in pixels"),
+    "noise-sigma": ("noise_sigma", float, _SIM, None),
+    "seed": ("seed", int, _SIM, None),
+    "solver-max-iters": ("solver.max_iters", int, _REC,
+                         "Adam iteration cap per restart (d > K+1)"),
+    "solver-restarts": ("solver.restarts", int, _REC,
+                        "random starting points of the descent (d > K+1)"),
+    "solver-seed": ("solver.seed", int, _REC, "seed of the starting points (d > K+1)"),
+}
+
+# analyze study flag -> (type, least accepted value, help); K = 0 and N = 0 are
+# valid model orders
+_ANALYZE_FLAGS = {
+    "P": (int, 1, None), "K": (int, 0, None), "N": (int, 0, None), "d": (int, 1, None),
+    "J": (int, 1, None), "trials": (int, 1, None), "seed": (int, 0, None),
+    "bandwidth": (float, 0, "spatial bandwidth B"),
+    "cmax": (float, 0, "max translation"),
+    "L": (float, 0, "support radius"),
+    "thetamax": (float, 0, "max rotation angle"),
+    "kmax": (int, 0, "largest truncation order in the table"),
+}
 
 
 class ConfigError(ProsepError):
@@ -177,8 +224,7 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
           "must be a positive number")
     _need(_is_int(cfg.get("P")) and cfg["P"] >= 2, "P", "must be an integer >= 2")
     kind = cfg["scheme"].get("kind")
-    _need(kind in ("progressive", "random", "bit_reversed"), "scheme.kind",
-          "must be progressive | random | bit_reversed")
+    _need(kind in SCHEME_KINDS, "scheme.kind", "must be " + " | ".join(SCHEME_KINDS))
     if kind == "bit_reversed":
         _need(cfg["P"] & (cfg["P"] - 1) == 0, "P", "must be a power of two for bit_reversed")
     scheme_seed = cfg["scheme"].get("seed")
@@ -215,15 +261,13 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
         )
 
 
-def _phantom_from_config(cfg: dict) -> PhantomSpec:
-    grid = cfg["grid"]
-    width = grid["width"]
-    diameter = grid["support_diameter"]
+def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:
+    width = cfg["grid"]["width"]
     ph = cfg["phantom"]
     if ph == "example":
         from .phantom import example_phantom
 
-        return example_phantom(width=width, support_diameter=diameter)
+        return example_phantom(width=width, support_diameter=cfg["grid"]["support_diameter"])
     if isinstance(ph, str):
         try:
             with open(ph) as f:
@@ -249,7 +293,7 @@ def _phantom_from_config(cfg: dict) -> PhantomSpec:
     for e in ph["ellipses"]:
         extra = set(e) - {"center", "semi_axes", "angle", "intensity"}
         _need(not extra, "phantom.ellipses", f"unknown field(s) {sorted(extra)}")
-    return PhantomSpec(ellipses=ells, width=width, pixel_size=diameter / width)
+    return PhantomSpec(ellipses=ells, width=width, pixel_size=pixel)
 
 
 def _motion_from_config(cfg: dict) -> MotionSpec:
@@ -274,67 +318,47 @@ def _scheme_from_config(cfg: dict) -> AngularScheme:
     return random_scheme(cfg["P"], span, seed=cfg["scheme"].get("seed") or 0)
 
 
-def _detector_from_config(cfg: dict) -> DetectorGrid:
-    grid = cfg["grid"]
-    pixel = grid["support_diameter"] / grid["width"]
-    det = cfg.get("detector", {})
-    count = det.get("count")
-    spacing = det.get("spacing")
-    return DetectorGrid(count=grid["width"] + 1 if count is None else count,
-                        spacing=pixel if spacing is None else spacing)
+def _resolve_nulls(cfg: dict) -> float:
+    """Fill the null defaults of ``cfg`` in place; return the pixel size D / W.
+
+    A null ``detector.count`` becomes W + 1, a null ``detector.spacing`` the
+    pixel size, and a null ``fbp_angles_count`` P.
+    """
+    pixel = cfg["grid"]["support_diameter"] / cfg["grid"]["width"]
+    det = cfg["detector"]
+    if det["count"] is None:
+        det["count"] = cfg["grid"]["width"] + 1
+    if det["spacing"] is None:
+        det["spacing"] = pixel
+    if cfg["fbp_angles_count"] is None:
+        cfg["fbp_angles_count"] = cfg["P"]
+    return pixel
 
 
-def _resolved_manifest(cfg: dict, spec: PhantomSpec) -> dict:
-    manifest = copy.deepcopy(cfg)
-    manifest["phantom"] = {
-        "ellipses": [
-            {
-                "center": list(e.center),
-                "semi_axes": list(e.semi_axes),
-                "angle": e.angle,
-                "intensity": e.intensity,
-            }
-            for e in spec.ellipses
-        ]
-    }
-    if manifest["fbp_angles_count"] is None:
-        manifest["fbp_angles_count"] = cfg["P"]
-    manifest["detector"] = {
-        "count": _detector_from_config(cfg).count,
-        "spacing": _detector_from_config(cfg).spacing,
-    }
-    manifest["format_version"] = FORMAT_VERSION
-    return manifest
+def _setting_overrides(args) -> dict:
+    """The config overrides of the setting flags given to ``args.command``."""
+    overrides = {}
+    for flag, (path, kind, commands, _) in _SETTING_FLAGS.items():
+        val = getattr(args, flag.replace("-", "_")) if args.command in commands else None
+        if val is None:
+            continue
+        *parents, leaf = path.split(".")
+        node = overrides
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = kind[val] if isinstance(kind, dict) else val
+    return overrides
 
 
 # ------------------------------------------------------------- commands
 
 def cmd_simulate(args) -> int:
-    overrides = {}
-    if args.P is not None:
-        overrides["P"] = args.P
-    if args.scheme is not None:
-        overrides.setdefault("scheme", {})["kind"] = args.scheme
-    if args.scheme_seed is not None:
-        overrides.setdefault("scheme", {})["seed"] = args.scheme_seed
-    if args.symmetric is not None:
-        overrides["symmetric"] = args.symmetric == "on"
-    if args.noise_sigma is not None:
-        overrides["noise_sigma"] = args.noise_sigma
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    for key in ("K", "N", "d"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides.setdefault("model", {})[key] = val
-    if args.width is not None:
-        overrides.setdefault("grid", {})["width"] = args.width
-
-    cfg = load_config(args.config, args.preset, overrides, force=args.force)
-    spec = _phantom_from_config(cfg)
+    cfg = load_config(args.config, args.preset, _setting_overrides(args), force=args.force)
+    pixel = _resolve_nulls(cfg)
+    spec = _phantom_from_config(cfg, pixel)
     motion = _motion_from_config(cfg)
     scheme = _scheme_from_config(cfg)
-    detector = _detector_from_config(cfg)
+    detector = DetectorGrid(**cfg["detector"])
 
     truth = render_movie(spec, motion, cfg["P"])
     data = simulate_acquisition(
@@ -347,12 +371,12 @@ def cmd_simulate(args) -> int:
     write_tensor(os.path.join(out, "angles.tensor"), scheme.angles)
     write_tensor(os.path.join(out, "times.tensor"), data.times)
     write_tensor(os.path.join(out, "truth_movie.tensor"), truth.values)
-    bench = benchmark_movie(truth, cfg["fbp_angles_count"] or cfg["P"], detector=detector)
+    bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector=detector)
     write_tensor(os.path.join(out, "benchmark_movie.tensor"), bench.values)
-    manifest = _resolved_manifest(cfg, spec)
+    cfg.update(phantom={"ellipses": [dataclasses.asdict(e) for e in spec.ellipses]},
+               format_version=FORMAT_VERSION)
     _write_text_atomic(
-        os.path.join(out, "manifest.json"),
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n",
+        os.path.join(out, "manifest.json"), json.dumps(cfg, indent=2, sort_keys=True) + "\n",
     )
     print(f"simulate: wrote {out} (J={detector.count}, P={cfg['P']})")
     return 0
@@ -360,19 +384,10 @@ def cmd_simulate(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     indir = args.input
-    overrides = {}
-    for key in ("K", "N", "d"):
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides.setdefault("model", {})[key] = val
-    if args.symmetric is not None:
-        overrides["symmetric"] = args.symmetric == "on"
-    for f in dataclasses.fields(SolverConfig):
-        val = getattr(args, f"solver_{f.name}")
-        if val is not None:
-            overrides.setdefault("solver", {})[f.name] = val
     # a model the linearized system cannot pin down is warned about by solve
-    cfg = load_config(os.path.join(indir, "manifest.json"), overrides=overrides, force=True)
+    cfg = load_config(os.path.join(indir, "manifest.json"), overrides=_setting_overrides(args),
+                      force=True)
+    pixel = _resolve_nulls(cfg)
     sino_path = os.path.join(indir, "sinogram.tensor")
     angles_path = os.path.join(indir, "angles.tensor")
     sino = read_tensor(sino_path)
@@ -407,11 +422,9 @@ def cmd_reconstruct(args) -> int:
         Z=Z, U=U, beta=beta, model=order, scheme=scheme, detector=detector,
         times=data.times, symmetric=symmetric,
     )
-    width = cfg["grid"]["width"]
-    pixel = cfg["grid"]["support_diameter"] / width
     movie = reconstruct_movie(
         solution, fbp_angles_count=cfg["fbp_angles_count"],
-        width=width, pixel_size=pixel,
+        width=cfg["grid"]["width"], pixel_size=pixel,
     )
 
     out = args.out or indir
@@ -441,23 +454,10 @@ def cmd_reconstruct(args) -> int:
     return 0 if report.converged else 2
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, float) and np.isinf(x):
-        return "inf"
-    return repr(x) if isinstance(x, float) else str(x)
-
-
-# analyze flags -> least accepted value; K = 0 and N = 0 are valid model orders
-_ANALYZE_FLAG_MIN = {"P": 1, "K": 0, "N": 0, "d": 1, "J": 1, "trials": 1, "seed": 0,
-                     "bandwidth": 0, "cmax": 0, "L": 0, "thetamax": 0, "kmax": 0}
-
-
 def _analyze_flags(args) -> dict:
     """The study flags that were given; a flag left out keeps each study's default."""
     given = {}
-    for flag, least in _ANALYZE_FLAG_MIN.items():
+    for flag, (_, least, _) in _ANALYZE_FLAGS.items():
         val = getattr(args, flag)
         if val is None:
             continue
@@ -485,9 +485,8 @@ def cmd_analyze(args) -> int:
         extra = {"random_trials": given["trials"]} if "trials" in given else {}
         rows = _study(analysis.table1, **dims, **extra)
         lines = ["quantity,scheme,symmetric,value"]
-        for r in rows[:6]:
-            lines.append(f"kappa_L1,{r.scheme_kind},{int(r.symmetric)},{_fmt(r.kappa_L1)}")
-        lines.append(f"kappa_L2,{rows[6].scheme_kind},{int(rows[6].symmetric)},{_fmt(rows[6].kappa_L2)}")
+        lines += [f"{quantity},{kind},{int(symmetric)},{value!r}"
+                  for quantity, kind, symmetric, value in rows]
         _write_text_atomic(os.path.join(out, "table1.csv"), "\n".join(lines) + "\n")
         wrote.append("table1.csv")
     trials = given.get("trials", 100)
@@ -557,6 +556,13 @@ def cmd_metrics(args) -> int:
 
 # ------------------------------------------------------------- parser
 
+def _add_setting_flags(parser, command: str) -> None:
+    for flag, (_, kind, commands, help_) in _SETTING_FLAGS.items():
+        if command in commands:
+            typed = {"choices": list(kind)} if isinstance(kind, dict) else {"type": kind}
+            parser.add_argument(f"--{flag}", help=help_, **typed)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="prosep",
@@ -568,16 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--config", help="JSON run configuration")
     sim.add_argument("--preset", choices=sorted(PRESETS), help="hyperparameter preset")
     sim.add_argument("--out", required=True, help="output directory")
-    sim.add_argument("--P", type=int, help="number of views / time samples")
-    sim.add_argument("--scheme", choices=["progressive", "random", "bit_reversed"])
-    sim.add_argument("--scheme-seed", type=int, dest="scheme_seed")
-    sim.add_argument("--symmetric", choices=["on", "off"])
-    sim.add_argument("--K", type=int)
-    sim.add_argument("--N", type=int)
-    sim.add_argument("--d", type=int)
-    sim.add_argument("--width", type=int, help="grid width in pixels")
-    sim.add_argument("--noise-sigma", type=float, dest="noise_sigma")
-    sim.add_argument("--seed", type=int)
+    _add_setting_flags(sim, "simulate")
     sim.add_argument("--force", action="store_true",
                      help="allow P < (N+1)(K+1) with the symmetry, P < (2N+1)(K+1) without")
     sim.set_defaults(func=cmd_simulate)
@@ -585,17 +582,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec = sub.add_parser("reconstruct", help="solve and rebuild the movie")
     rec.add_argument("--input", required=True, help="directory written by simulate")
     rec.add_argument("--out", help="output directory (default: input dir)")
-    rec.add_argument("--K", type=int)
-    rec.add_argument("--N", type=int)
-    rec.add_argument("--d", type=int)
-    rec.add_argument("--symmetric", choices=["on", "off"])
-    # one --solver-* flag per SolverConfig field
-    rec.add_argument("--solver-max-iters", type=int, dest="solver_max_iters",
-                     help="Adam iteration cap per restart (d > K+1)")
-    rec.add_argument("--solver-restarts", type=int, dest="solver_restarts",
-                     help="random starting points of the descent (d > K+1)")
-    rec.add_argument("--solver-seed", type=int, dest="solver_seed",
-                     help="seed of the starting points (d > K+1)")
+    _add_setting_flags(rec, "reconstruct")
     rec.set_defaults(func=cmd_reconstruct)
 
     ana = sub.add_parser("analyze", help="conditioning studies and bound tables")
@@ -604,18 +591,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--thm2", action="store_true")
     ana.add_argument("--thm3", action="store_true")
     ana.add_argument("--bounds", action="store_true")
-    ana.add_argument("--P", type=int)
-    ana.add_argument("--K", type=int)
-    ana.add_argument("--N", type=int)
-    ana.add_argument("--d", type=int)
-    ana.add_argument("--J", type=int)
-    ana.add_argument("--trials", type=int)
-    ana.add_argument("--seed", type=int)
-    ana.add_argument("--bandwidth", type=float, help="spatial bandwidth B")
-    ana.add_argument("--cmax", type=float, help="max translation")
-    ana.add_argument("--L", type=float, help="support radius")
-    ana.add_argument("--thetamax", type=float, help="max rotation angle")
-    ana.add_argument("--kmax", type=int, help="largest truncation order in the table")
+    for flag, (kind, _, help_) in _ANALYZE_FLAGS.items():
+        ana.add_argument(f"--{flag}", type=kind, help=help_)
     ana.set_defaults(func=cmd_analyze)
 
     met = sub.add_parser("metrics", help="PSNR/SSIM/MAE of a movie vs the benchmark")

@@ -22,7 +22,7 @@ MAGIC = b"PROSEP01"
 
 def write_tensor(path, array) -> None:
     """Write an array as a tensor file (atomically)."""
-    array = np.ascontiguousarray(np.asarray(array, dtype=np.float64))
+    array = np.ascontiguousarray(array, dtype="<f8")
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -30,7 +30,7 @@ def write_tensor(path, array) -> None:
         f.write(struct.pack("<I", array.ndim))
         for dim in array.shape:
             f.write(struct.pack("<Q", dim))
-        f.write(array.astype("<f8", copy=False).tobytes())
+        array.tofile(f)
     os.replace(tmp, path)
 
 
@@ -50,11 +50,12 @@ def read_tensor(path) -> np.ndarray:
             if len(raw) != 8:
                 raise TensorFormatError("truncated dimension list")
             dims.append(struct.unpack("<Q", raw)[0])
-        payload = f.read()
-    expected = 8 * math.prod(dims)  # Python integers: no overflow on huge headers
-    if len(payload) != expected:
-        raise TensorFormatError(
-            f"payload length {len(payload)} != 8 * prod(dims) = {expected}"
-        )
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64)
-    return arr.reshape(dims)
+        payload = os.fstat(f.fileno()).st_size - f.tell()
+        expected = 8 * math.prod(dims)  # Python integers: no overflow on huge headers
+        if payload != expected:
+            raise TensorFormatError(
+                f"payload length {payload} != 8 * prod(dims) = {expected}"
+            )
+        # read straight into the result: no second copy of the payload
+        arr = np.fromfile(f, dtype="<f8", count=expected // 8)
+    return arr.astype(np.float64, copy=False).reshape(dims)

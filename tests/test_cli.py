@@ -1,4 +1,5 @@
 import argparse
+import copy
 import dataclasses
 import json
 import os
@@ -20,10 +21,10 @@ def read_bytes(path):
         return f.read()
 
 
-def nested(field, value):
-    """The override {"a": {"b": value}} for field "a.b"."""
+def nested(field, value, base=None):
+    """A copy of ``base`` (default {}) with ``value`` at field "a.b": {"a": {"b": value}}."""
     *parents, leaf = field.split(".")
-    overrides = node = {}
+    overrides = node = copy.deepcopy(base or {})
     for key in parents:
         node = node.setdefault(key, {})
     node[leaf] = value
@@ -37,6 +38,35 @@ def run_simulate(out, extra=()):
         "--scheme", "bit_reversed", "--symmetric", "on",
     ] + list(extra)
     return main(args)
+
+
+# the run_simulate settings as a config file
+SMALL_CONFIG = {"P": 32, "grid": {"width": 32}, "model": {"K": 1, "N": 4, "d": 2},
+                "scheme": {"kind": "bit_reversed"}, "symmetric": True}
+
+# every setting flag: (flag, argument, config field, config value); each value
+# differs from the one the flag's test starts from
+SIMULATE_FLAGS = [
+    ("--P", "16", "P", 16),
+    ("--scheme", "random", "scheme.kind", "random"),
+    ("--scheme-seed", "3", "scheme.seed", 3),
+    ("--symmetric", "off", "symmetric", False),
+    ("--K", "0", "model.K", 0),
+    ("--N", "3", "model.N", 3),
+    ("--d", "3", "model.d", 3),
+    ("--width", "16", "grid.width", 16),
+    ("--noise-sigma", "0.02", "noise_sigma", 0.02),
+    ("--seed", "5", "seed", 5),
+]
+RECONSTRUCT_FLAGS = [
+    ("--K", "0", "model.K", 0),
+    ("--N", "3", "model.N", 3),
+    ("--d", "4", "model.d", 4),
+    ("--symmetric", "off", "symmetric", False),
+    ("--solver-max-iters", "7", "solver.max_iters", 7),
+    ("--solver-restarts", "2", "solver.restarts", 2),
+    ("--solver-seed", "4", "solver.seed", 4),
+]
 
 
 # ------------------------------------------------------------- tensor files
@@ -78,6 +108,14 @@ def test_tensor_rejects_corruption(tmp_path):
     trunc.write_bytes(read_bytes(path)[:-4])
     with pytest.raises(TensorFormatError):
         read_tensor(trunc)
+
+
+def test_tensor_rejects_payload_longer_than_header(tmp_path):
+    path = tmp_path / "long.tensor"
+    write_tensor(path, np.ones(4))
+    path.write_bytes(read_bytes(path) + struct.pack("<d", 1.0))
+    with pytest.raises(TensorFormatError, match=r"payload length 40 != 8 \* prod\(dims\) = 32"):
+        read_tensor(path)
 
 
 def test_tensor_rejects_overflowing_dims(tmp_path):
@@ -163,6 +201,28 @@ def test_config_detector_accepts_integer_count_and_positive_spacing():
 
 
 # ------------------------------------------------------------- simulate
+
+@pytest.mark.parametrize("command, rows", [("simulate", SIMULATE_FLAGS),
+                                           ("reconstruct", RECONSTRUCT_FLAGS)])
+def test_flag_tests_cover_every_setting_flag(command, rows):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {opt for a in sub.choices[command]._actions for opt in a.option_strings}
+    not_settings = {"-h", "--help", "--config", "--preset", "--out", "--input", "--force"}
+    assert flags - not_settings == {row[0] for row in rows}
+
+
+@pytest.mark.parametrize("flag, arg, field, value", SIMULATE_FLAGS)
+def test_simulate_setting_flag_sets_its_config_field(tmp_path, flag, arg, field, value):
+    base, held = tmp_path / "base.json", tmp_path / "held.json"
+    base.write_text(json.dumps(SMALL_CONFIG))
+    held.write_text(json.dumps(nested(field, value, SMALL_CONFIG)))
+    assert main(["simulate", "--config", str(base), flag, arg,
+                 "--out", str(tmp_path / "flag")]) == 0
+    assert main(["simulate", "--config", str(held), "--out", str(tmp_path / "cfg")]) == 0
+    assert (read_bytes(tmp_path / "flag" / "manifest.json")
+            == read_bytes(tmp_path / "cfg" / "manifest.json"))
+
 
 def test_simulate_deterministic_and_shapes(tmp_path):
     out1 = tmp_path / "a"
@@ -269,6 +329,37 @@ def test_reconstruct_outputs_and_determinism(sim_dir, tmp_path):
     for name in ("Z.tensor", "beta.tensor", "psi.tensor", "movie.tensor",
                  "solver_report.csv"):
         assert read_bytes(out1 / name) == read_bytes(out2 / name), name
+
+
+@pytest.mark.parametrize("flag, arg, field, value", RECONSTRUCT_FLAGS)
+def test_reconstruct_setting_flag_sets_its_manifest_field(sim_dir, tmp_path, flag, arg, field,
+                                                          value):
+    # d = 3 > K+1 and a short descent: the solver flags change the outputs
+    manifest = json.loads((sim_dir / "manifest.json").read_text())
+    manifest["model"]["d"] = 3
+    manifest["solver"].update(max_iters=5, restarts=1)
+    outputs = []
+    for name, held, extra in (("flag", manifest, [flag, arg]),
+                              ("cfg", nested(field, value, manifest), [])):
+        run = tmp_path / name
+        shutil.copytree(sim_dir, run)
+        (run / "manifest.json").write_text(json.dumps(held))
+        rc = main(["reconstruct", "--input", str(run), "--out", str(run / "rec"), *extra])
+        outputs.append((rc, {p.name: p.read_bytes() for p in (run / "rec").iterdir()}))
+    assert outputs[0] == outputs[1]
+
+
+def test_reconstruct_resolves_null_detector_and_fbp_count(sim_dir, tmp_path):
+    """Null detector fields and fbp_angles_count take the values simulate resolved."""
+    nulls = tmp_path / "nulls"
+    shutil.copytree(sim_dir, nulls)
+    manifest = json.loads((nulls / "manifest.json").read_text())
+    manifest.update(detector={"count": None, "spacing": None}, fbp_angles_count=None)
+    (nulls / "manifest.json").write_text(json.dumps(manifest))
+    for run, out in ((sim_dir, "resolved"), (nulls, "null")):
+        assert main(["reconstruct", "--input", str(run), "--out", str(tmp_path / out)]) == 0
+    for name in ("Z.tensor", "beta.tensor", "psi.tensor", "movie.tensor"):
+        assert read_bytes(tmp_path / "resolved" / name) == read_bytes(tmp_path / "null" / name)
 
 
 def test_reconstruct_exit_2_when_not_converged(sim_dir, tmp_path):
