@@ -10,12 +10,17 @@ Each command-line setting is declared once, in a flag table.
 to its config path, its argparse type or choices and the commands that
 take it; the parser declares those flags from it, and both commands turn
 the flags given into config overrides with it.  ``_ANALYZE_FLAGS`` holds
-the type, least accepted value and help of each ``analyze`` study flag.
+the type, least accepted value and help of each ``analyze`` study flag,
+and ``_STUDY_FLAGS`` the flags each study reads; a flag that none of the
+chosen studies reads is an error.  A study flag left out takes the
+default in the signature of the ``analysis`` function that runs the
+study (``--bounds``, a table of two closed forms, keeps its own in
+``cmd_analyze``).
 
-Three defaults depend on other fields and are null in the configuration:
-``detector.count`` (W + 1), ``detector.spacing`` (the pixel size D / W)
-and ``fbp_angles_count`` (P).  ``_resolve_nulls`` is the one rule that
-fills them in, and ``simulate`` and ``reconstruct`` both apply it.  The
+Four defaults are null in the configuration: ``detector.count`` (W + 1),
+``detector.spacing`` (the pixel size D / W), ``fbp_angles_count`` (P) and
+``scheme.seed`` (0).  ``_resolve_nulls`` is the one rule that fills them
+in, and ``simulate`` and ``reconstruct`` both apply it.  The
 ``manifest.json`` that ``simulate`` writes next to its outputs is that
 resolved configuration, with the phantom written out as its ellipses
 (``format_version`` 2); it is enough to replay the run bit-for-bit.
@@ -41,6 +46,7 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -129,6 +135,13 @@ _ANALYZE_FLAGS = {
     "L": (float, 0, "support radius"),
     "thetamax": (float, 0, "max rotation angle"),
     "kmax": (int, 0, "largest truncation order in the table"),
+}
+# analyze study -> the study flags it reads
+_STUDY_FLAGS = {
+    "table1": ("P", "K", "N", "d", "J", "trials", "seed"),
+    "thm2": ("P", "K", "N", "trials", "seed"),
+    "thm3": ("P", "K", "N", "d", "J", "trials", "seed"),
+    "bounds": ("bandwidth", "cmax", "L", "thetamax", "kmax"),
 }
 
 
@@ -315,14 +328,14 @@ def _scheme_from_config(cfg: dict) -> AngularScheme:
         return progressive(cfg["P"], span)
     if kind == "bit_reversed":
         return bit_reversed(cfg["P"], span)
-    return random_scheme(cfg["P"], span, seed=cfg["scheme"].get("seed") or 0)
+    return random_scheme(cfg["P"], span, seed=cfg["scheme"]["seed"])
 
 
 def _resolve_nulls(cfg: dict) -> float:
     """Fill the null defaults of ``cfg`` in place; return the pixel size D / W.
 
     A null ``detector.count`` becomes W + 1, a null ``detector.spacing`` the
-    pixel size, and a null ``fbp_angles_count`` P.
+    pixel size, a null ``fbp_angles_count`` P and a null ``scheme.seed`` 0.
     """
     pixel = cfg["grid"]["support_diameter"] / cfg["grid"]["width"]
     det = cfg["detector"]
@@ -332,6 +345,8 @@ def _resolve_nulls(cfg: dict) -> float:
         det["spacing"] = pixel
     if cfg["fbp_angles_count"] is None:
         cfg["fbp_angles_count"] = cfg["P"]
+    if cfg["scheme"]["seed"] is None:
+        cfg["scheme"]["seed"] = 0
     return pixel
 
 
@@ -454,8 +469,8 @@ def cmd_reconstruct(args) -> int:
     return 0 if report.converged else 2
 
 
-def _analyze_flags(args) -> dict:
-    """The study flags that were given; a flag left out keeps each study's default."""
+def _analyze_flags(args, studies) -> dict:
+    """The study flags that were given; each must be in range and read by a chosen study."""
     given = {}
     for flag, (_, least, _) in _ANALYZE_FLAGS.items():
         val = getattr(args, flag)
@@ -464,66 +479,69 @@ def _analyze_flags(args) -> dict:
         if val < least:
             raise ConfigError(f"flag '--{flag}': must be at least {least}, got {val}")
         given[flag] = val
+    unread = [f for f in given if not any(f in _STUDY_FLAGS[s] for s in studies)]
+    if unread:
+        raise ConfigError(f"flag(s) {', '.join(repr('--' + f) for f in unread)}: read by "
+                          f"none of the chosen studies ({' '.join('--' + s for s in studies)})")
     return given
 
 
-def _study(fn, **kwargs):
-    """Run one analysis study; study parameters it rejects are a ConfigError."""
+def _study(fn, **kwargs) -> tuple:
+    """Run one analysis study; return its result and its arguments, defaults filled in.
+
+    Study parameters it rejects are a ConfigError.
+    """
+    bound = inspect.signature(fn).bind(**kwargs)
+    bound.apply_defaults()
     try:
-        return fn(**kwargs)
+        return fn(**kwargs), bound.arguments
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
 
 def cmd_analyze(args) -> int:
-    given = _analyze_flags(args)
-    dims = {k: given[k] for k in ("P", "K", "N", "d", "J", "seed") if k in given}
+    studies = [s for s in _STUDY_FLAGS if getattr(args, s)]
+    if not studies:
+        print("analyze: nothing to do (pass --table1 / --thm2 / --thm3 / --bounds)",
+              file=sys.stderr)
+        return 1
+    given = _analyze_flags(args, studies)
+    flags = {s: {f: given[f] for f in _STUDY_FLAGS[s] if f in given} for s in studies}
     out = args.out
     os.makedirs(out, exist_ok=True)
-    wrote = []
     if args.table1:
-        extra = {"random_trials": given["trials"]} if "trials" in given else {}
-        rows = _study(analysis.table1, **dims, **extra)
+        kwargs = flags["table1"]
+        if "trials" in kwargs:
+            kwargs["random_trials"] = kwargs.pop("trials")
+        rows, _ = _study(analysis.table1, **kwargs)
         lines = ["quantity,scheme,symmetric,value"]
         lines += [f"{quantity},{kind},{int(symmetric)},{value!r}"
                   for quantity, kind, symmetric, value in rows]
         _write_text_atomic(os.path.join(out, "table1.csv"), "\n".join(lines) + "\n")
-        wrote.append("table1.csv")
-    trials = given.get("trials", 100)
     if args.thm2:
-        P, K, N = given.get("P", 64), given.get("K", 2), given.get("N", 10)
-        passes = _study(analysis.rank_check_L1, P=P, K=K, N=N, trials=trials,
-                        seed=given.get("seed", 0))
+        passes, ran = _study(analysis.rank_check_L1, **flags["thm2"])
         lines = [
             "P,K,N,trials,full_rank_passes",
-            f"{P},{K},{N},{trials},{passes}",
+            f"{ran['P']},{ran['K']},{ran['N']},{ran['trials']},{passes}",
         ]
         _write_text_atomic(os.path.join(out, "thm2.csv"), "\n".join(lines) + "\n")
-        wrote.append("thm2.csv")
     if args.thm3:
-        passes, worst = _study(analysis.theorem3_sweep, trials=trials, **dims)
+        (passes, worst), ran = _study(analysis.theorem3_sweep, **flags["thm3"])
         lines = [
             "trials,bound_satisfied,worst_ratio",
-            f"{trials},{passes},{worst!r}",
+            f"{ran['trials']},{passes},{worst!r}",
         ]
         _write_text_atomic(os.path.join(out, "thm3.csv"), "\n".join(lines) + "\n")
-        wrote.append("thm3.csv")
     if args.bounds:
-        B, cmax = given.get("bandwidth", 1.0), given.get("cmax", 1.0)
-        L, tmax = given.get("L", 1.0), given.get("thetamax", 1.0)
-        kmax = given.get("kmax", 12)
+        b = {"bandwidth": 1.0, "cmax": 1.0, "L": 1.0, "thetamax": 1.0, "kmax": 12,
+             **flags["bounds"]}
         lines = ["K,translation_bound,rotation_bound"]
-        for K in range(kmax + 1):
-            tb = analysis.translation_bound(B, cmax, K)
-            rb = analysis.rotation_bound(B, L, tmax, K)
+        for K in range(b["kmax"] + 1):
+            tb = analysis.translation_bound(b["bandwidth"], b["cmax"], K)
+            rb = analysis.rotation_bound(b["bandwidth"], b["L"], b["thetamax"], K)
             lines.append(f"{K},{tb!r},{rb!r}")
         _write_text_atomic(os.path.join(out, "bounds.csv"), "\n".join(lines) + "\n")
-        wrote.append("bounds.csv")
-    if not wrote:
-        print("analyze: nothing to do (pass --table1 / --thm2 / --thm3 / --bounds)",
-              file=sys.stderr)
-        return 1
-    print(f"analyze: wrote {', '.join(wrote)} in {out}")
+    print(f"analyze: wrote {', '.join(s + '.csv' for s in studies)} in {out}")
     return 0
 
 

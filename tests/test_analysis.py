@@ -6,6 +6,9 @@ import pytest
 
 from conftest import complex_l1, indicator_disk, random_masked_frame
 from prosep.analysis import (
+    GRAM_TRUST_LIMIT,
+    _best_random_kappa,
+    _gram_kappa,
     cond_L1,
     cond_L2,
     rank_check_L1,
@@ -69,6 +72,51 @@ def test_cond_L1_matches_complex_oracle_on_study_dims(symmetric):
     assert np.isinf(cond_L1(progressive(P, span), K, N, symmetric=symmetric))
 
 
+def _trial_schemes(P, span, trials, seed):
+    """table1's random schemes: one seeded draw per spawned seed."""
+    return [random_scheme(P, span, seed=int(np.random.default_rng(s).integers(2**63)))
+            for s in np.random.SeedSequence(seed).spawn(trials)]
+
+
+def test_gram_kappa_matches_svd_kappa_where_trusted():
+    """The Gram estimate is within 1e-7 of the SVD kappa up to 1e3; inf when singular."""
+    checked = 0
+    for P, K, N in ((64, 1, 6), (33, 2, 10), (128, 2, 8)):
+        Psi = legendre_basis(P, K)
+        for symmetric in (False, True):
+            span = np.pi if symmetric else 2 * np.pi
+            for scheme in _trial_schemes(P, span, 6, seed=P):
+                want = cond_L1(scheme, K, N, symmetric=symmetric)
+                if want <= GRAM_TRUST_LIMIT:
+                    got = _gram_kappa(l1_factors(scheme, N, Psi, symmetric))
+                    assert abs(got - want) <= 1e-7 * want, (P, symmetric, got, want)
+                    checked += 1
+    assert checked >= 24
+    Psi = legendre_basis(32, 1)
+    Psi[:, 1] = 0.0  # a zero temporal function: L1 has zero columns
+    scheme = random_scheme(32, np.pi, seed=1)
+    assert _gram_kappa(l1_factors(scheme, 3, Psi, True)) == math.inf
+
+
+@pytest.mark.parametrize("P, K, N, symmetric, seed, screened", [
+    (64, 1, 6, False, 0, True), (64, 1, 6, False, 1, True), (64, 1, 6, False, 2, True),
+    (64, 1, 6, True, 0, True), (64, 1, 6, True, 1, True), (64, 1, 6, True, 2, True),
+    # P = (N+1)(K+1): square even-parity block, every estimate above the trust limit
+    (33, 2, 10, True, 0, False),
+])
+def test_screened_random_kappa_is_the_exhaustive_minimum(P, K, N, symmetric, seed, screened):
+    """The screen returns exactly min(cond_L1) over every trial, on both of its paths."""
+    trials = 8
+    span = np.pi if symmetric else 2 * np.pi
+    schemes = _trial_schemes(P, span, trials, seed)
+    Psi = legendre_basis(P, K)
+    least = min(_gram_kappa(l1_factors(s, N, Psi, symmetric)) for s in schemes)
+    assert (least <= GRAM_TRUST_LIMIT) == screened
+    want = min(cond_L1(s, K, N, symmetric=symmetric) for s in schemes)
+    assert np.isfinite(want)
+    assert _best_random_kappa(P, K, N, symmetric, trials, seed) == want
+
+
 # ------------------------------------------------- condition numbers (L2)
 
 def test_cond_L2_reference_band():
@@ -92,10 +140,13 @@ def _full_kappa_L2(K, N, P, d, J, seed, orthonormal_u):
 
 
 @pytest.mark.parametrize("K, N, P, d, J", [(1, 2, 16, 3, 1), (3, 2, 16, 5, 2), (2, 3, 20, 4, 9),
-                                           (5, 6, 64, 8, 40)])
+                                           (5, 6, 64, 8, 40), (2, 3, 100, 4, 9)])
 @pytest.mark.parametrize("orthonormal_u", [False, True])
 def test_cond_L2_matches_full_svd(K, N, P, d, J, orthonormal_u):
-    """kappa(L2) from the per-row R factors equals the full L2's, also for J < K+1."""
+    """kappa(L2) from the per-row R factors equals the full L2's, also for J < K+1.
+
+    2P = 200 is more than one block of rows and not a multiple of it.
+    """
     scheme, want = _full_kappa_L2(K, N, P, d, J, seed=5, orthonormal_u=orthonormal_u)
     got = cond_L2(K=K, N=N, P=P, d=d, J=J, seed=5, scheme=scheme,
                   orthonormal_u=orthonormal_u).kappa_L2

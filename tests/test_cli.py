@@ -296,6 +296,22 @@ def test_manifest_replay_reproduces_run(tmp_path):
     assert manifest["solver"] == {"max_iters": 5000, "restarts": 5, "seed": 0}
 
 
+def test_simulate_null_scheme_seed_is_seed_0(tmp_path):
+    """A null scheme.seed is resolved to 0, the seed used, in the manifest too."""
+    for seed, out in ((None, "null"), (0, "zero")):
+        cfgpath = tmp_path / f"{out}.json"
+        cfgpath.write_text(json.dumps(nested("scheme.seed", seed, SMALL_CONFIG)))
+        rc = main(["simulate", "--config", str(cfgpath), "--out", str(tmp_path / out),
+                   "--scheme", "random", "--P", "16", "--width", "16"])
+        assert rc == 0
+    names = ["sinogram.tensor", "angles.tensor", "times.tensor",
+             "truth_movie.tensor", "benchmark_movie.tensor", "manifest.json"]
+    for name in names:
+        assert read_bytes(tmp_path / "null" / name) == read_bytes(tmp_path / "zero" / name), name
+    assert json.loads((tmp_path / "null" / "manifest.json").read_text())["scheme"] == {
+        "kind": "random", "seed": 0}
+
+
 # ------------------------------------------------------------- reconstruct
 
 @pytest.fixture(scope="module")
@@ -527,6 +543,32 @@ def test_analyze_rejects_out_of_range_flag(tmp_path, capsys, flag, value):
     assert f"'{flag}'" in err and len(err.strip().splitlines()) == 1
     assert not (tmp_path / "thm2.csv").exists()
     assert not (tmp_path / "bounds.csv").exists()
+
+
+def test_analyze_rejects_flags_no_chosen_study_reads(tmp_path, capsys):
+    rc = main(["analyze", "--out", str(tmp_path), "--thm2", "--P", "16", "--K", "1",
+               "--N", "3", "--trials", "5", "--d", "7", "--J", "3", "--bandwidth", "9"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert all(f"'{flag}'" in err for flag in ("--d", "--J", "--bandwidth"))
+    assert "'--P'" not in err and "'--trials'" not in err
+    assert not (tmp_path / "thm2.csv").exists()
+
+
+@pytest.mark.parametrize("flags, P, K, N, trials, seed", [
+    ((), 64, 2, 10, 100, 0),
+    (("--P", "16", "--K", "1", "--N", "3", "--trials", "5", "--seed", "4"), 16, 1, 3, 5, 4),
+])
+def test_analyze_thm2_reads_its_flags_and_rank_check_defaults(tmp_path, flags, P, K, N,
+                                                              trials, seed):
+    """thm2.csv holds rank_check_L1's result and the arguments it ran with."""
+    assert main(["analyze", "--out", str(tmp_path), "--thm2", *flags]) == 0
+    passes = analysis.rank_check_L1(P=P, K=K, N=N, trials=trials, seed=seed)
+    assert passes == trials
+    assert (tmp_path / "thm2.csv").read_text() == (
+        f"P,K,N,trials,full_rank_passes\n{P},{K},{N},{trials},{passes}\n"
+    )
 
 
 def test_analyze_thm3_forwards_model_flags(tmp_path):
