@@ -17,13 +17,14 @@ complex coordinates; its singular values come from per-row QR factors
 instead of the full L2 (``cond_L2``), taken a block of rows at a time.
 
 The study reports only the smallest kappa(L1) over its random trials, so
-``table1`` screens them first: an estimate from the eigenvalues of each
-block's Gram matrix (``_gram_kappa``, half the SVD's cost or less),
-then the exact SVD kappa (``cond_L1``) only on the trials whose estimate
-is within a relative margin of 1e-3 of the least one.  The estimate is
-trusted only up to kappa = 1e3, where its relative error is below about
-1e-7; beyond that every trial gets the SVD.  The reported value is the
-SVD kappa of the exhaustive minimum either way.
+``table1`` keeps the exact SVD kappa (``cond_L1``) of the best trial so
+far and skips each later trial that one Cholesky factorization per block
+shows cannot beat it (``_cannot_win``): the trial's kappa exceeds the
+best by more than a relative margin of 1e-3 when some block's Gram
+matrix, shifted down by rho / kappa^2 with rho <= lambda_max, is not
+positive definite.  The certificate is trusted only while the best kappa
+is at most 1e3; beyond that every trial gets the SVD.  The reported
+value is the SVD kappa of the exhaustive minimum either way.
 """
 
 from __future__ import annotations
@@ -61,10 +62,13 @@ __all__ = [
 
 # kappa beyond double precision is reported as the +inf sentinel
 KAPPA_SINGULAR = 1e15
-# table1's screen: Gram-eigenvalue estimates are trusted up to this kappa,
-# and a trial within this relative margin of the least estimate gets the SVD
+# table1's screen: a trial is skipped when its kappa certainly exceeds the
+# best kappa so far by this relative margin, while that best is at most the
+# trust limit; the certificate's lower estimate of lambda_max takes this many
+# power steps
 GRAM_TRUST_LIMIT = 1e3
 GRAM_MARGIN = 1e-3
+_POWER_STEPS = 3
 # rows of theta_hat whose L2 row factors cond_L2 forms and factors at once
 _L2_QR_ROWS = 128
 
@@ -85,22 +89,6 @@ def _l1_singvals(blocks) -> np.ndarray:
     """
     s = [np.linalg.svd(face_split(b.theta, b.V), compute_uv=False) for b in blocks]
     return np.sort(np.concatenate(s))[::-1]
-
-
-def _gram_kappa(blocks) -> float:
-    """Estimate of kappa(L1) as sqrt(lambda_max / lambda_min) of the blocks' Gram matrices.
-
-    The eigenvalues of every block's A^T A (A = face_split(theta, V)) are
-    the squared singular values of L1, so their extremes over all blocks
-    give kappa; ``inf`` when the least one is not positive.  Forming
-    A^T A and its symmetric eigensolve are accurate to about
-    (m + n) u lambda_max absolutely, so the estimate is only as good as
-    kappa^2 u allows (``table1`` trusts it up to 1e3).
-    """
-    ev = [np.linalg.eigvalsh(A.T @ A) for A in (face_split(b.theta, b.V) for b in blocks)]
-    lo = min(e[0] for e in ev)
-    hi = max(e[-1] for e in ev)
-    return math.sqrt(hi / lo) if lo > 0 else math.inf
 
 
 def cond_L1(scheme: AngularScheme, K: int, N: int, symmetric: bool = False) -> float:
@@ -297,31 +285,56 @@ def rotation_bound(B: float, L: float, theta_max: float, K: int) -> float:
     return _taylor_remainder(B * L * theta_max, K)
 
 
-def _random_trial(P: int, span: float, seed: np.random.SeedSequence) -> AngularScheme:
-    """The random scheme of one ``table1`` trial, from its spawned seed."""
-    return random_scheme(P, span, seed=int(np.random.default_rng(seed).integers(2**63)))
+def _cannot_win(blocks, kappa: float) -> bool:
+    """Whether kappa(L1) of these blocks certainly exceeds ``kappa``, by one Cholesky per block.
+
+    rho is the largest Rayleigh quotient x^T G x / x^T x over the blocks'
+    Gram matrices G = A^T A (A = face_split(theta, V)), with x a few power
+    steps from G 1; any x gives rho <= lambda_max, the largest squared
+    singular value of L1.  Each G is shifted down by s = rho / kappa^2 in
+    place, and the answer is True exactly when a Cholesky factorization
+    fails: then some lambda_min(G) is below s plus a rounding floor, so
+    kappa(L1)^2 = lambda_max / lambda_min exceeds about kappa^2.
+    ``table1`` says how much that floor can matter.
+    """
+    # the odd-harmonic block is empty when N = 0 and adds nothing to the spectrum
+    grams = [A.T @ A for A in (face_split(b.theta, b.V) for b in blocks) if A.size]
+    rho = 0.0
+    for G in grams:
+        x = G.sum(axis=1)
+        for _ in range(_POWER_STEPS):
+            x = G @ (x / np.linalg.norm(x))
+        rho = max(rho, float(x @ G @ x / (x @ x)))
+    shift = rho / kappa**2
+    for G in grams:
+        G.flat[::G.shape[0] + 1] -= shift
+        try:
+            np.linalg.cholesky(G)
+        except np.linalg.LinAlgError:
+            return True
+    return False
 
 
 def _best_random_kappa(P: int, K: int, N: int, symmetric: bool, trials: int,
                        seed: int) -> float:
     """Least kappa(L1) (``cond_L1``) over ``trials`` seeded random schemes.
 
-    Every trial is estimated with ``_gram_kappa``, and ``cond_L1`` runs
-    only on the trials whose estimate is within ``GRAM_MARGIN`` of the
-    least estimate, or on every trial when that is above
-    ``GRAM_TRUST_LIMIT``; ``table1`` says why this is the exhaustive
-    minimum.
+    One pass keeps the ``cond_L1`` of the best trial so far; while that
+    is at most ``GRAM_TRUST_LIMIT``, a trial that ``_cannot_win`` against
+    it with the relative margin ``GRAM_MARGIN`` is skipped, and every
+    other trial gets ``cond_L1``.  ``table1`` says why this is the
+    exhaustive minimum.
     """
     span = span_for(symmetric)
-    seeds = np.random.SeedSequence(seed).spawn(trials)
     Psi = legendre_basis(P, K)
-    est = np.array([_gram_kappa(l1_factors(_random_trial(P, span, s), N, Psi, symmetric))
-                    for s in seeds])
-    least = est.min(initial=math.inf)
-    if least <= GRAM_TRUST_LIMIT:
-        seeds = [s for s, e in zip(seeds, est) if e <= (1.0 + GRAM_MARGIN) * least]
-    return min((cond_L1(_random_trial(P, span, s), K, N, symmetric=symmetric) for s in seeds),
-               default=math.inf)
+    best = math.inf
+    for s in np.random.SeedSequence(seed).spawn(trials):
+        scheme = random_scheme(P, span, seed=int(np.random.default_rng(s).integers(2**63)))
+        if best <= GRAM_TRUST_LIMIT and _cannot_win(l1_factors(scheme, N, Psi, symmetric),
+                                                    (1.0 + GRAM_MARGIN) * best):
+            continue
+        best = min(best, cond_L1(scheme, K, N, symmetric=symmetric))
+    return best
 
 
 def table1(
@@ -342,20 +355,27 @@ def table1(
     row, which is computed for bit-reversed sampling with the symmetry.
 
     The random rows are the exact SVD kappa (``cond_L1``) of the best
-    trial, but the trials are screened first (``_best_random_kappa``):
-    the Gram-eigenvalue estimate ``_gram_kappa`` costs about 10 ms per
-    trial at the default 512 x 342 block against 21 ms for the SVD, and
-    the SVD then runs only on trials whose estimate is within a relative
-    margin of 1e-3 of the least estimate.  Why that finds the minimum:
-    rounding in forming A^T A plus the eigensolver's backward error is
-    at most about (m + n) u lambda_max, about 2e-13 lambda_max here, so
-    by Weyl's inequality each eigenvalue moves by at most that much.  For
-    kappa <= 1e3, lambda_min >= 1e-6 lambda_max, so the estimate's
-    relative error is below about 1e-7, and the best trial's estimate is
-    within 1e-7 of the least estimate, well inside the 1e-3 margin.  The
-    estimate is trusted only when the least one is at most 1e3 (the
-    trust limit); above it a tiny or rounded lambda_min can be off by
-    any factor, so every trial gets the SVD, as without the screen.
+    trial, found in one pass (``_best_random_kappa``) that keeps the best
+    SVD kappa so far and, while it is at most 1e3 (the trust limit),
+    skips each trial that ``_cannot_win`` shows to exceed it by more than
+    a relative margin of 1e-3.  At the default 512 x 342 block a trial
+    costs one Gram product and one Cholesky factorization per block
+    instead of an SVD, and at 100 trials 6 nonsymmetric and 12 symmetric
+    trials reach ``cond_L1``.  Why the minimum is never skipped: with
+    best <= 1e3 and threshold t = 1.001 best, the certificate shifts each
+    Gram matrix G = A^T A down by s = rho / t^2 <= lambda_max / t^2.
+    Cholesky of G - s I fails only if lambda_min(G) < s + O(n^2 u max G_ii)
+    (Demmel 1989; Higham, Accuracy and Stability of Numerical Algorithms,
+    ch. 10): n(n+1) u = 1.3e-11 for n = 342, and max G_ii <= lambda_max.
+    Forming G moves its eigenvalues by at most about (m + n) u lambda_max,
+    2e-13 lambda_max (Weyl), so for kappa <= 1e3 the Gram spectrum agrees
+    with the SVD's to about 1e-7 relative.  A trial with SVD kappa <= best
+    has lambda_min >= lambda_max / best^2, so lambda_min - s >=
+    (1 - 1 / 1.001^2) lambda_max / best^2 >= 2.0e-9 lambda_max, about 150
+    times the floor and the Gram error together: its Cholesky succeeds,
+    it reaches ``cond_L1``, and the reported value is the SVD kappa of the
+    exhaustive minimum.  Above the trust limit every trial gets
+    ``cond_L1``, as without the certificate.
     """
     rows = []
     for symmetric in (False, True):

@@ -130,7 +130,9 @@ def face_split(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     B = np.asarray(B)
     if A.shape[0] != B.shape[0]:
         raise ValueError(f"row counts differ: {A.shape[0]} vs {B.shape[0]}")
-    return (A[:, :, None] * B[:, None, :]).reshape(A.shape[0], A.shape[1] * B.shape[1])
+    # order="C" writes the product in the layout the reshape keeps, so no copy
+    prod = np.multiply(A[:, :, None], B[:, None, :], order="C")
+    return prod.reshape(A.shape[0], A.shape[1] * B.shape[1])
 
 
 def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
@@ -263,10 +265,11 @@ def build_L2(
 def l2_row_factors(beta: np.ndarray, theta_hat: np.ndarray, order: HarmonicOrder) -> np.ndarray:
     """C[i, j, k] = sum_n theta_hat[i, n] beta[(n, k), j], shape rows x J x (K+1).
 
-    Row block i of ``build_L2`` (its J rows) is kron(C[i], u_hat[i]).
+    Row block i of ``build_L2`` (its J rows) is kron(C[i], u_hat[i]).  The
+    sum over n is one matrix product theta_hat @ beta as (2N+1) x (K+1)J.
     """
-    B3 = np.asarray(beta).reshape(order.n_harmonics, order.n_temporal, -1)
-    return np.einsum("in,nkj->ijk", theta_hat, B3)
+    C = theta_hat @ np.asarray(beta).reshape(order.n_harmonics, -1)
+    return C.reshape(theta_hat.shape[0], order.n_temporal, -1).transpose(0, 2, 1)
 
 
 def real_trig_theta(scheme: AngularScheme | np.ndarray, N: int) -> np.ndarray:
@@ -278,11 +281,11 @@ def real_trig_theta(scheme: AngularScheme | np.ndarray, N: int) -> np.ndarray:
     share their singular values.  Row norms are all sqrt(2N+1).
     """
     angles = np.asarray(getattr(scheme, "angles", scheme), dtype=float)
+    phase = np.outer(angles, np.arange(1, N + 1))
     T = np.empty((angles.size, 2 * N + 1))
     T[:, 0] = 1.0
-    for n in range(1, N + 1):
-        T[:, 2 * n - 1] = np.sqrt(2.0) * np.cos(n * angles)
-        T[:, 2 * n] = np.sqrt(2.0) * np.sin(n * angles)
+    T[:, 1::2] = np.sqrt(2.0) * np.cos(phase)
+    T[:, 2::2] = np.sqrt(2.0) * np.sin(phase)
     return T
 
 

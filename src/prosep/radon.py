@@ -356,9 +356,8 @@ def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, wid
     once per view as tile blocks (``_tile_blocks``); each tile of the
     result adds its block's transpose times the tile's rows of F_a, for
     a run of about ``_RUN_VALUES / (64 n)`` tiles per batched product.
-    The result is n x W x W, masked to the support disk as a ``Frame``
-    is.  ``fbp_stack`` and ``project_fbp`` both backproject through this
-    loop.
+    The result stays tile-major, tiles x 64 x n, for ``_untile``.
+    ``fbp_stack`` and ``project_fbp`` both backproject through this loop.
     """
     X, Y = grid_coords(width, pixel_size)
     cos_t, sin_t = _reduced_trig(angles)
@@ -377,7 +376,17 @@ def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, wid
         for t in range(0, tiles, run):
             acc[t:t + run] += blocks[t:t + run] @ block[rows[t:t + run]]
     acc *= np.pi / angles.size
-    out = acc.reshape(tiles * _TILE**2, -1)[slots]
+    return acc
+
+
+def _untile(acc: np.ndarray, width: int, pixel_size: float) -> np.ndarray:
+    """The n x W x W images of a tile-major ``_backproject`` result, masked as a ``Frame`` is.
+
+    The pixel gather copies the stack (the result is a transposed view of
+    that copy), so callers release their own inputs first.
+    """
+    slots, _ = _tiling(width)
+    out = acc.reshape(-1, acc.shape[-1])[slots]
     out *= support_mask(width, pixel_size).reshape(-1, 1)
     return out.T.reshape(-1, width, width)
 
@@ -430,8 +439,9 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int | None = Non
         pixel_size = detector.spacing
     J, A, n = values.shape
     filtered = (_ramp_matrix(J, detector.spacing) @ values.reshape(J, A * n)).reshape(J, A, n)
-    return _backproject((filtered[:, a] for a in range(A)), angles, detector, width,
-                        pixel_size)
+    acc = _backproject((filtered[:, a] for a in range(A)), angles, detector, width, pixel_size)
+    del filtered
+    return _untile(acc, width, pixel_size)
 
 
 def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np.ndarray:
@@ -479,5 +489,7 @@ def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np
             sino[first[t]:first[t] + depth] += blocks[t] @ tiled[t]
         return ramp @ sino
 
-    return _backproject((filtered_view(a) for a in range(angles.size)), angles, detector, W,
-                        pixel_size)
+    acc = _backproject((filtered_view(a) for a in range(angles.size)), angles, detector, W,
+                       pixel_size)
+    del tiled
+    return _untile(acc, W, pixel_size)

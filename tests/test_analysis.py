@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from conftest import complex_l1, indicator_disk, random_masked_frame
+from prosep import analysis
 from prosep.analysis import (
+    GRAM_MARGIN,
     GRAM_TRUST_LIMIT,
     _best_random_kappa,
-    _gram_kappa,
+    _cannot_win,
     cond_L1,
     cond_L2,
     rank_check_L1,
@@ -20,6 +22,7 @@ from prosep.analysis import (
 )
 from prosep.psmodel import (
     HarmonicOrder,
+    L1Block,
     build_L2,
     build_theta,
     face_split,
@@ -78,43 +81,131 @@ def _trial_schemes(P, span, trials, seed):
             for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
-def test_gram_kappa_matches_svd_kappa_where_trusted():
-    """The Gram estimate is within 1e-7 of the SVD kappa up to 1e3; inf when singular."""
+def _blocks_with_spectra(rng, spectra, m=40):
+    """L1 blocks whose Gram matrices are Q diag(lam) Q^T, one block per spectrum."""
+    blocks = []
+    for lam in spectra:
+        n = lam.size
+        U, _ = np.linalg.qr(rng.standard_normal((m, n)))
+        Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # face_split(A, ones) is A, so the block's Gram matrix is A^T A
+        blocks.append(L1Block((U * np.sqrt(lam)) @ Q.T, np.ones((m, 1)), np.arange(n)))
+    return blocks
+
+
+def _spectrum(kappa, n, gap=1.0):
+    """n eigenvalues from 7 down to 7 / kappa^2; the second is at most 7 gap."""
+    lam = np.geomspace(1.0, 1.0 / kappa**2, n)
+    lam[1:] = np.minimum(lam[1:], gap)
+    return 7.0 * lam
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("kappa", [1.0, 1.5, 10.0, 30.0])
+def test_cannot_win_never_rejects_a_kappa_at_or_below_the_threshold(rng, kappa, split):
+    """Known spectra, kappa below the threshold by 1e-9 relative at the closest."""
+    lam = _spectrum(kappa, 20)
+    spectra = [lam[:10], lam[10:]] if split else [lam]
+    for rel in (1e-9, 1e-6, GRAM_MARGIN, 1.0):
+        blocks = _blocks_with_spectra(rng, spectra)
+        assert not _cannot_win(blocks, kappa * (1.0 + rel)), (kappa, rel)
+
+
+@pytest.mark.parametrize("split", [False, True])
+@pytest.mark.parametrize("threshold", [1.5, 10.0, 100.0, 1e3])
+def test_cannot_win_rejects_twice_the_threshold(rng, threshold, split):
+    """A kappa of 2 or 10 times the threshold, the second eigenvalue 0.3 of the first."""
+    for factor in (2.0, 10.0):
+        lam = _spectrum(factor * threshold, 20, gap=0.3)
+        spectra = [lam[:10], lam[10:]] if split else [lam]
+        assert _cannot_win(_blocks_with_spectra(rng, spectra), threshold), (threshold, factor)
+    singular = _spectrum(10.0, 20)
+    singular[-1] = 0.0
+    assert _cannot_win(_blocks_with_spectra(rng, [singular]), threshold)
+
+
+def test_cannot_win_agrees_with_svd_kappa_where_trusted():
+    """Against each trial's SVD kappa: never rejected at (1 + margin) kappa, always at kappa / 2."""
     checked = 0
     for P, K, N in ((64, 1, 6), (33, 2, 10), (128, 2, 8)):
         Psi = legendre_basis(P, K)
         for symmetric in (False, True):
             span = np.pi if symmetric else 2 * np.pi
             for scheme in _trial_schemes(P, span, 6, seed=P):
-                want = cond_L1(scheme, K, N, symmetric=symmetric)
-                if want <= GRAM_TRUST_LIMIT:
-                    got = _gram_kappa(l1_factors(scheme, N, Psi, symmetric))
-                    assert abs(got - want) <= 1e-7 * want, (P, symmetric, got, want)
+                kappa = cond_L1(scheme, K, N, symmetric=symmetric)
+                if kappa <= GRAM_TRUST_LIMIT:
+                    blocks = l1_factors(scheme, N, Psi, symmetric)
+                    assert not _cannot_win(blocks, (1.0 + GRAM_MARGIN) * kappa), (P, kappa)
+                    assert _cannot_win(blocks, kappa / 2), (P, kappa)
                     checked += 1
     assert checked >= 24
     Psi = legendre_basis(32, 1)
     Psi[:, 1] = 0.0  # a zero temporal function: L1 has zero columns
     scheme = random_scheme(32, np.pi, seed=1)
-    assert _gram_kappa(l1_factors(scheme, 3, Psi, True)) == math.inf
+    assert _cannot_win(l1_factors(scheme, 3, Psi, True), GRAM_TRUST_LIMIT)
+
+
+def _counting_cannot_win(monkeypatch):
+    """Patch ``_cannot_win`` to count its calls and its True answers."""
+    counts = {"calls": 0, "skipped": 0}
+    real = analysis._cannot_win
+
+    def counted(blocks, kappa):
+        skip = real(blocks, kappa)
+        counts["calls"] += 1
+        counts["skipped"] += skip
+        return skip
+
+    monkeypatch.setattr(analysis, "_cannot_win", counted)
+    return counts
 
 
 @pytest.mark.parametrize("P, K, N, symmetric, seed, screened", [
     (64, 1, 6, False, 0, True), (64, 1, 6, False, 1, True), (64, 1, 6, False, 2, True),
     (64, 1, 6, True, 0, True), (64, 1, 6, True, 1, True), (64, 1, 6, True, 2, True),
-    # P = (N+1)(K+1): square even-parity block, every estimate above the trust limit
+    # P = (N+1)(K+1): square even-parity block, every kappa above the trust limit
     (33, 2, 10, True, 0, False),
 ])
-def test_screened_random_kappa_is_the_exhaustive_minimum(P, K, N, symmetric, seed, screened):
+def test_screened_random_kappa_is_the_exhaustive_minimum(monkeypatch, P, K, N, symmetric,
+                                                         seed, screened):
     """The screen returns exactly min(cond_L1) over every trial, on both of its paths."""
     trials = 8
     span = np.pi if symmetric else 2 * np.pi
-    schemes = _trial_schemes(P, span, trials, seed)
-    Psi = legendre_basis(P, K)
-    least = min(_gram_kappa(l1_factors(s, N, Psi, symmetric)) for s in schemes)
-    assert (least <= GRAM_TRUST_LIMIT) == screened
-    want = min(cond_L1(s, K, N, symmetric=symmetric) for s in schemes)
+    kappas = [cond_L1(s, K, N, symmetric=symmetric)
+              for s in _trial_schemes(P, span, trials, seed)]
+    want = min(kappas)
     assert np.isfinite(want)
+    assert (want <= GRAM_TRUST_LIMIT) == screened
+    counts = _counting_cannot_win(monkeypatch)
     assert _best_random_kappa(P, K, N, symmetric, trials, seed) == want
+    if screened:
+        assert counts["skipped"] >= 1
+    else:
+        assert counts["calls"] == 0
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_screened_random_kappa_with_no_harmonics(symmetric):
+    """N = 0: with the symmetry the odd-harmonic block is empty."""
+    P, K, trials = 16, 1, 6
+    span = np.pi if symmetric else 2 * np.pi
+    want = min(cond_L1(s, K, 0, symmetric=symmetric)
+               for s in _trial_schemes(P, span, trials, seed=0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert _best_random_kappa(P, K, 0, symmetric, trials, seed=0) == want
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_screened_random_kappa_at_study_dims(monkeypatch, symmetric):
+    """At P = 512, K = 5, N = 28 the screen skips trials and still finds the minimum."""
+    P, K, N, trials = 512, 5, 28, 12
+    span = np.pi if symmetric else 2 * np.pi
+    want = min(cond_L1(s, K, N, symmetric=symmetric)
+               for s in _trial_schemes(P, span, trials, seed=0))
+    counts = _counting_cannot_win(monkeypatch)
+    assert _best_random_kappa(P, K, N, symmetric, trials, seed=0) == want
+    assert counts["skipped"] >= 1
 
 
 # ------------------------------------------------- condition numbers (L2)

@@ -12,12 +12,13 @@ from prosep.psmodel import (
     harmonic_blocks,
     harmonic_parity,
     l1_factors,
+    l2_row_factors,
     legendre_basis,
     real_trig_theta,
     real_trig_theta_hat,
     spline_interpolator,
 )
-from prosep.sampling import AngularScheme, bit_reversed, random_scheme
+from prosep.sampling import AngularScheme, bit_reversed, progressive, random_scheme
 
 
 def scheme_of(angles, span=2 * np.pi):
@@ -219,6 +220,16 @@ def test_L2_consistency_with_L1(rng):
     assert np.allclose(pred, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
 
 
+def test_l2_row_factors_match_the_harmonic_sum(rng):
+    """C[i, j, k] = sum_n theta_hat[i, n] beta[(n, k), j], by loops over n."""
+    scheme, order, theta_hat, _, _, beta = _setup(rng)
+    C = l2_row_factors(beta, theta_hat, order)
+    B3 = beta.reshape(order.n_harmonics, order.n_temporal, -1)
+    want = sum(theta_hat[:, n, None, None] * B3[n].T[None] for n in range(order.n_harmonics))
+    assert C.shape == (theta_hat.shape[0], beta.shape[1], order.n_temporal)
+    assert np.allclose(C, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+
 def test_L2_zero_beta_is_zero(rng):
     scheme, order, theta_hat, U, _, beta = _setup(rng)
     u_hat = np.vstack([U, U])
@@ -231,6 +242,28 @@ def test_L2_zero_beta_is_zero(rng):
 def test_real_trig_n0_is_ones():
     T = real_trig_theta(random_scheme(8, seed=1), N=0)
     assert np.array_equal(T, np.ones((8, 1)))
+
+
+def _real_trig_loop(angles, N):
+    """The real trigonometric matrix filled one order at a time."""
+    T = np.empty((angles.size, 2 * N + 1))
+    T[:, 0] = 1.0
+    for n in range(1, N + 1):
+        T[:, 2 * n - 1] = np.sqrt(2.0) * np.cos(n * angles)
+        T[:, 2 * n] = np.sqrt(2.0) * np.sin(n * angles)
+    return T
+
+
+@pytest.mark.parametrize("N", [0, 1, 5, 28, 48])
+@pytest.mark.parametrize("P", [1, 16, 512])
+def test_real_trig_equals_the_per_order_loop(P, N):
+    """Bit for bit, on progressive, bit-reversed and random angles over both spans."""
+    for span in (np.pi, 2 * np.pi):
+        for scheme in (progressive(P, span), bit_reversed(P, span),
+                       random_scheme(P, span, seed=P + N)):
+            T = real_trig_theta(scheme, N)
+            assert T.flags.c_contiguous
+            assert np.array_equal(T, _real_trig_loop(scheme.angles, N)), (scheme.kind, span)
 
 
 def test_real_trig_row_norms():
