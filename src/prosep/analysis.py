@@ -71,6 +71,8 @@ GRAM_MARGIN = 1e-3
 _POWER_STEPS = 3
 # rows of theta_hat whose L2 row factors cond_L2 forms and factors at once
 _L2_QR_ROWS = 128
+# rounding allowance of theorem3_sweep's test kappa(L2) <= sqrt(kappa(Gamma))
+THEOREM3_SLACK = 1e-9
 
 
 def _kappa_from_singvals(s: np.ndarray, n_cols: int) -> float:
@@ -197,13 +199,14 @@ def theorem3_sweep(
     d: int = 3,
     J: int | None = None,
     seed: int = 0,
-    slack: float = 1e-9,
 ):
     """Check kappa(L2) <= sqrt(kappa(Gamma)) on random instances with Gamma > 0.
 
     J defaults to twice the coefficient count so Gamma is positive
     definite; the interpolator is orthonormalized, matching the
-    guarantee's premise.  Returns (passes, worst_ratio).
+    guarantee's premise.  A trial passes when the ratio kappa(L2) /
+    sqrt(kappa(Gamma)) is at most ``1 + THEOREM3_SLACK``.  Returns
+    (passes, worst_ratio).
     """
     order = HarmonicOrder(N=N, K=K, d=d)
     if J is None:
@@ -220,7 +223,7 @@ def theorem3_sweep(
             continue
         ratio = res.kappa_L2 / math.sqrt(res.kappa_Gamma)
         worst = max(worst, ratio)
-        if ratio <= 1.0 + slack:
+        if ratio <= 1.0 + THEOREM3_SLACK:
             passes += 1
     return passes, worst
 

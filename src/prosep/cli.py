@@ -3,7 +3,11 @@
 All experiment parameters live in a JSON run configuration (every field
 has a default, so flags alone suffice).  A key that is not a field of
 ``DEFAULT_CONFIG`` is an error, and so is a value of the wrong type or
-range; the solver section holds the three ``SolverConfig`` integers.
+range (a number must convert to a finite float); the solver section
+holds the three ``SolverConfig`` integers.  The phantom is ``"example"``
+(``phantom.example_phantom`` on the grid) or an inline object
+``{"ellipses": [...]}`` whose entries hold each ellipse's ``center``,
+``semi_axes`` and optional ``angle`` and ``intensity``.
 
 Each command-line setting is declared once, in a flag table.
 ``_SETTING_FLAGS`` maps every ``simulate`` and ``reconstruct`` setting flag
@@ -26,7 +30,8 @@ resolved configuration, with the phantom written out as its ellipses
 (``format_version`` 2); it is enough to replay the run bit-for-bit.
 ``reconstruct`` reads it back through the same checks and the same
 resolution, together with its flags.  Arrays are exchanged as binary
-tensor files (see ``tensorio``), tables as CSV.
+tensor files (see ``tensorio``), tables as CSV; ``times.tensor`` holds
+the frame times t_p = p / P (``sampling.sample_times``).
 
 Exit codes: 0 success, 1 configuration or I/O error (also a malformed input
 tensor, named on one line), 2 the solver's descent reached the iteration
@@ -62,13 +67,21 @@ from .phantom import (
     PhantomSpec,
     TimeSequentialSinogram,
     benchmark_movie,
+    example_phantom,
     render_movie,
     simulate_acquisition,
 )
 from .psmodel import HarmonicOrder, spline_interpolator
 from .radon import DetectorGrid
 from .recon import ProSepSolution, movie_metrics, reconstruct_movie
-from .sampling import AngularScheme, bit_reversed, progressive, random_scheme, span_for
+from .sampling import (
+    AngularScheme,
+    bit_reversed,
+    progressive,
+    random_scheme,
+    sample_times,
+    span_for,
+)
 from .solver import SolverConfig, solve
 from .tensorio import read_tensor, write_tensor
 
@@ -201,7 +214,11 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    """An int or float that converts to a finite float.
+
+    ``json`` also reads NaN, Infinity and integers of any size.
+    """
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _need(cond, field, msg) -> None:
@@ -278,19 +295,9 @@ def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:
     width = cfg["grid"]["width"]
     ph = cfg["phantom"]
     if ph == "example":
-        from .phantom import example_phantom
-
         return example_phantom(width=width, support_diameter=cfg["grid"]["support_diameter"])
-    if isinstance(ph, str):
-        try:
-            with open(ph) as f:
-                ph = json.load(f)
-        except FileNotFoundError:
-            raise ConfigError(f"field 'phantom': file not found: {ph}")
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"field 'phantom': not valid JSON: {e}")
     _need(isinstance(ph, dict) and set(ph) == {"ellipses"}, "phantom",
-          "must be \"example\", a file name, or an object with one key 'ellipses'")
+          "must be \"example\" or an object with one key 'ellipses'")
     try:
         ells = tuple(
             Ellipse(
@@ -301,7 +308,7 @@ def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:
             )
             for e in ph["ellipses"]
         )
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"field 'phantom.ellipses': {e}")
     for e in ph["ellipses"]:
         extra = set(e) - {"center", "semi_axes", "angle", "intensity"}
@@ -317,7 +324,7 @@ def _motion_from_config(cfg: dict) -> MotionSpec:
             rotation=float(m.get("rotation", 0.0)),
             scaling=tuple(m.get("scaling", (0.0, 0.0))),
         )
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigError(f"field 'motion': {e}")
 
 
@@ -384,7 +391,7 @@ def cmd_simulate(args) -> int:
     os.makedirs(out, exist_ok=True)
     write_tensor(os.path.join(out, "sinogram.tensor"), data.values)
     write_tensor(os.path.join(out, "angles.tensor"), scheme.angles)
-    write_tensor(os.path.join(out, "times.tensor"), data.times)
+    write_tensor(os.path.join(out, "times.tensor"), sample_times(cfg["P"]))
     write_tensor(os.path.join(out, "truth_movie.tensor"), truth.values)
     bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector=detector)
     write_tensor(os.path.join(out, "benchmark_movie.tensor"), bench.values)
@@ -435,7 +442,7 @@ def cmd_reconstruct(args) -> int:
                             symmetric=symmetric)
     solution = ProSepSolution(
         Z=Z, U=U, beta=beta, model=order, scheme=scheme, detector=detector,
-        times=data.times, symmetric=symmetric,
+        times=sample_times(P), symmetric=symmetric,
     )
     movie = reconstruct_movie(
         solution, fbp_angles_count=cfg["fbp_angles_count"],

@@ -6,20 +6,25 @@ rotation, then translation).  Frames are rendered analytically by
 inverse-warping each pixel center, so the ground truth carries no
 interpolation error.
 
-A ``Movie`` is one P x W x W array, masked to the support disk once when
-it is built; tensor files, ``radon.project_fbp`` and the metrics take it
-as it is.  A single image is a ``radon.Frame``.
+Frame p of a P-frame movie or acquisition is the object at t_p = p / P
+(``sampling.sample_times``); nothing stores the times, every function
+indexes frames by p.  A ``Movie`` is one P x W x W array, masked to the
+support disk once when it is built; tensor files, ``radon.project_fbp``
+and the metrics take it as it is.  A single image is a ``radon.Frame``.
+Ellipse and motion parameters must be finite real numbers.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import numbers
+import sys
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SupportError
 from .radon import DetectorGrid, Frame, grid_coords, project_fbp, radon_project, support_masked
-from .sampling import AngularScheme
+from .sampling import AngularScheme, sample_times
 
 __all__ = [
     "Ellipse",
@@ -37,6 +42,13 @@ __all__ = [
 ]
 
 
+def _require_finite_reals(what: str, values) -> None:
+    # abs(v) <= max is false for NaN, the infinities and integers too large for a float
+    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+               and abs(v) <= sys.float_info.max for v in values):
+        raise ValueError(f"{what} must be finite real numbers, got {tuple(values)!r}")
+
+
 @dataclass(frozen=True)
 class Ellipse:
     """Constant-intensity ellipse: center, semi-axes, tilt angle, additive value."""
@@ -49,6 +61,8 @@ class Ellipse:
     def __post_init__(self):
         if len(self.center) != 2 or len(self.semi_axes) != 2:
             raise ValueError("center and semi_axes must be length-2")
+        _require_finite_reals("ellipse center, semi-axes, angle and intensity",
+                              (*self.center, *self.semi_axes, self.angle, self.intensity))
         if min(self.semi_axes) <= 0:
             raise ValueError("semi-axes must be positive")
 
@@ -65,9 +79,6 @@ class PhantomSpec:
         object.__setattr__(self, "ellipses", tuple(self.ellipses))
         if self.width < 2 or self.pixel_size <= 0:
             raise ValueError("invalid grid")
-        for e in self.ellipses:
-            if not np.isfinite(e.intensity):
-                raise ValueError("ellipse intensities must be finite")
 
     @property
     def support_radius(self) -> float:
@@ -95,6 +106,8 @@ class MotionSpec:
     def __post_init__(self):
         if len(self.translation) != 2 or len(self.scaling) != 2:
             raise ValueError("translation and scaling must be length-2")
+        _require_finite_reals("translation, rotation and scaling",
+                              (*self.translation, self.rotation, *self.scaling))
         if min(self.scaling) <= -1.0:
             raise ValueError("scaling amplitude must keep scale factors positive")
 
@@ -159,30 +172,22 @@ def render_frame(spec: PhantomSpec, motion: MotionSpec, t: float) -> Frame:
 
 @dataclass(frozen=True)
 class Movie:
-    """P square frames on one grid at uniform, increasing times.
+    """P square frames on one grid, frame p at t_p = p / P.
 
     ``values`` is the P x W x W float64 array of frames, masked to the
     support disk at construction exactly as ``Frame`` masks one image.
-    ``times`` defaults to t_p = p / P.
     """
 
     values: np.ndarray
-    times: np.ndarray = None
     pixel_size: float = 1.0
 
     def __post_init__(self):
         if np.size(self.values) == 0:
             raise ValueError(f"movie is empty, shape {np.shape(self.values)}")
-        v = support_masked(self.values, self.pixel_size, ndim=3)
-        times = np.asarray(sample_times(len(v)) if self.times is None else self.times, dtype=float)
-        if times.shape != (len(v),):
-            raise ValueError("need one time per frame")
-        if len(v) > 1:
-            dt = np.diff(times)
-            if np.any(dt <= 0) or not np.allclose(dt, dt[0], rtol=1e-9, atol=1e-12):
-                raise ValueError("times must be strictly increasing and uniform")
+        v = support_masked(self.values, ndim=3)
+        if self.pixel_size <= 0:
+            raise ValueError("pixel_size must be positive")
         object.__setattr__(self, "values", v)
-        object.__setattr__(self, "times", times)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -192,11 +197,6 @@ class Movie:
         return self.values.shape[1]
 
 
-def sample_times(P: int) -> np.ndarray:
-    """Normalized acquisition times t_p = p / P."""
-    return np.arange(P) / float(P)
-
-
 @dataclass(frozen=True)
 class TimeSequentialSinogram:
     """One projection column per time instant: values[j, p] = g(s_j, theta_p, t_p)."""
@@ -204,7 +204,6 @@ class TimeSequentialSinogram:
     values: np.ndarray
     scheme: AngularScheme
     detector: DetectorGrid
-    times: np.ndarray = field(default=None)
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -217,8 +216,6 @@ class TimeSequentialSinogram:
             )
         if not np.all(np.isfinite(v)):
             raise ValueError("sinogram values must be finite")
-        times = self.times if self.times is not None else sample_times(self.scheme.P)
-        object.__setattr__(self, "times", np.asarray(times, dtype=float))
 
     @property
     def P(self) -> int:
@@ -227,9 +224,8 @@ class TimeSequentialSinogram:
 
 def render_movie(spec: PhantomSpec, motion: MotionSpec, P: int) -> Movie:
     """Ground-truth movie: analytic frames at t_p = p / P."""
-    times = sample_times(P)
-    values = np.stack([render_frame(spec, motion, t).values for t in times])
-    return Movie(values=values, times=times, pixel_size=spec.pixel_size)
+    values = np.stack([render_frame(spec, motion, t).values for t in sample_times(P)])
+    return Movie(values=values, pixel_size=spec.pixel_size)
 
 
 def simulate_acquisition(
@@ -256,13 +252,12 @@ def simulate_acquisition(
         rng = np.random.default_rng(seed)
         scale = noise_sigma * np.abs(columns).max()
         columns = columns + rng.normal(0.0, scale, size=columns.shape)
-    return TimeSequentialSinogram(values=columns, scheme=scheme, detector=detector,
-                                  times=truth.times)
+    return TimeSequentialSinogram(values=columns, scheme=scheme, detector=detector)
 
 
 def benchmark_movie(
     truth: Movie,
-    fbp_angles_count: int = 180,
+    fbp_angles_count: int,
     detector: DetectorGrid | None = None,
 ) -> Movie:
     """Accuracy reference: per-frame FBP from a full simultaneous angle set.
@@ -277,7 +272,7 @@ def benchmark_movie(
     angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
     det = detector if detector is not None else DetectorGrid.for_frame(truth)
     return Movie(values=project_fbp(truth.values, truth.pixel_size, angles, det),
-                 times=truth.times, pixel_size=truth.pixel_size)
+                 pixel_size=truth.pixel_size)
 
 
 def example_phantom(width: int = 64, support_diameter: float = 2.0) -> PhantomSpec:

@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .sampling import AngularScheme
+from .sampling import AngularScheme, sample_times
 
 __all__ = [
     "HarmonicOrder",
@@ -136,14 +136,15 @@ def face_split(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _fix_column_signs(Q: np.ndarray) -> np.ndarray:
-    """Make each column's first nonzero entry positive (sign convention)."""
-    Q = Q.copy()
-    for k in range(Q.shape[1]):
-        col = Q[:, k]
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
-        if nz.size and col[nz[0]] < 0:
-            Q[:, k] = -col
-    return Q
+    """Make each column's first nonzero entry positive (sign convention).
+
+    An entry is nonzero when its magnitude exceeds 1e-12 times the
+    column's largest; an all-zero column keeps its signs.
+    """
+    mag = np.abs(Q)
+    nonzero = mag > 1e-12 * mag.max(axis=0)
+    first = Q[nonzero.argmax(axis=0), np.arange(Q.shape[1])]
+    return np.where(nonzero.any(axis=0) & (first < 0), -Q, Q)
 
 
 def _orthonormalize(V: np.ndarray) -> np.ndarray:
@@ -187,8 +188,7 @@ def spline_interpolator(P: int, d: int) -> np.ndarray:
     knots = np.concatenate(
         [np.zeros(degree + 1), np.linspace(0.0, 1.0, n_inner + 2)[1:-1], np.ones(degree + 1)]
     )
-    t = np.arange(P) / float(P)
-    return _orthonormalize(_bspline_design(t, knots, degree))
+    return _orthonormalize(_bspline_design(sample_times(P), knots, degree))
 
 
 def legendre_basis(P: int, K: int) -> np.ndarray:
@@ -231,10 +231,10 @@ class HarmonicCoefficients:
 
 
 def build_L2(
-    beta: HarmonicCoefficients | np.ndarray,
+    beta: np.ndarray,
     theta_hat: np.ndarray,
     u_hat: np.ndarray,
-    order: HarmonicOrder | None = None,
+    order: HarmonicOrder,
 ) -> np.ndarray:
     """Operator linear in vec(Z), stacked per row i then per offset s_j.
 
@@ -242,14 +242,9 @@ def build_L2(
     per-row operator A_i = theta_hat[i] (x) I_{K+1}; the full
     matrix has shape (rows * J, d * (K+1)) and satisfies
     g_hat_stacked = L2(beta) vec(Z) whenever g_hat(s) = L1(Z) beta(s).
+    ``beta`` is the (2N+1)(K+1) x J coefficient array.
     """
-    if isinstance(beta, HarmonicCoefficients):
-        Bcols = beta.beta
-        order = beta.order
-    else:
-        if order is None:
-            raise ValueError("order is required when beta is a bare array")
-        Bcols = np.asarray(beta)
+    Bcols = np.asarray(beta)
     rows, n_harm = theta_hat.shape
     if n_harm != order.n_harmonics:
         raise ValueError("theta_hat column count does not match order.N")
@@ -290,12 +285,11 @@ def real_trig_theta(scheme: AngularScheme | np.ndarray, N: int) -> np.ndarray:
 
 
 def harmonic_parity(N: int) -> np.ndarray:
-    """Signs (-1)^n per real-trig column (shared by the cos/sin pair of order n)."""
-    s = np.empty(2 * N + 1)
-    s[0] = 1.0
-    for n in range(1, N + 1):
-        s[2 * n - 1] = s[2 * n] = (-1.0) ** n
-    return s
+    """Signs (-1)^n per real-trig column (shared by the cos/sin pair of order n).
+
+    Column c holds harmonic order n = (c + 1) // 2.
+    """
+    return np.where((np.arange(2 * N + 1) + 1) // 2 % 2, -1.0, 1.0)
 
 
 def real_trig_theta_hat(scheme: AngularScheme, N: int) -> np.ndarray:

@@ -55,7 +55,9 @@ class Frame:
     pixel_size: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "values", support_masked(self.values, self.pixel_size))
+        object.__setattr__(self, "values", support_masked(self.values))
+        if self.pixel_size <= 0:
+            raise ValueError("pixel_size must be positive")
 
     @property
     def width(self) -> int:
@@ -71,14 +73,20 @@ class Frame:
         return float(np.sum(self.values**2)) * self.pixel_size**2
 
 
-def support_mask(width: int, pixel_size: float = 1.0) -> np.ndarray:
-    """Boolean mask of pixel centers inside the inscribed disk."""
-    x = (np.arange(width) - (width - 1) / 2.0) * pixel_size
-    r2 = x[None, :] ** 2 + x[:, None] ** 2
-    return r2 <= (0.5 * width * pixel_size) ** 2
+def support_mask(width: int) -> np.ndarray:
+    """Boolean mask of pixel centers inside the inscribed disk.
+
+    In half-pixel units centre (i, j) lies at (2i - W + 1, 2j - W + 1) and
+    the disk has radius W, so the test is exact integer arithmetic.  The
+    two sides never tie: for odd W the sum of squares is even and W^2
+    odd; for even W the sum is 2 mod 4 and W^2 is 0 mod 4.  So no pixel
+    size moves a centre across the circle, and the mask takes none.
+    """
+    x = 2 * np.arange(width) - (width - 1)
+    return x[None, :] ** 2 + x[:, None] ** 2 <= width**2
 
 
-def support_masked(values, pixel_size: float, ndim: int = 2) -> np.ndarray:
+def support_masked(values, ndim: int = 2) -> np.ndarray:
     """float64 copy of a W x W frame (or, with ``ndim`` 3, of P frames) zeroed off the disk."""
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != ndim or v.shape[-2:-1] != v.shape[-1:]:
@@ -86,9 +94,7 @@ def support_masked(values, pixel_size: float, ndim: int = 2) -> np.ndarray:
                          f"got shape {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("frame values must be finite")
-    if pixel_size <= 0:
-        raise ValueError("pixel_size must be positive")
-    return v * support_mask(v.shape[-1], pixel_size)
+    return v * support_mask(v.shape[-1])
 
 
 def grid_coords(width: int, pixel_size: float = 1.0):
@@ -379,7 +385,7 @@ def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, wid
     return acc
 
 
-def _untile(acc: np.ndarray, width: int, pixel_size: float) -> np.ndarray:
+def _untile(acc: np.ndarray, width: int) -> np.ndarray:
     """The n x W x W images of a tile-major ``_backproject`` result, masked as a ``Frame`` is.
 
     The pixel gather copies the stack (the result is a transposed view of
@@ -387,40 +393,38 @@ def _untile(acc: np.ndarray, width: int, pixel_size: float) -> np.ndarray:
     """
     slots, _ = _tiling(width)
     out = acc.reshape(-1, acc.shape[-1])[slots]
-    out *= support_mask(width, pixel_size).reshape(-1, 1)
+    out *= support_mask(width).reshape(-1, 1)
     return out.T.reshape(-1, width, width)
 
 
-def fbp(sinogram: Sinogram, width: int | None = None, pixel_size: float | None = None) -> Frame:
-    """Ramp-filtered backprojection of a sinogram.
+def fbp(sinogram: Sinogram, width: int, pixel_size: float) -> Frame:
+    """Ramp-filtered backprojection of a sinogram onto a ``width`` x ``width`` grid.
 
     Angles are assumed to cover [0, pi) or [0, 2*pi) approximately
     uniformly; either span backprojects with the same pi / A scale thanks
-    to the half-turn redundancy of parallel projections.  The output grid
-    defaults to the one implied by the detector (width = J, pixel size =
-    spacing).  Each pixel reads each view's filtered projection through
-    one two-entry linear interpolation, applied as dense blocks per tile
-    of pixels.
+    to the half-turn redundancy of parallel projections.  Each pixel
+    reads each view's filtered projection through one two-entry linear
+    interpolation, applied as dense blocks per tile of pixels.
 
     Raises
     ------
     InsufficientAnglesError
         If fewer than 2 angles are supplied.
     """
-    h = sinogram.detector.spacing if pixel_size is None else pixel_size
-    values = fbp_stack(sinogram.values[:, :, None], sinogram.angles, sinogram.detector, width, h)
-    return Frame(values=values[0], pixel_size=h)
+    values = fbp_stack(sinogram.values[:, :, None], sinogram.angles, sinogram.detector, width,
+                       pixel_size)
+    return Frame(values=values[0], pixel_size=pixel_size)
 
 
-def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int | None = None,
-              pixel_size: float | None = None) -> np.ndarray:
+def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int,
+              pixel_size: float) -> np.ndarray:
     """``fbp`` of n sinograms that share one angle set and detector, as n x W x W.
 
     ``sinograms`` is J x A x n.  All of them are ramp filtered at once,
     and each view's backprojector is built once and applied to the
     view's J x n block, so n sinograms cost one view loop.  Image k is
     ``fbp`` of sinogram k: masked to the support disk, on the grid of
-    ``width`` and ``pixel_size`` (default: the detector's, as in ``fbp``).
+    ``width`` and ``pixel_size``.
 
     Raises
     ------
@@ -433,15 +437,11 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int | None = Non
     if values.ndim != 3 or values.shape[:2] != (detector.count, angles.size):
         raise ValueError(f"sinograms must be J x A x n = {detector.count} x {angles.size} "
                          f"x n, got shape {values.shape}")
-    if width is None:
-        width = detector.count
-    if pixel_size is None:
-        pixel_size = detector.spacing
     J, A, n = values.shape
     filtered = (_ramp_matrix(J, detector.spacing) @ values.reshape(J, A * n)).reshape(J, A, n)
     acc = _backproject((filtered[:, a] for a in range(A)), angles, detector, width, pixel_size)
     del filtered
-    return _untile(acc, width, pixel_size)
+    return _untile(acc, width)
 
 
 def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np.ndarray:
@@ -492,4 +492,4 @@ def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np
     acc = _backproject((filtered_view(a) for a in range(angles.size)), angles, detector, W,
                        pixel_size)
     del tiled
-    return _untile(acc, W, pixel_size)
+    return _untile(acc, W)

@@ -7,8 +7,10 @@ a dense synthetic sinogram for any time instant.  Since synthesis and
 FBP are linear, the movie is itself a partially separable image model:
 FBP of the K+1 component sinograms gives spatial images phi_k, and the
 P x W^2 movie matrix is the rank-(K+1) product Psi Phi, frame p being
-sum_k psi_k(t_p) phi_k.  Metrics compare two movies frame by frame on
-their P x W x W arrays.
+sum_k psi_k(t_p) phi_k.  The caller names the output grid and the
+synthesis angle count: ``cli`` resolves them once from the run
+configuration.  Metrics compare two movies frame by frame on their
+P x W x W arrays; the per-frame metrics take plain arrays.
 """
 
 from __future__ import annotations
@@ -98,9 +100,9 @@ def synthesize_sinogram(solution: ProSepSolution, p: int, out_angles) -> Sinogra
 
 def reconstruct_movie(
     solution: ProSepSolution,
-    fbp_angles_count: int | None = None,
-    width: int | None = None,
-    pixel_size: float | None = None,
+    fbp_angles_count: int,
+    width: int,
+    pixel_size: float,
 ) -> Movie:
     """FBP-reconstruct every frame of the fitted model on a dense angle set.
 
@@ -110,29 +112,23 @@ def reconstruct_movie(
     per view) into the images phi_k = FBP(g_k), and the whole movie is one
     product: the P x W^2 matrix Psi Phi, with Psi = U Z and Phi the
     (K+1) x W^2 matrix of the phi_k.  This equals FBP of
-    ``synthesize_sinogram`` for every frame up to rounding.  The synthesis
-    angle count defaults to P uniform angles in [0, pi), matching the
-    information budget of the benchmark movie; the grid defaults to the
-    detector's, as in ``fbp``.
+    ``synthesize_sinogram`` for every frame up to rounding.  The
+    components are synthesized at ``fbp_angles_count`` uniform angles in
+    [0, pi) and backprojected onto the ``width`` x ``width`` grid of
+    ``pixel_size``.
     """
-    count = fbp_angles_count if fbp_angles_count is not None else solution.P
-    angles = np.arange(count) * (np.pi / count)
+    angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
     order = solution.model
     T = real_trig_theta(angles, order.N)  # A x (2N+1)
     B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
     components = np.einsum("an,nkj->jak", T, B3)  # J x A x (K+1)
-    h = solution.detector.spacing if pixel_size is None else pixel_size
-    phi = fbp_stack(components, angles, solution.detector, width, h)  # (K+1) x W x W
+    phi = fbp_stack(components, angles, solution.detector, width, pixel_size)  # (K+1) x W x W
     psi = solution.U @ solution.Z  # P x (K+1)
     movie = (psi @ phi.reshape(order.n_temporal, -1)).reshape(-1, *phi.shape[1:])
-    return Movie(values=movie, times=solution.times, pixel_size=h)
+    return Movie(values=movie, pixel_size=pixel_size)
 
 
-def naive_fbp(
-    data: TimeSequentialSinogram,
-    width: int | None = None,
-    pixel_size: float | None = None,
-) -> Frame:
+def naive_fbp(data: TimeSequentialSinogram, width: int, pixel_size: float) -> Frame:
     """Direct FBP of the inconsistent time-sequential projection set.
 
     Treats the P time-stamped columns as if they were simultaneous views
@@ -143,7 +139,7 @@ def naive_fbp(
     return fbp(sino, width=width, pixel_size=pixel_size)
 
 
-def psnr(x: Frame | np.ndarray, ref: Frame | np.ndarray, peak: float) -> float:
+def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:
     """Peak signal-to-noise ratio in dB, capped at 200 dB for exact matches."""
     xv, rv = _aligned_values(x, ref)
     mse = float(np.mean((xv - rv) ** 2))
@@ -152,7 +148,7 @@ def psnr(x: Frame | np.ndarray, ref: Frame | np.ndarray, peak: float) -> float:
     return float(10.0 * np.log10(peak**2 / mse))
 
 
-def ssim(x: Frame | np.ndarray, ref: Frame | np.ndarray, data_range: float | None = None) -> float:
+def ssim(x: np.ndarray, ref: np.ndarray, data_range: float | None = None) -> float:
     """Structural similarity with an 11x11 Gaussian window, sigma 1.5.
 
     K1 = 0.01, K2 = 0.03; ``data_range`` defaults to the peak of ``ref``.
@@ -195,15 +191,15 @@ def _ssim_window(n: int) -> np.ndarray:
                        minlength=n * n).reshape(n, n)
 
 
-def mae(x: Frame | np.ndarray, ref: Frame | np.ndarray) -> float:
+def mae(x: np.ndarray, ref: np.ndarray) -> float:
     """Mean absolute error."""
     xv, rv = _aligned_values(x, ref)
     return float(np.mean(np.abs(xv - rv)))
 
 
 def _aligned_values(x, ref):
-    xv = x.values if isinstance(x, Frame) else np.asarray(x, dtype=float)
-    rv = ref.values if isinstance(ref, Frame) else np.asarray(ref, dtype=float)
+    xv = np.asarray(x, dtype=float)
+    rv = np.asarray(ref, dtype=float)
     if xv.shape != rv.shape:
         raise ValueError(f"grid mismatch: {xv.shape} vs {rv.shape}")
     return xv, rv
@@ -222,7 +218,7 @@ class MetricsRow:
             raise ValueError("invalid metric values")
 
 
-def frame_metrics(x: Frame | np.ndarray, ref: Frame | np.ndarray, peak: float) -> MetricsRow:
+def frame_metrics(x: np.ndarray, ref: np.ndarray, peak: float) -> MetricsRow:
     return MetricsRow(psnr=psnr(x, ref, peak), ssim=ssim(x, ref, data_range=peak), mae=mae(x, ref))
 
 

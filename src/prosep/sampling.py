@@ -1,6 +1,8 @@
-"""View-angle sampling schemes for time-sequential acquisition.
+"""View-angle sampling schemes and sample times for time-sequential acquisition.
 
-Three schemes are supported: a progressive sweep, uniform random draws,
+Frame p of a P-frame acquisition is the object at t_p = p / P
+(``sample_times``), seen from one view angle theta_p.  Three schemes are
+supported: a progressive sweep, uniform random draws,
 and the bit-reversed permutation of the progressive sweep.  The angular
 span is ``pi`` when the half-turn symmetry of parallel-beam projections
 is exploited downstream, and ``2*pi`` otherwise.
@@ -8,7 +10,7 @@ is exploited downstream, and ``2*pi`` otherwise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -19,6 +21,7 @@ __all__ = [
     "bit_reversed",
     "bit_reversal_permutation",
     "span_for",
+    "sample_times",
 ]
 
 
@@ -29,7 +32,6 @@ class AngularScheme:
     angles: np.ndarray
     span: float
     kind: str
-    seed: int | None = field(default=None)
 
     def __post_init__(self):
         angles = np.asarray(self.angles, dtype=float)
@@ -46,6 +48,11 @@ class AngularScheme:
     @property
     def P(self) -> int:
         return self.angles.size
+
+
+def sample_times(P: int) -> np.ndarray:
+    """Normalized acquisition times t_p = p / P of the P frames."""
+    return np.arange(P) / float(P)
 
 
 def span_for(symmetric: bool) -> float:
@@ -76,7 +83,7 @@ def random_scheme(P: int, span: float = 2.0 * np.pi, seed: int = 0) -> AngularSc
         for val in uniq[counts > 1]:
             idx = np.flatnonzero(angles == val)[1:]
             angles[idx] = rng.uniform(0.0, span, size=idx.size)
-    return AngularScheme(angles=angles, span=span, kind="random", seed=seed)
+    return AngularScheme(angles=angles, span=span, kind="random")
 
 
 def bit_reversal_permutation(P: int) -> np.ndarray:

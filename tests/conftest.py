@@ -44,7 +44,7 @@ def area_disk(width, pixel_size, radius, center=(0.0, 0.0), subsamples=16):
         for dy in offs:
             acc += ((X + dx * pixel_size - center[0]) ** 2 +
                     (Y + dy * pixel_size - center[1]) ** 2) <= radius**2
-    vals = acc / subsamples**2 * support_mask(width, pixel_size)
+    vals = acc / subsamples**2 * support_mask(width)
     return Frame(values=vals, pixel_size=pixel_size)
 
 

@@ -43,6 +43,8 @@ def run_simulate(out, extra=()):
 # the run_simulate settings as a config file
 SMALL_CONFIG = {"P": 32, "grid": {"width": 32}, "model": {"K": 1, "N": 4, "d": 2},
                 "scheme": {"kind": "bit_reversed"}, "symmetric": True}
+# a smaller run still: P = 16 on a 16 x 16 grid
+TINY_CONFIG = {"P": 16, "grid": {"width": 16}, "model": {"K": 1, "N": 3, "d": 2}}
 
 # every setting flag: (flag, argument, config field, config value); each value
 # differs from the one the flag's test starts from
@@ -262,6 +264,20 @@ def test_simulate_static_motion_benchmark_constant(tmp_path):
      "'phantom.ellipses'"),
     ({"phantom": {"ellipses": [{"center": [0, 0], "semi_axes": [0.5, 0.5], "angle": "x"}]}},
      "'phantom.ellipses'"),
+    # numbers that are not finite reals, on a small run (json writes NaN and Infinity)
+    ({**TINY_CONFIG, "motion": {"translation": ["a", 0.0]}}, "'motion'"),
+    ({**TINY_CONFIG, "motion": {"rotation": float("nan")}}, "'motion'"),
+    ({**TINY_CONFIG, "motion": {"scaling": [float("nan"), 0.0]}}, "'motion'"),
+    ({**TINY_CONFIG, "grid": {"width": 16, "support_diameter": float("inf")}},
+     "'grid.support_diameter'"),
+    ({**TINY_CONFIG, "phantom": {"ellipses": [{"center": [0, 0],
+                                               "semi_axes": [float("nan"), 0.3]}]}},
+     "'phantom.ellipses'"),
+    ({**TINY_CONFIG, "noise_sigma": float("inf")}, "'noise_sigma'"),
+    ({**TINY_CONFIG, "phantom": "phantom.json"}, "'phantom'"),
+    # integers too large for a float
+    ({**TINY_CONFIG, "motion": {"rotation": 10**400}}, "'motion'"),
+    ({**TINY_CONFIG, "noise_sigma": 10**400}, "'noise_sigma'"),
 ])
 def test_simulate_bad_config_file_exits_1_with_one_line(tmp_path, capsys, content, named):
     cfg = tmp_path / "cfg.json"

@@ -121,7 +121,7 @@ def test_movie_masks_each_frame_as_frame_does(rng):
     """Movie.values is, byte for byte, the stack of the frames' masked values."""
     values = rng.standard_normal((3, 9, 9))
     values[1, 0, 0] = -2.0  # a negative corner outside the disk
-    movie = Movie(values=values, times=[0.0, 0.25, 0.5], pixel_size=0.3)
+    movie = Movie(values=values, pixel_size=0.3)
     want = np.stack([Frame(values=v, pixel_size=0.3).values for v in values])
     assert movie.values.dtype == np.float64 and movie.values.shape == (3, 9, 9)
     assert movie.values.tobytes() == want.tobytes()
@@ -129,22 +129,56 @@ def test_movie_masks_each_frame_as_frame_does(rng):
     assert len(movie) == 3 and movie.width == 9
 
 
-@pytest.mark.parametrize("values, times, match", [
-    (np.zeros((0, 4, 4)), [], "empty"),
-    (np.zeros((2, 0, 0)), [0.0, 0.5], "empty"),
-    (np.zeros((2, 4, 5)), [0.0, 0.5], "frame must be square"),
-    (np.zeros((4, 4)), [0.0, 0.5, 1.0, 1.5], "frame must be square"),
-    (np.full((2, 4, 4), np.inf), [0.0, 0.5], "finite"),
-    (np.where(np.arange(32).reshape(2, 4, 4) == 5, np.nan, 0.0), [0.0, 0.5], "finite"),
-    (np.zeros((3, 4, 4)), [0.0, 0.5], "one time per frame"),
-    (np.zeros((2, 4, 4)), [0.0, 0.5, 1.0], "one time per frame"),
-    (np.zeros((3, 4, 4)), [0.0, 0.5, 0.25], "increasing and uniform"),
-    (np.zeros((3, 4, 4)), [0.0, 0.0, 0.0], "increasing and uniform"),
-    (np.zeros((3, 4, 4)), [0.0, 0.25, 0.75], "increasing and uniform"),
-])
-def test_movie_rejects_malformed_input(values, times, match):
+_MALFORMED_MOVIES = [
+    (np.zeros((0, 4, 4)), "empty"),
+    (np.zeros((2, 0, 0)), "empty"),
+    (np.zeros((2, 4, 5)), "frame must be square"),
+    (np.zeros((4, 4)), "frame must be square"),
+    (np.full((2, 4, 4), np.inf), "finite"),
+    (np.where(np.arange(32).reshape(2, 4, 4) == 5, np.nan, 0.0), "finite"),
+]
+
+
+# explicit ids keep each case's established name
+@pytest.mark.parametrize("values, match", _MALFORMED_MOVIES, ids=[
+    f"values{i}-times{i}-{match}" for i, (_, match) in enumerate(_MALFORMED_MOVIES)])
+def test_movie_rejects_malformed_input(values, match):
     with pytest.raises(ValueError, match=match):
-        Movie(values=values, times=times)
+        Movie(values=values)
+
+
+@pytest.mark.parametrize("pixel_size", [0.0, -0.5])
+def test_movie_and_frame_reject_nonpositive_pixel_size(pixel_size):
+    with pytest.raises(ValueError, match="pixel_size must be positive"):
+        Movie(values=np.zeros((2, 4, 4)), pixel_size=pixel_size)
+    with pytest.raises(ValueError, match="pixel_size must be positive"):
+        Frame(values=np.zeros((4, 4)), pixel_size=pixel_size)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"center": (np.nan, 0.0), "semi_axes": (0.3, 0.2)},
+    {"center": (0.0, 0.0), "semi_axes": (np.inf, 0.2)},
+    {"center": ("a", 0.0), "semi_axes": (0.3, 0.2)},
+    {"center": (0.0, 0.0), "semi_axes": (0.3, 0.2), "angle": np.nan},
+    {"center": (0.0, 0.0), "semi_axes": (0.3, 0.2), "intensity": -np.inf},
+    {"center": (True, 0.0), "semi_axes": (0.3, 0.2)},
+])
+def test_ellipse_rejects_entries_that_are_not_finite_reals(kwargs):
+    with pytest.raises(ValueError, match="finite real numbers"):
+        Ellipse(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"translation": ("a", 0.0)},
+    {"translation": (0.0, np.inf)},
+    {"rotation": np.nan},
+    {"scaling": (np.nan, 0.0)},
+    {"scaling": (0.0, None)},
+    {"translation": (10**400, 0.0)},
+])
+def test_motion_rejects_entries_that_are_not_finite_reals(kwargs):
+    with pytest.raises(ValueError, match="finite real numbers"):
+        MotionSpec(**kwargs)
 
 
 def test_simulate_acquisition_deterministic():
@@ -207,7 +241,6 @@ def test_benchmark_movie_equals_per_frame_fbp_of_projections():
     count = 20
     angles = np.arange(count) * (np.pi / count)
     movie = benchmark_movie(truth, fbp_angles_count=count, detector=det)
-    assert np.array_equal(movie.times, truth.times)
     assert movie.pixel_size == truth.pixel_size
     for values, out in zip(truth.values, movie.values):
         f = Frame(values=values, pixel_size=truth.pixel_size)
@@ -254,5 +287,5 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     bench = benchmark_movie(truth, fbp_angles_count=P)
     peak = truth.values.max()
     psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.values, truth.values)])
-    psnr_naive = np.mean([psnr(naive, t, peak) for t in truth.values])
+    psnr_naive = np.mean([psnr(naive.values, t, peak) for t in truth.values])
     assert psnr_naive <= psnr_bench - 5.0

@@ -6,6 +6,7 @@ from prosep.psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
     _bspline_design,
+    _fix_column_signs,
     build_L2,
     build_theta,
     face_split,
@@ -292,6 +293,44 @@ def test_real_trig_hat_parity_consistency():
     T_shift = real_trig_theta(shifted, N)
     assert np.allclose(That[12:], T_shift, atol=1e-12)
     assert np.array_equal(That[:12] * harmonic_parity(N)[None, :], That[12:])
+
+
+def _harmonic_parity_loop(N):
+    s = np.empty(2 * N + 1)
+    s[0] = 1.0
+    for n in range(1, N + 1):
+        s[2 * n - 1] = s[2 * n] = (-1.0) ** n
+    return s
+
+
+def _fix_column_signs_loop(Q):
+    Q = Q.copy()
+    for k in range(Q.shape[1]):
+        col = Q[:, k]
+        nz = np.flatnonzero(np.abs(col) > 1e-12 * np.abs(col).max())
+        if nz.size and col[nz[0]] < 0:
+            Q[:, k] = -col
+    return Q
+
+
+def test_harmonic_parity_equals_loop_form():
+    for N in range(40):
+        got, want = harmonic_parity(N), _harmonic_parity_loop(N)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_fix_column_signs_equals_loop_form(rng):
+    """Bit for bit, signed zeros included, on zero, tiny and leading-zero columns."""
+    for _ in range(200):
+        Q = rng.standard_normal((rng.integers(1, 9), rng.integers(1, 6)))
+        Q[rng.random(Q.shape) < 0.3] = 0.0
+        Q[rng.random(Q.shape) < 0.1] = -0.0
+        Q[rng.random(Q.shape) < 0.1] *= 1e-14  # below the column's nonzero threshold
+        Q[:, rng.random(Q.shape[1]) < 0.2] = 0.0
+        got, want = _fix_column_signs(Q), _fix_column_signs_loop(Q)
+        assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+    Q, _ = np.linalg.qr(rng.standard_normal((32, 5)))  # as _orthonormalize calls it
+    assert _fix_column_signs(Q).tobytes() == _fix_column_signs_loop(Q).tobytes()
 
 
 # ---------------------------------------------------------------- types

@@ -16,7 +16,7 @@ from prosep.recon import (
     ssim,
     synthesize_sinogram,
 )
-from prosep.sampling import bit_reversed
+from prosep.sampling import bit_reversed, sample_times
 from prosep.solver import SolverConfig, VarproProblem, solve, stacked_data
 
 
@@ -30,9 +30,14 @@ def _solved_solution_cached(P, K, N, d, J, seed, static, max_iters):
     Z, beta, report = solve(data, order, U, SolverConfig(max_iters=max_iters, restarts=2, seed=0))
     sol = ProSepSolution(
         Z=Z, U=U, beta=beta, model=order, scheme=data.scheme,
-        detector=data.detector, times=data.times, symmetric=True,
+        detector=data.detector, times=sample_times(P), symmetric=True,
     )
     return sol, data, U, Z0, beta0, order
+
+
+def _detector_grid(sol):
+    """The grid of the detector's J bins: width J, pixel size the bin spacing."""
+    return sol.detector.count, sol.detector.spacing
 
 
 def solved_solution(P=64, K=2, N=6, d=4, J=24, seed=3, psi0=None, max_iters=3000):
@@ -47,7 +52,7 @@ def test_solution_rejects_non_orthonormal_factors():
     data, U, Z0, beta0, order = make_exact_model_data(P=16, K=1, N=2, d=3, J=4, seed=1)
     beta = HarmonicCoefficients(beta=beta0, order=order)
     fields = dict(beta=beta, model=order, scheme=data.scheme, detector=data.detector,
-                  times=data.times)
+                  times=sample_times(16))
     ProSepSolution(Z=Z0, U=U, **fields)
     for bad in ({"Z": Z0, "U": 2.0 * U}, {"Z": 2.0 * Z0, "U": U}):
         with pytest.raises(ValueError, match="not orthonormal"):
@@ -117,7 +122,7 @@ def test_reconstruct_movie_static_is_time_constant():
     P, d = 64, 3
     psi0 = np.ones((P, 1)) / np.sqrt(P)
     sol, *_ = solved_solution(P=P, K=0, N=5, d=d, J=16, seed=6, psi0=psi0)
-    movie = reconstruct_movie(sol, fbp_angles_count=32)
+    movie = reconstruct_movie(sol, 32, *_detector_grid(sol))
     ref = movie.values[0]
     scale = max(np.abs(ref).max(), 1e-30)
     for f in movie.values[1:]:
@@ -127,11 +132,11 @@ def test_reconstruct_movie_static_is_time_constant():
 
 def test_reconstruct_movie_shape_contract():
     sol, *_ = solved_solution(P=32, K=1, N=3, d=3, J=12, max_iters=300)
-    movie = reconstruct_movie(sol, fbp_angles_count=16)
+    W, h = sol.detector.count - 1, 1.1 * sol.detector.spacing
+    movie = reconstruct_movie(sol, fbp_angles_count=16, width=W, pixel_size=h)
     assert len(movie) == sol.P
-    assert movie.values.shape == (sol.P, sol.detector.count, sol.detector.count)
-    assert movie.pixel_size == sol.detector.spacing  # detector-implied grid
-    assert np.array_equal(movie.times, sol.times)
+    assert movie.values.shape == (sol.P, W, W)
+    assert movie.pixel_size == h
 
 
 def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
@@ -139,10 +144,11 @@ def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
     sol, *_ = solved_solution()
     count = 48
     angles = np.arange(count) * (np.pi / count)
-    movie = reconstruct_movie(sol, fbp_angles_count=count)
+    W, h = _detector_grid(sol)
+    movie = reconstruct_movie(sol, count, W, h)
     assert len(movie) == sol.P
     for p in range(sol.P):
-        ref = fbp(synthesize_sinogram(sol, p, angles))
+        ref = fbp(synthesize_sinogram(sol, p, angles), width=W, pixel_size=h)
         assert movie.pixel_size == ref.pixel_size
         assert np.abs(movie.values[p] - ref.values).max() < 1e-12
 
@@ -153,7 +159,8 @@ def test_reconstruct_movie_matches_truth_fbp():
     angles = np.arange(64) * np.pi / 64
     T = real_trig_theta(type(data.scheme)(angles=angles, span=np.pi, kind="custom"), order.N)
     Psi0 = U @ Z0
-    movie = reconstruct_movie(sol, fbp_angles_count=64)
+    W, pixel = _detector_grid(sol)
+    movie = reconstruct_movie(sol, 64, W, pixel)
     from prosep.radon import Sinogram
 
     peaks = []
@@ -162,12 +169,12 @@ def test_reconstruct_movie_matches_truth_fbp():
     for p in (0, 20, 50):
         h = np.einsum("nkj,k->nj", B3, Psi0[p])
         g_true = (T @ h).T
-        bench = fbp(Sinogram(values=g_true, angles=angles, detector=data.detector))
+        bench = fbp(Sinogram(values=g_true, angles=angles, detector=data.detector), W, pixel)
         peaks.append(bench.values.max())
         scores.append((movie.values[p], bench))
     peak = max(peaks)
     for rec_frame, bench in scores:
-        assert psnr(rec_frame, bench, peak) >= 35.0
+        assert psnr(rec_frame, bench.values, peak) >= 35.0
 
 
 # ---------------------------------------------------------------- metrics
@@ -220,8 +227,8 @@ def test_ssim_window_blur_matches_gaussian_filter(rng, W):
 def test_movie_metrics_rejects_grid_mismatch():
     from prosep.phantom import Movie
 
-    a = Movie(values=np.ones((1, 8, 8)), times=[0.0])
-    b = Movie(values=np.ones((1, 6, 6)), times=[0.0])
+    a = Movie(values=np.ones((1, 8, 8)))
+    b = Movie(values=np.ones((1, 6, 6)))
     with pytest.raises(ValueError, match="grid mismatch"):
         movie_metrics(a, b)
 

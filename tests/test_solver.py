@@ -17,7 +17,7 @@ from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, harmonic_blocks,
 from prosep.radon import DetectorGrid
 from prosep.recon import ProSepSolution, reconstruct_movie, synthesize_sinogram
 from prosep import solver as solver_module
-from prosep.sampling import AngularScheme, bit_reversed, random_scheme
+from prosep.sampling import AngularScheme, bit_reversed, random_scheme, sample_times
 from prosep.solver import (
     SolverConfig,
     VarproProblem,
@@ -252,6 +252,22 @@ def test_objective_bounds_and_range_invariance(rng):
     O = np.linalg.qr(rng.standard_normal((order.K + 1, order.K + 1)))[0]
     F2 = objective(problem, Z @ O, G)
     assert F2 == pytest.approx(F, rel=1e-10)
+    # so does any invertible Q: L1(ZQ) = L1(Z) (I (x) Q) block by block.  F(ZQ) = F(Z)
+    # for all Z, so by the chain rule g(ZQ) = g(Z) Q^-T.  d > K+1, mu = 0.
+    for symmetric in (True, False):
+        _, order, _, problem = small_problem(rng, K=2, d=4, symmetric=symmetric)
+        assert order.d > order.K + 1
+        Z = random_Z(rng, order.d, order.K)
+        G = random_blocks(rng, problem, 7)
+        O1, O2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+        Q = O1 @ np.diag([1.0, 2.5, 8.0]) @ O2
+        assert 5.0 < np.linalg.cond(Q) <= 10.0
+        F, g = problem.objective_and_gradient_from_data(Z, G, mu=0.0)
+        FQ, gQ = problem.objective_and_gradient_from_data(Z @ Q, G, mu=0.0)
+        assert F > 1e-2 * total_sq(G)  # random data: a residual well above rounding
+        assert FQ == pytest.approx(F, rel=1e-10)
+        want = g @ np.linalg.inv(Q).T
+        assert np.linalg.norm(gQ - want) <= 1e-10 * np.linalg.norm(want)
 
 
 def test_z_not_unique_when_d_equals_k_plus_1():
@@ -277,7 +293,7 @@ def test_z_not_unique_when_d_equals_k_plus_1():
         L1 = l1_2p(noisy.scheme, order.N, U, Z, True)
         beta = HarmonicCoefficients(beta=inner_beta(L1, data_2p(noisy, True)), order=order)
         sol = ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=noisy.scheme,
-                             detector=noisy.detector, times=noisy.times)
+                             detector=noisy.detector, times=sample_times(noisy.P))
         angles = np.arange(48) * np.pi / 48
         sinos.append(np.stack([synthesize_sinogram(sol, p, angles).values
                                for p in (0, 13, 31)]))
@@ -502,7 +518,8 @@ def noisy_exact_data(P, K, N, d, J, seed, sigma=0.05):
 
 def _solution(data, U, Z, beta, order, symmetric):
     return ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=data.scheme,
-                          detector=data.detector, times=data.times, symmetric=symmetric)
+                          detector=data.detector, times=sample_times(data.P),
+                          symmetric=symmetric)
 
 
 def _rel(x, ref):
@@ -532,8 +549,9 @@ def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
     for p in (0, 11, 31):
         assert _rel(synthesize_sinogram(ours, p, angles).values,
                     synthesize_sinogram(oracle, p, angles).values) < 1e-10
-    movie = reconstruct_movie(ours, fbp_angles_count=24).values
-    assert _rel(movie, reconstruct_movie(oracle, fbp_angles_count=24).values) < 1e-10
+    grid = (24, data.detector.count, data.detector.spacing)
+    movie = reconstruct_movie(ours, *grid).values
+    assert _rel(movie, reconstruct_movie(oracle, *grid).values) < 1e-10
 
 
 def count_calls(monkeypatch, owner, name):
