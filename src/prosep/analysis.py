@@ -22,9 +22,12 @@ far and skips each later trial that one Cholesky factorization per block
 shows cannot beat it (``_cannot_win``): the trial's kappa exceeds the
 best by more than a relative margin of 1e-3 when some block's Gram
 matrix, shifted down by rho / kappa^2 with rho <= lambda_max, is not
-positive definite.  The certificate is trusted only while the best kappa
-is at most 1e3; beyond that every trial gets the SVD.  The reported
-value is the SVD kappa of the exhaustive minimum either way.
+positive definite.  Those Gram matrices are assembled from the sums
+sum_p cos(m phi_p) V_pk V_pk' and sum_p sin(m phi_p) V_pk V_pk', m <= 2N
+(``_trig_grams``), not formed as A^T A.  The certificate is trusted only
+while the best kappa is at most 1e3; beyond that every trial gets the
+SVD.  The reported value is the SVD kappa of the exhaustive minimum
+either way.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .psmodel import (
     HarmonicOrder,
     build_theta,
     face_split,
+    harmonic_blocks,
     l1_factors,
     l2_row_factors,
     legendre_basis,
@@ -288,20 +292,88 @@ def rotation_bound(B: float, L: float, theta_max: float, K: int) -> float:
     return _taylor_remainder(B * L * theta_max, K)
 
 
-def _cannot_win(blocks, kappa: float) -> bool:
-    """Whether kappa(L1) of these blocks certainly exceeds ``kappa``, by one Cholesky per block.
+def _trig_grams(N: int, V: np.ndarray, symmetric: bool):
+    """The Gram matrices A^T A of the nonempty ``l1_factors`` blocks, as a function of the angles.
 
-    rho is the largest Rayleigh quotient x^T G x / x^T x over the blocks'
-    Gram matrices G = A^T A (A = face_split(theta, V)), with x a few power
-    steps from G 1; any x gives rho <= lambda_max, the largest squared
-    singular value of L1.  Each G is shifted down by s = rho / kappa^2 in
-    place, and the answer is True exactly when a Cholesky factorization
-    fails: then some lambda_min(G) is below s plus a rounding floor, so
-    kappa(L1)^2 = lambda_max / lambda_min exceeds about kappa^2.
-    ``table1`` says how much that floor can matter.
+    Returns ``grams(angles)``.  Column c of a block's theta is
+    s Re(w_c e^{i n_c phi}) with n_c = (c + 1) // 2, w_c = 1, sqrt2 or
+    -i sqrt2 for the constant, cosine and sine columns, and s = sqrt2 with
+    the symmetry (else 1).  Since Re(a) Re(b) = (Re(a b) + Re(a conj b)) / 2,
+    the Gram entry sum_p theta_pc theta_pc' V_pk V_pk' is
+    s^2 |w_c w_c'| / 2 times a signed C or S sum at m = n_c + n_c' plus one
+    at m = |n_c - n_c'|, where C_m + i S_m = sum_p e^{i m phi_p} V_pk V_pk'.
+    So a Gram costs one product of the 2N + 1 rows e^{i m phi} (a doubling
+    recurrence) with V_pk V_pk' (k <= k', built once) and one gather per
+    block, O(P N K^2) instead of the O(P N^2 K^2) of A^T A; the gather
+    tables are built once, here.  Every G is exactly symmetric.
     """
-    # the odd-harmonic block is empty when N = 0 and adds nothing to the spectrum
-    grams = [A.T @ A for A in (face_split(b.theta, b.V) for b in blocks) if A.size]
+    K1 = V.shape[1]
+    k_lo, k_hi = np.triu_indices(K1)
+    VV = V[:, k_lo] * V[:, k_hi]
+    pair = np.empty((K1, K1), dtype=np.intp)
+    pair[k_lo, k_hi] = pair[k_hi, k_lo] = np.arange(k_lo.size)
+    scale2 = 2.0 if symmetric else 1.0
+    tables = []
+    for h in harmonic_blocks(N, symmetric):
+        if not h.size:
+            continue  # the odd-harmonic block is empty when N = 0
+        n = (h + 1) // 2
+        sine = ((h > 0) & (h % 2 == 0)).astype(int)
+        varying = (h > 0).astype(int)
+        mag = scale2 * np.array([0.5, math.sqrt(0.5), 1.0])[varying[:, None] + varying[None, :]]
+        # w_c w_c' and w_c conj(w_c') are mag times (-i)^j; a negative order
+        # conjugates e^{i m phi}, which negates j
+        m_dif = n[:, None] - n[None, :]
+        j_dif = sine[:, None] - sine[None, :]
+        terms = ((n[:, None] + n[None, :], sine[:, None] + sine[None, :]),
+                 (np.abs(m_dif), np.where(m_dif < 0, -j_dif, j_dif)))
+        idx, coef = [], []
+        for m, j in terms:
+            j = j % 4
+            # Re((-i)^j (C + i S)) is C, S, -C, -S for j = 0..3; C and S
+            # alternate in the float view of the complex (2N+1) x pairs sums
+            flat = (m[:, None, :, None] * k_lo.size + pair[None, :, None, :]) * 2
+            flat += j[:, None, :, None] % 2
+            idx.append(flat.ravel())
+            sign = np.where(j >= 2, -1.0, 1.0)[:, None, :, None]
+            coef.append(np.broadcast_to(sign * mag[:, None, :, None], flat.shape).ravel())
+        tables.append((np.stack(idx), np.stack(coef), h.size * K1))
+
+    def grams(angles: np.ndarray) -> list:
+        E = np.empty((2 * N + 1, angles.size), dtype=complex)
+        E[0] = 1.0
+        if N:
+            E[1] = np.exp(1j * angles)
+        # e^{i (r + l) phi} = e^{i l phi} e^{i r phi}: rows r+1..2r from rows 1..r
+        r = 1
+        while r < 2 * N:
+            top = min(2 * r, 2 * N)
+            np.multiply(E[1:top - r + 1], E[r], out=E[r + 1:top + 1])
+            r = top
+        sums = (E @ VV).view(float).ravel()
+        out = []
+        for idx, coef, n_cols in tables:
+            t = sums[idx]
+            t *= coef
+            out.append((t[0] + t[1]).reshape(n_cols, n_cols))
+        return out
+
+    return grams
+
+
+def _cannot_win(grams, kappa: float) -> bool:
+    """Whether kappa(L1) certainly exceeds ``kappa``, by one Cholesky per block Gram matrix.
+
+    ``grams`` are the blocks' Gram matrices G = A^T A (A =
+    face_split(theta, V)), which this shifts in place.  rho is the largest
+    Rayleigh quotient x^T G x / x^T x over them, with x a few power steps
+    from G 1; any x gives rho <= lambda_max, the largest squared singular
+    value of L1.  Each G is shifted down by s = rho / kappa^2, and the
+    answer is True exactly when a Cholesky factorization fails: then some
+    lambda_min(G) is below s plus a rounding floor, so kappa(L1)^2 =
+    lambda_max / lambda_min exceeds about kappa^2.  ``table1`` says how
+    much that floor can matter.
+    """
     rho = 0.0
     for G in grams:
         x = G.sum(axis=1)
@@ -325,15 +397,16 @@ def _best_random_kappa(P: int, K: int, N: int, symmetric: bool, trials: int,
     One pass keeps the ``cond_L1`` of the best trial so far; while that
     is at most ``GRAM_TRUST_LIMIT``, a trial that ``_cannot_win`` against
     it with the relative margin ``GRAM_MARGIN`` is skipped, and every
-    other trial gets ``cond_L1``.  ``table1`` says why this is the
-    exhaustive minimum.
+    other trial gets ``cond_L1``.  The certificate's Gram matrices come
+    from ``_trig_grams``.  ``table1`` says why this is the exhaustive
+    minimum.
     """
     span = span_for(symmetric)
-    Psi = legendre_basis(P, K)
+    grams = _trig_grams(N, legendre_basis(P, K), symmetric)
     best = math.inf
     for s in np.random.SeedSequence(seed).spawn(trials):
         scheme = random_scheme(P, span, seed=int(np.random.default_rng(s).integers(2**63)))
-        if best <= GRAM_TRUST_LIMIT and _cannot_win(l1_factors(scheme, N, Psi, symmetric),
+        if best <= GRAM_TRUST_LIMIT and _cannot_win(grams(scheme.angles),
                                                     (1.0 + GRAM_MARGIN) * best):
             continue
         best = min(best, cond_L1(scheme, K, N, symmetric=symmetric))
@@ -362,19 +435,30 @@ def table1(
     SVD kappa so far and, while it is at most 1e3 (the trust limit),
     skips each trial that ``_cannot_win`` shows to exceed it by more than
     a relative margin of 1e-3.  At the default 512 x 342 block a trial
-    costs one Gram product and one Cholesky factorization per block
-    instead of an SVD, and at 100 trials 6 nonsymmetric and 12 symmetric
+    costs one product of trig rows with temporal products, a gather and
+    one Cholesky factorization per block instead of an SVD
+    (``_trig_grams``), and at 100 trials 6 nonsymmetric and 12 symmetric
     trials reach ``cond_L1``.  Why the minimum is never skipped: with
     best <= 1e3 and threshold t = 1.001 best, the certificate shifts each
-    Gram matrix G = A^T A down by s = rho / t^2 <= lambda_max / t^2.
-    Cholesky of G - s I fails only if lambda_min(G) < s + O(n^2 u max G_ii)
-    (Demmel 1989; Higham, Accuracy and Stability of Numerical Algorithms,
-    ch. 10): n(n+1) u = 1.3e-11 for n = 342, and max G_ii <= lambda_max.
-    Forming G moves its eigenvalues by at most about (m + n) u lambda_max,
-    2e-13 lambda_max (Weyl), so for kappa <= 1e3 the Gram spectrum agrees
-    with the SVD's to about 1e-7 relative.  A trial with SVD kappa <= best
-    has lambda_min >= lambda_max / best^2, so lambda_min - s >=
-    (1 - 1 / 1.001^2) lambda_max / best^2 >= 2.0e-9 lambda_max, about 150
+    block's Gram matrix G, the A^T A of the matrix A whose SVD ``cond_L1``
+    takes, down by s = rho / t^2 <= lambda_max / t^2.  Cholesky of G - s I
+    fails only if lambda_min(G) < s + O(n^2 u max G_ii) (Demmel 1989;
+    Higham, Accuracy and Stability of Numerical Algorithms, ch. 10):
+    n(n+1) u = 1.3e-11 for n = 342, and max G_ii <= lambda_max.  G is
+    assembled from the trig sums C_m, S_m (m <= 2N), not as A^T A: each
+    entry is at most two of them times at most s^2 (the symmetric block
+    scale, 2), and it carries the recurrence error of e^{i m phi}, about
+    m u, plus the error of the P-term sum.  With orthonormal V,
+    sum_p |V_pk V_pk'| <= 1, and lambda_max >= max G_ii >= s^2 (the
+    constant harmonic), so G is within about n 2(P + 2N + 2) u lambda_max
+    = 4.3e-11 lambda_max of the Gram of the exact trig values.  The A that
+    the SVD sees rounds each phase n phi (at most 2 pi N u), which moves its
+    A^T A by at most n 8 pi N u lambda_max = 2.7e-11 lambda_max more
+    (measured: the two differ by at most 5e-15 lambda_max over 60 trials
+    per symmetry at 512 x 342).  By Weyl the Gram spectrum agrees with the
+    SVD's to 7e-11 lambda_max.  A trial with SVD kappa <= best has
+    lambda_min >= lambda_max / best^2, so lambda_min - s >=
+    (1 - 1 / 1.001^2) lambda_max / best^2 >= 2.0e-9 lambda_max, about 24
     times the floor and the Gram error together: its Cholesky succeeds,
     it reaches ``cond_L1``, and the reported value is the SVD kappa of the
     exhaustive minimum.  Above the trust limit every trial gets

@@ -221,6 +221,13 @@ def _is_number(x) -> bool:
     return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
+def _real(x, what: str) -> float:
+    """float(x) of a JSON number; a string or any other value is a ValueError."""
+    if not _is_number(x):
+        raise ValueError(f"{what} must be a finite real number, got {x!r}")
+    return float(x)
+
+
 def _need(cond, field, msg) -> None:
     if not cond:
         raise ConfigError(f"field {field!r}: {msg}")
@@ -303,8 +310,8 @@ def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:
             Ellipse(
                 center=tuple(e["center"]),
                 semi_axes=tuple(e["semi_axes"]),
-                angle=float(e.get("angle", 0.0)),
-                intensity=float(e.get("intensity", 1.0)),
+                angle=_real(e.get("angle", 0.0), "angle"),
+                intensity=_real(e.get("intensity", 1.0), "intensity"),
             )
             for e in ph["ellipses"]
         )
@@ -321,7 +328,7 @@ def _motion_from_config(cfg: dict) -> MotionSpec:
     try:
         return MotionSpec(
             translation=tuple(m.get("translation", (0.0, 0.0))),
-            rotation=float(m.get("rotation", 0.0)),
+            rotation=_real(m.get("rotation", 0.0), "rotation"),
             scaling=tuple(m.get("scaling", (0.0, 0.0))),
         )
     except (TypeError, ValueError, OverflowError) as e:

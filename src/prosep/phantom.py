@@ -258,7 +258,7 @@ def simulate_acquisition(
 def benchmark_movie(
     truth: Movie,
     fbp_angles_count: int,
-    detector: DetectorGrid | None = None,
+    detector: DetectorGrid,
 ) -> Movie:
     """Accuracy reference: per-frame FBP from a full simultaneous angle set.
 
@@ -266,12 +266,10 @@ def benchmark_movie(
     in [0, pi) and reconstructed with FBP on its own grid, i.e. the
     reference uses P * fbp_angles_count projections in total.  Every frame
     shares the geometry, so ``project_fbp`` applies each view's projector
-    and backprojector to the whole P x W x W array at once.  The detector
-    defaults to ``DetectorGrid.for_frame``.
+    and backprojector to the whole P x W x W array at once.
     """
     angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
-    det = detector if detector is not None else DetectorGrid.for_frame(truth)
-    return Movie(values=project_fbp(truth.values, truth.pixel_size, angles, det),
+    return Movie(values=project_fbp(truth.values, truth.pixel_size, angles, detector),
                  pixel_size=truth.pixel_size)
 
 

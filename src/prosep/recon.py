@@ -19,9 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phantom import Movie, TimeSequentialSinogram
+from .phantom import Movie
 from .psmodel import HarmonicCoefficients, HarmonicOrder, real_trig_theta
-from .radon import DetectorGrid, Frame, Sinogram, fbp, fbp_stack
+# fbp is not called here; perfbench's tracer test wraps it at this import site
+from .radon import DetectorGrid, Sinogram, fbp, fbp_stack  # noqa: F401
 from .sampling import AngularScheme
 
 __all__ = [
@@ -29,7 +30,6 @@ __all__ = [
     "MetricsRow",
     "synthesize_sinogram",
     "reconstruct_movie",
-    "naive_fbp",
     "psnr",
     "ssim",
     "mae",
@@ -128,17 +128,6 @@ def reconstruct_movie(
     return Movie(values=movie, pixel_size=pixel_size)
 
 
-def naive_fbp(data: TimeSequentialSinogram, width: int, pixel_size: float) -> Frame:
-    """Direct FBP of the inconsistent time-sequential projection set.
-
-    Treats the P time-stamped columns as if they were simultaneous views
-    of a static object; for a moving object this is the artifact-ridden
-    baseline the model-based reconstruction is compared against.
-    """
-    sino = Sinogram(values=data.values, angles=data.scheme.angles, detector=data.detector)
-    return fbp(sino, width=width, pixel_size=pixel_size)
-
-
 def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:
     """Peak signal-to-noise ratio in dB, capped at 200 dB for exact matches."""
     xv, rv = _aligned_values(x, ref)
@@ -148,18 +137,16 @@ def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:
     return float(10.0 * np.log10(peak**2 / mse))
 
 
-def ssim(x: np.ndarray, ref: np.ndarray, data_range: float | None = None) -> float:
+def ssim(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
     """Structural similarity with an 11x11 Gaussian window, sigma 1.5.
 
-    K1 = 0.01, K2 = 0.03; ``data_range`` defaults to the peak of ``ref``.
+    K1 = 0.01, K2 = 0.03.
     The local means and moments blur with the reflect-boundary Gaussian
     as a matrix product G X G^T (``_ssim_window``), which equals
     ``scipy.ndimage.gaussian_filter(X, 1.5, truncate=3.5, mode="reflect")``
     to rounding.
     """
     xv, rv = _aligned_values(x, ref)
-    if data_range is None:
-        data_range = float(rv.max()) if rv.max() > 0 else 1.0
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
     H, W = xv.shape

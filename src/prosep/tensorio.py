@@ -22,7 +22,7 @@ MAGIC = b"PROSEP01"
 
 def write_tensor(path, array) -> None:
     """Write an array as a tensor file (atomically)."""
-    array = np.ascontiguousarray(array, dtype="<f8")
+    array = np.asarray(array, dtype="<f8", order="C")  # keeps a 0-d array 0-d
     path = os.fspath(path)
     tmp = path + ".tmp"
     with open(tmp, "wb") as f:
@@ -58,4 +58,7 @@ def read_tensor(path) -> np.ndarray:
             )
         # read straight into the result: no second copy of the payload
         arr = np.fromfile(f, dtype="<f8", count=expected // 8)
-    return arr.astype(np.float64, copy=False).reshape(dims)
+    try:
+        return arr.astype(np.float64, copy=False).reshape(dims)
+    except ValueError as e:  # a zero-size shape beyond numpy's dimension limits
+        raise TensorFormatError(f"dimensions {tuple(dims)}: {e}")

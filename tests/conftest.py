@@ -16,7 +16,9 @@ from prosep.psmodel import (
 from prosep.radon import (
     DetectorGrid,
     Frame,
+    Sinogram,
     _reduced_trig,
+    fbp,
     grid_coords,
     support_mask,
 )
@@ -100,6 +102,17 @@ def fbp_loop(sinogram, width, pixel_size):
             width, width
         )
     return acc * (np.pi / sinogram.angles.size)
+
+
+def naive_fbp(data, width, pixel_size):
+    """Direct FBP of the inconsistent time-sequential projection set.
+
+    Treats the P time-stamped columns as if they were simultaneous views
+    of a static object; for a moving object this is the artifact-ridden
+    baseline the model-based reconstruction is compared against.
+    """
+    sino = Sinogram(values=data.values, angles=data.scheme.angles, detector=data.detector)
+    return fbp(sino, width=width, pixel_size=pixel_size)
 
 
 def complex_l1(angles, N, Psi, symmetric):

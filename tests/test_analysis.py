@@ -11,6 +11,7 @@ from prosep.analysis import (
     GRAM_TRUST_LIMIT,
     _best_random_kappa,
     _cannot_win,
+    _trig_grams,
     cond_L1,
     cond_L2,
     rank_check_L1,
@@ -81,6 +82,11 @@ def _trial_schemes(P, span, trials, seed):
             for s in np.random.SeedSequence(seed).spawn(trials)]
 
 
+def _ata(blocks):
+    """The Gram matrices A^T A of the nonempty blocks, the certificate's input."""
+    return [A.T @ A for A in (face_split(b.theta, b.V) for b in blocks) if A.size]
+
+
 def _blocks_with_spectra(rng, spectra, m=40):
     """L1 blocks whose Gram matrices are Q diag(lam) Q^T, one block per spectrum."""
     blocks = []
@@ -108,7 +114,7 @@ def test_cannot_win_never_rejects_a_kappa_at_or_below_the_threshold(rng, kappa, 
     spectra = [lam[:10], lam[10:]] if split else [lam]
     for rel in (1e-9, 1e-6, GRAM_MARGIN, 1.0):
         blocks = _blocks_with_spectra(rng, spectra)
-        assert not _cannot_win(blocks, kappa * (1.0 + rel)), (kappa, rel)
+        assert not _cannot_win(_ata(blocks), kappa * (1.0 + rel)), (kappa, rel)
 
 
 @pytest.mark.parametrize("split", [False, True])
@@ -118,10 +124,10 @@ def test_cannot_win_rejects_twice_the_threshold(rng, threshold, split):
     for factor in (2.0, 10.0):
         lam = _spectrum(factor * threshold, 20, gap=0.3)
         spectra = [lam[:10], lam[10:]] if split else [lam]
-        assert _cannot_win(_blocks_with_spectra(rng, spectra), threshold), (threshold, factor)
+        assert _cannot_win(_ata(_blocks_with_spectra(rng, spectra)), threshold), (threshold, factor)
     singular = _spectrum(10.0, 20)
     singular[-1] = 0.0
-    assert _cannot_win(_blocks_with_spectra(rng, [singular]), threshold)
+    assert _cannot_win(_ata(_blocks_with_spectra(rng, [singular])), threshold)
 
 
 def test_cannot_win_agrees_with_svd_kappa_where_trusted():
@@ -135,14 +141,53 @@ def test_cannot_win_agrees_with_svd_kappa_where_trusted():
                 kappa = cond_L1(scheme, K, N, symmetric=symmetric)
                 if kappa <= GRAM_TRUST_LIMIT:
                     blocks = l1_factors(scheme, N, Psi, symmetric)
-                    assert not _cannot_win(blocks, (1.0 + GRAM_MARGIN) * kappa), (P, kappa)
-                    assert _cannot_win(blocks, kappa / 2), (P, kappa)
+                    assert not _cannot_win(_ata(blocks), (1.0 + GRAM_MARGIN) * kappa), (P, kappa)
+                    assert _cannot_win(_ata(blocks), kappa / 2), (P, kappa)
                     checked += 1
     assert checked >= 24
     Psi = legendre_basis(32, 1)
     Psi[:, 1] = 0.0  # a zero temporal function: L1 has zero columns
     scheme = random_scheme(32, np.pi, seed=1)
-    assert _cannot_win(l1_factors(scheme, 3, Psi, True), GRAM_TRUST_LIMIT)
+    assert _cannot_win(_ata(l1_factors(scheme, 3, Psi, True)), GRAM_TRUST_LIMIT)
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("P, K, N", [
+    (512, 5, 28),  # the study's dims
+    (64, 2, 8),
+    (33, 2, 10),  # odd P
+    (16, 1, 0),  # N = 0: with the symmetry the odd-harmonic block is empty
+    (40, 0, 5),  # K = 0
+    (9, 1, 6),  # P below the column count of every block
+])
+def test_trig_grams_equal_ata_of_l1_blocks(P, K, N, symmetric):
+    """The certificate's Gram matrices are A^T A of the nonempty l1_factors blocks."""
+    Psi = legendre_basis(P, K)
+    grams = _trig_grams(N, Psi, symmetric)
+    span = np.pi if symmetric else 2 * np.pi
+    for scheme in _trial_schemes(P, span, 3, seed=P):
+        want = _ata(l1_factors(scheme, N, Psi, symmetric))
+        got = grams(scheme.angles)
+        assert [G.shape for G in got] == [G.shape for G in want]
+        lam_max = max(np.linalg.eigvalsh(G)[-1] for G in want)
+        for G, W in zip(got, want):
+            assert np.array_equal(G, G.T)
+            assert np.abs(G - W).max() <= 1e-14 * lam_max
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_cannot_win_same_answer_on_trig_and_ata_grams(symmetric):
+    """At the study's dims the certificate decides alike on both Gram matrices."""
+    P, K, N = 512, 5, 28
+    Psi = legendre_basis(P, K)
+    grams = _trig_grams(N, Psi, symmetric)
+    span = np.pi if symmetric else 2 * np.pi
+    for scheme in _trial_schemes(P, span, 12, seed=7):
+        kappa = cond_L1(scheme, K, N, symmetric=symmetric)
+        blocks = l1_factors(scheme, N, Psi, symmetric)
+        for threshold in ((1.0 + GRAM_MARGIN) * kappa, 1.5 * kappa, kappa / 2):
+            assert (_cannot_win(grams(scheme.angles), threshold)
+                    == _cannot_win(_ata(blocks), threshold)), (kappa, threshold)
 
 
 def _counting_cannot_win(monkeypatch):
@@ -150,8 +195,8 @@ def _counting_cannot_win(monkeypatch):
     counts = {"calls": 0, "skipped": 0}
     real = analysis._cannot_win
 
-    def counted(blocks, kappa):
-        skip = real(blocks, kappa)
+    def counted(grams, kappa):
+        skip = real(grams, kappa)
         counts["calls"] += 1
         counts["skipped"] += skip
         return skip

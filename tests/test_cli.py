@@ -278,6 +278,12 @@ def test_simulate_static_motion_benchmark_constant(tmp_path):
     # integers too large for a float
     ({**TINY_CONFIG, "motion": {"rotation": 10**400}}, "'motion'"),
     ({**TINY_CONFIG, "noise_sigma": 10**400}, "'noise_sigma'"),
+    # numeric strings, which float() would read
+    ({**TINY_CONFIG, "motion": {"rotation": "0.1"}}, "'motion'"),
+    ({**TINY_CONFIG, "phantom": {"ellipses": [{"center": [0, 0], "semi_axes": [0.5, 0.5],
+                                               "angle": "0.2"}]}}, "'phantom.ellipses'"),
+    ({**TINY_CONFIG, "phantom": {"ellipses": [{"center": [0, 0], "semi_axes": [0.5, 0.5],
+                                               "intensity": "1"}]}}, "'phantom.ellipses'"),
 ])
 def test_simulate_bad_config_file_exits_1_with_one_line(tmp_path, capsys, content, named):
     cfg = tmp_path / "cfg.json"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import naive_fbp
 from prosep.errors import SupportError
 from prosep.phantom import (
     Ellipse,
@@ -250,7 +251,8 @@ def test_benchmark_movie_equals_per_frame_fbp_of_projections():
 
 def test_benchmark_movie_static_frames_identical():
     spec = example_phantom(width=32)
-    movie = benchmark_movie(render_movie(spec, MotionSpec(), 4), fbp_angles_count=24)
+    truth = render_movie(spec, MotionSpec(), 4)
+    movie = benchmark_movie(truth, fbp_angles_count=24, detector=DetectorGrid.for_frame(truth))
     ref = movie.values[0]
     for f in movie.values[1:]:
         assert np.allclose(f, ref, atol=1e-12 * max(np.abs(ref).max(), 1))
@@ -264,7 +266,7 @@ def test_benchmark_quality_and_angle_monotonicity():
     peak = truth.values.max()
     scores = {}
     for A in (180, 360):
-        movie = benchmark_movie(truth, fbp_angles_count=A)
+        movie = benchmark_movie(truth, fbp_angles_count=A, detector=DetectorGrid.for_frame(truth))
         scores[A] = np.mean([psnr(x, t, peak) for x, t in zip(movie.values, truth.values)])
     assert scores[180] >= 28.0
     assert scores[360] >= scores[180] - 0.1  # doubling angles must not hurt
@@ -272,8 +274,6 @@ def test_benchmark_quality_and_angle_monotonicity():
 
 def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     """Time-sequential inconsistency costs >= 5 dB against the benchmark."""
-    from prosep.recon import naive_fbp
-
     W = 64
     spec = example_phantom(width=W)
     motion = example_motion(width=W)
@@ -284,7 +284,7 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     naive = naive_fbp(data, width=W, pixel_size=spec.pixel_size)
 
     truth = render_movie(spec, motion, P=8)
-    bench = benchmark_movie(truth, fbp_angles_count=P)
+    bench = benchmark_movie(truth, fbp_angles_count=P, detector=DetectorGrid.for_frame(truth))
     peak = truth.values.max()
     psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.values, truth.values)])
     psnr_naive = np.mean([psnr(naive.values, t, peak) for t in truth.values])

@@ -182,7 +182,7 @@ def test_reconstruct_movie_matches_truth_fbp():
 def test_metrics_exact_match():
     x = np.random.default_rng(0).random((32, 32))
     assert psnr(x, x, peak=1.0) == 200.0
-    assert ssim(x, x) == pytest.approx(1.0, abs=1e-12)
+    assert ssim(x, x, data_range=x.max()) == pytest.approx(1.0, abs=1e-12)
     assert mae(x, x) == 0.0
 
 
