@@ -16,7 +16,28 @@ L1 is held as its column-disjoint blocks (``psmodel.l1_factors``): with
 the half-turn symmetry one P-row block per harmonic parity, without it
 one block.  The data split the same way (``stacked_data``), so the
 objective, its gradient and beta are sums and stacks of per-block
-pieces, each a quarter of the QR work of the 2P-row system.
+pieces.
+
+L1 is linear in Z: block b is L1_b(Z) = A_b (I (x) Z), where
+A_b = face_split(theta_b, U) is fixed.  The descent therefore works in
+the reduced space of A_b (variable projection on a separable model,
+Golub & Pereyra 2003).  The thin QR A_b = Q_b R_b is taken once, and the
+data enter each step only as y_b = Q_b^T G_b and the sum of squares
+rho_b = ||G_b - Q_b y_b||^2 outside range(Q_b).  A step forms
+L~_b = R_b (I (x) Z), whose min(P, |harmonics| d) rows ((N+1)d for the
+even block under the symmetry) replace P, and F = sum_b rho_b +
+||y_b - L~_b beta_b||^2 for any beta (Q_b has orthonormal columns), so F is
+always the true residual sum of squares of the beta computed.  beta
+comes from the normal equations of L~ while kappa(A) kappa(Z) <= 1e3,
+kappa(A) over all blocks.  sigma_min(A (I (x) Z)) >= sigma_min(A)
+sigma_min(Z), so the bound caps kappa(L1(Z)), nothing is truncated, and
+the normal equations give beta to a relative error of about n kappa^2 u
+(n unknowns, u the unit roundoff); F is stationary in beta, so it moves
+only by the square of that error.  Past the
+bound (also when a block of A is wider than tall or singular) beta comes
+from a QR of L~, or from truncated least squares when L~ is not safely
+of full column rank.  The reported beta and objective come from the
+final fit on the full L1, not from the descent.
 
 ``solve`` is one path: choose Z, then fit beta once.  When d = K+1, Z is
 square and U Z spans range(U) for every invertible Z, so range(L1(Z))
@@ -33,6 +54,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +90,12 @@ _STALL_LIMIT = 350
 # every least-squares solve for beta drops singular values at or below
 # this fraction of the largest singular value of the whole L1
 _RANK_RTOL = 1e-10
+# a descent step solves the normal equations while kappa(A) kappa(Z), a
+# bound on kappa(L1(Z)), is at most this: beta then errs by at most about
+# n 1e6 u relative (on 160 random problems and Z with the bound at most 1e3
+# the gradient was within 2.1e-12 relative of a pseudoinverse oracle).  A QR
+# of L~ instead takes about twice as long per step
+_NORMAL_EQUATIONS_KAPPA = 1e3
 
 
 def _mirror_weights(J: int) -> np.ndarray:
@@ -101,13 +129,25 @@ def stacked_data(data: TimeSequentialSinogram, symmetric: bool) -> list:
     return [(here + mirrored) * w, (here - mirrored) * w]
 
 
-def _truncated_lstsq(L_blocks, G_blocks) -> list:
+def _kappa(svals, wide: bool) -> float:
+    """Largest over smallest of the singular values of all blocks (one array each).
+
+    inf when a block has fewer rows than columns (``wide``) or a singular
+    value is 0; blocks without columns hold none.
+    """
+    s = np.concatenate(svals)
+    return np.inf if wide or not s.min() > 0.0 else float(s.max() / s.min())
+
+
+def _truncated_lstsq(L_blocks, G_blocks):
     """Minimum-norm least-squares beta per block, truncated against the whole L1.
 
     One thin SVD per block.  Singular values at or below ``_RANK_RTOL``
     times the largest singular value over all blocks are dropped, so each
     block truncates exactly what the stacked (block-diagonal) system
     would, and a block with nothing above that cut-off gets beta = 0.
+    Returns (betas, kappa), kappa of the block-diagonal L from the same
+    SVDs (``_kappa``).
     """
     svds = [np.linalg.svd(L, full_matrices=False) for L in L_blocks]
     cut = _RANK_RTOL * max((s[0] for _, s, _ in svds if s.size), default=0.0)
@@ -115,14 +155,38 @@ def _truncated_lstsq(L_blocks, G_blocks) -> list:
     for (W, s, Vt), G in zip(svds, G_blocks):
         keep = s > cut
         betas.append(Vt[keep].T @ ((W[:, keep].T @ G) / s[keep, None]))
-    return betas
+    kappa = _kappa([s for _, s, _ in svds], any(L.shape[0] < L.shape[1] for L in L_blocks))
+    return betas, kappa
+
+
+def _qr_or_truncated_lstsq(L_blocks, G_blocks) -> list:
+    """Least-squares beta per block: by QR when L is safely of full column rank.
+
+    Safely means every R is square and its least diagonal entry is above
+    ``_RANK_RTOL`` times the largest over all blocks (a QR is about 4x
+    cheaper than an SVD); otherwise truncated least squares.  R is square
+    and upper triangular, so the partial pivoting of np.linalg.solve
+    never swaps a row.
+    """
+    QR = [np.linalg.qr(L) for L in L_blocks]
+    diag = np.concatenate([np.abs(np.diagonal(R)) for _, R in QR])
+    if (all(R.shape[0] == R.shape[1] for _, R in QR)
+            and diag.min() > _RANK_RTOL * max(diag.max(), 1e-300)):
+        return [np.linalg.solve(R, Q.T @ G) for (Q, R), G in zip(QR, G_blocks)]
+    return _truncated_lstsq(L_blocks, G_blocks)[0]
 
 
 class VarproProblem:
     """Reduced-objective evaluations for a fixed scheme, interpolator and order.
 
-    Holds the blocks of L1 (``l1_factors``) so that repeated
-    objective/gradient evaluations reuse them.
+    Holds the blocks of L1 (``l1_factors``).  The descent evaluates the
+    objective in the reduced space of the fixed factors A_b =
+    face_split(theta_b, U) of L1_b(Z) = A_b (I (x) Z) (module docstring):
+    their thin QR is built lazily, on first use by ``reduce`` or by a
+    step, and ``solve`` runs neither when d = K+1.  Each step then works on
+    min(P, |harmonics| d) rows per block, and solves for beta by the
+    normal equations while kappa(A) kappa(Z) <= 1e3, by QR or truncated
+    least squares past it.
     """
 
     def __init__(self, scheme, U: np.ndarray, order: HarmonicOrder, symmetric: bool):
@@ -137,67 +201,88 @@ class VarproProblem:
         """The blocks of L1(Z), one per entry of ``blocks``."""
         return [face_split(b.theta, b.V @ Z) for b in self.blocks]
 
+    @cached_property
+    def _factors(self):
+        """(thin QR (Q_b, R_b) of each A_b, kappa(A) over all blocks)."""
+        QR = [np.linalg.qr(face_split(b.theta, b.V)) for b in self.blocks]
+        kappa = _kappa([np.linalg.svd(R, compute_uv=False) for _, R in QR],
+                       any(R.shape[0] < R.shape[1] for _, R in QR))
+        return QR, kappa
+
+    def reduce(self, G) -> list:
+        """The data blocks G in the reduced space: (y_b, rho_b) per block.
+
+        y_b = Q_b^T G_b, and rho_b = ||G_b - Q_b y_b||^2, the part of the
+        data no beta can fit, as a sum of squares (not ||G_b||^2 -
+        ||y_b||^2, which cancels to rounding noise that can be negative).
+        """
+        Y = []
+        for (Q, _), Gb in zip(self._factors[0], G):
+            y = Q.T @ Gb
+            r = Gb - Q @ y
+            Y.append((y, float(np.sum(r * r))))
+        return Y
+
     def fit(self, Z: np.ndarray, G, J: int):
         """Truncated least-squares beta for the data blocks G of J detector bins.
 
-        Returns (beta, rss): beta solved per block and scattered back to
-        the (2N+1)(K+1) x J layout, and the residual sum of squares
-        sum_b ||G_b - L1_b beta_b||^2 of the fit.  With the symmetry the
-        blocks hold the weighted first ceil(J/2) bins (``stacked_data``),
-        which keep every sum of squares; bin J-1-j is bin j times (-1)^n,
-        so even harmonic rows are mirror-symmetric in j and odd rows
-        antisymmetric.
+        Returns (beta, rss, kappa): beta solved per block and scattered
+        back to the (2N+1)(K+1) x J layout, the residual sum of squares
+        sum_b ||G_b - L1_b beta_b||^2 of the fit, and kappa(L1) of the
+        block-diagonal L1(Z) from the fit's SVDs (inf when a block has
+        fewer rows than columns or a zero singular value).  With the
+        symmetry the blocks hold the weighted first ceil(J/2) bins
+        (``stacked_data``), which keep every sum of squares; bin J-1-j is
+        bin j times (-1)^n, so even harmonic rows are mirror-symmetric in
+        j and odd rows antisymmetric.
         """
         order = self.order
         L_blocks = self.l1(Z)
-        betas = _truncated_lstsq(L_blocks, G)
+        betas, kappa = _truncated_lstsq(L_blocks, G)
         rss = sum(float(np.sum((Gb - L @ beta) ** 2)) for L, Gb, beta in zip(L_blocks, G, betas))
         B = np.empty((order.n_harmonics, order.n_temporal, betas[0].shape[1]))
         for block, beta in zip(self.blocks, betas):
-            B[block.harmonics] = beta.reshape(block.harmonics.size, order.n_temporal, -1)
+            B[block.harmonics] = beta.reshape(block.harmonics.size, order.n_temporal, B.shape[2])
         if self.symmetric:
             B /= _mirror_weights(J)
             mirror = harmonic_parity(order.N)[:, None, None] * B[:, :, : J // 2]
             B = np.concatenate([B, mirror[:, :, ::-1]], axis=2)
-        return B.reshape(order.cols, J), rss
+        return B.reshape(order.cols, J), rss, kappa
 
-    def objective_and_gradient_from_data(self, Z: np.ndarray, G, mu: float = 0.0):
+    def objective_and_gradient_from_data(self, Z: np.ndarray, Y, mu: float = 0.0):
         """Penalized objective ||G - L1(Z) beta*||_F^2 and its exact gradient in Z.
 
-        G is the list of data blocks (``stacked_data``); F and the
-        gradient are sums over the blocks of L1.  Per block, beta* is the
-        least-squares fit, truncated like ``fit``, and r = G_b - L1_b
-        beta* its residual, so F is a sum of squares and never negative.
-        The projector derivative contracts to grad_b = -2 V^T M with
-        M[i, k] = sum_n theta[i, n] * (r beta*^T)[i, (n, k)];
-        the penalty mu ||Z^T Z - I||_F^2 adds 4 mu Z (Z^T Z - I).
+        Y is the data reduced by ``reduce``; F and the gradient are sums
+        over the blocks of L1.  Per block, with L~ = R (I (x) Z), beta*
+        is the least-squares fit of y by L~ (by the normal equations
+        within the kappa bound, else by QR or truncated like ``fit``),
+        r~ = y - L~ beta* its reduced residual, and F = rho + ||r~||^2, a
+        sum of squares that is never negative.  A^T r = R^T r~, so the
+        projector derivative contracts to grad = -2 sum_n (R^T r~)_n
+        beta*_n^T over the harmonics n of each block; the penalty
+        mu ||Z^T Z - I||_F^2 adds 4 mu Z (Z^T Z - I).
         """
-        L_blocks = self.l1(Z)
-        QR = [np.linalg.qr(L) for L in L_blocks]
-        # beta* through the QR factors when every block is safely full
-        # column rank, against the largest diagonal over all blocks (a QR
-        # is about 4x cheaper than an SVD); truncated least squares
-        # otherwise (also when a block has fewer rows than columns, where
-        # R is not square).  R is square and upper triangular, so the
-        # partial pivoting of np.linalg.solve never swaps a row.  beta* is
-        # kept in Fortran order, the order of a LAPACK triangular solve:
-        # the products below round by memory order, and the d > K+1
-        # descent grows that rounding about 1e4-fold in Z.
-        diag = np.concatenate([np.abs(np.diagonal(R)) for _, R in QR])
-        if (all(R.shape[0] == R.shape[1] for _, R in QR)
-                and diag.min() > _RANK_RTOL * max(diag.max(), 1e-300)):
-            betas = [np.asfortranarray(np.linalg.solve(R, Q.T @ Gb))
-                     for (Q, R), Gb in zip(QR, G)]
+        QR, kappa_A = self._factors
+        d, k = Z.shape
+        L_blocks = [(R.reshape(-1, d) @ Z).reshape(R.shape[0], R.shape[1] // d * k)
+                    for _, R in QR]
+        ev = np.linalg.eigvalsh(Z.T @ Z)
+        kappa_Z = np.sqrt(ev[-1] / ev[0]) if ev[0] > 0.0 else np.inf
+        y_blocks = [y for y, _ in Y]
+        if kappa_A * kappa_Z <= _NORMAL_EQUATIONS_KAPPA:
+            betas = [np.linalg.solve(L.T @ L, L.T @ y) for L, y in zip(L_blocks, y_blocks)]
         else:
-            betas = _truncated_lstsq(L_blocks, G)
+            betas = _qr_or_truncated_lstsq(L_blocks, y_blocks)
         F, grad = 0.0, 0.0
-        for b, L, Gb, beta in zip(self.blocks, L_blocks, G, betas):
-            r = Gb - L @ beta
-            F += float(np.sum(r * r))
-            W3 = (r @ beta.T).reshape(b.theta.shape[0], b.harmonics.size, self.order.n_temporal)
-            grad = grad - 2.0 * (b.V.T @ np.einsum("in,ink->ik", b.theta, W3))
+        for (_, R), L, (y, rho), beta in zip(QR, L_blocks, Y, betas):
+            r = y - L @ beta
+            F += rho + float(np.sum(r * r))
+            # (harmonic, d or K+1, bin); explicit sizes, as a block may have no harmonics
+            n, J = R.shape[1] // d, r.shape[1]
+            Rr = (R.T @ r).reshape(n, d, J)
+            grad = grad - 2.0 * np.sum(Rr @ beta.reshape(n, k, J).transpose(0, 2, 1), axis=0)
         if mu:
-            ZtZ = Z.T @ Z - np.eye(Z.shape[1])
+            ZtZ = Z.T @ Z - np.eye(k)
             F += mu * float(np.sum(ZtZ**2))
             grad = grad + 4.0 * mu * (Z @ ZtZ)
         return F, grad
@@ -251,7 +336,10 @@ class SolverReport:
     It is necessary, not sufficient: ``block_rank_margin`` is the least
     rows - columns over the blocks of L1 (``HarmonicOrder.block_margin``),
     P - (N+1)(K+1) with the symmetry, and L1 can have full column rank
-    exactly when it is at least 0.
+    exactly when it is at least 0.  ``kappa_L1`` is the condition number
+    of the fitted L1(Z), the largest over the smallest singular value
+    over all its blocks, from the SVDs of the final fit; None when a
+    block has fewer rows than columns or a zero singular value.
     """
 
     objective_trace: np.ndarray
@@ -264,12 +352,12 @@ class SolverReport:
     z_identifiable: bool
     rank_margin: int
     block_rank_margin: int
+    kappa_L1: float | None
     restart_objectives: list = field(default_factory=list)
     aborted_restarts: list = field(default_factory=list)
 
 
-def _adam_descent(problem: VarproProblem, G_n: np.ndarray, Z0: np.ndarray,
-                  config: SolverConfig):
+def _adam_descent(problem: VarproProblem, Y: list, Z0: np.ndarray, config: SolverConfig):
     """One penalized Adam descent with plateau-triggered step decay.
 
     The step starts at ``_STEP_SIZE`` and halves whenever the best
@@ -277,8 +365,9 @@ def _adam_descent(problem: VarproProblem, G_n: np.ndarray, Z0: np.ndarray,
     100 iterations; each decay restarts from the incumbent best iterate.
     With a constant step Adam's normalized updates orbit the minimizer
     instead of settling, so the decay is what makes deep convergence
-    possible.  Returns (best Z, best objective, objective per iteration,
-    converged), or None when the objective turns non-finite.
+    possible.  Y is the normalized data, reduced (``VarproProblem.reduce``).
+    Returns (best Z, best objective, objective per iteration, converged),
+    or None when the objective turns non-finite.
     """
     Z = Z0.copy()
     m = np.zeros_like(Z)
@@ -288,15 +377,13 @@ def _adam_descent(problem: VarproProblem, G_n: np.ndarray, Z0: np.ndarray,
     best_Z = Z.copy()
     last_improve = 0
     t_adam = 0
-    raw = np.empty(config.max_iters)
-    used = 0
+    raw = []
     converged = False
     for it in range(1, config.max_iters + 1):
-        f, g = problem.objective_and_gradient_from_data(Z, G_n, _PENALTY_WEIGHT)
+        f, g = problem.objective_and_gradient_from_data(Z, Y, _PENALTY_WEIGHT)
         if not np.isfinite(f):
             return None
-        used = it
-        raw[it - 1] = f
+        raw.append(f)
         if f < best_f:
             if f < best_f * (1.0 - _TOL_REL_OBJECTIVE):
                 last_improve = it
@@ -319,7 +406,7 @@ def _adam_descent(problem: VarproProblem, G_n: np.ndarray, Z0: np.ndarray,
         m_hat = m / (1.0 - _ADAM_B1**t_adam)
         v_hat = v / (1.0 - _ADAM_B2**t_adam)
         Z = Z - lr * m_hat / (np.sqrt(v_hat) + _ADAM_EPS)
-    return best_Z, best_f, raw[:used], converged
+    return best_Z, best_f, np.array(raw), converged
 
 
 def _polar_orthonormalize(Z: np.ndarray) -> np.ndarray:
@@ -391,12 +478,13 @@ def solve(
     restart_objectives, chosen, raw, converged = [], 0, None, True
     Z = np.eye(model.d)[:, : model.n_temporal]
     if tr > 0.0 and identifiable:
-        G_n = [Gb / np.sqrt(tr) for Gb in G]  # unit norm: objectives are relative to ||G||^2
+        # unit norm: objectives are relative to ||G||^2
+        Y = problem.reduce([Gb / np.sqrt(tr) for Gb in G])
         runs = []
         for seed in np.random.SeedSequence(config.seed).spawn(config.restarts):
             Z0 = _polar_orthonormalize(
                 np.random.default_rng(seed).standard_normal((model.d, model.n_temporal)))
-            runs.append(_adam_descent(problem, G_n, Z0, config))
+            runs.append(_adam_descent(problem, Y, Z0, config))
         restart_objectives = [np.inf if run is None else run[1] for run in runs]
         chosen = int(np.argmin(restart_objectives))
         if runs[chosen] is None:
@@ -404,7 +492,7 @@ def solve(
         Z_best, _, raw, converged = runs[chosen]
         Z = _polar_orthonormalize(Z_best)
 
-    beta_cols, rss = problem.fit(Z, G, J)
+    beta_cols, rss, kappa = problem.fit(Z, G, J)
     final_obj = rss / tr if tr > 0.0 else 0.0
     trace = np.array([final_obj]) if raw is None else raw
     report = SolverReport(
@@ -418,6 +506,7 @@ def solve(
         z_identifiable=identifiable,
         rank_margin=(2 * P if symmetric else P) - model.cols,
         block_rank_margin=block_margin,
+        kappa_L1=kappa if np.isfinite(kappa) else None,
         restart_objectives=restart_objectives,
         aborted_restarts=[r for r, f in enumerate(restart_objectives) if f == np.inf],
     )

@@ -440,6 +440,7 @@ def test_reconstruct_underdetermined_override_warns_and_runs(sim_dir, tmp_path):
     assert summary["rank_margin"] == 64 - 81 * 2
     assert summary["block_rank_margin"] == 32 - 41 * 2  # 41 even harmonics of N = 40
     assert abs(summary["final_objective"]) < 1e-12
+    assert summary["kappa_L1"] is None  # a wide block: written as JSON null
 
 
 @pytest.mark.parametrize("flag, value, field", [

@@ -1,7 +1,9 @@
+import json
 import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from conftest import (
     data_2p,
@@ -12,6 +14,7 @@ from conftest import (
     objective_and_gradient_2p,
     rotate_rows,
 )
+from prosep.cli import main
 from prosep.phantom import TimeSequentialSinogram
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, harmonic_blocks, spline_interpolator
 from prosep.radon import DetectorGrid
@@ -144,7 +147,7 @@ def test_block_truncation_is_relative_to_the_whole_L1():
     strong = np.linalg.qr(r.standard_normal((6, 3)))[0] * [3.0, 2.0, 1.0]
     weak = np.linalg.qr(r.standard_normal((5, 2)))[0] * [4e-11, 1e-11]
     G = [r.standard_normal((6, 4)), r.standard_normal((5, 4))]
-    got = _truncated_lstsq([strong, weak], G)
+    got, _ = _truncated_lstsq([strong, weak], G)
     stacked = np.zeros((11, 5))
     stacked[:6, :3], stacked[6:, 3:] = strong, weak
     want = inner_beta(stacked, np.vstack(G))
@@ -155,7 +158,7 @@ def test_block_truncation_is_relative_to_the_whole_L1():
 # ---------------------------------------------------------------- objective
 
 def objective(problem, Z, G):
-    return problem.objective_and_gradient_from_data(Z, G)[0]
+    return problem.objective_and_gradient_from_data(Z, problem.reduce(G))[0]
 
 
 def test_objective_zero_for_in_range_data(rng):
@@ -197,7 +200,7 @@ def test_objective_with_fewer_rows_than_columns(rng, d):
     (block,) = problem.blocks
     assert block.theta.shape[0] < order.cols
     G = random_blocks(rng, problem, 5)
-    F, g = problem.objective_and_gradient_from_data(random_Z(rng, d, 1), G)
+    F, g = problem.objective_and_gradient_from_data(random_Z(rng, d, 1), problem.reduce(G))
     assert abs(F) < 1e-10 * total_sq(G)
     assert np.linalg.norm(g) < 1e-10 * total_sq(G)
 
@@ -213,12 +216,21 @@ def test_objective_matches_brute_force_residual(rng):
     assert F == pytest.approx(brute, rel=1e-10)
 
 
-def test_objective_is_the_residual_of_beta_on_a_rank_deficient_tall_L1():
+def step_branches(monkeypatch):
+    """Counters of the descent step's fallbacks: (QR or SVD, SVD); both stay empty
+    when the step takes the normal equations."""
+    return (count_calls(monkeypatch, solver_module, "_qr_or_truncated_lstsq"),
+            count_calls(monkeypatch, solver_module, "_truncated_lstsq"))
+
+
+def test_objective_is_the_residual_of_beta_on_a_rank_deficient_tall_L1(monkeypatch):
     """16 angles doubled 1e-14 apart: both blocks are tall (32 rows) but have rank 16.
 
     F and its gradient are those of the residual of the truncated
     least-squares beta, as on the 2P-row oracle.  ||G||^2 - ||Q^T G||^2
     from a QR would count the numerically null directions as fitted.
+    Each A_b (32 x 42) is wide, so the step falls back, past the QR, to
+    the truncated SVD.
     """
     base = np.linspace(0.05, np.pi - 0.05, 16)
     scheme = AngularScheme(angles=np.sort(np.concatenate([base, base + 1e-14])), span=np.pi,
@@ -227,7 +239,10 @@ def test_objective_is_the_residual_of_beta_on_a_rank_deficient_tall_L1():
     problem = VarproProblem(scheme, U, HarmonicOrder(N=20, K=0, d=2), symmetric=True)
     Z = random_Z(np.random.default_rng(0), 2, 0)
     G = np.random.default_rng(5).standard_normal((64, 7))
-    F, g = problem.objective_and_gradient_from_data(Z, rotate_rows(G, True))
+    Y = problem.reduce(rotate_rows(G, True))
+    fallbacks, svds = step_branches(monkeypatch)
+    F, g = problem.objective_and_gradient_from_data(Z, Y)
+    assert len(fallbacks) == len(svds) == 1
     F_ref, g_ref = objective_and_gradient_2p(scheme, 20, U, Z, G, 0, True)
     assert F == pytest.approx(F_ref, rel=1e-10)
     assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
@@ -262,8 +277,8 @@ def test_objective_bounds_and_range_invariance(rng):
         O1, O2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
         Q = O1 @ np.diag([1.0, 2.5, 8.0]) @ O2
         assert 5.0 < np.linalg.cond(Q) <= 10.0
-        F, g = problem.objective_and_gradient_from_data(Z, G, mu=0.0)
-        FQ, gQ = problem.objective_and_gradient_from_data(Z @ Q, G, mu=0.0)
+        F, g = problem.objective_and_gradient_from_data(Z, problem.reduce(G), mu=0.0)
+        FQ, gQ = problem.objective_and_gradient_from_data(Z @ Q, problem.reduce(G), mu=0.0)
         assert F > 1e-2 * total_sq(G)  # random data: a residual well above rounding
         assert FQ == pytest.approx(F, rel=1e-10)
         want = g @ np.linalg.inv(Q).T
@@ -283,8 +298,8 @@ def test_z_not_unique_when_d_equals_k_plus_1():
     problem = VarproProblem(noisy.scheme, U, order, symmetric=True)
     G = normalized(stacked_data(noisy, symmetric=True))
     Za, Zb = random_Z(r, order.d, order.K), random_Z(r, order.d, order.K)
-    Fa, ga = problem.objective_and_gradient_from_data(Za, G)
-    Fb, gb = problem.objective_and_gradient_from_data(Zb, G)
+    Fa, ga = problem.objective_and_gradient_from_data(Za, problem.reduce(G))
+    Fb, gb = problem.objective_and_gradient_from_data(Zb, problem.reduce(G))
     assert Fa > 1e-4  # the noisy data do not fit exactly
     assert Fb == pytest.approx(Fa, rel=1e-10)
     assert max(np.linalg.norm(ga), np.linalg.norm(gb)) < 1e-12
@@ -319,11 +334,66 @@ def test_objective_and_gradient_match_2p_oracle(symmetric, J):
     r = np.random.default_rng(3)
     for _ in range(3):
         Z = random_Z(r, d, K) + 0.1 * r.standard_normal((d, K + 1))
-        F, g = problem.objective_and_gradient_from_data(Z, G)
+        F, g = problem.objective_and_gradient_from_data(Z, problem.reduce(G))
         F_ref, g_ref = objective_and_gradient_2p(data.scheme, N, U, Z, data_2p(data, symmetric),
                                                  K, symmetric)
         assert F == pytest.approx(F_ref, rel=1e-12)
         assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
+
+
+@pytest.mark.parametrize("P, N, K, d, symmetric, fallbacks", [
+    (64, 4, 2, 5, True, 0),  # kappa(A) kappa(Z) <= 1e3: normal equations
+    (16, 3, 1, 4, False, 1),  # A is 16 x 28, wider than tall: QR of the 16 x 14 L~
+    (16, 0, 0, 2, True, 0),  # N = 0: the odd block has no harmonics, A_odd is 16 x 0
+])
+def test_objective_and_gradient_match_2p_oracle_on_each_step_branch(monkeypatch, P, N, K, d,
+                                                                    symmetric, fallbacks):
+    """The reduced step on either branch equals the unsplit L1, Z off the Stiefel manifold.
+
+    The third branch, truncated least squares, is the rank-deficient tall
+    L1 above.
+    """
+    data = _random_sinogram(P, 12, seed=P, symmetric=symmetric)
+    U = spline_interpolator(P, d)
+    problem = VarproProblem(data.scheme, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
+    Y = problem.reduce(stacked_data(data, symmetric))
+    qr, svd = step_branches(monkeypatch)
+    r = np.random.default_rng(4)
+    for step in range(1, 4):
+        Z = random_Z(r, d, K) @ np.diag(np.geomspace(1.0, 0.2, K + 1)) \
+            + 0.1 * r.standard_normal((d, K + 1))
+        F, g = problem.objective_and_gradient_from_data(Z, Y)
+        assert (len(qr), len(svd)) == (step * fallbacks, 0)
+        F_ref, g_ref = objective_and_gradient_2p(data.scheme, N, U, Z, data_2p(data, symmetric),
+                                                 K, symmetric)
+        assert F == pytest.approx(F_ref, rel=1e-10)
+        assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_reduced_l1_condition_is_bounded_by_kappa_A_times_kappa_Z(symmetric):
+    """sigma_min(A (I (x) Z)) >= sigma_min(A) sigma_min(Z): the bound the step's branch rule uses.
+
+    Per block, and for the block-diagonal L~ against the problem's kappa(A)
+    over all blocks; random Z, orthonormal and with columns scaled over
+    three decades.
+    """
+    r = np.random.default_rng(11)
+    for P, N, K, d in [(40, 3, 1, 4), (64, 4, 2, 5), (24, 1, 0, 3), (30, 2, 3, 6)]:
+        scheme = random_scheme(P, span=np.pi if symmetric else 2 * np.pi, seed=P)
+        problem = VarproProblem(scheme, spline_interpolator(P, d), HarmonicOrder(N=N, K=K, d=d),
+                                symmetric)
+        QR, kappa_A = problem._factors
+        for Z in (random_Z(r, d, K), r.standard_normal((d, K + 1)),
+                  r.standard_normal((d, K + 1)) @ np.diag(np.geomspace(1.0, 1e-3, K + 1))):
+            kappa_Z = np.linalg.cond(Z)
+            blocks = []
+            for (_, R), b in zip(QR, problem.blocks):
+                L = R @ np.kron(np.eye(b.harmonics.size), Z)
+                assert np.linalg.cond(L) <= np.linalg.cond(R) * kappa_Z * (1 + 1e-12)
+                blocks.append(L)
+            s = np.concatenate([np.linalg.svd(L, compute_uv=False) for L in blocks])
+            assert s.max() / s.min() <= kappa_A * kappa_Z * (1 + 1e-12)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -344,6 +414,19 @@ def test_solve_beta_matches_inner_beta_on_2p_oracle(symmetric, J, d):
         even, odd = harmonic_blocks(N, True)
         assert np.array_equal(B[even], B[even][:, :, ::-1])
         assert np.array_equal(B[odd], -B[odd][:, :, ::-1])
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_solve_with_no_odd_harmonics(d):
+    """N = 0 under the symmetry: the odd block of L1 has no columns, with and without descent."""
+    P, K, J = 16, 0, 12
+    data = _random_sinogram(P, J, seed=d, symmetric=True)
+    U = spline_interpolator(P, d)
+    Z, beta, report = solve(data, HarmonicOrder(N=0, K=K, d=d), U,
+                            SolverConfig(max_iters=50, restarts=1), symmetric=True)
+    assert report.iterations_used == (0 if d == K + 1 else 50)
+    want = inner_beta(l1_2p(data.scheme, 0, U, Z, True), data_2p(data, True))
+    assert np.abs(beta.beta - want).max() <= 1e-10 * np.abs(want).max()
 
 
 @pytest.mark.parametrize("P, warns, block_margin", [(185, True, -1), (186, False, 0)])
@@ -398,7 +481,7 @@ def test_gradient_matches_finite_differences(rng):
         Z = random_Z(r, order.d, order.K) + 0.1 * r.standard_normal((order.d, order.K + 1))
         G = normalized(random_blocks(r, problem, 6))
         mu = 1.0
-        g = problem.objective_and_gradient_from_data(Z, G, mu)[1]
+        g = problem.objective_and_gradient_from_data(Z, problem.reduce(G), mu)[1]
         g_fd = _fd_gradient(problem, Z, G, mu)
         rel = np.linalg.norm(g - g_fd) / np.linalg.norm(g_fd)
         assert rel < 1e-5, f"trial {trial}: rel err {rel:.2e}"
@@ -408,7 +491,7 @@ def test_gradient_zero_at_exact_solution(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
     G = in_range_blocks(rng, problem, Z, 8)
-    g = problem.objective_and_gradient_from_data(Z, G, 1.0)[1]
+    g = problem.objective_and_gradient_from_data(Z, problem.reduce(G), 1.0)[1]
     assert np.linalg.norm(g) < 1e-8 * total_sq(G)
 
 
@@ -416,7 +499,8 @@ def test_penalty_gradient_zero_on_stiefel(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
     G = [np.zeros((b.theta.shape[0], 1)) for b in problem.blocks]
-    g = problem.objective_and_gradient_from_data(Z, G, 3.0)[1]  # objective part vanishes with G = 0
+    # objective part vanishes with G = 0
+    g = problem.objective_and_gradient_from_data(Z, problem.reduce(G), 3.0)[1]
     assert np.linalg.norm(g) < 1e-12
 
 
@@ -535,10 +619,10 @@ def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
     problem = VarproProblem(data.scheme, U, order, symmetric=symmetric)
     G_n = normalized(stacked_data(data, symmetric))
     Z0 = _polar_orthonormalize(np.random.default_rng(seed).standard_normal((3, 3)))
-    Z_adam = _polar_orthonormalize(_adam_descent(problem, G_n, Z0, config)[0])
+    Z_adam = _polar_orthonormalize(_adam_descent(problem, problem.reduce(G_n), Z0, config)[0])
     L1 = l1_2p(data.scheme, order.N, U, Z_adam, symmetric)
     beta_adam = HarmonicCoefficients(beta=inner_beta(L1, data_2p(data, symmetric)), order=order)
-    f_adam = problem.objective_and_gradient_from_data(Z_adam, G_n)[0]
+    f_adam = problem.objective_and_gradient_from_data(Z_adam, problem.reduce(G_n))[0]
 
     Z, beta, report = solve(data, order, U, config, symmetric=symmetric)
     assert report.final_objective > 1e-4  # the noisy data do not fit exactly
@@ -586,7 +670,7 @@ def test_solve_closed_form_report_contract(monkeypatch):
     # beta is the least-squares fit on L1(I), and the objective is its residual
     problem = VarproProblem(data.scheme, U, order, symmetric=True)
     G_blocks = stacked_data(data, True)
-    fitted, rss = problem.fit(np.eye(2), G_blocks, 12)
+    fitted, rss, _ = problem.fit(np.eye(2), G_blocks, 12)
     assert np.array_equal(beta.beta, fitted)
     assert report.final_objective == rss / total_sq(G_blocks)
     G = data_2p(data, True)
@@ -595,6 +679,63 @@ def test_solve_closed_form_report_contract(monkeypatch):
     assert np.abs(beta.beta - want).max() <= 1e-10 * np.abs(want).max()
     resid = float(np.sum((G - L1 @ beta.beta) ** 2)) / np.sum(G**2)
     assert resid == pytest.approx(report.final_objective, rel=1e-10)
+
+
+# the settings of the benchmark's lifted-d6-w32 workload: d > K+1, random angles, noiseless
+LIFTED_D6_W32 = {
+    "P": 128, "grid": {"width": 32}, "scheme": {"kind": "random", "seed": 7},
+    "symmetric": True, "model": {"K": 3, "N": 12, "d": 6},
+    "noise_sigma": 0.0, "solver": {"restarts": 1},
+}
+
+
+def test_lifted_d6_w32_descent_takes_the_normal_equations_at_every_step(monkeypatch, tmp_path):
+    """kappa(A) kappa(Z) stays below 1e3 along the whole descent, so no step falls back to QR."""
+    config = tmp_path / "lifted.json"
+    config.write_text(json.dumps(LIFTED_D6_W32))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    calls = count_calls(monkeypatch, VarproProblem, "objective_and_gradient_from_data")
+    fallbacks = count_calls(monkeypatch, solver_module, "_qr_or_truncated_lstsq")
+    assert main(["reconstruct", "--input", str(run)]) == 0
+    report = json.loads((run / "solver_report.json").read_text())
+    assert report["converged"] and report["iterations_used"] == len(calls) > 0
+    assert len(fallbacks) == 0
+
+
+def test_descent_trace_grows_with_the_iterations_run():
+    """A cap far beyond memory: the same descent as a cap of 5000, which it stops before."""
+    data, U, order = noisy_exact_data(P=32, K=1, N=3, d=3, J=12, seed=5)
+    _, beta, report = solve(data, order, U, SolverConfig(max_iters=5000, restarts=1))
+    assert report.converged and report.iterations_used < 5000
+    _, beta_big, big = solve(data, order, U, SolverConfig(max_iters=10**14, restarts=1))
+    assert big.converged and big.iterations_used == report.iterations_used
+    assert np.array_equal(big.raw_objective_trace, report.raw_objective_trace)
+    assert big.final_objective == report.final_objective
+    assert np.array_equal(beta_big.beta, beta.beta)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("d", [2, 3])
+def test_solve_reports_kappa_of_the_fitted_l1(symmetric, d):
+    """kappa_L1 is np.linalg.cond of the block-diagonal L1(Z) that beta was fitted on."""
+    data, U, order = noisy_exact_data(P=32, K=1, N=3, d=d, J=12, seed=8)
+    Z, _, report = solve(data, order, U, SolverConfig(max_iters=60, restarts=1),
+                         symmetric=symmetric)
+    stacked = block_diag(*VarproProblem(data.scheme, U, order, symmetric).l1(Z))
+    assert report.kappa_L1 == pytest.approx(np.linalg.cond(stacked), rel=1e-10)
+    # the parity rotation is orthogonal: the unsplit 2P-row L1 has the same kappa
+    assert report.kappa_L1 == pytest.approx(np.linalg.cond(l1_2p(data.scheme, order.N, U, Z,
+                                                                 symmetric)), rel=1e-10)
+
+
+def test_solve_reports_no_kappa_when_a_block_is_wide():
+    """P = 32 < (2N+1)(K+1) = 35 without the symmetry: L1 has no full column rank."""
+    data = _random_sinogram(32, 4, seed=1, symmetric=False)
+    with pytest.warns(UserWarning, match="full column rank"):
+        _, _, report = solve(data, HarmonicOrder(N=3, K=4, d=5), spline_interpolator(32, 5),
+                             symmetric=False)
+    assert report.kappa_L1 is None
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -607,7 +748,7 @@ def test_solve_descent_evaluates_the_objective_once_per_iteration(monkeypatch, s
     assert report.z_identifiable and report.iterations_used == 40
     assert len(calls) == report.iterations_used
     G = stacked_data(data, symmetric)
-    fitted, rss = VarproProblem(data.scheme, U, order, symmetric).fit(Z, G, 12)
+    fitted, rss, _ = VarproProblem(data.scheme, U, order, symmetric).fit(Z, G, 12)
     assert np.array_equal(beta.beta, fitted)
     assert report.final_objective == rss / total_sq(G)
 
@@ -654,7 +795,7 @@ def test_descent_stops_on_a_flat_objective_of_any_sign(value):
     """A constant objective stalls after 350 steps, also at an exact fit (F = 0)."""
 
     class Flat:
-        def objective_and_gradient_from_data(self, Z, G, mu):
+        def objective_and_gradient_from_data(self, Z, Y, mu):
             return value, np.zeros_like(Z)
 
     _, best_f, raw, converged = _adam_descent(
