@@ -41,6 +41,7 @@ import numpy as np
 from .psmodel import (
     HarmonicOrder,
     build_theta,
+    condition_number,
     face_split,
     harmonic_blocks,
     l1_factors,
@@ -53,7 +54,6 @@ from .sampling import AngularScheme, bit_reversed, progressive, random_scheme, s
 __all__ = [
     "CondL2Result",
     "Theorem1Result",
-    "KAPPA_SINGULAR",
     "cond_L1",
     "cond_L2",
     "rank_check_L1",
@@ -64,8 +64,6 @@ __all__ = [
     "table1",
 ]
 
-# kappa beyond double precision is reported as the +inf sentinel
-KAPPA_SINGULAR = 1e15
 # table1's screen: a trial is skipped when its kappa certainly exceeds the
 # best kappa so far by this relative margin, while that best is at most the
 # trust limit; the certificate's lower estimate of lambda_max takes this many
@@ -77,14 +75,6 @@ _POWER_STEPS = 3
 _L2_QR_ROWS = 128
 # rounding allowance of theorem3_sweep's test kappa(L2) <= sqrt(kappa(Gamma))
 THEOREM3_SLACK = 1e-9
-
-
-def _kappa_from_singvals(s: np.ndarray, n_cols: int) -> float:
-    """Condition number with full-column-rank accounting and inf sentinel."""
-    if s.size < n_cols or s[-1] < 1e-300:
-        return np.inf
-    kappa = float(s[0] / s[-1])
-    return np.inf if kappa > KAPPA_SINGULAR else kappa
 
 
 def _l1_singvals(blocks) -> np.ndarray:
@@ -108,7 +98,7 @@ def cond_L1(scheme: AngularScheme, K: int, N: int, symmetric: bool = False) -> f
     than columns.
     """
     blocks = l1_factors(scheme, N, legendre_basis(scheme.P, K), symmetric)
-    return _kappa_from_singvals(_l1_singvals(blocks), (2 * N + 1) * (K + 1))
+    return condition_number(_l1_singvals(blocks), (2 * N + 1) * (K + 1))
 
 
 class CondL2Result(NamedTuple):
@@ -143,7 +133,7 @@ def cond_L2(
     """
     order = HarmonicOrder(N=N, K=K, d=d)
     if scheme is None:
-        scheme = bit_reversed(P, span=np.pi)
+        scheme = bit_reversed(P, span=span_for(True))
     theta_hat = build_theta(scheme, N)
     rng = np.random.default_rng(seed)
     U = rng.standard_normal((2 * P, d))
@@ -158,7 +148,7 @@ def cond_L2(
     ])
     reduced = (R[:, :, :, None] * U[:, None, None, :]).reshape(-1, order.n_temporal * d)
     s = np.linalg.svd(reduced, compute_uv=False)
-    kappa_L2 = _kappa_from_singvals(s, reduced.shape[1])
+    kappa_L2 = condition_number(s, reduced.shape[1])
     ev = np.linalg.eigvalsh(beta_cols @ beta_cols.T)
     kappa_Gamma = np.inf if ev[0] <= ev[-1] * 1e-12 or ev[0] <= 0 else float(ev[-1] / ev[0])
     return CondL2Result(kappa_L2=kappa_L2, kappa_Gamma=kappa_Gamma)
@@ -187,7 +177,7 @@ def rank_check_L1(P: int = 64, K: int = 2, N: int = 10, trials: int = 100, seed:
     seeds = np.random.SeedSequence(seed).spawn(trials)
     for t in range(trials):
         rng = np.random.default_rng(seeds[t])
-        scheme = random_scheme(P, span=np.pi, seed=rng.integers(2**63))
+        scheme = random_scheme(P, span=span_for(True), seed=rng.integers(2**63))
         Psi, _ = np.linalg.qr(rng.standard_normal((P, K + 1)))
         s = _l1_singvals(l1_factors(scheme, N, Psi, symmetric=True))
         if s[-1] / s[0] > 1e-12:
@@ -221,7 +211,7 @@ def theorem3_sweep(
     worst = 0.0
     for t in range(trials):
         res = cond_L2(K=K, N=N, P=P, d=d, J=J, seed=seed + t,
-                      scheme=random_scheme(P, span=np.pi, seed=seed + t),
+                      scheme=random_scheme(P, span=span_for(True), seed=seed + t),
                       orthonormal_u=True)
         if not np.isfinite(res.kappa_Gamma):
             continue

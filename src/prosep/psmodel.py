@@ -10,7 +10,8 @@ harmonic-by-temporal coefficients for detector offset s (harmonic-major,
 temporal-minor).  This module constructs the harmonic matrices, the
 column blocks of L1, the face-splitting products, the operator L2 linear
 in vec(Z), and the fixed interpolators (cubic B-spline and Legendre
-bases).
+bases).  ``condition_number`` is the one kappa rule that the solver's
+report and the conditioning study share.
 
 The half-turn identity g(-s, theta) = g(s, theta + pi) doubles the
 equations: L1_hat = [T; T diag((-1)^n)] * [U; U] Z has 2P rows, and rows
@@ -56,7 +57,12 @@ __all__ = [
     "harmonic_blocks",
     "L1Block",
     "l1_factors",
+    "KAPPA_SINGULAR",
+    "condition_number",
 ]
+
+# kappa beyond double precision is reported as the +inf sentinel
+KAPPA_SINGULAR = 1e15
 
 
 @dataclass(frozen=True)
@@ -118,6 +124,22 @@ def build_theta(scheme: AngularScheme, N: int) -> np.ndarray:
     n = np.arange(-N, N + 1)
     theta = np.exp(1j * np.outer(scheme.angles, n))
     return np.vstack([theta, theta * ((-1.0) ** n)[None, :]])
+
+
+def condition_number(s: np.ndarray, n_cols: int) -> float:
+    """kappa of a matrix with ``n_cols`` columns from its singular values ``s``.
+
+    ``s`` may be the union, in any order, of the thin-SVD singular values
+    of the blocks of a block-diagonal matrix, min(rows, columns) per block.
+    The +inf sentinel when there are fewer singular values than columns (a
+    block is wider than tall), when the smallest underflows below 1e-300,
+    or when kappa exceeds ``KAPPA_SINGULAR``, beyond double precision.
+    """
+    s = np.asarray(s)
+    if s.size < n_cols or s.min() < 1e-300:
+        return np.inf
+    kappa = float(s.max() / s.min())
+    return np.inf if kappa > KAPPA_SINGULAR else kappa
 
 
 def face_split(A: np.ndarray, B: np.ndarray) -> np.ndarray:

@@ -60,7 +60,7 @@ def span_for(symmetric: bool) -> float:
     return np.pi if symmetric else 2.0 * np.pi
 
 
-def progressive(P: int, span: float = 2.0 * np.pi) -> AngularScheme:
+def progressive(P: int, span: float) -> AngularScheme:
     """Progressive sweep theta_p = p * span / P."""
     if P < 1:
         raise ValueError("P must be >= 1")
@@ -68,7 +68,7 @@ def progressive(P: int, span: float = 2.0 * np.pi) -> AngularScheme:
     return AngularScheme(angles=angles, span=span, kind="progressive")
 
 
-def random_scheme(P: int, span: float = 2.0 * np.pi, seed: int = 0) -> AngularScheme:
+def random_scheme(P: int, span: float, seed: int) -> AngularScheme:
     """Angles drawn iid uniform over [0, span), deterministic given seed.
 
     Exact duplicates (possible in floating point, probability ~0) are
@@ -98,7 +98,7 @@ def bit_reversal_permutation(P: int) -> np.ndarray:
     return rev
 
 
-def bit_reversed(P: int, span: float = 2.0 * np.pi) -> AngularScheme:
+def bit_reversed(P: int, span: float) -> AngularScheme:
     """Bit-reversed ordering of the progressive sweep; P must be a power of two."""
     rev = bit_reversal_permutation(P)
     angles = rev * (span / P)

@@ -6,11 +6,7 @@ The inner linear variable beta(s) is eliminated by least squares
 
     min_Z  F(Z) = ||G - L1(Z) beta*(Z)||_F^2,  beta*(Z) = pinv(L1(Z)) G,
 
-over Z with orthonormal columns, evaluated on G directly.  beta* is
-fitted one way everywhere: by truncated least squares, dropping singular
-values at or below 1e-10 of the largest one of L1 (through the QR
-factors when L1 has safely full column rank, where nothing is dropped).
-F is always the residual of that beta*, so it is never negative.
+over Z with orthonormal columns.
 
 L1 is held as its column-disjoint blocks (``psmodel.l1_factors``): with
 the half-turn symmetry one P-row block per harmonic parity, without it
@@ -19,34 +15,37 @@ objective, its gradient and beta are sums and stacks of per-block
 pieces.
 
 L1 is linear in Z: block b is L1_b(Z) = A_b (I (x) Z), where
-A_b = face_split(theta_b, U) is fixed.  The descent therefore works in
-the reduced space of A_b (variable projection on a separable model,
-Golub & Pereyra 2003).  The thin QR A_b = Q_b R_b is taken once, and the
-data enter each step only as y_b = Q_b^T G_b and the sum of squares
-rho_b = ||G_b - Q_b y_b||^2 outside range(Q_b).  A step forms
-L~_b = R_b (I (x) Z), whose min(P, |harmonics| d) rows ((N+1)d for the
-even block under the symmetry) replace P, and F = sum_b rho_b +
-||y_b - L~_b beta_b||^2 for any beta (Q_b has orthonormal columns), so F is
-always the true residual sum of squares of the beta computed.  beta
-comes from the normal equations of L~ while kappa(A) kappa(Z) <= 1e3,
-kappa(A) over all blocks.  sigma_min(A (I (x) Z)) >= sigma_min(A)
+A_b = face_split(theta_b, U) is fixed.  Every evaluation therefore works
+in the reduced space of A_b (variable projection on a separable model,
+Golub & Pereyra 2003).  ``VarproProblem`` takes the thin QR A_b = Q_b R_b
+once; the data enter only as y_b = Q_b^T G_b and the sum of squares
+rho_b = ||G_b - Q_b y_b||^2 outside range(Q_b), and L1_b(Z) = Q_b L~_b
+with L~_b = R_b (I (x) Z), whose min(P, |harmonics| d) rows ((N+1)d for
+the even block under the symmetry) replace P.  Q_b has orthonormal
+columns, so L~_b has the singular values of L1_b, and F = sum_b rho_b +
+||y_b - L~_b beta_b||^2 is the true residual sum of squares of any beta,
+never negative.
+
+beta is fitted on L~ in one of two ways.  The final fit, which gives the
+reported beta and objective, uses truncated least squares: singular
+values at or below 1e-10 of the largest one of the whole L1 are dropped.
+A descent step solves the normal equations of L~ while kappa(A) kappa(Z)
+<= 1e3, kappa(A) over all blocks.  sigma_min(A (I (x) Z)) >= sigma_min(A)
 sigma_min(Z), so the bound caps kappa(L1(Z)), nothing is truncated, and
 the normal equations give beta to a relative error of about n kappa^2 u
 (n unknowns, u the unit roundoff); F is stationary in beta, so it moves
-only by the square of that error.  Past the
-bound (also when a block of A is wider than tall or singular) beta comes
-from a QR of L~, or from truncated least squares when L~ is not safely
-of full column rank.  The reported beta and objective come from the
-final fit on the full L1, not from the descent.
+only by the square of that error.  Past the bound (also when a block of
+A is wider than tall or singular) a step takes beta from a QR of L~, or
+from truncated least squares when L~ is not safely of full column rank.
 
 ``solve`` is one path: choose Z, then fit beta once.  When d = K+1, Z is
 square and U Z spans range(U) for every invertible Z, so range(L1(Z))
 and the objective do not depend on Z: Z is not identifiable, and Z = I
 (Psi = U).  When d > K+1, the orthonormality constraint is relaxed to a
 penalty, the reduced objective is minimized with Adam, and Z is the
-polar factor of the best restart.  Either way beta comes from one
-truncated least-squares fit on L1(Z), and the reported objective is the
-residual of that beta relative to ||G||^2.  Everything runs in the real
+polar factor of the best restart.  Either way the fit runs on the data
+scaled to ||G|| = 1, so the reported objective is relative to ||G||^2,
+and beta is scaled back by ||G||.  Everything runs in the real
 trigonometric parameterization, so all matrices are real.
 """
 
@@ -62,6 +61,7 @@ from .phantom import TimeSequentialSinogram
 from .psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
+    condition_number,
     face_split,
     harmonic_parity,
     l1_factors,
@@ -129,16 +129,6 @@ def stacked_data(data: TimeSequentialSinogram, symmetric: bool) -> list:
     return [(here + mirrored) * w, (here - mirrored) * w]
 
 
-def _kappa(svals, wide: bool) -> float:
-    """Largest over smallest of the singular values of all blocks (one array each).
-
-    inf when a block has fewer rows than columns (``wide``) or a singular
-    value is 0; blocks without columns hold none.
-    """
-    s = np.concatenate(svals)
-    return np.inf if wide or not s.min() > 0.0 else float(s.max() / s.min())
-
-
 def _truncated_lstsq(L_blocks, G_blocks):
     """Minimum-norm least-squares beta per block, truncated against the whole L1.
 
@@ -147,7 +137,7 @@ def _truncated_lstsq(L_blocks, G_blocks):
     block truncates exactly what the stacked (block-diagonal) system
     would, and a block with nothing above that cut-off gets beta = 0.
     Returns (betas, kappa), kappa of the block-diagonal L from the same
-    SVDs (``_kappa``).
+    SVDs (``psmodel.condition_number``).
     """
     svds = [np.linalg.svd(L, full_matrices=False) for L in L_blocks]
     cut = _RANK_RTOL * max((s[0] for _, s, _ in svds if s.size), default=0.0)
@@ -155,7 +145,8 @@ def _truncated_lstsq(L_blocks, G_blocks):
     for (W, s, Vt), G in zip(svds, G_blocks):
         keep = s > cut
         betas.append(Vt[keep].T @ ((W[:, keep].T @ G) / s[keep, None]))
-    kappa = _kappa([s for _, s, _ in svds], any(L.shape[0] < L.shape[1] for L in L_blocks))
+    kappa = condition_number(np.concatenate([s for _, s, _ in svds]),
+                             sum(L.shape[1] for L in L_blocks))
     return betas, kappa
 
 
@@ -179,14 +170,16 @@ def _qr_or_truncated_lstsq(L_blocks, G_blocks) -> list:
 class VarproProblem:
     """Reduced-objective evaluations for a fixed scheme, interpolator and order.
 
-    Holds the blocks of L1 (``l1_factors``).  The descent evaluates the
-    objective in the reduced space of the fixed factors A_b =
-    face_split(theta_b, U) of L1_b(Z) = A_b (I (x) Z) (module docstring):
-    their thin QR is built lazily, on first use by ``reduce`` or by a
-    step, and ``solve`` runs neither when d = K+1.  Each step then works on
-    min(P, |harmonics| d) rows per block, and solves for beta by the
-    normal equations while kappa(A) kappa(Z) <= 1e3, by QR or truncated
-    least squares past it.
+    Holds the blocks of L1 (``l1_factors``) and the thin QR A_b = Q_b R_b
+    of each fixed factor A_b = face_split(theta_b, U) of L1_b(Z) =
+    A_b (I (x) Z), taken once here.  Every evaluation, the descent's
+    steps and the final fit alike, runs on the reduced blocks L~_b =
+    R_b (I (x) Z) and the data reduced by ``reduce`` (module docstring),
+    so each works on min(P, |harmonics| d) rows per block.  A step solves
+    for beta by the normal equations while kappa(A) kappa(Z) <= 1e3, by
+    QR or truncated least squares past it.  kappa(A) takes an SVD of
+    each R_b, so it is computed on the first step, not here: a solve with
+    d = K+1 runs no step and never needs it.
     """
 
     def __init__(self, scheme, U: np.ndarray, order: HarmonicOrder, symmetric: bool):
@@ -196,18 +189,20 @@ class VarproProblem:
         if U.shape[1] != order.d:
             raise ValueError(f"U has {U.shape[1]} columns, expected d={order.d}")
         self.blocks = l1_factors(scheme, order.N, U, symmetric)
-
-    def l1(self, Z: np.ndarray) -> list:
-        """The blocks of L1(Z), one per entry of ``blocks``."""
-        return [face_split(b.theta, b.V @ Z) for b in self.blocks]
+        self.qr = [np.linalg.qr(face_split(b.theta, b.V)) for b in self.blocks]
 
     @cached_property
-    def _factors(self):
-        """(thin QR (Q_b, R_b) of each A_b, kappa(A) over all blocks)."""
-        QR = [np.linalg.qr(face_split(b.theta, b.V)) for b in self.blocks]
-        kappa = _kappa([np.linalg.svd(R, compute_uv=False) for _, R in QR],
-                       any(R.shape[0] < R.shape[1] for _, R in QR))
-        return QR, kappa
+    def kappa_A(self) -> float:
+        """kappa(A) over all blocks (``psmodel.condition_number``), from the R_b."""
+        return condition_number(
+            np.concatenate([np.linalg.svd(R, compute_uv=False) for _, R in self.qr]),
+            sum(R.shape[1] for _, R in self.qr))
+
+    def reduced_l1(self, Z: np.ndarray) -> list:
+        """The reduced blocks L~_b = R_b (I (x) Z), one per entry of ``blocks``."""
+        d, k = Z.shape
+        return [(R.reshape(-1, d) @ Z).reshape(R.shape[0], R.shape[1] // d * k)
+                for _, R in self.qr]
 
     def reduce(self, G) -> list:
         """The data blocks G in the reduced space: (y_b, rho_b) per block.
@@ -217,29 +212,30 @@ class VarproProblem:
         ||y_b||^2, which cancels to rounding noise that can be negative).
         """
         Y = []
-        for (Q, _), Gb in zip(self._factors[0], G):
+        for (Q, _), Gb in zip(self.qr, G):
             y = Q.T @ Gb
             r = Gb - Q @ y
             Y.append((y, float(np.sum(r * r))))
         return Y
 
-    def fit(self, Z: np.ndarray, G, J: int):
-        """Truncated least-squares beta for the data blocks G of J detector bins.
+    def fit(self, Z: np.ndarray, Y, J: int):
+        """Truncated least-squares beta for the reduced data blocks Y of J detector bins.
 
-        Returns (beta, rss, kappa): beta solved per block and scattered
-        back to the (2N+1)(K+1) x J layout, the residual sum of squares
-        sum_b ||G_b - L1_b beta_b||^2 of the fit, and kappa(L1) of the
-        block-diagonal L1(Z) from the fit's SVDs (inf when a block has
-        fewer rows than columns or a zero singular value).  With the
-        symmetry the blocks hold the weighted first ceil(J/2) bins
-        (``stacked_data``), which keep every sum of squares; bin J-1-j is
-        bin j times (-1)^n, so even harmonic rows are mirror-symmetric in
-        j and odd rows antisymmetric.
+        Returns (beta, F, kappa): beta solved per block on L~_b and
+        scattered back to the (2N+1)(K+1) x J layout, F = sum_b rho_b +
+        ||y_b - L~_b beta_b||^2, the residual sum of squares of the fit on
+        the data Y was reduced from, and kappa(L1) of the block-diagonal
+        L1(Z) from the fit's SVDs (``psmodel.condition_number``; L~_b has
+        the singular values of L1_b).  With the symmetry the blocks hold
+        the weighted first ceil(J/2) bins (``stacked_data``), which keep
+        every sum of squares; bin J-1-j is bin j times (-1)^n, so even
+        harmonic rows are mirror-symmetric in j and odd rows antisymmetric.
         """
         order = self.order
-        L_blocks = self.l1(Z)
-        betas, kappa = _truncated_lstsq(L_blocks, G)
-        rss = sum(float(np.sum((Gb - L @ beta) ** 2)) for L, Gb, beta in zip(L_blocks, G, betas))
+        L_blocks = self.reduced_l1(Z)
+        betas, kappa = _truncated_lstsq(L_blocks, [y for y, _ in Y])
+        F = sum(rho + float(np.sum((y - L @ beta) ** 2))
+                for L, (y, rho), beta in zip(L_blocks, Y, betas))
         B = np.empty((order.n_harmonics, order.n_temporal, betas[0].shape[1]))
         for block, beta in zip(self.blocks, betas):
             B[block.harmonics] = beta.reshape(block.harmonics.size, order.n_temporal, B.shape[2])
@@ -247,7 +243,7 @@ class VarproProblem:
             B /= _mirror_weights(J)
             mirror = harmonic_parity(order.N)[:, None, None] * B[:, :, : J // 2]
             B = np.concatenate([B, mirror[:, :, ::-1]], axis=2)
-        return B.reshape(order.cols, J), rss, kappa
+        return B.reshape(order.cols, J), F, kappa
 
     def objective_and_gradient_from_data(self, Z: np.ndarray, Y, mu: float = 0.0):
         """Penalized objective ||G - L1(Z) beta*||_F^2 and its exact gradient in Z.
@@ -262,19 +258,17 @@ class VarproProblem:
         beta*_n^T over the harmonics n of each block; the penalty
         mu ||Z^T Z - I||_F^2 adds 4 mu Z (Z^T Z - I).
         """
-        QR, kappa_A = self._factors
         d, k = Z.shape
-        L_blocks = [(R.reshape(-1, d) @ Z).reshape(R.shape[0], R.shape[1] // d * k)
-                    for _, R in QR]
+        L_blocks = self.reduced_l1(Z)
         ev = np.linalg.eigvalsh(Z.T @ Z)
         kappa_Z = np.sqrt(ev[-1] / ev[0]) if ev[0] > 0.0 else np.inf
         y_blocks = [y for y, _ in Y]
-        if kappa_A * kappa_Z <= _NORMAL_EQUATIONS_KAPPA:
+        if self.kappa_A * kappa_Z <= _NORMAL_EQUATIONS_KAPPA:
             betas = [np.linalg.solve(L.T @ L, L.T @ y) for L, y in zip(L_blocks, y_blocks)]
         else:
             betas = _qr_or_truncated_lstsq(L_blocks, y_blocks)
         F, grad = 0.0, 0.0
-        for (_, R), L, (y, rho), beta in zip(QR, L_blocks, Y, betas):
+        for (_, R), L, (y, rho), beta in zip(self.qr, L_blocks, Y, betas):
             r = y - L @ beta
             F += rho + float(np.sum(r * r))
             # (harmonic, d or K+1, bin); explicit sizes, as a block may have no harmonics
@@ -339,7 +333,9 @@ class SolverReport:
     exactly when it is at least 0.  ``kappa_L1`` is the condition number
     of the fitted L1(Z), the largest over the smallest singular value
     over all its blocks, from the SVDs of the final fit; None when a
-    block has fewer rows than columns or a zero singular value.
+    block has fewer rows than columns, when the smallest singular value
+    underflows, or above 1e15 (``psmodel.condition_number``), where
+    ``table1`` prints inf.
     """
 
     objective_trace: np.ndarray
@@ -419,8 +415,8 @@ def solve(
     data: TimeSequentialSinogram,
     model: HarmonicOrder,
     U: np.ndarray,
-    config: SolverConfig | None = None,
-    symmetric: bool | None = None,
+    config: SolverConfig,
+    symmetric: bool,
 ):
     """Recover (Z, beta) from a time-sequential sinogram.
 
@@ -434,9 +430,10 @@ def solve(
     restart index).
 
     beta(s_j) is then recovered for every detector offset by one
-    truncated least-squares fit on the blocks of L1(Z), truncated
-    relative to the largest singular value of the whole L1, and the
-    reported objective is the residual of that beta.  A warning is issued
+    truncated least-squares fit on the reduced blocks of L1(Z), truncated
+    relative to the largest singular value of the whole L1, on the data
+    normalized to ||G|| = 1 and scaled back by ||G||; the reported
+    objective is the residual of that fit.  A warning is issued
     when some block of L1 has fewer rows than columns
     (``HarmonicOrder.solvable``).
 
@@ -448,19 +445,16 @@ def solve(
         Harmonic bandlimit N, temporal order K, subspace dimension d.
     U : ndarray (P x d)
         Fixed orthonormal interpolator, e.g. ``spline_interpolator(P, d)``.
-    config : SolverConfig, optional
-    symmetric : bool, optional
+    config : SolverConfig
+    symmetric : bool
         Exploit the half-turn symmetry (doubles the equations, which split
-        into one P-row block per harmonic parity).  Default: inferred
-        from the scheme span (enabled for span <= pi).
+        into one P-row block per harmonic parity).  The scheme's angles
+        then lie in [0, ``sampling.span_for(True)``).
 
     Returns
     -------
     (Z, HarmonicCoefficients, SolverReport)
     """
-    config = config or SolverConfig()
-    if symmetric is None:
-        symmetric = data.scheme.span <= np.pi * (1.0 + 1e-9)
     P, J = data.scheme.P, data.values.shape[0]
     block_margin = model.block_margin(P, symmetric)
     if not model.solvable(P, symmetric):
@@ -473,13 +467,14 @@ def solve(
     problem = VarproProblem(data.scheme, U, model, symmetric)
     G = stacked_data(data, symmetric)
     tr = sum(float(np.sum(Gb * Gb)) for Gb in G)
+    # unit norm: objectives are relative to ||G||^2 (all-zero data stay as they are)
+    norm = np.sqrt(tr) or 1.0
+    Y = problem.reduce([Gb / norm for Gb in G])
     identifiable = model.d > model.n_temporal
 
     restart_objectives, chosen, raw, converged = [], 0, None, True
     Z = np.eye(model.d)[:, : model.n_temporal]
     if tr > 0.0 and identifiable:
-        # unit norm: objectives are relative to ||G||^2
-        Y = problem.reduce([Gb / np.sqrt(tr) for Gb in G])
         runs = []
         for seed in np.random.SeedSequence(config.seed).spawn(config.restarts):
             Z0 = _polar_orthonormalize(
@@ -492,8 +487,7 @@ def solve(
         Z_best, _, raw, converged = runs[chosen]
         Z = _polar_orthonormalize(Z_best)
 
-    beta_cols, rss, kappa = problem.fit(Z, G, J)
-    final_obj = rss / tr if tr > 0.0 else 0.0
+    beta_cols, final_obj, kappa = problem.fit(Z, Y, J)
     trace = np.array([final_obj]) if raw is None else raw
     report = SolverReport(
         objective_trace=np.minimum.accumulate(trace),
@@ -510,4 +504,4 @@ def solve(
         restart_objectives=restart_objectives,
         aborted_restarts=[r for r, f in enumerate(restart_objectives) if f == np.inf],
     )
-    return Z, HarmonicCoefficients(beta=beta_cols, order=model), report
+    return Z, HarmonicCoefficients(beta=beta_cols * norm, order=model), report

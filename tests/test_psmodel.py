@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from conftest import build_A, l1_2p, vec
 from prosep.psmodel import (
@@ -9,6 +10,7 @@ from prosep.psmodel import (
     _fix_column_signs,
     build_L2,
     build_theta,
+    condition_number,
     face_split,
     harmonic_blocks,
     harmonic_parity,
@@ -41,12 +43,12 @@ def test_theta_bar_parity_exact():
 
 
 def test_theta_unit_modulus():
-    theta_hat = build_theta(random_scheme(32, seed=5), N=7)
+    theta_hat = build_theta(random_scheme(32, span=2 * np.pi, seed=5), N=7)
     assert np.allclose(np.abs(theta_hat), 1.0, atol=1e-14)
 
 
 def test_theta_hat_row_norms():
-    theta_hat = build_theta(random_scheme(16, seed=2), N=6)
+    theta_hat = build_theta(random_scheme(16, span=2 * np.pi, seed=2), N=6)
     norms = np.linalg.norm(theta_hat, axis=1) ** 2
     assert np.allclose(norms, 2 * 6 + 1, rtol=1e-12)
 
@@ -241,7 +243,7 @@ def test_L2_zero_beta_is_zero(rng):
 # ---------------------------------------------------------------- real trig form
 
 def test_real_trig_n0_is_ones():
-    T = real_trig_theta(random_scheme(8, seed=1), N=0)
+    T = real_trig_theta(random_scheme(8, span=2 * np.pi, seed=1), N=0)
     assert np.array_equal(T, np.ones((8, 1)))
 
 
@@ -268,14 +270,14 @@ def test_real_trig_equals_the_per_order_loop(P, N):
 
 
 def test_real_trig_row_norms():
-    T = real_trig_theta(random_scheme(32, seed=4), N=6)
+    T = real_trig_theta(random_scheme(32, span=2 * np.pi, seed=4), N=6)
     assert np.allclose(np.linalg.norm(T, axis=1), np.sqrt(13.0), rtol=1e-12)
 
 
 def test_real_trig_spectrum_matches_complex(rng):
     """Unitary column equivalence: identical singular spectra of the products."""
     P, N, K = 64, 4, 2
-    scheme = random_scheme(P, seed=9)
+    scheme = random_scheme(P, span=2 * np.pi, seed=9)
     Psi = legendre_basis(P, K)
     Tc = build_theta(scheme, N)[:P]
     Tr = real_trig_theta(scheme, N)
@@ -377,6 +379,37 @@ def test_block_spectra_match_2p_oracle(P, N, K, symmetric):
     want = np.linalg.svd(l1_2p(scheme, N, Psi, np.eye(K + 1), symmetric), compute_uv=False)
     assert s.shape == want.shape
     assert np.all(np.abs(s - want) <= 1e-12 * want)
+
+
+def _singular_values(blocks):
+    return np.concatenate([np.linalg.svd(B, compute_uv=False) for B in blocks])
+
+
+def test_condition_number_is_cond_of_the_block_diagonal_matrix(rng):
+    """Blocks of different scales, one of them without columns, which holds no value."""
+    blocks = [rng.standard_normal((7, 3)) * 5.0, rng.standard_normal((4, 2)) * 0.1,
+              np.zeros((3, 0))]
+    got = condition_number(_singular_values(blocks), 5)
+    assert got == pytest.approx(np.linalg.cond(block_diag(*blocks)), rel=1e-10)
+
+
+def test_condition_number_is_inf_for_a_wide_block(rng):
+    """A 2 x 4 block gives 2 singular values for 4 columns, though all are well above 0."""
+    blocks = [rng.standard_normal((6, 3)), rng.standard_normal((2, 4))]
+    assert condition_number(_singular_values(blocks), 7) == np.inf
+
+
+@pytest.mark.parametrize("s, reason", [
+    ([1.0, 1e-320], "the smallest singular value underflows"),
+    ([1.0, 0.0], "a singular value is 0"),
+    ([1.0, 0.99e-15], "kappa is above 1e15"),
+])
+def test_condition_number_is_inf_beyond_double_precision(s, reason):
+    assert condition_number(np.array(s), 2) == np.inf, reason
+
+
+def test_condition_number_keeps_kappa_up_to_1e15():
+    assert condition_number(np.array([1.0, 1e-15]), 2) == pytest.approx(1e15, rel=1e-15)
 
 
 def test_harmonic_coefficients_shape_guard():

@@ -27,7 +27,8 @@ import functools
 def _solved_solution_cached(P, K, N, d, J, seed, static, max_iters):
     psi0 = np.ones((P, 1)) / np.sqrt(P) if static else None
     data, U, Z0, beta0, order = make_exact_model_data(P=P, K=K, N=N, d=d, J=J, seed=seed, psi0=psi0)
-    Z, beta, report = solve(data, order, U, SolverConfig(max_iters=max_iters, restarts=2, seed=0))
+    Z, beta, report = solve(data, order, U, SolverConfig(max_iters=max_iters, restarts=2, seed=0),
+                            symmetric=True)
     sol = ProSepSolution(
         Z=Z, U=U, beta=beta, model=order, scheme=data.scheme,
         detector=data.detector, times=sample_times(P), symmetric=True,

@@ -28,9 +28,9 @@ def test_progressive_uniform_spacing():
 
 
 def test_random_scheme_deterministic_and_seed_sensitive():
-    a = random_scheme(64, seed=7)
-    b = random_scheme(64, seed=7)
-    c = random_scheme(64, seed=8)
+    a = random_scheme(64, span=2 * np.pi, seed=7)
+    b = random_scheme(64, span=2 * np.pi, seed=7)
+    c = random_scheme(64, span=2 * np.pi, seed=8)
     assert np.array_equal(a.angles, b.angles)
     assert not np.array_equal(a.angles, c.angles)
 
@@ -61,7 +61,7 @@ def test_bit_reversal_is_involution():
 
 def test_bit_reversed_requires_power_of_two():
     with pytest.raises(ValueError):
-        bit_reversed(12)
+        bit_reversed(12, span=2 * np.pi)
 
 
 def test_bit_reversed_is_permutation_of_progressive():

@@ -16,7 +16,13 @@ from conftest import (
 )
 from prosep.cli import main
 from prosep.phantom import TimeSequentialSinogram
-from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, harmonic_blocks, spline_interpolator
+from prosep.psmodel import (
+    HarmonicCoefficients,
+    HarmonicOrder,
+    face_split,
+    harmonic_blocks,
+    spline_interpolator,
+)
 from prosep.radon import DetectorGrid
 from prosep.recon import ProSepSolution, reconstruct_movie, synthesize_sinogram
 from prosep import solver as solver_module
@@ -40,6 +46,13 @@ def small_problem(rng, P=24, N=3, K=1, d=3, symmetric=True):
     return scheme, order, U, problem
 
 
+def duplicated_angles():
+    """16 angles doubled 1e-14 apart (P = 32): tall blocks of L1 with rank 16."""
+    base = np.linspace(0.05, np.pi - 0.05, 16)
+    return AngularScheme(angles=np.sort(np.concatenate([base, base + 1e-14])), span=np.pi,
+                         kind="custom")
+
+
 def random_Z(rng, d, K):
     return np.linalg.qr(rng.standard_normal((d, K + 1)))[0]
 
@@ -49,9 +62,14 @@ def random_blocks(rng, problem, m):
     return [rng.standard_normal((b.theta.shape[0], m)) for b in problem.blocks]
 
 
+def l1_blocks(problem, Z):
+    """The blocks of L1(Z) at full P rows, one per entry of ``problem.blocks``."""
+    return [face_split(b.theta, b.V @ Z) for b in problem.blocks]
+
+
 def in_range_blocks(rng, problem, Z, m):
     """Data blocks in range(L1(Z)), block by block."""
-    return [L @ rng.standard_normal((L.shape[1], m)) for L in problem.l1(Z)]
+    return [L @ rng.standard_normal((L.shape[1], m)) for L in l1_blocks(problem, Z)]
 
 
 def normalized(G):
@@ -61,6 +79,15 @@ def normalized(G):
 
 def total_sq(G):
     return sum(float(np.sum(Gb**2)) for Gb in G)
+
+
+def solve_fit(problem, Z, data, symmetric):
+    """(beta, objective) of ``fit`` the way ``solve`` runs it: on the data scaled
+    to unit norm, beta scaled back."""
+    G = stacked_data(data, symmetric)
+    norm = np.sqrt(total_sq(G))
+    beta, F, _ = problem.fit(Z, problem.reduce([Gb / norm for Gb in G]), data.values.shape[0])
+    return beta * norm, F
 
 
 # ---------------------------------------------------------------- data columns
@@ -171,8 +198,8 @@ def test_objective_zero_for_in_range_data(rng):
 def test_objective_zero_for_square_full_rank_L1(rng):
     # (2N+1)(K+1) = 6 = P without the symmetry: L1 is square and a.s. full rank
     order = HarmonicOrder(N=1, K=1, d=2)
-    problem = VarproProblem(random_scheme(6, seed=8), spline_interpolator(6, 2), order,
-                            symmetric=False)
+    problem = VarproProblem(random_scheme(6, span=2 * np.pi, seed=8), spline_interpolator(6, 2),
+                            order, symmetric=False)
     Z = random_Z(rng, 2, 1)
     assert objective(problem, Z, [np.eye(6)]) <= 1e-10 * 6
 
@@ -232,9 +259,7 @@ def test_objective_is_the_residual_of_beta_on_a_rank_deficient_tall_L1(monkeypat
     Each A_b (32 x 42) is wide, so the step falls back, past the QR, to
     the truncated SVD.
     """
-    base = np.linspace(0.05, np.pi - 0.05, 16)
-    scheme = AngularScheme(angles=np.sort(np.concatenate([base, base + 1e-14])), span=np.pi,
-                           kind="custom")
+    scheme = duplicated_angles()
     U = spline_interpolator(32, 2)
     problem = VarproProblem(scheme, U, HarmonicOrder(N=20, K=0, d=2), symmetric=True)
     Z = random_Z(np.random.default_rng(0), 2, 0)
@@ -383,7 +408,7 @@ def test_reduced_l1_condition_is_bounded_by_kappa_A_times_kappa_Z(symmetric):
         scheme = random_scheme(P, span=np.pi if symmetric else 2 * np.pi, seed=P)
         problem = VarproProblem(scheme, spline_interpolator(P, d), HarmonicOrder(N=N, K=K, d=d),
                                 symmetric)
-        QR, kappa_A = problem._factors
+        QR, kappa_A = problem.qr, problem.kappa_A
         for Z in (random_Z(r, d, K), r.standard_normal((d, K + 1)),
                   r.standard_normal((d, K + 1)) @ np.diag(np.geomspace(1.0, 1e-3, K + 1))):
             kappa_Z = np.linalg.cond(Z)
@@ -394,6 +419,46 @@ def test_reduced_l1_condition_is_bounded_by_kappa_A_times_kappa_Z(symmetric):
                 blocks.append(L)
             s = np.concatenate([np.linalg.svd(L, compute_uv=False) for L in blocks])
             assert s.max() / s.min() <= kappa_A * kappa_Z * (1 + 1e-12)
+
+
+def _duplicated_angle_sinogram(J, seed):
+    """Random data on ``duplicated_angles()`` (P = 32)."""
+    vals = np.random.default_rng(seed).standard_normal((J, 32))
+    return TimeSequentialSinogram(values=vals, scheme=duplicated_angles(),
+                                  detector=DetectorGrid(count=J, spacing=2.0 / J))
+
+
+# (P, N, K, d, symmetric) of each shape of L1 the fit must handle
+FIT_CASES = {
+    "tall-symmetric": (40, 5, 2, 4, True),
+    "tall": (48, 5, 2, 4, False),  # A is tall too, (2N+1)d = 44: data outside range(Q)
+    "wide": (16, 3, 2, 3, False),  # P = 16 < (2N+1)(K+1) = 21
+    "duplicated-angles": (32, 20, 0, 2, True),  # rank-deficient, tall
+    "no-odd-harmonics": (16, 0, 0, 2, True),  # N = 0: the odd block has no columns
+}
+
+
+@pytest.mark.parametrize("random_z", [False, True])
+@pytest.mark.parametrize("case", FIT_CASES)
+def test_fit_matches_inner_beta_on_2p_oracle(case, random_z):
+    """fit on the reduced data equals lstsq on the unsplit L1 and the unfolded data.
+
+    Z = I and a random Z off the Stiefel manifold.  beta is the
+    minimum-norm truncated fit, and F its residual sum of squares.
+    """
+    P, N, K, d, symmetric = FIT_CASES[case]
+    J = 13
+    data = (_duplicated_angle_sinogram(J, seed=P) if case == "duplicated-angles"
+            else _random_sinogram(P, J, seed=P + N, symmetric=symmetric))
+    U = spline_interpolator(P, d)
+    problem = VarproProblem(data.scheme, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
+    Z = (np.random.default_rng(N).standard_normal((d, K + 1)) if random_z
+         else np.eye(d)[:, :K + 1])
+    beta, F, _ = problem.fit(Z, problem.reduce(stacked_data(data, symmetric)), J)
+    L1, G = l1_2p(data.scheme, N, U, Z, symmetric), data_2p(data, symmetric)
+    want = inner_beta(L1, G)
+    assert np.abs(beta - want).max() <= 1e-10 * np.abs(want).max()
+    assert abs(F - np.sum((G - L1 @ want) ** 2)) <= 1e-10 * np.sum(G**2)
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -438,7 +503,7 @@ def test_solve_rank_condition_is_per_block(P, warns, block_margin):
     U = spline_interpolator(P, 6)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        _, _, report = solve(data, order, U, symmetric=True)
+        _, _, report = solve(data, order, U, SolverConfig(), symmetric=True)
     assert any("full column rank" in str(w.message) for w in caught) is warns
     assert report.rank_margin == 2 * P - 366
     assert report.block_rank_margin == block_margin
@@ -451,7 +516,8 @@ def test_solve_warns_when_underdetermined_without_symmetry():
     data = _random_sinogram(32, 4, seed=1, symmetric=False)
     order = HarmonicOrder(N=3, K=4, d=5)
     with pytest.warns(UserWarning, match="full column rank"):
-        _, _, report = solve(data, order, spline_interpolator(32, 5), symmetric=False)
+        _, _, report = solve(data, order, spline_interpolator(32, 5), SolverConfig(),
+                                 symmetric=False)
     assert report.rank_margin == report.block_rank_margin == -3
 
 
@@ -515,7 +581,7 @@ def test_solver_config_rejects_out_of_range_values(field, bad):
 def test_solve_exact_model_recovery_small():
     data, U, Z0, beta0, order = make_exact_model_data(P=64, K=2, N=6, d=4, J=24, seed=3)
     config = SolverConfig(max_iters=3000, restarts=2, seed=0)
-    Z, beta, report = solve(data, order, U, config)
+    Z, beta, report = solve(data, order, U, config, symmetric=True)
     assert report.final_objective < 1e-8  # normalized by tr(Xi)
     assert max_principal_angle(U @ Z, U @ Z0) < 1e-3
     # recovered coefficients reproduce the data
@@ -529,7 +595,8 @@ def test_solve_static_k0_constant_temporal_function():
     U = spline_interpolator(P, d)
     psi0 = np.ones((P, 1)) / np.sqrt(P)
     data, U, Z0, _, order = make_exact_model_data(P=P, K=0, N=5, d=d, J=16, seed=6, psi0=psi0)
-    Z, _, report = solve(data, order, U, SolverConfig(max_iters=2000, restarts=2, seed=1))
+    Z, _, report = solve(data, order, U, SolverConfig(max_iters=2000, restarts=2, seed=1),
+                         symmetric=True)
     psi = (U @ Z)[:, 0]
     corr = abs(float(psi @ np.ones(P) / np.sqrt(P)))
     assert corr > 1 - 1e-6
@@ -539,8 +606,8 @@ def test_solve_static_k0_constant_temporal_function():
 def test_solve_deterministic():
     data, U, *_ , order = make_exact_model_data(P=32, K=1, N=3, d=3, J=12, seed=9)
     cfg = SolverConfig(max_iters=500, restarts=2, seed=42)
-    Z1, b1, r1 = solve(data, order, U, cfg)
-    Z2, b2, r2 = solve(data, order, U, cfg)
+    Z1, b1, r1 = solve(data, order, U, cfg, symmetric=True)
+    Z2, b2, r2 = solve(data, order, U, cfg, symmetric=True)
     assert np.array_equal(Z1, Z2)
     assert np.array_equal(b1.beta, b2.beta)
     assert np.array_equal(r1.raw_objective_trace, r2.raw_objective_trace)
@@ -550,12 +617,13 @@ def test_solve_warns_when_underdetermined():
     data, U, *_ , order = make_exact_model_data(P=32, K=1, N=3, d=3, J=12, seed=9)
     big = HarmonicOrder(N=20, K=2, d=3)  # (41)(3) = 123 > 2P = 64
     with pytest.warns(UserWarning, match="full column rank"):
-        solve(data, big, U, SolverConfig(max_iters=5, restarts=1, seed=0))
+        solve(data, big, U, SolverConfig(max_iters=5, restarts=1, seed=0), symmetric=True)
 
 
 def test_solve_report_contract():
     data, U, *_ , order = make_exact_model_data(P=32, K=1, N=3, d=3, J=12, seed=5)
-    Z, beta, report = solve(data, order, U, SolverConfig(max_iters=800, restarts=3, seed=2))
+    Z, beta, report = solve(data, order, U, SolverConfig(max_iters=800, restarts=3, seed=2),
+                            symmetric=True)
     # orthonormality after polar finalization
     assert report.final_orthonormality_defect < 1e-8
     assert np.linalg.norm(Z.T @ Z - np.eye(order.n_temporal)) < 1e-8
@@ -581,7 +649,8 @@ def test_solve_consistency_of_reported_objective():
         scheme=data.scheme,
         detector=data.detector,
     )
-    Z, beta, report = solve(noisy, order, U, SolverConfig(max_iters=1500, restarts=2, seed=3))
+    Z, beta, report = solve(noisy, order, U, SolverConfig(max_iters=1500, restarts=2, seed=3),
+                            symmetric=True)
     G = data_2p(noisy, True)
     L1 = l1_2p(noisy.scheme, order.N, U, Z, True)
     resid = float(np.sum((G - L1 @ beta.beta) ** 2)) / np.sum(G**2)
@@ -656,7 +725,7 @@ def test_solve_closed_form_report_contract(monkeypatch):
     calls = count_calls(monkeypatch, VarproProblem, "objective_and_gradient_from_data")
     fits = count_calls(monkeypatch, solver_module, "_truncated_lstsq")
     # a cap of one iteration cannot be reached: no descent runs
-    Z, beta, report = solve(data, order, U, SolverConfig(max_iters=1, restarts=3))
+    Z, beta, report = solve(data, order, U, SolverConfig(max_iters=1, restarts=3), symmetric=True)
     assert np.array_equal(Z, np.eye(2))
     assert report.converged and report.iterations_used == 0
     assert report.restart_objectives == [] and report.aborted_restarts == []
@@ -669,10 +738,9 @@ def test_solve_closed_form_report_contract(monkeypatch):
     assert len(calls) == 0 and len(fits) == 1
     # beta is the least-squares fit on L1(I), and the objective is its residual
     problem = VarproProblem(data.scheme, U, order, symmetric=True)
-    G_blocks = stacked_data(data, True)
-    fitted, rss, _ = problem.fit(np.eye(2), G_blocks, 12)
+    fitted, F = solve_fit(problem, np.eye(2), data, True)
     assert np.array_equal(beta.beta, fitted)
-    assert report.final_objective == rss / total_sq(G_blocks)
+    assert report.final_objective == F
     G = data_2p(data, True)
     L1 = l1_2p(data.scheme, order.N, U, np.eye(2), True)
     want = inner_beta(L1, G)
@@ -706,9 +774,11 @@ def test_lifted_d6_w32_descent_takes_the_normal_equations_at_every_step(monkeypa
 def test_descent_trace_grows_with_the_iterations_run():
     """A cap far beyond memory: the same descent as a cap of 5000, which it stops before."""
     data, U, order = noisy_exact_data(P=32, K=1, N=3, d=3, J=12, seed=5)
-    _, beta, report = solve(data, order, U, SolverConfig(max_iters=5000, restarts=1))
+    _, beta, report = solve(data, order, U, SolverConfig(max_iters=5000, restarts=1),
+                            symmetric=True)
     assert report.converged and report.iterations_used < 5000
-    _, beta_big, big = solve(data, order, U, SolverConfig(max_iters=10**14, restarts=1))
+    _, beta_big, big = solve(data, order, U, SolverConfig(max_iters=10**14, restarts=1),
+                               symmetric=True)
     assert big.converged and big.iterations_used == report.iterations_used
     assert np.array_equal(big.raw_objective_trace, report.raw_objective_trace)
     assert big.final_objective == report.final_objective
@@ -722,7 +792,7 @@ def test_solve_reports_kappa_of_the_fitted_l1(symmetric, d):
     data, U, order = noisy_exact_data(P=32, K=1, N=3, d=d, J=12, seed=8)
     Z, _, report = solve(data, order, U, SolverConfig(max_iters=60, restarts=1),
                          symmetric=symmetric)
-    stacked = block_diag(*VarproProblem(data.scheme, U, order, symmetric).l1(Z))
+    stacked = block_diag(*l1_blocks(VarproProblem(data.scheme, U, order, symmetric), Z))
     assert report.kappa_L1 == pytest.approx(np.linalg.cond(stacked), rel=1e-10)
     # the parity rotation is orthogonal: the unsplit 2P-row L1 has the same kappa
     assert report.kappa_L1 == pytest.approx(np.linalg.cond(l1_2p(data.scheme, order.N, U, Z,
@@ -734,7 +804,7 @@ def test_solve_reports_no_kappa_when_a_block_is_wide():
     data = _random_sinogram(32, 4, seed=1, symmetric=False)
     with pytest.warns(UserWarning, match="full column rank"):
         _, _, report = solve(data, HarmonicOrder(N=3, K=4, d=5), spline_interpolator(32, 5),
-                             symmetric=False)
+                             SolverConfig(), symmetric=False)
     assert report.kappa_L1 is None
 
 
@@ -747,10 +817,9 @@ def test_solve_descent_evaluates_the_objective_once_per_iteration(monkeypatch, s
                             symmetric=symmetric)
     assert report.z_identifiable and report.iterations_used == 40
     assert len(calls) == report.iterations_used
-    G = stacked_data(data, symmetric)
-    fitted, rss, _ = VarproProblem(data.scheme, U, order, symmetric).fit(Z, G, 12)
+    fitted, F = solve_fit(VarproProblem(data.scheme, U, order, symmetric), Z, data, symmetric)
     assert np.array_equal(beta.beta, fitted)
-    assert report.final_objective == rss / total_sq(G)
+    assert report.final_objective == F
 
 
 def test_solve_picks_the_first_lowest_finite_restart(monkeypatch):
@@ -760,7 +829,7 @@ def test_solve_picks_the_first_lowest_finite_restart(monkeypatch):
                     (np.eye(3)[:, 1:], 1.0, np.array([1.0]), False),
                     (np.eye(3)[:, :2], 1.0, np.array([1.0]), True)])
     monkeypatch.setattr(solver_module, "_adam_descent", lambda *args: next(results))
-    Z, _, report = solve(data, order, U, SolverConfig(restarts=4))
+    Z, _, report = solve(data, order, U, SolverConfig(restarts=4), symmetric=True)
     assert report.restart_objectives == [np.inf, 2.0, 1.0, 1.0]
     assert report.aborted_restarts == [0]
     assert report.chosen_restart == 2 and not report.converged
@@ -772,7 +841,7 @@ def test_solve_raises_when_every_restart_aborts(monkeypatch):
     data, U, order = noisy_exact_data(P=32, K=1, N=3, d=3, J=12, seed=6)
     monkeypatch.setattr(solver_module, "_adam_descent", lambda *args: None)
     with pytest.raises(RuntimeError, match="all restarts diverged"):
-        solve(data, order, U, SolverConfig(restarts=2))
+        solve(data, order, U, SolverConfig(restarts=2), symmetric=True)
 
 
 @pytest.mark.parametrize("d", [2, 4])
