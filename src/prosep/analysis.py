@@ -16,18 +16,21 @@ the complex harmonics, because its random coefficients are drawn on the
 complex coordinates; its singular values come from per-row QR factors
 instead of the full L2 (``cond_L2``), taken a block of rows at a time.
 
-The study reports only the smallest kappa(L1) over its random trials, so
-``table1`` keeps the exact SVD kappa (``cond_L1``) of the best trial so
-far and skips each later trial that one Cholesky factorization per block
-shows cannot beat it (``_cannot_win``): the trial's kappa exceeds the
-best by more than a relative margin of 1e-3 when some block's Gram
-matrix, shifted down by rho / kappa^2 with rho <= lambda_max, is not
-positive definite.  Those Gram matrices are assembled from the sums
+The study reports only the smallest kappa(L1) over its random trials.
+Each trial's block Gram matrices are assembled from the sums
 sum_p cos(m phi_p) V_pk V_pk' and sum_p sin(m phi_p) V_pk V_pk', m <= 2N
-(``_trig_grams``), not formed as A^T A.  The certificate is trusted only
-while the best kappa is at most 1e3; beyond that every trial gets the
+(``_trig_grams``), not formed as A^T A, into buffers reused by every
+trial.  ``table1`` skips each trial that one Cholesky factorization per
+block shows cannot beat the least kappa so far (``_cannot_win``): the
+trial's kappa exceeds it by more than a relative margin of 1e-3 when some
+block's Gram matrix, shifted down by rho / kappa^2 with rho <= lambda_max,
+is not positive definite.  A trial that passes gets its kappa from the
+eigenvalues of the same Gram matrices (``_gram_kappa``), trusted while at
+most 1e3; beyond that the trial gets the SVD (``cond_L1``).  At the end
+only the trusted trials whose estimate ties the least one, within a
+relative 1e-4 that the estimate's error bound proves enough, get the
 SVD.  The reported value is the SVD kappa of the exhaustive minimum
-either way.
+either way (``table1`` gives the proof).
 """
 
 from __future__ import annotations
@@ -65,11 +68,14 @@ __all__ = [
 ]
 
 # table1's screen: a trial is skipped when its kappa certainly exceeds the
-# best kappa so far by this relative margin, while that best is at most the
-# trust limit; the certificate's lower estimate of lambda_max takes this many
-# power steps
+# least kappa so far by GRAM_MARGIN (relative), while that least is at most
+# the trust limit, which also bounds the Gram estimates of kappa that are
+# used; trusted estimates within GRAM_TIE_MARGIN (relative) of the least one
+# get the SVD.  The certificate's lower estimate of lambda_max takes
+# _POWER_STEPS power steps
 GRAM_TRUST_LIMIT = 1e3
 GRAM_MARGIN = 1e-3
+GRAM_TIE_MARGIN = 1e-4
 _POWER_STEPS = 3
 # rows of theta_hat whose L2 row factors cond_L2 forms and factors at once
 _L2_QR_ROWS = 128
@@ -285,21 +291,25 @@ def rotation_bound(B: float, L: float, theta_max: float, K: int) -> float:
 def _trig_grams(N: int, V: np.ndarray, symmetric: bool):
     """The Gram matrices A^T A of the nonempty ``l1_factors`` blocks, as a function of the angles.
 
-    Returns ``grams(angles)``.  Column c of a block's theta is
-    s Re(w_c e^{i n_c phi}) with n_c = (c + 1) // 2, w_c = 1, sqrt2 or
-    -i sqrt2 for the constant, cosine and sine columns, and s = sqrt2 with
-    the symmetry (else 1).  Since Re(a) Re(b) = (Re(a b) + Re(a conj b)) / 2,
-    the Gram entry sum_p theta_pc theta_pc' V_pk V_pk' is
-    s^2 |w_c w_c'| / 2 times a signed C or S sum at m = n_c + n_c' plus one
-    at m = |n_c - n_c'|, where C_m + i S_m = sum_p e^{i m phi_p} V_pk V_pk'.
-    So a Gram costs one product of the 2N + 1 rows e^{i m phi} (a doubling
-    recurrence) with V_pk V_pk' (k <= k', built once) and one gather per
-    block, O(P N K^2) instead of the O(P N^2 K^2) of A^T A; the gather
-    tables are built once, here.  Every G is exactly symmetric.
+    Returns ``grams(angles)``, for P = V.shape[0] angles.  Column c of a
+    block's theta is s Re(w_c e^{i n_c phi}) with n_c = (c + 1) // 2,
+    w_c = 1, sqrt2 or -i sqrt2 for the constant, cosine and sine columns,
+    and s = sqrt2 with the symmetry (else 1).  Since Re(a) Re(b) =
+    (Re(a b) + Re(a conj b)) / 2, the Gram entry
+    sum_p theta_pc theta_pc' V_pk V_pk' is s^2 |w_c w_c'| / 2 times a signed
+    C or S sum at m = n_c + n_c' plus one at m = |n_c - n_c'|, where
+    C_m + i S_m = sum_p e^{i m phi_p} V_pk V_pk'.  So a Gram costs one
+    product of the 2N + 1 rows e^{i m phi} (a doubling recurrence) with
+    V_pk V_pk' (k <= k', built once) and one gather per block,
+    O(P N K^2) instead of the O(P N^2 K^2) of A^T A.  The gather tables
+    and every buffer are built once, here: each call fills the same
+    arrays, so the Gram matrices it returns are overwritten by the next
+    call.  Every G is exactly symmetric.
     """
     K1 = V.shape[1]
     k_lo, k_hi = np.triu_indices(K1)
-    VV = V[:, k_lo] * V[:, k_hi]
+    # complex once here, so the product with e^{i m phi} casts nothing per call
+    VV = (V[:, k_lo] * V[:, k_hi]).astype(complex)
     pair = np.empty((K1, K1), dtype=np.intp)
     pair[k_lo, k_hi] = pair[k_hi, k_lo] = np.arange(k_lo.size)
     scale2 = 2.0 if symmetric else 1.0
@@ -327,26 +337,30 @@ def _trig_grams(N: int, V: np.ndarray, symmetric: bool):
             idx.append(flat.ravel())
             sign = np.where(j >= 2, -1.0, 1.0)[:, None, :, None]
             coef.append(np.broadcast_to(sign * mag[:, None, :, None], flat.shape).ravel())
-        tables.append((np.stack(idx), np.stack(coef), h.size * K1))
+        n_cols = h.size * K1
+        # the index and coefficient tables, the gathered terms, and the Gram matrix
+        tables.append((np.stack(idx), np.stack(coef), np.empty((2, n_cols**2)),
+                       np.empty((n_cols, n_cols))))
+    E = np.empty((2 * N + 1, V.shape[0]), dtype=complex)
+    E[0] = 1.0
+    sums = np.empty((2 * N + 1, k_lo.size), dtype=complex)
+    flat_sums = sums.view(float).ravel()
 
     def grams(angles: np.ndarray) -> list:
-        E = np.empty((2 * N + 1, angles.size), dtype=complex)
-        E[0] = 1.0
         if N:
-            E[1] = np.exp(1j * angles)
+            np.exp(1j * angles, out=E[1])
         # e^{i (r + l) phi} = e^{i l phi} e^{i r phi}: rows r+1..2r from rows 1..r
         r = 1
         while r < 2 * N:
             top = min(2 * r, 2 * N)
             np.multiply(E[1:top - r + 1], E[r], out=E[r + 1:top + 1])
             r = top
-        sums = (E @ VV).view(float).ravel()
-        out = []
-        for idx, coef, n_cols in tables:
-            t = sums[idx]
+        np.matmul(E, VV, out=sums)
+        for idx, coef, t, G in tables:
+            np.take(flat_sums, idx, out=t)
             t *= coef
-            out.append((t[0] + t[1]).reshape(n_cols, n_cols))
-        return out
+            np.add(t[0], t[1], out=G.reshape(-1))
+        return [G for *_, G in tables]
 
     return grams
 
@@ -355,10 +369,12 @@ def _cannot_win(grams, kappa: float) -> bool:
     """Whether kappa(L1) certainly exceeds ``kappa``, by one Cholesky per block Gram matrix.
 
     ``grams`` are the blocks' Gram matrices G = A^T A (A =
-    face_split(theta, V)), which this shifts in place.  rho is the largest
-    Rayleigh quotient x^T G x / x^T x over them, with x a few power steps
-    from G 1; any x gives rho <= lambda_max, the largest squared singular
-    value of L1.  Each G is shifted down by s = rho / kappa^2, and the
+    face_split(theta, V)).  rho is the largest Rayleigh quotient
+    x^T G x / x^T x over them, with x a few power steps from G 1; any x
+    gives rho <= lambda_max, the largest squared singular value of L1.
+    Each G is shifted down by s = rho / kappa^2 in place for its
+    factorization and back after it, which leaves G as it was up to the
+    two roundings of each diagonal entry (at most 2u lambda_max).  The
     answer is True exactly when a Cholesky factorization fails: then some
     lambda_min(G) is below s plus a rounding floor, so kappa(L1)^2 =
     lambda_max / lambda_min exceeds about kappa^2.  ``table1`` says how
@@ -377,30 +393,55 @@ def _cannot_win(grams, kappa: float) -> bool:
             np.linalg.cholesky(G)
         except np.linalg.LinAlgError:
             return True
+        finally:
+            G.flat[::G.shape[0] + 1] += shift
     return False
+
+
+def _gram_kappa(grams) -> float:
+    """kappa(L1) as sqrt(lambda_max / lambda_min) over the eigenvalues of its blocks' Gram matrices.
+
+    The +inf sentinel when lambda_min <= 0.  ``table1`` bounds its error
+    where it is used, at most ``GRAM_TRUST_LIMIT``.
+    """
+    ev = [np.linalg.eigvalsh(G) for G in grams]
+    lo, hi = min(e[0] for e in ev), max(e[-1] for e in ev)
+    return math.sqrt(hi / lo) if lo > 0.0 else math.inf
 
 
 def _best_random_kappa(P: int, K: int, N: int, symmetric: bool, trials: int,
                        seed: int) -> float:
     """Least kappa(L1) (``cond_L1``) over ``trials`` seeded random schemes.
 
-    One pass keeps the ``cond_L1`` of the best trial so far; while that
-    is at most ``GRAM_TRUST_LIMIT``, a trial that ``_cannot_win`` against
-    it with the relative margin ``GRAM_MARGIN`` is skipped, and every
-    other trial gets ``cond_L1``.  The certificate's Gram matrices come
-    from ``_trig_grams``.  ``table1`` says why this is the exhaustive
-    minimum.
+    One pass keeps ``best``, the least kappa so far.  While it is at most
+    ``GRAM_TRUST_LIMIT``, a trial that ``_cannot_win`` against
+    (1 + ``GRAM_MARGIN``) best is skipped.  Every other trial gets the
+    Gram estimate ``_gram_kappa`` from the same Gram matrices
+    (``_trig_grams``); where that is at most the trust limit the trial is
+    kept as a candidate, by its scheme, else it gets ``cond_L1``.  Either
+    value updates ``best``.  At the end the candidates whose estimate is
+    within a relative ``GRAM_TIE_MARGIN`` of the least estimate get
+    ``cond_L1``, and the least of all the ``cond_L1`` values is returned.
+    ``table1`` says why this is the exhaustive minimum.
     """
     span = span_for(symmetric)
     grams = _trig_grams(N, legendre_basis(P, K), symmetric)
-    best = math.inf
+    best, exact, candidates = math.inf, [], []
     for s in np.random.SeedSequence(seed).spawn(trials):
         scheme = random_scheme(P, span, seed=int(np.random.default_rng(s).integers(2**63)))
-        if best <= GRAM_TRUST_LIMIT and _cannot_win(grams(scheme.angles),
-                                                    (1.0 + GRAM_MARGIN) * best):
+        G = grams(scheme.angles)
+        if best <= GRAM_TRUST_LIMIT and _cannot_win(G, (1.0 + GRAM_MARGIN) * best):
             continue
-        best = min(best, cond_L1(scheme, K, N, symmetric=symmetric))
-    return best
+        kappa = _gram_kappa(G)
+        if kappa <= GRAM_TRUST_LIMIT:
+            candidates.append((kappa, scheme))
+        else:
+            kappa = cond_L1(scheme, K, N, symmetric=symmetric)
+            exact.append(kappa)
+        best = min(best, kappa)
+    tie = (1.0 + GRAM_TIE_MARGIN) * min((k for k, _ in candidates), default=math.inf)
+    exact += [cond_L1(scheme, K, N, symmetric=symmetric) for k, scheme in candidates if k <= tie]
+    return min(exact, default=math.inf)
 
 
 def table1(
@@ -421,38 +462,55 @@ def table1(
     row, which is computed for bit-reversed sampling with the symmetry.
 
     The random rows are the exact SVD kappa (``cond_L1``) of the best
-    trial, found in one pass (``_best_random_kappa``) that keeps the best
-    SVD kappa so far and, while it is at most 1e3 (the trust limit),
-    skips each trial that ``_cannot_win`` shows to exceed it by more than
-    a relative margin of 1e-3.  At the default 512 x 342 block a trial
-    costs one product of trig rows with temporal products, a gather and
-    one Cholesky factorization per block instead of an SVD
-    (``_trig_grams``), and at 100 trials 6 nonsymmetric and 12 symmetric
-    trials reach ``cond_L1``.  Why the minimum is never skipped: with
-    best <= 1e3 and threshold t = 1.001 best, the certificate shifts each
-    block's Gram matrix G, the A^T A of the matrix A whose SVD ``cond_L1``
-    takes, down by s = rho / t^2 <= lambda_max / t^2.  Cholesky of G - s I
-    fails only if lambda_min(G) < s + O(n^2 u max G_ii) (Demmel 1989;
-    Higham, Accuracy and Stability of Numerical Algorithms, ch. 10):
-    n(n+1) u = 1.3e-11 for n = 342, and max G_ii <= lambda_max.  G is
-    assembled from the trig sums C_m, S_m (m <= 2N), not as A^T A: each
-    entry is at most two of them times at most s^2 (the symmetric block
-    scale, 2), and it carries the recurrence error of e^{i m phi}, about
-    m u, plus the error of the P-term sum.  With orthonormal V,
+    trial, found in one pass (``_best_random_kappa``).  At the default
+    512 x 342 block a trial costs one product of trig rows with temporal
+    products, a gather into buffers reused by every trial, and one
+    Cholesky factorization per block (``_trig_grams``, ``_cannot_win``).
+    A trial that the screen passes adds one symmetric eigenvalue solve
+    per block (``_gram_kappa``, about a third of an SVD), and each random
+    row ends with one SVD, more only when Gram estimates tie.
+
+    Why the result is the SVD kappa of the exhaustive minimum.  The Gram
+    error: G is assembled from the trig sums C_m, S_m (m <= 2N), not as
+    A^T A, where A is the block whose SVD ``cond_L1`` takes.  Each entry
+    is at most two of them times at most s^2 (the symmetric block scale,
+    2), and it carries the recurrence error of e^{i m phi}, about m u,
+    plus the error of the P-term sum.  With orthonormal V,
     sum_p |V_pk V_pk'| <= 1, and lambda_max >= max G_ii >= s^2 (the
     constant harmonic), so G is within about n 2(P + 2N + 2) u lambda_max
-    = 4.3e-11 lambda_max of the Gram of the exact trig values.  The A that
-    the SVD sees rounds each phase n phi (at most 2 pi N u), which moves its
-    A^T A by at most n 8 pi N u lambda_max = 2.7e-11 lambda_max more
-    (measured: the two differ by at most 5e-15 lambda_max over 60 trials
-    per symmetry at 512 x 342).  By Weyl the Gram spectrum agrees with the
-    SVD's to 7e-11 lambda_max.  A trial with SVD kappa <= best has
-    lambda_min >= lambda_max / best^2, so lambda_min - s >=
-    (1 - 1 / 1.001^2) lambda_max / best^2 >= 2.0e-9 lambda_max, about 24
-    times the floor and the Gram error together: its Cholesky succeeds,
-    it reaches ``cond_L1``, and the reported value is the SVD kappa of the
-    exhaustive minimum.  Above the trust limit every trial gets
-    ``cond_L1``, as without the certificate.
+    = 4.3e-11 lambda_max of the Gram of the exact trig values, n = 342.
+    The A that the SVD sees rounds each phase n phi (at most 2 pi N u),
+    which moves its A^T A by at most n 8 pi N u lambda_max = 2.7e-11
+    lambda_max more (measured: the two differ by at most 5e-15 lambda_max
+    over 60 trials per symmetry at 512 x 342).  By Weyl the Gram spectrum
+    agrees with the SVD's to eps = 7e-11 lambda_max.
+
+    The estimate: one that is used is at most 1e3, so lambda_min(G) >=
+    1e-6 lambda_max and lambda_min errs by at most eps / 1e-6 = 7e-5
+    relative; kappa, the square root of the ratio, errs by at most
+    delta = 3.6e-5 relative, which leaves room for the eigenvalue
+    solver's own rounding (about n u lambda_max).  A wide block has
+    lambda_min(A^T A) = 0, so its estimate is at least 1e5 and never used.
+
+    The screen: let kappa* be the least SVD kappa over the trials.  While
+    best <= 1e3 it is a trusted estimate or an SVD kappa of some trial,
+    so best >= (1 - delta) kappa*, and the threshold t = 1.001 best >=
+    1.00096 kappa*.  The certificate shifts each block's G down by
+    s = rho / t^2 <= lambda_max / t^2.  Cholesky of G - s I fails only if
+    lambda_min(G) < s + O(n^2 u max G_ii) (Demmel 1989; Higham, Accuracy
+    and Stability of Numerical Algorithms, ch. 10): n(n+1) u = 1.3e-11,
+    and max G_ii <= lambda_max.  The minimizing trial has
+    lambda_min >= lambda_max / kappa*^2 with kappa* <= best / (1 - delta)
+    <= 1000.04, so lambda_min - s >= (1 - 1 / 1.00096^2) lambda_max /
+    kappa*^2 >= 1.9e-9 lambda_max, about 20 times the floor and the Gram
+    error together: its Cholesky succeeds, and it is never skipped.
+
+    The ties: if the minimizing trial's estimate is used, it is at most
+    (1 + delta) kappa*, while the least estimate is at least
+    (1 - delta) kappa*, so it lies within (1 + delta) / (1 - delta) <
+    1 + 7.3e-5 of the least, inside the tie margin 1e-4, and gets
+    ``cond_L1``; otherwise it got ``cond_L1`` when it was met.  Above the
+    trust limit every trial gets ``cond_L1``, as without the certificate.
     """
     rows = []
     for symmetric in (False, True):

@@ -136,18 +136,20 @@ def _truncated_lstsq(L_blocks, G_blocks):
     times the largest singular value over all blocks are dropped, so each
     block truncates exactly what the stacked (block-diagonal) system
     would, and a block with nothing above that cut-off gets beta = 0.
-    Returns (betas, kappa), kappa of the block-diagonal L from the same
-    SVDs (``psmodel.condition_number``).
+    Returns (betas, kappa, truncated): kappa of the block-diagonal L from
+    the same SVDs (``psmodel.condition_number``), and the number of those
+    singular values the fit dropped.
     """
     svds = [np.linalg.svd(L, full_matrices=False) for L in L_blocks]
     cut = _RANK_RTOL * max((s[0] for _, s, _ in svds if s.size), default=0.0)
-    betas = []
+    betas, truncated = [], 0
     for (W, s, Vt), G in zip(svds, G_blocks):
         keep = s > cut
+        truncated += s.size - int(np.count_nonzero(keep))
         betas.append(Vt[keep].T @ ((W[:, keep].T @ G) / s[keep, None]))
     kappa = condition_number(np.concatenate([s for _, s, _ in svds]),
                              sum(L.shape[1] for L in L_blocks))
-    return betas, kappa
+    return betas, kappa, truncated
 
 
 def _qr_or_truncated_lstsq(L_blocks, G_blocks) -> list:
@@ -221,19 +223,21 @@ class VarproProblem:
     def fit(self, Z: np.ndarray, Y, J: int):
         """Truncated least-squares beta for the reduced data blocks Y of J detector bins.
 
-        Returns (beta, F, kappa): beta solved per block on L~_b and
-        scattered back to the (2N+1)(K+1) x J layout, F = sum_b rho_b +
+        Returns (beta, F, kappa, truncated): beta solved per block on L~_b
+        and scattered back to the (2N+1)(K+1) x J layout, F = sum_b rho_b +
         ||y_b - L~_b beta_b||^2, the residual sum of squares of the fit on
-        the data Y was reduced from, and kappa(L1) of the block-diagonal
-        L1(Z) from the fit's SVDs (``psmodel.condition_number``; L~_b has
-        the singular values of L1_b).  With the symmetry the blocks hold
-        the weighted first ceil(J/2) bins (``stacked_data``), which keep
-        every sum of squares; bin J-1-j is bin j times (-1)^n, so even
-        harmonic rows are mirror-symmetric in j and odd rows antisymmetric.
+        the data Y was reduced from, kappa(L1) of the block-diagonal L1(Z)
+        from the fit's SVDs (``psmodel.condition_number``; L~_b has the
+        singular values of L1_b), and the number of those singular values
+        the fit dropped (``_truncated_lstsq``).  With the symmetry the
+        blocks hold the weighted first ceil(J/2) bins (``stacked_data``),
+        which keep every sum of squares; bin J-1-j is bin j times (-1)^n,
+        so even harmonic rows are mirror-symmetric in j and odd rows
+        antisymmetric.
         """
         order = self.order
         L_blocks = self.reduced_l1(Z)
-        betas, kappa = _truncated_lstsq(L_blocks, [y for y, _ in Y])
+        betas, kappa, truncated = _truncated_lstsq(L_blocks, [y for y, _ in Y])
         F = sum(rho + float(np.sum((y - L @ beta) ** 2))
                 for L, (y, rho), beta in zip(L_blocks, Y, betas))
         B = np.empty((order.n_harmonics, order.n_temporal, betas[0].shape[1]))
@@ -243,7 +247,7 @@ class VarproProblem:
             B /= _mirror_weights(J)
             mirror = harmonic_parity(order.N)[:, None, None] * B[:, :, : J // 2]
             B = np.concatenate([B, mirror[:, :, ::-1]], axis=2)
-        return B.reshape(order.cols, J), F, kappa
+        return B.reshape(order.cols, J), F, kappa, truncated
 
     def objective_and_gradient_from_data(self, Z: np.ndarray, Y, mu: float = 0.0):
         """Penalized objective ||G - L1(Z) beta*||_F^2 and its exact gradient in Z.
@@ -335,7 +339,12 @@ class SolverReport:
     over all its blocks, from the SVDs of the final fit; None when a
     block has fewer rows than columns, when the smallest singular value
     underflows, or above 1e15 (``psmodel.condition_number``), where
-    ``table1`` prints inf.
+    ``table1`` prints inf.  ``truncated_singular_values`` is the number of
+    those singular values the final fit dropped, at or below 1e-10 times
+    the largest: beta was then fitted on a lower rank than L1(Z) has
+    columns, whatever ``kappa_L1`` reads.  A wide block's missing
+    singular values are not counted here; ``block_rank_margin`` shows
+    them.
     """
 
     objective_trace: np.ndarray
@@ -349,6 +358,7 @@ class SolverReport:
     rank_margin: int
     block_rank_margin: int
     kappa_L1: float | None
+    truncated_singular_values: int
     restart_objectives: list = field(default_factory=list)
     aborted_restarts: list = field(default_factory=list)
 
@@ -487,7 +497,7 @@ def solve(
         Z_best, _, raw, converged = runs[chosen]
         Z = _polar_orthonormalize(Z_best)
 
-    beta_cols, final_obj, kappa = problem.fit(Z, Y, J)
+    beta_cols, final_obj, kappa, truncated = problem.fit(Z, Y, J)
     trace = np.array([final_obj]) if raw is None else raw
     report = SolverReport(
         objective_trace=np.minimum.accumulate(trace),
@@ -501,6 +511,7 @@ def solve(
         rank_margin=(2 * P if symmetric else P) - model.cols,
         block_rank_margin=block_margin,
         kappa_L1=kappa if np.isfinite(kappa) else None,
+        truncated_singular_values=truncated,
         restart_objectives=restart_objectives,
         aborted_restarts=[r for r, f in enumerate(restart_objectives) if f == np.inf],
     )

@@ -11,6 +11,7 @@ from prosep.analysis import (
     GRAM_TRUST_LIMIT,
     _best_random_kappa,
     _cannot_win,
+    _gram_kappa,
     _trig_grams,
     cond_L1,
     cond_L2,
@@ -176,6 +177,59 @@ def test_trig_grams_equal_ata_of_l1_blocks(P, K, N, symmetric):
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
+def test_trig_grams_fill_the_same_buffers_on_every_call(symmetric):
+    """Each call's Gram matrices are A^T A of its own angles, written over the last call's.
+
+    ``_cannot_win`` shifts them in place and back: it leaves them as they
+    were up to two roundings of each diagonal entry.
+    """
+    P, K, N = 64, 2, 8
+    Psi = legendre_basis(P, K)
+    grams = _trig_grams(N, Psi, symmetric)
+    span = np.pi if symmetric else 2 * np.pi
+    first, second = _trial_schemes(P, span, 2, seed=3)
+    got_first = grams(first.angles)
+    kept = [G.copy() for G in got_first]
+    assert not _cannot_win(got_first, 10 * GRAM_TRUST_LIMIT)
+    lam_max = max(np.linalg.eigvalsh(G)[-1] for G in kept)
+    assert all(np.abs(G - H).max() <= 2.3e-16 * lam_max for G, H in zip(got_first, kept))
+    got_second = grams(second.angles)
+    assert all(G is H for G, H in zip(got_first, got_second))
+    for got, scheme in ((kept, first), (got_second, second)):
+        want = _ata(l1_factors(scheme, N, Psi, symmetric))
+        lam_max = max(np.linalg.eigvalsh(G)[-1] for G in want)
+        for G, W in zip(got, want):
+            assert np.abs(G - W).max() <= 1e-14 * lam_max
+
+
+# the relative error bound of a Gram estimate of kappa at most GRAM_TRUST_LIMIT (table1)
+GRAM_KAPPA_RTOL = 3.6e-5
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_gram_kappa_within_its_bound_of_the_svd_kappa(symmetric):
+    """At the study's dims every estimate the screen would use is within 3.6e-5 of cond_L1."""
+    P, K, N = 512, 5, 28
+    grams = _trig_grams(N, legendre_basis(P, K), symmetric)
+    span = np.pi if symmetric else 2 * np.pi
+    checked = 0
+    for scheme in _trial_schemes(P, span, 12, seed=0):
+        estimate = _gram_kappa(grams(scheme.angles))
+        if estimate <= GRAM_TRUST_LIMIT:
+            kappa = cond_L1(scheme, K, N, symmetric=symmetric)
+            assert abs(estimate - kappa) <= GRAM_KAPPA_RTOL * kappa, (estimate, kappa)
+            checked += 1
+    assert checked >= 9
+
+
+def test_gram_kappa_of_a_wide_or_singular_block_is_never_trusted():
+    """P = 16 < (2N+1)(K+1) = 21: the Gram matrix is singular, and so is an all-zero one."""
+    scheme = random_scheme(16, 2 * np.pi, seed=1)
+    assert _gram_kappa(_trig_grams(10, legendre_basis(16, 0), False)(scheme.angles)) > 1e5
+    assert _gram_kappa([np.zeros((3, 3))]) == math.inf
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
 def test_cannot_win_same_answer_on_trig_and_ata_grams(symmetric):
     """At the study's dims the certificate decides alike on both Gram matrices."""
     P, K, N = 512, 5, 28
@@ -203,6 +257,19 @@ def _counting_cannot_win(monkeypatch):
 
     monkeypatch.setattr(analysis, "_cannot_win", counted)
     return counts
+
+
+def _recording_cond_l1(monkeypatch):
+    """Patch ``cond_L1`` to record the angles of each scheme it is called on."""
+    seen = []
+    real = analysis.cond_L1
+
+    def recorded(scheme, *args, **kwargs):
+        seen.append(scheme.angles)
+        return real(scheme, *args, **kwargs)
+
+    monkeypatch.setattr(analysis, "cond_L1", recorded)
+    return seen
 
 
 @pytest.mark.parametrize("P, K, N, symmetric, seed, screened", [
@@ -249,8 +316,30 @@ def test_screened_random_kappa_at_study_dims(monkeypatch, symmetric):
     want = min(cond_L1(s, K, N, symmetric=symmetric)
                for s in _trial_schemes(P, span, trials, seed=0))
     counts = _counting_cannot_win(monkeypatch)
+    svds = _recording_cond_l1(monkeypatch)
     assert _best_random_kappa(P, K, N, symmetric, trials, seed=0) == want
     assert counts["skipped"] >= 1
+    assert len(svds) <= 1
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+@pytest.mark.parametrize("gap", [0.0, 1e-13])
+def test_tied_estimates_each_get_the_svd(monkeypatch, symmetric, gap):
+    """The best trial's angles drawn again, or 1e-13 apart: both get cond_L1, and the least wins."""
+    P, K, N, trials = 64, 1, 6, 8
+    span = np.pi if symmetric else 2 * np.pi
+    schemes = _trial_schemes(P, span, trials, seed=0)
+    kappas = [cond_L1(s, K, N, symmetric=symmetric) for s in schemes]
+    best = schemes[int(np.argmin(kappas))]
+    assert min(kappas) <= GRAM_TRUST_LIMIT
+    twin = AngularScheme(angles=best.angles + gap, span=span, kind="random")
+    want = min(kappas + [cond_L1(twin, K, N, symmetric=symmetric)])
+    draws = iter(schemes + [twin])
+    monkeypatch.setattr(analysis, "random_scheme", lambda P, span, seed: next(draws))
+    svds = _recording_cond_l1(monkeypatch)
+    assert _best_random_kappa(P, K, N, symmetric, trials + 1, seed=0) == want
+    assert len(svds) == 2
+    assert all(np.array_equal(a, best.angles) or np.array_equal(a, twin.angles) for a in svds)
 
 
 # ------------------------------------------------- condition numbers (L2)

@@ -359,7 +359,8 @@ def test_reconstruct_outputs_and_determinism(sim_dir, tmp_path):
     assert beta.shape == (9 * 2, 33)  # (2N+1)(K+1) x J
     assert (out1 / "solver_report.csv").exists()
     summary = json.loads((out1 / "solver_report.json").read_text())
-    assert {"final_objective", "converged", "chosen_restart"} <= set(summary)
+    assert {"final_objective", "converged", "chosen_restart",
+            "truncated_singular_values"} <= set(summary)
 
     out2 = tmp_path / "rec2"
     assert main(["reconstruct", "--input", str(sim_dir), "--out", str(out2),

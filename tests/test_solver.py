@@ -86,7 +86,7 @@ def solve_fit(problem, Z, data, symmetric):
     to unit norm, beta scaled back."""
     G = stacked_data(data, symmetric)
     norm = np.sqrt(total_sq(G))
-    beta, F, _ = problem.fit(Z, problem.reduce([Gb / norm for Gb in G]), data.values.shape[0])
+    beta, F, _, _ = problem.fit(Z, problem.reduce([Gb / norm for Gb in G]), data.values.shape[0])
     return beta * norm, F
 
 
@@ -174,11 +174,11 @@ def test_block_truncation_is_relative_to_the_whole_L1():
     strong = np.linalg.qr(r.standard_normal((6, 3)))[0] * [3.0, 2.0, 1.0]
     weak = np.linalg.qr(r.standard_normal((5, 2)))[0] * [4e-11, 1e-11]
     G = [r.standard_normal((6, 4)), r.standard_normal((5, 4))]
-    got, _ = _truncated_lstsq([strong, weak], G)
+    got, _, truncated = _truncated_lstsq([strong, weak], G)
     stacked = np.zeros((11, 5))
     stacked[:6, :3], stacked[6:, 3:] = strong, weak
     want = inner_beta(stacked, np.vstack(G))
-    assert np.all(got[1] == 0.0)
+    assert np.all(got[1] == 0.0) and truncated == 2
     assert np.allclose(np.vstack(got), want, rtol=1e-12, atol=1e-12)
 
 
@@ -454,7 +454,7 @@ def test_fit_matches_inner_beta_on_2p_oracle(case, random_z):
     problem = VarproProblem(data.scheme, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
     Z = (np.random.default_rng(N).standard_normal((d, K + 1)) if random_z
          else np.eye(d)[:, :K + 1])
-    beta, F, _ = problem.fit(Z, problem.reduce(stacked_data(data, symmetric)), J)
+    beta, F, _, _ = problem.fit(Z, problem.reduce(stacked_data(data, symmetric)), J)
     L1, G = l1_2p(data.scheme, N, U, Z, symmetric), data_2p(data, symmetric)
     want = inner_beta(L1, G)
     assert np.abs(beta - want).max() <= 1e-10 * np.abs(want).max()
@@ -769,6 +769,44 @@ def test_lifted_d6_w32_descent_takes_the_normal_equations_at_every_step(monkeypa
     report = json.loads((run / "solver_report.json").read_text())
     assert report["converged"] and report["iterations_used"] == len(calls) > 0
     assert len(fallbacks) == 0
+    assert report["truncated_singular_values"] == 0
+
+
+# the settings of the benchmark's symm-d4-w64 workload at seed 0: d = K+1, bit-reversed angles
+SYMM_D4_W64 = {
+    "P": 128, "grid": {"width": 64}, "scheme": {"kind": "bit_reversed"},
+    "symmetric": True, "model": {"K": 3, "N": 24, "d": 4},
+    "noise_sigma": 0.01, "seed": 0, "solver": {"restarts": 1, "seed": 0},
+}
+
+
+def test_symm_d4_w64_fit_truncates_nothing(tmp_path):
+    config = tmp_path / "symm.json"
+    config.write_text(json.dumps(SYMM_D4_W64))
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(config), "--out", str(run)]) == 0
+    assert main(["reconstruct", "--input", str(run)]) == 0
+    report = json.loads((run / "solver_report.json").read_text())
+    assert report["kappa_L1"] is not None and report["truncated_singular_values"] == 0
+
+
+def test_solve_reports_the_singular_values_its_fit_truncated():
+    """16 angles doubled 1e-11 apart: kappa_L1 is finite, yet the fit drops 5 of 37.
+
+    N = 18, K = 0: the blocks hold 19 even and 18 odd harmonics on 32 rows.
+    A gap of 1e-10 keeps every singular value above the 1e-10 cut-off.
+    """
+    base = np.linspace(0.05, np.pi - 0.05, 16)
+    vals = np.random.default_rng(0).standard_normal((12, 32))
+    order, U = HarmonicOrder(N=18, K=0, d=1), spline_interpolator(32, 1)
+    for gap, truncated in ((1e-11, 5), (1e-10, 0)):
+        scheme = AngularScheme(angles=np.sort(np.concatenate([base, base + gap])), span=np.pi,
+                               kind="custom")
+        data = TimeSequentialSinogram(values=vals, scheme=scheme,
+                                      detector=DetectorGrid(count=12, spacing=2.0 / 12))
+        _, _, report = solve(data, order, U, SolverConfig(), symmetric=True)
+        assert report.kappa_L1 is not None and report.kappa_L1 > 1e9
+        assert report.truncated_singular_values == truncated, gap
 
 
 def test_descent_trace_grows_with_the_iterations_run():
