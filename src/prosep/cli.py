@@ -58,7 +58,6 @@ import sys
 
 import numpy as np
 
-from . import analysis
 from .errors import ProsepError
 from .phantom import (
     Ellipse,
@@ -507,6 +506,8 @@ def _study(fn, **kwargs) -> tuple:
 
 
 def cmd_analyze(args) -> int:
+    from . import analysis  # only this stage needs it: the others skip its import
+
     studies = [s for s in _STUDY_FLAGS if getattr(args, s)]
     if not studies:
         print("analyze: nothing to do (pass --table1 / --thm2 / --thm3 / --bounds)",

@@ -25,7 +25,10 @@ one angle set, and ``project_fbp`` is the fused batch for a movie of P
 frames on one grid: per view, one projector pass over all P frames, a
 ramp filter of the J x P block and one backprojector pass accumulated
 into the W^2 x P result, so no sinogram stack and no all-view operator
-is ever held.  ``fbp`` of one sinogram is ``fbp_stack`` with n = 1.
+is ever held.  The projector of ``project_fbp`` visits only the tiles
+that some frame occupies, and its tile-major copy of the frames holds
+only those tiles: empty space adds nothing to a projection, so skipping
+it changes no sum.  ``fbp`` of one sinogram is ``fbp_stack`` with n = 1.
 """
 
 from __future__ import annotations
@@ -331,13 +334,15 @@ def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles
                  J: int) -> tuple[np.ndarray, np.ndarray]:
     """One view's map between J detector bins and the tiled pixels, as dense blocks.
 
-    Entry e links bin ``bins[e]`` and pixel slot ``slots[e]`` with weight
-    ``weights[e]``; repeated links add.  Returns ``(blocks, first)``,
+    The three arrays share one shape, and entry e (in C order) links bin
+    ``bins[e]`` and pixel slot ``slots[e]`` with weight ``weights[e]``;
+    repeated links add, and entries of weight zero or of a slot past the
+    last tile are dropped.  Returns ``(blocks, first)``,
     ``blocks`` of shape ``tiles x depth x _TILE**2``: ``blocks[t, r, l]``
     links bin ``first[t] + r`` and slot ``t * _TILE**2 + l``.  Every
     tile's bins lie in ``first[t] .. first[t] + depth - 1 <= J - 1``.
     """
-    keep = weights != 0
+    keep = (weights != 0) & (slots < tiles * _TILE**2)
     bins, slots, weights = bins[keep], slots[keep], weights[keep]
     tile = slots // _TILE**2
     first = np.full(tiles, J - 1)
@@ -354,47 +359,51 @@ def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles
     return blocks.reshape(tiles, depth, _TILE**2), first
 
 
-def _backproject(filtered_views, angles: np.ndarray, detector: DetectorGrid, width: int,
-                 pixel_size: float) -> np.ndarray:
-    """(pi / A) sum_a B_a F_a over the ramp-filtered J x n blocks F_a, one per view.
+def _backproject(filtered_views, acc: np.ndarray, angles: np.ndarray, detector: DetectorGrid,
+                 width: int, pixel_size: float) -> None:
+    """(pi / A) sum_a B_a F_a over the ramp-filtered J x n blocks F_a, one per view, into ``acc``.
 
     ``B_a`` is view a's backprojector (``_view_backprojector``), built
     once per view as tile blocks (``_tile_blocks``); each tile of the
     result adds its block's transpose times the tile's rows of F_a, for
     a run of about ``_RUN_VALUES / (64 n)`` tiles per batched product.
-    The result stays tile-major, tiles x 64 x n, for ``_untile``.
-    ``fbp_stack`` and ``project_fbp`` both backproject through this loop.
+    The result stays tile-major in the zeroed tiles x 64 x n ``acc``,
+    for ``_untile``.  Callers allocate ``acc`` before their other
+    per-call arrays: the allocator then places those after it, and once
+    they are freed the result of ``_untile`` can reuse their memory
+    instead of growing the process.  ``fbp_stack`` and ``project_fbp``
+    both backproject through this loop.
     """
     X, Y = grid_coords(width, pixel_size)
     cos_t, sin_t = _reduced_trig(angles)
     slots, tiles = _tiling(width)
-    pixel_slots = np.tile(slots, 2)  # a pixel's two entries
-    acc = None
+    pixel_slots = np.broadcast_to(slots, (2, slots.size))  # a pixel's two entries
+    run = max(1, _RUN_VALUES // acc[0].size)
     for a, block in enumerate(filtered_views):
         weights, indices = _view_backprojector(cos_t[a], sin_t[a], X, Y, detector)
-        blocks, first = _tile_blocks(indices.ravel(), pixel_slots, weights.ravel(), tiles,
-                                     detector.count)
-        if acc is None:
-            acc = np.zeros((tiles, _TILE**2, block.shape[1]))
-            run = max(1, _RUN_VALUES // acc[0].size)
+        blocks, first = _tile_blocks(indices, pixel_slots, weights, tiles, detector.count)
         rows = first[:, None] + np.arange(blocks.shape[1])
         blocks = blocks.transpose(0, 2, 1)
         for t in range(0, tiles, run):
             acc[t:t + run] += blocks[t:t + run] @ block[rows[t:t + run]]
     acc *= np.pi / angles.size
-    return acc
 
 
 def _untile(acc: np.ndarray, width: int) -> np.ndarray:
     """The n x W x W images of a tile-major ``_backproject`` result, masked as a ``Frame`` is.
 
-    The pixel gather copies the stack (the result is a transposed view of
-    that copy), so callers release their own inputs first.
+    Each tile's 64 x n block is copied through its transpose into a
+    C-order result, so the images are contiguous and no caller copies
+    them again; callers release their own per-call arrays first.
     """
-    slots, _ = _tiling(width)
-    out = acc.reshape(-1, acc.shape[-1])[slots]
-    out *= support_mask(width).reshape(-1, 1)
-    return out.T.reshape(-1, width, width)
+    n = -(-width // _TILE)
+    out = np.empty((acc.shape[-1], width, width))
+    for t, tile in enumerate(acc.reshape(-1, _TILE, _TILE, acc.shape[-1])):
+        r, c = divmod(t, n)
+        dest = out[:, r * _TILE:(r + 1) * _TILE, c * _TILE:(c + 1) * _TILE]
+        dest[...] = tile[:dest.shape[1], :dest.shape[2]].transpose(2, 0, 1)
+    out *= support_mask(width)
+    return out
 
 
 def fbp(sinogram: Sinogram, width: int, pixel_size: float) -> Frame:
@@ -424,7 +433,7 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int,
     and each view's backprojector is built once and applied to the
     view's J x n block, so n sinograms cost one view loop.  Image k is
     ``fbp`` of sinogram k: masked to the support disk, on the grid of
-    ``width`` and ``pixel_size``.
+    ``width`` and ``pixel_size``.  The stack is a C-order array.
 
     Raises
     ------
@@ -438,8 +447,9 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int,
         raise ValueError(f"sinograms must be J x A x n = {detector.count} x {angles.size} "
                          f"x n, got shape {values.shape}")
     J, A, n = values.shape
+    acc = np.zeros((_tiling(width)[1], _TILE**2, n))  # before ``filtered`` (see _backproject)
     filtered = (_ramp_matrix(J, detector.spacing) @ values.reshape(J, A * n)).reshape(J, A, n)
-    acc = _backproject((filtered[:, a] for a in range(A)), angles, detector, width, pixel_size)
+    _backproject((filtered[:, a] for a in range(A)), acc, angles, detector, width, pixel_size)
     del filtered
     return _untile(acc, width)
 
@@ -457,6 +467,14 @@ def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np
     backprojector adds it into the W^2 x P result.  No sinogram stack and
     no all-view operator is held, so memory stays O(P W^2).
 
+    The projector visits only the tiles that some frame occupies (has a
+    nonzero pixel in), found in one pass over the frames, and the
+    tile-major copy of the input holds only those tiles.  A skipped tile
+    would add exact zeros, and each occupied tile's products add in the
+    same order, so the result is the same as projecting every tile; a
+    movie that occupies every tile runs the same products.  The result is
+    a C-order array.
+
     Raises
     ------
     CoverageError
@@ -472,24 +490,38 @@ def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     _require_two_angles(angles)
     J = detector.count
+    columns = frames.reshape(P, W * W)
     slots, tiles = _tiling(W)
-    tiled = np.zeros((tiles * _TILE**2, P))
-    tiled[slots] = frames.reshape(P, W * W).T
-    tiled = tiled.reshape(tiles, _TILE**2, P)
-    rays = np.tile(np.arange(J), 4 * (2 * W + 1))
+    acc = np.zeros((tiles, _TILE**2, P))  # first of the per-call arrays (see _backproject)
+    tile = slots // _TILE**2
+    occupied = np.zeros(tiles, dtype=bool)
+    occupied[tile[np.any(columns, axis=0)]] = True
+    kept = int(occupied.sum())
+    # the occupied tiles, renumbered in order, hold slots 0 .. spare - 1;
+    # the pixels of the other tiles are zero in every frame and all go to
+    # the one spare slot, which is never read
+    spare = kept * _TILE**2
+    renumbered = np.cumsum(occupied) - 1
+    packed = np.where(occupied[tile], renumbered[tile] * _TILE**2 + slots % _TILE**2, spare)
+    tiled = np.zeros((spare + 1, P))
+    tiled[packed] = columns.T
+    tiled = tiled[:spare].reshape(kept, _TILE**2, P)
     ramp = _ramp_matrix(J, detector.spacing)
     cos_t, sin_t = _reduced_trig(angles)
 
     def filtered_view(a):
         weights, indices = _view_projector(cos_t[a], sin_t[a], W, pixel_size, detector.offsets)
-        blocks, first = _tile_blocks(rays, slots[indices].ravel(), weights.ravel(), tiles, J)
+        # column j of the projector is ray j; the entries of the spare slot,
+        # past the last tile, are dropped
+        rays = np.broadcast_to(np.arange(J), weights.shape)
+        blocks, first = _tile_blocks(rays, packed[indices], weights, kept, J)
         depth = blocks.shape[1]
         sino = np.zeros((J, P))
-        for t in range(tiles):
+        for t in range(kept):
             sino[first[t]:first[t] + depth] += blocks[t] @ tiled[t]
         return ramp @ sino
 
-    acc = _backproject((filtered_view(a) for a in range(angles.size)), angles, detector, W,
-                       pixel_size)
+    _backproject((filtered_view(a) for a in range(angles.size)), acc, angles, detector, W,
+                 pixel_size)
     del tiled
     return _untile(acc, W)

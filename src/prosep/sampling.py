@@ -25,6 +25,15 @@ __all__ = [
 ]
 
 
+def _has_repeats(angles: np.ndarray) -> bool:
+    """Whether two angles are equal (0.0 and -0.0 are), by one sort.
+
+    ``np.unique`` would do, but in numpy 2.4 it imports ``numpy.ma`` on
+    first use, a cost every CLI process would pay.
+    """
+    return bool(np.any(np.diff(np.sort(angles)) == 0))
+
+
 @dataclass(frozen=True)
 class AngularScheme:
     """An ordered sequence of view angles theta_p in [0, span)."""
@@ -42,7 +51,7 @@ class AngularScheme:
             raise ValueError("span must be positive")
         if not np.all((angles >= 0) & (angles < self.span)):  # also rejects NaN
             raise ValueError("angles must lie in [0, span)")
-        if len(np.unique(angles)) != angles.size:
+        if _has_repeats(angles):
             raise ValueError("angles must be distinct")
 
     @property
@@ -78,7 +87,7 @@ def random_scheme(P: int, span: float, seed: int) -> AngularScheme:
         raise ValueError("P must be >= 1")
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0.0, span, size=P)
-    while len(np.unique(angles)) != P:
+    while _has_repeats(angles):
         uniq, counts = np.unique(angles, return_counts=True)
         for val in uniq[counts > 1]:
             idx = np.flatnonzero(angles == val)[1:]

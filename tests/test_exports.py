@@ -56,6 +56,32 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
+def test_cli_import_leaves_out_analysis():
+    """Only ``analyze`` needs the conditioning studies; the other stages skip their import."""
+    out = run_python("import sys, prosep.cli\nprint('prosep.analysis' in sys.modules)")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
+
+
+def test_simulate_and_reconstruct_load_no_numpy_ma(tmp_path):
+    """The pipeline stages never import ``numpy.ma`` (``np.unique`` would, in numpy 2.4)."""
+    sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
+    stages = [
+        ["simulate", "--out", sim, "--P", "16", "--width", "16", "--K", "1", "--N", "3",
+         "--d", "2", "--scheme", "random"],
+        ["reconstruct", "--input", sim, "--out", rec],
+    ]
+    code = ("import sys\n"
+            "from prosep.cli import main\n"
+            f"for argv in {stages!r}:\n"
+            "    if main(argv) != 0:\n"
+            "        raise SystemExit(f'{argv[0]} failed')\n"
+            "print('numpy.ma' in sys.modules)\n")
+    out = run_python(code)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip().splitlines()[-1] == "False"
+
+
 def test_scipy_blocker_blocks():
     out = run_python(BLOCK_SCIPY + "import scipy.linalg")
     assert out.returncode != 0 and "scipy is blocked" in out.stderr

@@ -11,6 +11,8 @@ from prosep.radon import (
     DetectorGrid,
     Frame,
     Sinogram,
+    _tiling,
+    _untile,
     fbp,
     fbp_stack,
     project_fbp,
@@ -294,6 +296,89 @@ def test_project_fbp_peak_memory_in_movie_sizes(rng):
     finally:
         tracemalloc.stop()
     assert peak < 3.0 * frames.nbytes, peak / frames.nbytes
+
+
+def partly_occupied(rng, P, W, windows):
+    """P masked frames, zero except where ``windows`` put random values.
+
+    Each window is ``(frames, rows, cols)``, three slices.
+    """
+    frames = np.zeros((P, W, W))
+    for f, r, c in windows:
+        frames[f, r, c] = rng.standard_normal(frames[f, r, c].shape)
+    return frames * support_mask(W)
+
+
+# (W, windows): a blob in one corner of the disk; a tile that only frame 1
+# occupies; W = 33, whose last row and column of tiles the grid edge cuts
+# to one pixel, with the blob in them
+PARTLY_OCCUPIED = {
+    "corner": (64, [(slice(None), slice(8, 20), slice(9, 18))]),
+    "one-frame-tile": (32, [(slice(None), slice(12, 20), slice(12, 20)),
+                            (1, slice(3, 6), slice(20, 23))]),
+    "edge-cut-tiles": (33, [(slice(None), slice(24, 33), slice(12, 33))]),
+}
+
+
+@pytest.mark.parametrize("case", PARTLY_OCCUPIED)
+def test_project_fbp_of_partly_occupied_movies_equals_per_frame_fbp(rng, case):
+    W, windows = PARTLY_OCCUPIED[case]
+    frames = partly_occupied(rng, 3, W, windows)
+    h = 2.0 / W
+    angles = oracle_angles(rng)
+    for det in (DetectorGrid(count=W + 1, spacing=h), DetectorGrid(count=W + 7, spacing=1.37 * h)):
+        batch = project_fbp(frames, h, angles, det)
+        for values, out in zip(frames, batch):
+            f = Frame(values=values, pixel_size=h)
+            ref = fbp(radon_project(f, angles, det), width=W, pixel_size=h)
+            assert rel_err(out, ref.values) < 1e-12
+
+
+def test_project_fbp_of_a_zero_movie_is_zero(rng):
+    W = 33
+    det = DetectorGrid(count=W + 1, spacing=1.0)
+    out = project_fbp(np.zeros((4, W, W)), 1.0, oracle_angles(rng), det)
+    assert out.shape == (4, W, W) and np.all(out == 0.0)
+
+
+def test_batched_results_are_c_order_and_equal_the_row_gather(rng):
+    """``project_fbp`` and ``fbp_stack`` return C-contiguous stacks.
+
+    Their values equal, bit for bit, the images gathered row-wise from
+    the tile-major accumulator and masked, as an untiled copy would be.
+    """
+    for W in (1, 2, 31, 33, 64):
+        slots, tiles = _tiling(W)
+        acc = rng.standard_normal((tiles, 64, 5))
+        gathered = acc.reshape(-1, 5)[slots] * support_mask(W).reshape(-1, 1)
+        out = _untile(acc, W)
+        assert out.flags.c_contiguous
+        assert np.array_equal(out, gathered.T.reshape(5, W, W))
+    frames = np.stack([random_masked_frame(rng, width=33).values for _ in range(3)])
+    det = DetectorGrid(count=34, spacing=2.0 / 33)
+    angles = oracle_angles(rng)
+    assert project_fbp(frames, 2.0 / 33, angles, det).flags.c_contiguous
+    sinograms = rng.standard_normal((34, angles.size, 3))
+    assert fbp_stack(sinograms, angles, det, 33, 2.0 / 33).flags.c_contiguous
+
+
+def test_project_fbp_peak_memory_of_a_quarter_occupied_movie(rng):
+    """At P = 128, W = 64 with 16 of the 64 tiles occupied, under 2.3 movies.
+
+    Only the occupied tiles are copied (a quarter of a movie); the
+    accumulator and the result are a movie each (measured 2.06 movies).
+    """
+    P, W = 128, 64
+    frames = partly_occupied(rng, P, W, [(slice(None), slice(16, 48), slice(16, 48))])
+    det = DetectorGrid(count=W + 1, spacing=1.0)
+    angles = np.linspace(0.0, np.pi, P, endpoint=False)
+    tracemalloc.start()
+    try:
+        project_fbp(frames, 1.0, angles, det)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.3 * frames.nbytes, peak / frames.nbytes
 
 
 def test_project_fbp_rejects_mixed_grids_and_narrow_detectors(rng):

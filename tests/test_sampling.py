@@ -92,6 +92,27 @@ def test_scheme_rejects_duplicates():
         AngularScheme(angles=np.array([0.1, 0.1]), span=np.pi, kind="custom")
 
 
+@pytest.mark.parametrize("angles", [[0.0, -0.0], [-0.0, 0.0], [0.3, 0.1, 0.2, 0.1]])
+def test_scheme_rejects_signed_zeros_and_unsorted_duplicates(angles):
+    with pytest.raises(ValueError, match="distinct"):
+        AngularScheme(angles=np.array(angles), span=np.pi, kind="custom")
+
+
+def test_random_scheme_redraws_repeated_angles(monkeypatch):
+    """A first draw with repeats (0.5 twice, 0.0 and -0.0) keeps one of each."""
+    real = np.random.default_rng(0)
+    draws = [np.array([0.5, 0.0, 0.5, 1.0, -0.0])]
+
+    class Rng:
+        def uniform(self, low, high, size):
+            return draws.pop(0) if draws else real.uniform(low, high, size)
+
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: Rng())
+    sch = random_scheme(5, span=np.pi, seed=0)
+    assert np.array_equal(sch.angles[[0, 1, 3]], [0.5, 0.0, 1.0])
+    assert np.unique(sch.angles).size == 5
+
+
 @pytest.mark.parametrize("bad", [-0.1, np.pi, np.nan])
 def test_scheme_rejects_angles_outside_the_span(bad):
     with pytest.raises(ValueError, match=r"\[0, span\)"):
