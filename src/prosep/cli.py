@@ -378,22 +378,26 @@ def cmd_simulate(args) -> int:
     pixel = _resolve_nulls(cfg)
     spec = _phantom_from_config(cfg, pixel)
     motion = _motion_from_config(cfg)
-    scheme = _scheme_from_config(cfg)
     detector = DetectorGrid(**cfg["detector"])
 
+    # The benchmark movie, the largest step, is built and released before
+    # the acquisition: a random scheme or noise draw is the process's first
+    # use of np.random, which loads about 5 MB of libraries (secrets, hmac,
+    # libcrypto) that would otherwise stay resident through it.
     truth = render_movie(spec, motion, cfg["P"])
-    data = simulate_acquisition(
-        truth, scheme, detector, noise_sigma=cfg["noise_sigma"], seed=cfg["seed"],
-    )
-
     out = args.out
     os.makedirs(out, exist_ok=True)
-    write_tensor(os.path.join(out, "sinogram.tensor"), data.values)
-    write_tensor(os.path.join(out, "angles.tensor"), scheme.angles)
-    write_tensor(os.path.join(out, "times.tensor"), sample_times(cfg["P"]))
     write_tensor(os.path.join(out, "truth_movie.tensor"), truth.values)
     bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector=detector)
     write_tensor(os.path.join(out, "benchmark_movie.tensor"), bench.values)
+    del bench
+    scheme = _scheme_from_config(cfg)
+    data = simulate_acquisition(
+        truth, scheme, detector, noise_sigma=cfg["noise_sigma"], seed=cfg["seed"],
+    )
+    write_tensor(os.path.join(out, "sinogram.tensor"), data.values)
+    write_tensor(os.path.join(out, "angles.tensor"), scheme.angles)
+    write_tensor(os.path.join(out, "times.tensor"), sample_times(cfg["P"]))
     cfg.update(phantom={"ellipses": [dataclasses.asdict(e) for e in spec.ellipses]},
                format_version=FORMAT_VERSION)
     _write_text_atomic(
@@ -557,7 +561,7 @@ def _movie_from_tensor(path: str) -> Movie:
     """A P x W x W tensor file as a movie; a malformed one is a ProsepError."""
     arr = read_tensor(path)
     try:
-        return Movie(values=arr)
+        return Movie.adopt(arr)
     except ValueError as e:
         raise ProsepError(f"{path}: not a movie tensor: {e}") from None
 

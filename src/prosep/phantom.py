@@ -12,6 +12,14 @@ indexes frames by p.  A ``Movie`` is one P x W x W array, masked to the
 support disk once when it is built; tensor files, ``radon.project_fbp``
 and the metrics take it as it is.  A single image is a ``radon.Frame``.
 Ellipse and motion parameters must be finite real numbers.
+
+``Movie(values=...)`` masks a copy, so the caller's array is never
+changed.  ``Movie.adopt`` instead takes over an array that no one else
+holds and masks it in place: ``render_movie`` and ``benchmark_movie``
+here, ``recon.reconstruct_movie`` and the tensor files that ``cli``
+reads for ``metrics`` build their movies that way, so a movie costs
+one array, not two.  ``render_movie`` renders all frames into that one
+array, a few frames at a time.
 """
 
 from __future__ import annotations
@@ -112,62 +120,109 @@ class MotionSpec:
             raise ValueError("scaling amplitude must keep scale factors positive")
 
 
-def motion_at(motion: MotionSpec, t: float):
+def motion_at(motion: MotionSpec, t):
     """Affine forward map (A, b) at normalized time t in [0, 1].
 
     A point x of the nominal object moves to A @ x + b, where A composes
     the time-t scaling and rotation (in that order) and b is the time-t
-    translation.
+    translation.  For an array of times, A and b gain its shape in front
+    (... x 2 x 2 and ... x 2); each entry is computed as for a single t.
     """
-    if not 0.0 <= t <= 1.0:
+    t = np.asarray(t, dtype=float)
+    if not np.all((0.0 <= t) & (t <= 1.0)):
         raise ValueError("t must be in [0, 1]")
     s1 = 1.0 + _raised_cosine(motion.scaling[0], t)
     s2 = 1.0 + _raised_cosine(motion.scaling[1], t)
     th = _raised_cosine(motion.rotation, t)
     c, s = np.cos(th), np.sin(th)
-    A = np.array([[c, -s], [s, c]]) @ np.diag([s1, s2])
-    b = np.array([_raised_cosine(motion.translation[0], t), _raised_cosine(motion.translation[1], t)])
+    rotation = np.stack([np.stack([c, -s], axis=-1), np.stack([s, c], axis=-1)], axis=-2)
+    scale = np.zeros(rotation.shape)
+    scale[..., 0, 0], scale[..., 1, 1] = s1, s2
+    A = rotation @ scale
+    b = np.stack([_raised_cosine(motion.translation[0], t),
+                  _raised_cosine(motion.translation[1], t)], axis=-1)
     return A, b
 
 
 def _check_support(spec: PhantomSpec, A: np.ndarray, b: np.ndarray):
-    """Verify every warped ellipse stays inside the support disk."""
+    """Verify every warped ellipse stays inside the support disk at every time.
+
+    ``A`` and ``b`` are the n x 2 x 2 and n x 2 motions of n times; the
+    first ellipse to leave, earliest time first, is reported.
+    """
     L = spec.support_radius
+    extents = []
     for e in spec.ellipses:
         center = A @ np.asarray(e.center, dtype=float) + b
         phi = e.angle
         R = np.array([[np.cos(phi), -np.sin(phi)], [np.sin(phi), np.cos(phi)]])
         M = A @ R @ np.diag(e.semi_axes)
-        sigma_max = np.linalg.norm(M, ord=2)
-        if np.linalg.norm(center) + sigma_max > L * (1.0 + 1e-12):
-            raise SupportError(
-                f"ellipse at {e.center} leaves the support disk (extent "
-                f"{np.linalg.norm(center) + sigma_max:.4g} > {L:.4g})"
-            )
+        extents.append(np.linalg.norm(center, axis=-1) + np.linalg.norm(M, ord=2, axis=(-2, -1)))
+    extent = np.stack(extents, axis=-1)  # time x ellipse
+    leaving = np.argwhere(extent > L * (1.0 + 1e-12))
+    if leaving.size:
+        p, i = leaving[0]
+        raise SupportError(
+            f"ellipse at {spec.ellipses[i].center} leaves the support disk (extent "
+            f"{extent[p, i]:.4g} > {L:.4g})"
+        )
+
+
+# pixel values per rendering chunk: the chunk's six float64 scratch arrays
+# (128 KiB each) stay small next to the movie
+_RENDER_VALUES = 1 << 14
+
+
+def _render(spec: PhantomSpec, motion: MotionSpec, times: np.ndarray, out: np.ndarray) -> None:
+    """Analytic rasterization of the warped phantom at ``times`` into ``out``, unmasked.
+
+    ``out`` is a zeroed len(times) x W x W array.  Each pixel center is
+    pulled back through the inverse affine map and tested for
+    containment in the base ellipses; containing intensities add up.
+    The motions are checked (``_check_support``) and inverted for all
+    times at once; the pixels are rendered ``_RENDER_VALUES`` at a time,
+    a few frames per chunk, through scratch arrays allocated once.
+    """
+    A, b = motion_at(motion, times)
+    _check_support(spec, A, b)
+    Ainv = np.linalg.inv(A)[:, :, :, None, None]
+    b = b[:, :, None, None]
+    X, Y = grid_coords(spec.width, spec.pixel_size)
+    chunk = max(1, _RENDER_VALUES // X.size)
+    scratch = np.empty((6, min(chunk, len(times)), *X.shape))
+    contained = np.empty(scratch.shape[1:], dtype=bool)
+    for p in range(0, len(times), chunk):
+        q = min(p + chunk, len(times))
+        x, y, ux, uy, t1, t2 = scratch[:, :q - p]
+        inside, values = contained[:q - p], out[p:q]
+        np.subtract(X, b[p:q, 0], out=x)
+        np.subtract(Y, b[p:q, 1], out=y)
+        np.multiply(x, Ainv[p:q, 0, 0], out=ux)
+        ux += np.multiply(y, Ainv[p:q, 0, 1], out=t1)
+        np.multiply(x, Ainv[p:q, 1, 0], out=uy)
+        uy += np.multiply(y, Ainv[p:q, 1, 1], out=t1)
+        for e in spec.ellipses:
+            dx = np.subtract(ux, e.center[0], out=x)
+            dy = np.subtract(uy, e.center[1], out=y)
+            c, s = np.cos(e.angle), np.sin(e.angle)
+            v1 = np.multiply(dx, c, out=t1)  # (c dx + s dy) / a
+            v1 += np.multiply(dy, s, out=t2)
+            v1 /= e.semi_axes[0]
+            v1 *= v1
+            v2 = np.multiply(dx, -s, out=t2)  # (-s dx + c dy) / b
+            v2 += np.multiply(dy, c, out=dx)
+            v2 /= e.semi_axes[1]
+            v2 *= v2
+            v1 += v2
+            np.less_equal(v1, 1.0, out=inside)
+            values += np.multiply(inside, e.intensity, out=t1)
 
 
 def render_frame(spec: PhantomSpec, motion: MotionSpec, t: float) -> Frame:
-    """Analytic rasterization of the warped phantom at time t.
-
-    Each pixel center is pulled back through the inverse affine map and
-    tested for containment in the base ellipses; containing intensities
-    add up.
-    """
-    A, b = motion_at(motion, t)
-    _check_support(spec, A, b)
-    X, Y = grid_coords(spec.width, spec.pixel_size)
-    Ainv = np.linalg.inv(A)
-    ux = Ainv[0, 0] * (X - b[0]) + Ainv[0, 1] * (Y - b[1])
-    uy = Ainv[1, 0] * (X - b[0]) + Ainv[1, 1] * (Y - b[1])
-    values = np.zeros_like(X)
-    for e in spec.ellipses:
-        dx = ux - e.center[0]
-        dy = uy - e.center[1]
-        c, s = np.cos(e.angle), np.sin(e.angle)
-        v1 = (c * dx + s * dy) / e.semi_axes[0]
-        v2 = (-s * dx + c * dy) / e.semi_axes[1]
-        values += e.intensity * (v1 * v1 + v2 * v2 <= 1.0)
-    return Frame(values=values, pixel_size=spec.pixel_size)
+    """Analytic rasterization of the warped phantom at time t, as ``render_movie`` renders it."""
+    values = np.zeros((1, spec.width, spec.width))
+    _render(spec, motion, np.array([t], dtype=float), values)
+    return Frame(values=values[0], pixel_size=spec.pixel_size)
 
 
 @dataclass(frozen=True)
@@ -175,16 +230,34 @@ class Movie:
     """P square frames on one grid, frame p at t_p = p / P.
 
     ``values`` is the P x W x W float64 array of frames, masked to the
-    support disk at construction exactly as ``Frame`` masks one image.
+    support disk at construction exactly as ``Frame`` masks one image:
+    a masked copy of the given array, or with ``Movie.adopt`` the array
+    itself, masked in place.
     """
 
     values: np.ndarray
     pixel_size: float = 1.0
 
     def __post_init__(self):
+        self._mask(copy=True)
+
+    @classmethod
+    def adopt(cls, values: np.ndarray, pixel_size: float = 1.0) -> "Movie":
+        """The movie of ``values``, a float64 array that no one else holds, masked in place.
+
+        It makes the same checks and the same values as ``Movie(values,
+        pixel_size)`` without copying the array.
+        """
+        movie = object.__new__(cls)
+        object.__setattr__(movie, "values", values)
+        object.__setattr__(movie, "pixel_size", pixel_size)
+        movie._mask(copy=False)
+        return movie
+
+    def _mask(self, copy: bool) -> None:
         if np.size(self.values) == 0:
             raise ValueError(f"movie is empty, shape {np.shape(self.values)}")
-        v = support_masked(self.values, ndim=3)
+        v = support_masked(self.values, ndim=3, copy=copy)
         if self.pixel_size <= 0:
             raise ValueError("pixel_size must be positive")
         object.__setattr__(self, "values", v)
@@ -223,9 +296,10 @@ class TimeSequentialSinogram:
 
 
 def render_movie(spec: PhantomSpec, motion: MotionSpec, P: int) -> Movie:
-    """Ground-truth movie: analytic frames at t_p = p / P."""
-    values = np.stack([render_frame(spec, motion, t).values for t in sample_times(P)])
-    return Movie(values=values, pixel_size=spec.pixel_size)
+    """Ground-truth movie: analytic frames at t_p = p / P, rendered into one array."""
+    values = np.zeros((P, spec.width, spec.width))
+    _render(spec, motion, sample_times(P), values)
+    return Movie.adopt(values, pixel_size=spec.pixel_size)
 
 
 def simulate_acquisition(
@@ -269,8 +343,8 @@ def benchmark_movie(
     and backprojector to the whole P x W x W array at once.
     """
     angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
-    return Movie(values=project_fbp(truth.values, truth.pixel_size, angles, detector),
-                 pixel_size=truth.pixel_size)
+    return Movie.adopt(project_fbp(truth.values, truth.pixel_size, angles, detector),
+                       pixel_size=truth.pixel_size)
 
 
 def example_phantom(width: int = 64, support_diameter: float = 2.0) -> PhantomSpec:

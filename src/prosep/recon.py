@@ -15,6 +15,7 @@ P x W x W arrays; the per-frame metrics take plain arrays.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -125,7 +126,7 @@ def reconstruct_movie(
     phi = fbp_stack(components, angles, solution.detector, width, pixel_size)  # (K+1) x W x W
     psi = solution.U @ solution.Z  # P x (K+1)
     movie = (psi @ phi.reshape(order.n_temporal, -1)).reshape(-1, *phi.shape[1:])
-    return Movie(values=movie, pixel_size=pixel_size)
+    return Movie.adopt(movie, pixel_size=pixel_size)
 
 
 def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:
@@ -161,12 +162,15 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
     return float(np.mean(num / den))
 
 
+@functools.lru_cache(maxsize=4)
 def _ssim_window(n: int) -> np.ndarray:
-    """n x n matrix of the 1-D SSIM Gaussian with reflect boundaries.
+    """n x n matrix of the 1-D SSIM Gaussian with reflect boundaries, read-only.
 
     Row i holds the 11 taps around sample i; a tap that falls off the
     edge lands on its half-sample reflection (d c b a | a b c d | d c b a),
     reflected again as often as a frame narrower than the window needs.
+    The matrix is built once per size and shared by every frame of a
+    movie's metrics.
     """
     x = np.arange(-_SSIM_RADIUS, _SSIM_RADIUS + 1)
     taps = np.exp(-0.5 / _SSIM_SIGMA**2 * x**2)
@@ -174,8 +178,10 @@ def _ssim_window(n: int) -> np.ndarray:
     src = np.mod(np.arange(n)[:, None] + x, 2 * n)
     src = np.where(src < n, src, 2 * n - 1 - src)
     rows = np.repeat(np.arange(n), x.size)
-    return np.bincount(rows * n + src.ravel(), weights=np.tile(taps, n),
-                       minlength=n * n).reshape(n, n)
+    window = np.bincount(rows * n + src.ravel(), weights=np.tile(taps, n),
+                         minlength=n * n).reshape(n, n)
+    window.flags.writeable = False
+    return window
 
 
 def mae(x: np.ndarray, ref: np.ndarray) -> float:

@@ -10,8 +10,18 @@ import numpy as np
 import pytest
 
 from prosep import analysis
-from prosep.cli import ConfigError, build_parser, load_config, main
-from prosep.errors import TensorFormatError
+from prosep.cli import ConfigError, _movie_from_tensor, build_parser, load_config, main
+from prosep.errors import ProsepError, TensorFormatError
+from prosep.phantom import (
+    MotionSpec,
+    Movie,
+    benchmark_movie,
+    example_phantom,
+    render_movie,
+    simulate_acquisition,
+)
+from prosep.radon import DetectorGrid
+from prosep.sampling import random_scheme, sample_times, span_for
 from prosep.solver import SolverConfig, SolverReport
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
 
@@ -661,6 +671,45 @@ def test_metrics_ignores_pixels_outside_the_support_disk(tmp_path, rng):
     assert not np.array_equal(read_tensor(tmp_path / "masked_movie.tensor"),
                               read_tensor(tmp_path / "outside_movie.tensor"))
     assert csvs[0] == csvs[1]
+
+
+def test_simulate_of_a_noisy_random_run_writes_the_library_results(tmp_path):
+    """simulate builds the benchmark movie before it draws the scheme and the noise.
+
+    Its tensors are still, byte for byte, those of the library calls in
+    the order render, acquire with noise, benchmark: the order changes no
+    draw and no sum.
+    """
+    out = tmp_path / "run"
+    assert run_simulate(out, ["--scheme", "random", "--scheme-seed", "5",
+                              "--noise-sigma", "0.02"]) == 0
+    cfg = json.loads((out / "manifest.json").read_text())
+    assert cfg["scheme"] == {"kind": "random", "seed": 5} and cfg["noise_sigma"] == 0.02
+    grid, motion = cfg["grid"], cfg["motion"]
+    spec = example_phantom(width=grid["width"], support_diameter=grid["support_diameter"])
+    truth = render_movie(spec, MotionSpec(translation=tuple(motion["translation"]),
+                                          rotation=motion["rotation"],
+                                          scaling=tuple(motion["scaling"])), cfg["P"])
+    scheme = random_scheme(cfg["P"], span_for(cfg["symmetric"]), seed=5)
+    detector = DetectorGrid(**cfg["detector"])
+    data = simulate_acquisition(truth, scheme, detector, noise_sigma=0.02, seed=cfg["seed"])
+    bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector)
+    for name, values in [("truth_movie", truth.values), ("sinogram", data.values),
+                         ("angles", scheme.angles), ("benchmark_movie", bench.values),
+                         ("times", sample_times(cfg["P"]))]:
+        assert read_tensor(out / f"{name}.tensor").tobytes() == values.tobytes(), name
+
+
+def test_metrics_reads_movie_tensors_as_masked_movies(tmp_path):
+    """A tensor file becomes a movie masked in place; a NaN in it is a ProsepError."""
+    values = np.full((2, 8, 8), -1.5)
+    path = tmp_path / "movie.tensor"
+    write_tensor(path, values)
+    assert _movie_from_tensor(str(path)).values.tobytes() == Movie(values=values).values.tobytes()
+    values[1, 4, 4] = np.nan
+    write_tensor(path, values)
+    with pytest.raises(ProsepError, match="not a movie tensor: frame values must be finite"):
+        _movie_from_tensor(str(path))
 
 
 def test_metrics_dim_mismatch_exits_1(sim_dir, tmp_path, capsys):

@@ -156,6 +156,49 @@ def test_movie_and_frame_reject_nonpositive_pixel_size(pixel_size):
         Frame(values=np.zeros((4, 4)), pixel_size=pixel_size)
 
 
+def test_adopted_movie_is_masked_in_place_with_the_values_of_a_copy(rng):
+    values = rng.standard_normal((3, 9, 9))
+    values[1, 0, 0] = -2.0  # a negative corner outside the disk: masked to -0.0
+    want = Movie(values=values, pixel_size=0.3)
+    movie = Movie.adopt(values, pixel_size=0.3)
+    assert movie.values is values  # no copy
+    assert movie.values.tobytes() == want.values.tobytes() and movie.pixel_size == 0.3
+
+
+@pytest.mark.parametrize("values, match", _MALFORMED_MOVIES)
+def test_adopted_movie_makes_the_checks_of_a_copy(values, match):
+    with pytest.raises(ValueError, match=match):
+        Movie.adopt(values.copy())
+    with pytest.raises(ValueError, match="pixel_size must be positive"):
+        Movie.adopt(np.zeros((2, 4, 4)), pixel_size=0.0)
+
+
+def test_render_movie_equals_its_frames_and_checks_every_time():
+    """The chunked renderer gives, byte for byte, the frames of ``render_frame``."""
+    spec, motion = example_phantom(width=24), example_motion(width=24)
+    P = 37  # more frames than one chunk holds, and a partial last chunk
+    movie = render_movie(spec, motion, P)
+    want = np.stack([render_frame(spec, motion, p / P).values for p in range(P)])
+    assert movie.values.tobytes() == want.tobytes()
+    # a motion that leaves the disk only late in the movie fails the whole movie
+    late = MotionSpec(translation=(0.6, 0.0))
+    render_frame(spec, late, 0.02)
+    with pytest.raises(SupportError, match="leaves the support disk"):
+        render_movie(spec, late, 8)
+
+
+def test_motion_at_takes_an_array_of_times():
+    motion = example_motion()
+    times = np.linspace(0.0, 1.0, 7)
+    A, b = motion_at(motion, times)
+    assert A.shape == (7, 2, 2) and b.shape == (7, 2)
+    for t, A_t, b_t in zip(times, A, b):
+        A1, b1 = motion_at(motion, float(t))
+        assert A_t.tobytes() == A1.tobytes() and b_t.tobytes() == b1.tobytes()
+    with pytest.raises(ValueError, match=r"t must be in \[0, 1\]"):
+        motion_at(motion, np.array([0.5, 1.5]))
+
+
 @pytest.mark.parametrize("kwargs", [
     {"center": (np.nan, 0.0), "semi_axes": (0.3, 0.2)},
     {"center": (0.0, 0.0), "semi_axes": (np.inf, 0.2)},

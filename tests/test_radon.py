@@ -11,8 +11,13 @@ from prosep.radon import (
     DetectorGrid,
     Frame,
     Sinogram,
+    _occupied_projector,
+    _reduced_trig,
+    _stencil_reach,
     _tiling,
     _untile,
+    _view_projector,
+    _Workspace,
     fbp,
     fbp_stack,
     project_fbp,
@@ -282,8 +287,8 @@ def test_project_fbp_peak_memory_in_movie_sizes(rng):
     """On the symm-d4-w64 grid (P = 128, W = 64) project_fbp allocates under 3 movies.
 
     Its tile-major input and accumulator are one movie each, and the
-    tiled input is released before the result is gathered (measured 2.84
-    movies).
+    tiled input is released before the result is gathered (measured 2.86
+    movies, most of the rest the per-view workspace).
     """
     P, W = 128, 64
     frames = rng.standard_normal((P, W, W))
@@ -379,6 +384,72 @@ def test_project_fbp_peak_memory_of_a_quarter_occupied_movie(rng):
     finally:
         tracemalloc.stop()
     assert peak < 2.3 * frames.nbytes, peak / frames.nbytes
+
+
+@pytest.mark.parametrize("occupied", ["all", "quarter"])
+def test_project_fbp_and_fbp_stack_peak_memory_by_part(rng, occupied):
+    """Each batched call holds its result, its accumulator and its input copy, plus O(W^2).
+
+    ``project_fbp`` (P = 128, W = 64) holds the accumulator with either
+    the copy of the occupied tiles or the result, and ``fbp_stack`` the
+    filtered sinograms; the per-view arrays come from one workspace of
+    about 100 (``project_fbp``) and 42 (``fbp_stack``) float64 per pixel,
+    allocated once per call (measured).
+    """
+    P, W = 128, 64
+    windows = [(slice(None), slice(None), slice(None))] if occupied == "all" else \
+        [(slice(None), slice(16, 48), slice(16, 48))]
+    frames = partly_occupied(rng, P, W, windows)
+    det = DetectorGrid(count=W + 1, spacing=1.0)
+    angles = np.linspace(0.0, np.pi, P, endpoint=False)
+    slots, tiles = _tiling(W)
+    kept = len(np.unique(slots[np.any(frames.reshape(P, -1), axis=0)] // 64))
+    movie = frames.nbytes
+    per_pixel = W * W * 8
+    tracemalloc.start()
+    try:
+        project_fbp(frames, 1.0, angles, det)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        sinograms = rng.standard_normal((W + 1, P, 6))
+        stack = fbp_stack(sinograms, angles, det, W, 1.0)
+        stack_peak = tracemalloc.get_traced_memory()[1] - base - sinograms.nbytes
+    finally:
+        tracemalloc.stop()
+    acc, copy = tiles * 64 * P * 8, kept * 64 * P * 8
+    held = acc + max(copy, movie)
+    assert peak < held + 120 * per_pixel, (peak - held) / per_pixel
+    assert stack_peak < 2 * stack.nbytes + sinograms.nbytes + 50 * per_pixel, \
+        (stack_peak - 2 * stack.nbytes - sinograms.nbytes) / per_pixel
+
+
+def test_occupied_projector_keeps_the_full_projector_entries_in_order(rng):
+    """The entries built for occupied pixels are the full projector's, in its order.
+
+    ``project_fbp`` adds a view's projector entries into tile blocks in
+    entry order, so building only the samples whose stencil reaches an
+    occupied pixel keeps every sum bit for bit if no other entry has a
+    nonzero weight on an occupied pixel and the kept ones keep their
+    order and values.
+    """
+    W, J, h = 33, 40, 2.0 / 33
+    offsets = DetectorGrid(count=J, spacing=0.9 * h).offsets
+    occupied = rng.random(W * W) < 0.2
+    slots = np.where(occupied, np.arange(W * W), W * W)  # W^2 marks an empty pixel
+    reach = _stencil_reach(occupied, W)
+    for angle in rng.uniform(0.0, 2.0 * np.pi, 6):
+        cos_t, sin_t = _reduced_trig([angle])
+        full_w, full_i = (a.reshape(4, -1).copy() for a in _view_projector(
+            cos_t[0], sin_t[0], W, h, offsets, _Workspace()))
+        rays = np.broadcast_to(np.arange(J), (4, 2 * W + 1, J)).reshape(4, -1)
+        want = (full_w != 0) & occupied[full_i]
+        w, s, r = _occupied_projector(cos_t[0], sin_t[0], W, h, offsets, reach, slots,
+                                      _Workspace())
+        got = (w != 0) & (s < W * W)
+        assert w[got].tobytes() == full_w[want].tobytes()
+        assert np.array_equal(s[got], full_i[want])
+        assert np.array_equal(np.broadcast_to(r, w.shape)[got], rays[want])
 
 
 def test_project_fbp_rejects_mixed_grids_and_narrow_detectors(rng):
