@@ -22,9 +22,11 @@ study (``--bounds``, a table of two closed forms, keeps its own in
 ``cmd_analyze``).
 
 Four defaults are null in the configuration: ``detector.count`` (W + 1),
-``detector.spacing`` (the pixel size D / W), ``fbp_angles_count`` (P) and
-``scheme.seed`` (0).  ``_resolve_nulls`` is the one rule that fills them
-in, and ``simulate`` and ``reconstruct`` both apply it.  The
+``detector.spacing`` (the pixel size D / W), ``fbp_angles_count``
+(min(P, 4W): parallel-beam sampling needs about (pi / 2) W views over
+[0, pi), so more than 4W only adds cost) and ``scheme.seed`` (0).
+``_resolve_nulls`` is the one rule that fills them in, and ``simulate``
+and ``reconstruct`` both apply it.  The
 ``manifest.json`` that ``simulate`` writes next to its outputs is that
 resolved configuration, with the phantom written out as its ellipses
 (``format_version`` 2); it is enough to replay the run bit-for-bit.
@@ -38,12 +40,23 @@ tensor, named on one line), 2 the solver's descent reached the iteration
 cap before its stall test held (``SolverReport.converged`` is false; only
 when d > K+1: with d = K+1 or all-zero data no descent runs).
 
-A movie is one P x W x W array from end to end (``phantom.Movie``):
-``simulate`` renders the truth movie once, computes both the acquisition
-and the benchmark movie from it and writes each array as a tensor;
-``reconstruct`` writes the movie ``reconstruct_movie`` returns, and
-``metrics`` reads both tensors back as movies, which masks them to the
-support disk.
+A movie passes through its tensor file a chunk of frames at a time
+(``tensorio.read_chunks`` and ``write_chunks``), so no stage holds two
+P x W x W movies at once.  ``simulate`` renders the truth movie straight
+into its file (``phantom.render_chunks``); the benchmark movie
+(``phantom.benchmark_stream``) reads the truth back from the file, and
+its frames are written straight from the tile-major accumulator of its
+view loop; the acquisition then reads the truth back once more, and its
+noise is drawn last.  ``reconstruct``
+writes the movie as Psi Phi (``recon.movie_factors``), a chunk of frames
+per product (``recon.movie_chunks``).  ``metrics`` compares the shapes in
+the two files' headers before it reads any payload, finds the
+benchmark's peak in a first pass over its file, and then compares the
+frames one pair at a time (``phantom.MovieFile``, which masks and checks
+each chunk as ``phantom.Movie`` masks and checks a whole movie).  Every
+file is written through ``<path>.tmp`` and renamed when complete; a
+write that fails removes the temporary file and leaves ``<path>`` as it
+was.
 """
 
 from __future__ import annotations
@@ -62,17 +75,17 @@ from .errors import ProsepError
 from .phantom import (
     Ellipse,
     MotionSpec,
-    Movie,
+    MovieFile,
     PhantomSpec,
     TimeSequentialSinogram,
-    benchmark_movie,
+    benchmark_stream,
     example_phantom,
-    render_movie,
+    render_chunks,
     simulate_acquisition,
 )
 from .psmodel import HarmonicOrder, spline_interpolator
 from .radon import DetectorGrid
-from .recon import ProSepSolution, movie_metrics, reconstruct_movie
+from .recon import ProSepSolution, movie_chunks, movie_factors, movie_metrics
 from .sampling import (
     AngularScheme,
     bit_reversed,
@@ -82,7 +95,7 @@ from .sampling import (
     span_for,
 )
 from .solver import SolverConfig, solve
-from .tensorio import read_tensor, write_tensor
+from .tensorio import atomic_write, read_tensor, write_chunks, write_tensor
 
 # hyperparameter presets (P, K, N, d) for the two symmetry modes
 PRESETS = {
@@ -162,10 +175,8 @@ class ConfigError(ProsepError):
 
 
 def _write_text_atomic(path, text: str) -> None:
-    tmp = os.fspath(path) + ".tmp"
-    with open(tmp, "w") as f:
+    with atomic_write(path, "w") as f:
         f.write(text)
-    os.replace(tmp, os.fspath(path))
 
 
 def _deep_update(base: dict, overrides: dict) -> dict:
@@ -341,7 +352,8 @@ def _resolve_nulls(cfg: dict) -> float:
     """Fill the null defaults of ``cfg`` in place; return the pixel size D / W.
 
     A null ``detector.count`` becomes W + 1, a null ``detector.spacing`` the
-    pixel size, a null ``fbp_angles_count`` P and a null ``scheme.seed`` 0.
+    pixel size, a null ``fbp_angles_count`` min(P, 4W) and a null
+    ``scheme.seed`` 0.
     """
     pixel = cfg["grid"]["support_diameter"] / cfg["grid"]["width"]
     det = cfg["detector"]
@@ -350,7 +362,7 @@ def _resolve_nulls(cfg: dict) -> float:
     if det["spacing"] is None:
         det["spacing"] = pixel
     if cfg["fbp_angles_count"] is None:
-        cfg["fbp_angles_count"] = cfg["P"]
+        cfg["fbp_angles_count"] = min(cfg["P"], 4 * cfg["grid"]["width"])
     if cfg["scheme"]["seed"] is None:
         cfg["scheme"]["seed"] = 0
     return pixel
@@ -380,16 +392,20 @@ def cmd_simulate(args) -> int:
     motion = _motion_from_config(cfg)
     detector = DetectorGrid(**cfg["detector"])
 
-    # The benchmark movie, the largest step, is built and released before
-    # the acquisition: a random scheme or noise draw is the process's first
-    # use of np.random, which loads about 5 MB of libraries (secrets, hmac,
-    # libcrypto) that would otherwise stay resident through it.
-    truth = render_movie(spec, motion, cfg["P"])
+    # The truth goes straight to its file, a few frames at a time, and the
+    # benchmark's view loop reads it back from there, so no truth-sized
+    # array is held beside the loop's accumulator.  The acquisition comes
+    # last: a random scheme or noise draw is the process's first use of
+    # np.random, which loads about 5 MB of libraries (secrets, hmac,
+    # libcrypto) that would otherwise stay resident through the benchmark.
+    frames = render_chunks(spec, motion, cfg["P"])
     out = args.out
     os.makedirs(out, exist_ok=True)
-    write_tensor(os.path.join(out, "truth_movie.tensor"), truth.values)
-    bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector=detector)
-    write_tensor(os.path.join(out, "benchmark_movie.tensor"), bench.values)
+    truth_path = os.path.join(out, "truth_movie.tensor")
+    write_chunks(truth_path, (cfg["P"], spec.width, spec.width), frames)
+    truth = MovieFile(truth_path, pixel_size=spec.pixel_size)
+    bench = benchmark_stream(truth, cfg["fbp_angles_count"], detector=detector)
+    write_chunks(os.path.join(out, "benchmark_movie.tensor"), truth.shape, bench.chunks())
     del bench
     scheme = _scheme_from_config(cfg)
     data = simulate_acquisition(
@@ -447,17 +463,15 @@ def cmd_reconstruct(args) -> int:
         Z=Z, U=U, beta=beta, model=order, scheme=scheme, detector=detector,
         times=sample_times(P), symmetric=symmetric,
     )
-    movie = reconstruct_movie(
-        solution, fbp_angles_count=cfg["fbp_angles_count"],
-        width=cfg["grid"]["width"], pixel_size=pixel,
-    )
+    psi, phi = movie_factors(solution, fbp_angles_count=cfg["fbp_angles_count"],
+                             width=cfg["grid"]["width"], pixel_size=pixel)
 
     out = args.out or indir
     os.makedirs(out, exist_ok=True)
     write_tensor(os.path.join(out, "Z.tensor"), Z)
     write_tensor(os.path.join(out, "beta.tensor"), beta.beta)
-    write_tensor(os.path.join(out, "psi.tensor"), U @ Z)
-    write_tensor(os.path.join(out, "movie.tensor"), movie.values)
+    write_tensor(os.path.join(out, "psi.tensor"), psi)
+    write_chunks(os.path.join(out, "movie.tensor"), (P, *phi.shape[1:]), movie_chunks(psi, phi))
     trace_lines = ["iter,objective,incumbent"]
     for i, (raw, inc) in enumerate(zip(report.raw_objective_trace, report.objective_trace)):
         trace_lines.append(f"{i},{float(raw)!r},{float(inc)!r}")
@@ -557,21 +571,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _movie_from_tensor(path: str) -> Movie:
-    """A P x W x W tensor file as a movie; a malformed one is a ProsepError."""
-    arr = read_tensor(path)
-    try:
-        return Movie.adopt(arr)
-    except ValueError as e:
-        raise ProsepError(f"{path}: not a movie tensor: {e}") from None
-
-
 def cmd_metrics(args) -> int:
-    movie = _movie_from_tensor(args.movie)
-    bench = _movie_from_tensor(args.benchmark)
-    if movie.values.shape != bench.values.shape:
-        raise ProsepError(f"dimension mismatch: {args.movie} has shape {movie.values.shape}, "
-                          f"{args.benchmark} has shape {bench.values.shape}; both must be "
+    movie, bench = MovieFile(args.movie), MovieFile(args.benchmark)
+    if movie.shape != bench.shape:
+        raise ProsepError(f"dimension mismatch: {args.movie} has shape {movie.shape}, "
+                          f"{args.benchmark} has shape {bench.shape}; both must be "
                           f"P x W x W of one shape")
     rows, summary = movie_metrics(movie, bench)
     lines = ["frame,psnr,ssim,mae"]

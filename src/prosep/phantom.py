@@ -16,35 +16,58 @@ Ellipse and motion parameters must be finite real numbers.
 ``Movie(values=...)`` masks a copy, so the caller's array is never
 changed.  ``Movie.adopt`` instead takes over an array that no one else
 holds and masks it in place: ``render_movie`` and ``benchmark_movie``
-here, ``recon.reconstruct_movie`` and the tensor files that ``cli``
-reads for ``metrics`` build their movies that way, so a movie costs
-one array, not two.  ``render_movie`` renders all frames into that one
-array, a few frames at a time.
+here and ``recon.reconstruct_movie`` build their movies that way, so a
+movie costs one array, not two.  The renderer works a few frames at a
+time: ``render_movie`` gathers its chunks into that one array, and
+``render_chunks`` hands them on one by one, so a caller can write a
+movie without holding it.
+
+A ``MovieFile`` is a movie kept in a tensor file: it holds the path and
+the shape from the header, and reads the frames back a chunk at a time
+(``tensorio.read_chunks``), masking and checking each chunk as a
+``Movie`` is masked and checked.  ``simulate_acquisition`` and
+``benchmark_stream`` take either kind, through the length, the frame
+iteration and the ``chunks`` that both have, so ``cli`` runs them on the
+truth it has written without holding it.
 """
 
 from __future__ import annotations
 
+import math
 import numbers
+import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import SupportError
-from .radon import DetectorGrid, Frame, grid_coords, project_fbp, radon_project, support_masked
+from .errors import ProsepError, SupportError
+from .radon import (
+    DetectorGrid,
+    Frame,
+    TiledImages,
+    grid_coords,
+    project_fbp_stream,
+    project_sequence,
+    support_masked,
+)
 from .sampling import AngularScheme, sample_times
+from .tensorio import read_chunks, tensor_shape
 
 __all__ = [
     "Ellipse",
     "PhantomSpec",
     "MotionSpec",
     "Movie",
+    "MovieFile",
     "TimeSequentialSinogram",
     "motion_at",
     "render_frame",
     "render_movie",
+    "render_chunks",
     "simulate_acquisition",
     "benchmark_movie",
+    "benchmark_stream",
     "example_phantom",
     "example_motion",
 ]
@@ -173,28 +196,32 @@ def _check_support(spec: PhantomSpec, A: np.ndarray, b: np.ndarray):
 _RENDER_VALUES = 1 << 14
 
 
-def _render(spec: PhantomSpec, motion: MotionSpec, times: np.ndarray, out: np.ndarray) -> None:
-    """Analytic rasterization of the warped phantom at ``times`` into ``out``, unmasked.
+def _render(spec: PhantomSpec, motion: MotionSpec, times: np.ndarray):
+    """Analytic rasterization of the warped phantom at ``times``, unmasked, in chunks.
 
-    ``out`` is a zeroed len(times) x W x W array.  Each pixel center is
-    pulled back through the inverse affine map and tested for
-    containment in the base ellipses; containing intensities add up.
-    The motions are checked (``_check_support``) and inverted for all
-    times at once; the pixels are rendered ``_RENDER_VALUES`` at a time,
-    a few frames per chunk, through scratch arrays allocated once.
+    Each pixel center is pulled back through the inverse affine map and
+    tested for containment in the base ellipses; containing intensities
+    add up.  The motions are checked (``_check_support``) and inverted
+    for all times at once, before this returns; the returned generator
+    then renders ``_RENDER_VALUES`` pixels at a time, a few frames per
+    chunk, through scratch arrays allocated once, and yields each chunk
+    as a new array.
     """
     A, b = motion_at(motion, times)
     _check_support(spec, A, b)
-    Ainv = np.linalg.inv(A)[:, :, :, None, None]
-    b = b[:, :, None, None]
+    return _rasterize(spec, np.linalg.inv(A)[:, :, :, None, None], b[:, :, None, None])
+
+
+def _rasterize(spec: PhantomSpec, Ainv: np.ndarray, b: np.ndarray):
+    """The chunks of ``_render``, from the inverted motions (``Ainv``, ``b``) of its times."""
     X, Y = grid_coords(spec.width, spec.pixel_size)
     chunk = max(1, _RENDER_VALUES // X.size)
-    scratch = np.empty((6, min(chunk, len(times)), *X.shape))
+    scratch = np.empty((6, min(chunk, len(b)), *X.shape))
     contained = np.empty(scratch.shape[1:], dtype=bool)
-    for p in range(0, len(times), chunk):
-        q = min(p + chunk, len(times))
+    for p in range(0, len(b), chunk):
+        q = min(p + chunk, len(b))
         x, y, ux, uy, t1, t2 = scratch[:, :q - p]
-        inside, values = contained[:q - p], out[p:q]
+        inside, values = contained[:q - p], np.zeros((q - p, *X.shape))
         np.subtract(X, b[p:q, 0], out=x)
         np.subtract(Y, b[p:q, 1], out=y)
         np.multiply(x, Ainv[p:q, 0, 0], out=ux)
@@ -216,12 +243,12 @@ def _render(spec: PhantomSpec, motion: MotionSpec, times: np.ndarray, out: np.nd
             v1 += v2
             np.less_equal(v1, 1.0, out=inside)
             values += np.multiply(inside, e.intensity, out=t1)
+        yield values
 
 
 def render_frame(spec: PhantomSpec, motion: MotionSpec, t: float) -> Frame:
     """Analytic rasterization of the warped phantom at time t, as ``render_movie`` renders it."""
-    values = np.zeros((1, spec.width, spec.width))
-    _render(spec, motion, np.array([t], dtype=float), values)
+    values = next(_render(spec, motion, np.array([t], dtype=float)))
     return Frame(values=values[0], pixel_size=spec.pixel_size)
 
 
@@ -255,8 +282,7 @@ class Movie:
         return movie
 
     def _mask(self, copy: bool) -> None:
-        if np.size(self.values) == 0:
-            raise ValueError(f"movie is empty, shape {np.shape(self.values)}")
+        _check_movie_shape(np.shape(self.values))
         v = support_masked(self.values, ndim=3, copy=copy)
         if self.pixel_size <= 0:
             raise ValueError("pixel_size must be positive")
@@ -265,9 +291,81 @@ class Movie:
     def __len__(self) -> int:
         return len(self.values)
 
+    def __iter__(self):
+        """The frames in order, each a W x W view of ``values``."""
+        return iter(self.values)
+
+    @property
+    def shape(self) -> tuple:
+        return self.values.shape
+
     @property
     def width(self) -> int:
         return self.values.shape[1]
+
+    def chunks(self):
+        """The frames as C-order chunks of consecutive frames: here one chunk, ``values``."""
+        return iter((self.values,))
+
+
+def _check_movie_shape(shape: tuple) -> None:
+    """A movie is a nonempty P x W x W array; the messages are those of ``Movie``."""
+    if math.prod(shape) == 0:
+        raise ValueError(f"movie is empty, shape {shape}")
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise ValueError(f"frame must be square: expected P x W x W, got shape {shape}")
+
+
+@dataclass(frozen=True)
+class MovieFile:
+    """A movie in a tensor file, read back a chunk of frames at a time.
+
+    The shape comes from the file's header when the ``MovieFile`` is
+    made, before any payload is read; ``chunks`` reads the frames in
+    C-order chunks of ``tensorio.CHUNK_VALUES`` values, each masked in
+    place and checked as ``Movie`` masks and checks its array.  A file
+    that is not a movie tensor is a ``ProsepError`` that names the path;
+    one whose header or payload length is broken is the reader's
+    ``TensorFormatError``.
+    """
+
+    path: str
+    pixel_size: float = 1.0
+    shape: tuple = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "path", os.fspath(self.path))
+        object.__setattr__(self, "shape", tensor_shape(self.path))
+        try:
+            _check_movie_shape(self.shape)
+        except ValueError as e:
+            raise self._not_a_movie(e) from None
+        if self.pixel_size <= 0:
+            raise ValueError("pixel_size must be positive")
+
+    def _not_a_movie(self, e: ValueError) -> ProsepError:
+        return ProsepError(f"{self.path}: not a movie tensor: {e}")
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __iter__(self):
+        """The frames in order, each a W x W view of its chunk."""
+        for chunk in self.chunks():
+            yield from chunk
+
+    @property
+    def width(self) -> int:
+        return self.shape[1]
+
+    def chunks(self):
+        """The frames as masked C-order chunks of consecutive frames, read from the file."""
+        for chunk in read_chunks(self.path):
+            try:
+                support_masked(chunk, ndim=3, copy=False)
+            except ValueError as e:
+                raise self._not_a_movie(e) from None
+            yield chunk
 
 
 @dataclass(frozen=True)
@@ -296,14 +394,28 @@ class TimeSequentialSinogram:
 
 
 def render_movie(spec: PhantomSpec, motion: MotionSpec, P: int) -> Movie:
-    """Ground-truth movie: analytic frames at t_p = p / P, rendered into one array."""
-    values = np.zeros((P, spec.width, spec.width))
-    _render(spec, motion, sample_times(P), values)
+    """Ground-truth movie: analytic frames at t_p = p / P, gathered into one array."""
+    values = np.empty((P, spec.width, spec.width))
+    p = 0
+    for chunk in _render(spec, motion, sample_times(P)):
+        values[p:p + len(chunk)] = chunk
+        p += len(chunk)
     return Movie.adopt(values, pixel_size=spec.pixel_size)
 
 
+def render_chunks(spec: PhantomSpec, motion: MotionSpec, P: int):
+    """The frames of ``render_movie`` as chunks of a few frames, each masked as a ``Movie`` is.
+
+    The motion is checked for all P times before this returns; the
+    frames are rendered as the returned generator is read, so the movie
+    is never held whole (``cli`` writes it straight to its tensor file).
+    """
+    chunks = _render(spec, motion, sample_times(P))
+    return (support_masked(chunk, ndim=3, copy=False) for chunk in chunks)
+
+
 def simulate_acquisition(
-    truth: Movie,
+    truth: Movie | MovieFile,
     scheme: AngularScheme,
     detector: DetectorGrid,
     noise_sigma: float = 0.0,
@@ -311,17 +423,16 @@ def simulate_acquisition(
 ) -> TimeSequentialSinogram:
     """Time-sequential acquisition: one view angle theta_p per time t_p.
 
-    Column p is the single-angle projection of the truth frame at t_p;
-    the object is treated as static within each sampling instant.
-    Optional iid Gaussian noise with standard deviation ``noise_sigma *
-    max|g|`` is added, seeded for reproducibility.
+    Column p is the single-angle projection of the truth frame at t_p
+    (``radon.project_sequence``); the object is treated as static within
+    each sampling instant.  The frames are visited in order, so a
+    ``MovieFile`` truth is read once, a chunk at a time.  Optional iid Gaussian noise with standard
+    deviation ``noise_sigma * max|g|`` is added last, seeded for
+    reproducibility.
     """
     if len(truth) != scheme.P:
         raise ValueError(f"need one frame per view: {len(truth)} frames, P = {scheme.P}")
-    columns = np.empty((detector.count, scheme.P))
-    for p, (values, theta) in enumerate(zip(truth.values, scheme.angles)):
-        frame = Frame(values=values, pixel_size=truth.pixel_size)
-        columns[:, p] = radon_project(frame, [theta], detector).values[:, 0]
+    columns = project_sequence(truth, truth.pixel_size, scheme.angles, detector)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         scale = noise_sigma * np.abs(columns).max()
@@ -338,13 +449,28 @@ def benchmark_movie(
 
     Each truth frame is projected at ``fbp_angles_count`` uniform angles
     in [0, pi) and reconstructed with FBP on its own grid, i.e. the
-    reference uses P * fbp_angles_count projections in total.  Every frame
-    shares the geometry, so ``project_fbp`` applies each view's projector
-    and backprojector to the whole P x W x W array at once.
+    reference uses P * fbp_angles_count projections in total.  This is
+    ``benchmark_stream`` with the reference copied out whole.
+    """
+    return Movie.adopt(benchmark_stream(truth, fbp_angles_count, detector).images(),
+                       pixel_size=truth.pixel_size)
+
+
+def benchmark_stream(
+    truth: Movie | MovieFile,
+    fbp_angles_count: int,
+    detector: DetectorGrid,
+) -> TiledImages:
+    """``benchmark_movie`` of a movie in memory or in a file, left tile by tile.
+
+    Every frame shares the geometry, so ``radon.project_fbp_stream``
+    applies each view's projector and backprojector to all P frames at
+    once; it reads the truth's chunks twice and holds none of them
+    during its view loop.  ``TiledImages.chunks`` of the result gives
+    the frames of ``benchmark_movie`` a few at a time.
     """
     angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
-    return Movie.adopt(project_fbp(truth.values, truth.pixel_size, angles, detector),
-                       pixel_size=truth.pixel_size)
+    return project_fbp_stream(truth.chunks, truth.shape, truth.pixel_size, angles, detector)
 
 
 def example_phantom(width: int = 64, support_diameter: float = 2.0) -> PhantomSpec:

@@ -14,34 +14,43 @@ rays of 4(2W+1) entries, the pixel-driven linear-interpolation
 backprojector W^2 pixels of 2.  A ray may repeat a pixel; its weights
 add.
 ``radon_project`` applies the projector to one ``Frame`` as one numpy
-gather.  For many columns at once, each view's operator is recast as
-dense blocks on square tiles of the pixel grid (``_tiling``,
-``_tile_blocks``): the pixels of one tile meet only a short run of
-detector bins, so the view's map is a few dense matrix products per
-tile, and a stack of columns stored tile by tile is read in place.  The
+gather, and ``project_sequence`` does so for frame p of a movie at its
+own angle p, the time-sequential acquisition.  For many columns at
+once, each view's operator is recast as dense blocks on square tiles of
+the pixel grid (``_tiling``, ``_tile_blocks``): the pixels of one tile
+meet only a short run of detector bins, so the view's map is a few
+dense matrix products per tile, and a stack of columns stored tile by
+tile is read in place.  The
 batched functions take and return plain n x W x W arrays, masked to the
 support disk like a ``Frame``: ``fbp_stack`` backprojects n sinograms on
 one angle set, and ``project_fbp`` is the fused batch for a movie of P
 frames on one grid: per view, one projector pass over all P frames, a
 ramp filter of the J x P block and one backprojector pass accumulated
 into the W^2 x P result, so no sinogram stack and no all-view operator
-is ever held.  The projector of ``project_fbp`` visits only the tiles
-that some frame occupies, and its tile-major copy of the frames holds
-only those tiles: empty space adds nothing to a projection, so skipping
-it changes no sum, and it builds only the ray samples whose bilinear
-stencil reaches such a tile.  ``fbp`` of one sinogram is ``fbp_stack``
-with n = 1.
+is ever held.  ``project_fbp_stream`` is the same batch for frames that
+arrive in chunks (read back from a tensor file, say), and it leaves the
+result tile by tile (``TiledImages``), to be copied out a chunk of
+images at a time.  Its projector visits only the tiles that some frame
+occupies, and its tile-major copy of the frames holds only those tiles:
+empty space adds nothing to a projection, so skipping it changes no sum,
+and it builds only the ray samples whose bilinear stencil reaches such a
+tile.  ``fbp`` of one sinogram is ``fbp_stack`` with n = 1.
 
 A view loop takes every per-view array from one ``_Workspace`` per call
 and fills it through ``out=``, so each array is allocated once per call
 instead of once per view: arrays above the allocator's mmap threshold
 (128 KiB in glibc) would otherwise be mapped and unmapped in every view,
 and the page faults and the process's memory would depend on what ran
-before.
+before.  Indices are 32-bit, and the backprojector's arrays reuse the
+names, so the memory, of the projector's, which a view has spent by
+then: at W = 64 and P = 128 the workspace holds about 60 float64 per
+pixel, a third of it the dense tile blocks and the batched product of
+the backprojection.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -54,9 +63,12 @@ __all__ = [
     "DetectorGrid",
     "Sinogram",
     "radon_project",
+    "project_sequence",
     "fbp",
     "fbp_stack",
     "project_fbp",
+    "project_fbp_stream",
+    "TiledImages",
 ]
 
 
@@ -86,17 +98,22 @@ class Frame:
         return float(np.sum(self.values**2)) * self.pixel_size**2
 
 
+@functools.lru_cache(maxsize=4)
 def support_mask(width: int) -> np.ndarray:
-    """Boolean mask of pixel centers inside the inscribed disk.
+    """Boolean mask of pixel centers inside the inscribed disk, read-only.
 
     In half-pixel units centre (i, j) lies at (2i - W + 1, 2j - W + 1) and
     the disk has radius W, so the test is exact integer arithmetic.  The
     two sides never tie: for odd W the sum of squares is even and W^2
     odd; for even W the sum is 2 mod 4 and W^2 is 0 mod 4.  So no pixel
-    size moves a centre across the circle, and the mask takes none.
+    size moves a centre across the circle, and the mask takes none.  The
+    mask is built once per width and shared by every frame and chunk
+    masked on that grid.
     """
     x = 2 * np.arange(width) - (width - 1)
-    return x[None, :] ** 2 + x[:, None] ** 2 <= width**2
+    mask = x[None, :] ** 2 + x[:, None] ** 2 <= width**2
+    mask.flags.writeable = False
+    return mask
 
 
 def support_masked(values, ndim: int = 2, copy: bool = True) -> np.ndarray:
@@ -223,13 +240,16 @@ def _linear_weights(pos: np.ndarray, n: int, ws: _Workspace, name: str):
     ``np.interp(left=0, right=0)`` and ``map_coordinates(order=1,
     mode="constant")``.  ``i`` is clipped to n-2, so ``pos = n-1`` takes
     its whole weight from the last sample and ``i+1`` is always a sample.
-    ``t`` is ``pos`` itself, overwritten; ``i`` and ``inside`` are the
-    arrays ``name + ".i"`` and ``name + ".in"`` of ``ws``.
+    ``t`` is ``pos`` itself, overwritten; ``i`` (32-bit integers: every
+    grid here has fewer than 2**31 pixels) and ``inside`` are the arrays
+    ``name + ".i"`` and ``name + ".in"`` of ``ws``.
     """
     inside = np.greater_equal(pos, 0.0, out=ws(name + ".in", pos.shape, bool))
     inside &= np.less_equal(pos, n - 1, out=ws("cmp", pos.shape, bool))
-    i = np.floor(pos, out=ws(name + ".i", pos.shape))
-    np.clip(i, 0, max(n - 2, 0), out=i)
+    # floor(clip(pos)) = clip(floor(pos)), and the cast to an integer rounds
+    # a clipped, nonnegative position down
+    i = np.clip(pos, 0, max(n - 2, 0), out=ws(name + ".i", pos.shape, np.int32),
+                casting="unsafe")
     pos -= i
     return i, pos, inside
 
@@ -251,15 +271,13 @@ def _ray_samples(cos_t: float, sin_t: float, width: int, pixel_size: float,
     x = np.add(offsets[None, :] * cos_t, u[:, None] * (-sin_t), out=ws("x", (M, offsets.size)))
     y = np.add(offsets[None, :] * sin_t, u[:, None] * cos_t, out=ws("y", (M, offsets.size)))
     y /= h
-    r, tr, inside = _linear_weights(np.subtract(c0, y, out=y), W, ws, "row")
+    base, tr, inside = _linear_weights(np.subtract(c0, y, out=y), W, ws, "row")
     x /= h
     x += c0
     k, tk, k_in = _linear_weights(x, W, ws, "col")
     inside &= k_in
-    r *= W
-    r += k
-    base = ws("pixel", r.shape, np.intp)
-    base[...] = r
+    base *= W
+    base += k
     return base, tr, tk, inside
 
 
@@ -269,9 +287,9 @@ def _stencil(base, tr, tk, weight, width: int, ws: _Workspace, lookup=None):
     ``base``, ``tr`` and ``tk`` are as ``_ray_samples`` returns them, and
     ``weight`` is each sample's quadrature weight (zero off the grid).
     Returns ``(weights, indices)``: corner c of a sample adds ``weights[c]``
-    times pixel ``indices[c]`` (``lookup[pixel]`` when a ``lookup`` is
-    given), corners in the order (r, k), (r, k+1), (r+1, k), (r+1, k+1).
-    ``tk`` is overwritten.
+    times pixel ``indices[c]`` (``lookup[pixel]``, of the lookup's integer
+    type, when a ``lookup`` is given), corners in the order (r, k),
+    (r, k+1), (r+1, k), (r+1, k+1).  ``tk`` is overwritten.
     """
     step = int(width > 1)  # a one-pixel frame has no neighbour
     weights = ws("weights", (4, *tr.shape))
@@ -283,13 +301,12 @@ def _stencil(base, tr, tk, weight, width: int, ws: _Workspace, lookup=None):
     left = np.subtract(1.0, tk, out=tk)
     below *= left
     above *= left
-    indices = ws("indices", (4, *tr.shape), np.intp)
+    indices = ws("indices", (4, *tr.shape), np.intp if lookup is None else lookup.dtype)
     for corner, shift in zip(indices, (0, step, step * width, step * (width + 1))):
         if lookup is None:
             np.add(base, shift, out=corner)
-        else:
-            pixel = np.add(base, shift, out=ws("corner", base.shape, np.intp))
-            np.take(lookup, pixel, out=corner, mode="clip")
+        else:  # base + shift is a pixel: base is at most W^2 - W - 2
+            np.take(lookup[shift:], base, out=corner, mode="clip")
     return weights, indices
 
 
@@ -332,11 +349,12 @@ def _occupied_projector(cos_t: float, sin_t: float, width: int, pixel_size: floa
     Only the samples on the grid whose stencil base p has ``reach[p]``
     (``_stencil_reach``) are built.  Returns ``(weights, slots, rays)``:
     ``weights`` and ``slots`` are 4 x n (corner, sample), the corner's
-    pixel p given as ``slots[p]``, and ``rays`` holds each sample's ray.
-    The samples keep the C order of the (2W+1) x J arrays, so the entries
-    of every ray come in the order of ``_view_projector``'s column with
-    the others left out; a left-out sample either has weight zero or only
-    pixels outside the set that ``reach`` was built from.
+    pixel p given as ``slots[p]``, and ``rays`` holds each sample's ray
+    (32-bit, as ``_tile_blocks`` takes it).  The samples keep the C order
+    of the (2W+1) x J arrays, so the entries of every ray come in the
+    order of ``_view_projector``'s column with the others left out; a
+    left-out sample either has weight zero or only pixels outside the
+    set that ``reach`` was built from.
     """
     base, tr, tk, inside = _ray_samples(cos_t, sin_t, width, pixel_size, offsets, ws)
     inside &= np.take(reach, base, out=ws("reach", base.shape, bool), mode="clip")
@@ -347,7 +365,7 @@ def _occupied_projector(cos_t: float, sin_t: float, width: int, pixel_size: floa
 
     weights, slots = _stencil(picked("picked.base", base), picked("picked.tr", tr),
                               picked("picked.tk", tk), 0.5 * pixel_size, width, ws, slots)
-    return weights, slots, np.remainder(picks, offsets.size, out=picks)
+    return weights, slots, np.remainder(picks, offsets.size, out=ws("rays", picks.shape, np.int32))
 
 
 def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray,
@@ -360,16 +378,18 @@ def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray
     beyond the detector ends.
     """
     J = detector.count
-    pos = np.multiply(X, cos_t, out=ws("pos", X.shape))
-    pos += np.multiply(Y, sin_t, out=ws("y sin", Y.shape))
+    # the arrays share the names, and so the memory, of the projector's
+    # coordinates and entries, which are spent by the time a view backprojects
+    pos = np.multiply(X, cos_t, out=ws("x", X.shape))
+    pos += np.multiply(Y, sin_t, out=ws("y", Y.shape))
     pos -= detector.offsets[0]
     pos /= detector.spacing
     i, t, inside = _linear_weights(pos.ravel(), J, ws, "bin")
-    weights = ws("bp.weights", (2, t.size))
+    weights = ws("weights", (2, t.size))
     np.subtract(1.0, t, out=weights[0])
     weights[0] *= inside
     np.multiply(inside, t, out=weights[1])
-    indices = ws("bp.indices", (2, t.size), np.intp)
+    indices = ws("indices", (2, t.size), np.int32)
     indices[0] = i
     np.add(indices[0], int(J > 1), out=indices[1])  # a one-bin detector has no neighbour
     return weights, indices
@@ -379,6 +399,18 @@ def _require_coverage(detector: DetectorGrid, width: int, pixel_size: float) -> 
     if detector.width < width * pixel_size - 1e-12:
         raise CoverageError(f"detector width {detector.width:g} does not cover support "
                             f"diameter {width * pixel_size:g}")
+
+
+def _project_view(out: np.ndarray, f: np.ndarray, cos_t: float, sin_t: float, width: int,
+                  pixel_size: float, offsets: np.ndarray, ws: _Workspace) -> None:
+    """One view of the flat frame ``f`` into the J values ``out``, through ``ws``."""
+    weights, indices = _view_projector(cos_t, sin_t, width, pixel_size, offsets, ws)
+    samples = np.take(f, indices, out=ws("samples", indices.shape))
+    samples *= weights
+    # each ray's entries add in order, as in a CSR row product: the
+    # sinogram keeps its last bit, which matters because the d > K+1
+    # descent grows a 1e-16 change in it about 1e4-fold in Z
+    np.add.reduce(samples, axis=0, out=out)
 
 
 def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
@@ -398,18 +430,44 @@ def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
     _require_coverage(detector, frame.width, frame.pixel_size)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     cos_t, sin_t = _reduced_trig(angles)
-    f = frame.values.ravel()
-    offsets = detector.offsets
     out = np.empty((detector.count, angles.size))
     ws = _Workspace()
     for a in range(angles.size):
-        weights, indices = _view_projector(cos_t[a], sin_t[a], frame.width, frame.pixel_size,
-                                           offsets, ws)
-        # each ray's entries add in order, as in a CSR row product: the
-        # sinogram keeps its last bit, which matters because the d > K+1
-        # descent grows a 1e-16 change in it about 1e4-fold in Z
-        out[:, a] = np.add.reduce(weights * f[indices], axis=0)
+        _project_view(out[:, a], frame.values.ravel(), cos_t[a], sin_t[a], frame.width,
+                      frame.pixel_size, detector.offsets, ws)
     return Sinogram(values=out, angles=angles, detector=detector)
+
+
+def project_sequence(frames, pixel_size: float, angles, detector: DetectorGrid) -> np.ndarray:
+    """The J x P time-sequential sinogram: column p is frame p projected at ``angles[p]``.
+
+    ``frames`` yields P W x W arrays, already masked to the support disk
+    (a ``phantom.Movie`` or ``phantom.MovieFile`` does), in order; column
+    p equals ``radon_project(Frame(frame p), [angles[p]], detector)``.
+    All P views share one workspace, so a long movie maps no memory per
+    frame.
+
+    Raises
+    ------
+    CoverageError
+        If the detector is narrower than the support disk.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    cos_t, sin_t = _reduced_trig(angles)
+    out = np.empty((detector.count, angles.size))
+    ws = _Workspace()
+    count = 0
+    for values in frames:
+        if count == angles.size:
+            raise ValueError(f"need one frame per view: more frames than {angles.size} angles")
+        if count == 0:
+            _require_coverage(detector, len(values), pixel_size)
+        _project_view(out[:, count], values.ravel(), cos_t[count], sin_t[count], len(values),
+                      pixel_size, detector.offsets, ws)
+        count += 1
+    if count != angles.size:
+        raise ValueError(f"need one frame per view: {count} frames, {angles.size} angles")
+    return out
 
 
 def _ramp_matrix(J: int, spacing: float) -> np.ndarray:
@@ -444,19 +502,24 @@ _TILE = 8
 _RUN_VALUES = 1 << 15
 
 
+@functools.lru_cache(maxsize=4)
 def _tiling(width: int) -> tuple[np.ndarray, int]:
     """Tile-major layout of a W x W grid cut into ``_TILE`` x ``_TILE`` tiles.
 
     Returns ``(slots, tiles)``: pixel i (row-major) is slot ``slots[i]``
     of ``tiles * _TILE**2``, and tile t holds the ``_TILE**2`` slots from
     ``t * _TILE**2`` on.  Tiles cut by the grid edge keep their missing
-    pixels as empty slots.
+    pixels as empty slots.  ``slots`` is read-only: the layout is built
+    once per width and shared by every call, and every chunk that
+    ``TiledImages`` copies out.
     """
     n = -(-width // _TILE)
     r = np.arange(width)
     tile = (r[:, None] // _TILE) * n + r[None, :] // _TILE
     local = (r[:, None] % _TILE) * _TILE + r[None, :] % _TILE
-    return (tile * _TILE**2 + local).ravel(), n * n
+    slots = (tile * _TILE**2 + local).ravel()
+    slots.flags.writeable = False
+    return slots, n * n
 
 
 def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles: int, J: int,
@@ -464,27 +527,29 @@ def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles
     """One view's map between J detector bins and the tiled pixels, as dense blocks.
 
     ``slots`` and ``weights`` share one C-contiguous 2-D shape, and
-    ``bins`` broadcasts to it; entry e (in C order) links bin ``bins[e]``
-    and pixel slot ``slots[e]`` with weight ``weights[e]``.  Repeated
-    links add in entry order, and entries of weight zero or of a slot
-    past the last tile are dropped.  Returns ``(blocks, first)``,
-    ``blocks`` of shape ``tiles x depth x _TILE**2``: ``blocks[t, r, l]``
-    links bin ``first[t] + r`` and slot ``t * _TILE**2 + l``.  Every
-    tile's bins lie in ``first[t] .. first[t] + depth - 1 <= J - 1``.
-    Both are arrays of ``ws``.
+    ``bins`` (32-bit integers) broadcasts to it; entry e (in C order)
+    links bin ``bins[e]`` and pixel slot ``slots[e]`` with weight
+    ``weights[e]``.  Repeated links add in entry order, and entries of
+    weight zero or of a slot past the last tile are dropped.  Returns
+    ``(blocks, first)``, ``blocks`` of shape ``tiles x depth x
+    _TILE**2``: ``blocks[t, r, l]`` links bin ``first[t] + r`` and slot
+    ``t * _TILE**2 + l``.  Every tile's bins lie in ``first[t] ..
+    first[t] + depth - 1 <= J - 1``.  Both are arrays of ``ws``; the
+    per-entry integers are 32-bit (a cell number stays below
+    tiles * depth * 64 + 1, about 13 W^2).
     """
     shape = weights.shape
     bins = np.broadcast_to(bins, shape)
     dropped = np.equal(weights, 0.0, out=ws("dropped", shape, bool))
     dropped |= np.greater_equal(slots, tiles * _TILE**2, out=ws("cmp", shape, bool))
     # a dropped entry goes to tile ``tiles``, a spare row that is never returned
-    tile = np.floor_divide(slots, _TILE**2, out=ws("tile", shape, np.intp))
+    tile = np.floor_divide(slots, _TILE**2, out=ws("tile", shape, np.int32))
     np.copyto(tile, tiles, where=dropped)
-    first = ws("first", (tiles + 1,), np.intp)
+    first = ws("first", (tiles + 1,), np.int32)  # as ``bins``: ufunc.at is slow across types
     first.fill(J - 1)
     for tile_row, bins_row in zip(tile, bins):
         np.minimum.at(first, tile_row, bins_row)
-    rows = ws("rows", shape, np.intp)
+    rows = ws("rows", shape, np.int32)
     np.subtract(bins, np.take(first, tile, out=rows, mode="clip"), out=rows)
     depth = int(rows.max(initial=0, where=np.logical_not(dropped, out=ws("cmp", shape, bool)))) + 1
     over = np.maximum(first - (J - depth), 0)  # lower a block that would pass bin J - 1
@@ -515,7 +580,7 @@ def _backproject(filtered_views, acc: np.ndarray, angles: np.ndarray, detector: 
     result adds its block's transpose times the tile's rows of F_a, for
     a run of about ``_RUN_VALUES / (64 n)`` tiles per batched product.
     The result stays tile-major in the zeroed tiles x 64 x n ``acc``,
-    for ``_untile``.  Every per-view array, the run's gathered rows and
+    for ``TiledImages``.  Every per-view array, the run's gathered rows and
     product too, comes from ``ws`` and is filled through ``out=``, so
     the loop allocates it once per call, whatever the number of views;
     a caller that builds F_a from ``ws`` as well gives it names of its
@@ -525,7 +590,7 @@ def _backproject(filtered_views, acc: np.ndarray, angles: np.ndarray, detector: 
     X, Y = grid_coords(width, pixel_size)
     cos_t, sin_t = _reduced_trig(angles)
     slots, tiles = _tiling(width)
-    pixel_slots = np.stack([slots, slots])  # a pixel's two entries
+    pixel_slots = np.broadcast_to(slots, (2, slots.size))  # a pixel's two entries
     n = acc.shape[-1]
     run = min(tiles, max(1, _RUN_VALUES // acc[0].size))
     for a, block in enumerate(filtered_views):
@@ -542,21 +607,46 @@ def _backproject(filtered_views, acc: np.ndarray, angles: np.ndarray, detector: 
     acc *= np.pi / angles.size
 
 
-def _untile(acc: np.ndarray, width: int) -> np.ndarray:
-    """The n x W x W images of a tile-major ``_backproject`` result, masked as a ``Frame`` is.
+@dataclass(frozen=True)
+class TiledImages:
+    """n images on a W x W grid, held tile by tile as ``_backproject`` accumulates them.
 
-    Each tile's 64 x n block is copied through its transpose into a
-    C-order result, so the images are contiguous and no caller copies
-    them again; callers release their own per-call arrays first.
+    ``acc`` is the tiles x 64 x n accumulator (``_tiling``).  ``chunks``
+    copies the images out a few at a time (as many as fit in
+    ``_RUN_VALUES`` values, and at least one) and ``images`` all at once,
+    both as C-order arrays masked as a ``Frame`` is, with the same
+    values; neither changes ``acc``.
     """
-    n = -(-width // _TILE)
-    out = np.empty((acc.shape[-1], width, width))
-    for t, tile in enumerate(acc.reshape(-1, _TILE, _TILE, acc.shape[-1])):
-        r, c = divmod(t, n)
-        dest = out[:, r * _TILE:(r + 1) * _TILE, c * _TILE:(c + 1) * _TILE]
-        dest[...] = tile[:dest.shape[1], :dest.shape[2]].transpose(2, 0, 1)
-    out *= support_mask(width)
-    return out
+
+    acc: np.ndarray
+    width: int
+
+    def __len__(self) -> int:
+        return self.acc.shape[-1]
+
+    def _bounds(self):
+        n, step = len(self), max(1, _RUN_VALUES // self.width**2)
+        return ((p, min(p + step, n)) for p in range(0, n, step))
+
+    def _copy(self, start: int, out: np.ndarray) -> np.ndarray:
+        """Images start .. start + len(out) - 1 into ``out``, masked."""
+        slots = _tiling(self.width)[0]
+        columns = self.acc.reshape(-1, len(self))[:, start:start + len(out)]
+        np.multiply(columns[slots].T, support_mask(self.width).ravel(),
+                    out=out.reshape(len(out), -1))
+        return out
+
+    def chunks(self):
+        """The images in order, as n_chunk x W x W arrays (a generator)."""
+        for start, stop in self._bounds():
+            yield self._copy(start, np.empty((stop - start, self.width, self.width)))
+
+    def images(self) -> np.ndarray:
+        """All n images as one n x W x W array."""
+        out = np.empty((len(self), self.width, self.width))
+        for start, stop in self._bounds():
+            self._copy(start, out[start:stop])
+        return out
 
 
 def fbp(sinogram: Sinogram, width: int, pixel_size: float) -> Frame:
@@ -605,7 +695,7 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int,
     _backproject((filtered[:, a] for a in range(A)), acc, angles, detector, width, pixel_size,
                  _Workspace())
     del filtered
-    return _untile(acc, width)
+    return TiledImages(acc, width).images()
 
 
 def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np.ndarray:
@@ -613,25 +703,9 @@ def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np
 
     ``frames`` is a P x W x W array of images on one grid, already masked
     to the support disk (as ``phantom.Movie`` holds them); the result is
-    the P x W x W array of their reconstructions.  Every frame meets the
-    same linear map, so the frames are the columns of one W^2 x P array,
-    stored tile by tile (``_tiling``), and the views are visited one at a
-    time: the view's projector blocks (``_tile_blocks``) meet all P
-    frames at once, the J x P block is ramp filtered, and the view's
-    backprojector adds it into the W^2 x P result.  No sinogram stack and
-    no all-view operator is held, so memory stays O(P W^2): the result,
-    the accumulator, the copy of the occupied tiles and one workspace of
-    per-view arrays.
-
-    The projector visits only the tiles that some frame occupies (has a
-    nonzero pixel in), found in one pass over the frames, and the
-    tile-major copy of the input holds only those tiles.  It builds only
-    the ray samples whose stencil has a pixel in such a tile
-    (``_occupied_projector``), in the order of the full projector.  A
-    skipped tile or sample would add exact zeros, and each occupied
-    tile's entries and products add in the same order, so the result is
-    the same as projecting every tile; a movie that occupies every tile
-    runs the same products.  The result is a C-order array.
+    the C-order P x W x W array of their reconstructions.  This is
+    ``project_fbp_stream`` with the frames as one chunk, and the result
+    copied out whole.
 
     Raises
     ------
@@ -641,27 +715,77 @@ def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np
         If fewer than 2 angles are supplied.
     """
     frames = np.asarray(frames, dtype=float)
-    if frames.ndim != 3 or frames.shape[1] != frames.shape[2]:
-        raise ValueError(f"frames must be P x W x W, got shape {frames.shape}")
-    P, W = frames.shape[:2]
+    return project_fbp_stream(lambda: (frames,), frames.shape, pixel_size, angles,
+                              detector).images()
+
+
+def project_fbp_stream(frame_chunks, shape, pixel_size: float, angles,
+                       detector: DetectorGrid) -> TiledImages:
+    """``project_fbp`` of P frames that arrive in chunks; the result stays tile by tile.
+
+    ``shape`` is (P, W, W), and ``frame_chunks()`` returns a fresh
+    iterable of C-order n x W x W arrays that hold the P frames in turn,
+    already masked; it is called twice, so the frames may be read back
+    from a file instead of held (``phantom.MovieFile``).  Every frame
+    meets the same linear map, so the frames are the columns of one
+    W^2 x P array, stored tile by tile (``_tiling``), and the views are
+    visited one at a time: the view's projector blocks (``_tile_blocks``)
+    meet all P frames at once, the J x P block is ramp filtered, and the
+    view's backprojector adds it into the W^2 x P result.  No sinogram
+    stack, no all-view operator and no frame chunk is held during the
+    view loop, so memory stays O(P W^2): the accumulator, the copy of the
+    occupied tiles and one workspace of per-view arrays.  The result is
+    the accumulator, which ``TiledImages`` copies out a chunk at a time.
+
+    The first pass over the chunks finds the tiles that some frame
+    occupies (has a nonzero pixel in), and the second copies only those
+    tiles.  The projector visits only them and builds only the ray
+    samples whose stencil has a pixel in such a tile
+    (``_occupied_projector``), in the order of the full projector.  A
+    skipped tile or sample would add exact zeros, and each occupied
+    tile's entries and products add in the same order, so the result is
+    the same as projecting every tile; a movie that occupies every tile
+    runs the same products.
+
+    Raises
+    ------
+    CoverageError
+        If the detector is narrower than the support disk.
+    InsufficientAnglesError
+        If fewer than 2 angles are supplied.
+    """
+    shape = tuple(shape)
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise ValueError(f"frames must be P x W x W, got shape {shape}")
+    P, W = shape[:2]
     _require_coverage(detector, W, pixel_size)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     _require_two_angles(angles)
     J = detector.count
-    columns = frames.reshape(P, W * W)
     slots, tiles = _tiling(W)
     tile = slots // _TILE**2
+    nonzero = np.zeros(W * W, dtype=bool)
+    for chunk in frame_chunks():
+        nonzero |= np.any(chunk.reshape(-1, W * W), axis=0)
     occupied = np.zeros(tiles, dtype=bool)
-    occupied[tile[np.any(columns, axis=0)]] = True
+    occupied[tile[nonzero]] = True
     kept = int(occupied.sum())
     # the occupied tiles, renumbered in order, hold slots 0 .. spare - 1;
     # the pixels of the other tiles are zero in every frame and all go to
     # the one spare slot, which is never read
     spare = kept * _TILE**2
     renumbered = np.cumsum(occupied) - 1
-    packed = np.where(occupied[tile], renumbered[tile] * _TILE**2 + slots % _TILE**2, spare)
+    packed = np.where(occupied[tile], renumbered[tile] * _TILE**2 + slots % _TILE**2,
+                      spare).astype(np.int32)
     tiled = np.zeros((spare + 1, P))
-    tiled[packed] = columns.T
+    p = 0
+    for chunk in frame_chunks():
+        n = len(chunk)
+        tiled[packed, p:p + n] = chunk.reshape(n, W * W).T
+        p += n
+    if p != P:
+        raise ValueError(f"the frame chunks hold {p} frames, not the {P} of shape {shape}")
+    chunk = tile = None  # no frames and no per-pixel tile numbers stay through the view loop
     tiled = tiled[:spare].reshape(kept, _TILE**2, P)
     reach = _stencil_reach(packed < spare, W)
     ramp = _ramp_matrix(J, detector.spacing)
@@ -687,7 +811,7 @@ def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np
                  pixel_size, ws)
     # the workspace goes first: freeing the tile copy, one mapped block,
     # raises glibc's trim threshold to its size, and heap memory freed
-    # after that would stay resident through _untile
+    # after that would stay resident while the images are copied out
     del ws
     del tiled
-    return _untile(acc, W)
+    return TiledImages(acc, W)

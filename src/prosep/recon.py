@@ -7,10 +7,14 @@ a dense synthetic sinogram for any time instant.  Since synthesis and
 FBP are linear, the movie is itself a partially separable image model:
 FBP of the K+1 component sinograms gives spatial images phi_k, and the
 P x W^2 movie matrix is the rank-(K+1) product Psi Phi, frame p being
-sum_k psi_k(t_p) phi_k.  The caller names the output grid and the
-synthesis angle count: ``cli`` resolves them once from the run
-configuration.  Metrics compare two movies frame by frame on their
-P x W x W arrays; the per-frame metrics take plain arrays.
+sum_k psi_k(t_p) phi_k.  ``movie_factors`` returns Psi and Phi, and
+``movie_chunks`` forms the product a few frames at a time, so ``cli``
+writes the movie without holding it; ``reconstruct_movie`` forms it
+whole through the same chunks.  The caller names the output grid and
+the synthesis angle count: ``cli`` resolves them once from the run
+configuration.  Metrics compare two movies frame by frame, held in
+memory (``phantom.Movie``) or read a chunk at a time from their tensor
+files (``phantom.MovieFile``); the per-frame metrics take plain arrays.
 """
 
 from __future__ import annotations
@@ -20,16 +24,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phantom import Movie
+from .phantom import Movie, MovieFile
 from .psmodel import HarmonicCoefficients, HarmonicOrder, real_trig_theta
 # fbp is not called here; perfbench's tracer test wraps it at this import site
-from .radon import DetectorGrid, Sinogram, fbp, fbp_stack  # noqa: F401
+from .radon import (  # noqa: F401
+    DetectorGrid,
+    Sinogram,
+    _Workspace,
+    fbp,
+    fbp_stack,
+    support_masked,
+)
 from .sampling import AngularScheme
+from .tensorio import CHUNK_VALUES
 
 __all__ = [
     "ProSepSolution",
     "MetricsRow",
     "synthesize_sinogram",
+    "movie_factors",
+    "movie_chunks",
     "reconstruct_movie",
     "psnr",
     "ssim",
@@ -99,21 +113,19 @@ def synthesize_sinogram(solution: ProSepSolution, p: int, out_angles) -> Sinogra
     return Sinogram(values=values, angles=out_angles, detector=solution.detector)
 
 
-def reconstruct_movie(
+def movie_factors(
     solution: ProSepSolution,
     fbp_angles_count: int,
     width: int,
     pixel_size: float,
-) -> Movie:
-    """FBP-reconstruct every frame of the fitted model on a dense angle set.
+) -> tuple[np.ndarray, np.ndarray]:
+    """The factors (Psi, Phi) of the reconstructed movie, frame p = sum_k Psi[p, k] Phi[k].
 
     The synthesized sinogram of frame p is sum_k psi_k(t_p) g_k with
     component sinograms g_k = T_dense beta[:, k, :], so the K+1 component
     sinograms are backprojected together (``fbp_stack``, one backprojector
-    per view) into the images phi_k = FBP(g_k), and the whole movie is one
-    product: the P x W^2 matrix Psi Phi, with Psi = U Z and Phi the
-    (K+1) x W^2 matrix of the phi_k.  This equals FBP of
-    ``synthesize_sinogram`` for every frame up to rounding.  The
+    per view) into the images phi_k = FBP(g_k): Phi is the (K+1) x W x W
+    stack of them and Psi = U Z the P x (K+1) temporal factor.  The
     components are synthesized at ``fbp_angles_count`` uniform angles in
     [0, pi) and backprojected onto the ``width`` x ``width`` grid of
     ``pixel_size``.
@@ -124,8 +136,57 @@ def reconstruct_movie(
     B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
     components = np.einsum("an,nkj->jak", T, B3)  # J x A x (K+1)
     phi = fbp_stack(components, angles, solution.detector, width, pixel_size)  # (K+1) x W x W
-    psi = solution.U @ solution.Z  # P x (K+1)
-    movie = (psi @ phi.reshape(order.n_temporal, -1)).reshape(-1, *phi.shape[1:])
+    return solution.U @ solution.Z, phi
+
+
+def _chunk_bounds(P: int, frame_values: int):
+    """(start, stop) of chunks of P frames: as many as fit in ``CHUNK_VALUES``, and at least two.
+
+    A lone last frame joins the chunk before it: numpy forms a one-row
+    product as a matrix-vector product, whose sums round differently
+    from the rows of a matrix product.
+    """
+    starts = list(range(0, P, max(2, CHUNK_VALUES // frame_values)))
+    if len(starts) > 1 and P - starts[-1] == 1:
+        starts.pop()
+    return zip(starts, starts[1:] + [P])
+
+
+def _frames_into(psi: np.ndarray, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The frames ``psi @ phi`` into the n x W x W ``out``, masked to the support disk."""
+    np.matmul(psi, phi.reshape(len(phi), -1), out=out.reshape(len(out), -1))
+    return support_masked(out, ndim=3, copy=False)
+
+
+def movie_chunks(psi: np.ndarray, phi: np.ndarray):
+    """The frames of the movie Psi Phi in order, as masked C-order chunks (a generator).
+
+    ``psi`` and ``phi`` are as ``movie_factors`` returns them.  A chunk
+    holds as many frames as fit in ``tensorio.CHUNK_VALUES`` values, and
+    at least two (``_chunk_bounds``); each is one matrix product of rows
+    of Psi with Phi, whose rows equal those of the whole product.
+    """
+    for start, stop in _chunk_bounds(len(psi), phi[0].size):
+        yield _frames_into(psi[start:stop], phi, np.empty((stop - start, *phi.shape[1:])))
+
+
+def reconstruct_movie(
+    solution: ProSepSolution,
+    fbp_angles_count: int,
+    width: int,
+    pixel_size: float,
+) -> Movie:
+    """FBP-reconstruct every frame of the fitted model on a dense angle set.
+
+    The movie is the rank-(K+1) product Psi Phi of ``movie_factors``,
+    formed into one array chunk by chunk as ``movie_chunks`` forms it.
+    This equals FBP of ``synthesize_sinogram`` for every frame up to
+    rounding.
+    """
+    psi, phi = movie_factors(solution, fbp_angles_count, width, pixel_size)
+    movie = np.empty((len(psi), *phi.shape[1:]))
+    for start, stop in _chunk_bounds(len(psi), phi[0].size):
+        _frames_into(psi[start:stop], phi, movie[start:stop])
     return Movie.adopt(movie, pixel_size=pixel_size)
 
 
@@ -147,19 +208,50 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
     ``scipy.ndimage.gaussian_filter(X, 1.5, truncate=3.5, mode="reflect")``
     to rounding.
     """
-    xv, rv = _aligned_values(x, ref)
+    return _ssim(*_aligned_values(x, ref), data_range, _Workspace())
+
+
+def _ssim(xv: np.ndarray, rv: np.ndarray, data_range: float, ws: _Workspace) -> float:
+    """``ssim`` with its frame-sized arrays taken from ``ws`` and filled through ``out=``.
+
+    ``movie_metrics`` passes one workspace for all frames, so a movie's
+    metrics allocate those arrays once, not once per frame (which at
+    W = 256 mapped and faulted in about 10 MB per frame).
+    """
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
     H, W = xv.shape
     rows = _ssim_window(H)
     cols = rows if W == H else _ssim_window(W)
-    mu_x, mu_r, xx, rr, xr = rows @ np.stack([xv, rv, xv * xv, rv * rv, xv * rv]) @ cols.T
-    var_x = xx - mu_x**2
-    var_r = rr - mu_r**2
-    cov = xr - mu_x * mu_r
-    num = (2.0 * mu_x * mu_r + c1) * (2.0 * cov + c2)
-    den = (mu_x**2 + mu_r**2 + c1) * (var_x + var_r + c2)
-    return float(np.mean(num / den))
+    moments = ws("ssim moments", (5, H, W))  # x, r, x^2, r^2, x r, then their blurs
+    moments[0], moments[1] = xv, rv
+    np.multiply(xv, xv, out=moments[2])
+    np.multiply(rv, rv, out=moments[3])
+    np.multiply(xv, rv, out=moments[4])
+    half = ws("ssim half", (H, W))
+    for moment in moments:
+        np.matmul(np.matmul(rows, moment, out=half), cols.T, out=moment)
+    mu_x, mu_r, xx, rr, xr = moments
+    sq_x, sq_r, num = ws("ssim terms", (3, H, W))
+    np.square(mu_x, out=sq_x)
+    np.square(mu_r, out=sq_r)
+    var_x = np.subtract(xx, sq_x, out=xx)
+    var_r = np.subtract(rr, sq_r, out=rr)
+    cov = np.subtract(xr, np.multiply(mu_x, mu_r, out=num), out=xr)
+    # num = (2 mu_x mu_r + c1)(2 cov + c2), den = (mu_x^2 + mu_r^2 + c1)(var_x + var_r + c2)
+    np.multiply(mu_x, 2.0, out=num)
+    num *= mu_r
+    num += c1
+    cov *= 2.0
+    cov += c2
+    num *= cov
+    den = np.add(sq_x, sq_r, out=sq_x)
+    den += c1
+    var_x += var_r
+    var_x += c2
+    den *= var_x
+    num /= den
+    return float(np.mean(num))
 
 
 @functools.lru_cache(maxsize=4)
@@ -212,14 +304,22 @@ class MetricsRow:
 
 
 def frame_metrics(x: np.ndarray, ref: np.ndarray, peak: float) -> MetricsRow:
-    return MetricsRow(psnr=psnr(x, ref, peak), ssim=ssim(x, ref, data_range=peak), mae=mae(x, ref))
+    return _frame_metrics(x, ref, peak, _Workspace())
 
 
-def movie_metrics(movie: Movie, benchmark: Movie, peak: float | None = None):
+def _frame_metrics(x, ref, peak: float, ws: _Workspace) -> MetricsRow:
+    return MetricsRow(psnr=psnr(x, ref, peak), ssim=_ssim(*_aligned_values(x, ref), peak, ws),
+                      mae=mae(x, ref))
+
+
+def movie_metrics(movie: Movie | MovieFile, benchmark: Movie | MovieFile,
+                  peak: float | None = None):
     """Per-frame metric rows plus their arithmetic mean.
 
     The PSNR/SSIM peak is global: the maximum over the whole benchmark
-    movie, unless given explicitly.
+    movie (a first pass over its chunks), unless given explicitly.  The
+    frames are then compared one pair at a time, so a ``MovieFile`` is
+    read a chunk at a time and never held whole.
 
     Returns
     -------
@@ -228,10 +328,11 @@ def movie_metrics(movie: Movie, benchmark: Movie, peak: float | None = None):
     if len(movie) != len(benchmark):
         raise ValueError("movies must have the same number of frames")
     if peak is None:
-        peak = float(benchmark.values.max())
+        peak = max(float(chunk.max()) for chunk in benchmark.chunks())
         if peak <= 0:
             peak = 1.0
-    rows = [frame_metrics(x, ref, peak) for x, ref in zip(movie.values, benchmark.values)]
+    ws = _Workspace()
+    rows = [_frame_metrics(x, ref, peak, ws) for x, ref in zip(movie, benchmark)]
     summary = MetricsRow(
         psnr=float(np.mean([r.psnr for r in rows])),
         ssim=float(np.mean([r.ssim for r in rows])),

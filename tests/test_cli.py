@@ -5,22 +5,26 @@ import json
 import os
 import shutil
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from prosep import analysis
-from prosep.cli import ConfigError, _movie_from_tensor, build_parser, load_config, main
+from prosep.cli import ConfigError, _resolve_nulls, build_parser, load_config, main
 from prosep.errors import ProsepError, TensorFormatError
 from prosep.phantom import (
     MotionSpec,
     Movie,
+    MovieFile,
     benchmark_movie,
     example_phantom,
     render_movie,
     simulate_acquisition,
 )
+from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator
 from prosep.radon import DetectorGrid
+from prosep.recon import ProSepSolution, movie_metrics, reconstruct_movie
 from prosep.sampling import random_scheme, sample_times, span_for
 from prosep.solver import SolverConfig, SolverReport
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
@@ -701,15 +705,16 @@ def test_simulate_of_a_noisy_random_run_writes_the_library_results(tmp_path):
 
 
 def test_metrics_reads_movie_tensors_as_masked_movies(tmp_path):
-    """A tensor file becomes a movie masked in place; a NaN in it is a ProsepError."""
+    """A tensor file is read back as movie chunks masked in place; a NaN in it is a ProsepError."""
     values = np.full((2, 8, 8), -1.5)
     path = tmp_path / "movie.tensor"
     write_tensor(path, values)
-    assert _movie_from_tensor(str(path)).values.tobytes() == Movie(values=values).values.tobytes()
+    frames = np.concatenate(list(MovieFile(str(path)).chunks()))
+    assert frames.tobytes() == Movie(values=values).values.tobytes()
     values[1, 4, 4] = np.nan
     write_tensor(path, values)
     with pytest.raises(ProsepError, match="not a movie tensor: frame values must be finite"):
-        _movie_from_tensor(str(path))
+        list(MovieFile(str(path)).chunks())
 
 
 def test_metrics_dim_mismatch_exits_1(sim_dir, tmp_path, capsys):
@@ -741,3 +746,164 @@ def test_metrics_malformed_movie_exits_1_with_one_line(tmp_path, capsys, arr, re
     assert err.startswith("prosep metrics: ") and err.count("\n") == 1
     assert reason in err and str(bad) in err
     assert not (tmp_path / "m.csv").exists()
+
+
+# ------------------------------------------------------------- movies in chunks
+
+# P = 37 frames of 24 x 24: chunks of 28 frames and a short last one of 9
+CHUNKED = {"P": 37, "width": 24}
+
+
+def chunked_simulate(out, P=CHUNKED["P"], extra=()):
+    return main(["simulate", "--out", str(out), "--P", str(P), "--width", str(CHUNKED["width"]),
+                 "--K", "1", "--N", "3", "--d", "2", "--scheme", "random", "--scheme-seed", "2",
+                 "--noise-sigma", "0.02", *extra])
+
+
+def test_simulate_in_chunks_writes_the_whole_array_library_results(tmp_path):
+    """The streamed truth, benchmark, sinogram and angles equal the whole-array library calls."""
+    out = tmp_path / "run"
+    assert chunked_simulate(out) == 0
+    cfg = json.loads((out / "manifest.json").read_text())
+    assert cfg["fbp_angles_count"] == CHUNKED["P"]  # min(P, 4W) = P
+    motion = cfg["motion"]
+    spec = example_phantom(width=CHUNKED["width"])
+    truth = render_movie(spec, MotionSpec(translation=tuple(motion["translation"]),
+                                          rotation=motion["rotation"],
+                                          scaling=tuple(motion["scaling"])), cfg["P"])
+    scheme = random_scheme(cfg["P"], span_for(True), seed=2)
+    detector = DetectorGrid(**cfg["detector"])
+    data = simulate_acquisition(truth, scheme, detector, noise_sigma=0.02, seed=cfg["seed"])
+    bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector)
+    for name, values in [("truth_movie", truth.values), ("benchmark_movie", bench.values),
+                         ("sinogram", data.values), ("angles", scheme.angles)]:
+        assert read_tensor(out / f"{name}.tensor").tobytes() == values.tobytes(), name
+
+
+@pytest.mark.parametrize("P", [37, 29])  # a short last chunk; a lone last frame (28 + 1)
+def test_streamed_movie_equals_reconstruct_movie(tmp_path, P):
+    out = tmp_path / "run"
+    assert chunked_simulate(out, P) == 0
+    assert main(["reconstruct", "--input", str(out)]) == 0
+    cfg = json.loads((out / "manifest.json").read_text())
+    order = HarmonicOrder(N=3, K=1, d=2)
+    U = spline_interpolator(P, order.d)
+    solution = ProSepSolution(
+        Z=read_tensor(out / "Z.tensor"), U=U,
+        beta=HarmonicCoefficients(beta=read_tensor(out / "beta.tensor"), order=order),
+        model=order, scheme=random_scheme(P, span_for(True), seed=2),
+        detector=DetectorGrid(**cfg["detector"]), times=sample_times(P))
+    pixel = cfg["grid"]["support_diameter"] / CHUNKED["width"]
+    movie = reconstruct_movie(solution, cfg["fbp_angles_count"], CHUNKED["width"], pixel)
+    assert read_tensor(out / "movie.tensor").tobytes() == movie.values.tobytes()
+    assert read_tensor(out / "psi.tensor").tobytes() == (U @ solution.Z).tobytes()
+
+
+def test_streamed_metrics_equal_movie_metrics(tmp_path, rng):
+    shape = (CHUNKED["P"], CHUNKED["width"], CHUNKED["width"])
+    movie, bench = rng.standard_normal(shape), rng.standard_normal(shape) + 0.5
+    write_tensor(tmp_path / "movie.tensor", movie)
+    write_tensor(tmp_path / "bench.tensor", bench)
+    assert main(["metrics", "--movie", str(tmp_path / "movie.tensor"),
+                 "--benchmark", str(tmp_path / "bench.tensor"),
+                 "--out", str(tmp_path / "m.csv")]) == 0
+    rows, summary = movie_metrics(Movie(values=movie), Movie(values=bench))
+    want = [f"{p},{r.psnr!r},{r.ssim!r},{r.mae!r}" for p, r in enumerate(rows)]
+    want.append(f"average,{summary.psnr!r},{summary.ssim!r},{summary.mae!r}")
+    assert (tmp_path / "m.csv").read_text().splitlines()[1:] == want
+
+
+def metrics_error(tmp_path, capsys, movie, bench):
+    rc = main(["metrics", "--movie", str(movie), "--benchmark", str(bench),
+               "--out", str(tmp_path / "m.csv")])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("prosep metrics: ") and err.count("\n") == 1
+    assert not (tmp_path / "m.csv").exists() and not (tmp_path / "m.csv.tmp").exists()
+    return err
+
+
+def test_metrics_of_malformed_chunked_movies_exit_1_with_one_line(tmp_path, capsys, rng):
+    shape = (CHUNKED["P"], CHUNKED["width"], CHUNKED["width"])
+    good, bad = tmp_path / "good.tensor", tmp_path / "bad.tensor"
+    write_tensor(good, rng.standard_normal(shape))
+    values = rng.standard_normal(shape)
+    values[-1, 12, 12] = np.nan  # in the last chunk only
+    write_tensor(bad, values)
+    err = metrics_error(tmp_path, capsys, good, bad)
+    assert f"{bad}: not a movie tensor: frame values must be finite" in err
+    err = metrics_error(tmp_path, capsys, bad, good)
+    assert f"{bad}: not a movie tensor: frame values must be finite" in err
+    # a truncated payload is caught from the header, before any frame is read
+    bad.write_bytes(good.read_bytes()[:-8])
+    assert "payload length" in metrics_error(tmp_path, capsys, good, bad)
+    # the shapes are compared from the headers: a payload of NaNs is never read
+    write_tensor(bad, np.full((CHUNKED["P"], 8, 8), np.nan))
+    err = metrics_error(tmp_path, capsys, bad, good)
+    assert "dimension mismatch" in err and f"{shape}" in err and "(37, 8, 8)" in err
+
+
+# ------------------------------------------------------------- stage memory
+
+def _traced_peak(argv):
+    tracemalloc.start()
+    try:
+        assert main(argv) in (0, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.fixture(scope="module")
+def stage_peaks(tmp_path_factory):
+    """tracemalloc peaks of each stage at P = 128, W = 64 (the symm-d4-w64 grid), in movies."""
+    run = tmp_path_factory.mktemp("peaks") / "run"
+    movie = 128 * 64 * 64 * 8
+    peaks = {"simulate": _traced_peak(["simulate", "--out", str(run), "--P", "128", "--width",
+                                       "64", "--K", "1", "--N", "3", "--d", "2"])}
+    peaks["reconstruct"] = _traced_peak(["reconstruct", "--input", str(run)])
+    peaks["metrics"] = _traced_peak(["metrics", "--movie", str(run / "movie.tensor"),
+                                     "--benchmark", str(run / "benchmark_movie.tensor"),
+                                     "--out", str(run / "metrics.csv")])
+    return {stage: peak / movie for stage, peak in peaks.items()}
+
+
+def test_simulate_holds_no_truth_during_the_view_loop(stage_peaks):
+    """The benchmark's accumulator and tile copy are the only movie-sized arrays (measured 1.98).
+
+    The truth is streamed to its file and read back in chunks, and the
+    benchmark is written from the accumulator in chunks (3.1 movies when
+    the truth was held through the view loop).
+    """
+    assert stage_peaks["simulate"] < 2.4, stage_peaks["simulate"]
+
+
+def test_reconstruct_holds_no_movie(stage_peaks):
+    """movie.tensor is written a chunk of frames at a time (measured 0.41 movies, most of it
+    the workspace of ``fbp_stack``; 1.2 when the movie was formed whole)."""
+    assert stage_peaks["reconstruct"] < 0.6, stage_peaks["reconstruct"]
+
+
+def test_metrics_holds_a_few_frames(stage_peaks):
+    """Each file is read a chunk (4 frames) at a time, and SSIM works in 9 frame-sized arrays
+    kept for the whole movie: measured 0.24 movies = 31 frames, where two whole movies were
+    held before."""
+    assert stage_peaks["metrics"] < 0.3, stage_peaks["metrics"]
+
+
+# ------------------------------------------------------------- fbp angle count
+
+def test_null_fbp_angles_count_resolves_to_min_of_P_and_4W():
+    """min(P, 4W): the default config and both image workloads keep P, p1024-symm gets 256."""
+    def resolved(**kwargs):
+        cfg = load_config(**kwargs)
+        _resolve_nulls(cfg)
+        return cfg["fbp_angles_count"]
+
+    assert resolved() == 256  # P = 256, W = 64
+    symm_d4_w64 = {"P": 128, "grid": {"width": 64}, "model": {"K": 3, "N": 24, "d": 4}}
+    lifted_d6_w32 = {"P": 128, "grid": {"width": 32}, "model": {"K": 3, "N": 12, "d": 6}}
+    assert resolved(overrides=symm_d4_w64) == 128
+    assert resolved(overrides=lifted_d6_w32) == 128
+    assert resolved(preset="p512-symm") == 256
+    assert resolved(preset="p1024-symm") == 256
+    assert resolved(preset="p1024-symm", overrides={"fbp_angles_count": 1024}) == 1024

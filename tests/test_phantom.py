@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from conftest import naive_fbp
-from prosep.errors import SupportError
+from prosep.errors import ProsepError, SupportError
 from prosep.phantom import (
     Ellipse,
     MotionSpec,
     Movie,
+    MovieFile,
     PhantomSpec,
     benchmark_movie,
+    benchmark_stream,
     example_motion,
     example_phantom,
     motion_at,
+    render_chunks,
     render_frame,
     render_movie,
     simulate_acquisition,
@@ -19,6 +22,7 @@ from prosep.phantom import (
 from prosep.radon import DetectorGrid, Frame, Sinogram, fbp, radon_project
 from prosep.recon import psnr
 from prosep.sampling import bit_reversed, progressive
+from prosep.tensorio import write_tensor
 
 
 def test_motion_at_identity_at_t0():
@@ -332,3 +336,41 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.values, truth.values)])
     psnr_naive = np.mean([psnr(naive.values, t, peak) for t in truth.values])
     assert psnr_naive <= psnr_bench - 5.0
+
+
+def test_render_chunks_are_the_frames_of_render_movie():
+    """Chunks of 28 frames and a short last one, byte for byte; the motion is checked first."""
+    spec, motion = example_phantom(width=24), example_motion(width=24)
+    chunks = list(render_chunks(spec, motion, 37))
+    assert [len(c) for c in chunks] == [28, 9]
+    assert np.concatenate(chunks).tobytes() == render_movie(spec, motion, 37).values.tobytes()
+    with pytest.raises(SupportError, match="leaves the support disk"):
+        render_chunks(spec, MotionSpec(translation=(0.6, 0.0)), 8)  # before any frame
+
+
+def test_movie_file_reads_back_the_movie_it_holds(tmp_path):
+    """A MovieFile has a Movie's shape, frames and chunks, and the same benchmark and sinogram."""
+    spec, motion = example_phantom(width=24), example_motion(width=24)
+    truth = render_movie(spec, motion, 37)
+    path = tmp_path / "truth.tensor"
+    write_tensor(path, truth.values)
+    stored = MovieFile(path, pixel_size=spec.pixel_size)
+    assert stored.shape == truth.shape and len(stored) == 37 and stored.width == 24
+    assert np.array_equal(np.stack(list(stored)), truth.values)
+    assert [len(c) for c in stored.chunks()] == [28, 9]
+    det = DetectorGrid.for_frame(truth)
+    bench = benchmark_stream(stored, 20, det)
+    assert np.concatenate(list(bench.chunks())).tobytes() == \
+        benchmark_movie(truth, 20, det).values.tobytes()
+    scheme = progressive(37, span=np.pi)
+    assert np.array_equal(simulate_acquisition(stored, scheme, det).values,
+                          simulate_acquisition(truth, scheme, det).values)
+
+
+@pytest.mark.parametrize("values, match", _MALFORMED_MOVIES)
+def test_movie_file_makes_the_checks_of_a_movie(tmp_path, values, match):
+    """A malformed movie tensor is a ProsepError naming the file, with Movie's message."""
+    path = tmp_path / "bad.tensor"
+    write_tensor(path, values)
+    with pytest.raises(ProsepError, match=f"bad.tensor: not a movie tensor: .*{match}"):
+        list(MovieFile(path).chunks())

@@ -11,16 +11,17 @@ from prosep.radon import (
     DetectorGrid,
     Frame,
     Sinogram,
+    TiledImages,
     _occupied_projector,
     _reduced_trig,
     _stencil_reach,
     _tiling,
-    _untile,
     _view_projector,
     _Workspace,
     fbp,
     fbp_stack,
     project_fbp,
+    project_sequence,
     radon_project,
     support_mask,
 )
@@ -287,7 +288,7 @@ def test_project_fbp_peak_memory_in_movie_sizes(rng):
     """On the symm-d4-w64 grid (P = 128, W = 64) project_fbp allocates under 3 movies.
 
     Its tile-major input and accumulator are one movie each, and the
-    tiled input is released before the result is gathered (measured 2.86
+    tiled input is released before the result is gathered (measured 2.67
     movies, most of the rest the per-view workspace).
     """
     P, W = 128, 64
@@ -356,7 +357,7 @@ def test_batched_results_are_c_order_and_equal_the_row_gather(rng):
         slots, tiles = _tiling(W)
         acc = rng.standard_normal((tiles, 64, 5))
         gathered = acc.reshape(-1, 5)[slots] * support_mask(W).reshape(-1, 1)
-        out = _untile(acc, W)
+        out = TiledImages(acc, W).images()
         assert out.flags.c_contiguous
         assert np.array_equal(out, gathered.T.reshape(5, W, W))
     frames = np.stack([random_masked_frame(rng, width=33).values for _ in range(3)])
@@ -371,7 +372,7 @@ def test_project_fbp_peak_memory_of_a_quarter_occupied_movie(rng):
     """At P = 128, W = 64 with 16 of the 64 tiles occupied, under 2.3 movies.
 
     Only the occupied tiles are copied (a quarter of a movie); the
-    accumulator and the result are a movie each (measured 2.06 movies).
+    accumulator and the result are a movie each (measured 2.07 movies).
     """
     P, W = 128, 64
     frames = partly_occupied(rng, P, W, [(slice(None), slice(16, 48), slice(16, 48))])
@@ -392,9 +393,11 @@ def test_project_fbp_and_fbp_stack_peak_memory_by_part(rng, occupied):
 
     ``project_fbp`` (P = 128, W = 64) holds the accumulator with either
     the copy of the occupied tiles or the result, and ``fbp_stack`` the
-    filtered sinograms; the per-view arrays come from one workspace of
-    about 100 (``project_fbp``) and 42 (``fbp_stack``) float64 per pixel,
-    allocated once per call (measured).
+    filtered sinograms; the per-view arrays come from one workspace,
+    allocated once per call, with 32-bit indices and the backprojector's
+    arrays in the projector's memory: measured 75 (``project_fbp``, 101
+    with 64-bit indices and separate arrays) and 37 (``fbp_stack``)
+    float64 per pixel.
     """
     P, W = 128, 64
     windows = [(slice(None), slice(None), slice(None))] if occupied == "all" else \
@@ -419,8 +422,8 @@ def test_project_fbp_and_fbp_stack_peak_memory_by_part(rng, occupied):
         tracemalloc.stop()
     acc, copy = tiles * 64 * P * 8, kept * 64 * P * 8
     held = acc + max(copy, movie)
-    assert peak < held + 120 * per_pixel, (peak - held) / per_pixel
-    assert stack_peak < 2 * stack.nbytes + sinograms.nbytes + 50 * per_pixel, \
+    assert peak < held + 80 * per_pixel, (peak - held) / per_pixel
+    assert stack_peak < 2 * stack.nbytes + sinograms.nbytes + 45 * per_pixel, \
         (stack_peak - 2 * stack.nbytes - sinograms.nbytes) / per_pixel
 
 
@@ -528,3 +531,18 @@ def test_fbp_is_linear(geometry, a, b):
     )
     scale = abs(a) * np.abs(r1).max() + abs(b) * np.abs(r2).max()
     assert np.abs(rc - (a * r1 + b * r2)).max() <= 1e-12 * max(scale, 1e-300)
+
+
+def test_project_sequence_is_radon_project_frame_by_frame(rng):
+    """Column p is, bit for bit, frame p projected alone at angle p; counts must match."""
+    W = 24
+    frames = [random_masked_frame(rng, width=W) for _ in range(5)]
+    det = DetectorGrid(count=W + 3, spacing=1.1 * frames[0].pixel_size)
+    angles = rng.uniform(0.0, 2.0 * np.pi, 5)
+    columns = project_sequence((f.values for f in frames), frames[0].pixel_size, angles, det)
+    for f, theta, column in zip(frames, angles, columns.T):
+        assert column.tobytes() == radon_project(f, [theta], det).values[:, 0].tobytes()
+    for count in (4, 6):
+        with pytest.raises(ValueError, match="one frame per view"):
+            project_sequence((frames[p % 5].values for p in range(count)), frames[0].pixel_size,
+                             angles, det)

@@ -9,8 +9,18 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from prosep import tensorio
+from prosep.cli import _write_text_atomic
 from prosep.errors import TensorFormatError
-from prosep.tensorio import MAGIC, read_tensor, write_tensor
+from prosep.tensorio import (
+    CHUNK_VALUES,
+    MAGIC,
+    read_chunks,
+    read_tensor,
+    tensor_shape,
+    write_chunks,
+    write_tensor,
+)
 
 PROPERTY = settings(max_examples=100, deadline=None, derandomize=True, database=None)
 
@@ -85,3 +95,112 @@ def test_any_header_reads_its_shape_or_raises_tensor_format_error(tensor_path, d
     back = read_or_format_error(tensor_path)
     if back is not None:
         assert back.shape == tuple(dims) and back.tobytes() == payload
+
+
+# ------------------------------------------------------------- chunked files
+
+def test_chunked_writer_and_reader_match_the_whole_array_functions(tmp_path, rng):
+    """P = 37 frames of 24 x 24 pass in chunks of 28 and 9 frames, byte for byte."""
+    movie = rng.standard_normal((37, 24, 24))
+    whole, chunked = tmp_path / "whole.tensor", tmp_path / "chunked.tensor"
+    write_tensor(whole, movie)
+    write_chunks(chunked, movie.shape, (movie[p:p + 5] for p in range(0, 37, 5)))
+    assert chunked.read_bytes() == whole.read_bytes()
+    chunks = list(read_chunks(whole))
+    assert [len(c) for c in chunks] == [CHUNK_VALUES // 576, 37 - CHUNK_VALUES // 576]
+    assert np.concatenate(chunks).tobytes() == movie.tobytes()
+    assert tensor_shape(whole) == (37, 24, 24)
+
+
+@pytest.mark.parametrize("values, lengths", [(24 * 24 * 10, [10, 10, 10, 7]),
+                                             (100, [1] * 37)])  # one row at least
+def test_chunks_hold_whole_rows_within_the_value_budget(tmp_path, rng, monkeypatch, values,
+                                                        lengths):
+    path = tmp_path / "t.tensor"
+    write_tensor(path, rng.standard_normal((37, 24, 24)))
+    monkeypatch.setattr(tensorio, "CHUNK_VALUES", values)
+    assert [len(c) for c in read_chunks(path)] == lengths
+
+
+@pytest.mark.parametrize("arr, shapes", [
+    (np.float64(2.5), [()]),  # a 0-d tensor is one chunk
+    (np.arange(5.0), [(2,), (2,), (1,)]),
+    (np.zeros((0, 3)), [(0, 3)]),  # so is an empty one
+    (np.zeros((3, 0)), [(3, 0)]),
+])
+def test_chunks_of_0d_1d_and_empty_tensors(tmp_path, monkeypatch, arr, shapes):
+    """0-d and 1-d arrays are written as before, and read back in chunks of two values."""
+    path = tmp_path / "t.tensor"
+    write_tensor(path, arr)
+    raw = path.read_bytes()
+    write_chunks(path, np.shape(arr), [arr])
+    assert path.read_bytes() == raw
+    monkeypatch.setattr(tensorio, "CHUNK_VALUES", 2)
+    chunks = list(read_chunks(path))
+    assert [c.shape for c in chunks] == shapes
+    assert np.concatenate([c.ravel() for c in chunks]).tobytes() == np.asarray(arr).tobytes()
+    assert read_tensor(path).shape == np.shape(arr)
+
+
+def test_chunked_writer_rejects_the_wrong_number_of_values(tmp_path):
+    path = tmp_path / "t.tensor"
+    for chunks in ([np.zeros(5)], [np.zeros(6), np.zeros(2)]):
+        with pytest.raises(ValueError, match="values, shape"):
+            write_chunks(path, (2, 3), chunks)
+        assert not path.exists() and not (tmp_path / "t.tensor.tmp").exists()
+
+
+def test_chunked_reader_checks_the_header_before_any_payload(tmp_path):
+    path = tmp_path / "t.tensor"
+    write_tensor(path, np.ones((4, 3)))
+    path.write_bytes(path.read_bytes()[:-8])
+    chunks = read_chunks(path)
+    with pytest.raises(TensorFormatError, match="payload length"):
+        next(chunks)
+    with pytest.raises(TensorFormatError, match="payload length"):
+        tensor_shape(path)
+
+
+class _FullDisk:
+    """A file whose every write fails, as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def write(self, data):
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+
+def _write_fails(path):
+    return _FullDisk(open(path, "wb"))
+
+
+@pytest.mark.parametrize("writer", ["write_tensor", "write_text", "failing_source"])
+def test_a_failed_write_leaves_no_temporary_file_and_the_old_file(tmp_path, monkeypatch,
+                                                                   writer):
+    """A write that raises removes ``<path>.tmp`` and keeps what was at ``<path>``."""
+    path = tmp_path / "out"
+    path.write_bytes(b"old contents")
+
+    def source():
+        yield np.zeros((2, 3))
+        raise RuntimeError("the source failed")
+
+    if writer == "failing_source":
+        with pytest.raises(RuntimeError, match="the source failed"):
+            write_chunks(path, (4, 3), source())
+    else:
+        monkeypatch.setattr(tensorio, "open", lambda p, mode: _write_fails(p), raising=False)
+        with pytest.raises(OSError, match="No space"):
+            if writer == "write_tensor":
+                write_tensor(path, np.ones(3))
+            else:
+                _write_text_atomic(path, "text\n")
+    assert path.read_bytes() == b"old contents"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out"]
