@@ -42,12 +42,13 @@ when d > K+1: with d = K+1 or all-zero data no descent runs).
 
 A movie passes through its tensor file a chunk of frames at a time
 (``tensorio.read_chunks`` and ``write_chunks``), so no stage holds two
-P x W x W movies at once.  ``simulate`` renders the truth movie straight
-into its file (``phantom.render_chunks``); the benchmark movie
-(``phantom.benchmark_stream``) reads the truth back from the file, and
+P x W x W movies at once, and each movie stage has one entry point.
+``simulate`` renders the truth movie straight into its file
+(``phantom.render_chunks``); the benchmark movie
+(``phantom.benchmark_movie``) reads the truth back from the file, and
 its frames are written straight from the tile-major accumulator of its
-view loop; the acquisition then reads the truth back once more, and its
-noise is drawn last.  ``reconstruct``
+view loop; the acquisition (``phantom.simulate_acquisition``) then reads
+the truth back once more, and its noise is drawn last.  ``reconstruct``
 writes the movie as Psi Phi (``recon.movie_factors``), a chunk of frames
 per product (``recon.movie_chunks``).  ``metrics`` compares the shapes in
 the two files' headers before it reads any payload, finds the
@@ -78,7 +79,7 @@ from .phantom import (
     MovieFile,
     PhantomSpec,
     TimeSequentialSinogram,
-    benchmark_stream,
+    benchmark_movie,
     example_phantom,
     render_chunks,
     simulate_acquisition,
@@ -404,7 +405,7 @@ def cmd_simulate(args) -> int:
     truth_path = os.path.join(out, "truth_movie.tensor")
     write_chunks(truth_path, (cfg["P"], spec.width, spec.width), frames)
     truth = MovieFile(truth_path, pixel_size=spec.pixel_size)
-    bench = benchmark_stream(truth, cfg["fbp_angles_count"], detector=detector)
+    bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector=detector)
     write_chunks(os.path.join(out, "benchmark_movie.tensor"), truth.shape, bench.chunks())
     del bench
     scheme = _scheme_from_config(cfg)

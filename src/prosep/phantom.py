@@ -8,27 +8,23 @@ interpolation error.
 
 Frame p of a P-frame movie or acquisition is the object at t_p = p / P
 (``sampling.sample_times``); nothing stores the times, every function
-indexes frames by p.  A ``Movie`` is one P x W x W array, masked to the
-support disk once when it is built; tensor files, ``radon.project_fbp``
-and the metrics take it as it is.  A single image is a ``radon.Frame``.
-Ellipse and motion parameters must be finite real numbers.
+indexes frames by p.  A single image is a ``radon.Frame``.  Ellipse and
+motion parameters must be finite real numbers.
 
-``Movie(values=...)`` masks a copy, so the caller's array is never
-changed.  ``Movie.adopt`` instead takes over an array that no one else
-holds and masks it in place: ``render_movie`` and ``benchmark_movie``
-here and ``recon.reconstruct_movie`` build their movies that way, so a
-movie costs one array, not two.  The renderer works a few frames at a
-time: ``render_movie`` gathers its chunks into that one array, and
-``render_chunks`` hands them on one by one, so a caller can write a
-movie without holding it.
-
-A ``MovieFile`` is a movie kept in a tensor file: it holds the path and
-the shape from the header, and reads the frames back a chunk at a time
+Each movie stage has one entry point.  ``render_chunks`` renders the
+ground-truth movie a few frames at a time, so a caller can write it
+without holding it.  ``simulate_acquisition`` takes one view of each
+truth frame, and ``benchmark_movie`` reconstructs every truth frame from
+a full angle set (``radon.project_fbp``) and leaves the result tile by
+tile (``radon.TiledImages``), to be copied out a chunk at a time.  Both
+take the truth as a ``Movie`` or a ``MovieFile``, through the length,
+the frame iteration and the ``chunks`` that both have.  A ``MovieFile``
+is a movie kept in a tensor file: it holds the path and the shape from
+the header, and reads the frames back a chunk at a time
 (``tensorio.read_chunks``), masking and checking each chunk as a
-``Movie`` is masked and checked.  ``simulate_acquisition`` and
-``benchmark_stream`` take either kind, through the length, the frame
-iteration and the ``chunks`` that both have, so ``cli`` runs them on the
-truth it has written without holding it.
+``Movie`` is masked and checked; ``cli`` passes one for the truth it
+has written.  A ``Movie`` is one P x W x W array in memory, a masked
+copy of the array it is given.
 """
 
 from __future__ import annotations
@@ -47,7 +43,7 @@ from .radon import (
     Frame,
     TiledImages,
     grid_coords,
-    project_fbp_stream,
+    project_fbp,
     project_sequence,
     support_masked,
 )
@@ -63,11 +59,9 @@ __all__ = [
     "TimeSequentialSinogram",
     "motion_at",
     "render_frame",
-    "render_movie",
     "render_chunks",
     "simulate_acquisition",
     "benchmark_movie",
-    "benchmark_stream",
     "example_phantom",
     "example_motion",
 ]
@@ -247,7 +241,7 @@ def _rasterize(spec: PhantomSpec, Ainv: np.ndarray, b: np.ndarray):
 
 
 def render_frame(spec: PhantomSpec, motion: MotionSpec, t: float) -> Frame:
-    """Analytic rasterization of the warped phantom at time t, as ``render_movie`` renders it."""
+    """Analytic rasterization of the warped phantom at time t, as ``render_chunks`` renders it."""
     values = next(_render(spec, motion, np.array([t], dtype=float)))
     return Frame(values=values[0], pixel_size=spec.pixel_size)
 
@@ -256,37 +250,19 @@ def render_frame(spec: PhantomSpec, motion: MotionSpec, t: float) -> Frame:
 class Movie:
     """P square frames on one grid, frame p at t_p = p / P.
 
-    ``values`` is the P x W x W float64 array of frames, masked to the
-    support disk at construction exactly as ``Frame`` masks one image:
-    a masked copy of the given array, or with ``Movie.adopt`` the array
-    itself, masked in place.
+    ``values`` is the P x W x W float64 array of frames, a copy of the
+    given array masked to the support disk exactly as ``Frame`` masks
+    one image.
     """
 
     values: np.ndarray
     pixel_size: float = 1.0
 
     def __post_init__(self):
-        self._mask(copy=True)
-
-    @classmethod
-    def adopt(cls, values: np.ndarray, pixel_size: float = 1.0) -> "Movie":
-        """The movie of ``values``, a float64 array that no one else holds, masked in place.
-
-        It makes the same checks and the same values as ``Movie(values,
-        pixel_size)`` without copying the array.
-        """
-        movie = object.__new__(cls)
-        object.__setattr__(movie, "values", values)
-        object.__setattr__(movie, "pixel_size", pixel_size)
-        movie._mask(copy=False)
-        return movie
-
-    def _mask(self, copy: bool) -> None:
         _check_movie_shape(np.shape(self.values))
-        v = support_masked(self.values, ndim=3, copy=copy)
+        object.__setattr__(self, "values", support_masked(self.values, ndim=3))
         if self.pixel_size <= 0:
             raise ValueError("pixel_size must be positive")
-        object.__setattr__(self, "values", v)
 
     def __len__(self) -> int:
         return len(self.values)
@@ -326,7 +302,7 @@ class MovieFile:
     place and checked as ``Movie`` masks and checks its array.  A file
     that is not a movie tensor is a ``ProsepError`` that names the path;
     one whose header or payload length is broken is the reader's
-    ``TensorFormatError``.
+    ``TensorFormatError``, which names it too.
     """
 
     path: str
@@ -393,22 +369,13 @@ class TimeSequentialSinogram:
         return self.scheme.P
 
 
-def render_movie(spec: PhantomSpec, motion: MotionSpec, P: int) -> Movie:
-    """Ground-truth movie: analytic frames at t_p = p / P, gathered into one array."""
-    values = np.empty((P, spec.width, spec.width))
-    p = 0
-    for chunk in _render(spec, motion, sample_times(P)):
-        values[p:p + len(chunk)] = chunk
-        p += len(chunk)
-    return Movie.adopt(values, pixel_size=spec.pixel_size)
-
-
 def render_chunks(spec: PhantomSpec, motion: MotionSpec, P: int):
-    """The frames of ``render_movie`` as chunks of a few frames, each masked as a ``Movie`` is.
+    """Ground-truth movie: analytic frames at t_p = p / P, as chunks of a few frames.
 
-    The motion is checked for all P times before this returns; the
-    frames are rendered as the returned generator is read, so the movie
-    is never held whole (``cli`` writes it straight to its tensor file).
+    Each chunk is masked as a ``Movie`` is.  The motion is checked for
+    all P times before this returns; the frames are rendered as the
+    returned generator is read, so the movie is never held whole
+    (``cli`` writes it straight to its tensor file).
     """
     chunks = _render(spec, motion, sample_times(P))
     return (support_masked(chunk, ndim=3, copy=False) for chunk in chunks)
@@ -441,36 +408,23 @@ def simulate_acquisition(
 
 
 def benchmark_movie(
-    truth: Movie,
-    fbp_angles_count: int,
-    detector: DetectorGrid,
-) -> Movie:
-    """Accuracy reference: per-frame FBP from a full simultaneous angle set.
-
-    Each truth frame is projected at ``fbp_angles_count`` uniform angles
-    in [0, pi) and reconstructed with FBP on its own grid, i.e. the
-    reference uses P * fbp_angles_count projections in total.  This is
-    ``benchmark_stream`` with the reference copied out whole.
-    """
-    return Movie.adopt(benchmark_stream(truth, fbp_angles_count, detector).images(),
-                       pixel_size=truth.pixel_size)
-
-
-def benchmark_stream(
     truth: Movie | MovieFile,
     fbp_angles_count: int,
     detector: DetectorGrid,
 ) -> TiledImages:
-    """``benchmark_movie`` of a movie in memory or in a file, left tile by tile.
+    """Accuracy reference: per-frame FBP from a full simultaneous angle set, tile by tile.
 
-    Every frame shares the geometry, so ``radon.project_fbp_stream``
-    applies each view's projector and backprojector to all P frames at
-    once; it reads the truth's chunks twice and holds none of them
-    during its view loop.  ``TiledImages.chunks`` of the result gives
-    the frames of ``benchmark_movie`` a few at a time.
+    Each truth frame is projected at ``fbp_angles_count`` uniform angles
+    in [0, pi) and reconstructed with FBP on its own grid, i.e. the
+    reference uses P * fbp_angles_count projections in total.  Every
+    frame shares the geometry, so ``radon.project_fbp`` applies each
+    view's projector and backprojector to all P frames at once; it reads
+    the truth's chunks twice and holds none of them during its view
+    loop.  ``TiledImages.chunks`` of the result gives the frames a few at
+    a time, and ``TiledImages.images`` all at once.
     """
     angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
-    return project_fbp_stream(truth.chunks, truth.shape, truth.pixel_size, angles, detector)
+    return project_fbp(truth.chunks, truth.shape, truth.pixel_size, angles, detector)
 
 
 def example_phantom(width: int = 64, support_diameter: float = 2.0) -> PhantomSpec:

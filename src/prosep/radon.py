@@ -15,26 +15,26 @@ backprojector W^2 pixels of 2.  A ray may repeat a pixel; its weights
 add.
 ``radon_project`` applies the projector to one ``Frame`` as one numpy
 gather, and ``project_sequence`` does so for frame p of a movie at its
-own angle p, the time-sequential acquisition.  For many columns at
-once, each view's operator is recast as dense blocks on square tiles of
-the pixel grid (``_tiling``, ``_tile_blocks``): the pixels of one tile
-meet only a short run of detector bins, so the view's map is a few
-dense matrix products per tile, and a stack of columns stored tile by
-tile is read in place.  The
-batched functions take and return plain n x W x W arrays, masked to the
-support disk like a ``Frame``: ``fbp_stack`` backprojects n sinograms on
-one angle set, and ``project_fbp`` is the fused batch for a movie of P
-frames on one grid: per view, one projector pass over all P frames, a
-ramp filter of the J x P block and one backprojector pass accumulated
-into the W^2 x P result, so no sinogram stack and no all-view operator
-is ever held.  ``project_fbp_stream`` is the same batch for frames that
-arrive in chunks (read back from a tensor file, say), and it leaves the
-result tile by tile (``TiledImages``), to be copied out a chunk of
+own angle p, the time-sequential acquisition.  For many columns at once,
+each view's operator is recast as dense blocks on square tiles of the
+pixel grid (``_tiling``, ``_tile_blocks``): the pixels of one tile meet
+only a short run of detector bins, so the view's map is a few dense
+matrix products per tile, and a stack of columns stored tile by tile is
+read in place.  ``fbp_stack`` backprojects n sinograms on one angle set
+into a plain n x W x W array, masked to the support disk like a
+``Frame``; ``fbp`` of one sinogram is ``fbp_stack`` with n = 1.
+``project_fbp`` is the one entry point of the fused batch for a movie of
+P frames on one grid (the benchmark movie, ``phantom.benchmark_movie``):
+the frames arrive in chunks (read back from a tensor file, say), and per
+view there is one projector pass over all P frames, a ramp filter of the
+J x P block and one backprojector pass accumulated into the W^2 x P
+result, so no sinogram stack and no all-view operator is ever held.  The
+result stays tile by tile (``TiledImages``), to be copied out a chunk of
 images at a time.  Its projector visits only the tiles that some frame
 occupies, and its tile-major copy of the frames holds only those tiles:
 empty space adds nothing to a projection, so skipping it changes no sum,
 and it builds only the ray samples whose bilinear stencil reaches such a
-tile.  ``fbp`` of one sinogram is ``fbp_stack`` with n = 1.
+tile.
 
 A view loop takes every per-view array from one ``_Workspace`` per call
 and fills it through ``out=``, so each array is allocated once per call
@@ -67,7 +67,6 @@ __all__ = [
     "fbp",
     "fbp_stack",
     "project_fbp",
-    "project_fbp_stream",
     "TiledImages",
 ]
 
@@ -698,35 +697,15 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int,
     return TiledImages(acc, width).images()
 
 
-def project_fbp(frames, pixel_size: float, angles, detector: DetectorGrid) -> np.ndarray:
-    """``fbp(radon_project(f, angles, detector), W, pixel_size)`` of every frame f.
-
-    ``frames`` is a P x W x W array of images on one grid, already masked
-    to the support disk (as ``phantom.Movie`` holds them); the result is
-    the C-order P x W x W array of their reconstructions.  This is
-    ``project_fbp_stream`` with the frames as one chunk, and the result
-    copied out whole.
-
-    Raises
-    ------
-    CoverageError
-        If the detector is narrower than the support disk.
-    InsufficientAnglesError
-        If fewer than 2 angles are supplied.
-    """
-    frames = np.asarray(frames, dtype=float)
-    return project_fbp_stream(lambda: (frames,), frames.shape, pixel_size, angles,
-                              detector).images()
-
-
-def project_fbp_stream(frame_chunks, shape, pixel_size: float, angles,
-                       detector: DetectorGrid) -> TiledImages:
-    """``project_fbp`` of P frames that arrive in chunks; the result stays tile by tile.
+def project_fbp(frame_chunks, shape, pixel_size: float, angles,
+                detector: DetectorGrid) -> TiledImages:
+    """``fbp(radon_project(f, angles, detector), W, pixel_size)`` of each of P frames f.
 
     ``shape`` is (P, W, W), and ``frame_chunks()`` returns a fresh
     iterable of C-order n x W x W arrays that hold the P frames in turn,
     already masked; it is called twice, so the frames may be read back
-    from a file instead of held (``phantom.MovieFile``).  Every frame
+    from a file instead of held (``phantom.MovieFile``), and a whole
+    array is the one chunk of ``lambda: (frames,)``.  Every frame
     meets the same linear map, so the frames are the columns of one
     W^2 x P array, stored tile by tile (``_tiling``), and the views are
     visited one at a time: the view's projector blocks (``_tile_blocks``)

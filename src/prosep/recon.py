@@ -7,14 +7,14 @@ a dense synthetic sinogram for any time instant.  Since synthesis and
 FBP are linear, the movie is itself a partially separable image model:
 FBP of the K+1 component sinograms gives spatial images phi_k, and the
 P x W^2 movie matrix is the rank-(K+1) product Psi Phi, frame p being
-sum_k psi_k(t_p) phi_k.  ``movie_factors`` returns Psi and Phi, and
-``movie_chunks`` forms the product a few frames at a time, so ``cli``
-writes the movie without holding it; ``reconstruct_movie`` forms it
-whole through the same chunks.  The caller names the output grid and
-the synthesis angle count: ``cli`` resolves them once from the run
-configuration.  Metrics compare two movies frame by frame, held in
-memory (``phantom.Movie``) or read a chunk at a time from their tensor
-files (``phantom.MovieFile``); the per-frame metrics take plain arrays.
+sum_k psi_k(t_p) phi_k.  The movie stage has one path: ``movie_factors``
+returns Psi and Phi, and ``movie_chunks`` forms the product a few frames
+at a time, so ``cli`` writes the movie without holding it.  The caller
+names the output grid and the synthesis angle count: ``cli`` resolves
+them once from the run configuration.  Metrics compare two movies frame
+by frame, held in memory (``phantom.Movie``) or read a chunk at a time
+from their tensor files (``phantom.MovieFile``); the per-frame metrics
+take plain arrays.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ __all__ = [
     "synthesize_sinogram",
     "movie_factors",
     "movie_chunks",
-    "reconstruct_movie",
     "psnr",
     "ssim",
     "mae",
@@ -128,7 +127,8 @@ def movie_factors(
     stack of them and Psi = U Z the P x (K+1) temporal factor.  The
     components are synthesized at ``fbp_angles_count`` uniform angles in
     [0, pi) and backprojected onto the ``width`` x ``width`` grid of
-    ``pixel_size``.
+    ``pixel_size``.  Frame p equals FBP of ``synthesize_sinogram`` at p
+    up to rounding.
     """
     angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
     order = solution.model
@@ -152,12 +152,6 @@ def _chunk_bounds(P: int, frame_values: int):
     return zip(starts, starts[1:] + [P])
 
 
-def _frames_into(psi: np.ndarray, phi: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The frames ``psi @ phi`` into the n x W x W ``out``, masked to the support disk."""
-    np.matmul(psi, phi.reshape(len(phi), -1), out=out.reshape(len(out), -1))
-    return support_masked(out, ndim=3, copy=False)
-
-
 def movie_chunks(psi: np.ndarray, phi: np.ndarray):
     """The frames of the movie Psi Phi in order, as masked C-order chunks (a generator).
 
@@ -167,27 +161,9 @@ def movie_chunks(psi: np.ndarray, phi: np.ndarray):
     of Psi with Phi, whose rows equal those of the whole product.
     """
     for start, stop in _chunk_bounds(len(psi), phi[0].size):
-        yield _frames_into(psi[start:stop], phi, np.empty((stop - start, *phi.shape[1:])))
-
-
-def reconstruct_movie(
-    solution: ProSepSolution,
-    fbp_angles_count: int,
-    width: int,
-    pixel_size: float,
-) -> Movie:
-    """FBP-reconstruct every frame of the fitted model on a dense angle set.
-
-    The movie is the rank-(K+1) product Psi Phi of ``movie_factors``,
-    formed into one array chunk by chunk as ``movie_chunks`` forms it.
-    This equals FBP of ``synthesize_sinogram`` for every frame up to
-    rounding.
-    """
-    psi, phi = movie_factors(solution, fbp_angles_count, width, pixel_size)
-    movie = np.empty((len(psi), *phi.shape[1:]))
-    for start, stop in _chunk_bounds(len(psi), phi[0].size):
-        _frames_into(psi[start:stop], phi, movie[start:stop])
-    return Movie.adopt(movie, pixel_size=pixel_size)
+        frames = np.empty((stop - start, *phi.shape[1:]))
+        np.matmul(psi[start:stop], phi.reshape(len(phi), -1), out=frames.reshape(stop - start, -1))
+        yield support_masked(frames, ndim=3, copy=False)
 
 
 def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:

@@ -10,7 +10,8 @@ whole-array functions are the one-chunk case of the chunked ones, so
 both give the same bytes.  A reader checks the header, and the payload
 length against it, once, before it reads any payload (``tensor_shape``
 checks only that); each chunk then holds as many whole rows as fit in
-``CHUNK_VALUES`` values, and at least one.  A writer writes the header
+``CHUNK_VALUES`` values, and at least one.  Every ``TensorFormatError``
+of a damaged file names the file.  A writer writes the header
 and then the chunks, in C order, to ``<path>.tmp``, checks that they
 hold exactly the values of the shape, and renames the file to ``path``
 (``atomic_write``).  If any step raises (a full disk, or a chunk source
@@ -87,27 +88,30 @@ def write_chunks(path, shape, chunks) -> None:
                              f"{written} values, shape {tuple(shape)} has {expected}")
 
 
+def _format_error(f, message: str) -> TensorFormatError:
+    """The error of a damaged file ``f``, opened by its path: the message after the path."""
+    return TensorFormatError(f"{f.name}: {message}")
+
+
 def _read_header(f) -> tuple:
     """The shape in the header of the open file ``f``, checked against its payload length."""
     magic = f.read(len(MAGIC))
     if magic != MAGIC:
-        raise TensorFormatError(f"bad magic {magic!r}")
+        raise _format_error(f, f"bad magic {magic!r}")
     raw = f.read(4)
     if len(raw) != 4:
-        raise TensorFormatError("truncated header")
+        raise _format_error(f, "truncated header")
     (ndims,) = struct.unpack("<I", raw)
     dims = []
     for _ in range(ndims):
         raw = f.read(8)
         if len(raw) != 8:
-            raise TensorFormatError("truncated dimension list")
+            raise _format_error(f, "truncated dimension list")
         dims.append(struct.unpack("<Q", raw)[0])
     payload = os.fstat(f.fileno()).st_size - f.tell()
     expected = 8 * math.prod(dims)  # Python integers: no overflow on huge headers
     if payload != expected:
-        raise TensorFormatError(
-            f"payload length {payload} != 8 * prod(dims) = {expected}"
-        )
+        raise _format_error(f, f"payload length {payload} != 8 * prod(dims) = {expected}")
     return tuple(dims)
 
 
@@ -134,7 +138,7 @@ def _chunks(f, shape: tuple, values):
         try:
             chunk = chunk.astype(np.float64, copy=False).reshape(part)
         except ValueError as e:  # a zero-size shape beyond numpy's dimension limits
-            raise TensorFormatError(f"dimensions {shape}: {e}") from None
+            raise _format_error(f, f"dimensions {shape}: {e}") from None
         yield chunk
 
 

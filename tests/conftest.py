@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from prosep.phantom import TimeSequentialSinogram
+from prosep.phantom import Movie, TimeSequentialSinogram
 from prosep.psmodel import (
     HarmonicOrder,
     face_split,
@@ -23,6 +23,11 @@ from prosep.radon import (
     support_mask,
 )
 from prosep.sampling import bit_reversed
+
+
+def movie_of(chunks, pixel_size=1.0):
+    """The frame chunks of a movie (``render_chunks``, ``movie_chunks``) as one ``Movie``."""
+    return Movie(np.concatenate(list(chunks)), pixel_size)
 
 
 def indicator_disk(width, pixel_size, radius, center=(0.0, 0.0)):

@@ -10,6 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import movie_of
 from prosep import analysis
 from prosep.cli import ConfigError, _resolve_nulls, build_parser, load_config, main
 from prosep.errors import ProsepError, TensorFormatError
@@ -19,12 +20,12 @@ from prosep.phantom import (
     MovieFile,
     benchmark_movie,
     example_phantom,
-    render_movie,
+    render_chunks,
     simulate_acquisition,
 )
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator
-from prosep.radon import DetectorGrid
-from prosep.recon import ProSepSolution, movie_metrics, reconstruct_movie
+from prosep.radon import DetectorGrid, support_mask
+from prosep.recon import ProSepSolution, movie_factors, movie_metrics
 from prosep.sampling import random_scheme, sample_times, span_for
 from prosep.solver import SolverConfig, SolverReport
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
@@ -658,8 +659,6 @@ def test_metrics_self_comparison_and_row_count(sim_dir, tmp_path):
 
 def test_metrics_ignores_pixels_outside_the_support_disk(tmp_path, rng):
     """Two tensor pairs that differ only outside the inscribed disk score alike."""
-    from prosep.radon import support_mask
-
     inside = support_mask(12)
     movie = rng.random((3, 12, 12)) * inside
     bench = rng.random((3, 12, 12)) * inside
@@ -691,15 +690,16 @@ def test_simulate_of_a_noisy_random_run_writes_the_library_results(tmp_path):
     assert cfg["scheme"] == {"kind": "random", "seed": 5} and cfg["noise_sigma"] == 0.02
     grid, motion = cfg["grid"], cfg["motion"]
     spec = example_phantom(width=grid["width"], support_diameter=grid["support_diameter"])
-    truth = render_movie(spec, MotionSpec(translation=tuple(motion["translation"]),
-                                          rotation=motion["rotation"],
-                                          scaling=tuple(motion["scaling"])), cfg["P"])
+    truth = movie_of(render_chunks(spec, MotionSpec(translation=tuple(motion["translation"]),
+                                                    rotation=motion["rotation"],
+                                                    scaling=tuple(motion["scaling"])), cfg["P"]),
+                     spec.pixel_size)
     scheme = random_scheme(cfg["P"], span_for(cfg["symmetric"]), seed=5)
     detector = DetectorGrid(**cfg["detector"])
     data = simulate_acquisition(truth, scheme, detector, noise_sigma=0.02, seed=cfg["seed"])
     bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector)
     for name, values in [("truth_movie", truth.values), ("sinogram", data.values),
-                         ("angles", scheme.angles), ("benchmark_movie", bench.values),
+                         ("angles", scheme.angles), ("benchmark_movie", bench.images()),
                          ("times", sample_times(cfg["P"]))]:
         assert read_tensor(out / f"{name}.tensor").tobytes() == values.tobytes(), name
 
@@ -768,20 +768,26 @@ def test_simulate_in_chunks_writes_the_whole_array_library_results(tmp_path):
     assert cfg["fbp_angles_count"] == CHUNKED["P"]  # min(P, 4W) = P
     motion = cfg["motion"]
     spec = example_phantom(width=CHUNKED["width"])
-    truth = render_movie(spec, MotionSpec(translation=tuple(motion["translation"]),
-                                          rotation=motion["rotation"],
-                                          scaling=tuple(motion["scaling"])), cfg["P"])
+    truth = movie_of(render_chunks(spec, MotionSpec(translation=tuple(motion["translation"]),
+                                                    rotation=motion["rotation"],
+                                                    scaling=tuple(motion["scaling"])), cfg["P"]),
+                     spec.pixel_size)
     scheme = random_scheme(cfg["P"], span_for(True), seed=2)
     detector = DetectorGrid(**cfg["detector"])
     data = simulate_acquisition(truth, scheme, detector, noise_sigma=0.02, seed=cfg["seed"])
     bench = benchmark_movie(truth, cfg["fbp_angles_count"], detector)
-    for name, values in [("truth_movie", truth.values), ("benchmark_movie", bench.values),
+    for name, values in [("truth_movie", truth.values), ("benchmark_movie", bench.images()),
                          ("sinogram", data.values), ("angles", scheme.angles)]:
         assert read_tensor(out / f"{name}.tensor").tobytes() == values.tobytes(), name
 
 
 @pytest.mark.parametrize("P", [37, 29])  # a short last chunk; a lone last frame (28 + 1)
 def test_streamed_movie_equals_reconstruct_movie(tmp_path, P):
+    """movie.tensor, written a chunk of frames at a time, is the one whole product Psi Phi, masked.
+
+    P = 29 leaves a lone last frame, which joins the chunk before it:
+    a one-row product would round differently.
+    """
     out = tmp_path / "run"
     assert chunked_simulate(out, P) == 0
     assert main(["reconstruct", "--input", str(out)]) == 0
@@ -793,9 +799,11 @@ def test_streamed_movie_equals_reconstruct_movie(tmp_path, P):
         beta=HarmonicCoefficients(beta=read_tensor(out / "beta.tensor"), order=order),
         model=order, scheme=random_scheme(P, span_for(True), seed=2),
         detector=DetectorGrid(**cfg["detector"]), times=sample_times(P))
-    pixel = cfg["grid"]["support_diameter"] / CHUNKED["width"]
-    movie = reconstruct_movie(solution, cfg["fbp_angles_count"], CHUNKED["width"], pixel)
-    assert read_tensor(out / "movie.tensor").tobytes() == movie.values.tobytes()
+    W = CHUNKED["width"]
+    psi, phi = movie_factors(solution, cfg["fbp_angles_count"], W,
+                             cfg["grid"]["support_diameter"] / W)
+    movie = (psi @ phi.reshape(len(phi), -1)).reshape(P, W, W) * support_mask(W)
+    assert read_tensor(out / "movie.tensor").tobytes() == movie.tobytes()
     assert read_tensor(out / "psi.tensor").tobytes() == (U @ solution.Z).tobytes()
 
 
@@ -840,6 +848,25 @@ def test_metrics_of_malformed_chunked_movies_exit_1_with_one_line(tmp_path, caps
     write_tensor(bad, np.full((CHUNKED["P"], 8, 8), np.nan))
     err = metrics_error(tmp_path, capsys, bad, good)
     assert "dimension mismatch" in err and f"{shape}" in err and "(37, 8, 8)" in err
+
+
+@pytest.mark.parametrize("stage, name", [("metrics", "benchmark_movie.tensor"),
+                                         ("reconstruct", "sinogram.tensor")])
+def test_truncated_input_tensor_exits_1_naming_the_file(tmp_path, capsys, stage, name):
+    """An input 8 bytes short is one stderr line that names the file, and nothing is written."""
+    run = tmp_path / "run"
+    assert chunked_simulate(run) == 0
+    path = run / name
+    path.write_bytes(path.read_bytes()[:-8])
+    argv = {"metrics": ["metrics", "--movie", str(run / "truth_movie.tensor"),
+                        "--benchmark", str(path), "--out", str(tmp_path / "out")],
+            "reconstruct": ["reconstruct", "--input", str(run), "--out", str(tmp_path / "out")]}
+    capsys.readouterr()
+    rc = main(argv[stage])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.count("\n") == 1
+    assert err.startswith(f"prosep {stage}: {path}: payload length "), err
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------- stage memory

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import naive_fbp
+from conftest import movie_of, naive_fbp
 from prosep.errors import ProsepError, SupportError
 from prosep.phantom import (
     Ellipse,
@@ -10,13 +10,11 @@ from prosep.phantom import (
     MovieFile,
     PhantomSpec,
     benchmark_movie,
-    benchmark_stream,
     example_motion,
     example_phantom,
     motion_at,
     render_chunks,
     render_frame,
-    render_movie,
     simulate_acquisition,
 )
 from prosep.radon import DetectorGrid, Frame, Sinogram, fbp, radon_project
@@ -160,35 +158,18 @@ def test_movie_and_frame_reject_nonpositive_pixel_size(pixel_size):
         Frame(values=np.zeros((4, 4)), pixel_size=pixel_size)
 
 
-def test_adopted_movie_is_masked_in_place_with_the_values_of_a_copy(rng):
-    values = rng.standard_normal((3, 9, 9))
-    values[1, 0, 0] = -2.0  # a negative corner outside the disk: masked to -0.0
-    want = Movie(values=values, pixel_size=0.3)
-    movie = Movie.adopt(values, pixel_size=0.3)
-    assert movie.values is values  # no copy
-    assert movie.values.tobytes() == want.values.tobytes() and movie.pixel_size == 0.3
-
-
-@pytest.mark.parametrize("values, match", _MALFORMED_MOVIES)
-def test_adopted_movie_makes_the_checks_of_a_copy(values, match):
-    with pytest.raises(ValueError, match=match):
-        Movie.adopt(values.copy())
-    with pytest.raises(ValueError, match="pixel_size must be positive"):
-        Movie.adopt(np.zeros((2, 4, 4)), pixel_size=0.0)
-
-
 def test_render_movie_equals_its_frames_and_checks_every_time():
     """The chunked renderer gives, byte for byte, the frames of ``render_frame``."""
     spec, motion = example_phantom(width=24), example_motion(width=24)
     P = 37  # more frames than one chunk holds, and a partial last chunk
-    movie = render_movie(spec, motion, P)
+    movie = np.concatenate(list(render_chunks(spec, motion, P)))
     want = np.stack([render_frame(spec, motion, p / P).values for p in range(P)])
-    assert movie.values.tobytes() == want.tobytes()
+    assert movie.tobytes() == want.tobytes()
     # a motion that leaves the disk only late in the movie fails the whole movie
     late = MotionSpec(translation=(0.6, 0.0))
     render_frame(spec, late, 0.02)
     with pytest.raises(SupportError, match="leaves the support disk"):
-        render_movie(spec, late, 8)
+        render_chunks(spec, late, 8)
 
 
 def test_motion_at_takes_an_array_of_times():
@@ -234,7 +215,7 @@ def test_simulate_acquisition_deterministic():
     motion = example_motion(width=32)
     sch = bit_reversed(16, span=np.pi)
     det = DetectorGrid(count=33, spacing=spec.pixel_size)
-    truth = render_movie(spec, motion, 16)
+    truth = movie_of(render_chunks(spec, motion, 16), spec.pixel_size)
     a = simulate_acquisition(truth, sch, det, noise_sigma=0.05, seed=11)
     b = simulate_acquisition(truth, sch, det, noise_sigma=0.05, seed=11)
     assert np.array_equal(a.values, b.values)
@@ -247,7 +228,8 @@ def test_acquired_column_is_single_angle_projection():
     motion = example_motion(width=32)
     sch = progressive(8, span=np.pi)
     det = DetectorGrid(count=33, spacing=spec.pixel_size)
-    data = simulate_acquisition(render_movie(spec, motion, 8), sch, det)
+    truth = movie_of(render_chunks(spec, motion, 8), spec.pixel_size)
+    data = simulate_acquisition(truth, sch, det)
     p = 5
     frame = render_frame(spec, motion, p / 8)
     col = radon_project(frame, [sch.angles[p]], det).values[:, 0]
@@ -262,13 +244,14 @@ def test_static_acquisition_consistent_with_static_ct():
     P = 64
     sch = bit_reversed(P, span=np.pi)
     det = DetectorGrid(count=W + 1, spacing=spec.pixel_size)
-    data = simulate_acquisition(render_movie(spec, motion, P), sch, det)
+    data = simulate_acquisition(movie_of(render_chunks(spec, motion, P), spec.pixel_size),
+                                sch, det)
     rec = fbp(
         Sinogram(values=data.values, angles=sch.angles, detector=det),
         width=W, pixel_size=spec.pixel_size,
     )
-    bench = benchmark_movie(render_movie(spec, motion, 1), fbp_angles_count=P,
-                            detector=det).values[0]
+    still = movie_of(render_chunks(spec, motion, 1), spec.pixel_size)
+    bench = benchmark_movie(still, fbp_angles_count=P, detector=det).images()[0]
     rms = np.sqrt(np.mean((rec.values - bench) ** 2))
     assert rms < 1e-6
 
@@ -277,20 +260,20 @@ def test_simulate_acquisition_needs_one_frame_per_view():
     spec = example_phantom(width=16)
     det = DetectorGrid(count=17, spacing=spec.pixel_size)
     with pytest.raises(ValueError, match="one frame per view"):
-        simulate_acquisition(render_movie(spec, example_motion(width=16), 4),
-                             progressive(8, span=np.pi), det)
+        simulate_acquisition(movie_of(render_chunks(spec, example_motion(width=16), 4),
+                                      spec.pixel_size), progressive(8, span=np.pi), det)
 
 
 def test_benchmark_movie_equals_per_frame_fbp_of_projections():
     """Oracle: the batched reference is fbp(radon_project(truth)) frame by frame."""
     spec = example_phantom(width=24)
-    truth = render_movie(spec, example_motion(width=24), 5)
+    truth = movie_of(render_chunks(spec, example_motion(width=24), 5), spec.pixel_size)
     det = DetectorGrid(count=29, spacing=1.1 * spec.pixel_size)
     count = 20
     angles = np.arange(count) * (np.pi / count)
     movie = benchmark_movie(truth, fbp_angles_count=count, detector=det)
-    assert movie.pixel_size == truth.pixel_size
-    for values, out in zip(truth.values, movie.values):
+    assert len(movie) == 5 and movie.width == 24
+    for values, out in zip(truth.values, movie.images()):
         f = Frame(values=values, pixel_size=truth.pixel_size)
         ref = fbp(radon_project(f, angles, det), width=f.width, pixel_size=f.pixel_size)
         assert np.abs(out - ref.values).max() <= 1e-12 * np.abs(ref.values).max()
@@ -298,10 +281,11 @@ def test_benchmark_movie_equals_per_frame_fbp_of_projections():
 
 def test_benchmark_movie_static_frames_identical():
     spec = example_phantom(width=32)
-    truth = render_movie(spec, MotionSpec(), 4)
-    movie = benchmark_movie(truth, fbp_angles_count=24, detector=DetectorGrid.for_frame(truth))
-    ref = movie.values[0]
-    for f in movie.values[1:]:
+    truth = movie_of(render_chunks(spec, MotionSpec(), 4), spec.pixel_size)
+    movie = benchmark_movie(truth, fbp_angles_count=24,
+                            detector=DetectorGrid.for_frame(truth)).images()
+    ref = movie[0]
+    for f in movie[1:]:
         assert np.allclose(f, ref, atol=1e-12 * max(np.abs(ref).max(), 1))
 
 
@@ -309,12 +293,12 @@ def test_benchmark_quality_and_angle_monotonicity():
     """Benchmark movie reaches 28 dB vs the analytic frames at 128 grid."""
     spec = example_phantom(width=128)
     motion = example_motion(width=128)
-    truth = render_movie(spec, motion, P=2)
+    truth = movie_of(render_chunks(spec, motion, 2), spec.pixel_size)
     peak = truth.values.max()
     scores = {}
     for A in (180, 360):
         movie = benchmark_movie(truth, fbp_angles_count=A, detector=DetectorGrid.for_frame(truth))
-        scores[A] = np.mean([psnr(x, t, peak) for x, t in zip(movie.values, truth.values)])
+        scores[A] = np.mean([psnr(x, t, peak) for x, t in zip(movie.images(), truth.values)])
     assert scores[180] >= 28.0
     assert scores[360] >= scores[180] - 0.1  # doubling angles must not hurt
 
@@ -327,23 +311,25 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     P = 256
     sch = bit_reversed(P, span=np.pi)
     det = DetectorGrid(count=W + 1, spacing=spec.pixel_size)
-    data = simulate_acquisition(render_movie(spec, motion, P), sch, det)
+    data = simulate_acquisition(movie_of(render_chunks(spec, motion, P), spec.pixel_size),
+                                sch, det)
     naive = naive_fbp(data, width=W, pixel_size=spec.pixel_size)
 
-    truth = render_movie(spec, motion, P=8)
+    truth = movie_of(render_chunks(spec, motion, 8), spec.pixel_size)
     bench = benchmark_movie(truth, fbp_angles_count=P, detector=DetectorGrid.for_frame(truth))
     peak = truth.values.max()
-    psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.values, truth.values)])
+    psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.images(), truth.values)])
     psnr_naive = np.mean([psnr(naive.values, t, peak) for t in truth.values])
     assert psnr_naive <= psnr_bench - 5.0
 
 
 def test_render_chunks_are_the_frames_of_render_movie():
-    """Chunks of 28 frames and a short last one, byte for byte; the motion is checked first."""
+    """Chunks of 28 frames and a short last one, each masked; the motion is checked first."""
     spec, motion = example_phantom(width=24), example_motion(width=24)
     chunks = list(render_chunks(spec, motion, 37))
     assert [len(c) for c in chunks] == [28, 9]
-    assert np.concatenate(chunks).tobytes() == render_movie(spec, motion, 37).values.tobytes()
+    for chunk in chunks:
+        assert chunk.flags.c_contiguous and chunk.tobytes() == Movie(chunk).values.tobytes()
     with pytest.raises(SupportError, match="leaves the support disk"):
         render_chunks(spec, MotionSpec(translation=(0.6, 0.0)), 8)  # before any frame
 
@@ -351,7 +337,7 @@ def test_render_chunks_are_the_frames_of_render_movie():
 def test_movie_file_reads_back_the_movie_it_holds(tmp_path):
     """A MovieFile has a Movie's shape, frames and chunks, and the same benchmark and sinogram."""
     spec, motion = example_phantom(width=24), example_motion(width=24)
-    truth = render_movie(spec, motion, 37)
+    truth = movie_of(render_chunks(spec, motion, 37), spec.pixel_size)
     path = tmp_path / "truth.tensor"
     write_tensor(path, truth.values)
     stored = MovieFile(path, pixel_size=spec.pixel_size)
@@ -359,9 +345,9 @@ def test_movie_file_reads_back_the_movie_it_holds(tmp_path):
     assert np.array_equal(np.stack(list(stored)), truth.values)
     assert [len(c) for c in stored.chunks()] == [28, 9]
     det = DetectorGrid.for_frame(truth)
-    bench = benchmark_stream(stored, 20, det)
+    bench = benchmark_movie(stored, 20, det)
     assert np.concatenate(list(bench.chunks())).tobytes() == \
-        benchmark_movie(truth, 20, det).values.tobytes()
+        benchmark_movie(truth, 20, det).images().tobytes()
     scheme = progressive(37, span=np.pi)
     assert np.array_equal(simulate_acquisition(stored, scheme, det).values,
                           simulate_acquisition(truth, scheme, det).values)

@@ -277,7 +277,8 @@ def test_project_fbp_equals_per_frame_fbp_of_projections(rng, W, J, ratio):
     h = frames[0].pixel_size
     det = DetectorGrid(count=J, spacing=ratio * h)
     angles = oracle_angles(rng)
-    batch = project_fbp(np.stack([f.values for f in frames]), h, angles, det)
+    stack = np.stack([f.values for f in frames])
+    batch = project_fbp(lambda: (stack,), stack.shape, h, angles, det).images()
     assert batch.shape == (3, W, W)
     for f, out in zip(frames, batch):
         ref = fbp(radon_project(f, angles, det), width=W, pixel_size=h)
@@ -297,7 +298,7 @@ def test_project_fbp_peak_memory_in_movie_sizes(rng):
     angles = np.linspace(0.0, np.pi, P, endpoint=False)
     tracemalloc.start()
     try:
-        project_fbp(frames, 1.0, angles, det)
+        project_fbp(lambda: (frames,), frames.shape, 1.0, angles, det).images()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -333,22 +334,43 @@ def test_project_fbp_of_partly_occupied_movies_equals_per_frame_fbp(rng, case):
     h = 2.0 / W
     angles = oracle_angles(rng)
     for det in (DetectorGrid(count=W + 1, spacing=h), DetectorGrid(count=W + 7, spacing=1.37 * h)):
-        batch = project_fbp(frames, h, angles, det)
+        batch = project_fbp(lambda: (frames,), frames.shape, h, angles, det).images()
         for values, out in zip(frames, batch):
             f = Frame(values=values, pixel_size=h)
             ref = fbp(radon_project(f, angles, det), width=W, pixel_size=h)
             assert rel_err(out, ref.values) < 1e-12
 
 
+def test_project_fbp_of_uneven_chunks_equals_one_chunk(rng):
+    """Frames that arrive in uneven chunks give the one-chunk result byte for byte.
+
+    The chunks (4, 1, 6 and 2 frames) cut the frames at different
+    columns of the tile-major copy; chunks that hold fewer frames than
+    the shape says are a ValueError.
+    """
+    W = 33
+    frames = partly_occupied(rng, 13, W, [(slice(None), slice(4, 30), slice(6, 27))])
+    h = 2.0 / W
+    det, angles = DetectorGrid(count=W + 3, spacing=1.1 * h), oracle_angles(rng)
+    whole = project_fbp(lambda: (frames,), frames.shape, h, angles, det)
+    bounds = [(0, 4), (4, 5), (5, 11), (11, 13)]
+    split = project_fbp(lambda: (frames[p:q] for p, q in bounds), frames.shape, h, angles, det)
+    assert split.acc.tobytes() == whole.acc.tobytes()
+    assert split.images().tobytes() == whole.images().tobytes()
+    with pytest.raises(ValueError, match="the frame chunks hold 11 frames, not the 13"):
+        project_fbp(lambda: (frames[p:q] for p, q in bounds[:3]), frames.shape, h, angles, det)
+
+
 def test_project_fbp_of_a_zero_movie_is_zero(rng):
     W = 33
     det = DetectorGrid(count=W + 1, spacing=1.0)
-    out = project_fbp(np.zeros((4, W, W)), 1.0, oracle_angles(rng), det)
+    zeros = np.zeros((4, W, W))
+    out = project_fbp(lambda: (zeros,), zeros.shape, 1.0, oracle_angles(rng), det).images()
     assert out.shape == (4, W, W) and np.all(out == 0.0)
 
 
 def test_batched_results_are_c_order_and_equal_the_row_gather(rng):
-    """``project_fbp`` and ``fbp_stack`` return C-contiguous stacks.
+    """``project_fbp``'s images and ``fbp_stack`` are C-contiguous stacks.
 
     Their values equal, bit for bit, the images gathered row-wise from
     the tile-major accumulator and masked, as an untiled copy would be.
@@ -363,7 +385,8 @@ def test_batched_results_are_c_order_and_equal_the_row_gather(rng):
     frames = np.stack([random_masked_frame(rng, width=33).values for _ in range(3)])
     det = DetectorGrid(count=34, spacing=2.0 / 33)
     angles = oracle_angles(rng)
-    assert project_fbp(frames, 2.0 / 33, angles, det).flags.c_contiguous
+    batch = project_fbp(lambda: (frames,), frames.shape, 2.0 / 33, angles, det)
+    assert batch.images().flags.c_contiguous
     sinograms = rng.standard_normal((34, angles.size, 3))
     assert fbp_stack(sinograms, angles, det, 33, 2.0 / 33).flags.c_contiguous
 
@@ -380,7 +403,7 @@ def test_project_fbp_peak_memory_of_a_quarter_occupied_movie(rng):
     angles = np.linspace(0.0, np.pi, P, endpoint=False)
     tracemalloc.start()
     try:
-        project_fbp(frames, 1.0, angles, det)
+        project_fbp(lambda: (frames,), frames.shape, 1.0, angles, det).images()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -411,7 +434,7 @@ def test_project_fbp_and_fbp_stack_peak_memory_by_part(rng, occupied):
     per_pixel = W * W * 8
     tracemalloc.start()
     try:
-        project_fbp(frames, 1.0, angles, det)
+        project_fbp(lambda: (frames,), frames.shape, 1.0, angles, det).images()
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.reset_peak()
         base = tracemalloc.get_traced_memory()[0]
@@ -458,12 +481,14 @@ def test_occupied_projector_keeps_the_full_projector_entries_in_order(rng):
 def test_project_fbp_rejects_mixed_grids_and_narrow_detectors(rng):
     a = random_masked_frame(rng, width=16)
     h = a.pixel_size
+    frames, cut = a.values[None], a.values[None, :, 1:]
     with pytest.raises(ValueError, match="P x W x W"):
-        project_fbp(a.values[None, :, 1:], h, [0.0, 1.0], DetectorGrid.for_frame(a))
+        project_fbp(lambda: (cut,), cut.shape, h, [0.0, 1.0], DetectorGrid.for_frame(a))
     with pytest.raises(CoverageError):
-        project_fbp(a.values[None], h, [0.0, 1.0], DetectorGrid(count=4, spacing=h))
+        project_fbp(lambda: (frames,), frames.shape, h, [0.0, 1.0],
+                    DetectorGrid(count=4, spacing=h))
     with pytest.raises(InsufficientAnglesError):
-        project_fbp(a.values[None], h, [0.0], DetectorGrid.for_frame(a))
+        project_fbp(lambda: (frames,), frames.shape, h, [0.0], DetectorGrid.for_frame(a))
 
 
 # ---------------------------------------------------------------- properties

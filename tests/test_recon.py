@@ -10,9 +10,10 @@ from prosep.recon import (
     ProSepSolution,
     frame_metrics,
     mae,
+    movie_chunks,
+    movie_factors,
     movie_metrics,
     psnr,
-    reconstruct_movie,
     ssim,
     synthesize_sinogram,
 )
@@ -123,10 +124,10 @@ def test_reconstruct_movie_static_is_time_constant():
     P, d = 64, 3
     psi0 = np.ones((P, 1)) / np.sqrt(P)
     sol, *_ = solved_solution(P=P, K=0, N=5, d=d, J=16, seed=6, psi0=psi0)
-    movie = reconstruct_movie(sol, 32, *_detector_grid(sol))
-    ref = movie.values[0]
+    movie = np.concatenate(list(movie_chunks(*movie_factors(sol, 32, *_detector_grid(sol)))))
+    ref = movie[0]
     scale = max(np.abs(ref).max(), 1e-30)
-    for f in movie.values[1:]:
+    for f in movie[1:]:
         rms = np.sqrt(np.mean((f - ref) ** 2))
         assert rms < 1e-6 * scale
 
@@ -134,10 +135,12 @@ def test_reconstruct_movie_static_is_time_constant():
 def test_reconstruct_movie_shape_contract():
     sol, *_ = solved_solution(P=32, K=1, N=3, d=3, J=12, max_iters=300)
     W, h = sol.detector.count - 1, 1.1 * sol.detector.spacing
-    movie = reconstruct_movie(sol, fbp_angles_count=16, width=W, pixel_size=h)
-    assert len(movie) == sol.P
-    assert movie.values.shape == (sol.P, W, W)
-    assert movie.pixel_size == h
+    psi, phi = movie_factors(sol, fbp_angles_count=16, width=W, pixel_size=h)
+    K1 = sol.model.n_temporal
+    assert psi.shape == (sol.P, K1) and phi.shape == (K1, W, W)
+    chunks = list(movie_chunks(psi, phi))
+    assert all(len(c) >= 2 and c.shape[1:] == (W, W) and c.flags.c_contiguous for c in chunks)
+    assert sum(map(len, chunks)) == sol.P
 
 
 def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
@@ -146,12 +149,11 @@ def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
     count = 48
     angles = np.arange(count) * (np.pi / count)
     W, h = _detector_grid(sol)
-    movie = reconstruct_movie(sol, count, W, h)
+    movie = np.concatenate(list(movie_chunks(*movie_factors(sol, count, W, h))))
     assert len(movie) == sol.P
     for p in range(sol.P):
         ref = fbp(synthesize_sinogram(sol, p, angles), width=W, pixel_size=h)
-        assert movie.pixel_size == ref.pixel_size
-        assert np.abs(movie.values[p] - ref.values).max() < 1e-12
+        assert np.abs(movie[p] - ref.values).max() < 1e-12
 
 
 def test_reconstruct_movie_matches_truth_fbp():
@@ -161,7 +163,7 @@ def test_reconstruct_movie_matches_truth_fbp():
     T = real_trig_theta(type(data.scheme)(angles=angles, span=np.pi, kind="custom"), order.N)
     Psi0 = U @ Z0
     W, pixel = _detector_grid(sol)
-    movie = reconstruct_movie(sol, 64, W, pixel)
+    movie = np.concatenate(list(movie_chunks(*movie_factors(sol, 64, W, pixel))))
     from prosep.radon import Sinogram
 
     peaks = []
@@ -172,7 +174,7 @@ def test_reconstruct_movie_matches_truth_fbp():
         g_true = (T @ h).T
         bench = fbp(Sinogram(values=g_true, angles=angles, detector=data.detector), W, pixel)
         peaks.append(bench.values.max())
-        scores.append((movie.values[p], bench))
+        scores.append((movie[p], bench))
     peak = max(peaks)
     for rec_frame, bench in scores:
         assert psnr(rec_frame, bench.values, peak) >= 35.0

@@ -1,6 +1,7 @@
 """Properties of the tensor file format: bit-exact round trips, and
 ``TensorFormatError`` as the only failure of a damaged file."""
 
+import re
 import struct
 
 import numpy as np
@@ -159,6 +160,31 @@ def test_chunked_reader_checks_the_header_before_any_payload(tmp_path):
         next(chunks)
     with pytest.raises(TensorFormatError, match="payload length"):
         tensor_shape(path)
+
+
+# damaged copies of the file of np.ones((4, 3)), and whether its header still reads
+DAMAGE = {
+    "bad magic": (lambda raw: b"PROSEP02" + raw[8:], False),
+    "truncated header": (lambda raw: raw[:10], False),
+    "truncated dimension list": (lambda raw: raw[:20], False),
+    "payload length": (lambda raw: raw[:-8], False),
+    "dimensions": (lambda raw: MAGIC + struct.pack("<IQQ", 2, 0, 2**62), True),
+}
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+def test_every_format_error_names_the_file(tmp_path, damage):
+    """Each reader's TensorFormatError starts with the path, then says what is wrong."""
+    path = tmp_path / "t.tensor"
+    write_tensor(path, np.ones((4, 3)))
+    damaged, header_reads = DAMAGE[damage]
+    path.write_bytes(damaged(path.read_bytes()))
+    readers = [read_tensor, lambda p: list(read_chunks(p))]
+    if not header_reads:
+        readers.append(tensor_shape)
+    for read in readers:
+        with pytest.raises(TensorFormatError, match=f"^{re.escape(str(path))}: {damage}"):
+            read(path)
 
 
 class _FullDisk:
