@@ -51,17 +51,14 @@ from .psmodel import (
     l2_row_factors,
     legendre_basis,
 )
-from .radon import DetectorGrid, Frame, radon_project
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme, span_for
 
 __all__ = [
     "CondL2Result",
-    "Theorem1Result",
     "cond_L1",
     "cond_L2",
     "rank_check_L1",
     "theorem3_sweep",
-    "theorem1_check",
     "translation_bound",
     "rotation_bound",
     "table1",
@@ -132,10 +129,11 @@ def cond_L2(
     the +inf sentinel when Gamma is singular (needs J >= (2N+1)(K+1));
     kappa(L2) is still computed and reported.
 
-    L2 (``psmodel.build_L2``) is not built: its row block i is
-    kron(C_i, u_i) with C_i = Q_i R_i (J x (K+1)), and the orthonormal
-    Q_i drop out of the singular values, so the SVD runs on the stacked
-    kron(R_i, u_i), 2P min(J, K+1) rows instead of 2P J.
+    L2 is not built: its row block i is kron(C_i, u_i), with the
+    J x (K+1) factor C_i of ``psmodel.l2_row_factors``.  C_i = Q_i R_i,
+    and the orthonormal Q_i drop out of the singular values, so the SVD
+    runs on the stacked kron(R_i, u_i), 2P min(J, K+1) rows instead of
+    2P J.
     """
     order = HarmonicOrder(N=N, K=K, d=d)
     if scheme is None:
@@ -226,40 +224,6 @@ def theorem3_sweep(
         if ratio <= 1.0 + THEOREM3_SLACK:
             passes += 1
     return passes, worst
-
-
-class Theorem1Result(NamedTuple):
-    lhs: float
-    rhs: float
-    per_angle_ratio: np.ndarray
-
-
-def theorem1_check(frame: Frame, angles, detector: DetectorGrid | None = None) -> Theorem1Result:
-    """Projection-energy bound for a residual frame, integrated over angles.
-
-    lhs integrates the per-angle projection energy
-    sum_j |Rf(s_j, theta)|^2 * spacing over a full turn (weight
-    2*pi / len(angles)); rhs = 2*pi*L*||f||^2 is the stated
-    projection-domain bound.  ``per_angle_ratio`` holds each angle's
-    energy against its own bound 2*L*||f||^2, which is the inequality the
-    proof actually uses and the one asserted by the tests; it holds in the
-    continuum for a frame supported in the disk of radius L, and
-    discretization can add a few percent of quadrature slack.  See the
-    module tests for the constant ambiguity in the integrated form.  All
-    angles are projected in one ``radon_project`` call.
-    """
-    angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    if detector is None:
-        detector = DetectorGrid.for_frame(frame)
-    g = radon_project(frame, angles, detector).values
-    # one contiguous row per angle, so each energy is the pairwise sum of its column
-    per_angle = np.sum(np.ascontiguousarray(g.T) ** 2, axis=1) * detector.spacing
-    rhs_single = 2.0 * frame.support_radius * frame.norm2_sq()
-    dtheta = 2.0 * np.pi / angles.size
-    lhs = float(per_angle.sum() * dtheta)
-    rhs = float(np.pi * 2.0 * frame.support_radius * frame.norm2_sq())
-    ratio = per_angle / rhs_single if rhs_single > 0 else np.zeros_like(per_angle)
-    return Theorem1Result(lhs=lhs, rhs=rhs, per_angle_ratio=ratio)
 
 
 def _taylor_remainder(x: float, K: int) -> float:

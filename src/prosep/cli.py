@@ -54,10 +54,9 @@ per product (``recon.movie_chunks``).  ``metrics`` compares the shapes in
 the two files' headers before it reads any payload, finds the
 benchmark's peak in a first pass over its file, and then compares the
 frames one pair at a time (``phantom.MovieFile``, which masks and checks
-each chunk as ``phantom.Movie`` masks and checks a whole movie).  Every
-file is written through ``<path>.tmp`` and renamed when complete; a
-write that fails removes the temporary file and leaves ``<path>`` as it
-was.
+each chunk as it is read).  Every file is written through ``<path>.tmp``
+and renamed when complete; a write that fails removes the temporary file
+and leaves ``<path>`` as it was.
 """
 
 from __future__ import annotations
@@ -266,8 +265,6 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
     _need(_is_int(cfg.get("P")) and cfg["P"] >= 2, "P", "must be an integer >= 2")
     kind = cfg["scheme"].get("kind")
     _need(kind in SCHEME_KINDS, "scheme.kind", "must be " + " | ".join(SCHEME_KINDS))
-    if kind == "bit_reversed":
-        _need(cfg["P"] & (cfg["P"] - 1) == 0, "P", "must be a power of two for bit_reversed")
     scheme_seed = cfg["scheme"].get("seed")
     _need(scheme_seed is None or (_is_int(scheme_seed) and scheme_seed >= 0), "scheme.seed",
           "must be null or a nonnegative integer")

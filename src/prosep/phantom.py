@@ -8,8 +8,9 @@ interpolation error.
 
 Frame p of a P-frame movie or acquisition is the object at t_p = p / P
 (``sampling.sample_times``); nothing stores the times, every function
-indexes frames by p.  A single image is a ``radon.Frame``.  Ellipse and
-motion parameters must be finite real numbers.
+indexes frames by p.  A frame is a W x W array, masked to the support
+disk as ``radon.Frame`` masks one image.  Ellipse and motion parameters
+must be finite real numbers.
 
 Each movie stage has one entry point.  ``render_chunks`` renders the
 ground-truth movie a few frames at a time, so a caller can write it
@@ -17,14 +18,12 @@ without holding it.  ``simulate_acquisition`` takes one view of each
 truth frame, and ``benchmark_movie`` reconstructs every truth frame from
 a full angle set (``radon.project_fbp``) and leaves the result tile by
 tile (``radon.TiledImages``), to be copied out a chunk at a time.  Both
-take the truth as a ``Movie`` or a ``MovieFile``, through the length,
-the frame iteration and the ``chunks`` that both have.  A ``MovieFile``
-is a movie kept in a tensor file: it holds the path and the shape from
-the header, and reads the frames back a chunk at a time
-(``tensorio.read_chunks``), masking and checking each chunk as a
-``Movie`` is masked and checked; ``cli`` passes one for the truth it
-has written.  A ``Movie`` is one P x W x W array in memory, a masked
-copy of the array it is given.
+take the truth as a ``MovieFile``, or as any movie with its length,
+frame iteration, ``chunks``, ``shape`` and ``pixel_size``.  A
+``MovieFile`` is a movie kept in a tensor file: it holds the path and
+the shape from the header, and reads the frames back a chunk at a time
+(``tensorio.read_chunks``), masking and checking each chunk; ``cli``
+passes one for the truth it has written.
 """
 
 from __future__ import annotations
@@ -40,7 +39,6 @@ import numpy as np
 from .errors import ProsepError, SupportError
 from .radon import (
     DetectorGrid,
-    Frame,
     TiledImages,
     grid_coords,
     project_fbp,
@@ -54,16 +52,13 @@ __all__ = [
     "Ellipse",
     "PhantomSpec",
     "MotionSpec",
-    "Movie",
     "MovieFile",
     "TimeSequentialSinogram",
     "motion_at",
-    "render_frame",
     "render_chunks",
     "simulate_acquisition",
     "benchmark_movie",
     "example_phantom",
-    "example_motion",
 ]
 
 
@@ -240,52 +235,8 @@ def _rasterize(spec: PhantomSpec, Ainv: np.ndarray, b: np.ndarray):
         yield values
 
 
-def render_frame(spec: PhantomSpec, motion: MotionSpec, t: float) -> Frame:
-    """Analytic rasterization of the warped phantom at time t, as ``render_chunks`` renders it."""
-    values = next(_render(spec, motion, np.array([t], dtype=float)))
-    return Frame(values=values[0], pixel_size=spec.pixel_size)
-
-
-@dataclass(frozen=True)
-class Movie:
-    """P square frames on one grid, frame p at t_p = p / P.
-
-    ``values`` is the P x W x W float64 array of frames, a copy of the
-    given array masked to the support disk exactly as ``Frame`` masks
-    one image.
-    """
-
-    values: np.ndarray
-    pixel_size: float = 1.0
-
-    def __post_init__(self):
-        _check_movie_shape(np.shape(self.values))
-        object.__setattr__(self, "values", support_masked(self.values, ndim=3))
-        if self.pixel_size <= 0:
-            raise ValueError("pixel_size must be positive")
-
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __iter__(self):
-        """The frames in order, each a W x W view of ``values``."""
-        return iter(self.values)
-
-    @property
-    def shape(self) -> tuple:
-        return self.values.shape
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
-
-    def chunks(self):
-        """The frames as C-order chunks of consecutive frames: here one chunk, ``values``."""
-        return iter((self.values,))
-
-
 def _check_movie_shape(shape: tuple) -> None:
-    """A movie is a nonempty P x W x W array; the messages are those of ``Movie``."""
+    """A movie is a nonempty P x W x W array."""
     if math.prod(shape) == 0:
         raise ValueError(f"movie is empty, shape {shape}")
     if len(shape) != 3 or shape[1] != shape[2]:
@@ -299,8 +250,8 @@ class MovieFile:
     The shape comes from the file's header when the ``MovieFile`` is
     made, before any payload is read; ``chunks`` reads the frames in
     C-order chunks of ``tensorio.CHUNK_VALUES`` values, each masked in
-    place and checked as ``Movie`` masks and checks its array.  A file
-    that is not a movie tensor is a ``ProsepError`` that names the path;
+    place and checked as ``radon.Frame`` masks and checks one image.  A
+    file that is not a movie tensor is a ``ProsepError`` that names the path;
     one whose header or payload length is broken is the reader's
     ``TensorFormatError``, which names it too.
     """
@@ -372,17 +323,17 @@ class TimeSequentialSinogram:
 def render_chunks(spec: PhantomSpec, motion: MotionSpec, P: int):
     """Ground-truth movie: analytic frames at t_p = p / P, as chunks of a few frames.
 
-    Each chunk is masked as a ``Movie`` is.  The motion is checked for
-    all P times before this returns; the frames are rendered as the
-    returned generator is read, so the movie is never held whole
-    (``cli`` writes it straight to its tensor file).
+    Each chunk is masked as ``radon.Frame`` masks one image.  The motion
+    is checked for all P times before this returns; the frames are
+    rendered as the returned generator is read, so the movie is never
+    held whole (``cli`` writes it straight to its tensor file).
     """
     chunks = _render(spec, motion, sample_times(P))
     return (support_masked(chunk, ndim=3, copy=False) for chunk in chunks)
 
 
 def simulate_acquisition(
-    truth: Movie | MovieFile,
+    truth,
     scheme: AngularScheme,
     detector: DetectorGrid,
     noise_sigma: float = 0.0,
@@ -408,7 +359,7 @@ def simulate_acquisition(
 
 
 def benchmark_movie(
-    truth: Movie | MovieFile,
+    truth,
     fbp_angles_count: int,
     detector: DetectorGrid,
 ) -> TiledImages:
@@ -437,13 +388,3 @@ def example_phantom(width: int = 64, support_diameter: float = 2.0) -> PhantomSp
         Ellipse(center=(-0.04 * r, 0.26 * r), semi_axes=(0.09 * r, 0.07 * r), angle=0.0, intensity=0.8),
     )
     return PhantomSpec(ellipses=ells, width=width, pixel_size=support_diameter / width)
-
-
-def example_motion(width: int = 64, support_diameter: float = 2.0) -> MotionSpec:
-    """Default smooth motion: ~3 px translation, pi/16 rotation, mild scaling."""
-    px = support_diameter / width
-    return MotionSpec(
-        translation=(2.2 * px, -2.0 * px),
-        rotation=np.pi / 16.0,
-        scaling=(0.05, -0.04),
-    )

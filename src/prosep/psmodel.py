@@ -8,10 +8,10 @@ where Theta collects circular harmonics of the view angles, Psi = U Z
 holds the sampled temporal functions, and beta(s) stacks the
 harmonic-by-temporal coefficients for detector offset s (harmonic-major,
 temporal-minor).  This module constructs the harmonic matrices, the
-column blocks of L1, the face-splitting products, the operator L2 linear
-in vec(Z), and the fixed interpolators (cubic B-spline and Legendre
-bases).  ``condition_number`` is the one kappa rule that the solver's
-report and the conditioning study share.
+column blocks of L1, the face-splitting products, the row factors of
+the operator L2 linear in vec(Z), and the fixed interpolators (cubic
+B-spline and Legendre bases).  ``condition_number`` is the one kappa
+rule that the solver's report and the conditioning study share.
 
 The half-turn identity g(-s, theta) = g(s, theta + pi) doubles the
 equations: L1_hat = [T; T diag((-1)^n)] * [U; U] Z has 2P rows, and rows
@@ -49,7 +49,6 @@ __all__ = [
     "face_split",
     "spline_interpolator",
     "legendre_basis",
-    "build_L2",
     "l2_row_factors",
     "real_trig_theta",
     "real_trig_theta_hat",
@@ -252,38 +251,14 @@ class HarmonicCoefficients:
         return self.beta.shape[1]
 
 
-def build_L2(
-    beta: np.ndarray,
-    theta_hat: np.ndarray,
-    u_hat: np.ndarray,
-    order: HarmonicOrder,
-) -> np.ndarray:
-    """Operator linear in vec(Z), stacked per row i then per offset s_j.
-
-    Row (i, j) is beta(s_j)^T A_i^T (I_{K+1} (x) u_hat[i]) with the
-    per-row operator A_i = theta_hat[i] (x) I_{K+1}; the full
-    matrix has shape (rows * J, d * (K+1)) and satisfies
-    g_hat_stacked = L2(beta) vec(Z) whenever g_hat(s) = L1(Z) beta(s).
-    ``beta`` is the (2N+1)(K+1) x J coefficient array.
-    """
-    Bcols = np.asarray(beta)
-    rows, n_harm = theta_hat.shape
-    if n_harm != order.n_harmonics:
-        raise ValueError("theta_hat column count does not match order.N")
-    if u_hat.shape[0] != rows:
-        raise ValueError("u_hat row count must match theta_hat")
-    if Bcols.shape[0] != order.cols:
-        raise ValueError("beta row count must equal (2N+1)(K+1)")
-    C = l2_row_factors(Bcols, theta_hat, order)
-    J, d = Bcols.shape[1], u_hat.shape[1]
-    return (C[:, :, :, None] * u_hat[:, None, None, :]).reshape(rows * J, order.n_temporal * d)
-
-
 def l2_row_factors(beta: np.ndarray, theta_hat: np.ndarray, order: HarmonicOrder) -> np.ndarray:
     """C[i, j, k] = sum_n theta_hat[i, n] beta[(n, k), j], shape rows x J x (K+1).
 
-    Row block i of ``build_L2`` (its J rows) is kron(C[i], u_hat[i]).  The
-    sum over n is one matrix product theta_hat @ beta as (2N+1) x (K+1)J.
+    L2(beta), the operator linear in vec(Z) with g_hat_stacked = L2(beta)
+    vec(Z) whenever g_hat(s) = L1(Z) beta(s), has row (i, j)
+    beta(s_j)^T A_i^T (I_{K+1} (x) u_hat[i]) with A_i = theta_hat[i] (x)
+    I_{K+1}: its row block i (J rows) is kron(C[i], u_hat[i]).  The sum
+    over n is one matrix product theta_hat @ beta as (2N+1) x (K+1)J.
     """
     C = theta_hat @ np.asarray(beta).reshape(order.n_harmonics, -1)
     return C.reshape(theta_hat.shape[0], order.n_temporal, -1).transpose(0, 2, 1)

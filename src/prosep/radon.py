@@ -441,10 +441,9 @@ def project_sequence(frames, pixel_size: float, angles, detector: DetectorGrid) 
     """The J x P time-sequential sinogram: column p is frame p projected at ``angles[p]``.
 
     ``frames`` yields P W x W arrays, already masked to the support disk
-    (a ``phantom.Movie`` or ``phantom.MovieFile`` does), in order; column
-    p equals ``radon_project(Frame(frame p), [angles[p]], detector)``.
-    All P views share one workspace, so a long movie maps no memory per
-    frame.
+    (a ``phantom.MovieFile`` does), in order; column p equals
+    ``radon_project(Frame(frame p), [angles[p]], detector)``.  All P
+    views share one workspace, so a long movie maps no memory per frame.
 
     Raises
     ------

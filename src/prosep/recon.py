@@ -12,9 +12,8 @@ returns Psi and Phi, and ``movie_chunks`` forms the product a few frames
 at a time, so ``cli`` writes the movie without holding it.  The caller
 names the output grid and the synthesis angle count: ``cli`` resolves
 them once from the run configuration.  Metrics compare two movies frame
-by frame, held in memory (``phantom.Movie``) or read a chunk at a time
-from their tensor files (``phantom.MovieFile``); the per-frame metrics
-take plain arrays.
+by frame, each read a chunk at a time from its tensor file
+(``phantom.MovieFile``); the per-frame metrics take plain arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .phantom import Movie, MovieFile
 from .psmodel import HarmonicCoefficients, HarmonicOrder, real_trig_theta
 # fbp is not called here; perfbench's tracer test wraps it at this import site
 from .radon import (  # noqa: F401
@@ -288,8 +286,7 @@ def _frame_metrics(x, ref, peak: float, ws: _Workspace) -> MetricsRow:
                       mae=mae(x, ref))
 
 
-def movie_metrics(movie: Movie | MovieFile, benchmark: Movie | MovieFile,
-                  peak: float | None = None):
+def movie_metrics(movie, benchmark, peak: float | None = None):
     """Per-frame metric rows plus their arithmetic mean.
 
     The PSNR/SSIM peak is global: the maximum over the whole benchmark

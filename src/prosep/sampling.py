@@ -2,8 +2,9 @@
 
 Frame p of a P-frame acquisition is the object at t_p = p / P
 (``sample_times``), seen from one view angle theta_p.  Three schemes are
-supported: a progressive sweep, uniform random draws,
-and the bit-reversed permutation of the progressive sweep.  The angular
+supported: a progressive sweep, uniform random draws, and the
+bit-reversed order, which is defined for every P (at P = 2^m it is the
+progressive sweep permuted by bit reversal of the index).  The angular
 span is ``pi`` when the half-turn symmetry of parallel-beam projections
 is exploited downstream, and ``2*pi`` otherwise.
 """
@@ -19,7 +20,6 @@ __all__ = [
     "progressive",
     "random_scheme",
     "bit_reversed",
-    "bit_reversal_permutation",
     "span_for",
     "sample_times",
 ]
@@ -95,20 +95,20 @@ def random_scheme(P: int, span: float, seed: int) -> AngularScheme:
     return AngularScheme(angles=angles, span=span, kind="random")
 
 
-def bit_reversal_permutation(P: int) -> np.ndarray:
-    """Permutation p -> reverse of the log2(P)-bit binary representation of p."""
-    if P < 1 or (P & (P - 1)) != 0:
-        raise ValueError(f"P must be a power of two, got {P}")
-    m = P.bit_length() - 1
-    idx = np.arange(P)
-    rev = np.zeros(P, dtype=np.int64)
-    for b in range(m):
-        rev |= ((idx >> b) & 1) << (m - 1 - b)
-    return rev
-
-
 def bit_reversed(P: int, span: float) -> AngularScheme:
-    """Bit-reversed ordering of the progressive sweep; P must be a power of two."""
-    rev = bit_reversal_permutation(P)
-    angles = rev * (span / P)
-    return AngularScheme(angles=angles, span=span, kind="bit_reversed")
+    """span times the first P terms of the base-2 van der Corput sequence.
+
+    Term p is the radical inverse of p, its binary digits mirrored about
+    the point: sum_b bit_b(p) 2^-(b+1).  Every prefix of the sequence is
+    spread over [0, 1) with no repeat, so any P >= 1 works; at P = 2^m
+    the angles are the progressive sweep's in bit-reversed order.  Each
+    term is a dyadic fraction built exactly by doubling the sequence
+    (the second half is the first shifted by half its spacing), so the
+    angles are span times exact values.
+    """
+    if P < 1:
+        raise ValueError("P must be >= 1")
+    phi = np.zeros(1)
+    while phi.size < P:
+        phi = np.concatenate([phi, phi + 0.5 / phi.size])
+    return AngularScheme(angles=span * phi[:P], span=span, kind="bit_reversed")

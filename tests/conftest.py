@@ -1,14 +1,19 @@
 """Shared test helpers: analytic oracles independent of the library paths."""
 
+from dataclasses import dataclass
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from prosep.phantom import Movie, TimeSequentialSinogram
+from prosep.cli import DEFAULT_CONFIG, _motion_from_config
+from prosep.phantom import TimeSequentialSinogram, _check_movie_shape, _render
 from prosep.psmodel import (
     HarmonicOrder,
     face_split,
     harmonic_parity,
+    l2_row_factors,
     real_trig_theta,
     real_trig_theta_hat,
     spline_interpolator,
@@ -20,9 +25,56 @@ from prosep.radon import (
     _reduced_trig,
     fbp,
     grid_coords,
+    radon_project,
     support_mask,
+    support_masked,
 )
 from prosep.sampling import bit_reversed
+
+# the motion of the default run configuration: 2.2 and 2 pixels at width 64, pi/16
+DEFAULT_MOTION = _motion_from_config(DEFAULT_CONFIG)
+
+
+@dataclass(frozen=True)
+class Movie:
+    """A movie held in memory, with what the movie stages read of a ``phantom.MovieFile``.
+
+    ``values`` is a copy of the given P x W x W array, masked to the
+    support disk as ``Frame`` masks one image and checked as a
+    ``MovieFile`` checks its chunks; ``chunks`` yields it as one chunk.
+    """
+
+    values: np.ndarray
+    pixel_size: float = 1.0
+
+    def __post_init__(self):
+        _check_movie_shape(np.shape(self.values))
+        object.__setattr__(self, "values", support_masked(self.values, ndim=3))
+        if self.pixel_size <= 0:
+            raise ValueError("pixel_size must be positive")
+
+    def __len__(self):
+        return len(self.values)
+
+    def __iter__(self):
+        return iter(self.values)
+
+    @property
+    def shape(self):
+        return self.values.shape
+
+    @property
+    def width(self):
+        return self.values.shape[1]
+
+    def chunks(self):
+        return iter((self.values,))
+
+
+def render_at(spec, motion, t):
+    """The truth frame at any time t in [0, 1], rendered as ``render_chunks`` renders its frames."""
+    return Frame(values=next(_render(spec, motion, np.array([t], dtype=float)))[0],
+                 pixel_size=spec.pixel_size)
 
 
 def movie_of(chunks, pixel_size=1.0):
@@ -199,9 +251,50 @@ def build_A(theta_hat, i, K):
     return np.kron(theta_hat[i][None, :], np.eye(K + 1))
 
 
+def build_L2(beta, theta_hat, u_hat, order):
+    """The operator L2(beta) linear in vec(Z), stacked per row i then per offset s_j.
+
+    Row (i, j) is beta(s_j)^T A_i^T (I_{K+1} (x) u_hat[i]) with the
+    per-row operator A_i = theta_hat[i] (x) I_{K+1}; the full matrix has
+    shape (rows * J, d * (K+1)) and satisfies g_hat_stacked = L2(beta)
+    vec(Z) whenever g_hat(s) = L1(Z) beta(s).  ``beta`` is the
+    (2N+1)(K+1) x J coefficient array.
+    """
+    C = l2_row_factors(beta, theta_hat, order)
+    rows, J, d = theta_hat.shape[0], beta.shape[1], u_hat.shape[1]
+    return (C[:, :, :, None] * u_hat[:, None, None, :]).reshape(rows * J, order.n_temporal * d)
+
+
 def vec(Z):
     """Column-major vectorization: vec(Z)[k*d + m] = Z[m, k]."""
     return np.asarray(Z).reshape(-1, order="F")
+
+
+class Theorem1Result(NamedTuple):
+    lhs: float
+    rhs: float
+    per_angle_ratio: np.ndarray
+
+
+def theorem1_check(frame, angles):
+    """Projection-energy bound of the paper's Theorem 1 for a residual frame.
+
+    lhs integrates the per-angle projection energy
+    sum_j |Rf(s_j, theta)|^2 * spacing over a full turn (weight
+    2*pi / len(angles)); rhs = 2*pi*L*||f||^2 is the stated bound.
+    ``per_angle_ratio`` holds each angle's energy against its own bound
+    2*L*||f||^2, the inequality the proof uses; it holds in the continuum
+    for a frame supported in the disk of radius L, and discretization can
+    add a few percent of quadrature slack.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    detector = DetectorGrid.for_frame(frame)
+    g = radon_project(frame, angles, detector).values
+    per_angle = np.sum(g**2, axis=0) * detector.spacing
+    rhs_single = 2.0 * frame.support_radius * frame.norm2_sq()
+    lhs = float(per_angle.sum() * 2.0 * np.pi / angles.size)
+    ratio = per_angle / rhs_single if rhs_single > 0 else np.zeros_like(per_angle)
+    return Theorem1Result(lhs=lhs, rhs=float(np.pi * rhs_single), per_angle_ratio=ratio)
 
 
 def random_masked_frame(rng, width=48, pixel_size=None):

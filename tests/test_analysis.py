@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import complex_l1, indicator_disk, random_masked_frame
+from conftest import build_L2, complex_l1, indicator_disk, random_masked_frame, theorem1_check
 from prosep import analysis
 from prosep.analysis import (
     GRAM_MARGIN,
@@ -18,14 +18,12 @@ from prosep.analysis import (
     rank_check_L1,
     rotation_bound,
     table1,
-    theorem1_check,
     theorem3_sweep,
     translation_bound,
 )
 from prosep.psmodel import (
     HarmonicOrder,
     L1Block,
-    build_L2,
     build_theta,
     face_split,
     l1_factors,
@@ -44,6 +42,12 @@ def test_cond_L1_bit_reversed_reference_values():
     k_sym = cond_L1(bit_reversed(P, np.pi), K, N, symmetric=True)
     assert abs(k_nosym - 11.7) / 11.7 < 0.15
     assert abs(k_sym - 3.0) / 3.0 < 0.15
+
+
+def test_cond_L1_bit_reversed_at_a_p_that_is_not_a_power_of_two():
+    """P = 384 with the study's orders, the symmetric kappa the paper's Table 1 would list."""
+    kappa = cond_L1(bit_reversed(384, np.pi), 5, 28, symmetric=True)
+    assert kappa == pytest.approx(5.019204589604617, rel=1e-6)
 
 
 def test_cond_L1_progressive_is_singular():

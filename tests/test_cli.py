@@ -10,13 +10,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import movie_of
+from conftest import DEFAULT_MOTION, Movie, movie_of
 from prosep import analysis
 from prosep.cli import ConfigError, _resolve_nulls, build_parser, load_config, main
 from prosep.errors import ProsepError, TensorFormatError
 from prosep.phantom import (
-    MotionSpec,
-    Movie,
     MovieFile,
     benchmark_movie,
     example_phantom,
@@ -26,7 +24,7 @@ from prosep.phantom import (
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator
 from prosep.radon import DetectorGrid, support_mask
 from prosep.recon import ProSepSolution, movie_factors, movie_metrics
-from prosep.sampling import random_scheme, sample_times, span_for
+from prosep.sampling import bit_reversed, random_scheme, sample_times, span_for
 from prosep.solver import SolverConfig, SolverReport
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
 
@@ -312,11 +310,21 @@ def test_simulate_bad_config_file_exits_1_with_one_line(tmp_path, capsys, conten
 
 
 def test_simulate_invalid_config_exits_1(tmp_path, capsys):
-    rc = main(["simulate", "--out", str(tmp_path / "x"), "--P", "33",
-               "--scheme", "bit_reversed"])
+    rc = main(["simulate", "--out", str(tmp_path / "x"), "--P", "1"])
     assert rc == 1
     err = capsys.readouterr().err
-    assert "P" in err  # message names the offending field
+    assert "'P'" in err  # message names the offending field
+
+
+def test_simulate_bit_reversed_at_a_p_that_is_not_a_power_of_two(tmp_path):
+    """The bit-reversed angles of P = 48 are the first 48 of those of P = 64."""
+    out = tmp_path / "run"
+    assert main(["simulate", "--out", str(out), "--P", "48", "--width", "16", "--K", "1",
+                 "--N", "3", "--d", "2"]) == 0
+    cfg = json.loads((out / "manifest.json").read_text())
+    assert cfg["scheme"]["kind"] == "bit_reversed" and cfg["P"] == 48
+    assert read_tensor(out / "angles.tensor").tobytes() == \
+        bit_reversed(64, span_for(True)).angles[:48].tobytes()
 
 
 def test_manifest_replay_reproduces_run(tmp_path):
@@ -560,6 +568,15 @@ def test_analyze_table1_layout(tmp_path):
     assert lines[-1].startswith("kappa_L2")
 
 
+def test_analyze_table1_at_a_p_that_is_not_a_power_of_two(tmp_path):
+    """P = 384 with the default orders: the symmetric bit-reversed kappa(L1) is finite."""
+    assert main(["analyze", "--out", str(tmp_path), "--table1", "--P", "384",
+                 "--trials", "5"]) == 0
+    rows = [l.split(",") for l in (tmp_path / "table1.csv").read_text().splitlines()[1:]]
+    kappa = {tuple(r[:3]): float(r[3]) for r in rows}
+    assert kappa["kappa_L1", "bit_reversed", "1"] == pytest.approx(5.0192, rel=1e-4)
+
+
 def test_analyze_thm2_and_no_flags(tmp_path, capsys):
     rc = main(["analyze", "--out", str(tmp_path), "--thm2",
                "--P", "32", "--K", "1", "--N", "5", "--trials", "10"])
@@ -688,12 +705,9 @@ def test_simulate_of_a_noisy_random_run_writes_the_library_results(tmp_path):
                               "--noise-sigma", "0.02"]) == 0
     cfg = json.loads((out / "manifest.json").read_text())
     assert cfg["scheme"] == {"kind": "random", "seed": 5} and cfg["noise_sigma"] == 0.02
-    grid, motion = cfg["grid"], cfg["motion"]
+    grid = cfg["grid"]
     spec = example_phantom(width=grid["width"], support_diameter=grid["support_diameter"])
-    truth = movie_of(render_chunks(spec, MotionSpec(translation=tuple(motion["translation"]),
-                                                    rotation=motion["rotation"],
-                                                    scaling=tuple(motion["scaling"])), cfg["P"]),
-                     spec.pixel_size)
+    truth = movie_of(render_chunks(spec, DEFAULT_MOTION, cfg["P"]), spec.pixel_size)
     scheme = random_scheme(cfg["P"], span_for(cfg["symmetric"]), seed=5)
     detector = DetectorGrid(**cfg["detector"])
     data = simulate_acquisition(truth, scheme, detector, noise_sigma=0.02, seed=cfg["seed"])
@@ -766,12 +780,8 @@ def test_simulate_in_chunks_writes_the_whole_array_library_results(tmp_path):
     assert chunked_simulate(out) == 0
     cfg = json.loads((out / "manifest.json").read_text())
     assert cfg["fbp_angles_count"] == CHUNKED["P"]  # min(P, 4W) = P
-    motion = cfg["motion"]
     spec = example_phantom(width=CHUNKED["width"])
-    truth = movie_of(render_chunks(spec, MotionSpec(translation=tuple(motion["translation"]),
-                                                    rotation=motion["rotation"],
-                                                    scaling=tuple(motion["scaling"])), cfg["P"]),
-                     spec.pixel_size)
+    truth = movie_of(render_chunks(spec, DEFAULT_MOTION, cfg["P"]), spec.pixel_size)
     scheme = random_scheme(cfg["P"], span_for(True), seed=2)
     detector = DetectorGrid(**cfg["detector"])
     data = simulate_acquisition(truth, scheme, detector, noise_sigma=0.02, seed=cfg["seed"])
@@ -782,7 +792,7 @@ def test_simulate_in_chunks_writes_the_whole_array_library_results(tmp_path):
 
 
 @pytest.mark.parametrize("P", [37, 29])  # a short last chunk; a lone last frame (28 + 1)
-def test_streamed_movie_equals_reconstruct_movie(tmp_path, P):
+def test_streamed_movie_equals_movie_factors_product(tmp_path, P):
     """movie.tensor, written a chunk of frames at a time, is the one whole product Psi Phi, masked.
 
     P = 29 leaves a lone last frame, which joins the chunk before it:

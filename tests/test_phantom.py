@@ -1,20 +1,17 @@
 import numpy as np
 import pytest
 
-from conftest import movie_of, naive_fbp
+from conftest import DEFAULT_MOTION, Movie, movie_of, naive_fbp, render_at
 from prosep.errors import ProsepError, SupportError
 from prosep.phantom import (
     Ellipse,
     MotionSpec,
-    Movie,
     MovieFile,
     PhantomSpec,
     benchmark_movie,
-    example_motion,
     example_phantom,
     motion_at,
     render_chunks,
-    render_frame,
     simulate_acquisition,
 )
 from prosep.radon import DetectorGrid, Frame, Sinogram, fbp, radon_project
@@ -24,7 +21,7 @@ from prosep.tensorio import write_tensor
 
 
 def test_motion_at_identity_at_t0():
-    A, b = motion_at(example_motion(), 0.0)
+    A, b = motion_at(DEFAULT_MOTION, 0.0)
     assert np.allclose(A, np.eye(2), atol=1e-15)
     assert np.allclose(b, 0.0, atol=1e-15)
 
@@ -54,8 +51,8 @@ def test_motion_composition_order():
 
 def test_static_phantom_constant_in_time():
     spec = example_phantom(width=48)
-    f0 = render_frame(spec, MotionSpec(), 0.0)
-    f1 = render_frame(spec, MotionSpec(), 0.63)
+    f0 = render_at(spec, MotionSpec(), 0.0)
+    f1 = render_at(spec, MotionSpec(), 0.63)
     assert np.array_equal(f0.values, f1.values)
 
 
@@ -68,8 +65,8 @@ def test_translation_by_whole_pixels_is_exact_shift():
     )
     k = 3
     m = MotionSpec(translation=(k * spec.pixel_size, 0.0))
-    shifted = render_frame(spec, m, 0.5)  # shift right by k pixels
-    base = render_frame(spec, MotionSpec(), 0.0)
+    shifted = render_at(spec, m, 0.5)  # shift right by k pixels
+    base = render_at(spec, MotionSpec(), 0.0)
     assert np.array_equal(shifted.values[:, k:], base.values[:, :-k])
 
 
@@ -81,7 +78,7 @@ def test_rotation_of_centered_circle_is_exact():
         pixel_size=2.0 / W,
     )
     m = MotionSpec(rotation=np.pi / 5)
-    frames = [render_frame(spec, m, t) for t in np.linspace(0, 1, 7)]
+    frames = [render_at(spec, m, t) for t in np.linspace(0, 1, 7)]
     for f in frames[1:]:
         assert np.array_equal(f.values, frames[0].values)
 
@@ -101,7 +98,7 @@ def test_mass_under_rotation_nearly_constant():
     )
     m = MotionSpec(rotation=np.pi / 4)
     masses = [
-        render_frame(spec, m, t).values.sum() * spec.pixel_size**2
+        render_at(spec, m, t).values.sum() * spec.pixel_size**2
         for t in np.linspace(0, 1, 9)
     ]
     masses = np.asarray(masses)
@@ -115,9 +112,9 @@ def test_support_violation_raises():
         pixel_size=2.0 / 32,
     )
     m = MotionSpec(translation=(0.3, 0.0))
-    render_frame(spec, m, 0.0)  # fine at t=0
+    render_at(spec, m, 0.0)  # fine at t=0
     with pytest.raises(SupportError):
-        render_frame(spec, m, 0.5)
+        render_at(spec, m, 0.5)
 
 
 def test_movie_masks_each_frame_as_frame_does(rng):
@@ -158,30 +155,29 @@ def test_movie_and_frame_reject_nonpositive_pixel_size(pixel_size):
         Frame(values=np.zeros((4, 4)), pixel_size=pixel_size)
 
 
-def test_render_movie_equals_its_frames_and_checks_every_time():
-    """The chunked renderer gives, byte for byte, the frames of ``render_frame``."""
-    spec, motion = example_phantom(width=24), example_motion(width=24)
+def test_render_chunks_equal_their_frames_and_check_every_time():
+    """The chunked renderer gives, byte for byte, the frames rendered one time at a time."""
+    spec = example_phantom(width=24)
     P = 37  # more frames than one chunk holds, and a partial last chunk
-    movie = np.concatenate(list(render_chunks(spec, motion, P)))
-    want = np.stack([render_frame(spec, motion, p / P).values for p in range(P)])
+    movie = np.concatenate(list(render_chunks(spec, DEFAULT_MOTION, P)))
+    want = np.stack([render_at(spec, DEFAULT_MOTION, p / P).values for p in range(P)])
     assert movie.tobytes() == want.tobytes()
     # a motion that leaves the disk only late in the movie fails the whole movie
     late = MotionSpec(translation=(0.6, 0.0))
-    render_frame(spec, late, 0.02)
+    render_at(spec, late, 0.02)
     with pytest.raises(SupportError, match="leaves the support disk"):
         render_chunks(spec, late, 8)
 
 
 def test_motion_at_takes_an_array_of_times():
-    motion = example_motion()
     times = np.linspace(0.0, 1.0, 7)
-    A, b = motion_at(motion, times)
+    A, b = motion_at(DEFAULT_MOTION, times)
     assert A.shape == (7, 2, 2) and b.shape == (7, 2)
     for t, A_t, b_t in zip(times, A, b):
-        A1, b1 = motion_at(motion, float(t))
+        A1, b1 = motion_at(DEFAULT_MOTION, float(t))
         assert A_t.tobytes() == A1.tobytes() and b_t.tobytes() == b1.tobytes()
     with pytest.raises(ValueError, match=r"t must be in \[0, 1\]"):
-        motion_at(motion, np.array([0.5, 1.5]))
+        motion_at(DEFAULT_MOTION, np.array([0.5, 1.5]))
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -212,10 +208,9 @@ def test_motion_rejects_entries_that_are_not_finite_reals(kwargs):
 
 def test_simulate_acquisition_deterministic():
     spec = example_phantom(width=32)
-    motion = example_motion(width=32)
     sch = bit_reversed(16, span=np.pi)
     det = DetectorGrid(count=33, spacing=spec.pixel_size)
-    truth = movie_of(render_chunks(spec, motion, 16), spec.pixel_size)
+    truth = movie_of(render_chunks(spec, DEFAULT_MOTION, 16), spec.pixel_size)
     a = simulate_acquisition(truth, sch, det, noise_sigma=0.05, seed=11)
     b = simulate_acquisition(truth, sch, det, noise_sigma=0.05, seed=11)
     assert np.array_equal(a.values, b.values)
@@ -225,13 +220,12 @@ def test_simulate_acquisition_deterministic():
 
 def test_acquired_column_is_single_angle_projection():
     spec = example_phantom(width=32)
-    motion = example_motion(width=32)
     sch = progressive(8, span=np.pi)
     det = DetectorGrid(count=33, spacing=spec.pixel_size)
-    truth = movie_of(render_chunks(spec, motion, 8), spec.pixel_size)
+    truth = movie_of(render_chunks(spec, DEFAULT_MOTION, 8), spec.pixel_size)
     data = simulate_acquisition(truth, sch, det)
     p = 5
-    frame = render_frame(spec, motion, p / 8)
+    frame = render_at(spec, DEFAULT_MOTION, p / 8)
     col = radon_project(frame, [sch.angles[p]], det).values[:, 0]
     assert np.array_equal(data.values[:, p], col)
 
@@ -260,14 +254,14 @@ def test_simulate_acquisition_needs_one_frame_per_view():
     spec = example_phantom(width=16)
     det = DetectorGrid(count=17, spacing=spec.pixel_size)
     with pytest.raises(ValueError, match="one frame per view"):
-        simulate_acquisition(movie_of(render_chunks(spec, example_motion(width=16), 4),
+        simulate_acquisition(movie_of(render_chunks(spec, DEFAULT_MOTION, 4),
                                       spec.pixel_size), progressive(8, span=np.pi), det)
 
 
 def test_benchmark_movie_equals_per_frame_fbp_of_projections():
     """Oracle: the batched reference is fbp(radon_project(truth)) frame by frame."""
     spec = example_phantom(width=24)
-    truth = movie_of(render_chunks(spec, example_motion(width=24), 5), spec.pixel_size)
+    truth = movie_of(render_chunks(spec, DEFAULT_MOTION, 5), spec.pixel_size)
     det = DetectorGrid(count=29, spacing=1.1 * spec.pixel_size)
     count = 20
     angles = np.arange(count) * (np.pi / count)
@@ -292,8 +286,7 @@ def test_benchmark_movie_static_frames_identical():
 def test_benchmark_quality_and_angle_monotonicity():
     """Benchmark movie reaches 28 dB vs the analytic frames at 128 grid."""
     spec = example_phantom(width=128)
-    motion = example_motion(width=128)
-    truth = movie_of(render_chunks(spec, motion, 2), spec.pixel_size)
+    truth = movie_of(render_chunks(spec, DEFAULT_MOTION, 2), spec.pixel_size)
     peak = truth.values.max()
     scores = {}
     for A in (180, 360):
@@ -307,15 +300,13 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     """Time-sequential inconsistency costs >= 5 dB against the benchmark."""
     W = 64
     spec = example_phantom(width=W)
-    motion = example_motion(width=W)
     P = 256
     sch = bit_reversed(P, span=np.pi)
     det = DetectorGrid(count=W + 1, spacing=spec.pixel_size)
-    data = simulate_acquisition(movie_of(render_chunks(spec, motion, P), spec.pixel_size),
-                                sch, det)
-    naive = naive_fbp(data, width=W, pixel_size=spec.pixel_size)
+    acquired = movie_of(render_chunks(spec, DEFAULT_MOTION, P), spec.pixel_size)
+    naive = naive_fbp(simulate_acquisition(acquired, sch, det), width=W, pixel_size=spec.pixel_size)
 
-    truth = movie_of(render_chunks(spec, motion, 8), spec.pixel_size)
+    truth = movie_of(render_chunks(spec, DEFAULT_MOTION, 8), spec.pixel_size)
     bench = benchmark_movie(truth, fbp_angles_count=P, detector=DetectorGrid.for_frame(truth))
     peak = truth.values.max()
     psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.images(), truth.values)])
@@ -323,10 +314,10 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     assert psnr_naive <= psnr_bench - 5.0
 
 
-def test_render_chunks_are_the_frames_of_render_movie():
+def test_render_chunks_are_masked_c_order_chunks():
     """Chunks of 28 frames and a short last one, each masked; the motion is checked first."""
-    spec, motion = example_phantom(width=24), example_motion(width=24)
-    chunks = list(render_chunks(spec, motion, 37))
+    spec = example_phantom(width=24)
+    chunks = list(render_chunks(spec, DEFAULT_MOTION, 37))
     assert [len(c) for c in chunks] == [28, 9]
     for chunk in chunks:
         assert chunk.flags.c_contiguous and chunk.tobytes() == Movie(chunk).values.tobytes()
@@ -336,8 +327,8 @@ def test_render_chunks_are_the_frames_of_render_movie():
 
 def test_movie_file_reads_back_the_movie_it_holds(tmp_path):
     """A MovieFile has a Movie's shape, frames and chunks, and the same benchmark and sinogram."""
-    spec, motion = example_phantom(width=24), example_motion(width=24)
-    truth = movie_of(render_chunks(spec, motion, 37), spec.pixel_size)
+    spec = example_phantom(width=24)
+    truth = movie_of(render_chunks(spec, DEFAULT_MOTION, 37), spec.pixel_size)
     path = tmp_path / "truth.tensor"
     write_tensor(path, truth.values)
     stored = MovieFile(path, pixel_size=spec.pixel_size)

@@ -2,13 +2,12 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
-from conftest import build_A, l1_2p, vec
+from conftest import build_A, build_L2, l1_2p, vec
 from prosep.psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
     _bspline_design,
     _fix_column_signs,
-    build_L2,
     build_theta,
     condition_number,
     face_split,

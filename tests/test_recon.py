@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import l1_2p, make_exact_model_data
+from conftest import Movie, l1_2p, make_exact_model_data
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator, face_split, real_trig_theta
 from prosep.radon import DetectorGrid, fbp
 from prosep import recon
@@ -120,7 +120,7 @@ def test_synthesize_index_out_of_range():
 
 # ---------------------------------------------------------------- movie
 
-def test_reconstruct_movie_static_is_time_constant():
+def test_movie_chunks_static_is_time_constant():
     P, d = 64, 3
     psi0 = np.ones((P, 1)) / np.sqrt(P)
     sol, *_ = solved_solution(P=P, K=0, N=5, d=d, J=16, seed=6, psi0=psi0)
@@ -132,7 +132,7 @@ def test_reconstruct_movie_static_is_time_constant():
         assert rms < 1e-6 * scale
 
 
-def test_reconstruct_movie_shape_contract():
+def test_movie_factors_shape_contract():
     sol, *_ = solved_solution(P=32, K=1, N=3, d=3, J=12, max_iters=300)
     W, h = sol.detector.count - 1, 1.1 * sol.detector.spacing
     psi, phi = movie_factors(sol, fbp_angles_count=16, width=W, pixel_size=h)
@@ -143,7 +143,7 @@ def test_reconstruct_movie_shape_contract():
     assert sum(map(len, chunks)) == sol.P
 
 
-def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
+def test_movie_chunks_equal_per_frame_synthesis_fbp():
     """Oracle: the K+1 component images rebuild FBP of every synthesized frame."""
     sol, *_ = solved_solution()
     count = 48
@@ -156,7 +156,7 @@ def test_reconstruct_movie_equals_per_frame_synthesis_fbp():
         assert np.abs(movie[p] - ref.values).max() < 1e-12
 
 
-def test_reconstruct_movie_matches_truth_fbp():
+def test_movie_chunks_match_truth_fbp():
     """Exact-model data: the reconstruction matches FBP of the true sinograms."""
     sol, data, U, Z0, beta0, order = solved_solution()
     angles = np.arange(64) * np.pi / 64
@@ -228,8 +228,6 @@ def test_ssim_window_blur_matches_gaussian_filter(rng, W):
 
 
 def test_movie_metrics_rejects_grid_mismatch():
-    from prosep.phantom import Movie
-
     a = Movie(values=np.ones((1, 8, 8)))
     b = Movie(values=np.ones((1, 6, 6)))
     with pytest.raises(ValueError, match="grid mismatch"):
@@ -237,8 +235,6 @@ def test_movie_metrics_rejects_grid_mismatch():
 
 
 def test_movie_metrics_average_convention():
-    from prosep.phantom import Movie
-
     rng = np.random.default_rng(7)
     h = 1 / 8
     bench = rng.random((4, 16, 16))

@@ -3,7 +3,6 @@ import pytest
 
 from prosep.sampling import (
     AngularScheme,
-    bit_reversal_permutation,
     bit_reversed,
     progressive,
     random_scheme,
@@ -54,14 +53,33 @@ def test_bit_reversed_p2():
     assert np.allclose(sch.angles, [0.0, np.pi / 2])
 
 
-def test_bit_reversal_is_involution():
-    rev = bit_reversal_permutation(1024)
-    assert np.array_equal(rev[rev], np.arange(1024))
+def _bit_reversal_angles(P, span):
+    """Oracle at P = 2^m: index p with its m bits reversed, times span / P."""
+    m = P.bit_length() - 1
+    idx = np.arange(P)
+    rev = np.zeros(P, dtype=np.int64)
+    for b in range(m):
+        rev |= ((idx >> b) & 1) << (m - 1 - b)
+    return rev * (span / P)
 
 
-def test_bit_reversed_requires_power_of_two():
-    with pytest.raises(ValueError):
-        bit_reversed(12, span=2 * np.pi)
+@pytest.mark.parametrize("span", [np.pi, 2 * np.pi], ids=["pi", "2pi"])
+def test_bit_reversed_is_the_bit_reversal_permutation_at_powers_of_two(span):
+    for m in range(15):
+        got = bit_reversed(2**m, span).angles
+        assert got.tobytes() == _bit_reversal_angles(2**m, span).tobytes(), m
+
+
+@pytest.mark.parametrize("span", [np.pi, 2 * np.pi], ids=["pi", "2pi"])
+def test_bit_reversed_any_p_is_a_prefix_of_one_sequence(span):
+    """Every P >= 1 gets P distinct angles in [0, span), the first P of the one sequence."""
+    sequence = bit_reversed(2048, span).angles
+    for P in range(1, 1101):
+        angles = bit_reversed(P, span).angles
+        assert angles.tobytes() == sequence[:P].tobytes(), P
+        assert np.all((angles >= 0) & (angles < span)) and np.unique(angles).size == P, P
+    with pytest.raises(ValueError, match="P must be >= 1"):
+        bit_reversed(0, span)
 
 
 def test_bit_reversed_is_permutation_of_progressive():
