@@ -45,7 +45,7 @@ from .radon import (
     project_sequence,
     support_masked,
 )
-from .sampling import AngularScheme, sample_times
+from .sampling import AngularScheme, progressive, sample_times
 from .tensorio import read_chunks, tensor_shape
 
 __all__ = [
@@ -342,11 +342,12 @@ def simulate_acquisition(
     """Time-sequential acquisition: one view angle theta_p per time t_p.
 
     Column p is the single-angle projection of the truth frame at t_p
-    (``radon.project_sequence``); the object is treated as static within
-    each sampling instant.  The frames are visited in order, so a
-    ``MovieFile`` truth is read once, a chunk at a time.  Optional iid Gaussian noise with standard
-    deviation ``noise_sigma * max|g|`` is added last, seeded for
-    reproducibility.
+    (``radon.project_sequence``, which builds each view's ray samples only
+    where they reach the frame's nonzero pixels); the object is treated
+    as static within each sampling instant.  The frames are visited in
+    order, so a ``MovieFile`` truth is read once, a chunk at a time.
+    Optional iid Gaussian noise with standard deviation ``noise_sigma *
+    max|g|`` is added last, seeded for reproducibility.
     """
     if len(truth) != scheme.P:
         raise ValueError(f"need one frame per view: {len(truth)} frames, P = {scheme.P}")
@@ -374,7 +375,7 @@ def benchmark_movie(
     loop.  ``TiledImages.chunks`` of the result gives the frames a few at
     a time, and ``TiledImages.images`` all at once.
     """
-    angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
+    angles = progressive(fbp_angles_count, np.pi).angles
     return project_fbp(truth.chunks, truth.shape, truth.pixel_size, angles, detector)
 
 

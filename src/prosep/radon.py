@@ -7,34 +7,36 @@ offset ``s`` integrates along the line ``s * (cos t, sin t) + u * (-sin t,
 cos t)``, sampled with bilinear interpolation at steps of half a pixel.
 All arithmetic is float64.
 
-Both operators are built one view at a time as a pair of fixed-width
-arrays ``(weights, indices)``: each output value is a weighted sum of a
-fixed number of input values.  The ray-driven projector of a view has J
-rays of 4(2W+1) entries, the pixel-driven linear-interpolation
-backprojector W^2 pixels of 2.  A ray may repeat a pixel; its weights
-add.
-``radon_project`` applies the projector to one ``Frame`` as one numpy
-gather, and ``project_sequence`` does so for frame p of a movie at its
-own angle p, the time-sequential acquisition.  For many columns at once,
-each view's operator is recast as dense blocks on square tiles of the
-pixel grid (``_tiling``, ``_tile_blocks``): the pixels of one tile meet
-only a short run of detector bins, so the view's map is a few dense
-matrix products per tile, and a stack of columns stored tile by tile is
-read in place.  ``fbp_stack`` backprojects n sinograms on one angle set
-into a plain n x W x W array, masked to the support disk like a
-``Frame``; ``fbp`` of one sinogram is ``fbp_stack`` with n = 1.
-``project_fbp`` is the one entry point of the fused batch for a movie of
-P frames on one grid (the benchmark movie, ``phantom.benchmark_movie``):
-the frames arrive in chunks (read back from a tensor file, say), and per
-view there is one projector pass over all P frames, a ramp filter of the
-J x P block and one backprojector pass accumulated into the W^2 x P
-result, so no sinogram stack and no all-view operator is ever held.  The
-result stays tile by tile (``TiledImages``), to be copied out a chunk of
-images at a time.  Its projector visits only the tiles that some frame
-occupies, and its tile-major copy of the frames holds only those tiles:
-empty space adds nothing to a projection, so skipping it changes no sum,
-and it builds only the ray samples whose bilinear stencil reaches such a
-tile.
+Both operators are built one view at a time as flat entry arrays: each
+output value is a weighted sum of input values.  The ray-driven projector
+of a view (``_view_projector``) gives each ray sample the four entries of
+its bilinear stencil, and the pixel-driven linear-interpolation
+backprojector gives each pixel two.  A ray may repeat a pixel; its
+weights add.  Empty space adds nothing to a projection, so the projector
+builds only the samples whose stencil reaches a given set of pixels: the
+nonzero pixels of the frame in ``project_sequence``, the tiles that some
+frame occupies in ``project_fbp``.  A left-out sample adds exact zeros,
+and the kept entries of every ray come in one fixed order, so both loops
+give the sums of the whole projector.
+``project_sequence`` projects frame p of a movie at its own angle p, the
+time-sequential acquisition, adding each ray's entries in order;
+``radon_project`` is that loop with one ``Frame`` in every view.  For
+many columns at once, each view's operator is recast as dense blocks on
+square tiles of the pixel grid (``_tiling``, ``_tile_blocks``): the
+pixels of one tile meet only a short run of detector bins, so the view's
+map is a few dense matrix products per tile, and a stack of columns
+stored tile by tile is read in place.  ``fbp_stack`` backprojects n
+sinograms on one angle set into a plain n x W x W array, masked to the
+support disk like a ``Frame``; ``fbp`` of one sinogram is ``fbp_stack``
+with n = 1.  ``project_fbp`` is the one entry point of the fused batch
+for a movie of P frames on one grid (the benchmark movie,
+``phantom.benchmark_movie``): the frames arrive in chunks (read back from
+a tensor file, say), and per view there is one projector pass over all P
+frames, a ramp filter of the J x P block and one backprojector pass
+accumulated into the W^2 x P result, so no sinogram stack and no
+all-view operator is ever held.  The result stays tile by tile
+(``TiledImages``), to be copied out a chunk of images at a time.  Its
+tile-major copy of the frames holds only the occupied tiles.
 
 A view loop takes every per-view array from one ``_Workspace`` per call
 and fills it through ``out=``, so each array is allocated once per call
@@ -51,6 +53,7 @@ the backprojection.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -86,15 +89,6 @@ class Frame:
     @property
     def width(self) -> int:
         return self.values.shape[1]
-
-    @property
-    def support_radius(self) -> float:
-        """Radius L of the inscribed support disk (diameter D = width * pixel_size)."""
-        return 0.5 * self.width * self.pixel_size
-
-    def norm2_sq(self) -> float:
-        """Squared L2 norm with pixel-area quadrature."""
-        return float(np.sum(self.values**2)) * self.pixel_size**2
 
 
 @functools.lru_cache(maxsize=4)
@@ -164,11 +158,6 @@ class DetectorGrid:
     @property
     def width(self) -> float:
         return self.count * self.spacing
-
-    @classmethod
-    def for_frame(cls, frame) -> "DetectorGrid":
-        """Detector matching a frame's or movie's grid: spacing = pixel_size, J = width + 1."""
-        return cls(count=frame.width + 1, spacing=frame.pixel_size)
 
 
 @dataclass(frozen=True)
@@ -280,58 +269,11 @@ def _ray_samples(cos_t: float, sin_t: float, width: int, pixel_size: float,
     return base, tr, tk, inside
 
 
-def _stencil(base, tr, tk, weight, width: int, ws: _Workspace, lookup=None):
-    """The four bilinear entries of each ray sample, as 4 x (sample shape) arrays.
-
-    ``base``, ``tr`` and ``tk`` are as ``_ray_samples`` returns them, and
-    ``weight`` is each sample's quadrature weight (zero off the grid).
-    Returns ``(weights, indices)``: corner c of a sample adds ``weights[c]``
-    times pixel ``indices[c]`` (``lookup[pixel]``, of the lookup's integer
-    type, when a ``lookup`` is given), corners in the order (r, k),
-    (r, k+1), (r+1, k), (r+1, k+1).  ``tk`` is overwritten.
-    """
-    step = int(width > 1)  # a one-pixel frame has no neighbour
-    weights = ws("weights", (4, *tr.shape))
-    below, right_below, above, right_above = weights
-    np.multiply(weight, tr, out=above)
-    np.subtract(weight, above, out=below)
-    np.multiply(below, tk, out=right_below)
-    np.multiply(above, tk, out=right_above)
-    left = np.subtract(1.0, tk, out=tk)
-    below *= left
-    above *= left
-    indices = ws("indices", (4, *tr.shape), np.intp if lookup is None else lookup.dtype)
-    for corner, shift in zip(indices, (0, step, step * width, step * (width + 1))):
-        if lookup is None:
-            np.add(base, shift, out=corner)
-        else:  # base + shift is a pixel: base is at most W^2 - W - 2
-            np.take(lookup[shift:], base, out=corner, mode="clip")
-    return weights, indices
-
-
-def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
-                    offsets: np.ndarray, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
-    """One view's projector as J columns ``(weights, indices)`` of 4(2W+1) entries.
-
-    Column j integrates the frame along ray s_j: each of its 2W+1
-    samples (``_ray_samples``) is a bilinear blend of its four
-    neighbouring pixels, and the samples add up with weight
-    ``pixel_size / 2``.  Applied to ``frame.values.ravel()`` this is one
-    column of ``radon_project``.  The entries run down the columns, so
-    summing over axis 0 adds each ray's entries in order with one vector
-    add per entry.
-    """
-    base, tr, tk, inside = _ray_samples(cos_t, sin_t, width, pixel_size, offsets, ws)
-    weight = np.multiply(inside, 0.5 * pixel_size, out=ws("weight", inside.shape))
-    weights, indices = _stencil(base, tr, tk, weight, width, ws)
-    return weights.reshape(-1, offsets.size), indices.reshape(-1, offsets.size)
-
-
 def _stencil_reach(pixels: np.ndarray, width: int) -> np.ndarray:
     """Per pixel p of a W x W grid (flat): whether a ray sample's stencil at p meets ``pixels``.
 
-    The stencil at p is p, p + 1, p + W and p + W + 1 (``_stencil``); it
-    is only ever based at a pixel with a right and a lower neighbour.
+    The stencil at p is p, p + 1, p + W and p + W + 1 (``_view_projector``);
+    it is only ever based at a pixel with a right and a lower neighbour.
     """
     step = int(width > 1)
     reach = pixels.copy()
@@ -340,20 +282,24 @@ def _stencil_reach(pixels: np.ndarray, width: int) -> np.ndarray:
     return reach
 
 
-def _occupied_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
-                        offsets: np.ndarray, reach: np.ndarray, slots: np.ndarray,
-                        ws: _Workspace):
-    """The entries of ``_view_projector`` whose samples ``reach`` marks, as flat arrays.
+def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
+                    offsets: np.ndarray, reach: np.ndarray, slots: np.ndarray, ws: _Workspace):
+    """One view's projector entries for the ray samples that ``reach`` marks, as flat arrays.
 
-    Only the samples on the grid whose stencil base p has ``reach[p]``
-    (``_stencil_reach``) are built.  Returns ``(weights, slots, rays)``:
-    ``weights`` and ``slots`` are 4 x n (corner, sample), the corner's
-    pixel p given as ``slots[p]``, and ``rays`` holds each sample's ray
-    (32-bit, as ``_tile_blocks`` takes it).  The samples keep the C order
-    of the (2W+1) x J arrays, so the entries of every ray come in the
-    order of ``_view_projector``'s column with the others left out; a
-    left-out sample either has weight zero or only pixels outside the
-    set that ``reach`` was built from.
+    Ray j integrates the frame along s_j: each of its 2W+1 samples
+    (``_ray_samples``) is a bilinear blend of its four neighbouring
+    pixels, and the samples add up with weight ``pixel_size / 2``.  Only
+    the samples on the grid whose stencil base p has ``reach[p]``
+    (``_stencil_reach``) are built; a left-out sample either has weight
+    zero or only pixels outside the set that ``reach`` was built from.
+    Returns ``(weights, slots, rays)``: ``weights`` and ``slots`` are 4 x n
+    (corner, sample), corner c of a sample adding ``weights[c]`` times
+    its pixel p, given as ``slots[p]`` (of the type of ``slots``), corners
+    in the order (r, k), (r, k+1), (r+1, k), (r+1, k+1); ``rays`` holds
+    each sample's ray (32-bit, as ``_tile_blocks`` takes it).  The
+    samples keep the C order of the (2W+1) x J sample arrays, so read
+    corner by corner the entries of every ray come in one order, whatever
+    ``reach`` leaves out.
     """
     base, tr, tk, inside = _ray_samples(cos_t, sin_t, width, pixel_size, offsets, ws)
     inside &= np.take(reach, base, out=ws("reach", base.shape, bool), mode="clip")
@@ -362,9 +308,24 @@ def _occupied_projector(cos_t: float, sin_t: float, width: int, pixel_size: floa
     def picked(name, values):
         return np.take(values.ravel(), picks, out=ws(name, picks.shape, values.dtype), mode="clip")
 
-    weights, slots = _stencil(picked("picked.base", base), picked("picked.tr", tr),
-                              picked("picked.tk", tk), 0.5 * pixel_size, width, ws, slots)
-    return weights, slots, np.remainder(picks, offsets.size, out=ws("rays", picks.shape, np.int32))
+    base, tr, tk = picked("picked.base", base), picked("picked.tr", tr), picked("picked.tk", tk)
+    weight = 0.5 * pixel_size
+    weights = ws("weights", (4, picks.size))
+    below, right_below, above, right_above = weights
+    np.multiply(weight, tr, out=above)
+    np.subtract(weight, above, out=below)
+    np.multiply(below, tk, out=right_below)
+    np.multiply(above, tk, out=right_above)
+    left = np.subtract(1.0, tk, out=tk)
+    below *= left
+    above *= left
+    corners = ws("indices", (4, picks.size), slots.dtype)
+    step = int(width > 1)  # a one-pixel frame has no neighbour
+    for corner, shift in zip(corners, (0, step, step * width, step * (width + 1))):
+        # base + shift is a pixel: base is at most W^2 - W - 2
+        np.take(slots[shift:], base, out=corner, mode="clip")
+    rays = np.remainder(picks, offsets.size, out=ws("rays", picks.shape, np.int32))
+    return weights, corners, rays
 
 
 def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray,
@@ -400,50 +361,38 @@ def _require_coverage(detector: DetectorGrid, width: int, pixel_size: float) -> 
                             f"diameter {width * pixel_size:g}")
 
 
-def _project_view(out: np.ndarray, f: np.ndarray, cos_t: float, sin_t: float, width: int,
-                  pixel_size: float, offsets: np.ndarray, ws: _Workspace) -> None:
-    """One view of the flat frame ``f`` into the J values ``out``, through ``ws``."""
-    weights, indices = _view_projector(cos_t, sin_t, width, pixel_size, offsets, ws)
-    samples = np.take(f, indices, out=ws("samples", indices.shape))
-    samples *= weights
-    # each ray's entries add in order, as in a CSR row product: the
-    # sinogram keeps its last bit, which matters because the d > K+1
-    # descent grows a 1e-16 change in it about 1e4-fold in Z
-    np.add.reduce(samples, axis=0, out=out)
-
-
 def radon_project(frame: Frame, angles, detector: DetectorGrid) -> Sinogram:
     """Parallel-beam projections of ``frame`` at the given angles.
 
     Ray-driven line integrals: each ray is sampled at uniform steps of
     ``pixel_size / 2`` over the support chord, with bilinear interpolation
-    of the pixel values.  Each view is one fixed-width weighted gather (J
-    rays of 4(2W+1) pixels) applied to the frame, so the transform is
-    linear in the frame by construction.
+    of the pixel values.  This is ``project_sequence`` with ``frame`` in
+    every view, so a column is a weighted sum of the frame's pixels and
+    the transform is linear in the frame by construction.
 
     Raises
     ------
     CoverageError
         If the detector is narrower than the support disk.
     """
-    _require_coverage(detector, frame.width, frame.pixel_size)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    cos_t, sin_t = _reduced_trig(angles)
-    out = np.empty((detector.count, angles.size))
-    ws = _Workspace()
-    for a in range(angles.size):
-        _project_view(out[:, a], frame.values.ravel(), cos_t[a], sin_t[a], frame.width,
-                      frame.pixel_size, detector.offsets, ws)
-    return Sinogram(values=out, angles=angles, detector=detector)
+    values = project_sequence(itertools.repeat(frame.values, angles.size), frame.pixel_size,
+                              angles, detector)
+    return Sinogram(values=values, angles=angles, detector=detector)
 
 
 def project_sequence(frames, pixel_size: float, angles, detector: DetectorGrid) -> np.ndarray:
     """The J x P time-sequential sinogram: column p is frame p projected at ``angles[p]``.
 
     ``frames`` yields P W x W arrays, already masked to the support disk
-    (a ``phantom.MovieFile`` does), in order; column p equals
-    ``radon_project(Frame(frame p), [angles[p]], detector)``.  All P
-    views share one workspace, so a long movie maps no memory per frame.
+    (a ``phantom.MovieFile`` does), in order.  Each view builds only the
+    ray samples whose stencil reaches a nonzero pixel of its own frame
+    (``_view_projector``), and each ray's entries add in order, starting
+    from zero, as in a CSR row product: the sinogram keeps its last bit,
+    which matters because the d > K+1 descent grows a 1e-16 change in it
+    about 1e4-fold in Z.  A left-out sample adds only zeros, so no sum
+    changes.  All P views share one workspace, so a long movie maps no
+    memory per frame.
 
     Raises
     ------
@@ -458,10 +407,19 @@ def project_sequence(frames, pixel_size: float, angles, detector: DetectorGrid) 
     for values in frames:
         if count == angles.size:
             raise ValueError(f"need one frame per view: more frames than {angles.size} angles")
+        W = len(values)
         if count == 0:
-            _require_coverage(detector, len(values), pixel_size)
-        _project_view(out[:, count], values.ravel(), cos_t[count], sin_t[count], len(values),
-                      pixel_size, detector.offsets, ws)
+            _require_coverage(detector, W, pixel_size)
+            pixels = np.arange(W * W, dtype=np.int32)  # each pixel is its own slot
+        f = values.ravel()
+        weights, slots, rays = _view_projector(cos_t[count], sin_t[count], W, pixel_size,
+                                               detector.offsets, _stencil_reach(f != 0, W),
+                                               pixels, ws)
+        samples = np.take(f, slots, out=ws("samples", slots.shape))
+        samples *= weights
+        bins = ws("bins", slots.shape, np.intp)
+        bins[...] = rays
+        out[:, count] = np.bincount(bins.ravel(), samples.ravel(), minlength=detector.count)
         count += 1
     if count != angles.size:
         raise ValueError(f"need one frame per view: {count} frames, {angles.size} angles")
@@ -622,29 +580,26 @@ class TiledImages:
     def __len__(self) -> int:
         return self.acc.shape[-1]
 
-    def _bounds(self):
-        n, step = len(self), max(1, _RUN_VALUES // self.width**2)
-        return ((p, min(p + step, n)) for p in range(0, n, step))
-
-    def _copy(self, start: int, out: np.ndarray) -> np.ndarray:
-        """Images start .. start + len(out) - 1 into ``out``, masked."""
-        slots = _tiling(self.width)[0]
-        columns = self.acc.reshape(-1, len(self))[:, start:start + len(out)]
-        np.multiply(columns[slots].T, support_mask(self.width).ravel(),
-                    out=out.reshape(len(out), -1))
-        return out
-
     def chunks(self):
         """The images in order, as n_chunk x W x W arrays (a generator)."""
-        for start, stop in self._bounds():
-            yield self._copy(start, np.empty((stop - start, self.width, self.width)))
+        W, n = self.width, len(self)
+        slots, mask = _tiling(W)[0], support_mask(W).ravel()
+        columns = self.acc.reshape(-1, n)
+        step = max(1, _RUN_VALUES // W**2)
+        for start in range(0, n, step):
+            out = np.empty((min(step, n - start), W, W))
+            np.multiply(columns[:, start:start + len(out)][slots].T, mask,
+                        out=out.reshape(len(out), -1))
+            yield out
 
     def images(self) -> np.ndarray:
-        """All n images as one n x W x W array."""
-        out = np.empty((len(self), self.width, self.width))
-        for start, stop in self._bounds():
-            self._copy(start, out[start:stop])
-        return out
+        """All n images as one n x W x W array, the ``chunks`` one after another.
+
+        The array is allocated once and filled image by image, so besides
+        it only one chunk is held (``np.concatenate`` would hold them all).
+        """
+        image = np.dtype((np.float64, (self.width, self.width)))
+        return np.fromiter(itertools.chain.from_iterable(self.chunks()), image, len(self))
 
 
 def fbp(sinogram: Sinogram, width: int, pixel_size: float) -> Frame:
@@ -718,9 +673,8 @@ def project_fbp(frame_chunks, shape, pixel_size: float, angles,
     The first pass over the chunks finds the tiles that some frame
     occupies (has a nonzero pixel in), and the second copies only those
     tiles.  The projector visits only them and builds only the ray
-    samples whose stencil has a pixel in such a tile
-    (``_occupied_projector``), in the order of the full projector.  A
-    skipped tile or sample would add exact zeros, and each occupied
+    samples whose stencil has a pixel in such a tile (``_view_projector``).
+    A skipped tile or sample would add exact zeros, and each occupied
     tile's entries and products add in the same order, so the result is
     the same as projecting every tile; a movie that occupies every tile
     runs the same products.
@@ -772,8 +726,8 @@ def project_fbp(frame_chunks, shape, pixel_size: float, angles,
     ws = _Workspace()
 
     def filtered_view(a):
-        weights, slots, rays = _occupied_projector(cos_t[a], sin_t[a], W, pixel_size, offsets,
-                                                   reach, packed, ws)
+        weights, slots, rays = _view_projector(cos_t[a], sin_t[a], W, pixel_size, offsets, reach,
+                                               packed, ws)
         # every corner of a sample links its slot to the sample's ray; the
         # entries of the spare slot, past the last tile, are dropped
         blocks, first = _tile_blocks(rays, slots, weights, kept, J, ws)

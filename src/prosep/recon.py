@@ -33,7 +33,7 @@ from .radon import (  # noqa: F401
     fbp_stack,
     support_masked,
 )
-from .sampling import AngularScheme
+from .sampling import AngularScheme, progressive
 from .tensorio import CHUNK_VALUES
 
 __all__ = [
@@ -128,7 +128,7 @@ def movie_factors(
     ``pixel_size``.  Frame p equals FBP of ``synthesize_sinogram`` at p
     up to rounding.
     """
-    angles = np.arange(fbp_angles_count) * (np.pi / fbp_angles_count)
+    angles = progressive(fbp_angles_count, np.pi).angles
     order = solution.model
     T = real_trig_theta(angles, order.N)  # A x (2N+1)
     B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)

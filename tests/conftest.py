@@ -22,7 +22,9 @@ from prosep.radon import (
     DetectorGrid,
     Frame,
     Sinogram,
+    _ray_samples,
     _reduced_trig,
+    _Workspace,
     fbp,
     grid_coords,
     radon_project,
@@ -105,6 +107,52 @@ def area_disk(width, pixel_size, radius, center=(0.0, 0.0), subsamples=16):
                     (Y + dy * pixel_size - center[1]) ** 2) <= radius**2
     vals = acc / subsamples**2 * support_mask(width)
     return Frame(values=vals, pixel_size=pixel_size)
+
+
+def matched_detector(grid):
+    """Detector matching a frame's or movie's grid: spacing = pixel_size, J = width + 1."""
+    return DetectorGrid(count=grid.width + 1, spacing=grid.pixel_size)
+
+
+def energy_bound(frame):
+    """2 L ||f||^2 of Theorem 1: support radius L = W h / 2, ||f||^2 by pixel-area quadrature."""
+    radius = 0.5 * frame.width * frame.pixel_size
+    return 2.0 * radius * (float(np.sum(frame.values**2)) * frame.pixel_size**2)
+
+
+def dense_view_projector(cos_t, sin_t, width, pixel_size, offsets):
+    """Oracle projector of one view, every ray sample kept: ``(weights, indices)``, 4(2W+1) x J.
+
+    Column j holds ray s_j's entries: corner c of sample m (``_ray_samples``)
+    is row c (2W+1) + m, corners in the order (r, k), (r, k+1), (r+1, k),
+    (r+1, k+1), and a sample off the grid has weight zero.
+    """
+    base, tr, tk, inside = _ray_samples(cos_t, sin_t, width, pixel_size, offsets, _Workspace())
+    weight = inside * (0.5 * pixel_size)
+    above = weight * tr
+    below = weight - above
+    right_below, right_above = below * tk, above * tk
+    left = 1.0 - tk
+    weights = np.stack([below * left, right_below, above * left, right_above])
+    step = int(width > 1)
+    indices = np.stack([base + shift for shift in (0, step, step * width, step * (width + 1))])
+    return weights.reshape(-1, offsets.size), indices.astype(np.intp).reshape(-1, offsets.size)
+
+
+def dense_project(frames, pixel_size, angles, detector):
+    """Oracle of ``project_sequence``: view p's dense projector applied to frame p.
+
+    Each ray's entries add down the column with ``np.add.reduce``, in the
+    order of ``dense_view_projector``; returns J x P values.
+    """
+    angles = np.atleast_1d(np.asarray(angles, dtype=float))
+    cos_t, sin_t = _reduced_trig(angles)
+    out = np.empty((detector.count, angles.size))
+    for a, values in enumerate(frames):
+        weights, indices = dense_view_projector(cos_t[a], sin_t[a], len(values), pixel_size,
+                                                detector.offsets)
+        np.add.reduce(values.ravel()[indices] * weights, axis=0, out=out[:, a])
+    return out
 
 
 def project_loop(frame, angles, detector):
@@ -288,10 +336,10 @@ def theorem1_check(frame, angles):
     add a few percent of quadrature slack.
     """
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
-    detector = DetectorGrid.for_frame(frame)
+    detector = matched_detector(frame)
     g = radon_project(frame, angles, detector).values
     per_angle = np.sum(g**2, axis=0) * detector.spacing
-    rhs_single = 2.0 * frame.support_radius * frame.norm2_sq()
+    rhs_single = energy_bound(frame)
     lhs = float(per_angle.sum() * 2.0 * np.pi / angles.size)
     ratio = per_angle / rhs_single if rhs_single > 0 else np.zeros_like(per_angle)
     return Theorem1Result(lhs=lhs, rhs=float(np.pi * rhs_single), per_angle_ratio=ratio)

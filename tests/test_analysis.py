@@ -4,7 +4,14 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import build_L2, complex_l1, indicator_disk, random_masked_frame, theorem1_check
+from conftest import (
+    build_L2,
+    complex_l1,
+    energy_bound,
+    indicator_disk,
+    random_masked_frame,
+    theorem1_check,
+)
 from prosep import analysis
 from prosep.analysis import (
     GRAM_MARGIN,
@@ -500,9 +507,9 @@ def test_theorem1_unit_disk_closed_form():
     """lhs -> int (2 sqrt(1-s^2))^2 ds = 16/3; rhs -> 2 * L * pi = 2 pi."""
     f = indicator_disk(256, 2.0 / 256, radius=1.0)
     res = theorem1_check(f, [1.1])
-    per_angle_lhs = res.per_angle_ratio[0] * 2.0 * f.support_radius * f.norm2_sq()
+    per_angle_lhs = res.per_angle_ratio[0] * energy_bound(f)
     assert per_angle_lhs == pytest.approx(16.0 / 3.0, rel=1e-2)
-    assert 2.0 * f.support_radius * f.norm2_sq() == pytest.approx(2 * np.pi, rel=1e-2)
+    assert energy_bound(f) == pytest.approx(2 * np.pi, rel=1e-2)
     assert res.per_angle_ratio[0] <= 1.0  # lhs <= rhs
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import DEFAULT_MOTION, Movie, movie_of, naive_fbp, render_at
+from conftest import DEFAULT_MOTION, Movie, matched_detector, movie_of, naive_fbp, render_at
 from prosep.errors import ProsepError, SupportError
 from prosep.phantom import (
     Ellipse,
@@ -277,7 +277,7 @@ def test_benchmark_movie_static_frames_identical():
     spec = example_phantom(width=32)
     truth = movie_of(render_chunks(spec, MotionSpec(), 4), spec.pixel_size)
     movie = benchmark_movie(truth, fbp_angles_count=24,
-                            detector=DetectorGrid.for_frame(truth)).images()
+                            detector=matched_detector(truth)).images()
     ref = movie[0]
     for f in movie[1:]:
         assert np.allclose(f, ref, atol=1e-12 * max(np.abs(ref).max(), 1))
@@ -290,7 +290,7 @@ def test_benchmark_quality_and_angle_monotonicity():
     peak = truth.values.max()
     scores = {}
     for A in (180, 360):
-        movie = benchmark_movie(truth, fbp_angles_count=A, detector=DetectorGrid.for_frame(truth))
+        movie = benchmark_movie(truth, fbp_angles_count=A, detector=matched_detector(truth))
         scores[A] = np.mean([psnr(x, t, peak) for x, t in zip(movie.images(), truth.values)])
     assert scores[180] >= 28.0
     assert scores[360] >= scores[180] - 0.1  # doubling angles must not hurt
@@ -307,7 +307,7 @@ def test_naive_fbp_of_moving_object_is_much_worse_than_benchmark():
     naive = naive_fbp(simulate_acquisition(acquired, sch, det), width=W, pixel_size=spec.pixel_size)
 
     truth = movie_of(render_chunks(spec, DEFAULT_MOTION, 8), spec.pixel_size)
-    bench = benchmark_movie(truth, fbp_angles_count=P, detector=DetectorGrid.for_frame(truth))
+    bench = benchmark_movie(truth, fbp_angles_count=P, detector=matched_detector(truth))
     peak = truth.values.max()
     psnr_bench = np.mean([psnr(x, t, peak) for x, t in zip(bench.images(), truth.values)])
     psnr_naive = np.mean([psnr(naive.values, t, peak) for t in truth.values])
@@ -335,7 +335,7 @@ def test_movie_file_reads_back_the_movie_it_holds(tmp_path):
     assert stored.shape == truth.shape and len(stored) == 37 and stored.width == 24
     assert np.array_equal(np.stack(list(stored)), truth.values)
     assert [len(c) for c in stored.chunks()] == [28, 9]
-    det = DetectorGrid.for_frame(truth)
+    det = matched_detector(truth)
     bench = benchmark_movie(stored, 20, det)
     assert np.concatenate(list(bench.chunks())).tobytes() == \
         benchmark_movie(truth, 20, det).images().tobytes()

@@ -5,14 +5,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import area_disk, fbp_loop, indicator_disk, project_loop, random_masked_frame
+from conftest import (
+    area_disk,
+    dense_project,
+    dense_view_projector,
+    energy_bound,
+    fbp_loop,
+    indicator_disk,
+    matched_detector,
+    project_loop,
+    random_masked_frame,
+)
 from prosep.errors import CoverageError, InsufficientAnglesError
 from prosep.radon import (
     DetectorGrid,
     Frame,
     Sinogram,
     TiledImages,
-    _occupied_projector,
     _reduced_trig,
     _stencil_reach,
     _tiling,
@@ -54,7 +63,7 @@ def test_detector_offsets_symmetric():
 def test_unit_disk_chord_value():
     W = 256
     f = indicator_disk(W, 2.0 / W, radius=1.0)
-    det = DetectorGrid.for_frame(f)
+    det = matched_detector(f)
     g = radon_project(f, [0.3], det)
     j0 = np.argmin(np.abs(det.offsets))  # s = 0 bin
     assert g.values[j0, 0] == pytest.approx(2.0, rel=2e-2)
@@ -65,7 +74,7 @@ def test_unit_disk_chord_value():
 
 def test_zero_frame_projects_to_zero():
     f = Frame(values=np.zeros((32, 32)), pixel_size=1 / 16)
-    det = DetectorGrid.for_frame(f)
+    det = matched_detector(f)
     g = radon_project(f, np.linspace(0, np.pi, 7), det)
     assert np.all(g.values == 0.0)
 
@@ -76,7 +85,7 @@ def test_superposition_of_two_disks(rng):
     a = indicator_disk(W, h, radius=0.3, center=(0.35, 0.1))
     b = indicator_disk(W, h, radius=0.25, center=(-0.3, -0.2))
     both = Frame(values=a.values + b.values, pixel_size=h)
-    det = DetectorGrid.for_frame(both)
+    det = matched_detector(both)
     angles = rng.uniform(0, 2 * np.pi, 5)
     g_sum = radon_project(a, angles, det).values + radon_project(b, angles, det).values
     g_both = radon_project(both, angles, det).values
@@ -87,7 +96,7 @@ def test_linearity(rng):
     f1 = random_masked_frame(rng)
     f2 = random_masked_frame(rng)
     comb = Frame(values=2.5 * f1.values - 1.25 * f2.values, pixel_size=f1.pixel_size)
-    det = DetectorGrid.for_frame(f1)
+    det = matched_detector(f1)
     angles = [0.2, 1.9, 4.0]
     lhs = radon_project(comb, angles, det).values
     rhs = (2.5 * radon_project(f1, angles, det).values
@@ -98,7 +107,7 @@ def test_linearity(rng):
 def test_flip_symmetry(rng):
     """g(-s, theta) == g(s, theta + pi) for arbitrary frames and angles."""
     f = random_masked_frame(rng, width=64)
-    det = DetectorGrid.for_frame(f)
+    det = matched_detector(f)
     thetas = rng.uniform(0, 2 * np.pi, 6)
     g = radon_project(f, np.concatenate([thetas, thetas + np.pi]), det)
     direct = g.values[:, : len(thetas)]
@@ -115,7 +124,7 @@ def test_mass_conservation_across_angles(rng):
     area-weighted (pixel-driven) projector.
     """
     f = indicator_disk(96, 2.0 / 96, radius=0.55, center=(0.2, -0.1))
-    det = DetectorGrid.for_frame(f)
+    det = matched_detector(f)
     angles = np.linspace(0, 2 * np.pi, 24, endpoint=False)
     g = radon_project(f, angles, det)
     mass = g.values.sum(axis=0) * det.spacing
@@ -130,7 +139,7 @@ def test_coverage_error():
 
 def test_fbp_requires_two_angles():
     f = indicator_disk(32, 2.0 / 32, radius=0.5)
-    det = DetectorGrid.for_frame(f)
+    det = matched_detector(f)
     g = radon_project(f, [0.1], det)
     with pytest.raises(InsufficientAnglesError):
         fbp(g, width=f.width, pixel_size=f.pixel_size)
@@ -160,7 +169,7 @@ def test_fbp_roundtrip_improves_with_angle_count():
     W = 128
     h = 2.0 / W
     f = area_disk(W, h, radius=0.6, center=(0.1, -0.15))
-    det = DetectorGrid.for_frame(f)
+    det = matched_detector(f)
     scores = []
     for A in (45, 90, 180):
         angles = np.arange(A) * np.pi / A
@@ -172,7 +181,7 @@ def test_fbp_roundtrip_improves_with_angle_count():
 def test_fbp_deterministic():
     W = 64
     f = indicator_disk(W, 2.0 / W, radius=0.5, center=(0.1, 0.0))
-    det = DetectorGrid.for_frame(f)
+    det = matched_detector(f)
     angles = np.arange(90) * np.pi / 90
     g = radon_project(f, angles, det)
     r1 = fbp(g, width=W, pixel_size=f.pixel_size)
@@ -182,9 +191,9 @@ def test_fbp_deterministic():
 
 def _projection_energy(frame, angle):
     """(sum_j |Rf(s_j, angle)|^2 * spacing, 2 * L * ||f||^2) for one angle."""
-    det = DetectorGrid.for_frame(frame)
+    det = matched_detector(frame)
     g = radon_project(frame, [angle], det).values[:, 0]
-    return float(np.sum(g**2)) * det.spacing, 2.0 * frame.support_radius * frame.norm2_sq()
+    return float(np.sum(g**2)) * det.spacing, energy_bound(frame)
 
 
 def test_energy_check_zero_frame():
@@ -451,31 +460,44 @@ def test_project_fbp_and_fbp_stack_peak_memory_by_part(rng, occupied):
 
 
 def test_occupied_projector_keeps_the_full_projector_entries_in_order(rng):
-    """The entries built for occupied pixels are the full projector's, in its order.
+    """With an occupied reach the builder keeps the full reach's entries, in their order.
 
     ``project_fbp`` adds a view's projector entries into tile blocks in
-    entry order, so building only the samples whose stencil reaches an
-    occupied pixel keeps every sum bit for bit if no other entry has a
-    nonzero weight on an occupied pixel and the kept ones keep their
-    order and values.
+    entry order, and ``project_sequence`` adds each ray's entries in
+    order, so building only the samples whose stencil reaches an occupied
+    pixel keeps every sum bit for bit if no other entry has a nonzero
+    weight on an occupied pixel and the kept ones keep their order and
+    values.  The full reach keeps, in turn, the nonzero entries of the
+    dense oracle, in its order.
     """
     W, J, h = 33, 40, 2.0 / 33
     offsets = DetectorGrid(count=J, spacing=0.9 * h).offsets
     occupied = rng.random(W * W) < 0.2
-    slots = np.where(occupied, np.arange(W * W), W * W)  # W^2 marks an empty pixel
+    pixels = np.arange(W * W, dtype=np.int32)
+    slots = np.where(occupied, pixels, W * W).astype(np.int32)  # W^2 marks an empty pixel
     reach = _stencil_reach(occupied, W)
     for angle in rng.uniform(0.0, 2.0 * np.pi, 6):
         cos_t, sin_t = _reduced_trig([angle])
-        full_w, full_i = (a.reshape(4, -1).copy() for a in _view_projector(
-            cos_t[0], sin_t[0], W, h, offsets, _Workspace()))
-        rays = np.broadcast_to(np.arange(J), (4, 2 * W + 1, J)).reshape(4, -1)
-        want = (full_w != 0) & occupied[full_i]
-        w, s, r = _occupied_projector(cos_t[0], sin_t[0], W, h, offsets, reach, slots,
+
+        def entries(reach, slots):
+            w, s, r = _view_projector(cos_t[0], sin_t[0], W, h, offsets, reach, slots,
                                       _Workspace())
+            return w, s, np.broadcast_to(r, w.shape)
+
+        dense_w, dense_i = (a.reshape(4, -1) for a in dense_view_projector(
+            cos_t[0], sin_t[0], W, h, offsets))
+        dense_r = np.broadcast_to(np.arange(J), (4, 2 * W + 1, J)).reshape(4, -1)
+        full_w, full_s, full_r = entries(np.ones(W * W, dtype=bool), pixels)
+        dense, full = dense_w != 0, full_w != 0
+        assert full_w[full].tobytes() == dense_w[dense].tobytes()
+        assert np.array_equal(full_s[full], dense_i[dense])
+        assert np.array_equal(full_r[full], dense_r[dense])
+        want = full & occupied[full_s]
+        w, s, r = entries(reach, slots)
         got = (w != 0) & (s < W * W)
         assert w[got].tobytes() == full_w[want].tobytes()
-        assert np.array_equal(s[got], full_i[want])
-        assert np.array_equal(np.broadcast_to(r, w.shape)[got], rays[want])
+        assert np.array_equal(s[got], full_s[want])
+        assert np.array_equal(r[got], full_r[want])
 
 
 def test_project_fbp_rejects_mixed_grids_and_narrow_detectors(rng):
@@ -483,12 +505,12 @@ def test_project_fbp_rejects_mixed_grids_and_narrow_detectors(rng):
     h = a.pixel_size
     frames, cut = a.values[None], a.values[None, :, 1:]
     with pytest.raises(ValueError, match="P x W x W"):
-        project_fbp(lambda: (cut,), cut.shape, h, [0.0, 1.0], DetectorGrid.for_frame(a))
+        project_fbp(lambda: (cut,), cut.shape, h, [0.0, 1.0], matched_detector(a))
     with pytest.raises(CoverageError):
         project_fbp(lambda: (frames,), frames.shape, h, [0.0, 1.0],
                     DetectorGrid(count=4, spacing=h))
     with pytest.raises(InsufficientAnglesError):
-        project_fbp(lambda: (frames,), frames.shape, h, [0.0], DetectorGrid.for_frame(a))
+        project_fbp(lambda: (frames,), frames.shape, h, [0.0], matched_detector(a))
 
 
 # ---------------------------------------------------------------- properties
@@ -558,16 +580,91 @@ def test_fbp_is_linear(geometry, a, b):
     assert np.abs(rc - (a * r1 + b * r2)).max() <= 1e-12 * max(scale, 1e-300)
 
 
+def assert_same_sums(got, want):
+    """``got`` equals ``want`` byte for byte, but for a -0.0 of ``want`` that reads +0.0.
+
+    ``project_sequence`` adds each ray's entries into a zero with
+    ``np.bincount``; the dense oracle's ``np.add.reduce`` starts from the
+    ray's first entry, so where every entry of a ray is -0.0 the oracle's
+    sum is -0.0 and ``project_sequence``'s +0.0.  Every other sum is the
+    same.  (On these grids no ray has only -0.0 entries, not even on a
+    frame of -0.0: a sample off the grid has entries of weight -0.0, zero
+    times a negative fraction, whose product with a pixel of -0.0 is
+    +0.0.)
+    """
+    assert got.shape == want.shape
+    differ = got.view(np.uint64) != want.view(np.uint64)
+    assert np.all((got[differ] == 0.0) & ~np.signbit(got[differ]) & np.signbit(want[differ]))
+
+
 def test_project_sequence_is_radon_project_frame_by_frame(rng):
-    """Column p is, bit for bit, frame p projected alone at angle p; counts must match."""
+    """Column p is, bit for bit, frame p projected alone at angle p by the dense oracle.
+
+    ``radon_project`` is ``project_sequence`` over one frame repeated, so
+    both are checked; the frame count must match the angle count.
+    """
     W = 24
     frames = [random_masked_frame(rng, width=W) for _ in range(5)]
     det = DetectorGrid(count=W + 3, spacing=1.1 * frames[0].pixel_size)
     angles = rng.uniform(0.0, 2.0 * np.pi, 5)
     columns = project_sequence((f.values for f in frames), frames[0].pixel_size, angles, det)
+    assert_same_sums(columns, dense_project([f.values for f in frames], frames[0].pixel_size,
+                                            angles, det))
     for f, theta, column in zip(frames, angles, columns.T):
         assert column.tobytes() == radon_project(f, [theta], det).values[:, 0].tobytes()
     for count in (4, 6):
         with pytest.raises(ValueError, match="one frame per view"):
             project_sequence((frames[p % 5].values for p in range(count)), frames[0].pixel_size,
                              angles, det)
+
+
+def sparse_frames(rng, count, W):
+    """``count`` masked frames of standard normal values with empty parts.
+
+    In turn: a zeroed quadrant (each of the four), random 8 x 8 tiles
+    zeroed, a small blob and nothing else, all +0.0, and all -0.0.
+    """
+    frames = rng.standard_normal((count, W, W))
+    half = W // 2
+    quadrants = [(rows, cols) for rows in (slice(half), slice(half, None))
+                 for cols in (slice(half), slice(half, None))]
+    for p, frame in enumerate(frames):
+        kind = p % 8
+        if kind < 4:
+            frame[quadrants[kind]] = 0.0
+        elif kind == 4:
+            for r in range(0, W, 8):
+                for c in range(0, W, 8):
+                    if rng.random() < 0.5:
+                        frame[r:r + 8, c:c + 8] = 0.0
+        elif kind == 5:
+            blob = frame[W // 5:W // 5 + 4, W // 2:W // 2 + 5].copy()
+            frame[:] = 0.0
+            frame[W // 5:W // 5 + 4, W // 2:W // 2 + 5] = blob
+        else:
+            frame[:] = 0.0 if kind == 6 else -0.0
+    return frames * support_mask(W)
+
+
+# (W, J, detector spacing / pixel size): even and odd widths, each with the
+# frame-matched detector and a wider one of another spacing
+SEQUENCE_GEOMETRIES = [(24, 25, 1.0), (24, 60, 0.55), (33, 34, 1.0), (33, 40, 1.37)]
+
+
+@pytest.mark.parametrize("W, J, ratio", SEQUENCE_GEOMETRIES)
+def test_project_sequence_of_sparse_frames_is_the_dense_oracle(rng, W, J, ratio):
+    """Each view builds only the samples that reach its frame's nonzero pixels.
+
+    The left-out samples add only zeros, so on frames with empty
+    quadrants, tiles and surroundings the sums are the dense oracle's
+    (but for the sign of an all -0.0 ray, ``assert_same_sums``).
+    """
+    h = 2.0 / W
+    det = DetectorGrid(count=J, spacing=ratio * h)
+    angles = np.concatenate([oracle_angles(rng), rng.uniform(0.0, 2.0 * np.pi, 2)])
+    frames = sparse_frames(rng, angles.size, W)
+    columns = project_sequence(iter(frames), h, angles, det)
+    want = dense_project(frames, h, angles, det)
+    assert_same_sums(columns, want)
+    blank = np.arange(angles.size) % 8 >= 6
+    assert np.all(columns[:, blank] == 0.0) and np.all(np.any(columns[:, ~blank], axis=0))
