@@ -77,14 +77,13 @@ from .phantom import (
     MotionSpec,
     MovieFile,
     PhantomSpec,
-    TimeSequentialSinogram,
     benchmark_movie,
     example_phantom,
     render_chunks,
     simulate_acquisition,
 )
 from .psmodel import HarmonicOrder, spline_interpolator
-from .radon import DetectorGrid
+from .radon import DetectorGrid, Sinogram
 from .recon import ProSepSolution, movie_chunks, movie_factors, movie_metrics
 from .sampling import (
     AngularScheme,
@@ -450,7 +449,7 @@ def cmd_reconstruct(args) -> int:
         raise ProsepError(f"{angles_path}: {e}") from None
     detector = DetectorGrid(**cfg["detector"])
     try:
-        data = TimeSequentialSinogram(values=sino, scheme=scheme, detector=detector)
+        data = Sinogram(values=sino, angles=scheme.angles, detector=detector)
     except ValueError as e:
         raise ProsepError(f"{sino_path}: {e}") from None
     order = HarmonicOrder(N=model_cfg["N"], K=model_cfg["K"], d=model_cfg["d"])

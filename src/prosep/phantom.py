@@ -15,9 +15,10 @@ must be finite real numbers.
 Each movie stage has one entry point.  ``render_chunks`` renders the
 ground-truth movie a few frames at a time, so a caller can write it
 without holding it.  ``simulate_acquisition`` takes one view of each
-truth frame, and ``benchmark_movie`` reconstructs every truth frame from
-a full angle set (``radon.project_fbp``) and leaves the result tile by
-tile (``radon.TiledImages``), to be copied out a chunk at a time.  Both
+truth frame into a ``radon.Sinogram``, and ``benchmark_movie``
+reconstructs every truth frame from a full angle set
+(``radon.project_fbp``) and leaves the result tile by tile
+(``radon.TiledImages``), to be copied out a chunk at a time.  Both
 take the truth as a ``MovieFile``, or as any movie with its length,
 frame iteration, ``chunks``, ``shape`` and ``pixel_size``.  A
 ``MovieFile`` is a movie kept in a tensor file: it holds the path and
@@ -39,6 +40,7 @@ import numpy as np
 from .errors import ProsepError, SupportError
 from .radon import (
     DetectorGrid,
+    Sinogram,
     TiledImages,
     grid_coords,
     project_fbp,
@@ -46,14 +48,13 @@ from .radon import (
     support_masked,
 )
 from .sampling import AngularScheme, progressive, sample_times
-from .tensorio import read_chunks, tensor_shape
+from .tensorio import CHUNK_VALUES, read_chunks, tensor_shape
 
 __all__ = [
     "Ellipse",
     "PhantomSpec",
     "MotionSpec",
     "MovieFile",
-    "TimeSequentialSinogram",
     "motion_at",
     "render_chunks",
     "simulate_acquisition",
@@ -180,11 +181,6 @@ def _check_support(spec: PhantomSpec, A: np.ndarray, b: np.ndarray):
         )
 
 
-# pixel values per rendering chunk: the chunk's six float64 scratch arrays
-# (128 KiB each) stay small next to the movie
-_RENDER_VALUES = 1 << 14
-
-
 def _render(spec: PhantomSpec, motion: MotionSpec, times: np.ndarray):
     """Analytic rasterization of the warped phantom at ``times``, unmasked, in chunks.
 
@@ -192,9 +188,9 @@ def _render(spec: PhantomSpec, motion: MotionSpec, times: np.ndarray):
     tested for containment in the base ellipses; containing intensities
     add up.  The motions are checked (``_check_support``) and inverted
     for all times at once, before this returns; the returned generator
-    then renders ``_RENDER_VALUES`` pixels at a time, a few frames per
-    chunk, through scratch arrays allocated once, and yields each chunk
-    as a new array.
+    then renders ``tensorio.CHUNK_VALUES`` pixels at a time, a few frames
+    per chunk, through six scratch arrays of that size allocated once
+    (128 KiB each), and yields each chunk as a new array.
     """
     A, b = motion_at(motion, times)
     _check_support(spec, A, b)
@@ -204,7 +200,7 @@ def _render(spec: PhantomSpec, motion: MotionSpec, times: np.ndarray):
 def _rasterize(spec: PhantomSpec, Ainv: np.ndarray, b: np.ndarray):
     """The chunks of ``_render``, from the inverted motions (``Ainv``, ``b``) of its times."""
     X, Y = grid_coords(spec.width, spec.pixel_size)
-    chunk = max(1, _RENDER_VALUES // X.size)
+    chunk = max(1, CHUNK_VALUES // X.size)
     scratch = np.empty((6, min(chunk, len(b)), *X.shape))
     contained = np.empty(scratch.shape[1:], dtype=bool)
     for p in range(0, len(b), chunk):
@@ -281,10 +277,6 @@ class MovieFile:
         for chunk in self.chunks():
             yield from chunk
 
-    @property
-    def width(self) -> int:
-        return self.shape[1]
-
     def chunks(self):
         """The frames as masked C-order chunks of consecutive frames, read from the file."""
         for chunk in read_chunks(self.path):
@@ -293,31 +285,6 @@ class MovieFile:
             except ValueError as e:
                 raise self._not_a_movie(e) from None
             yield chunk
-
-
-@dataclass(frozen=True)
-class TimeSequentialSinogram:
-    """One projection column per time instant: values[j, p] = g(s_j, theta_p, t_p)."""
-
-    values: np.ndarray
-    scheme: AngularScheme
-    detector: DetectorGrid
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        object.__setattr__(self, "values", v)
-        if v.ndim != 2:
-            raise ValueError("values must be J x P")
-        if v.shape != (self.detector.count, self.scheme.P):
-            raise ValueError(
-                f"values shape {v.shape} != (J={self.detector.count}, P={self.scheme.P})"
-            )
-        if not np.all(np.isfinite(v)):
-            raise ValueError("sinogram values must be finite")
-
-    @property
-    def P(self) -> int:
-        return self.scheme.P
 
 
 def render_chunks(spec: PhantomSpec, motion: MotionSpec, P: int):
@@ -338,25 +305,25 @@ def simulate_acquisition(
     detector: DetectorGrid,
     noise_sigma: float = 0.0,
     seed: int = 0,
-) -> TimeSequentialSinogram:
+) -> Sinogram:
     """Time-sequential acquisition: one view angle theta_p per time t_p.
 
-    Column p is the single-angle projection of the truth frame at t_p
+    Returns the J x P ``radon.Sinogram`` on the scheme's angles, whose
+    column p is the single-angle projection of the truth frame at t_p
     (``radon.project_sequence``, which builds each view's ray samples only
-    where they reach the frame's nonzero pixels); the object is treated
-    as static within each sampling instant.  The frames are visited in
-    order, so a ``MovieFile`` truth is read once, a chunk at a time.
-    Optional iid Gaussian noise with standard deviation ``noise_sigma *
-    max|g|`` is added last, seeded for reproducibility.
+    where they reach the frame's nonzero pixels, and wants one frame per
+    view); the object is treated as static within each sampling instant.
+    The frames are visited in order, so a ``MovieFile`` truth is read
+    once, a chunk at a time.  Optional iid Gaussian noise with standard
+    deviation ``noise_sigma * max|g|`` is added last, seeded for
+    reproducibility.
     """
-    if len(truth) != scheme.P:
-        raise ValueError(f"need one frame per view: {len(truth)} frames, P = {scheme.P}")
     columns = project_sequence(truth, truth.pixel_size, scheme.angles, detector)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
         scale = noise_sigma * np.abs(columns).max()
         columns = columns + rng.normal(0.0, scale, size=columns.shape)
-    return TimeSequentialSinogram(values=columns, scheme=scheme, detector=detector)
+    return Sinogram(values=columns, angles=scheme.angles, detector=detector)
 
 
 def benchmark_movie(

@@ -162,7 +162,12 @@ class DetectorGrid:
 
 @dataclass(frozen=True)
 class Sinogram:
-    """Projection values on a (detector offset) x (view angle) grid."""
+    """Projection values g(s_j, theta_a) on a (detector offset) x (view angle) grid.
+
+    ``values`` is J x A, for J = ``detector.count`` and the A 1-D
+    ``angles``.  The time-sequential sinogram (``project_sequence``) is
+    one too: its column p is frame p seen at theta_p = ``angles[p]``.
+    """
 
     values: np.ndarray
     angles: np.ndarray
@@ -171,12 +176,9 @@ class Sinogram:
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
         a = np.asarray(self.angles, dtype=np.float64)
-        if v.ndim != 2:
-            raise ValueError("sinogram values must be 2-D (J x A)")
-        if a.ndim != 1 or a.size != v.shape[1]:
-            raise ValueError("angles length must equal the number of columns")
-        if v.shape[0] != self.detector.count:
-            raise ValueError("row count must equal detector.count")
+        if a.ndim != 1 or v.shape != (self.detector.count, a.size):
+            raise ValueError(f"values shape {v.shape} != (detector.count, angles.size) = "
+                             f"({self.detector.count}, {a.size}) for angles of shape {a.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("sinogram values must be finite")
         object.__setattr__(self, "values", v)
@@ -639,9 +641,9 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int,
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     _require_two_angles(angles)
     values = np.asarray(sinograms, dtype=float)
-    if values.ndim != 3 or values.shape[:2] != (detector.count, angles.size):
+    if values.ndim != 3 or values.shape[:2] != (detector.count, angles.size) or not values.size:
         raise ValueError(f"sinograms must be J x A x n = {detector.count} x {angles.size} "
-                         f"x n, got shape {values.shape}")
+                         f"x n with n >= 1, got shape {values.shape}")
     J, A, n = values.shape
     filtered = (_ramp_matrix(J, detector.spacing) @ values.reshape(J, A * n)).reshape(J, A, n)
     acc = np.zeros((_tiling(width)[1], _TILE**2, n))
@@ -687,8 +689,8 @@ def project_fbp(frame_chunks, shape, pixel_size: float, angles,
         If fewer than 2 angles are supplied.
     """
     shape = tuple(shape)
-    if len(shape) != 3 or shape[1] != shape[2]:
-        raise ValueError(f"frames must be P x W x W, got shape {shape}")
+    if len(shape) != 3 or shape[1] != shape[2] or math.prod(shape) == 0:
+        raise ValueError(f"frames must be a nonempty P x W x W, got shape {shape}")
     P, W = shape[:2]
     _require_coverage(detector, W, pixel_size)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))

@@ -1,18 +1,18 @@
 """From a recovered representation to a reconstructed movie, plus metrics.
 
 The solver returns temporal coefficients Z and per-offset harmonic
-coefficients beta.  Forming Psi = U Z gives the sampled temporal
-functions; evaluating the harmonic expansion at arbitrary angles yields
-a dense synthetic sinogram for any time instant.  Since synthesis and
-FBP are linear, the movie is itself a partially separable image model:
-FBP of the K+1 component sinograms gives spatial images phi_k, and the
-P x W^2 movie matrix is the rank-(K+1) product Psi Phi, frame p being
-sum_k psi_k(t_p) phi_k.  The movie stage has one path: ``movie_factors``
-returns Psi and Phi, and ``movie_chunks`` forms the product a few frames
-at a time, so ``cli`` writes the movie without holding it.  The caller
-names the output grid and the synthesis angle count: ``cli`` resolves
-them once from the run configuration.  Metrics compare two movies frame
-by frame, each read a chunk at a time from its tensor file
+coefficients beta.  The model has one synthesis rule: the sinogram of
+frame p is g(s, theta, t_p) = sum_k psi_k(t_p) g_k(s, theta), with Psi =
+U Z and the K+1 component sinograms g_k(s_j, theta) = sum_n
+basis_n(theta) beta_{n,k}(s_j) in the real trigonometric basis, at any
+angles (``_component_sinograms``).  ``synthesize_sinogram`` weights them
+by row p of Psi.  FBP is linear, so the movie is a partially separable
+image model too: ``movie_factors`` backprojects the g_k into images
+phi_k, and ``movie_chunks`` forms the rank-(K+1) product Psi Phi a few
+frames at a time, so ``cli`` writes the movie without holding it.  The
+caller names the output grid and the synthesis angle count: ``cli``
+resolves them once from the run configuration.  Metrics compare two
+movies frame by frame, each read a chunk at a time from its tensor file
 (``phantom.MovieFile``); the per-frame metrics take plain arrays.
 """
 
@@ -45,7 +45,6 @@ __all__ = [
     "psnr",
     "ssim",
     "mae",
-    "frame_metrics",
     "movie_metrics",
 ]
 
@@ -90,23 +89,20 @@ class ProSepSolution:
         return self.scheme.P
 
 
-def synthesize_sinogram(solution: ProSepSolution, p: int, out_angles) -> Sinogram:
-    """Model projections at frame index p for arbitrary view angles.
+def _component_sinograms(solution: ProSepSolution, angles: np.ndarray) -> np.ndarray:
+    """The K+1 component sinograms g_k at ``angles``, as one J x A x (K+1) stack."""
+    order = solution.model
+    T = real_trig_theta(angles, order.N)  # A x (2N+1)
+    B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
+    return np.einsum("an,nkj->jak", T, B3)
 
-    Evaluates g(s_j, theta, t_p) = sum_n h_n(s_j, t_p) basis_n(theta) with
-    h_n(s_j, t_p) = sum_k beta_{n,k}(s_j) psi_k(t_p) in the real
-    trigonometric parameterization, so the output is exactly real.
-    """
+
+def synthesize_sinogram(solution: ProSepSolution, p: int, out_angles) -> Sinogram:
+    """Model projections of frame p at arbitrary view angles: the g_k weighted by Psi[p]."""
     if not 0 <= p < solution.P:
         raise IndexError(f"frame index {p} out of range [0, {solution.P})")
     out_angles = np.atleast_1d(np.asarray(out_angles, dtype=float))
-    order = solution.model
-    psi_p = (solution.U[p] @ solution.Z)  # (K+1,)
-    # h[n, j] = sum_k beta[(n,k), j] * psi_p[k]
-    B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
-    h = np.einsum("nkj,k->nj", B3, psi_p)
-    T = real_trig_theta(out_angles, order.N)  # A x (2N+1)
-    values = (T @ h).T  # J x A
+    values = _component_sinograms(solution, out_angles) @ (solution.U[p] @ solution.Z)
     return Sinogram(values=values, angles=out_angles, detector=solution.detector)
 
 
@@ -118,22 +114,16 @@ def movie_factors(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The factors (Psi, Phi) of the reconstructed movie, frame p = sum_k Psi[p, k] Phi[k].
 
-    The synthesized sinogram of frame p is sum_k psi_k(t_p) g_k with
-    component sinograms g_k = T_dense beta[:, k, :], so the K+1 component
-    sinograms are backprojected together (``fbp_stack``, one backprojector
-    per view) into the images phi_k = FBP(g_k): Phi is the (K+1) x W x W
-    stack of them and Psi = U Z the P x (K+1) temporal factor.  The
-    components are synthesized at ``fbp_angles_count`` uniform angles in
-    [0, pi) and backprojected onto the ``width`` x ``width`` grid of
-    ``pixel_size``.  Frame p equals FBP of ``synthesize_sinogram`` at p
-    up to rounding.
+    The K+1 component sinograms, synthesized at ``fbp_angles_count``
+    uniform angles in [0, pi), are backprojected together (``fbp_stack``,
+    one backprojector per view) onto the ``width`` x ``width`` grid of
+    ``pixel_size``: Phi is the (K+1) x W x W stack of phi_k = FBP(g_k),
+    and Psi = U Z the P x (K+1) temporal factor.  Frame p equals FBP of
+    ``synthesize_sinogram`` at p up to rounding.
     """
     angles = progressive(fbp_angles_count, np.pi).angles
-    order = solution.model
-    T = real_trig_theta(angles, order.N)  # A x (2N+1)
-    B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
-    components = np.einsum("an,nkj->jak", T, B3)  # J x A x (K+1)
-    phi = fbp_stack(components, angles, solution.detector, width, pixel_size)  # (K+1) x W x W
+    phi = fbp_stack(_component_sinograms(solution, angles), angles, solution.detector, width,
+                    pixel_size)  # (K+1) x W x W
     return solution.U @ solution.Z, phi
 
 
@@ -277,15 +267,6 @@ class MetricsRow:
             raise ValueError("invalid metric values")
 
 
-def frame_metrics(x: np.ndarray, ref: np.ndarray, peak: float) -> MetricsRow:
-    return _frame_metrics(x, ref, peak, _Workspace())
-
-
-def _frame_metrics(x, ref, peak: float, ws: _Workspace) -> MetricsRow:
-    return MetricsRow(psnr=psnr(x, ref, peak), ssim=_ssim(*_aligned_values(x, ref), peak, ws),
-                      mae=mae(x, ref))
-
-
 def movie_metrics(movie, benchmark, peak: float | None = None):
     """Per-frame metric rows plus their arithmetic mean.
 
@@ -305,7 +286,8 @@ def movie_metrics(movie, benchmark, peak: float | None = None):
         if peak <= 0:
             peak = 1.0
     ws = _Workspace()
-    rows = [_frame_metrics(x, ref, peak, ws) for x, ref in zip(movie, benchmark)]
+    rows = [MetricsRow(psnr=psnr(x, ref, peak), ssim=_ssim(*_aligned_values(x, ref), peak, ws),
+                       mae=mae(x, ref)) for x, ref in zip(movie, benchmark)]
     summary = MetricsRow(
         psnr=float(np.mean([r.psnr for r in rows])),
         ssim=float(np.mean([r.ssim for r in rows])),

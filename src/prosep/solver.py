@@ -1,8 +1,12 @@
 """Variable-projection solver for the bilinear recovery problem.
 
-Stack the measurements as data columns G = [g_hat(s_1), ..., g_hat(s_J)].
-The inner linear variable beta(s) is eliminated by least squares
-(variable projection), leaving
+The data are the time-sequential sinogram, a J x P ``radon.Sinogram``
+whose column p is seen at theta_p, its p-th angle; a simulated
+acquisition and a sinogram read from file are the same type, so the
+solver needs nothing of the phantom simulator.  Stack the measurements
+as data columns G = [g_hat(s_1), ..., g_hat(s_J)].  The inner linear
+variable beta(s) is eliminated by least squares (variable projection),
+leaving
 
     min_Z  F(Z) = ||G - L1(Z) beta*(Z)||_F^2,  beta*(Z) = pinv(L1(Z)) G,
 
@@ -57,7 +61,6 @@ from functools import cached_property
 
 import numpy as np
 
-from .phantom import TimeSequentialSinogram
 from .psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
@@ -66,6 +69,7 @@ from .psmodel import (
     harmonic_parity,
     l1_factors,
 )
+from .radon import Sinogram
 
 __all__ = [
     "SolverConfig",
@@ -106,7 +110,7 @@ def _mirror_weights(J: int) -> np.ndarray:
     return w
 
 
-def stacked_data(data: TimeSequentialSinogram, symmetric: bool) -> list:
+def stacked_data(data: Sinogram, symmetric: bool) -> list:
     """The measurements as data blocks matching the blocks of ``l1_factors``.
 
     Without the symmetry: one block, the columns g(s_j) (P x J).  With
@@ -170,11 +174,11 @@ def _qr_or_truncated_lstsq(L_blocks, G_blocks) -> list:
 
 
 class VarproProblem:
-    """Reduced-objective evaluations for a fixed scheme, interpolator and order.
+    """Reduced-objective evaluations for fixed view angles, interpolator and order.
 
-    Holds the blocks of L1 (``l1_factors``) and the thin QR A_b = Q_b R_b
-    of each fixed factor A_b = face_split(theta_b, U) of L1_b(Z) =
-    A_b (I (x) Z), taken once here.  Every evaluation, the descent's
+    Holds the blocks of L1 (``l1_factors`` of the P angles) and the thin
+    QR A_b = Q_b R_b of each fixed factor A_b = face_split(theta_b, U) of
+    L1_b(Z) = A_b (I (x) Z), taken once here.  Every evaluation, the descent's
     steps and the final fit alike, runs on the reduced blocks L~_b =
     R_b (I (x) Z) and the data reduced by ``reduce`` (module docstring),
     so each works on min(P, |harmonics| d) rows per block.  A step solves
@@ -184,13 +188,13 @@ class VarproProblem:
     d = K+1 runs no step and never needs it.
     """
 
-    def __init__(self, scheme, U: np.ndarray, order: HarmonicOrder, symmetric: bool):
+    def __init__(self, angles, U: np.ndarray, order: HarmonicOrder, symmetric: bool):
         self.order = order
         self.symmetric = symmetric
         U = np.asarray(U, dtype=float)
         if U.shape[1] != order.d:
             raise ValueError(f"U has {U.shape[1]} columns, expected d={order.d}")
-        self.blocks = l1_factors(scheme, order.N, U, symmetric)
+        self.blocks = l1_factors(angles, order.N, U, symmetric)
         self.qr = [np.linalg.qr(face_split(b.theta, b.V)) for b in self.blocks]
 
     @cached_property
@@ -422,7 +426,7 @@ def _polar_orthonormalize(Z: np.ndarray) -> np.ndarray:
 
 
 def solve(
-    data: TimeSequentialSinogram,
+    data: Sinogram,
     model: HarmonicOrder,
     U: np.ndarray,
     config: SolverConfig,
@@ -449,8 +453,9 @@ def solve(
 
     Parameters
     ----------
-    data : TimeSequentialSinogram
-        Acquired projections, one angle per time instant.
+    data : radon.Sinogram
+        Acquired projections, J x P: column p is frame p seen at
+        ``data.angles[p]``, one angle per time instant.
     model : HarmonicOrder
         Harmonic bandlimit N, temporal order K, subspace dimension d.
     U : ndarray (P x d)
@@ -458,14 +463,14 @@ def solve(
     config : SolverConfig
     symmetric : bool
         Exploit the half-turn symmetry (doubles the equations, which split
-        into one P-row block per harmonic parity).  The scheme's angles
-        then lie in [0, ``sampling.span_for(True)``).
+        into one P-row block per harmonic parity).  The angles then lie
+        in [0, ``sampling.span_for(True)``).
 
     Returns
     -------
     (Z, HarmonicCoefficients, SolverReport)
     """
-    P, J = data.scheme.P, data.values.shape[0]
+    J, P = data.values.shape
     block_margin = model.block_margin(P, symmetric)
     if not model.solvable(P, symmetric):
         warnings.warn(
@@ -474,7 +479,7 @@ def solve(
             "linearized model cannot have full column rank and recovery is not unique",
             stacklevel=2,
         )
-    problem = VarproProblem(data.scheme, U, model, symmetric)
+    problem = VarproProblem(data.angles, U, model, symmetric)
     G = stacked_data(data, symmetric)
     tr = sum(float(np.sum(Gb * Gb)) for Gb in G)
     # unit norm: objectives are relative to ||G||^2 (all-zero data stay as they are)

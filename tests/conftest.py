@@ -8,7 +8,7 @@ import pytest
 from scipy.ndimage import map_coordinates
 
 from prosep.cli import DEFAULT_CONFIG, _motion_from_config
-from prosep.phantom import TimeSequentialSinogram, _check_movie_shape, _render
+from prosep.phantom import _render
 from prosep.psmodel import (
     HarmonicOrder,
     face_split,
@@ -25,7 +25,6 @@ from prosep.radon import (
     _ray_samples,
     _reduced_trig,
     _Workspace,
-    fbp,
     grid_coords,
     radon_project,
     support_mask,
@@ -42,18 +41,15 @@ class Movie:
     """A movie held in memory, with what the movie stages read of a ``phantom.MovieFile``.
 
     ``values`` is a copy of the given P x W x W array, masked to the
-    support disk as ``Frame`` masks one image and checked as a
-    ``MovieFile`` checks its chunks; ``chunks`` yields it as one chunk.
+    support disk as ``Frame`` masks one image; ``chunks`` yields it as
+    one chunk.  The checks of a movie are ``MovieFile``'s, tested there.
     """
 
     values: np.ndarray
     pixel_size: float = 1.0
 
     def __post_init__(self):
-        _check_movie_shape(np.shape(self.values))
         object.__setattr__(self, "values", support_masked(self.values, ndim=3))
-        if self.pixel_size <= 0:
-            raise ValueError("pixel_size must be positive")
 
     def __len__(self):
         return len(self.values)
@@ -209,17 +205,6 @@ def fbp_loop(sinogram, width, pixel_size):
     return acc * (np.pi / sinogram.angles.size)
 
 
-def naive_fbp(data, width, pixel_size):
-    """Direct FBP of the inconsistent time-sequential projection set.
-
-    Treats the P time-stamped columns as if they were simultaneous views
-    of a static object; for a moving object this is the artifact-ridden
-    baseline the model-based reconstruction is compared against.
-    """
-    sino = Sinogram(values=data.values, angles=data.scheme.angles, detector=data.detector)
-    return fbp(sino, width=width, pixel_size=pixel_size)
-
-
 def complex_l1(angles, N, Psi, symmetric):
     """Reference L1 on the complex harmonics e^{j n theta}, n = -N..N.
 
@@ -351,6 +336,11 @@ def random_masked_frame(rng, width=48, pixel_size=None):
     return Frame(values=rng.standard_normal((width, width)), pixel_size=pixel_size)
 
 
+def exact_model_scheme(P):
+    """The angles ``make_exact_model_data`` acquires on, for a ``ProSepSolution`` of its data."""
+    return bit_reversed(P, span=np.pi)
+
+
 def make_exact_model_data(P, K, N, d, J, seed=0, psi0=None):
     """Synthetic data that follows the projection model exactly.
 
@@ -365,7 +355,7 @@ def make_exact_model_data(P, K, N, d, J, seed=0, psi0=None):
     assert J % 2 == 0, "use an even bin count so mirrored bins pair up"
     rng = np.random.default_rng(seed)
     order = HarmonicOrder(N=N, K=K, d=d)
-    scheme = bit_reversed(P, span=np.pi)
+    scheme = exact_model_scheme(P)
     U = spline_interpolator(P, d)
     if psi0 is None:
         Z0 = np.linalg.qr(rng.standard_normal((d, K + 1)))[0]
@@ -379,7 +369,7 @@ def make_exact_model_data(P, K, N, d, J, seed=0, psi0=None):
         beta0[:, J - 1 - j] = parity * beta0[:, j]
     values = (M @ beta0).T  # J x P
     det = DetectorGrid(count=J, spacing=2.0 / J)
-    data = TimeSequentialSinogram(values=values, scheme=scheme, detector=det)
+    data = Sinogram(values=values, angles=scheme.angles, detector=det)
     return data, U, Z0, beta0, order
 
 

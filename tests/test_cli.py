@@ -531,7 +531,8 @@ def _nan_at_one_entry(sino):
 
 @pytest.mark.parametrize("name, corrupt, reason", [
     ("angles.tensor", lambda a: np.concatenate([a[:-1], a[:1]]), "angles must be distinct"),
-    ("sinogram.tensor", lambda g: g[:, :20], "values shape (33, 20) != (J=33, P=32)"),
+    ("sinogram.tensor", lambda g: g[:, :20],
+     "values shape (33, 20) != (detector.count, angles.size) = (33, 32)"),
     ("angles.tensor", lambda a: a[:16], "shape (16,), but the manifest has P = 32 angles"),
     ("sinogram.tensor", _nan_at_one_entry, "must be finite"),
 ])

@@ -276,6 +276,8 @@ def test_fbp_stack_rejects_mismatched_shapes_and_one_angle(rng):
         fbp_stack(rng.standard_normal((9, 4)), np.arange(4.0), det, 8, 0.25)
     with pytest.raises(ValueError, match="J x A x n"):
         fbp_stack(rng.standard_normal((9, 5, 2)), np.arange(4.0), det, 8, 0.25)
+    with pytest.raises(ValueError, match=r"J x A x n .*\(9, 4, 0\)"):
+        fbp_stack(np.zeros((9, 4, 0)), np.arange(4.0), det, 8, 0.25)
     with pytest.raises(InsufficientAnglesError):
         fbp_stack(rng.standard_normal((9, 1, 2)), [0.0], det, 8, 0.25)
 
@@ -506,6 +508,8 @@ def test_project_fbp_rejects_mixed_grids_and_narrow_detectors(rng):
     frames, cut = a.values[None], a.values[None, :, 1:]
     with pytest.raises(ValueError, match="P x W x W"):
         project_fbp(lambda: (cut,), cut.shape, h, [0.0, 1.0], matched_detector(a))
+    with pytest.raises(ValueError, match=r"P x W x W, got shape \(0, 16, 16\)"):
+        project_fbp(lambda: (), (0, 16, 16), h, [0.0, 1.0], matched_detector(a))
     with pytest.raises(CoverageError):
         project_fbp(lambda: (frames,), frames.shape, h, [0.0, 1.0],
                     DetectorGrid(count=4, spacing=h))

@@ -1,14 +1,13 @@
 import numpy as np
 import pytest
 
-from conftest import Movie, l1_2p, make_exact_model_data
+from conftest import Movie, exact_model_scheme, l1_2p, make_exact_model_data
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator, face_split, real_trig_theta
 from prosep.radon import DetectorGrid, fbp
 from prosep import recon
 from prosep.recon import (
     MetricsRow,
     ProSepSolution,
-    frame_metrics,
     mae,
     movie_chunks,
     movie_factors,
@@ -31,7 +30,7 @@ def _solved_solution_cached(P, K, N, d, J, seed, static, max_iters):
     Z, beta, report = solve(data, order, U, SolverConfig(max_iters=max_iters, restarts=2, seed=0),
                             symmetric=True)
     sol = ProSepSolution(
-        Z=Z, U=U, beta=beta, model=order, scheme=data.scheme,
+        Z=Z, U=U, beta=beta, model=order, scheme=exact_model_scheme(P),
         detector=data.detector, times=sample_times(P), symmetric=True,
     )
     return sol, data, U, Z0, beta0, order
@@ -53,7 +52,7 @@ def test_solution_rejects_non_orthonormal_factors():
     """ProSepSolution is where Psi = U Z is checked: U and Z need orthonormal columns."""
     data, U, Z0, beta0, order = make_exact_model_data(P=16, K=1, N=2, d=3, J=4, seed=1)
     beta = HarmonicCoefficients(beta=beta0, order=order)
-    fields = dict(beta=beta, model=order, scheme=data.scheme, detector=data.detector,
+    fields = dict(beta=beta, model=order, scheme=exact_model_scheme(16), detector=data.detector,
                   times=sample_times(16))
     ProSepSolution(Z=Z0, U=U, **fields)
     for bad in ({"Z": Z0, "U": 2.0 * U}, {"Z": 2.0 * Z0, "U": U}):
@@ -65,10 +64,10 @@ def test_solution_rejects_non_orthonormal_factors():
 
 def test_synthesize_matches_fitted_values_at_acquired_points():
     sol, data, *_ = solved_solution()
-    fitted = l1_2p(data.scheme, sol.model.N, sol.U, sol.Z, True) @ sol.beta.beta  # 2P x J
+    fitted = l1_2p(data.angles, sol.model.N, sol.U, sol.Z, True) @ sol.beta.beta  # 2P x J
     P = sol.P
     for p in (0, 5, P - 1):
-        g = synthesize_sinogram(sol, p, [data.scheme.angles[p]])
+        g = synthesize_sinogram(sol, p, [data.angles[p]])
         assert np.allclose(g.values[:, 0], fitted[p, :], rtol=1e-10, atol=1e-10)
 
 
@@ -87,9 +86,7 @@ def test_synthesize_matches_dense_ground_truth():
     """Recovered model reproduces the dense true-model sinogram (oracle)."""
     sol, data, U, Z0, beta0, order = solved_solution()
     angles = np.arange(90) * np.pi / 90
-    T = real_trig_theta(
-        type(data.scheme)(angles=angles, span=np.pi, kind="custom"), order.N
-    )
+    T = real_trig_theta(angles, order.N)
     Psi0 = U @ Z0
     worst = 0.0
     B3 = beta0.reshape(order.n_harmonics, order.n_temporal, -1)
@@ -160,7 +157,7 @@ def test_movie_chunks_match_truth_fbp():
     """Exact-model data: the reconstruction matches FBP of the true sinograms."""
     sol, data, U, Z0, beta0, order = solved_solution()
     angles = np.arange(64) * np.pi / 64
-    T = real_trig_theta(type(data.scheme)(angles=angles, span=np.pi, kind="custom"), order.N)
+    T = real_trig_theta(angles, order.N)
     Psi0 = U @ Z0
     W, pixel = _detector_grid(sol)
     movie = np.concatenate(list(movie_chunks(*movie_factors(sol, 64, W, pixel))))

@@ -7,6 +7,7 @@ from scipy.linalg import block_diag
 
 from conftest import (
     data_2p,
+    exact_model_scheme,
     inner_beta,
     l1_2p,
     make_exact_model_data,
@@ -15,7 +16,6 @@ from conftest import (
     rotate_rows,
 )
 from prosep.cli import main
-from prosep.phantom import TimeSequentialSinogram
 from prosep.psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
@@ -23,7 +23,7 @@ from prosep.psmodel import (
     harmonic_blocks,
     spline_interpolator,
 )
-from prosep.radon import DetectorGrid
+from prosep.radon import DetectorGrid, Sinogram
 from prosep.recon import ProSepSolution, movie_chunks, movie_factors, synthesize_sinogram
 from prosep import solver as solver_module
 from prosep.sampling import AngularScheme, bit_reversed, random_scheme, sample_times
@@ -42,7 +42,7 @@ def small_problem(rng, P=24, N=3, K=1, d=3, symmetric=True):
     scheme = random_scheme(P, span=np.pi, seed=int(rng.integers(2**31)))
     order = HarmonicOrder(N=N, K=K, d=d)
     U = spline_interpolator(P, d)
-    problem = VarproProblem(scheme, U, order, symmetric=symmetric)
+    problem = VarproProblem(scheme.angles, U, order, symmetric=symmetric)
     return scheme, order, U, problem
 
 
@@ -98,7 +98,7 @@ def test_stacked_data_single_bin_layout():
     det = DetectorGrid(count=1, spacing=1.0)
     vals = np.zeros((1, P))
     vals[0, 0] = 1.0  # g_hat(s_1) = e_1 (+ its mirror copy e_{P+1})
-    data = TimeSequentialSinogram(values=vals, scheme=scheme, detector=det)
+    data = Sinogram(values=vals, angles=scheme.angles, detector=det)
     e1 = np.zeros((P, 1))
     e1[0] = 1.0
     (plain,) = stacked_data(data, symmetric=False)
@@ -114,8 +114,7 @@ def test_stacked_data_folds_the_rotated_2p_data(J):
     """Oracle: rotate the 2P x J columns [g(s_j); g(-s_j)], then keep ceil(J/2) bins."""
     scheme = random_scheme(10, span=np.pi, seed=3)
     vals = np.random.default_rng(J).standard_normal((J, 10))
-    data = TimeSequentialSinogram(values=vals, scheme=scheme,
-                                  detector=DetectorGrid(count=J, spacing=0.1))
+    data = Sinogram(values=vals, angles=scheme.angles, detector=DetectorGrid(count=J, spacing=0.1))
     half = (J + 1) // 2
     j = np.arange(half)
     weights = np.where(j == J - 1 - j, 1.0, np.sqrt(2.0))  # a middle bin is its own mirror
@@ -198,8 +197,8 @@ def test_objective_zero_for_in_range_data(rng):
 def test_objective_zero_for_square_full_rank_L1(rng):
     # (2N+1)(K+1) = 6 = P without the symmetry: L1 is square and a.s. full rank
     order = HarmonicOrder(N=1, K=1, d=2)
-    problem = VarproProblem(random_scheme(6, span=2 * np.pi, seed=8), spline_interpolator(6, 2),
-                            order, symmetric=False)
+    problem = VarproProblem(random_scheme(6, span=2 * np.pi, seed=8).angles,
+                            spline_interpolator(6, 2), order, symmetric=False)
     Z = random_Z(rng, 2, 1)
     assert objective(problem, Z, [np.eye(6)]) <= 1e-10 * 6
 
@@ -212,7 +211,7 @@ def test_objective_on_square_rank_deficient_symmetric_L1(rng):
     """
     order = HarmonicOrder(N=1, K=1, d=2)
     scheme, U = random_scheme(3, span=np.pi, seed=8), spline_interpolator(3, 2)
-    problem = VarproProblem(scheme, U, order, symmetric=True)
+    problem = VarproProblem(scheme.angles, U, order, symmetric=True)
     Z = random_Z(rng, 2, 1)
     F = objective(problem, Z, rotate_rows(np.eye(6), True))
     F_ref = objective_and_gradient_2p(scheme, 1, U, Z, np.eye(6), 1, True)[0]
@@ -261,7 +260,7 @@ def test_objective_is_the_residual_of_beta_on_a_rank_deficient_tall_L1(monkeypat
     """
     scheme = duplicated_angles()
     U = spline_interpolator(32, 2)
-    problem = VarproProblem(scheme, U, HarmonicOrder(N=20, K=0, d=2), symmetric=True)
+    problem = VarproProblem(scheme.angles, U, HarmonicOrder(N=20, K=0, d=2), symmetric=True)
     Z = random_Z(np.random.default_rng(0), 2, 0)
     G = np.random.default_rng(5).standard_normal((64, 7))
     Y = problem.reduce(rotate_rows(G, True))
@@ -277,7 +276,7 @@ def test_objective_is_never_negative_on_exact_model_data():
     """An exact fit leaves a residual of rounding size, a sum of squares, not below 0."""
     for seed in range(120):
         data, U, Z0, _, order = make_exact_model_data(P=32, K=1, N=3, d=3, J=12, seed=seed)
-        problem = VarproProblem(data.scheme, U, order, symmetric=True)
+        problem = VarproProblem(data.angles, U, order, symmetric=True)
         G = normalized(stacked_data(data, symmetric=True))
         assert 0.0 <= objective(problem, Z0, G) < 1e-20, seed
 
@@ -314,13 +313,13 @@ def test_z_not_unique_when_d_equals_k_plus_1():
     """With d = K+1 every invertible Z spans the same range(L1): same fit."""
     data, U, *_, order = make_exact_model_data(P=32, K=1, N=3, d=2, J=12, seed=11)
     r = np.random.default_rng(17)
-    noisy = TimeSequentialSinogram(
+    noisy = Sinogram(
         values=data.values + 0.05 * np.abs(data.values).max()
         * r.standard_normal(data.values.shape),
-        scheme=data.scheme,
+        angles=data.angles,
         detector=data.detector,
     )
-    problem = VarproProblem(noisy.scheme, U, order, symmetric=True)
+    problem = VarproProblem(noisy.angles, U, order, symmetric=True)
     G = normalized(stacked_data(noisy, symmetric=True))
     Za, Zb = random_Z(r, order.d, order.K), random_Z(r, order.d, order.K)
     Fa, ga = problem.objective_and_gradient_from_data(Za, problem.reduce(G))
@@ -330,10 +329,10 @@ def test_z_not_unique_when_d_equals_k_plus_1():
     assert max(np.linalg.norm(ga), np.linalg.norm(gb)) < 1e-12
     sinos = []
     for Z in (Za, Zb):
-        L1 = l1_2p(noisy.scheme, order.N, U, Z, True)
+        L1 = l1_2p(noisy.angles, order.N, U, Z, True)
         beta = HarmonicCoefficients(beta=inner_beta(L1, data_2p(noisy, True)), order=order)
-        sol = ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=noisy.scheme,
-                             detector=noisy.detector, times=sample_times(noisy.P))
+        sol = ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=exact_model_scheme(32),
+                             detector=noisy.detector, times=sample_times(32))
         angles = np.arange(48) * np.pi / 48
         sinos.append(np.stack([synthesize_sinogram(sol, p, angles).values
                                for p in (0, 13, 31)]))
@@ -343,8 +342,8 @@ def test_z_not_unique_when_d_equals_k_plus_1():
 def _random_sinogram(P, J, seed, symmetric):
     span = np.pi if symmetric else 2 * np.pi
     vals = np.random.default_rng(seed).standard_normal((J, P))
-    return TimeSequentialSinogram(values=vals, scheme=random_scheme(P, span=span, seed=seed),
-                                  detector=DetectorGrid(count=J, spacing=2.0 / J))
+    return Sinogram(values=vals, angles=random_scheme(P, span=span, seed=seed).angles,
+                    detector=DetectorGrid(count=J, spacing=2.0 / J))
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -354,13 +353,13 @@ def test_objective_and_gradient_match_2p_oracle(symmetric, J):
     P, N, K, d = 64, 4, 2, 5
     data = _random_sinogram(P, J, seed=J, symmetric=symmetric)
     U = spline_interpolator(P, d)
-    problem = VarproProblem(data.scheme, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
+    problem = VarproProblem(data.angles, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
     G = stacked_data(data, symmetric)
     r = np.random.default_rng(3)
     for _ in range(3):
         Z = random_Z(r, d, K) + 0.1 * r.standard_normal((d, K + 1))
         F, g = problem.objective_and_gradient_from_data(Z, problem.reduce(G))
-        F_ref, g_ref = objective_and_gradient_2p(data.scheme, N, U, Z, data_2p(data, symmetric),
+        F_ref, g_ref = objective_and_gradient_2p(data.angles, N, U, Z, data_2p(data, symmetric),
                                                  K, symmetric)
         assert F == pytest.approx(F_ref, rel=1e-12)
         assert np.linalg.norm(g - g_ref) <= 1e-12 * np.linalg.norm(g_ref)
@@ -380,7 +379,7 @@ def test_objective_and_gradient_match_2p_oracle_on_each_step_branch(monkeypatch,
     """
     data = _random_sinogram(P, 12, seed=P, symmetric=symmetric)
     U = spline_interpolator(P, d)
-    problem = VarproProblem(data.scheme, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
+    problem = VarproProblem(data.angles, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
     Y = problem.reduce(stacked_data(data, symmetric))
     qr, svd = step_branches(monkeypatch)
     r = np.random.default_rng(4)
@@ -389,7 +388,7 @@ def test_objective_and_gradient_match_2p_oracle_on_each_step_branch(monkeypatch,
             + 0.1 * r.standard_normal((d, K + 1))
         F, g = problem.objective_and_gradient_from_data(Z, Y)
         assert (len(qr), len(svd)) == (step * fallbacks, 0)
-        F_ref, g_ref = objective_and_gradient_2p(data.scheme, N, U, Z, data_2p(data, symmetric),
+        F_ref, g_ref = objective_and_gradient_2p(data.angles, N, U, Z, data_2p(data, symmetric),
                                                  K, symmetric)
         assert F == pytest.approx(F_ref, rel=1e-10)
         assert np.linalg.norm(g - g_ref) <= 1e-10 * np.linalg.norm(g_ref)
@@ -406,8 +405,8 @@ def test_reduced_l1_condition_is_bounded_by_kappa_A_times_kappa_Z(symmetric):
     r = np.random.default_rng(11)
     for P, N, K, d in [(40, 3, 1, 4), (64, 4, 2, 5), (24, 1, 0, 3), (30, 2, 3, 6)]:
         scheme = random_scheme(P, span=np.pi if symmetric else 2 * np.pi, seed=P)
-        problem = VarproProblem(scheme, spline_interpolator(P, d), HarmonicOrder(N=N, K=K, d=d),
-                                symmetric)
+        problem = VarproProblem(scheme.angles, spline_interpolator(P, d),
+                                HarmonicOrder(N=N, K=K, d=d), symmetric)
         QR, kappa_A = problem.qr, problem.kappa_A
         for Z in (random_Z(r, d, K), r.standard_normal((d, K + 1)),
                   r.standard_normal((d, K + 1)) @ np.diag(np.geomspace(1.0, 1e-3, K + 1))):
@@ -424,8 +423,8 @@ def test_reduced_l1_condition_is_bounded_by_kappa_A_times_kappa_Z(symmetric):
 def _duplicated_angle_sinogram(J, seed):
     """Random data on ``duplicated_angles()`` (P = 32)."""
     vals = np.random.default_rng(seed).standard_normal((J, 32))
-    return TimeSequentialSinogram(values=vals, scheme=duplicated_angles(),
-                                  detector=DetectorGrid(count=J, spacing=2.0 / J))
+    return Sinogram(values=vals, angles=duplicated_angles().angles,
+                    detector=DetectorGrid(count=J, spacing=2.0 / J))
 
 
 # (P, N, K, d, symmetric) of each shape of L1 the fit must handle
@@ -451,11 +450,11 @@ def test_fit_matches_inner_beta_on_2p_oracle(case, random_z):
     data = (_duplicated_angle_sinogram(J, seed=P) if case == "duplicated-angles"
             else _random_sinogram(P, J, seed=P + N, symmetric=symmetric))
     U = spline_interpolator(P, d)
-    problem = VarproProblem(data.scheme, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
+    problem = VarproProblem(data.angles, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
     Z = (np.random.default_rng(N).standard_normal((d, K + 1)) if random_z
          else np.eye(d)[:, :K + 1])
     beta, F, _, _ = problem.fit(Z, problem.reduce(stacked_data(data, symmetric)), J)
-    L1, G = l1_2p(data.scheme, N, U, Z, symmetric), data_2p(data, symmetric)
+    L1, G = l1_2p(data.angles, N, U, Z, symmetric), data_2p(data, symmetric)
     want = inner_beta(L1, G)
     assert np.abs(beta - want).max() <= 1e-10 * np.abs(want).max()
     assert abs(F - np.sum((G - L1 @ want) ** 2)) <= 1e-10 * np.sum(G**2)
@@ -471,7 +470,7 @@ def test_solve_beta_matches_inner_beta_on_2p_oracle(symmetric, J, d):
     U = spline_interpolator(P, d)
     Z, beta, _ = solve(data, HarmonicOrder(N=N, K=K, d=d), U,
                        SolverConfig(max_iters=50, restarts=1), symmetric=symmetric)
-    want = inner_beta(l1_2p(data.scheme, N, U, Z, symmetric), data_2p(data, symmetric))
+    want = inner_beta(l1_2p(data.angles, N, U, Z, symmetric), data_2p(data, symmetric))
     assert np.abs(beta.beta - want).max() <= 1e-10 * np.abs(want).max()
     if symmetric:
         # bin J-1-j is bin j times (-1)^n: even rows mirror-symmetric, odd antisymmetric
@@ -490,7 +489,7 @@ def test_solve_with_no_odd_harmonics(d):
     Z, beta, report = solve(data, HarmonicOrder(N=0, K=K, d=d), U,
                             SolverConfig(max_iters=50, restarts=1), symmetric=True)
     assert report.iterations_used == (0 if d == K + 1 else 50)
-    want = inner_beta(l1_2p(data.scheme, 0, U, Z, True), data_2p(data, True))
+    want = inner_beta(l1_2p(data.angles, 0, U, Z, True), data_2p(data, True))
     assert np.abs(beta.beta - want).max() <= 1e-10 * np.abs(want).max()
 
 
@@ -507,7 +506,7 @@ def test_solve_rank_condition_is_per_block(P, warns, block_margin):
     assert any("full column rank" in str(w.message) for w in caught) is warns
     assert report.rank_margin == 2 * P - 366
     assert report.block_rank_margin == block_margin
-    s = np.linalg.svd(l1_2p(data.scheme, 30, U, np.eye(6), True), compute_uv=False)
+    s = np.linalg.svd(l1_2p(data.angles, 30, U, np.eye(6), True), compute_uv=False)
     assert bool(s[-1] / s[0] < 1e-12) is warns  # the unsplit L1 is singular exactly then
 
 
@@ -586,7 +585,7 @@ def test_solve_exact_model_recovery_small():
     assert max_principal_angle(U @ Z, U @ Z0) < 1e-3
     # recovered coefficients reproduce the data
     G = data_2p(data, True)
-    resid = G - l1_2p(data.scheme, order.N, U, Z, True) @ beta.beta
+    resid = G - l1_2p(data.angles, order.N, U, Z, True) @ beta.beta
     assert np.linalg.norm(resid) ** 2 < 1e-8 * np.sum(G**2)
 
 
@@ -643,16 +642,16 @@ def test_solve_consistency_of_reported_objective():
     """Re-assembled residuals reproduce the reported objective."""
     data, U, *_ , order = make_exact_model_data(P=64, K=1, N=4, d=3, J=20, seed=13)
     # perturb the data so the fit is not exact
-    noisy = TimeSequentialSinogram(
+    noisy = Sinogram(
         values=data.values + 0.05 * np.abs(data.values).max()
         * np.random.default_rng(0).standard_normal(data.values.shape),
-        scheme=data.scheme,
+        angles=data.angles,
         detector=data.detector,
     )
     Z, beta, report = solve(noisy, order, U, SolverConfig(max_iters=1500, restarts=2, seed=3),
                             symmetric=True)
     G = data_2p(noisy, True)
-    L1 = l1_2p(noisy.scheme, order.N, U, Z, True)
+    L1 = l1_2p(noisy.angles, order.N, U, Z, True)
     resid = float(np.sum((G - L1 @ beta.beta) ** 2)) / np.sum(G**2)
     assert resid == pytest.approx(report.final_objective, rel=1e-8)
 
@@ -660,18 +659,19 @@ def test_solve_consistency_of_reported_objective():
 def noisy_exact_data(P, K, N, d, J, seed, sigma=0.05):
     data, U, *_, order = make_exact_model_data(P=P, K=K, N=N, d=d, J=J, seed=seed)
     r = np.random.default_rng(seed + 100)
-    noisy = TimeSequentialSinogram(
+    noisy = Sinogram(
         values=data.values + sigma * np.abs(data.values).max()
         * r.standard_normal(data.values.shape),
-        scheme=data.scheme,
+        angles=data.angles,
         detector=data.detector,
     )
     return noisy, U, order
 
 
 def _solution(data, U, Z, beta, order, symmetric):
-    return ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=data.scheme,
-                          detector=data.detector, times=sample_times(data.P),
+    P = data.angles.size
+    return ProSepSolution(Z=Z, U=U, beta=beta, model=order, scheme=exact_model_scheme(P),
+                          detector=data.detector, times=sample_times(P),
                           symmetric=symmetric)
 
 
@@ -685,11 +685,11 @@ def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
     """Oracle: Adam + polar + inner_beta, the path d = K+1 no longer takes."""
     data, U, order = noisy_exact_data(P=32, K=2, N=3, d=3, J=12, seed=seed)
     config = SolverConfig(restarts=1, seed=seed)
-    problem = VarproProblem(data.scheme, U, order, symmetric=symmetric)
+    problem = VarproProblem(data.angles, U, order, symmetric=symmetric)
     G_n = normalized(stacked_data(data, symmetric))
     Z0 = _polar_orthonormalize(np.random.default_rng(seed).standard_normal((3, 3)))
     Z_adam = _polar_orthonormalize(_adam_descent(problem, problem.reduce(G_n), Z0, config)[0])
-    L1 = l1_2p(data.scheme, order.N, U, Z_adam, symmetric)
+    L1 = l1_2p(data.angles, order.N, U, Z_adam, symmetric)
     beta_adam = HarmonicCoefficients(beta=inner_beta(L1, data_2p(data, symmetric)), order=order)
     f_adam = problem.objective_and_gradient_from_data(Z_adam, problem.reduce(G_n))[0]
 
@@ -737,12 +737,12 @@ def test_solve_closed_form_report_contract(monkeypatch):
     assert report.block_rank_margin == 32 - 4 * 2  # P - (N+1)(K+1)
     assert len(calls) == 0 and len(fits) == 1
     # beta is the least-squares fit on L1(I), and the objective is its residual
-    problem = VarproProblem(data.scheme, U, order, symmetric=True)
+    problem = VarproProblem(data.angles, U, order, symmetric=True)
     fitted, F = solve_fit(problem, np.eye(2), data, True)
     assert np.array_equal(beta.beta, fitted)
     assert report.final_objective == F
     G = data_2p(data, True)
-    L1 = l1_2p(data.scheme, order.N, U, np.eye(2), True)
+    L1 = l1_2p(data.angles, order.N, U, np.eye(2), True)
     want = inner_beta(L1, G)
     assert np.abs(beta.beta - want).max() <= 1e-10 * np.abs(want).max()
     resid = float(np.sum((G - L1 @ beta.beta) ** 2)) / np.sum(G**2)
@@ -802,8 +802,8 @@ def test_solve_reports_the_singular_values_its_fit_truncated():
     for gap, truncated in ((1e-11, 5), (1e-10, 0)):
         scheme = AngularScheme(angles=np.sort(np.concatenate([base, base + gap])), span=np.pi,
                                kind="custom")
-        data = TimeSequentialSinogram(values=vals, scheme=scheme,
-                                      detector=DetectorGrid(count=12, spacing=2.0 / 12))
+        data = Sinogram(values=vals, angles=scheme.angles,
+                        detector=DetectorGrid(count=12, spacing=2.0 / 12))
         _, _, report = solve(data, order, U, SolverConfig(), symmetric=True)
         assert report.kappa_L1 is not None and report.kappa_L1 > 1e9
         assert report.truncated_singular_values == truncated, gap
@@ -830,10 +830,10 @@ def test_solve_reports_kappa_of_the_fitted_l1(symmetric, d):
     data, U, order = noisy_exact_data(P=32, K=1, N=3, d=d, J=12, seed=8)
     Z, _, report = solve(data, order, U, SolverConfig(max_iters=60, restarts=1),
                          symmetric=symmetric)
-    stacked = block_diag(*l1_blocks(VarproProblem(data.scheme, U, order, symmetric), Z))
+    stacked = block_diag(*l1_blocks(VarproProblem(data.angles, U, order, symmetric), Z))
     assert report.kappa_L1 == pytest.approx(np.linalg.cond(stacked), rel=1e-10)
     # the parity rotation is orthogonal: the unsplit 2P-row L1 has the same kappa
-    assert report.kappa_L1 == pytest.approx(np.linalg.cond(l1_2p(data.scheme, order.N, U, Z,
+    assert report.kappa_L1 == pytest.approx(np.linalg.cond(l1_2p(data.angles, order.N, U, Z,
                                                                  symmetric)), rel=1e-10)
 
 
@@ -855,7 +855,7 @@ def test_solve_descent_evaluates_the_objective_once_per_iteration(monkeypatch, s
                             symmetric=symmetric)
     assert report.z_identifiable and report.iterations_used == 40
     assert len(calls) == report.iterations_used
-    fitted, F = solve_fit(VarproProblem(data.scheme, U, order, symmetric), Z, data, symmetric)
+    fitted, F = solve_fit(VarproProblem(data.angles, U, order, symmetric), Z, data, symmetric)
     assert np.array_equal(beta.beta, fitted)
     assert report.final_objective == F
 
@@ -885,8 +885,8 @@ def test_solve_raises_when_every_restart_aborts(monkeypatch):
 @pytest.mark.parametrize("d", [2, 4])
 def test_solve_zero_data_is_exact_without_descent(d):
     data, U, order = noisy_exact_data(P=32, K=1, N=3, d=d, J=12, seed=1)
-    zero = TimeSequentialSinogram(values=np.zeros_like(data.values), scheme=data.scheme,
-                                  detector=data.detector)
+    zero = Sinogram(values=np.zeros_like(data.values), angles=data.angles,
+                    detector=data.detector)
     Z, beta, report = solve(zero, order, U, SolverConfig(restarts=2), symmetric=False)
     assert np.array_equal(Z, np.eye(d)[:, :2])
     assert np.all(beta.beta == 0.0)
