@@ -38,16 +38,9 @@ all-view operator is ever held.  The result stays tile by tile
 (``TiledImages``), to be copied out a chunk of images at a time.  Its
 tile-major copy of the frames holds only the occupied tiles.
 
-A view loop takes every per-view array from one ``_Workspace`` per call
-and fills it through ``out=``, so each array is allocated once per call
-instead of once per view: arrays above the allocator's mmap threshold
-(128 KiB in glibc) would otherwise be mapped and unmapped in every view,
-and the page faults and the process's memory would depend on what ran
-before.  Indices are 32-bit, and the backprojector's arrays reuse the
-names, so the memory, of the projector's, which a view has spent by
-then: at W = 64 and P = 128 the workspace holds about 60 float64 per
-pixel, a third of it the dense tile blocks and the batched product of
-the backprojection.
+Every view loop builds a view's arrays fresh and releases them before
+the next view builds its own, by building them in a per-view function
+whose locals die at its return.
 """
 
 from __future__ import annotations
@@ -200,29 +193,7 @@ def _reduced_trig(angles: np.ndarray):
     return sign * np.cos(phi), sign * np.sin(phi)
 
 
-class _Workspace:
-    """Scratch arrays that one call of a view loop reuses from view to view.
-
-    ``ws(name, shape, dtype)`` is an uninitialised array of ``shape`` that
-    shares its memory with every earlier array of that name and dtype.
-    The memory is allocated on the name's first use, and again only when
-    a view needs more of it than any view before, so an array that a loop
-    fills through ``out=`` is allocated once per call, not once per view.
-    An array is valid until the next request for its name.
-    """
-
-    def __init__(self):
-        self._buffers: dict = {}
-
-    def __call__(self, name: str, shape: tuple, dtype=np.float64) -> np.ndarray:
-        key, size = (name, np.dtype(dtype)), math.prod(shape)
-        buffer = self._buffers.get(key)
-        if buffer is None or buffer.size < size:
-            buffer = self._buffers[key] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
-
-
-def _linear_weights(pos: np.ndarray, n: int, ws: _Workspace, name: str):
+def _linear_weights(pos: np.ndarray, n: int):
     """Linear interpolation on the samples 0..n-1 at positions ``pos``.
 
     Returns ``(i, t, inside)``: the value at ``pos`` is ``(1 - t) v[i] +
@@ -230,22 +201,19 @@ def _linear_weights(pos: np.ndarray, n: int, ws: _Workspace, name: str):
     ``np.interp(left=0, right=0)`` and ``map_coordinates(order=1,
     mode="constant")``.  ``i`` is clipped to n-2, so ``pos = n-1`` takes
     its whole weight from the last sample and ``i+1`` is always a sample.
-    ``t`` is ``pos`` itself, overwritten; ``i`` (32-bit integers: every
-    grid here has fewer than 2**31 pixels) and ``inside`` are the arrays
-    ``name + ".i"`` and ``name + ".in"`` of ``ws``.
+    ``t`` is ``pos`` itself, overwritten; ``i`` is 32-bit (every grid
+    here has fewer than 2**31 pixels).
     """
-    inside = np.greater_equal(pos, 0.0, out=ws(name + ".in", pos.shape, bool))
-    inside &= np.less_equal(pos, n - 1, out=ws("cmp", pos.shape, bool))
+    inside = (pos >= 0.0) & (pos <= n - 1)
     # floor(clip(pos)) = clip(floor(pos)), and the cast to an integer rounds
     # a clipped, nonnegative position down
-    i = np.clip(pos, 0, max(n - 2, 0), out=ws(name + ".i", pos.shape, np.int32),
-                casting="unsafe")
+    i = np.clip(pos, 0, max(n - 2, 0)).astype(np.int32)
     pos -= i
     return i, pos, inside
 
 
 def _ray_samples(cos_t: float, sin_t: float, width: int, pixel_size: float,
-                 offsets: np.ndarray, ws: _Workspace):
+                 offsets: np.ndarray):
     """Bilinear stencils of one view's ray samples, as (2W+1) x J arrays.
 
     Ray j is sampled at 2W+1 points ``pixel_size / 2`` apart over the
@@ -258,13 +226,10 @@ def _ray_samples(cos_t: float, sin_t: float, width: int, pixel_size: float,
     M = 2 * W + 1
     u = (np.arange(M) - (M - 1) / 2.0) * (0.5 * h)
     c0 = (W - 1) / 2.0
-    x = np.add(offsets[None, :] * cos_t, u[:, None] * (-sin_t), out=ws("x", (M, offsets.size)))
-    y = np.add(offsets[None, :] * sin_t, u[:, None] * cos_t, out=ws("y", (M, offsets.size)))
-    y /= h
-    base, tr, inside = _linear_weights(np.subtract(c0, y, out=y), W, ws, "row")
-    x /= h
-    x += c0
-    k, tk, k_in = _linear_weights(x, W, ws, "col")
+    y = c0 - (offsets[None, :] * sin_t + u[:, None] * cos_t) / h
+    base, tr, inside = _linear_weights(y, W)
+    x = (offsets[None, :] * cos_t + u[:, None] * (-sin_t)) / h + c0
+    k, tk, k_in = _linear_weights(x, W)
     inside &= k_in
     base *= W
     base += k
@@ -285,7 +250,7 @@ def _stencil_reach(pixels: np.ndarray, width: int) -> np.ndarray:
 
 
 def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
-                    offsets: np.ndarray, reach: np.ndarray, slots: np.ndarray, ws: _Workspace):
+                    offsets: np.ndarray, reach: np.ndarray, slots: np.ndarray):
     """One view's projector entries for the ray samples that ``reach`` marks, as flat arrays.
 
     Ray j integrates the frame along s_j: each of its 2W+1 samples
@@ -303,16 +268,12 @@ def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
     corner by corner the entries of every ray come in one order, whatever
     ``reach`` leaves out.
     """
-    base, tr, tk, inside = _ray_samples(cos_t, sin_t, width, pixel_size, offsets, ws)
-    inside &= np.take(reach, base, out=ws("reach", base.shape, bool), mode="clip")
-    picks = np.flatnonzero(inside)  # the one array a view allocates: its kept samples
-
-    def picked(name, values):
-        return np.take(values.ravel(), picks, out=ws(name, picks.shape, values.dtype), mode="clip")
-
-    base, tr, tk = picked("picked.base", base), picked("picked.tr", tr), picked("picked.tk", tk)
+    base, tr, tk, inside = _ray_samples(cos_t, sin_t, width, pixel_size, offsets)
+    inside &= np.take(reach, base, mode="clip")
+    picks = np.flatnonzero(inside)
+    base, tr, tk = (np.take(values.ravel(), picks, mode="clip") for values in (base, tr, tk))
     weight = 0.5 * pixel_size
-    weights = ws("weights", (4, picks.size))
+    weights = np.empty((4, picks.size))
     below, right_below, above, right_above = weights
     np.multiply(weight, tr, out=above)
     np.subtract(weight, above, out=below)
@@ -321,39 +282,28 @@ def _view_projector(cos_t: float, sin_t: float, width: int, pixel_size: float,
     left = np.subtract(1.0, tk, out=tk)
     below *= left
     above *= left
-    corners = ws("indices", (4, picks.size), slots.dtype)
+    corners = np.empty((4, picks.size), slots.dtype)
     step = int(width > 1)  # a one-pixel frame has no neighbour
     for corner, shift in zip(corners, (0, step, step * width, step * (width + 1))):
         # base + shift is a pixel: base is at most W^2 - W - 2
         np.take(slots[shift:], base, out=corner, mode="clip")
-    rays = np.remainder(picks, offsets.size, out=ws("rays", picks.shape, np.int32))
-    return weights, corners, rays
+    return weights, corners, (picks % offsets.size).astype(np.int32)
 
 
 def _view_backprojector(cos_t: float, sin_t: float, X: np.ndarray, Y: np.ndarray,
-                        detector: DetectorGrid, ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+                        detector: DetectorGrid) -> tuple[np.ndarray, np.ndarray]:
     """One view's backprojector as W^2 rows of 2 entries, stored 2 x W^2.
 
     Returns ``(weights, indices)``: pixel (x, y) reads the filtered
     projection linearly interpolated at ``s = x cos t + y sin t``, that is
     ``weights[0] * p[indices[0]] + weights[1] * p[indices[1]]``, and zero
-    beyond the detector ends.
+    beyond the detector ends; ``indices`` are 32-bit.
     """
     J = detector.count
-    # the arrays share the names, and so the memory, of the projector's
-    # coordinates and entries, which are spent by the time a view backprojects
-    pos = np.multiply(X, cos_t, out=ws("x", X.shape))
-    pos += np.multiply(Y, sin_t, out=ws("y", Y.shape))
-    pos -= detector.offsets[0]
-    pos /= detector.spacing
-    i, t, inside = _linear_weights(pos.ravel(), J, ws, "bin")
-    weights = ws("weights", (2, t.size))
-    np.subtract(1.0, t, out=weights[0])
-    weights[0] *= inside
-    np.multiply(inside, t, out=weights[1])
-    indices = ws("indices", (2, t.size), np.int32)
-    indices[0] = i
-    np.add(indices[0], int(J > 1), out=indices[1])  # a one-bin detector has no neighbour
+    pos = (X * cos_t + Y * sin_t - detector.offsets[0]) / detector.spacing
+    i, t, inside = _linear_weights(pos.ravel(), J)
+    weights = np.stack([(1.0 - t) * inside, inside * t])
+    indices = np.stack([i, i + int(J > 1)])  # a one-bin detector has no neighbour
     return weights, indices
 
 
@@ -393,8 +343,7 @@ def project_sequence(frames, pixel_size: float, angles, detector: DetectorGrid) 
     from zero, as in a CSR row product: the sinogram keeps its last bit,
     which matters because the d > K+1 descent grows a 1e-16 change in it
     about 1e4-fold in Z.  A left-out sample adds only zeros, so no sum
-    changes.  All P views share one workspace, so a long movie maps no
-    memory per frame.
+    changes.
 
     Raises
     ------
@@ -404,7 +353,6 @@ def project_sequence(frames, pixel_size: float, angles, detector: DetectorGrid) 
     angles = np.atleast_1d(np.asarray(angles, dtype=float))
     cos_t, sin_t = _reduced_trig(angles)
     out = np.empty((detector.count, angles.size))
-    ws = _Workspace()
     count = 0
     for values in frames:
         if count == angles.size:
@@ -413,19 +361,24 @@ def project_sequence(frames, pixel_size: float, angles, detector: DetectorGrid) 
         if count == 0:
             _require_coverage(detector, W, pixel_size)
             pixels = np.arange(W * W, dtype=np.int32)  # each pixel is its own slot
-        f = values.ravel()
-        weights, slots, rays = _view_projector(cos_t[count], sin_t[count], W, pixel_size,
-                                               detector.offsets, _stencil_reach(f != 0, W),
-                                               pixels, ws)
-        samples = np.take(f, slots, out=ws("samples", slots.shape))
-        samples *= weights
-        bins = ws("bins", slots.shape, np.intp)
-        bins[...] = rays
-        out[:, count] = np.bincount(bins.ravel(), samples.ravel(), minlength=detector.count)
+        out[:, count] = _project_view(values.ravel(), cos_t[count], sin_t[count], W, pixel_size,
+                                      detector.offsets, pixels)
         count += 1
     if count != angles.size:
         raise ValueError(f"need one frame per view: {count} frames, {angles.size} angles")
     return out
+
+
+def _project_view(f: np.ndarray, cos_t: float, sin_t: float, width: int, pixel_size: float,
+                  offsets: np.ndarray, pixels: np.ndarray) -> np.ndarray:
+    """The J projections of the flat frame ``f`` at one angle, each ray's entries added in order.
+
+    The view's arrays die at return, before the next view builds its own.
+    """
+    weights, slots, rays = _view_projector(cos_t, sin_t, width, pixel_size, offsets,
+                                           _stencil_reach(f != 0, width), pixels)
+    bins = np.broadcast_to(rays, slots.shape).ravel()
+    return np.bincount(bins, (f[slots] * weights).ravel(), minlength=offsets.size)
 
 
 def _ramp_matrix(J: int, spacing: float) -> np.ndarray:
@@ -465,14 +418,14 @@ def _tiling(width: int) -> tuple[np.ndarray, int]:
     """Tile-major layout of a W x W grid cut into ``_TILE`` x ``_TILE`` tiles.
 
     Returns ``(slots, tiles)``: pixel i (row-major) is slot ``slots[i]``
-    of ``tiles * _TILE**2``, and tile t holds the ``_TILE**2`` slots from
-    ``t * _TILE**2`` on.  Tiles cut by the grid edge keep their missing
-    pixels as empty slots.  ``slots`` is read-only: the layout is built
+    (32-bit) of ``tiles * _TILE**2``, and tile t holds the ``_TILE**2``
+    slots from ``t * _TILE**2`` on.  Tiles cut by the grid edge keep
+    their missing pixels as empty slots.  ``slots`` is read-only: the layout is built
     once per width and shared by every call, and every chunk that
     ``TiledImages`` copies out.
     """
     n = -(-width // _TILE)
-    r = np.arange(width)
+    r = np.arange(width, dtype=np.int32)
     tile = (r[:, None] // _TILE) * n + r[None, :] // _TILE
     local = (r[:, None] % _TILE) * _TILE + r[None, :] % _TILE
     slots = (tile * _TILE**2 + local).ravel()
@@ -480,41 +433,42 @@ def _tiling(width: int) -> tuple[np.ndarray, int]:
     return slots, n * n
 
 
-def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles: int, J: int,
-                 ws: _Workspace) -> tuple[np.ndarray, np.ndarray]:
+def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles: int,
+                 J: int) -> tuple[np.ndarray, np.ndarray]:
     """One view's map between J detector bins and the tiled pixels, as dense blocks.
 
-    ``slots`` and ``weights`` share one C-contiguous 2-D shape, and
-    ``bins`` (32-bit integers) broadcasts to it; entry e (in C order)
-    links bin ``bins[e]`` and pixel slot ``slots[e]`` with weight
+    ``slots`` (32-bit integers) and ``weights`` share one C-contiguous 2-D
+    shape, and ``bins`` (32-bit integers) broadcasts to it; entry e (in C
+    order) links bin ``bins[e]`` and pixel slot ``slots[e]`` with weight
     ``weights[e]``.  Repeated links add in entry order, and entries of
     weight zero or of a slot past the last tile are dropped.  Returns
     ``(blocks, first)``, ``blocks`` of shape ``tiles x depth x
     _TILE**2``: ``blocks[t, r, l]`` links bin ``first[t] + r`` and slot
     ``t * _TILE**2 + l``.  Every tile's bins lie in ``first[t] ..
-    first[t] + depth - 1 <= J - 1``.  Both are arrays of ``ws``; the
-    per-entry integers are 32-bit (a cell number stays below
-    tiles * depth * 64 + 1, about 13 W^2).
+    first[t] + depth - 1 <= J - 1``.  A cell number stays below
+    tiles * depth * 64 + 1, about 13 W^2, so it fits 32 bits as well.
     """
-    shape = weights.shape
-    bins = np.broadcast_to(bins, shape)
-    dropped = np.equal(weights, 0.0, out=ws("dropped", shape, bool))
-    dropped |= np.greater_equal(slots, tiles * _TILE**2, out=ws("cmp", shape, bool))
+    bins = np.broadcast_to(bins, weights.shape)
+    # ``dropped`` and ``rows`` are built in place: with a per-entry
+    # temporary more, a view's arrays passed glibc's trim threshold at
+    # W = 128 and went back to the kernel and faulted in every view
+    dropped = weights == 0.0
+    dropped |= slots >= tiles * _TILE**2
     # a dropped entry goes to tile ``tiles``, a spare row that is never returned
-    tile = np.floor_divide(slots, _TILE**2, out=ws("tile", shape, np.int32))
+    tile = slots // _TILE**2
     np.copyto(tile, tiles, where=dropped)
-    first = ws("first", (tiles + 1,), np.int32)  # as ``bins``: ufunc.at is slow across types
-    first.fill(J - 1)
+    first = np.full(tiles + 1, J - 1, dtype=np.int32)  # as ``bins``: ufunc.at is slow across types
     for tile_row, bins_row in zip(tile, bins):
         np.minimum.at(first, tile_row, bins_row)
-    rows = ws("rows", shape, np.int32)
-    np.subtract(bins, np.take(first, tile, out=rows, mode="clip"), out=rows)
-    depth = int(rows.max(initial=0, where=np.logical_not(dropped, out=ws("cmp", shape, bool)))) + 1
+    rows = np.take(first, tile, mode="clip")
+    np.subtract(bins, rows, out=rows)
+    depth = int(rows.max(initial=0, where=~dropped)) + 1
     over = np.maximum(first - (J - depth), 0)  # lower a block that would pass bin J - 1
     over[tiles] = 0
     if over.any():
         first -= over
-        np.subtract(bins, np.take(first, tile, out=rows, mode="clip"), out=rows)
+        np.take(first, tile, out=rows, mode="clip")
+        np.subtract(bins, rows, out=rows)
     # slot t * 64 + l goes to cell (t * depth + row) * 64 + l, a dropped entry
     # to the one cell past the last block
     flat = tile
@@ -523,45 +477,42 @@ def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles
     flat *= _TILE**2
     flat += slots
     np.copyto(flat, tiles * depth * _TILE**2, where=dropped)
-    blocks = ws("blocks", (tiles * depth * _TILE**2 + 1,))
-    blocks.fill(0.0)
+    blocks = np.zeros(tiles * depth * _TILE**2 + 1)
     np.add.at(blocks, flat.ravel(), weights.ravel())
     return blocks[:-1].reshape(tiles, depth, _TILE**2), first[:tiles]
 
 
-def _backproject(filtered_views, acc: np.ndarray, angles: np.ndarray, detector: DetectorGrid,
-                 width: int, pixel_size: float, ws: _Workspace) -> None:
-    """(pi / A) sum_a B_a F_a over the ramp-filtered J x n blocks F_a, one per view, into ``acc``.
+def _backproject(filtered_view, acc: np.ndarray, angles: np.ndarray, detector: DetectorGrid,
+                 width: int, pixel_size: float) -> None:
+    """(pi / A) sum_a B_a F_a over the ramp-filtered J x n blocks F_a, into ``acc``.
 
-    ``B_a`` is view a's backprojector (``_view_backprojector``), built
-    once per view as tile blocks (``_tile_blocks``); each tile of the
-    result adds its block's transpose times the tile's rows of F_a, for
-    a run of about ``_RUN_VALUES / (64 n)`` tiles per batched product.
-    The result stays tile-major in the zeroed tiles x 64 x n ``acc``,
-    for ``TiledImages``.  Every per-view array, the run's gathered rows and
-    product too, comes from ``ws`` and is filled through ``out=``, so
-    the loop allocates it once per call, whatever the number of views;
-    a caller that builds F_a from ``ws`` as well gives it names of its
-    own.  ``fbp_stack`` and ``project_fbp`` both backproject through
-    this loop.
+    ``filtered_view(a)`` returns F_a, and ``B_a`` is view a's
+    backprojector (``_view_backprojector``), built after F_a as tile
+    blocks (``_tile_blocks``); each tile of the result adds its block's
+    transpose times the tile's rows of F_a, for a run of about
+    ``_RUN_VALUES / (64 n)`` tiles per batched product.  The result
+    stays tile-major in the zeroed tiles x 64 x n ``acc``, for
+    ``TiledImages``.  ``fbp_stack`` and ``project_fbp`` both backproject
+    through this loop.
     """
     X, Y = grid_coords(width, pixel_size)
     cos_t, sin_t = _reduced_trig(angles)
     slots, tiles = _tiling(width)
     pixel_slots = np.broadcast_to(slots, (2, slots.size))  # a pixel's two entries
-    n = acc.shape[-1]
     run = min(tiles, max(1, _RUN_VALUES // acc[0].size))
-    for a, block in enumerate(filtered_views):
-        weights, indices = _view_backprojector(cos_t[a], sin_t[a], X, Y, detector, ws)
-        blocks, first = _tile_blocks(indices, pixel_slots, weights, tiles, detector.count, ws)
-        depth = blocks.shape[1]
-        rows = np.add.outer(first, np.arange(depth), out=ws("bp.rows", (tiles, depth), np.intp))
+
+    def add_view(a):
+        # the view's arrays die at return, before the next view builds its own
+        block = filtered_view(a)
+        weights, indices = _view_backprojector(cos_t[a], sin_t[a], X, Y, detector)
+        blocks, first = _tile_blocks(indices, pixel_slots, weights, tiles, detector.count)
+        rows = np.add.outer(first, np.arange(blocks.shape[1]))
         blocks = blocks.transpose(0, 2, 1)
-        gathered, product = ws("gathered", (run, depth, n)), ws("product", (run, _TILE**2, n))
         for t in range(0, tiles, run):
-            m = min(run, tiles - t)
-            np.take(block, rows[t:t + m], axis=0, out=gathered[:m], mode="clip")
-            acc[t:t + m] += np.matmul(blocks[t:t + m], gathered[:m], out=product[:m])
+            acc[t:t + run] += blocks[t:t + run] @ block[rows[t:t + run]]
+
+    for a in range(angles.size):
+        add_view(a)
     acc *= np.pi / angles.size
 
 
@@ -631,7 +582,9 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int,
     and each view's backprojector is built once and applied to the
     view's J x n block, so n sinograms cost one view loop.  Image k is
     ``fbp`` of sinogram k: masked to the support disk, on the grid of
-    ``width`` and ``pixel_size``.  The stack is a C-order array.
+    ``width`` and ``pixel_size``.  The stack is a C-order array.  Memory
+    is the filtered sinograms and the tile-major accumulator, then the
+    accumulator and the stack, plus one view's arrays.
 
     Raises
     ------
@@ -647,8 +600,7 @@ def fbp_stack(sinograms, angles, detector: DetectorGrid, width: int,
     J, A, n = values.shape
     filtered = (_ramp_matrix(J, detector.spacing) @ values.reshape(J, A * n)).reshape(J, A, n)
     acc = np.zeros((_tiling(width)[1], _TILE**2, n))
-    _backproject((filtered[:, a] for a in range(A)), acc, angles, detector, width, pixel_size,
-                 _Workspace())
+    _backproject(lambda a: filtered[:, a], acc, angles, detector, width, pixel_size)
     del filtered
     return TiledImages(acc, width).images()
 
@@ -668,9 +620,9 @@ def project_fbp(frame_chunks, shape, pixel_size: float, angles,
     meet all P frames at once, the J x P block is ramp filtered, and the
     view's backprojector adds it into the W^2 x P result.  No sinogram
     stack, no all-view operator and no frame chunk is held during the
-    view loop, so memory stays O(P W^2): the accumulator, the copy of the
-    occupied tiles and one workspace of per-view arrays.  The result is
-    the accumulator, which ``TiledImages`` copies out a chunk at a time.
+    view loop, so memory stays O(P W^2): the accumulator and the copy of
+    the occupied tiles, plus one view's arrays.  The result is the
+    accumulator, which ``TiledImages`` copies out a chunk at a time.
 
     The first pass over the chunks finds the tiles that some frame
     occupies (has a nonzero pixel in), and the second copies only those
@@ -725,27 +677,19 @@ def project_fbp(frame_chunks, shape, pixel_size: float, angles,
     ramp = _ramp_matrix(J, detector.spacing)
     cos_t, sin_t = _reduced_trig(angles)
     offsets = detector.offsets
-    ws = _Workspace()
 
     def filtered_view(a):
         weights, slots, rays = _view_projector(cos_t[a], sin_t[a], W, pixel_size, offsets, reach,
-                                               packed, ws)
+                                               packed)
         # every corner of a sample links its slot to the sample's ray; the
         # entries of the spare slot, past the last tile, are dropped
-        blocks, first = _tile_blocks(rays, slots, weights, kept, J, ws)
+        blocks, first = _tile_blocks(rays, slots, weights, kept, J)
         depth = blocks.shape[1]
-        sino, product = ws("sino", (J, P)), ws("tile product", (depth, P))
-        sino.fill(0.0)
+        sino = np.zeros((J, P))
         for t in range(kept):
-            sino[first[t]:first[t] + depth] += np.matmul(blocks[t], tiled[t], out=product)
-        return np.matmul(ramp, sino, out=ws("filtered", (J, P)))
+            sino[first[t]:first[t] + depth] += blocks[t] @ tiled[t]
+        return ramp @ sino
 
     acc = np.zeros((tiles, _TILE**2, P))
-    _backproject((filtered_view(a) for a in range(angles.size)), acc, angles, detector, W,
-                 pixel_size, ws)
-    # the workspace goes first: freeing the tile copy, one mapped block,
-    # raises glibc's trim threshold to its size, and heap memory freed
-    # after that would stay resident while the images are copied out
-    del ws
-    del tiled
+    _backproject(filtered_view, acc, angles, detector, W, pixel_size)
     return TiledImages(acc, W)

@@ -28,7 +28,6 @@ from .psmodel import HarmonicCoefficients, HarmonicOrder, real_trig_theta
 from .radon import (  # noqa: F401
     DetectorGrid,
     Sinogram,
-    _Workspace,
     fbp,
     fbp_stack,
     support_masked,
@@ -172,38 +171,29 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
     ``scipy.ndimage.gaussian_filter(X, 1.5, truncate=3.5, mode="reflect")``
     to rounding.
     """
-    return _ssim(*_aligned_values(x, ref), data_range, _Workspace())
-
-
-def _ssim(xv: np.ndarray, rv: np.ndarray, data_range: float, ws: _Workspace) -> float:
-    """``ssim`` with its frame-sized arrays taken from ``ws`` and filled through ``out=``.
-
-    ``movie_metrics`` passes one workspace for all frames, so a movie's
-    metrics allocate those arrays once, not once per frame (which at
-    W = 256 mapped and faulted in about 10 MB per frame).
-    """
+    xv, rv = _aligned_values(x, ref)
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
     H, W = xv.shape
     rows = _ssim_window(H)
     cols = rows if W == H else _ssim_window(W)
-    moments = ws("ssim moments", (5, H, W))  # x, r, x^2, r^2, x r, then their blurs
+    # x, r, x^2, r^2, x r, then their blurs, in one array: freeing it lifts
+    # glibc's trim threshold above a frame pair's arrays, which as five
+    # frame-sized arrays went back to the kernel and faulted in every pair
+    moments = np.empty((5, H, W))
     moments[0], moments[1] = xv, rv
     np.multiply(xv, xv, out=moments[2])
     np.multiply(rv, rv, out=moments[3])
     np.multiply(xv, rv, out=moments[4])
-    half = ws("ssim half", (H, W))
     for moment in moments:
-        np.matmul(np.matmul(rows, moment, out=half), cols.T, out=moment)
+        np.matmul(rows @ moment, cols.T, out=moment)
     mu_x, mu_r, xx, rr, xr = moments
-    sq_x, sq_r, num = ws("ssim terms", (3, H, W))
-    np.square(mu_x, out=sq_x)
-    np.square(mu_r, out=sq_r)
+    sq_x, sq_r = np.square(mu_x), np.square(mu_r)
     var_x = np.subtract(xx, sq_x, out=xx)
     var_r = np.subtract(rr, sq_r, out=rr)
-    cov = np.subtract(xr, np.multiply(mu_x, mu_r, out=num), out=xr)
+    cov = np.subtract(xr, mu_x * mu_r, out=xr)
     # num = (2 mu_x mu_r + c1)(2 cov + c2), den = (mu_x^2 + mu_r^2 + c1)(var_x + var_r + c2)
-    np.multiply(mu_x, 2.0, out=num)
+    num = mu_x * 2.0
     num *= mu_r
     num += c1
     cov *= 2.0
@@ -285,9 +275,8 @@ def movie_metrics(movie, benchmark, peak: float | None = None):
         peak = max(float(chunk.max()) for chunk in benchmark.chunks())
         if peak <= 0:
             peak = 1.0
-    ws = _Workspace()
-    rows = [MetricsRow(psnr=psnr(x, ref, peak), ssim=_ssim(*_aligned_values(x, ref), peak, ws),
-                       mae=mae(x, ref)) for x, ref in zip(movie, benchmark)]
+    rows = [MetricsRow(psnr=psnr(x, ref, peak), ssim=ssim(x, ref, peak), mae=mae(x, ref))
+            for x, ref in zip(movie, benchmark)]
     summary = MetricsRow(
         psnr=float(np.mean([r.psnr for r in rows])),
         ssim=float(np.mean([r.ssim for r in rows])),

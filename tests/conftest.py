@@ -24,7 +24,6 @@ from prosep.radon import (
     Sinogram,
     _ray_samples,
     _reduced_trig,
-    _Workspace,
     grid_coords,
     radon_project,
     support_mask,
@@ -123,7 +122,7 @@ def dense_view_projector(cos_t, sin_t, width, pixel_size, offsets):
     is row c (2W+1) + m, corners in the order (r, k), (r, k+1), (r+1, k),
     (r+1, k+1), and a sample off the grid has weight zero.
     """
-    base, tr, tk, inside = _ray_samples(cos_t, sin_t, width, pixel_size, offsets, _Workspace())
+    base, tr, tk, inside = _ray_samples(cos_t, sin_t, width, pixel_size, offsets)
     weight = inside * (0.5 * pixel_size)
     above = weight * tr
     below = weight - above

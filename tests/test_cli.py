@@ -2,7 +2,6 @@ import argparse
 import copy
 import dataclasses
 import json
-import os
 import shutil
 import struct
 import tracemalloc
@@ -906,7 +905,7 @@ def stage_peaks(tmp_path_factory):
 
 
 def test_simulate_holds_no_truth_during_the_view_loop(stage_peaks):
-    """The benchmark's accumulator and tile copy are the only movie-sized arrays (measured 1.98).
+    """The benchmark's accumulator and tile copy are the only movie-sized arrays (measured 1.69).
 
     The truth is streamed to its file and read back in chunks, and the
     benchmark is written from the accumulator in chunks (3.1 movies when
@@ -916,15 +915,15 @@ def test_simulate_holds_no_truth_during_the_view_loop(stage_peaks):
 
 
 def test_reconstruct_holds_no_movie(stage_peaks):
-    """movie.tensor is written a chunk of frames at a time (measured 0.41 movies, most of it
-    the workspace of ``fbp_stack``; 1.2 when the movie was formed whole)."""
+    """movie.tensor is written a chunk of frames at a time (measured 0.28 movies; 1.2 when the
+    movie was formed whole)."""
     assert stage_peaks["reconstruct"] < 0.6, stage_peaks["reconstruct"]
 
 
 def test_metrics_holds_a_few_frames(stage_peaks):
-    """Each file is read a chunk (4 frames) at a time, and SSIM works in 9 frame-sized arrays
-    kept for the whole movie: measured 0.24 movies = 31 frames, where two whole movies were
-    held before."""
+    """Each file is read a chunk (4 frames) at a time, and SSIM's frame-sized arrays live for
+    one frame pair: measured 0.17 movies = 22 frames, where two whole movies were held
+    before."""
     assert stage_peaks["metrics"] < 0.3, stage_peaks["metrics"]
 
 

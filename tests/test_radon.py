@@ -26,7 +26,6 @@ from prosep.radon import (
     _stencil_reach,
     _tiling,
     _view_projector,
-    _Workspace,
     fbp,
     fbp_stack,
     project_fbp,
@@ -300,8 +299,8 @@ def test_project_fbp_peak_memory_in_movie_sizes(rng):
     """On the symm-d4-w64 grid (P = 128, W = 64) project_fbp allocates under 3 movies.
 
     Its tile-major input and accumulator are one movie each, and the
-    tiled input is released before the result is gathered (measured 2.67
-    movies, most of the rest the per-view workspace).
+    tiled input is released before the result is gathered (measured 2.30
+    movies; the rest is one view's arrays).
     """
     P, W = 128, 64
     frames = rng.standard_normal((P, W, W))
@@ -406,7 +405,7 @@ def test_project_fbp_peak_memory_of_a_quarter_occupied_movie(rng):
     """At P = 128, W = 64 with 16 of the 64 tiles occupied, under 2.3 movies.
 
     Only the occupied tiles are copied (a quarter of a movie); the
-    accumulator and the result are a movie each (measured 2.07 movies).
+    accumulator and the result are a movie each (measured 2.13 movies).
     """
     P, W = 128, 64
     frames = partly_occupied(rng, P, W, [(slice(None), slice(16, 48), slice(16, 48))])
@@ -427,11 +426,13 @@ def test_project_fbp_and_fbp_stack_peak_memory_by_part(rng, occupied):
 
     ``project_fbp`` (P = 128, W = 64) holds the accumulator with either
     the copy of the occupied tiles or the result, and ``fbp_stack`` the
-    filtered sinograms; the per-view arrays come from one workspace,
-    allocated once per call, with 32-bit indices and the backprojector's
-    arrays in the projector's memory: measured 75 (``project_fbp``, 101
-    with 64-bit indices and separate arrays) and 37 (``fbp_stack``)
-    float64 per pixel.
+    filtered sinograms; besides them each holds one view's arrays at a
+    time, with 32-bit indices: measured 29 (``project_fbp``) and 19
+    (``fbp_stack``) float64 per pixel.  The bounds fail a loop that keeps
+    a view's arrays while it builds the next view's (measured 45 and 31
+    with the backprojector's kept, 53 with the projector's) and one that
+    keeps every kind of array at its largest size across the views (75
+    and 37).
     """
     P, W = 128, 64
     windows = [(slice(None), slice(None), slice(None))] if occupied == "all" else \
@@ -456,8 +457,8 @@ def test_project_fbp_and_fbp_stack_peak_memory_by_part(rng, occupied):
         tracemalloc.stop()
     acc, copy = tiles * 64 * P * 8, kept * 64 * P * 8
     held = acc + max(copy, movie)
-    assert peak < held + 80 * per_pixel, (peak - held) / per_pixel
-    assert stack_peak < 2 * stack.nbytes + sinograms.nbytes + 45 * per_pixel, \
+    assert peak < held + 40 * per_pixel, (peak - held) / per_pixel
+    assert stack_peak < 2 * stack.nbytes + sinograms.nbytes + 25 * per_pixel, \
         (stack_peak - 2 * stack.nbytes - sinograms.nbytes) / per_pixel
 
 
@@ -482,8 +483,7 @@ def test_occupied_projector_keeps_the_full_projector_entries_in_order(rng):
         cos_t, sin_t = _reduced_trig([angle])
 
         def entries(reach, slots):
-            w, s, r = _view_projector(cos_t[0], sin_t[0], W, h, offsets, reach, slots,
-                                      _Workspace())
+            w, s, r = _view_projector(cos_t[0], sin_t[0], W, h, offsets, reach, slots)
             return w, s, np.broadcast_to(r, w.shape)
 
         dense_w, dense_i = (a.reshape(4, -1) for a in dense_view_projector(

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import Movie, exact_model_scheme, l1_2p, make_exact_model_data
-from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator, face_split, real_trig_theta
-from prosep.radon import DetectorGrid, fbp
+from prosep.psmodel import HarmonicCoefficients, real_trig_theta
+from prosep.radon import fbp
 from prosep import recon
 from prosep.recon import (
     MetricsRow,
@@ -16,8 +16,8 @@ from prosep.recon import (
     ssim,
     synthesize_sinogram,
 )
-from prosep.sampling import bit_reversed, sample_times
-from prosep.solver import SolverConfig, VarproProblem, solve, stacked_data
+from prosep.sampling import sample_times
+from prosep.solver import SolverConfig, solve
 
 
 import functools
