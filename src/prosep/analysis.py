@@ -6,6 +6,12 @@ schemes), validates the full-rank and conditioning guarantees on random
 instances, and evaluates the truncation bounds for translational and
 rotational motion of a bandlimited object.
 
+Each study of ``prosep analyze`` is one function here, whose parameters
+are the command's flags for that study and whose defaults are theirs:
+``table1`` (``--table1``), ``rank_check_L1`` (``--thm2``),
+``theorem3_sweep`` (``--thm3``) and ``bounds_table`` (``--bounds``, the
+translation and rotation bounds for K = 0..kmax).
+
 kappa(L1) and the rank check are computed on the real trigonometric L1
 the solver fits with (``psmodel.l1_factors``); the complex-exponential
 form is a unitary column transform of it with the same spectrum.  With
@@ -61,6 +67,7 @@ __all__ = [
     "theorem3_sweep",
     "translation_bound",
     "rotation_bound",
+    "bounds_table",
     "table1",
 ]
 
@@ -252,6 +259,17 @@ def rotation_bound(B: float, L: float, theta_max: float, K: int) -> float:
     return _taylor_remainder(B * L * theta_max, K)
 
 
+def bounds_table(bandwidth: float = 1.0, cmax: float = 1.0, L: float = 1.0,
+                 thetamax: float = 1.0, kmax: int = 12) -> list:
+    """The rows of ``bounds.csv``: (K, translation bound, rotation bound) for K = 0..kmax.
+
+    ``bandwidth`` is B, ``cmax`` the largest translation and ``thetamax``
+    the largest rotation angle of an object of support radius ``L``.
+    """
+    return [(K, translation_bound(bandwidth, cmax, K), rotation_bound(bandwidth, L, thetamax, K))
+            for K in range(kmax + 1)]
+
+
 def _trig_grams(N: int, V: np.ndarray, symmetric: bool):
     """The Gram matrices A^T A of the nonempty ``l1_factors`` blocks, as a function of the angles.
 
@@ -412,7 +430,7 @@ def table1(
     P: int = 512,
     K: int = 5,
     N: int = 28,
-    random_trials: int = 1000,
+    trials: int = 1000,
     seed: int = 0,
     d: int = 8,
     J: int = 128,
@@ -420,7 +438,7 @@ def table1(
     """The conditioning study: kappa(L1) per scheme and symmetry, plus kappa(L2).
 
     Deterministic schemes are evaluated once; the random-scheme entries
-    take the best (smallest) kappa over ``random_trials`` seeded draws.
+    take the best (smallest) kappa over ``trials`` seeded draws.
     Returns the seven rows of ``table1.csv`` as (quantity, scheme,
     symmetric, value) tuples: the six kappa(L1) rows, then the kappa(L2)
     row, which is computed for bit-reversed sampling with the symmetry.
@@ -485,7 +503,7 @@ def table1(
             elif kind == "bit_reversed":
                 kappa = cond_L1(bit_reversed(P, span), K, N, symmetric=symmetric)
             else:
-                kappa = _best_random_kappa(P, K, N, symmetric, random_trials, seed)
+                kappa = _best_random_kappa(P, K, N, symmetric, trials, seed)
             rows.append(("kappa_L1", kind, symmetric, kappa))
     kappa_L2 = cond_L2(K=K, N=N, P=P, d=d, J=J, seed=seed).kappa_L2
     rows.append(("kappa_L2", "bit_reversed", True, kappa_L2))

@@ -15,11 +15,11 @@ to its config path, its argparse type or choices and the commands that
 take it; the parser declares those flags from it, and both commands turn
 the flags given into config overrides with it.  ``_ANALYZE_FLAGS`` holds
 the type, least accepted value and help of each ``analyze`` study flag,
-and ``_STUDY_FLAGS`` the flags each study reads; a flag that none of the
-chosen studies reads is an error.  A study flag left out takes the
-default in the signature of the ``analysis`` function that runs the
-study (``--bounds``, a table of two closed forms, keeps its own in
-``cmd_analyze``).
+and ``_STUDIES`` the ``analysis`` function that runs each study and the
+header and rows of the CSV it writes.  A study reads the flags named by
+its function's parameters, and a flag that none of the chosen studies
+reads is an error; a study flag left out takes the default in that
+function's signature.
 
 Four defaults are null in the configuration: ``detector.count`` (W + 1),
 ``detector.spacing`` (the pixel size D / W), ``fbp_angles_count``
@@ -160,12 +160,19 @@ _ANALYZE_FLAGS = {
     "thetamax": (float, 0, "max rotation angle"),
     "kmax": (int, 0, "largest truncation order in the table"),
 }
-# analyze study -> the study flags it reads
-_STUDY_FLAGS = {
-    "table1": ("P", "K", "N", "d", "J", "trials", "seed"),
-    "thm2": ("P", "K", "N", "trials", "seed"),
-    "thm3": ("P", "K", "N", "d", "J", "trials", "seed"),
-    "bounds": ("bandwidth", "cmax", "L", "thetamax", "kmax"),
+# analyze study switch -> (the ``analysis`` function that runs the study, whose
+# parameters are the study flags it reads; the header of its CSV; the CSV rows
+# from the study's result and the arguments it ran with)
+_STUDIES = {
+    "table1": ("table1", "quantity,scheme,symmetric,value",
+               lambda rows, ran: [f"{quantity},{kind},{int(symmetric)},{value!r}"
+                                  for quantity, kind, symmetric, value in rows]),
+    "thm2": ("rank_check_L1", "P,K,N,trials,full_rank_passes",
+             lambda passes, ran: [f"{ran['P']},{ran['K']},{ran['N']},{ran['trials']},{passes}"]),
+    "thm3": ("theorem3_sweep", "trials,bound_satisfied,worst_ratio",
+             lambda result, ran: [f"{ran['trials']},{result[0]},{result[1]!r}"]),
+    "bounds": ("bounds_table", "K,translation_bound,rotation_bound",
+               lambda rows, ran: [f"{K},{tb!r},{rb!r}" for K, tb, rb in rows]),
 }
 
 
@@ -395,6 +402,8 @@ def cmd_simulate(args) -> int:
     # last: a random scheme or noise draw is the process's first use of
     # np.random, which loads about 5 MB of libraries (secrets, hmac,
     # libcrypto) that would otherwise stay resident through the benchmark.
+    # An acquisition that fails (noise that is not finite) leaves the two
+    # movie files behind.
     frames = render_chunks(spec, motion, cfg["P"])
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -490,8 +499,12 @@ def cmd_reconstruct(args) -> int:
     return 0 if report.converged else 2
 
 
-def _analyze_flags(args, studies) -> dict:
-    """The study flags that were given; each must be in range and read by a chosen study."""
+def _analyze_flags(args, studies: dict) -> dict:
+    """The study flags that were given, per chosen study; each must be in range and read.
+
+    ``studies`` maps each chosen switch to its ``analysis`` function, whose
+    parameters are the flags the study reads.
+    """
     given = {}
     for flag, (_, least, _) in _ANALYZE_FLAGS.items():
         val = getattr(args, flag)
@@ -500,11 +513,12 @@ def _analyze_flags(args, studies) -> dict:
         if val < least:
             raise ConfigError(f"flag '--{flag}': must be at least {least}, got {val}")
         given[flag] = val
-    unread = [f for f in given if not any(f in _STUDY_FLAGS[s] for s in studies)]
+    reads = {s: inspect.signature(fn).parameters for s, fn in studies.items()}
+    unread = [f for f in given if not any(f in params for params in reads.values())]
     if unread:
         raise ConfigError(f"flag(s) {', '.join(repr('--' + f) for f in unread)}: read by "
                           f"none of the chosen studies ({' '.join('--' + s for s in studies)})")
-    return given
+    return {s: {f: val for f, val in given.items() if f in params} for s, params in reads.items()}
 
 
 def _study(fn, **kwargs) -> tuple:
@@ -523,47 +537,18 @@ def _study(fn, **kwargs) -> tuple:
 def cmd_analyze(args) -> int:
     from . import analysis  # only this stage needs it: the others skip its import
 
-    studies = [s for s in _STUDY_FLAGS if getattr(args, s)]
+    studies = {s: getattr(analysis, fn) for s, (fn, _, _) in _STUDIES.items() if getattr(args, s)}
     if not studies:
-        print("analyze: nothing to do (pass --table1 / --thm2 / --thm3 / --bounds)",
+        print(f"analyze: nothing to do (pass {' / '.join('--' + s for s in _STUDIES)})",
               file=sys.stderr)
         return 1
-    given = _analyze_flags(args, studies)
-    flags = {s: {f: given[f] for f in _STUDY_FLAGS[s] if f in given} for s in studies}
+    flags = _analyze_flags(args, studies)
     out = args.out
     os.makedirs(out, exist_ok=True)
-    if args.table1:
-        kwargs = flags["table1"]
-        if "trials" in kwargs:
-            kwargs["random_trials"] = kwargs.pop("trials")
-        rows, _ = _study(analysis.table1, **kwargs)
-        lines = ["quantity,scheme,symmetric,value"]
-        lines += [f"{quantity},{kind},{int(symmetric)},{value!r}"
-                  for quantity, kind, symmetric, value in rows]
-        _write_text_atomic(os.path.join(out, "table1.csv"), "\n".join(lines) + "\n")
-    if args.thm2:
-        passes, ran = _study(analysis.rank_check_L1, **flags["thm2"])
-        lines = [
-            "P,K,N,trials,full_rank_passes",
-            f"{ran['P']},{ran['K']},{ran['N']},{ran['trials']},{passes}",
-        ]
-        _write_text_atomic(os.path.join(out, "thm2.csv"), "\n".join(lines) + "\n")
-    if args.thm3:
-        (passes, worst), ran = _study(analysis.theorem3_sweep, **flags["thm3"])
-        lines = [
-            "trials,bound_satisfied,worst_ratio",
-            f"{ran['trials']},{passes},{worst!r}",
-        ]
-        _write_text_atomic(os.path.join(out, "thm3.csv"), "\n".join(lines) + "\n")
-    if args.bounds:
-        b = {"bandwidth": 1.0, "cmax": 1.0, "L": 1.0, "thetamax": 1.0, "kmax": 12,
-             **flags["bounds"]}
-        lines = ["K,translation_bound,rotation_bound"]
-        for K in range(b["kmax"] + 1):
-            tb = analysis.translation_bound(b["bandwidth"], b["cmax"], K)
-            rb = analysis.rotation_bound(b["bandwidth"], b["L"], b["thetamax"], K)
-            lines.append(f"{K},{tb!r},{rb!r}")
-        _write_text_atomic(os.path.join(out, "bounds.csv"), "\n".join(lines) + "\n")
+    for name, fn in studies.items():
+        _, header, csv_rows = _STUDIES[name]
+        lines = [header, *csv_rows(*_study(fn, **flags[name]))]
+        _write_text_atomic(os.path.join(out, f"{name}.csv"), "\n".join(lines) + "\n")
     print(f"analyze: wrote {', '.join(s + '.csv' for s in studies)} in {out}")
     return 0
 
@@ -618,10 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", help="conditioning studies and bound tables")
     ana.add_argument("--out", required=True, help="output directory")
-    ana.add_argument("--table1", action="store_true")
-    ana.add_argument("--thm2", action="store_true")
-    ana.add_argument("--thm3", action="store_true")
-    ana.add_argument("--bounds", action="store_true")
+    for study in _STUDIES:
+        ana.add_argument(f"--{study}", action="store_true")
     for flag, (kind, _, help_) in _ANALYZE_FLAGS.items():
         ana.add_argument(f"--{flag}", type=kind, help=help_)
     ana.set_defaults(func=cmd_analyze)
@@ -638,7 +621,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ProsepError, FileNotFoundError, NotADirectoryError) as e:
+    except (ProsepError, OSError) as e:
         print(f"prosep {args.command}: {e}", file=sys.stderr)
         return 1
 

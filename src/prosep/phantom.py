@@ -316,13 +316,17 @@ def simulate_acquisition(
     The frames are visited in order, so a ``MovieFile`` truth is read
     once, a chunk at a time.  Optional iid Gaussian noise with standard
     deviation ``noise_sigma * max|g|`` is added last, seeded for
-    reproducibility.
+    reproducibility; noise that is not finite is a ``ProsepError`` naming
+    ``noise_sigma``.
     """
     columns = project_sequence(truth, truth.pixel_size, scheme.angles, detector)
     if noise_sigma > 0.0:
         rng = np.random.default_rng(seed)
-        scale = noise_sigma * np.abs(columns).max()
-        columns = columns + rng.normal(0.0, scale, size=columns.shape)
+        peak = float(np.abs(columns).max())
+        columns = columns + rng.normal(0.0, noise_sigma * peak, size=columns.shape)
+        if not np.all(np.isfinite(columns)):
+            raise ProsepError(f"noise_sigma = {noise_sigma!r} times max|g| = {peak!r} "
+                              "gives noise that is not finite")
     return Sinogram(values=columns, angles=scheme.angles, detector=detector)
 
 

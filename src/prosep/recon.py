@@ -257,11 +257,11 @@ class MetricsRow:
             raise ValueError("invalid metric values")
 
 
-def movie_metrics(movie, benchmark, peak: float | None = None):
+def movie_metrics(movie, benchmark):
     """Per-frame metric rows plus their arithmetic mean.
 
     The PSNR/SSIM peak is global: the maximum over the whole benchmark
-    movie (a first pass over its chunks), unless given explicitly.  The
+    movie (a first pass over its chunks), or 1 if that is not positive.  The
     frames are then compared one pair at a time, so a ``MovieFile`` is
     read a chunk at a time and never held whole.
 
@@ -271,10 +271,9 @@ def movie_metrics(movie, benchmark, peak: float | None = None):
     """
     if len(movie) != len(benchmark):
         raise ValueError("movies must have the same number of frames")
-    if peak is None:
-        peak = max(float(chunk.max()) for chunk in benchmark.chunks())
-        if peak <= 0:
-            peak = 1.0
+    peak = max(float(chunk.max()) for chunk in benchmark.chunks())
+    if peak <= 0:
+        peak = 1.0
     rows = [MetricsRow(psnr=psnr(x, ref, peak), ssim=ssim(x, ref, peak), mae=mae(x, ref))
             for x, ref in zip(movie, benchmark)]
     summary = MetricsRow(

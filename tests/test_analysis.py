@@ -20,6 +20,7 @@ from prosep.analysis import (
     _cannot_win,
     _gram_kappa,
     _trig_grams,
+    bounds_table,
     cond_L1,
     cond_L2,
     rank_check_L1,
@@ -519,6 +520,14 @@ def test_translation_bound_closed_form():
     assert translation_bound(1.0, 1.0, 3) == pytest.approx(1.0 / 24.0, rel=1e-12)
 
 
+def test_bounds_table_rows_are_the_two_bounds_for_each_order():
+    assert bounds_table() == [(K, translation_bound(1.0, 1.0, K), rotation_bound(1.0, 1.0, 1.0, K))
+                              for K in range(13)]
+    assert bounds_table(bandwidth=2.5, cmax=0.3, L=1.7, thetamax=0.4, kmax=3) == [
+        (K, translation_bound(2.5, 0.3, K), rotation_bound(2.5, 1.7, 0.4, K)) for K in range(4)
+    ]
+
+
 def test_translation_bound_monotone_beyond_threshold():
     B, c = 2.0, 1.7
     vals = [translation_bound(B, c, K) for K in range(30)]
@@ -592,7 +601,7 @@ def test_rotation_bound_dominates_empirical_truncation():
 # ------------------------------------------------- table
 
 def test_table1_structure_and_determinism():
-    rows = table1(P=128, K=2, N=8, random_trials=5, seed=1, d=4, J=32)
+    rows = table1(P=128, K=2, N=8, trials=5, seed=1, d=4, J=32)
     assert [row[:3] for row in rows] == [
         ("kappa_L1", "progressive", False), ("kappa_L1", "random", False),
         ("kappa_L1", "bit_reversed", False), ("kappa_L1", "progressive", True),
@@ -600,4 +609,4 @@ def test_table1_structure_and_determinism():
         ("kappa_L2", "bit_reversed", True),
     ]
     assert all(isinstance(row[3], float) and row[3] >= 1.0 for row in rows)
-    assert table1(P=128, K=2, N=8, random_trials=5, seed=1, d=4, J=32) == rows
+    assert table1(P=128, K=2, N=8, trials=5, seed=1, d=4, J=32) == rows

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import dataclasses
+import inspect
 import json
 import shutil
 import struct
@@ -11,7 +12,15 @@ import pytest
 
 from conftest import DEFAULT_MOTION, Movie, movie_of
 from prosep import analysis
-from prosep.cli import ConfigError, _resolve_nulls, build_parser, load_config, main
+from prosep.cli import (
+    _ANALYZE_FLAGS,
+    _STUDIES,
+    ConfigError,
+    _resolve_nulls,
+    build_parser,
+    load_config,
+    main,
+)
 from prosep.errors import ProsepError, TensorFormatError
 from prosep.phantom import (
     MovieFile,
@@ -646,6 +655,25 @@ def test_analyze_rejected_study_parameters_exit_1(tmp_path, capsys):
     assert "d must be at least K + 1" in err and len(err.strip().splitlines()) == 1
 
 
+def test_analyze_flags_are_the_parameters_of_the_study_functions():
+    """Each analyze flag is a parameter of some study's function, and each parameter a flag."""
+    params = {name for fn, _, _ in _STUDIES.values()
+              for name in inspect.signature(getattr(analysis, fn)).parameters}
+    assert params == set(_ANALYZE_FLAGS)
+
+
+@pytest.mark.parametrize("flags, kwargs", [
+    ((), {}),
+    (("--bandwidth", "2.5", "--cmax", "0.3", "--L", "1.7", "--thetamax", "0.4", "--kmax", "3"),
+     {"bandwidth": 2.5, "cmax": 0.3, "L": 1.7, "thetamax": 0.4, "kmax": 3}),
+])
+def test_analyze_bounds_writes_the_rows_of_bounds_table(tmp_path, flags, kwargs):
+    assert main(["analyze", "--out", str(tmp_path), "--bounds", *flags]) == 0
+    rows = [f"{K},{tb!r},{rb!r}\n" for K, tb, rb in analysis.bounds_table(**kwargs)]
+    header = "K,translation_bound,rotation_bound\n"
+    assert (tmp_path / "bounds.csv").read_text() == header + "".join(rows)
+
+
 def test_analyze_bounds_monotone_column(tmp_path):
     rc = main(["analyze", "--out", str(tmp_path), "--bounds",
                "--bandwidth", "2.0", "--cmax", "1.0", "--kmax", "12"])
@@ -654,6 +682,47 @@ def test_analyze_bounds_monotone_column(tmp_path):
     vals = [float(l.split(",")[1]) for l in lines]
     start = 2  # monotone decreasing beyond K > B*c_max - 1 = 1
     assert all(vals[k + 1] < vals[k] for k in range(start, len(vals) - 1))
+
+
+# ------------------------------------------------------------- I/O errors
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--P", "16", "--width", "16", "--K", "1", "--N", "3", "--d", "2"],
+    ["reconstruct"],
+    ["analyze", "--bounds"],
+], ids=lambda args: args[0])
+def test_out_naming_an_existing_file_exits_1_with_one_line(sim_dir, tmp_path, capsys, args):
+    out = tmp_path / "taken"
+    out.write_text("a file\n")
+    if args == ["reconstruct"]:
+        args = [*args, "--input", str(sim_dir)]
+    assert main([*args, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"prosep {args[0]}: ") and err.count("\n") == 1
+    assert out.read_text() == "a file\n"
+
+
+def test_metrics_out_naming_an_existing_directory_exits_1_with_one_line(sim_dir, tmp_path,
+                                                                         capsys):
+    out = tmp_path / "taken"
+    out.mkdir()
+    bench = str(sim_dir / "benchmark_movie.tensor")
+    assert main(["metrics", "--movie", bench, "--benchmark", bench, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosep metrics: ") and err.count("\n") == 1
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"] and not any(out.iterdir())
+
+
+@pytest.mark.parametrize("sigma", ["1e308", "1.7e308"])  # drawn noise, then the scale, overflow
+def test_simulate_with_noise_that_is_not_finite_exits_1_naming_noise_sigma(tmp_path, capsys,
+                                                                            sigma):
+    out = tmp_path / "x"
+    assert run_simulate(out, ["--noise-sigma", sigma]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosep simulate: noise_sigma = ") and err.count("\n") == 1
+    # the acquisition comes after the truth and benchmark movies are written
+    assert sorted(p.name for p in out.iterdir()) == ["benchmark_movie.tensor",
+                                                     "truth_movie.tensor"]
 
 
 # ------------------------------------------------------------- metrics
