@@ -1,25 +1,32 @@
 """Command-line front end: simulate, reconstruct, analyze, metrics.
 
 All experiment parameters live in a JSON run configuration (every field
-has a default, so flags alone suffice).  A key that is not a field of
-``DEFAULT_CONFIG`` is an error, and so is a value of the wrong type or
-range (a number must convert to a finite float); the solver section
-holds the three ``SolverConfig`` integers.  The phantom is ``"example"``
+has a default, so flags alone suffice).  The phantom is ``"example"``
 (``phantom.example_phantom`` on the grid) or an inline object
-``{"ellipses": [...]}`` whose entries hold each ellipse's ``center``,
-``semi_axes`` and optional ``angle`` and ``intensity``.
+``{"ellipses": [...]}`` holding at least one ellipse, each with its
+``center``, ``semi_axes`` and optional ``angle`` and ``intensity``.
 
-Each command-line setting is declared once, in a flag table.
-``_SETTING_FLAGS`` maps every ``simulate`` and ``reconstruct`` setting flag
-to its config path, its argparse type or choices and the commands that
-take it; the parser declares those flags from it, and both commands turn
-the flags given into config overrides with it.  ``_ANALYZE_FLAGS`` holds
-the type, least accepted value and help of each ``analyze`` study flag,
-and ``_STUDIES`` the ``analysis`` function that runs each study and the
-header and rows of the CSV it writes.  A study reads the flags named by
-its function's parameters, and a flag that none of the chosen studies
-reads is an error; a study flag left out takes the default in that
-function's signature.
+Each ``simulate``/``reconstruct`` setting is declared once, as a row of
+the field table ``_FIELDS``: its config path, its default, the check of
+its value and, for a setting with a flag, the flag's name, argparse type
+or choices, commands and help.  ``DEFAULT_CONFIG`` is the table's
+defaults, and a key that is not a row's path is an error.  A check
+accepts an integer with a least value or a positive or nonnegative number
+(a number must convert to a finite float), each optionally null, one of a
+list of choices, or a JSON ``true``/``false``.  The parser declares the
+setting flags from the table, and both commands turn the flags given
+into config overrides with it.  Only the rules that span fields stay as
+code, in ``_validate_config``: the manifest's ``format_version``,
+K + 1 <= d <= P, and a recoverable model unless ``--force``; the phantom
+and the motion are checked by the objects they build.  A preset
+(``PRESETS``) is a config override applied after the config file.
+
+``_ANALYZE_FLAGS`` holds the type, least accepted value and help of each
+``analyze`` study flag, and ``_STUDIES`` the ``analysis`` function that
+runs each study and the header and rows of the CSV it writes.  A study
+reads the flags named by its function's parameters, and a flag that none
+of the chosen studies reads is an error; a study flag left out takes the
+default in that function's signature.
 
 Four defaults are null in the configuration: ``detector.count`` (W + 1),
 ``detector.spacing`` (the pixel size D / W), ``fbp_angles_count``
@@ -64,8 +71,10 @@ from __future__ import annotations
 import argparse
 import copy
 import dataclasses
+import functools
 import inspect
 import json
+import operator
 import os
 import sys
 
@@ -96,58 +105,104 @@ from .sampling import (
 from .solver import SolverConfig, solve
 from .tensorio import atomic_write, read_tensor, write_chunks, write_tensor
 
-# hyperparameter presets (P, K, N, d) for the two symmetry modes
+# hyperparameter presets: the orders (P, K, N, d) of the two symmetry modes, as
+# config overrides
 PRESETS = {
-    "p256": {"P": 256, "K": 3, "N": 24, "d": 4, "symmetric": False},
-    "p256-symm": {"P": 256, "K": 5, "N": 30, "d": 6, "symmetric": True},
-    "p512": {"P": 512, "K": 5, "N": 28, "d": 6, "symmetric": False},
-    "p512-symm": {"P": 512, "K": 7, "N": 48, "d": 8, "symmetric": True},
-    "p1024": {"P": 1024, "K": 7, "N": 48, "d": 8, "symmetric": False},
-    "p1024-symm": {"P": 1024, "K": 9, "N": 56, "d": 10, "symmetric": True},
-}
-
-DEFAULT_CONFIG = {
-    "grid": {"width": 64, "support_diameter": 2.0},
-    "phantom": "example",
-    "motion": {"translation": [0.06875, -0.0625], "rotation": 0.19634954084936207,
-               "scaling": [0.05, -0.04]},
-    "P": 256,
-    "scheme": {"kind": "bit_reversed", "seed": 0},
-    "symmetric": True,
-    "model": {"K": 5, "N": 30, "d": 6},
-    "detector": {"count": None, "spacing": None},
-    "noise_sigma": 0.0,
-    "seed": 0,
-    "fbp_angles_count": None,
-    "solver": dataclasses.asdict(SolverConfig()),
+    "p256": {"P": 256, "symmetric": False, "model": {"K": 3, "N": 24, "d": 4}},
+    "p256-symm": {"P": 256, "symmetric": True, "model": {"K": 5, "N": 30, "d": 6}},
+    "p512": {"P": 512, "symmetric": False, "model": {"K": 5, "N": 28, "d": 6}},
+    "p512-symm": {"P": 512, "symmetric": True, "model": {"K": 7, "N": 48, "d": 8}},
+    "p1024": {"P": 1024, "symmetric": False, "model": {"K": 7, "N": 48, "d": 8}},
+    "p1024-symm": {"P": 1024, "symmetric": True, "model": {"K": 9, "N": 56, "d": 10}},
 }
 
 # manifest.json layout; 2 has the three-key solver section
 FORMAT_VERSION = 2
-# least accepted value of each solver field
-_SOLVER_LEAST = {"max_iters": 1, "restarts": 1, "seed": 0}
 SCHEME_KINDS = ("progressive", "random", "bit_reversed")
 
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    """An int or float that converts to a finite float.
+
+    ``json`` also reads NaN, Infinity and integers of any size.
+    """
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
+
+
+# a field check: (test of the value, the values it accepts in words)
+def _check(test, what: str, null: bool = False) -> tuple:
+    return (lambda x: x is None or test(x), f"null or {what}") if null else (test, what)
+
+
+def _integer(least: int, null: bool = False) -> tuple:
+    return _check(lambda x: _is_int(x) and x >= least, f"an integer >= {least}", null)
+
+
+def _number(positive: bool, null: bool = False) -> tuple:
+    if positive:
+        return _check(lambda x: _is_number(x) and x > 0, "a positive number", null)
+    return _check(lambda x: _is_number(x) and x >= 0, "a nonnegative number", null)
+
+
 _SIM, _REC, _BOTH = ("simulate",), ("reconstruct",), ("simulate", "reconstruct")
-# setting flag -> (config path, argparse type or {choice: config value}, commands, help);
-# the --solver-* rows are the SolverConfig fields
-_SETTING_FLAGS = {
-    "P": ("P", int, _SIM, "number of views / time samples"),
-    "scheme": ("scheme.kind", dict(zip(SCHEME_KINDS, SCHEME_KINDS)), _SIM, None),
-    "scheme-seed": ("scheme.seed", int, _SIM, None),
-    "symmetric": ("symmetric", {"on": True, "off": False}, _BOTH, None),
-    "K": ("model.K", int, _BOTH, None),
-    "N": ("model.N", int, _BOTH, None),
-    "d": ("model.d", int, _BOTH, None),
-    "width": ("grid.width", int, _SIM, "grid width in pixels"),
-    "noise-sigma": ("noise_sigma", float, _SIM, None),
-    "seed": ("seed", int, _SIM, None),
-    "solver-max-iters": ("solver.max_iters", int, _REC,
-                         "Adam iteration cap per restart (d > K+1)"),
-    "solver-restarts": ("solver.restarts", int, _REC,
-                        "random starting points of the descent (d > K+1)"),
-    "solver-seed": ("solver.seed", int, _REC, "seed of the starting points (d > K+1)"),
-}
+# run setting -> (config path, default, check or None, flag or None), a flag being
+# (name, argparse type or {choice: config value}, commands, help); the phantom and
+# the motion are checked by the objects they build, and the solver rows are the
+# SolverConfig fields
+_FIELDS = (
+    ("P", 256, _integer(2), ("P", int, _SIM, "number of views / time samples")),
+    ("scheme.kind", "bit_reversed",
+     (lambda x: x in SCHEME_KINDS, "one of " + " | ".join(SCHEME_KINDS)),
+     ("scheme", dict(zip(SCHEME_KINDS, SCHEME_KINDS)), _SIM, None)),
+    ("scheme.seed", 0, _integer(0, null=True), ("scheme-seed", int, _SIM, None)),
+    ("symmetric", True, (lambda x: isinstance(x, bool), "true or false"),
+     ("symmetric", {"on": True, "off": False}, _BOTH, None)),
+    ("model.K", 5, _integer(0), ("K", int, _BOTH, None)),
+    ("model.N", 30, _integer(0), ("N", int, _BOTH, None)),
+    ("model.d", 6, _integer(0), ("d", int, _BOTH, None)),
+    ("grid.width", 64, _integer(8), ("width", int, _SIM, "grid width in pixels")),
+    ("grid.support_diameter", 2.0, _number(positive=True), None),
+    ("noise_sigma", 0.0, _number(positive=False), ("noise-sigma", float, _SIM, None)),
+    ("seed", 0, _integer(0), ("seed", int, _SIM, None)),
+    ("solver.max_iters", SolverConfig.max_iters, _integer(1),
+     ("solver-max-iters", int, _REC, "Adam iteration cap per restart (d > K+1)")),
+    ("solver.restarts", SolverConfig.restarts, _integer(1),
+     ("solver-restarts", int, _REC, "random starting points of the descent (d > K+1)")),
+    ("solver.seed", SolverConfig.seed, _integer(0),
+     ("solver-seed", int, _REC, "seed of the starting points (d > K+1)")),
+    ("phantom", "example", None, None),
+    ("motion.translation", [0.06875, -0.0625], None, None),
+    ("motion.rotation", 0.19634954084936207, None, None),
+    ("motion.scaling", [0.05, -0.04], None, None),
+    ("detector.count", None, _integer(1, null=True), None),
+    ("detector.spacing", None, _number(positive=True, null=True), None),
+    ("fbp_angles_count", None, _integer(2, null=True), None),
+)
+
+
+def _nested(items) -> dict:
+    """The dict holding each value of ``items`` ((path "a.b", value) pairs) at its path."""
+    out = {}
+    for path, val in items:
+        *parents, leaf = path.split(".")
+        node = out
+        for key in parents:
+            node = node.setdefault(key, {})
+        node[leaf] = val
+    return out
+
+
+DEFAULT_CONFIG = _nested((path, default) for path, default, _, _ in _FIELDS)
+
+
+def _setting_flags(command: str) -> list:
+    """(config path, flag) of each setting flag that ``command`` takes, in table order."""
+    return [(path, flag) for path, _, _, flag in _FIELDS if flag and command in flag[2]]
+
 
 # analyze study flag -> (type, least accepted value, help); K = 0 and N = 0 are
 # valid model orders
@@ -215,26 +270,11 @@ def load_config(path: str | None = None, preset: str | None = None,
             raise ConfigError(
                 f"field 'preset': unknown preset {preset!r} (choose from {sorted(PRESETS)})"
             )
-        p = PRESETS[preset]
-        cfg["P"] = p["P"]
-        cfg["symmetric"] = p["symmetric"]
-        cfg["model"] = {"K": p["K"], "N": p["N"], "d": p["d"]}
+        cfg = _deep_update(cfg, PRESETS[preset])
     if overrides:
         cfg = _deep_update(cfg, overrides)
     _validate_config(cfg, force=force)
     return cfg
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _is_number(x) -> bool:
-    """An int or float that converts to a finite float.
-
-    ``json`` also reads NaN, Infinity and integers of any size.
-    """
-    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _need(cond, field, msg) -> None:
@@ -254,54 +294,26 @@ def _check_keys(cfg: dict) -> None:
 
 
 def _validate_config(cfg: dict, force: bool = False) -> None:
+    """Each field passes its ``_FIELDS`` check; then the rules that span fields."""
     _check_keys(cfg)
     version = cfg.get("format_version", FORMAT_VERSION)
     _need(_is_int(version) and version == FORMAT_VERSION, "format_version",
           f"must be {FORMAT_VERSION}, got {version!r}")
-    for key, least in _SOLVER_LEAST.items():
-        val = cfg["solver"].get(key)
-        _need(_is_int(val) and val >= least, f"solver.{key}",
-              f"must be an integer >= {least}, got {val!r}")
-    grid = cfg["grid"]
-    _need(_is_int(grid.get("width")) and grid["width"] >= 8, "grid.width",
-          "must be an integer >= 8")
-    diameter = grid.get("support_diameter")
-    _need(_is_number(diameter) and diameter > 0, "grid.support_diameter",
-          "must be a positive number")
-    _need(_is_int(cfg.get("P")) and cfg["P"] >= 2, "P", "must be an integer >= 2")
-    kind = cfg["scheme"].get("kind")
-    _need(kind in SCHEME_KINDS, "scheme.kind", "must be " + " | ".join(SCHEME_KINDS))
-    scheme_seed = cfg["scheme"].get("seed")
-    _need(scheme_seed is None or (_is_int(scheme_seed) and scheme_seed >= 0), "scheme.seed",
-          "must be null or a nonnegative integer")
-    _need(_is_int(cfg.get("seed")) and cfg["seed"] >= 0, "seed",
-          "must be a nonnegative integer")
-    # model orders: nonnegative integers with K + 1 <= d <= P
-    model = cfg["model"]
-    for key in ("K", "N", "d"):
-        _need(_is_int(model.get(key)) and model[key] >= 0, f"model.{key}",
-              f"must be a nonnegative integer, got {model.get(key)!r}")
+    for path, _, check, _ in _FIELDS:
+        if check is not None:
+            val = functools.reduce(operator.getitem, path.split("."), cfg)
+            test, what = check
+            _need(test(val), path, f"must be {what}, got {val!r}")
+    model, P, symmetric = cfg["model"], cfg["P"], cfg["symmetric"]
     K, d = model["K"], model["d"]
     _need(d >= K + 1, "model.d", f"must be at least K + 1 = {K + 1}, got {d}")
-    _need(d <= cfg["P"], "model.d", f"must be at most P = {cfg['P']}, got {d}")
-    sigma = cfg.get("noise_sigma")
-    _need(_is_number(sigma) and sigma >= 0, "noise_sigma", "must be a nonnegative number")
-    count, spacing = cfg["detector"].get("count"), cfg["detector"].get("spacing")
-    _need(count is None or (_is_int(count) and count >= 1), "detector.count",
-          "must be null or an integer >= 1")
-    _need(spacing is None or (_is_number(spacing) and spacing > 0), "detector.spacing",
-          "must be null or a positive number")
-    fbp_count = cfg.get("fbp_angles_count")
-    _need(fbp_count is None or (_is_int(fbp_count) and fbp_count >= 2),
-          "fbp_angles_count", "must be null or an integer >= 2")
-    order = HarmonicOrder(N=model["N"], K=model["K"], d=model["d"])
-    symmetric = bool(cfg.get("symmetric"))
-    if not order.solvable(cfg["P"], symmetric) and not force:
+    _need(d <= P, "model.d", f"must be at most P = {P}, got {d}")
+    order = HarmonicOrder(N=model["N"], K=K, d=d)
+    if not order.solvable(P, symmetric) and not force:
         need = "(N+1)(K+1)" if symmetric else "(2N+1)(K+1)"
         raise ConfigError(
-            f"field 'model': P = {cfg['P']} < {need} = "
-            f"{cfg['P'] - order.block_margin(cfg['P'], symmetric)}; the model is "
-            "not recoverable (pass --force to proceed anyway)"
+            f"field 'model': P = {P} < {need} = {P - order.block_margin(P, symmetric)}; "
+            "the model is not recoverable (pass --force to proceed anyway)"
         )
 
 
@@ -327,6 +339,7 @@ def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:
     for e in ph["ellipses"]:
         extra = set(e) - {"center", "semi_axes", "angle", "intensity"}
         _need(not extra, "phantom.ellipses", f"unknown field(s) {sorted(extra)}")
+    _need(ells, "phantom.ellipses", "must hold at least one ellipse")
     return PhantomSpec(ellipses=ells, width=width, pixel_size=pixel)
 
 
@@ -334,9 +347,8 @@ def _motion_from_config(cfg: dict) -> MotionSpec:
     m = cfg["motion"]
     try:
         return MotionSpec(
-            translation=tuple(m.get("translation", (0.0, 0.0))),
-            rotation=m.get("rotation", 0.0),
-            scaling=tuple(m.get("scaling", (0.0, 0.0))),
+            translation=tuple(m["translation"]), rotation=m["rotation"],
+            scaling=tuple(m["scaling"]),
         )
     except (TypeError, ValueError) as e:
         raise ConfigError(f"field 'motion': {e}")
@@ -374,17 +386,12 @@ def _resolve_nulls(cfg: dict) -> float:
 
 def _setting_overrides(args) -> dict:
     """The config overrides of the setting flags given to ``args.command``."""
-    overrides = {}
-    for flag, (path, kind, commands, _) in _SETTING_FLAGS.items():
-        val = getattr(args, flag.replace("-", "_")) if args.command in commands else None
-        if val is None:
-            continue
-        *parents, leaf = path.split(".")
-        node = overrides
-        for key in parents:
-            node = node.setdefault(key, {})
-        node[leaf] = kind[val] if isinstance(kind, dict) else val
-    return overrides
+    given = []
+    for path, (name, kind, _, _) in _setting_flags(args.command):
+        val = getattr(args, name.replace("-", "_"))
+        if val is not None:
+            given.append((path, kind[val] if isinstance(kind, dict) else val))
+    return _nested(given)
 
 
 # ------------------------------------------------------------- commands
@@ -573,10 +580,9 @@ def cmd_metrics(args) -> int:
 # ------------------------------------------------------------- parser
 
 def _add_setting_flags(parser, command: str) -> None:
-    for flag, (_, kind, commands, help_) in _SETTING_FLAGS.items():
-        if command in commands:
-            typed = {"choices": list(kind)} if isinstance(kind, dict) else {"type": kind}
-            parser.add_argument(f"--{flag}", help=help_, **typed)
+    for _, (name, kind, _, help_) in _setting_flags(command):
+        typed = {"choices": list(kind)} if isinstance(kind, dict) else {"type": kind}
+        parser.add_argument(f"--{name}", help=help_, **typed)
 
 
 def build_parser() -> argparse.ArgumentParser:

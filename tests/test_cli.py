@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import inspect
 import json
+import re
 import shutil
 import struct
 import tracemalloc
@@ -14,7 +15,9 @@ from conftest import DEFAULT_MOTION, Movie, movie_of
 from prosep import analysis
 from prosep.cli import (
     _ANALYZE_FLAGS,
+    _FIELDS,
     _STUDIES,
+    DEFAULT_CONFIG,
     ConfigError,
     _resolve_nulls,
     build_parser,
@@ -206,10 +209,42 @@ def test_config_fbp_angles_count_is_null_or_integer_at_least_2():
     ("solver.restarts", 0), ("solver.max_iters", 0), ("solver.max_iters", 1e3),
     ("solver.seed", -3), ("solver.seed", None),
     ("format_version", 1), ("format_version", "2"),
+    # a JSON true/false only: 1 in (True, False) is true
+    ("symmetric", "false"), ("symmetric", None), ("symmetric", 0), ("symmetric", 1),
 ])
 def test_config_malformed_field_is_config_error(field, bad):
     with pytest.raises(ConfigError, match=field):
         load_config(overrides=nested(field, bad))
+
+
+def _wrong_type_values(what):
+    """Values of a JSON type that a check accepting ``what`` must refuse."""
+    values = ["x"]
+    if "integer" in what or "number" in what:
+        values.append(True)
+    if "integer" in what:
+        values.append(2.5)
+    if not what.startswith("null or "):
+        values.append(None)
+    return values
+
+
+@pytest.mark.parametrize("field, bad", [
+    (path, bad) for path, _, check, _ in _FIELDS if check is not None
+    for bad in _wrong_type_values(check[1])
+])
+def test_every_checked_field_refuses_a_value_of_the_wrong_type(field, bad):
+    assert load_config() == DEFAULT_CONFIG
+    with pytest.raises(ConfigError, match=f"^field '{re.escape(field)}': "):
+        load_config(overrides=nested(field, bad))
+
+
+@pytest.mark.parametrize("preset", [None, "p256"])
+def test_config_unknown_model_field_is_refused_with_or_without_a_preset(tmp_path, preset):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"model": {"k": 1}}))
+    with pytest.raises(ConfigError, match="unknown field.*'model.k'"):
+        load_config(str(cfg), preset=preset)
 
 
 @pytest.mark.parametrize("field", ["modle", "grid.widht", "solver.restart", "model.k"])
@@ -305,6 +340,9 @@ def test_simulate_static_motion_benchmark_constant(tmp_path):
                                                "angle": "0.2"}]}}, "'phantom.ellipses'"),
     ({**TINY_CONFIG, "phantom": {"ellipses": [{"center": [0, 0], "semi_axes": [0.5, 0.5],
                                                "intensity": "1"}]}}, "'phantom.ellipses'"),
+    ({**TINY_CONFIG, "phantom": {"ellipses": []}}, "'phantom.ellipses'"),
+    # a string is not a boolean, whatever it spells
+    ({**TINY_CONFIG, "symmetric": "false"}, "'symmetric'"),
 ])
 def test_simulate_bad_config_file_exits_1_with_one_line(tmp_path, capsys, content, named):
     cfg = tmp_path / "cfg.json"
@@ -509,6 +547,21 @@ def test_reconstruct_rejects_a_format_1_manifest(sim_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("prosep reconstruct: ") and err.count("\n") == 1
     assert "'solver.step_size'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_reconstruct_rejects_a_manifest_whose_symmetric_is_not_a_boolean(sim_dir, tmp_path,
+                                                                         capsys):
+    run = tmp_path / "run"
+    shutil.copytree(sim_dir, run)
+    manifest = json.loads((run / "manifest.json").read_text())
+    manifest["symmetric"] = "false"
+    (run / "manifest.json").write_text(json.dumps(manifest))
+    rc = main(["reconstruct", "--input", str(run), "--out", str(tmp_path / "out")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("prosep reconstruct: ") and err.count("\n") == 1
+    assert "'symmetric'" in err
     assert not (tmp_path / "out").exists()
 
 
