@@ -5,6 +5,14 @@ has a default, so flags alone suffice).  The phantom is ``"example"``
 (``phantom.example_phantom`` on the grid) or an inline object
 ``{"ellipses": [...]}`` holding at least one ellipse, each with its
 ``center``, ``semi_axes`` and optional ``angle`` and ``intensity``.
+Each inline ellipse, the motion and the model are built by calling their
+types with the section's keys (``Ellipse(**e)``, ``MotionSpec(**motion)``,
+``HarmonicOrder(**model)``).  The type checks the values, and keyword
+binding refuses an ellipse's missing or unknown keys; either is a
+``ConfigError`` naming the section.  The motion and model keys are
+``_FIELDS`` paths, so they are always present and known.  A new field of
+one of these types needs one ``_FIELDS`` row for its default (none for an
+ellipse field, whose default is ``Ellipse``'s) and no builder edit.
 
 Each ``simulate``/``reconstruct`` setting is declared once, as a row of
 the field table ``_FIELDS``: its config path, its default, the check of
@@ -17,8 +25,7 @@ list of choices, or a JSON ``true``/``false``.  The parser declares the
 setting flags from the table, and both commands turn the flags given
 into config overrides with it.  Only the rules that span fields stay as
 code, in ``_validate_config``: the manifest's ``format_version``,
-K + 1 <= d <= P, and a recoverable model unless ``--force``; the phantom
-and the motion are checked by the objects they build.  A preset
+K + 1 <= d <= P, and a recoverable model unless ``--force``.  A preset
 (``PRESETS``) is a config override applied after the config file.
 
 ``_ANALYZE_FLAGS`` holds the type, least accepted value and help of each
@@ -308,7 +315,7 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
     K, d = model["K"], model["d"]
     _need(d >= K + 1, "model.d", f"must be at least K + 1 = {K + 1}, got {d}")
     _need(d <= P, "model.d", f"must be at most P = {P}, got {d}")
-    order = HarmonicOrder(N=model["N"], K=K, d=d)
+    order = HarmonicOrder(**model)
     if not order.solvable(P, symmetric) and not force:
         need = "(N+1)(K+1)" if symmetric else "(2N+1)(K+1)"
         raise ConfigError(
@@ -325,33 +332,11 @@ def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:
     _need(isinstance(ph, dict) and set(ph) == {"ellipses"}, "phantom",
           "must be \"example\" or an object with one key 'ellipses'")
     try:
-        ells = tuple(
-            Ellipse(
-                center=tuple(e["center"]),
-                semi_axes=tuple(e["semi_axes"]),
-                angle=e.get("angle", 0.0),
-                intensity=e.get("intensity", 1.0),
-            )
-            for e in ph["ellipses"]
-        )
-    except (KeyError, TypeError, ValueError) as e:
+        ells = tuple(Ellipse(**e) for e in ph["ellipses"])
+    except (TypeError, ValueError) as e:
         raise ConfigError(f"field 'phantom.ellipses': {e}")
-    for e in ph["ellipses"]:
-        extra = set(e) - {"center", "semi_axes", "angle", "intensity"}
-        _need(not extra, "phantom.ellipses", f"unknown field(s) {sorted(extra)}")
     _need(ells, "phantom.ellipses", "must hold at least one ellipse")
     return PhantomSpec(ellipses=ells, width=width, pixel_size=pixel)
-
-
-def _motion_from_config(cfg: dict) -> MotionSpec:
-    m = cfg["motion"]
-    try:
-        return MotionSpec(
-            translation=tuple(m["translation"]), rotation=m["rotation"],
-            scaling=tuple(m["scaling"]),
-        )
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"field 'motion': {e}")
 
 
 def _scheme_from_config(cfg: dict) -> AngularScheme:
@@ -400,7 +385,10 @@ def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.preset, _setting_overrides(args), force=args.force)
     pixel = _resolve_nulls(cfg)
     spec = _phantom_from_config(cfg, pixel)
-    motion = _motion_from_config(cfg)
+    try:
+        motion = MotionSpec(**cfg["motion"])
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"field 'motion': {e}")
     detector = DetectorGrid(**cfg["detector"])
 
     # The truth goes straight to its file, a few frames at a time, and the
@@ -446,7 +434,6 @@ def cmd_reconstruct(args) -> int:
     angles_path = os.path.join(indir, "angles.tensor")
     sino = read_tensor(sino_path)
     angles = read_tensor(angles_path)
-    model_cfg = cfg["model"]
     symmetric = cfg["symmetric"]
 
     P = cfg["P"]
@@ -468,7 +455,7 @@ def cmd_reconstruct(args) -> int:
         data = Sinogram(values=sino, angles=scheme.angles, detector=detector)
     except ValueError as e:
         raise ProsepError(f"{sino_path}: {e}") from None
-    order = HarmonicOrder(N=model_cfg["N"], K=model_cfg["K"], d=model_cfg["d"])
+    order = HarmonicOrder(**cfg["model"])
     U = spline_interpolator(P, order.d)
     Z, beta, report = solve(data, order, U, SolverConfig(**cfg["solver"]),
                             symmetric=symmetric)
@@ -491,7 +478,7 @@ def cmd_reconstruct(args) -> int:
     _write_text_atomic(os.path.join(out, "solver_report.csv"), "\n".join(trace_lines) + "\n")
     summary = dataclasses.asdict(report)
     del summary["objective_trace"], summary["raw_objective_trace"]
-    summary.update(model=model_cfg, symmetric=symmetric)
+    summary.update(model=cfg["model"], symmetric=symmetric)
     _write_text_atomic(
         os.path.join(out, "solver_report.json"),
         json.dumps(summary, indent=2, sort_keys=True) + "\n",

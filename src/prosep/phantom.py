@@ -72,7 +72,11 @@ def _require_finite_reals(what: str, values) -> None:
 
 @dataclass(frozen=True)
 class Ellipse:
-    """Constant-intensity ellipse: center, semi-axes, tilt angle, additive value."""
+    """Constant-intensity ellipse: center, semi-axes, tilt angle, additive value.
+
+    ``center`` and ``semi_axes`` are stored as tuples, so an ellipse built
+    from JSON lists equals, and hashes as, one built from tuples.
+    """
 
     center: tuple
     semi_axes: tuple
@@ -80,6 +84,8 @@ class Ellipse:
     intensity: float = 1.0
 
     def __post_init__(self):
+        object.__setattr__(self, "center", tuple(self.center))
+        object.__setattr__(self, "semi_axes", tuple(self.semi_axes))
         if len(self.center) != 2 or len(self.semi_axes) != 2:
             raise ValueError("center and semi_axes must be length-2")
         _require_finite_reals("ellipse center, semi-axes, angle and intensity",
@@ -117,7 +123,8 @@ class MotionSpec:
 
     ``translation`` and ``scaling`` hold per-axis amplitudes; ``rotation``
     the peak angle in radians.  Scale factors are 1 + amplitude * profile
-    and must stay positive.
+    and must stay positive.  ``translation`` and ``scaling`` are stored as
+    tuples, as ``Ellipse`` stores its sequences.
     """
 
     translation: tuple = (0.0, 0.0)
@@ -125,6 +132,8 @@ class MotionSpec:
     scaling: tuple = (0.0, 0.0)
 
     def __post_init__(self):
+        object.__setattr__(self, "translation", tuple(self.translation))
+        object.__setattr__(self, "scaling", tuple(self.scaling))
         if len(self.translation) != 2 or len(self.scaling) != 2:
             raise ValueError("translation and scaling must be length-2")
         _require_finite_reals("translation, rotation and scaling",

@@ -19,6 +19,7 @@ movies frame by frame, each read a chunk at a time from its tensor file
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -154,9 +155,17 @@ def movie_chunks(psi: np.ndarray, phi: np.ndarray):
 
 
 def psnr(x: np.ndarray, ref: np.ndarray, peak: float) -> float:
-    """Peak signal-to-noise ratio in dB, capped at 200 dB for exact matches."""
+    """Peak signal-to-noise ratio in dB, capped at 200 dB for exact matches.
+
+    The peak and the difference are scaled by the exact power of two that
+    takes the peak into [0.5, 1) before anything is squared, so frames and
+    peak scaled together by any power of two give the same value.
+    """
     xv, rv = _aligned_values(x, ref)
-    mse = float(np.mean((xv - rv) ** 2))
+    peak, e = math.frexp(peak)
+    diff = xv - rv
+    np.ldexp(diff, -e, out=diff)
+    mse = float(np.mean(np.square(diff, out=diff)))
     if mse < peak**2 * 1e-20:
         return PSNR_CAP_DB
     return float(10.0 * np.log10(peak**2 / mse))
@@ -169,9 +178,13 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
     The local means and moments blur with the reflect-boundary Gaussian
     as a matrix product G X G^T (``_ssim_window``), which equals
     ``scipy.ndimage.gaussian_filter(X, 1.5, truncate=3.5, mode="reflect")``
-    to rounding.
+    to rounding.  The frames and the data range are scaled by the exact
+    power of two that takes the range into [0.5, 1) before anything is
+    squared, so frames and range scaled together by any power of two give
+    the same value.
     """
     xv, rv = _aligned_values(x, ref)
+    data_range, e = math.frexp(data_range)
     c1 = (0.01 * data_range) ** 2
     c2 = (0.03 * data_range) ** 2
     H, W = xv.shape
@@ -182,6 +195,7 @@ def ssim(x: np.ndarray, ref: np.ndarray, data_range: float) -> float:
     # frame-sized arrays went back to the kernel and faulted in every pair
     moments = np.empty((5, H, W))
     moments[0], moments[1] = xv, rv
+    xv, rv = np.ldexp(moments[:2], -e, out=moments[:2])
     np.multiply(xv, xv, out=moments[2])
     np.multiply(rv, rv, out=moments[3])
     np.multiply(xv, rv, out=moments[4])

@@ -55,6 +55,7 @@ trigonometric parameterization, so all matrices are real.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -447,7 +448,10 @@ def solve(
     truncated least-squares fit on the reduced blocks of L1(Z), truncated
     relative to the largest singular value of the whole L1, on the data
     normalized to ||G|| = 1 and scaled back by ||G||; the reported
-    objective is the residual of that fit.  A warning is issued
+    objective is the residual of that fit.  The data are first scaled by
+    an exact power of two that takes max|g| into [0.5, 1), so for data
+    2^k g (any k that keeps them finite) Z and the report are those of g
+    and beta is exactly 2^k times that of g.  A warning is issued
     when some block of L1 has fewer rows than columns
     (``HarmonicOrder.solvable``).
 
@@ -480,9 +484,12 @@ def solve(
             stacklevel=2,
         )
     problem = VarproProblem(data.angles, U, model, symmetric)
-    G = stacked_data(data, symmetric)
+    # max|g| taken into [0.5, 1) by the exact power of two 2^-e before any square
+    # is summed, which neither overflows nor underflows; then unit norm: objectives
+    # are relative to ||G||^2 (all-zero data, e = 0, stay as they are)
+    e = math.frexp(np.abs(data.values).max())[1]
+    G = [np.ldexp(Gb, -e, out=Gb) for Gb in stacked_data(data, symmetric)]
     tr = sum(float(np.sum(Gb * Gb)) for Gb in G)
-    # unit norm: objectives are relative to ||G||^2 (all-zero data stay as they are)
     norm = np.sqrt(tr) or 1.0
     Y = problem.reduce([Gb / norm for Gb in G])
     identifiable = model.d > model.n_temporal
@@ -520,4 +527,4 @@ def solve(
         restart_objectives=restart_objectives,
         aborted_restarts=[r for r, f in enumerate(restart_objectives) if f == np.inf],
     )
-    return Z, HarmonicCoefficients(beta=beta_cols * norm, order=model), report
+    return Z, HarmonicCoefficients(beta=np.ldexp(beta_cols * norm, e), order=model), report

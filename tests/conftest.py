@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from scipy.ndimage import map_coordinates
 
-from prosep.cli import DEFAULT_CONFIG, _motion_from_config
-from prosep.phantom import _render
+from prosep.cli import DEFAULT_CONFIG
+from prosep.phantom import MotionSpec, _render
 from prosep.psmodel import (
     HarmonicOrder,
     face_split,
@@ -32,7 +32,7 @@ from prosep.radon import (
 from prosep.sampling import bit_reversed
 
 # the motion of the default run configuration: 2.2 and 2 pixels at width 64, pi/16
-DEFAULT_MOTION = _motion_from_config(DEFAULT_CONFIG)
+DEFAULT_MOTION = MotionSpec(**DEFAULT_CONFIG["motion"])
 
 
 @dataclass(frozen=True)

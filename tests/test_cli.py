@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import inspect
 import json
+import math
 import re
 import shutil
 import struct
@@ -343,6 +344,9 @@ def test_simulate_static_motion_benchmark_constant(tmp_path):
     ({**TINY_CONFIG, "phantom": {"ellipses": []}}, "'phantom.ellipses'"),
     # a string is not a boolean, whatever it spells
     ({**TINY_CONFIG, "symmetric": "false"}, "'symmetric'"),
+    # an ellipse without its semi-axes, and one that is not an object
+    ({**TINY_CONFIG, "phantom": {"ellipses": [{"center": [0, 0]}]}}, "'phantom.ellipses'"),
+    ({**TINY_CONFIG, "phantom": {"ellipses": [[0, 0]]}}, "'phantom.ellipses'"),
 ])
 def test_simulate_bad_config_file_exits_1_with_one_line(tmp_path, capsys, content, named):
     cfg = tmp_path / "cfg.json"
@@ -776,6 +780,62 @@ def test_simulate_with_noise_that_is_not_finite_exits_1_naming_noise_sigma(tmp_p
     # the acquisition comes after the truth and benchmark movies are written
     assert sorted(p.name for p in out.iterdir()) == ["benchmark_movie.tensor",
                                                      "truth_movie.tensor"]
+
+
+def _scaled_run(tmp_path, k):
+    """The example ellipses inline, every intensity times 2^k, through every stage.
+
+    A noisy run on random angles is simulated, reconstructed at d = K+1
+    and at d = K+2 (a 200-iteration cap), and each movie scored.
+    """
+    ellipses = [dataclasses.asdict(e) for e in example_phantom(width=16).ellipses]
+    for e in ellipses:
+        e["intensity"] = math.ldexp(e["intensity"], k)
+    cfg = tmp_path / f"k{k}.json"
+    cfg.write_text(json.dumps({**TINY_CONFIG, "phantom": {"ellipses": ellipses},
+                               "scheme": {"kind": "random", "seed": 3}, "noise_sigma": 0.02}))
+    out = tmp_path / f"k{k}"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    for d, cap in (("2", []), ("3", ["--solver-max-iters", "200", "--solver-restarts", "2"])):
+        rec = out / f"d{d}"
+        rc = main(["reconstruct", "--input", str(out), "--out", str(rec), "--d", d, *cap])
+        assert rc in (0, 2)
+        assert main(["metrics", "--movie", str(rec / "movie.tensor"), "--out",
+                     str(rec / "metrics.csv"), "--benchmark",
+                     str(out / "benchmark_movie.tensor")]) == 0
+    return out
+
+
+def _metrics_columns(path):
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    return [(psnr, ssim) for _, psnr, ssim, _ in rows], [float(mae) for *_, mae in rows]
+
+
+def test_every_stage_is_exactly_equivariant_to_a_power_of_two_intensity_scale(tmp_path):
+    """Intensities times 2^k give every intensity tensor times 2^k, bit for bit.
+
+    Z, psi, the angles and the times are unscaled, and so are the PSNR and
+    SSIM columns and the solver report; MAE is 2^k times.  At k = +-600
+    the squared data and the squared metrics peak leave the float range.
+    """
+    unscaled = {"Z.tensor", "psi.tensor", "angles.tensor", "times.tensor"}
+    base = _scaled_run(tmp_path, 0)
+    for k in (40, -40, 600, -600):
+        run = _scaled_run(tmp_path, k)
+        for path in sorted(base.rglob("*.tensor")):
+            name = path.relative_to(base)
+            want = read_tensor(path)
+            if path.name not in unscaled:
+                want = np.ldexp(want, k)
+            assert read_tensor(run / name).tobytes() == want.tobytes(), (k, name)
+        for rec in ("d2", "d3"):
+            quality, mae = _metrics_columns(run / rec / "metrics.csv")
+            base_quality, base_mae = _metrics_columns(base / rec / "metrics.csv")
+            assert quality == base_quality, (k, rec)
+            assert mae == [math.ldexp(m, k) for m in base_mae], (k, rec)
+            report = json.loads((run / rec / "solver_report.json").read_text())
+            assert report == json.loads((base / rec / "solver_report.json").read_text()), (k, rec)
+        assert json.loads((run / "d3" / "solver_report.json").read_text())["iterations_used"] > 0
 
 
 # ------------------------------------------------------------- metrics

@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from conftest import DEFAULT_MOTION, Movie, matched_detector, movie_of, render_at
+from prosep.cli import DEFAULT_CONFIG
 from prosep.errors import ProsepError, SupportError
 from prosep.phantom import (
     Ellipse,
@@ -200,6 +204,19 @@ def test_ellipse_rejects_entries_that_are_not_finite_reals(kwargs):
 def test_motion_rejects_entries_that_are_not_finite_reals(kwargs):
     with pytest.raises(ValueError, match="finite real numbers"):
         MotionSpec(**kwargs)
+
+
+def test_ellipse_from_its_json_fields_equals_it_and_hashes():
+    """The manifest's ellipses, JSON lists and all, build the ellipses that wrote them."""
+    for e in example_phantom().ellipses:
+        read = Ellipse(**json.loads(json.dumps(dataclasses.asdict(e))))
+        assert read == e and hash(read) == hash(e)
+
+
+def test_motion_from_the_default_config_section_is_the_default_motion():
+    motion = MotionSpec(**DEFAULT_CONFIG["motion"])
+    want = MotionSpec(translation=(0.06875, -0.0625), rotation=np.pi / 16, scaling=(0.05, -0.04))
+    assert motion == want and hash(motion) == hash(want)
 
 
 def test_simulate_acquisition_deterministic():
