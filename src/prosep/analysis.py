@@ -243,8 +243,8 @@ def _taylor_remainder(x: float, K: int) -> float:
 
 def translation_bound(B: float, c_max: float, K: int) -> float:
     """Temporal truncation bound |B c_max|^{K+1} / (K+1)! for translation."""
-    if min(B, c_max, K) < 0:
-        raise ValueError("all bound parameters must be nonnegative")
+    if not all(0 <= x < math.inf for x in (B, c_max, K)):  # False for NaN
+        raise ValueError("all bound parameters must be finite and nonnegative")
     return _taylor_remainder(B * c_max, K)
 
 
@@ -254,8 +254,8 @@ def rotation_bound(B: float, L: float, theta_max: float, K: int) -> float:
     B * L is the angular bandlimit of the object in its polar
     representation.
     """
-    if min(B, L, theta_max, K) < 0:
-        raise ValueError("all bound parameters must be nonnegative")
+    if not all(0 <= x < math.inf for x in (B, L, theta_max, K)):  # False for NaN
+        raise ValueError("all bound parameters must be finite and nonnegative")
     return _taylor_remainder(B * L * theta_max, K)
 
 

@@ -28,17 +28,19 @@ code, in ``_validate_config``: the manifest's ``format_version``,
 K + 1 <= d <= P, and a recoverable model unless ``--force``.  A preset
 (``PRESETS``) is a config override applied after the config file.
 
-``_ANALYZE_FLAGS`` holds the type, least accepted value and help of each
+``_ANALYZE_FLAGS`` holds the argparse type, check and help of each
 ``analyze`` study flag, and ``_STUDIES`` the ``analysis`` function that
 runs each study and the header and rows of the CSV it writes.  A study
-reads the flags named by its function's parameters, and a flag that none
-of the chosen studies reads is an error; a study flag left out takes the
-default in that function's signature.
+flag is checked like a setting, with the same checks and the same
+``must be ..., got ...`` error, so a number must be finite there too.  A
+study reads the flags named by its function's parameters, and a flag that
+none of the chosen studies reads is an error; a study flag left out takes
+the default in that function's signature.
 
-Four defaults are null in the configuration: ``detector.count`` (W + 1),
-``detector.spacing`` (the pixel size D / W), ``fbp_angles_count``
-(min(P, 4W): parallel-beam sampling needs about (pi / 2) W views over
-[0, pi), so more than 4W only adds cost) and ``scheme.seed`` (0).
+Three defaults are null in the configuration, each derived from W or P:
+``detector.count`` (W + 1), ``detector.spacing`` (the pixel size D / W)
+and ``fbp_angles_count`` (min(P, 4W): parallel-beam sampling needs about
+(pi / 2) W views over [0, pi), so more than 4W only adds cost).
 ``_resolve_nulls`` is the one rule that fills them in, and ``simulate``
 and ``reconstruct`` both apply it.  The
 ``manifest.json`` that ``simulate`` writes next to its outputs is that
@@ -95,6 +97,7 @@ from .phantom import (
     PhantomSpec,
     benchmark_movie,
     example_phantom,
+    finite_real,
     render_chunks,
     simulate_acquisition,
 )
@@ -132,14 +135,6 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-def _is_number(x) -> bool:
-    """An int or float that converts to a finite float.
-
-    ``json`` also reads NaN, Infinity and integers of any size.
-    """
-    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
-
-
 # a field check: (test of the value, the values it accepts in words)
 def _check(test, what: str, null: bool = False) -> tuple:
     return (lambda x: x is None or test(x), f"null or {what}") if null else (test, what)
@@ -151,8 +146,15 @@ def _integer(least: int, null: bool = False) -> tuple:
 
 def _number(positive: bool, null: bool = False) -> tuple:
     if positive:
-        return _check(lambda x: _is_number(x) and x > 0, "a positive number", null)
-    return _check(lambda x: _is_number(x) and x >= 0, "a nonnegative number", null)
+        return _check(lambda x: finite_real(x) and x > 0, "a positive number", null)
+    return _check(lambda x: finite_real(x) and x >= 0, "a nonnegative number", null)
+
+
+def _require(name: str, val, check: tuple) -> None:
+    """``val`` passes ``check``; else a ConfigError naming ``name`` and the values it accepts."""
+    test, what = check
+    if not test(val):
+        raise ConfigError(f"{name}: must be {what}, got {val!r}")
 
 
 _SIM, _REC, _BOTH = ("simulate",), ("reconstruct",), ("simulate", "reconstruct")
@@ -165,7 +167,7 @@ _FIELDS = (
     ("scheme.kind", "bit_reversed",
      (lambda x: x in SCHEME_KINDS, "one of " + " | ".join(SCHEME_KINDS)),
      ("scheme", dict(zip(SCHEME_KINDS, SCHEME_KINDS)), _SIM, None)),
-    ("scheme.seed", 0, _integer(0, null=True), ("scheme-seed", int, _SIM, None)),
+    ("scheme.seed", 0, _integer(0), ("scheme-seed", int, _SIM, None)),
     ("symmetric", True, (lambda x: isinstance(x, bool), "true or false"),
      ("symmetric", {"on": True, "off": False}, _BOTH, None)),
     ("model.K", 5, _integer(0), ("K", int, _BOTH, None)),
@@ -211,16 +213,18 @@ def _setting_flags(command: str) -> list:
     return [(path, flag) for path, _, _, flag in _FIELDS if flag and command in flag[2]]
 
 
-# analyze study flag -> (type, least accepted value, help); K = 0 and N = 0 are
-# valid model orders
+# analyze study flag -> (argparse type, check, help), the check being a field check
+# of ``_FIELDS``; K = 0 and N = 0 are valid model orders
 _ANALYZE_FLAGS = {
-    "P": (int, 1, None), "K": (int, 0, None), "N": (int, 0, None), "d": (int, 1, None),
-    "J": (int, 1, None), "trials": (int, 1, None), "seed": (int, 0, None),
-    "bandwidth": (float, 0, "spatial bandwidth B"),
-    "cmax": (float, 0, "max translation"),
-    "L": (float, 0, "support radius"),
-    "thetamax": (float, 0, "max rotation angle"),
-    "kmax": (int, 0, "largest truncation order in the table"),
+    "P": (int, _integer(1), None), "K": (int, _integer(0), None),
+    "N": (int, _integer(0), None), "d": (int, _integer(1), None),
+    "J": (int, _integer(1), None), "trials": (int, _integer(1), None),
+    "seed": (int, _integer(0), None),
+    "bandwidth": (float, _number(positive=False), "spatial bandwidth B"),
+    "cmax": (float, _number(positive=False), "max translation"),
+    "L": (float, _number(positive=False), "support radius"),
+    "thetamax": (float, _number(positive=False), "max rotation angle"),
+    "kmax": (int, _integer(0), "largest truncation order in the table"),
 }
 # analyze study switch -> (the ``analysis`` function that runs the study, whose
 # parameters are the study flags it reads; the header of its CSV; the CSV rows
@@ -308,9 +312,8 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
           f"must be {FORMAT_VERSION}, got {version!r}")
     for path, _, check, _ in _FIELDS:
         if check is not None:
-            val = functools.reduce(operator.getitem, path.split("."), cfg)
-            test, what = check
-            _need(test(val), path, f"must be {what}, got {val!r}")
+            _require(f"field {path!r}", functools.reduce(operator.getitem, path.split("."), cfg),
+                     check)
     model, P, symmetric = cfg["model"], cfg["P"], cfg["symmetric"]
     K, d = model["K"], model["d"]
     _need(d >= K + 1, "model.d", f"must be at least K + 1 = {K + 1}, got {d}")
@@ -352,9 +355,9 @@ def _scheme_from_config(cfg: dict) -> AngularScheme:
 def _resolve_nulls(cfg: dict) -> float:
     """Fill the null defaults of ``cfg`` in place; return the pixel size D / W.
 
-    A null ``detector.count`` becomes W + 1, a null ``detector.spacing`` the
-    pixel size, a null ``fbp_angles_count`` min(P, 4W) and a null
-    ``scheme.seed`` 0.
+    Each is derived from the grid width W or the view count P: a null
+    ``detector.count`` becomes W + 1, a null ``detector.spacing`` the pixel
+    size and a null ``fbp_angles_count`` min(P, 4W).
     """
     pixel = cfg["grid"]["support_diameter"] / cfg["grid"]["width"]
     det = cfg["detector"]
@@ -364,8 +367,6 @@ def _resolve_nulls(cfg: dict) -> float:
         det["spacing"] = pixel
     if cfg["fbp_angles_count"] is None:
         cfg["fbp_angles_count"] = min(cfg["P"], 4 * cfg["grid"]["width"])
-    if cfg["scheme"]["seed"] is None:
-        cfg["scheme"]["seed"] = 0
     return pixel
 
 
@@ -494,36 +495,28 @@ def cmd_reconstruct(args) -> int:
 
 
 def _analyze_flags(args, studies: dict) -> dict:
-    """The study flags that were given, per chosen study; each must be in range and read.
+    """The arguments of each chosen study: the flags given that it reads, then its defaults.
 
     ``studies`` maps each chosen switch to its ``analysis`` function, whose
-    parameters are the flags the study reads.
+    parameters are the flags the study reads.  Each flag given must pass
+    its check and be read by some chosen study.
     """
-    given = {}
-    for flag, (_, least, _) in _ANALYZE_FLAGS.items():
-        val = getattr(args, flag)
-        if val is None:
-            continue
-        if val < least:
-            raise ConfigError(f"flag '--{flag}': must be at least {least}, got {val}")
-        given[flag] = val
+    given = {f: getattr(args, f) for f in _ANALYZE_FLAGS if getattr(args, f) is not None}
+    for flag, val in given.items():
+        _require(f"flag '--{flag}'", val, _ANALYZE_FLAGS[flag][1])
     reads = {s: inspect.signature(fn).parameters for s, fn in studies.items()}
     unread = [f for f in given if not any(f in params for params in reads.values())]
     if unread:
         raise ConfigError(f"flag(s) {', '.join(repr('--' + f) for f in unread)}: read by "
                           f"none of the chosen studies ({' '.join('--' + s for s in studies)})")
-    return {s: {f: val for f, val in given.items() if f in params} for s, params in reads.items()}
+    return {s: {f: given.get(f, param.default) for f, param in params.items()}
+            for s, params in reads.items()}
 
 
-def _study(fn, **kwargs) -> tuple:
-    """Run one analysis study; return its result and its arguments, defaults filled in.
-
-    Study parameters it rejects are a ConfigError.
-    """
-    bound = inspect.signature(fn).bind(**kwargs)
-    bound.apply_defaults()
+def _study(fn, ran: dict):
+    """``fn(**ran)``; study parameters it rejects are a ConfigError."""
     try:
-        return fn(**kwargs), bound.arguments
+        return fn(**ran)
     except ValueError as e:
         raise ConfigError(str(e)) from None
 
@@ -536,12 +529,12 @@ def cmd_analyze(args) -> int:
         print(f"analyze: nothing to do (pass {' / '.join('--' + s for s in _STUDIES)})",
               file=sys.stderr)
         return 1
-    flags = _analyze_flags(args, studies)
+    ran = _analyze_flags(args, studies)
     out = args.out
     os.makedirs(out, exist_ok=True)
     for name, fn in studies.items():
         _, header, csv_rows = _STUDIES[name]
-        lines = [header, *csv_rows(*_study(fn, **flags[name]))]
+        lines = [header, *csv_rows(_study(fn, ran[name]), ran[name])]
         _write_text_atomic(os.path.join(out, f"{name}.csv"), "\n".join(lines) + "\n")
     print(f"analyze: wrote {', '.join(s + '.csv' for s in studies)} in {out}")
     return 0

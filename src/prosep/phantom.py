@@ -63,10 +63,17 @@ __all__ = [
 ]
 
 
+def finite_real(x) -> bool:
+    """A real number, not a bool, that converts to a finite float.
+
+    ``abs(x) <= max`` is false for NaN, the infinities and integers too
+    large for a float, all of which ``json`` reads.
+    """
+    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
+
+
 def _require_finite_reals(what: str, values) -> None:
-    # abs(v) <= max is false for NaN, the infinities and integers too large for a float
-    if not all(isinstance(v, numbers.Real) and not isinstance(v, bool)
-               and abs(v) <= sys.float_info.max for v in values):
+    if not all(map(finite_real, values)):
         raise ValueError(f"{what} must be finite real numbers, got {tuple(values)!r}")
 
 
@@ -197,9 +204,11 @@ def _render(spec: PhantomSpec, motion: MotionSpec, times: np.ndarray):
     tested for containment in the base ellipses; containing intensities
     add up.  The motions are checked (``_check_support``) and inverted
     for all times at once, before this returns; the returned generator
-    then renders ``tensorio.CHUNK_VALUES`` pixels at a time, a few frames
-    per chunk, through six scratch arrays of that size allocated once
-    (128 KiB each), and yields each chunk as a new array.
+    then renders the frames a chunk at a time, as many whole frames as fit
+    in ``tensorio.CHUNK_VALUES`` pixels but at least one, through six
+    scratch arrays of one chunk allocated once, and yields each chunk as a
+    new array.  A scratch array is at most 128 KiB up to W = 128 and one
+    frame above it (512 KiB at W = 256).
     """
     A, b = motion_at(motion, times)
     _check_support(spec, A, b)

@@ -549,6 +549,17 @@ def test_motion_bounds_reject_negative_inputs(bound, args):
         bound(*args)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bound, n_params", [(translation_bound, 2), (rotation_bound, 3)])
+def test_motion_bounds_reject_non_finite_inputs(bound, n_params, bad):
+    """Each float parameter in turn; ``min(...) < 0`` let NaN through as a NaN bound."""
+    for i in range(n_params):
+        args = [1.0] * n_params
+        args[i] = bad
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            bound(*args, 2)
+
+
 def test_taylor_remainder_inequality_on_grid():
     """|e^{jx} - sum_{k<=K} (jx)^k / k!| <= |x|^{K+1} / (K+1)! pointwise."""
     xs = np.linspace(-5.0, 5.0, 101)

@@ -391,20 +391,17 @@ def test_manifest_replay_reproduces_run(tmp_path):
     assert manifest["solver"] == {"max_iters": 5000, "restarts": 5, "seed": 0}
 
 
-def test_simulate_null_scheme_seed_is_seed_0(tmp_path):
-    """A null scheme.seed is resolved to 0, the seed used, in the manifest too."""
-    for seed, out in ((None, "null"), (0, "zero")):
-        cfgpath = tmp_path / f"{out}.json"
-        cfgpath.write_text(json.dumps(nested("scheme.seed", seed, SMALL_CONFIG)))
-        rc = main(["simulate", "--config", str(cfgpath), "--out", str(tmp_path / out),
-                   "--scheme", "random", "--P", "16", "--width", "16"])
-        assert rc == 0
-    names = ["sinogram.tensor", "angles.tensor", "times.tensor",
-             "truth_movie.tensor", "benchmark_movie.tensor", "manifest.json"]
-    for name in names:
-        assert read_bytes(tmp_path / "null" / name) == read_bytes(tmp_path / "zero" / name), name
-    assert json.loads((tmp_path / "null" / "manifest.json").read_text())["scheme"] == {
-        "kind": "random", "seed": 0}
+def test_simulate_null_scheme_seed_is_refused(tmp_path, capsys):
+    """scheme.seed defaults to 0, and null is not an integer: one line, no output directory."""
+    cfgpath = tmp_path / "null.json"
+    cfgpath.write_text(json.dumps(nested("scheme.seed", None, SMALL_CONFIG)))
+    rc = main(["simulate", "--config", str(cfgpath), "--out", str(tmp_path / "out"),
+               "--scheme", "random", "--P", "16", "--width", "16"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == ("prosep simulate: field 'scheme.seed': must be an integer >= 0, "
+                   "got None\n")
+    assert not (tmp_path / "out").exists()
 
 
 # ------------------------------------------------------------- reconstruct
@@ -667,6 +664,34 @@ def test_analyze_rejects_out_of_range_flag(tmp_path, capsys, flag, value):
     assert not (tmp_path / "bounds.csv").exists()
 
 
+def _refused_flag_values(flag):
+    """Arguments that the check of ``flag`` must refuse.
+
+    One below its least value, and for a float flag (each is nonnegative)
+    NaN and both infinities too.
+    """
+    kind, (test, _), _ = _ANALYZE_FLAGS[flag]
+    if kind is int:
+        return [str(next(v for v in range(-1, 10) if test(v)) - 1)]
+    assert test(0.0)
+    return ["-0.5", "nan", "inf", "-inf"]
+
+
+@pytest.mark.parametrize("flag, value", [
+    (flag, value) for flag in _ANALYZE_FLAGS for value in _refused_flag_values(flag)
+])
+def test_every_analyze_flag_refuses_a_value_its_check_refuses(tmp_path, capsys, flag, value):
+    """Each flag, walked from ``_ANALYZE_FLAGS``: exit 1, one line naming it, no --out."""
+    out = tmp_path / "out"
+    rc = main(["analyze", "--out", str(out), "--table1", "--thm2", "--thm3", "--bounds",
+               f"--{flag}={value}"])
+    assert rc == 1
+    kind, (_, what), _ = _ANALYZE_FLAGS[flag]
+    assert capsys.readouterr().err == (
+        f"prosep analyze: flag '--{flag}': must be {what}, got {kind(value)!r}\n")
+    assert not out.exists()
+
+
 def test_analyze_rejects_flags_no_chosen_study_reads(tmp_path, capsys):
     rc = main(["analyze", "--out", str(tmp_path), "--thm2", "--P", "16", "--K", "1",
                "--N", "3", "--trials", "5", "--d", "7", "--J", "3", "--bandwidth", "9"])
@@ -713,10 +738,14 @@ def test_analyze_rejected_study_parameters_exit_1(tmp_path, capsys):
 
 
 def test_analyze_flags_are_the_parameters_of_the_study_functions():
-    """Each analyze flag is a parameter of some study's function, and each parameter a flag."""
-    params = {name for fn, _, _ in _STUDIES.values()
-              for name in inspect.signature(getattr(analysis, fn)).parameters}
-    assert params == set(_ANALYZE_FLAGS)
+    """Each analyze flag is a parameter of some study's function, and each parameter a flag.
+
+    Every parameter has a default, which a flag left out takes.
+    """
+    params = [param for fn, _, _ in _STUDIES.values()
+              for param in inspect.signature(getattr(analysis, fn)).parameters.values()]
+    assert {param.name for param in params} == set(_ANALYZE_FLAGS)
+    assert all(param.default is not inspect.Parameter.empty for param in params)
 
 
 @pytest.mark.parametrize("flags, kwargs", [

@@ -7,6 +7,7 @@ import sys
 import pytest
 
 import prosep
+import prosep.cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(prosep.__path__))
 
@@ -80,6 +81,32 @@ def test_simulate_and_reconstruct_load_no_numpy_ma(tmp_path):
     out = run_python(code)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip().splitlines()[-1] == "False"
+
+
+def test_reconstruct_and_metrics_load_no_numpy_random(tmp_path):
+    """A closed-form reconstruct (d = K+1) and metrics, each in its own interpreter.
+
+    The first use of ``numpy.random`` costs about 5 MB of resident
+    memory; only a random scheme, noise or a d > K+1 descent needs it.
+    """
+    sim, rec = str(tmp_path / "sim"), str(tmp_path / "rec")
+    assert prosep.cli.main(["simulate", "--out", sim, "--P", "16", "--width", "16",
+                            "--K", "1", "--N", "3", "--d", "2"]) == 0
+    stages = [
+        ["reconstruct", "--input", sim, "--out", rec],
+        ["metrics", "--movie", os.path.join(rec, "movie.tensor"),
+         "--benchmark", os.path.join(sim, "benchmark_movie.tensor"),
+         "--out", os.path.join(rec, "metrics.csv")],
+    ]
+    for argv in stages:
+        code = ("import sys\n"
+                "from prosep.cli import main\n"
+                f"if main({argv!r}) != 0:\n"
+                "    raise SystemExit('failed')\n"
+                "print('numpy.random' in sys.modules)\n")
+        out = run_python(code)
+        assert out.returncode == 0, out.stderr
+        assert out.stdout.strip().splitlines()[-1] == "False", argv[0]
 
 
 def test_scipy_blocker_blocks():
