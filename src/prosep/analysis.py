@@ -13,11 +13,12 @@ are the command's flags for that study and whose defaults are theirs:
 translation and rotation bounds for K = 0..kmax).
 
 kappa(L1) and the rank check are computed on the real trigonometric L1
-the solver fits with (``psmodel.l1_factors``); the complex-exponential
+the solver fits with (``psmodel.l1_blocks``); the complex-exponential
 form is a unitary column transform of it with the same spectrum.  With
 the half-turn symmetry L1 is held as two column-disjoint P-row blocks,
-one per harmonic parity, and its spectrum is the union of theirs; full
-column rank then needs P >= (N+1)(K+1).  Only the kappa(L2) study uses
+one per harmonic parity, and its spectrum is the union of theirs
+(``psmodel.block_kappa``); full column rank then needs P >= (N+1)(K+1)
+(``HarmonicOrder.shortfall``).  Only the kappa(L2) study uses
 the complex harmonics, because its random coefficients are drawn on the
 complex coordinates; its singular values come from per-row QR factors
 instead of the full L2 (``cond_L2``), taken a block of rows at a time.
@@ -49,11 +50,11 @@ import numpy as np
 
 from .psmodel import (
     HarmonicOrder,
+    block_kappa,
     build_theta,
     condition_number,
-    face_split,
     harmonic_blocks,
-    l1_factors,
+    l1_blocks,
     l2_row_factors,
     legendre_basis,
 )
@@ -87,28 +88,17 @@ _L2_QR_ROWS = 128
 THEOREM3_SLACK = 1e-9
 
 
-def _l1_singvals(blocks) -> np.ndarray:
-    """Singular values of L1 = face_split(theta, V) from its blocks, descending.
-
-    The blocks sit on disjoint columns of a row rotation of L1, so its
-    spectrum is the union of theirs.
-    """
-    s = [np.linalg.svd(face_split(b.theta, b.V), compute_uv=False) for b in blocks]
-    return np.sort(np.concatenate(s))[::-1]
-
-
 def cond_L1(scheme: AngularScheme, K: int, N: int, symmetric: bool = False) -> float:
     """Condition number of Theta_hat * Psi_hat (or Theta * Psi without symmetry).
 
     Psi is the orthonormalized Legendre basis of degree 0..K.  With the
     symmetry the spectrum is the union of the two parity blocks'
-    (``psmodel.l1_factors``).  Returns the +inf sentinel when the
-    smallest singular value underflows or kappa exceeds 1e15, i.e. when
-    the model is numerically singular, or when a block has fewer rows
-    than columns.
+    (``psmodel.l1_blocks``, ``psmodel.block_kappa``).  Returns the +inf
+    sentinel when the smallest singular value underflows or kappa exceeds
+    1e15, i.e. when the model is numerically singular, or when a block
+    has fewer rows than columns.
     """
-    blocks = l1_factors(scheme, N, legendre_basis(scheme.P, K), symmetric)
-    return condition_number(_l1_singvals(blocks), (2 * N + 1) * (K + 1))
+    return block_kappa(l1_blocks(scheme, N, legendre_basis(scheme.P, K), symmetric))
 
 
 class CondL2Result(NamedTuple):
@@ -171,18 +161,16 @@ def rank_check_L1(P: int = 64, K: int = 2, N: int = 10, trials: int = 100, seed:
     Each trial draws P distinct angles uniform in [0, pi) and Psi
     uniformly from the Stiefel manifold (orthonormal factor of a Gaussian
     matrix); L1 is the half-turn augmented product, held as its two
-    parity blocks.  Full column rank requires every block to have at
-    least as many rows as columns, P >= (N+1)(K+1)
-    (``HarmonicOrder.solvable``); otherwise it is impossible by dimension
-    count and every trial fails.
+    parity blocks.  A trial passes when its ``block_kappa`` is below
+    1e12, i.e. s_min / s_max > 1e-12.  Full column rank requires every
+    block to have at least as many rows as columns, P >= (N+1)(K+1)
+    (``HarmonicOrder.shortfall``); otherwise it is impossible by
+    dimension count and every trial fails.
     """
-    order = HarmonicOrder(N=N, K=K, d=K + 1)
-    if not order.solvable(P, symmetric=True):
-        warnings.warn(
-            f"P = {P} < (N+1)(K+1) = {P - order.block_margin(P, True)}: full column "
-            "rank is impossible by dimension count",
-            stacklevel=2,
-        )
+    shortfall = HarmonicOrder(N=N, K=K, d=K + 1).shortfall(P, symmetric=True)
+    if shortfall:
+        warnings.warn(f"{shortfall}: full column rank is impossible by dimension count",
+                      stacklevel=2)
         return 0
     passes = 0
     seeds = np.random.SeedSequence(seed).spawn(trials)
@@ -190,8 +178,7 @@ def rank_check_L1(P: int = 64, K: int = 2, N: int = 10, trials: int = 100, seed:
         rng = np.random.default_rng(seeds[t])
         scheme = random_scheme(P, span=span_for(True), seed=rng.integers(2**63))
         Psi, _ = np.linalg.qr(rng.standard_normal((P, K + 1)))
-        s = _l1_singvals(l1_factors(scheme, N, Psi, symmetric=True))
-        if s[-1] / s[0] > 1e-12:
+        if block_kappa(l1_blocks(scheme, N, Psi, symmetric=True)) < 1e12:
             passes += 1
     return passes
 
@@ -234,11 +221,14 @@ def theorem3_sweep(
 
 
 def _taylor_remainder(x: float, K: int) -> float:
-    """|x|^{K+1} / (K+1)!, evaluated stably through lgamma."""
+    """|x|^{K+1} / (K+1)!, evaluated stably through lgamma; inf beyond the float range."""
     x = abs(x)
     if x == 0.0:
         return 0.0
-    return math.exp((K + 1) * math.log(x) - math.lgamma(K + 2))
+    try:
+        return math.exp((K + 1) * math.log(x) - math.lgamma(K + 2))
+    except OverflowError:
+        return math.inf
 
 
 def translation_bound(B: float, c_max: float, K: int) -> float:
@@ -271,7 +261,7 @@ def bounds_table(bandwidth: float = 1.0, cmax: float = 1.0, L: float = 1.0,
 
 
 def _trig_grams(N: int, V: np.ndarray, symmetric: bool):
-    """The Gram matrices A^T A of the nonempty ``l1_factors`` blocks, as a function of the angles.
+    """The Gram matrices A^T A of the nonempty ``l1_blocks`` A, as a function of the angles.
 
     Returns ``grams(angles)``, for P = V.shape[0] angles.  Column c of a
     block's theta is s Re(w_c e^{i n_c phi}) with n_c = (c + 1) // 2,
@@ -350,8 +340,8 @@ def _trig_grams(N: int, V: np.ndarray, symmetric: bool):
 def _cannot_win(grams, kappa: float) -> bool:
     """Whether kappa(L1) certainly exceeds ``kappa``, by one Cholesky per block Gram matrix.
 
-    ``grams`` are the blocks' Gram matrices G = A^T A (A =
-    face_split(theta, V)).  rho is the largest Rayleigh quotient
+    ``grams`` are the blocks' Gram matrices G = A^T A (A a block of
+    ``l1_blocks``).  rho is the largest Rayleigh quotient
     x^T G x / x^T x over them, with x a few power steps from G 1; any x
     gives rho <= lambda_max, the largest squared singular value of L1.
     Each G is shifted down by s = rho / kappa^2 in place for its

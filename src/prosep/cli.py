@@ -318,13 +318,9 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
     K, d = model["K"], model["d"]
     _need(d >= K + 1, "model.d", f"must be at least K + 1 = {K + 1}, got {d}")
     _need(d <= P, "model.d", f"must be at most P = {P}, got {d}")
-    order = HarmonicOrder(**model)
-    if not order.solvable(P, symmetric) and not force:
-        need = "(N+1)(K+1)" if symmetric else "(2N+1)(K+1)"
-        raise ConfigError(
-            f"field 'model': P = {P} < {need} = {P - order.block_margin(P, symmetric)}; "
-            "the model is not recoverable (pass --force to proceed anyway)"
-        )
+    shortfall = HarmonicOrder(**model).shortfall(P, symmetric)
+    _need(force or not shortfall, "model",
+          f"{shortfall}; the model is not recoverable (pass --force to proceed anyway)")
 
 
 def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:

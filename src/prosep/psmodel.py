@@ -11,17 +11,19 @@ temporal-minor).  This module constructs the harmonic matrices, the
 column blocks of L1, the face-splitting products, the row factors of
 the operator L2 linear in vec(Z), and the fixed interpolators (cubic
 B-spline and Legendre bases).  ``condition_number`` is the one kappa
-rule that the solver's report and the conditioning study share.
+rule that the solver's report and the conditioning study share, and
+``block_kappa`` applies it to the blocks of a block-diagonal matrix.
 
 The half-turn identity g(-s, theta) = g(s, theta + pi) doubles the
 equations: L1_hat = [T; T diag((-1)^n)] * [U; U] Z has 2P rows, and rows
 p and P+p differ only in the sign of the odd harmonics.  Rotating each
 pair to (r_p + r_{P+p}) / sqrt2 and (r_p - r_{P+p}) / sqrt2 turns L1_hat
 into two P-row blocks on disjoint columns, sqrt2 T_even * U Z and
-sqrt2 T_odd * U Z, with the same singular values.  ``l1_factors`` returns
-L1 in this split form only.  Full column rank needs every block to be
-tall: P >= (N+1)(K+1) with the symmetry (the larger parity class has
-N+1 harmonics), P >= (2N+1)(K+1) without it.
+sqrt2 T_odd * U Z, with the same singular values.  ``l1_blocks`` returns
+L1 in this split form only, and is the one place that builds it.  Full
+column rank needs every block to be tall: P >= (N+1)(K+1) with the
+symmetry (the larger parity class has N+1 harmonics), P >= (2N+1)(K+1)
+without it; ``HarmonicOrder.shortfall`` words the rule when it fails.
 
 The harmonic axis uses the real trigonometric basis
 [1, sqrt(2) cos theta, sqrt(2) sin theta, ...], which the solver, the
@@ -36,7 +38,6 @@ coordinates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,10 +55,10 @@ __all__ = [
     "real_trig_theta_hat",
     "harmonic_parity",
     "harmonic_blocks",
-    "L1Block",
-    "l1_factors",
+    "l1_blocks",
     "KAPPA_SINGULAR",
     "condition_number",
+    "block_kappa",
 ]
 
 # kappa beyond double precision is reported as the +inf sentinel
@@ -69,7 +70,7 @@ class HarmonicOrder:
     """Model orders: harmonic bandlimit N, temporal order K, subspace dim d.
 
     The model has (2N+1)(K+1) unknown coefficients per detector offset.
-    L1 splits into column-disjoint blocks of P rows each (``l1_factors``):
+    L1 splits into column-disjoint blocks of P rows each (``l1_blocks``):
     with the half-turn symmetry one per harmonic parity, with (N+1)(K+1)
     columns in the larger, and without it one block of (2N+1)(K+1)
     columns.  Recovery needs every block to have at least as many rows as
@@ -103,13 +104,18 @@ class HarmonicOrder:
         """Least rows - columns over the blocks of L1, P - |harmonics| (K+1)."""
         return min(P - h.size * self.n_temporal for h in harmonic_blocks(self.N, symmetric))
 
-    def solvable(self, P: int, symmetric: bool) -> bool:
-        """Whether L1 can have full column rank with P views.
+    def shortfall(self, P: int, symmetric: bool) -> str | None:
+        """Why L1 cannot have full column rank with P views, or None when it can.
 
-        P >= (N+1)(K+1) with the half-turn symmetry, P >= (2N+1)(K+1)
-        without it.
+        The rule: P >= (N+1)(K+1) with the half-turn symmetry, P >=
+        (2N+1)(K+1) without it.  Its failure reads ``P = 16 < (N+1)(K+1) =
+        33``; each caller appends its own consequence.
         """
-        return self.block_margin(P, symmetric) >= 0
+        need = P - self.block_margin(P, symmetric)
+        if need <= P:
+            return None
+        rule = "(N+1)(K+1)" if symmetric else "(2N+1)(K+1)"
+        return f"P = {P} < {rule} = {need}"
 
 
 def build_theta(scheme: AngularScheme, N: int) -> np.ndarray:
@@ -293,7 +299,7 @@ def real_trig_theta_hat(scheme: AngularScheme, N: int) -> np.ndarray:
     """Half-turn augmented real trigonometric matrix [T; T * diag((-1)^n)].
 
     The 2P-row form of the symmetric model, kept for checks that rebuild
-    it; ``l1_factors`` uses the equivalent parity split.
+    it; ``l1_blocks`` uses the equivalent parity split.
     """
     T = real_trig_theta(scheme, N)
     return np.vstack([T, T * harmonic_parity(N)[None, :]])
@@ -311,30 +317,31 @@ def harmonic_blocks(N: int, symmetric: bool) -> list:
     return [np.flatnonzero(parity > 0), np.flatnonzero(parity < 0)]
 
 
-class L1Block(NamedTuple):
-    """One block of L1, face_split(theta, V Z).
+def l1_blocks(scheme: AngularScheme | np.ndarray, N: int, V: np.ndarray,
+              symmetric: bool) -> list:
+    """The column-disjoint P-row blocks of L1, one per ``harmonic_blocks`` entry.
 
-    Its columns are the coefficients (n, k) with n in ``harmonics``,
-    harmonic-major like beta.
-    """
-
-    theta: np.ndarray
-    V: np.ndarray
-    harmonics: np.ndarray
-
-
-def l1_factors(scheme: AngularScheme | np.ndarray, N: int, V: np.ndarray,
-               symmetric: bool) -> list:
-    """Column-disjoint blocks of L1(Z), one ``L1Block`` per ``harmonic_blocks`` entry.
-
-    With the half-turn symmetry there are two, (sqrt2 T[:, even], V) and
-    (sqrt2 T[:, odd], V): the parity rotation of the 2P-row
-    [T; T diag((-1)^n)] * [V; V] Z (module docstring), with the same
-    singular values.  Without it there is one, (T, V).  T is the real
-    trigonometric matrix of the angles; V is the interpolator U, or the
-    temporal functions Psi themselves (then Z = I).  Every block has P
-    rows.
+    Block b is face_split(s T[:, h_b], V), T the real trigonometric
+    matrix of the angles and h_b the block's harmonics: with the half-turn
+    symmetry two blocks, the even and the odd harmonics with s = sqrt2,
+    the parity rotation of the 2P-row [T; T diag((-1)^n)] * [V; V]
+    (module docstring) with the same singular values; without it one,
+    all harmonics with s = 1.  Its columns are the coefficients (n, k)
+    with n in h_b, harmonic-major like beta.  V is the interpolator U,
+    whose block b of L1(Z) is the block times (I (x) Z), or the temporal
+    functions Psi themselves (Z = I).
     """
     T = real_trig_theta(scheme, N)
     scale = np.sqrt(2.0) if symmetric else 1.0
-    return [L1Block(scale * T[:, h], V, h) for h in harmonic_blocks(N, symmetric)]
+    return [face_split(scale * T[:, h], V) for h in harmonic_blocks(N, symmetric)]
+
+
+def block_kappa(blocks) -> float:
+    """kappa of the block-diagonal matrix of ``blocks`` (``condition_number``).
+
+    From the union of the blocks' thin-SVD singular values, so the +inf
+    sentinel also when a block is wider than tall; a block without
+    columns adds nothing.
+    """
+    s = [np.linalg.svd(B, compute_uv=False) for B in blocks]
+    return condition_number(np.concatenate(s), sum(B.shape[1] for B in blocks))

@@ -12,35 +12,36 @@ leaving
 
 over Z with orthonormal columns.
 
-L1 is held as its column-disjoint blocks (``psmodel.l1_factors``): with
+L1 is held as its column-disjoint blocks (``psmodel.l1_blocks``): with
 the half-turn symmetry one P-row block per harmonic parity, without it
 one block.  The data split the same way (``stacked_data``), so the
 objective, its gradient and beta are sums and stacks of per-block
 pieces.
 
-L1 is linear in Z: block b is L1_b(Z) = A_b (I (x) Z), where
-A_b = face_split(theta_b, U) is fixed.  Every evaluation therefore works
-in the reduced space of A_b (variable projection on a separable model,
-Golub & Pereyra 2003).  ``VarproProblem`` takes the thin QR A_b = Q_b R_b
-once; the data enter only as y_b = Q_b^T G_b and the sum of squares
-rho_b = ||G_b - Q_b y_b||^2 outside range(Q_b), and L1_b(Z) = Q_b L~_b
-with L~_b = R_b (I (x) Z), whose min(P, |harmonics| d) rows ((N+1)d for
-the even block under the symmetry) replace P.  Q_b has orthonormal
-columns, so L~_b has the singular values of L1_b, and F = sum_b rho_b +
-||y_b - L~_b beta_b||^2 is the true residual sum of squares of any beta,
-never negative.
+L1 is linear in Z: block b is L1_b(Z) = A_b (I (x) Z), where A_b, the
+block of ``l1_blocks`` with V = U, is fixed.  Every evaluation therefore
+works in the reduced space of A_b (variable projection on a separable
+model, Golub & Pereyra 2003).  ``VarproProblem`` takes the thin QR A_b =
+Q_b R_b once; the data enter only as y_b = Q_b^T G_b and the sum of
+squares rho_b = ||G_b - Q_b y_b||^2 outside range(Q_b), and L1_b(Z) =
+Q_b L~_b with L~_b = R_b (I (x) Z), whose min(P, |harmonics| d) rows
+((N+1)d for the even block under the symmetry) replace P.  Q_b has
+orthonormal columns, so L~_b has the singular values of L1_b, and F =
+sum_b rho_b + ||y_b - L~_b beta_b||^2 is the true residual sum of
+squares of any beta, never negative.
 
 beta is fitted on L~ in one of two ways.  The final fit, which gives the
 reported beta and objective, uses truncated least squares: singular
 values at or below 1e-10 of the largest one of the whole L1 are dropped.
 A descent step solves the normal equations of L~ while kappa(A) kappa(Z)
-<= 1e3, kappa(A) over all blocks.  sigma_min(A (I (x) Z)) >= sigma_min(A)
-sigma_min(Z), so the bound caps kappa(L1(Z)), nothing is truncated, and
-the normal equations give beta to a relative error of about n kappa^2 u
-(n unknowns, u the unit roundoff); F is stationary in beta, so it moves
-only by the square of that error.  Past the bound (also when a block of
-A is wider than tall or singular) a step takes beta from a QR of L~, or
-from truncated least squares when L~ is not safely of full column rank.
+<= 1e3, kappa(A) over all blocks (``psmodel.block_kappa``).
+sigma_min(A (I (x) Z)) >= sigma_min(A) sigma_min(Z), so the bound caps
+kappa(L1(Z)), nothing is truncated, and the normal equations give beta
+to a relative error of about n kappa^2 u (n unknowns, u the unit
+roundoff); F is stationary in beta, so it moves only by the square of
+that error.  Past the bound (also when a block of A is wider than tall
+or singular) a step takes beta from a QR of L~, or from truncated least
+squares when L~ is not safely of full column rank.
 
 ``solve`` is one path: choose Z, then fit beta once.  When d = K+1, Z is
 square and U Z spans range(U) for every invertible Z, so range(L1(Z))
@@ -65,10 +66,11 @@ import numpy as np
 from .psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
+    block_kappa,
     condition_number,
-    face_split,
+    harmonic_blocks,
     harmonic_parity,
-    l1_factors,
+    l1_blocks,
 )
 from .radon import Sinogram
 
@@ -112,7 +114,7 @@ def _mirror_weights(J: int) -> np.ndarray:
 
 
 def stacked_data(data: Sinogram, symmetric: bool) -> list:
-    """The measurements as data blocks matching the blocks of ``l1_factors``.
+    """The measurements as data blocks matching the blocks of ``l1_blocks``.
 
     Without the symmetry: one block, the columns g(s_j) (P x J).  With
     it, the 2P-row columns [g(s_j); g(-s_j)] rotated like L1's rows:
@@ -177,16 +179,16 @@ def _qr_or_truncated_lstsq(L_blocks, G_blocks) -> list:
 class VarproProblem:
     """Reduced-objective evaluations for fixed view angles, interpolator and order.
 
-    Holds the blocks of L1 (``l1_factors`` of the P angles) and the thin
-    QR A_b = Q_b R_b of each fixed factor A_b = face_split(theta_b, U) of
-    L1_b(Z) = A_b (I (x) Z), taken once here.  Every evaluation, the descent's
-    steps and the final fit alike, runs on the reduced blocks L~_b =
-    R_b (I (x) Z) and the data reduced by ``reduce`` (module docstring),
-    so each works on min(P, |harmonics| d) rows per block.  A step solves
-    for beta by the normal equations while kappa(A) kappa(Z) <= 1e3, by
-    QR or truncated least squares past it.  kappa(A) takes an SVD of
-    each R_b, so it is computed on the first step, not here: a solve with
-    d = K+1 runs no step and never needs it.
+    Holds the harmonics of each block of L1 (``harmonics``) and the thin QR
+    A_b = Q_b R_b of each fixed factor A_b of L1_b(Z) = A_b (I (x) Z), the
+    blocks ``l1_blocks`` of the P angles and U, taken once here.  Every
+    evaluation, the descent's steps and the final fit alike, runs on the
+    reduced blocks L~_b = R_b (I (x) Z) and the data reduced by ``reduce``
+    (module docstring), so each works on min(P, |harmonics| d) rows per
+    block.  A step solves for beta by the normal equations while kappa(A)
+    kappa(Z) <= 1e3, by QR or truncated least squares past it.  kappa(A) is
+    the ``block_kappa`` of the R_b, so it is computed on the first step,
+    not here: a solve with d = K+1 runs no step and never needs it.
     """
 
     def __init__(self, angles, U: np.ndarray, order: HarmonicOrder, symmetric: bool):
@@ -195,18 +197,16 @@ class VarproProblem:
         U = np.asarray(U, dtype=float)
         if U.shape[1] != order.d:
             raise ValueError(f"U has {U.shape[1]} columns, expected d={order.d}")
-        self.blocks = l1_factors(angles, order.N, U, symmetric)
-        self.qr = [np.linalg.qr(face_split(b.theta, b.V)) for b in self.blocks]
+        self.harmonics = harmonic_blocks(order.N, symmetric)
+        self.qr = [np.linalg.qr(A) for A in l1_blocks(angles, order.N, U, symmetric)]
 
     @cached_property
     def kappa_A(self) -> float:
-        """kappa(A) over all blocks (``psmodel.condition_number``), from the R_b."""
-        return condition_number(
-            np.concatenate([np.linalg.svd(R, compute_uv=False) for _, R in self.qr]),
-            sum(R.shape[1] for _, R in self.qr))
+        """kappa(A) over all blocks, from the R_b, which have its singular values."""
+        return block_kappa([R for _, R in self.qr])
 
     def reduced_l1(self, Z: np.ndarray) -> list:
-        """The reduced blocks L~_b = R_b (I (x) Z), one per entry of ``blocks``."""
+        """The reduced blocks L~_b = R_b (I (x) Z), one per entry of ``harmonics``."""
         d, k = Z.shape
         return [(R.reshape(-1, d) @ Z).reshape(R.shape[0], R.shape[1] // d * k)
                 for _, R in self.qr]
@@ -246,8 +246,8 @@ class VarproProblem:
         F = sum(rho + float(np.sum((y - L @ beta) ** 2))
                 for L, (y, rho), beta in zip(L_blocks, Y, betas))
         B = np.empty((order.n_harmonics, order.n_temporal, betas[0].shape[1]))
-        for block, beta in zip(self.blocks, betas):
-            B[block.harmonics] = beta.reshape(block.harmonics.size, order.n_temporal, B.shape[2])
+        for h, beta in zip(self.harmonics, betas):
+            B[h] = beta.reshape(h.size, order.n_temporal, B.shape[2])
         if self.symmetric:
             B /= _mirror_weights(J)
             mirror = harmonic_parity(order.N)[:, None, None] * B[:, :, : J // 2]
@@ -452,8 +452,8 @@ def solve(
     an exact power of two that takes max|g| into [0.5, 1), so for data
     2^k g (any k that keeps them finite) Z and the report are those of g
     and beta is exactly 2^k times that of g.  A warning is issued
-    when some block of L1 has fewer rows than columns
-    (``HarmonicOrder.solvable``).
+    when some block of L1 has fewer rows than columns; it starts with the
+    rule's ``HarmonicOrder.shortfall`` text.
 
     Parameters
     ----------
@@ -475,14 +475,10 @@ def solve(
     (Z, HarmonicCoefficients, SolverReport)
     """
     J, P = data.values.shape
-    block_margin = model.block_margin(P, symmetric)
-    if not model.solvable(P, symmetric):
-        warnings.warn(
-            f"P = {P} < {P - block_margin} columns in the largest block of L1 "
-            "((N+1)(K+1) with the half-turn symmetry, (2N+1)(K+1) without): the "
-            "linearized model cannot have full column rank and recovery is not unique",
-            stacklevel=2,
-        )
+    shortfall = model.shortfall(P, symmetric)
+    if shortfall:
+        warnings.warn(f"{shortfall}: the linearized model cannot have full column rank "
+                      "and recovery is not unique", stacklevel=2)
     problem = VarproProblem(data.angles, U, model, symmetric)
     # max|g| taken into [0.5, 1) by the exact power of two 2^-e before any square
     # is summed, which neither overflows nor underflows; then unit norm: objectives
@@ -521,7 +517,7 @@ def solve(
         converged=converged,
         z_identifiable=identifiable,
         rank_margin=(2 * P if symmetric else P) - model.cols,
-        block_rank_margin=block_margin,
+        block_rank_margin=model.block_margin(P, symmetric),
         kappa_L1=kappa if np.isfinite(kappa) else None,
         truncated_singular_values=truncated,
         restart_objectives=restart_objectives,

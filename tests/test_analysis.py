@@ -31,10 +31,8 @@ from prosep.analysis import (
 )
 from prosep.psmodel import (
     HarmonicOrder,
-    L1Block,
     build_theta,
-    face_split,
-    l1_factors,
+    l1_blocks,
     legendre_basis,
 )
 from prosep.radon import Frame, grid_coords
@@ -97,7 +95,7 @@ def _trial_schemes(P, span, trials, seed):
 
 def _ata(blocks):
     """The Gram matrices A^T A of the nonempty blocks, the certificate's input."""
-    return [A.T @ A for A in (face_split(b.theta, b.V) for b in blocks) if A.size]
+    return [A.T @ A for A in blocks if A.size]
 
 
 def _blocks_with_spectra(rng, spectra, m=40):
@@ -107,8 +105,7 @@ def _blocks_with_spectra(rng, spectra, m=40):
         n = lam.size
         U, _ = np.linalg.qr(rng.standard_normal((m, n)))
         Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        # face_split(A, ones) is A, so the block's Gram matrix is A^T A
-        blocks.append(L1Block((U * np.sqrt(lam)) @ Q.T, np.ones((m, 1)), np.arange(n)))
+        blocks.append((U * np.sqrt(lam)) @ Q.T)
     return blocks
 
 
@@ -153,7 +150,7 @@ def test_cannot_win_agrees_with_svd_kappa_where_trusted():
             for scheme in _trial_schemes(P, span, 6, seed=P):
                 kappa = cond_L1(scheme, K, N, symmetric=symmetric)
                 if kappa <= GRAM_TRUST_LIMIT:
-                    blocks = l1_factors(scheme, N, Psi, symmetric)
+                    blocks = l1_blocks(scheme, N, Psi, symmetric)
                     assert not _cannot_win(_ata(blocks), (1.0 + GRAM_MARGIN) * kappa), (P, kappa)
                     assert _cannot_win(_ata(blocks), kappa / 2), (P, kappa)
                     checked += 1
@@ -161,7 +158,7 @@ def test_cannot_win_agrees_with_svd_kappa_where_trusted():
     Psi = legendre_basis(32, 1)
     Psi[:, 1] = 0.0  # a zero temporal function: L1 has zero columns
     scheme = random_scheme(32, np.pi, seed=1)
-    assert _cannot_win(_ata(l1_factors(scheme, 3, Psi, True)), GRAM_TRUST_LIMIT)
+    assert _cannot_win(_ata(l1_blocks(scheme, 3, Psi, True)), GRAM_TRUST_LIMIT)
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
@@ -174,12 +171,12 @@ def test_cannot_win_agrees_with_svd_kappa_where_trusted():
     (9, 1, 6),  # P below the column count of every block
 ])
 def test_trig_grams_equal_ata_of_l1_blocks(P, K, N, symmetric):
-    """The certificate's Gram matrices are A^T A of the nonempty l1_factors blocks."""
+    """The certificate's Gram matrices are A^T A of the nonempty blocks of l1_blocks."""
     Psi = legendre_basis(P, K)
     grams = _trig_grams(N, Psi, symmetric)
     span = np.pi if symmetric else 2 * np.pi
     for scheme in _trial_schemes(P, span, 3, seed=P):
-        want = _ata(l1_factors(scheme, N, Psi, symmetric))
+        want = _ata(l1_blocks(scheme, N, Psi, symmetric))
         got = grams(scheme.angles)
         assert [G.shape for G in got] == [G.shape for G in want]
         lam_max = max(np.linalg.eigvalsh(G)[-1] for G in want)
@@ -208,7 +205,7 @@ def test_trig_grams_fill_the_same_buffers_on_every_call(symmetric):
     got_second = grams(second.angles)
     assert all(G is H for G, H in zip(got_first, got_second))
     for got, scheme in ((kept, first), (got_second, second)):
-        want = _ata(l1_factors(scheme, N, Psi, symmetric))
+        want = _ata(l1_blocks(scheme, N, Psi, symmetric))
         lam_max = max(np.linalg.eigvalsh(G)[-1] for G in want)
         for G, W in zip(got, want):
             assert np.abs(G - W).max() <= 1e-14 * lam_max
@@ -250,7 +247,7 @@ def test_cannot_win_same_answer_on_trig_and_ata_grams(symmetric):
     span = np.pi if symmetric else 2 * np.pi
     for scheme in _trial_schemes(P, span, 12, seed=7):
         kappa = cond_L1(scheme, K, N, symmetric=symmetric)
-        blocks = l1_factors(scheme, N, Psi, symmetric)
+        blocks = l1_blocks(scheme, N, Psi, symmetric)
         for threshold in ((1.0 + GRAM_MARGIN) * kappa, 1.5 * kappa, kappa / 2):
             assert (_cannot_win(grams(scheme.angles), threshold)
                     == _cannot_win(_ata(blocks), threshold)), (kappa, threshold)
@@ -457,8 +454,8 @@ def test_rank_collapses_for_duplicated_angles():
 
     def ratio(angles):
         sch = AngularScheme(angles=np.sort(angles), span=np.pi, kind="custom")
-        s = np.concatenate([np.linalg.svd(face_split(b.theta, b.V), compute_uv=False)
-                            for b in l1_factors(sch, 20, Psi, symmetric=True)])
+        s = np.concatenate([np.linalg.svd(A, compute_uv=False)
+                            for A in l1_blocks(sch, 20, Psi, symmetric=True)])
         return s.min() / s.max()
 
     base = np.linspace(0.05, np.pi - 0.05, 16)
@@ -518,6 +515,18 @@ def test_theorem1_unit_disk_closed_form():
 
 def test_translation_bound_closed_form():
     assert translation_bound(1.0, 1.0, 3) == pytest.approx(1.0 / 24.0, rel=1e-12)
+
+
+def test_motion_bounds_saturate_to_inf_beyond_the_float_range():
+    """(B c_max)^2 / 2 = 5e599 is finite in the parameters but not as a float."""
+    assert translation_bound(1e300, 1.0, 0) == pytest.approx(1e300, rel=1e-12)
+    assert translation_bound(1e300, 1.0, 1) == math.inf
+    assert rotation_bound(1e200, 1e100, 1.0, 1) == math.inf
+    assert translation_bound(1e200, 1e200, 0) == math.inf  # the product itself overflows
+    # K = 19: 1e30^20 / 20! = 4.1e581 is beyond the range, 1e15^20 / 20! = 4.1e281 is not
+    assert translation_bound(1e30, 1.0, 19) == math.inf
+    assert translation_bound(1e15, 1.0, 19) == pytest.approx(1e300 / math.factorial(20),
+                                                             rel=1e-12)
 
 
 def test_bounds_table_rows_are_the_two_bounds_for_each_order():

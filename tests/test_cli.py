@@ -34,10 +34,10 @@ from prosep.phantom import (
     simulate_acquisition,
 )
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator
-from prosep.radon import DetectorGrid, support_mask
+from prosep.radon import DetectorGrid, Sinogram, support_mask
 from prosep.recon import ProSepSolution, movie_factors, movie_metrics
 from prosep.sampling import bit_reversed, random_scheme, sample_times, span_for
-from prosep.solver import SolverConfig, SolverReport
+from prosep.solver import SolverConfig, SolverReport, solve
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
 
 
@@ -758,6 +758,36 @@ def test_analyze_bounds_writes_the_rows_of_bounds_table(tmp_path, flags, kwargs)
     rows = [f"{K},{tb!r},{rb!r}\n" for K, tb, rb in analysis.bounds_table(**kwargs)]
     header = "K,translation_bound,rotation_bound\n"
     assert (tmp_path / "bounds.csv").read_text() == header + "".join(rows)
+
+
+def test_analyze_bounds_beyond_the_float_range_writes_inf(tmp_path, capsys):
+    """B = 1e300: the K = 0 bound is 1e300, every higher order is inf, and nothing is raised."""
+    assert main(["analyze", "--out", str(tmp_path), "--bounds", "--bandwidth", "1e300"]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    rows = [row.split(",") for row in (tmp_path / "bounds.csv").read_text().splitlines()[1:]]
+    assert [float(b) for b in rows[0][1:]] == pytest.approx([1e300, 1e300], rel=1e-12)
+    assert rows[1:] == [[str(K), "inf", "inf"] for K in range(1, 13)]
+
+
+def test_rank_shortfall_has_one_wording(tmp_path, capsys):
+    """The simulate refusal, the solve warning and the thm2 warning open with the same text."""
+    text = HarmonicOrder(N=10, K=2, d=3).shortfall(16, symmetric=True)
+    assert text == "P = 16 < (N+1)(K+1) = 33"
+    assert main(["simulate", "--out", str(tmp_path / "r"), "--P", "16", "--width", "16",
+                 "--K", "2", "--N", "10", "--d", "3"]) == 1
+    assert capsys.readouterr().err == (f"prosep simulate: field 'model': {text}; the model is "
+                                       "not recoverable (pass --force to proceed anyway)\n")
+    with pytest.warns(UserWarning) as caught:
+        analysis.rank_check_L1(P=16, K=2, N=10, trials=1)
+    assert str(caught[0].message) == f"{text}: full column rank is impossible by dimension count"
+    data = Sinogram(values=np.random.default_rng(0).standard_normal((9, 16)),
+                    angles=bit_reversed(16, span_for(True)).angles,
+                    detector=DetectorGrid(count=9, spacing=0.25))
+    with pytest.warns(UserWarning) as caught:
+        solve(data, HarmonicOrder(N=10, K=2, d=3), spline_interpolator(16, 3), SolverConfig(),
+              symmetric=True)
+    assert str(caught[0].message) == (f"{text}: the linearized model cannot have full column "
+                                      "rank and recovery is not unique")
 
 
 def test_analyze_bounds_monotone_column(tmp_path):

@@ -8,12 +8,13 @@ from prosep.psmodel import (
     HarmonicOrder,
     _bspline_design,
     _fix_column_signs,
+    block_kappa,
     build_theta,
     condition_number,
     face_split,
     harmonic_blocks,
     harmonic_parity,
-    l1_factors,
+    l1_blocks,
     l2_row_factors,
     legendre_basis,
     real_trig_theta,
@@ -341,19 +342,23 @@ def test_harmonic_order_validation():
         HarmonicOrder(N=1, K=2, d=2)  # d < K + 1
     order = HarmonicOrder(N=28, K=5, d=8)
     assert order.cols == 57 * 6
-    assert order.solvable(512, True) and not order.solvable(100, True)
+    assert order.shortfall(512, True) is None
+    assert order.shortfall(100, True) == "P = 100 < (N+1)(K+1) = 174"
 
 
 @pytest.mark.parametrize("symmetric, P_min", [(True, 186), (False, 366)])
-def test_solvable_needs_every_block_tall(symmetric, P_min):
+def test_shortfall_needs_every_block_tall(symmetric, P_min):
     """N = 30, K = 5: P >= (N+1)(K+1) = 186 with the symmetry, (2N+1)(K+1) = 366 without."""
     order = HarmonicOrder(N=30, K=5, d=6)
-    assert not order.solvable(P_min - 1, symmetric) and order.solvable(P_min, symmetric)
+    rule = "(N+1)(K+1)" if symmetric else "(2N+1)(K+1)"
+    assert order.shortfall(P_min - 1, symmetric) == f"P = {P_min - 1} < {rule} = {P_min}"
+    assert order.shortfall(P_min, symmetric) is None
     for P in (P_min - 1, P_min):
-        blocks = l1_factors(random_scheme(P, span=np.pi, seed=1), 30, np.eye(P)[:, :6],
-                            symmetric)
-        shapes = [face_split(b.theta, b.V).shape for b in blocks]
-        assert order.block_margin(P, symmetric) == min(r - c for r, c in shapes) == P - P_min
+        blocks = l1_blocks(random_scheme(P, span=np.pi, seed=1), 30, np.eye(P)[:, :6],
+                           symmetric)
+        assert [A.shape[0] for A in blocks] == [P] * len(blocks)
+        margin = min(r - c for r, c in (A.shape for A in blocks))
+        assert order.block_margin(P, symmetric) == margin == P - P_min
 
 
 def test_harmonic_blocks_partition_by_parity():
@@ -372,9 +377,8 @@ def test_block_spectra_match_2p_oracle(P, N, K, symmetric):
     """The union of the block spectra is the spectrum of the unsplit L1."""
     scheme = random_scheme(P, span=np.pi if symmetric else 2 * np.pi, seed=P)
     Psi = legendre_basis(P, K)
-    blocks = l1_factors(scheme, N, Psi, symmetric)
-    s = np.sort(np.concatenate([np.linalg.svd(face_split(b.theta, b.V), compute_uv=False)
-                                for b in blocks]))[::-1]
+    blocks = l1_blocks(scheme, N, Psi, symmetric)
+    s = np.sort(np.concatenate([np.linalg.svd(A, compute_uv=False) for A in blocks]))[::-1]
     want = np.linalg.svd(l1_2p(scheme, N, Psi, np.eye(K + 1), symmetric), compute_uv=False)
     assert s.shape == want.shape
     assert np.all(np.abs(s - want) <= 1e-12 * want)
@@ -409,6 +413,35 @@ def test_condition_number_is_inf_beyond_double_precision(s, reason):
 
 def test_condition_number_keeps_kappa_up_to_1e15():
     assert condition_number(np.array([1.0, 1e-15]), 2) == pytest.approx(1e15, rel=1e-15)
+
+
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_block_kappa_of_l1_blocks_is_the_kappa_of_the_2p_row_l1(symmetric):
+    """Against np.linalg.cond of the unsplit L1 (2P rows with the symmetry), V = U, Z = I."""
+    P, N, K = 48, 5, 2
+    scheme = random_scheme(P, span=np.pi if symmetric else 2 * np.pi, seed=5)
+    U = spline_interpolator(P, K + 1)
+    want = np.linalg.cond(l1_2p(scheme, N, U, np.eye(K + 1), symmetric))
+    assert block_kappa(l1_blocks(scheme, N, U, symmetric)) == pytest.approx(want, rel=1e-10)
+
+
+def test_block_kappa_is_inf_for_a_wide_block(rng):
+    """The tall block alone has a finite kappa; a 3 x 5 block beside it makes it inf."""
+    tall = rng.standard_normal((8, 3))
+    assert block_kappa([tall]) == pytest.approx(np.linalg.cond(tall), rel=1e-12)
+    assert block_kappa([tall, rng.standard_normal((3, 5))]) == np.inf
+
+
+def test_block_kappa_with_no_odd_harmonics():
+    """N = 0 with the symmetry: the odd block has no columns and adds no singular value."""
+    P, K = 16, 1
+    scheme = random_scheme(P, span=np.pi, seed=2)
+    Psi = legendre_basis(P, K)
+    even, odd = l1_blocks(scheme, 0, Psi, True)
+    assert even.shape == (P, K + 1) and odd.shape == (P, 0)
+    want = np.linalg.cond(l1_2p(scheme, 0, Psi, np.eye(K + 1), True))
+    assert block_kappa([even, odd]) == pytest.approx(want, rel=1e-12)
+    assert block_kappa([even, odd]) == pytest.approx(np.linalg.cond(even), rel=1e-12)
 
 
 def test_harmonic_coefficients_shape_guard():

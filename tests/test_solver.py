@@ -19,8 +19,8 @@ from prosep.cli import main
 from prosep.psmodel import (
     HarmonicCoefficients,
     HarmonicOrder,
-    face_split,
     harmonic_blocks,
+    l1_blocks,
     spline_interpolator,
 )
 from prosep.radon import DetectorGrid, Sinogram
@@ -59,17 +59,19 @@ def random_Z(rng, d, K):
 
 def random_blocks(rng, problem, m):
     """Random data blocks shaped like the problem's blocks of L1 (P x m each)."""
-    return [rng.standard_normal((b.theta.shape[0], m)) for b in problem.blocks]
+    return [rng.standard_normal((Q.shape[0], m)) for Q, _ in problem.qr]
 
 
-def l1_blocks(problem, Z):
-    """The blocks of L1(Z) at full P rows, one per entry of ``problem.blocks``."""
-    return [face_split(b.theta, b.V @ Z) for b in problem.blocks]
+def l1_of_Z(angles, U, order, symmetric, Z):
+    """The blocks of L1(Z) at full P rows: A_b (I (x) Z) by reshape, A_b of ``l1_blocks``."""
+    d, k = Z.shape
+    return [(A.reshape(-1, d) @ Z).reshape(A.shape[0], A.shape[1] // d * k)
+            for A in l1_blocks(angles, order.N, U, symmetric)]
 
 
-def in_range_blocks(rng, problem, Z, m):
-    """Data blocks in range(L1(Z)), block by block."""
-    return [L @ rng.standard_normal((L.shape[1], m)) for L in l1_blocks(problem, Z)]
+def in_range_blocks(rng, L_blocks, m):
+    """Data blocks in range(L1(Z)), block by block, from the blocks of ``l1_of_Z``."""
+    return [L @ rng.standard_normal((L.shape[1], m)) for L in L_blocks]
 
 
 def normalized(G):
@@ -188,9 +190,9 @@ def objective(problem, Z, G):
 
 
 def test_objective_zero_for_in_range_data(rng):
-    _, order, _, problem = small_problem(rng)
+    scheme, order, U, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    G = in_range_blocks(rng, problem, Z, 5)
+    G = in_range_blocks(rng, l1_of_Z(scheme.angles, U, order, True, Z), 5)
     assert objective(problem, Z, G) <= 1e-10 * total_sq(G)
 
 
@@ -223,8 +225,8 @@ def test_objective_on_square_rank_deficient_symmetric_L1(rng):
 def test_objective_with_fewer_rows_than_columns(rng, d):
     """rows(L1) < (2N+1)(K+1): R is not square, and a full-row-rank L1 fits any G."""
     _, order, _, problem = small_problem(rng, P=8, N=6, K=1, d=d, symmetric=False)
-    (block,) = problem.blocks
-    assert block.theta.shape[0] < order.cols
+    ((Q, _),) = problem.qr
+    assert Q.shape[0] < order.cols
     G = random_blocks(rng, problem, 5)
     F, g = problem.objective_and_gradient_from_data(random_Z(rng, d, 1), problem.reduce(G))
     assert abs(F) < 1e-10 * total_sq(G)
@@ -412,8 +414,8 @@ def test_reduced_l1_condition_is_bounded_by_kappa_A_times_kappa_Z(symmetric):
                   r.standard_normal((d, K + 1)) @ np.diag(np.geomspace(1.0, 1e-3, K + 1))):
             kappa_Z = np.linalg.cond(Z)
             blocks = []
-            for (_, R), b in zip(QR, problem.blocks):
-                L = R @ np.kron(np.eye(b.harmonics.size), Z)
+            for (_, R), h in zip(QR, problem.harmonics):
+                L = R @ np.kron(np.eye(h.size), Z)
                 assert np.linalg.cond(L) <= np.linalg.cond(R) * kappa_Z * (1 + 1e-12)
                 blocks.append(L)
             s = np.concatenate([np.linalg.svd(L, compute_uv=False) for L in blocks])
@@ -498,7 +500,6 @@ def test_solve_rank_condition_is_per_block(P, warns, block_margin):
     """N = 30, K = 5: 2P >= (2N+1)(K+1) = 366 at both P, but full rank needs P >= 186."""
     data = _random_sinogram(P, 4, seed=P, symmetric=True)
     order = HarmonicOrder(N=30, K=5, d=6)
-    assert order.solvable(P, symmetric=True) is not warns
     U = spline_interpolator(P, 6)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -553,9 +554,9 @@ def test_gradient_matches_finite_differences(rng):
 
 
 def test_gradient_zero_at_exact_solution(rng):
-    _, order, _, problem = small_problem(rng)
+    scheme, order, U, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    G = in_range_blocks(rng, problem, Z, 8)
+    G = in_range_blocks(rng, l1_of_Z(scheme.angles, U, order, True, Z), 8)
     g = problem.objective_and_gradient_from_data(Z, problem.reduce(G), 1.0)[1]
     assert np.linalg.norm(g) < 1e-8 * total_sq(G)
 
@@ -563,7 +564,7 @@ def test_gradient_zero_at_exact_solution(rng):
 def test_penalty_gradient_zero_on_stiefel(rng):
     _, order, _, problem = small_problem(rng)
     Z = random_Z(rng, order.d, order.K)
-    G = [np.zeros((b.theta.shape[0], 1)) for b in problem.blocks]
+    G = [np.zeros((Q.shape[0], 1)) for Q, _ in problem.qr]
     # objective part vanishes with G = 0
     g = problem.objective_and_gradient_from_data(Z, problem.reduce(G), 3.0)[1]
     assert np.linalg.norm(g) < 1e-12
@@ -830,7 +831,7 @@ def test_solve_reports_kappa_of_the_fitted_l1(symmetric, d):
     data, U, order = noisy_exact_data(P=32, K=1, N=3, d=d, J=12, seed=8)
     Z, _, report = solve(data, order, U, SolverConfig(max_iters=60, restarts=1),
                          symmetric=symmetric)
-    stacked = block_diag(*l1_blocks(VarproProblem(data.angles, U, order, symmetric), Z))
+    stacked = block_diag(*l1_of_Z(data.angles, U, order, symmetric, Z))
     assert report.kappa_L1 == pytest.approx(np.linalg.cond(stacked), rel=1e-10)
     # the parity rotation is orthogonal: the unsplit 2P-row L1 has the same kappa
     assert report.kappa_L1 == pytest.approx(np.linalg.cond(l1_2p(data.angles, order.N, U, Z,
