@@ -54,7 +54,23 @@ the frame times t_p = p / P (``sampling.sample_times``).
 Exit codes: 0 success, 1 configuration or I/O error (also a malformed input
 tensor, named on one line), 2 the solver's descent reached the iteration
 cap before its stall test held (``SolverReport.converged`` is false; only
-when d > K+1: with d = K+1 or all-zero data no descent runs).
+when d > K+1: with d = K+1 or all-zero data no descent runs).  A warning
+raised while a command runs (a model that cannot have full column rank)
+is written to stderr as one line, ``prosep <command>: warning: <message>``,
+and leaves the exit code as it is.
+
+Each command imports numpy and the prosep modules it calls when it runs,
+after its settings pass their checks.  The module level of ``cli`` imports
+only the standard library, ``errors`` and ``settings``, which holds the
+two numpy-free names ``_FIELDS`` needs (``SolverConfig``'s defaults and
+``finite_real``), so ``prosep --help``, a usage error and a failed field
+check load no numpy.  ``simulate`` loads ``phantom`` (with ``radon``,
+``sampling`` and ``tensorio``) and ``psmodel``, not ``solver`` or
+``recon``; ``reconstruct`` loads neither ``phantom`` nor ``analysis``;
+``metrics`` loads ``phantom`` and ``recon``, not ``solver``; ``analyze``
+loads ``analysis`` (with ``psmodel`` and ``sampling``) and ``tensorio``
+once a study is chosen, and none of ``phantom``, ``radon``, ``recon`` and
+``solver``.
 
 A movie passes through its tensor file a chunk of frames at a time
 (``tensorio.read_chunks`` and ``write_chunks``), so no stage holds two
@@ -86,34 +102,10 @@ import json
 import operator
 import os
 import sys
-
-import numpy as np
+import warnings
 
 from .errors import ProsepError
-from .phantom import (
-    Ellipse,
-    MotionSpec,
-    MovieFile,
-    PhantomSpec,
-    benchmark_movie,
-    example_phantom,
-    finite_real,
-    render_chunks,
-    simulate_acquisition,
-)
-from .psmodel import HarmonicOrder, spline_interpolator
-from .radon import DetectorGrid, Sinogram
-from .recon import ProSepSolution, movie_chunks, movie_factors, movie_metrics
-from .sampling import (
-    AngularScheme,
-    bit_reversed,
-    progressive,
-    random_scheme,
-    sample_times,
-    span_for,
-)
-from .solver import SolverConfig, solve
-from .tensorio import atomic_write, read_tensor, write_chunks, write_tensor
+from .settings import SolverConfig, finite_real
 
 # hyperparameter presets: the orders (P, K, N, d) of the two symmetry modes, as
 # config overrides
@@ -247,6 +239,8 @@ class ConfigError(ProsepError):
 
 
 def _write_text_atomic(path, text: str) -> None:
+    from .tensorio import atomic_write
+
     with atomic_write(path, "w") as f:
         f.write(text)
 
@@ -318,12 +312,16 @@ def _validate_config(cfg: dict, force: bool = False) -> None:
     K, d = model["K"], model["d"]
     _need(d >= K + 1, "model.d", f"must be at least K + 1 = {K + 1}, got {d}")
     _need(d <= P, "model.d", f"must be at most P = {P}, got {d}")
+    from .psmodel import HarmonicOrder  # after the checks that need no numpy
+
     shortfall = HarmonicOrder(**model).shortfall(P, symmetric)
     _need(force or not shortfall, "model",
           f"{shortfall}; the model is not recoverable (pass --force to proceed anyway)")
 
 
-def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:
+def _phantom_from_config(cfg: dict, pixel: float):
+    from .phantom import Ellipse, PhantomSpec, example_phantom
+
     width = cfg["grid"]["width"]
     ph = cfg["phantom"]
     if ph == "example":
@@ -338,7 +336,9 @@ def _phantom_from_config(cfg: dict, pixel: float) -> PhantomSpec:
     return PhantomSpec(ellipses=ells, width=width, pixel_size=pixel)
 
 
-def _scheme_from_config(cfg: dict) -> AngularScheme:
+def _scheme_from_config(cfg: dict):
+    from .sampling import bit_reversed, progressive, random_scheme, span_for
+
     span = span_for(cfg["symmetric"])
     kind = cfg["scheme"]["kind"]
     if kind == "progressive":
@@ -380,6 +380,17 @@ def _setting_overrides(args) -> dict:
 
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config, args.preset, _setting_overrides(args), force=args.force)
+    from .phantom import (
+        MotionSpec,
+        MovieFile,
+        benchmark_movie,
+        render_chunks,
+        simulate_acquisition,
+    )
+    from .radon import DetectorGrid
+    from .sampling import sample_times
+    from .tensorio import write_chunks, write_tensor
+
     pixel = _resolve_nulls(cfg)
     spec = _phantom_from_config(cfg, pixel)
     try:
@@ -426,6 +437,13 @@ def cmd_reconstruct(args) -> int:
     # a model the linearized system cannot pin down is warned about by solve
     cfg = load_config(os.path.join(indir, "manifest.json"), overrides=_setting_overrides(args),
                       force=True)
+    from .psmodel import HarmonicOrder, spline_interpolator
+    from .radon import DetectorGrid, Sinogram
+    from .recon import ProSepSolution, movie_chunks, movie_factors
+    from .sampling import AngularScheme, sample_times, span_for
+    from .solver import solve
+    from .tensorio import read_tensor, write_chunks, write_tensor
+
     pixel = _resolve_nulls(cfg)
     sino_path = os.path.join(indir, "sinogram.tensor")
     angles_path = os.path.join(indir, "angles.tensor")
@@ -438,7 +456,7 @@ def cmd_reconstruct(args) -> int:
         raise ProsepError(
             f"{angles_path}: shape {angles.shape}, but the manifest has P = {P} angles")
     span = span_for(symmetric)
-    if np.any(angles >= span):
+    if (angles >= span).any():
         raise ConfigError(
             "field 'symmetric': acquired angles exceed [0, pi); the data was "
             "simulated without the half-turn symmetry"
@@ -518,13 +536,14 @@ def _study(fn, ran: dict):
 
 
 def cmd_analyze(args) -> int:
-    from . import analysis  # only this stage needs it: the others skip its import
-
-    studies = {s: getattr(analysis, fn) for s, (fn, _, _) in _STUDIES.items() if getattr(args, s)}
-    if not studies:
+    chosen = [s for s in _STUDIES if getattr(args, s)]
+    if not chosen:
         print(f"analyze: nothing to do (pass {' / '.join('--' + s for s in _STUDIES)})",
               file=sys.stderr)
         return 1
+    from . import analysis  # numpy and the studies load once a study is chosen
+
+    studies = {s: getattr(analysis, _STUDIES[s][0]) for s in chosen}
     ran = _analyze_flags(args, studies)
     out = args.out
     os.makedirs(out, exist_ok=True)
@@ -537,6 +556,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_metrics(args) -> int:
+    from .phantom import MovieFile
+    from .recon import movie_metrics
+
     movie, bench = MovieFile(args.movie), MovieFile(args.benchmark)
     if movie.shape != bench.shape:
         raise ProsepError(f"dimension mismatch: {args.movie} has shape {movie.shape}, "
@@ -601,11 +623,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        return args.func(args)
-    except (ProsepError, OSError) as e:
-        print(f"prosep {args.command}: {e}", file=sys.stderr)
-        return 1
+
+    def show(message, category, filename, lineno, file=None, line=None):
+        print(f"prosep {args.command}: warning: {message}", file=sys.stderr)
+
+    with warnings.catch_warnings():
+        warnings.showwarning = show
+        try:
+            return args.func(args)
+        except (ProsepError, OSError) as e:
+            print(f"prosep {args.command}: {e}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

@@ -30,9 +30,7 @@ passes one for the truth it has written.
 from __future__ import annotations
 
 import math
-import numbers
 import os
-import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -48,6 +46,7 @@ from .radon import (
     support_masked,
 )
 from .sampling import AngularScheme, progressive, sample_times
+from .settings import finite_real
 from .tensorio import CHUNK_VALUES, read_chunks, tensor_shape
 
 __all__ = [
@@ -61,15 +60,6 @@ __all__ = [
     "benchmark_movie",
     "example_phantom",
 ]
-
-
-def finite_real(x) -> bool:
-    """A real number, not a bool, that converts to a finite float.
-
-    ``abs(x) <= max`` is false for NaN, the infinities and integers too
-    large for a float, all of which ``json`` reads.
-    """
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def _require_finite_reals(what: str, values) -> None:

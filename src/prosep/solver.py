@@ -73,6 +73,7 @@ from .psmodel import (
     l1_blocks,
 )
 from .radon import Sinogram
+from .settings import SolverConfig
 
 __all__ = [
     "SolverConfig",
@@ -289,26 +290,6 @@ class VarproProblem:
             F += mu * float(np.sum(ZtZ**2))
             grad = grad + 4.0 * mu * (Z @ ZtZ)
         return F, grad
-
-
-@dataclass(frozen=True)
-class SolverConfig:
-    """Settings of the Adam descent on Z.
-
-    The iteration cap per restart, the number of restarts from random
-    orthonormal starting points, and the seed they are drawn from.  They
-    apply only when d > K+1; with d = K+1 ``solve`` runs no descent.
-    """
-
-    max_iters: int = 5000
-    restarts: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.max_iters, self.restarts) < 1:
-            raise ValueError("max_iters and restarts must be >= 1")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
 
 
 @dataclass

@@ -8,6 +8,7 @@ import re
 import shutil
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -502,11 +503,16 @@ def test_reconstruct_closed_form_when_z_not_identifiable(sim_dir, tmp_path, caps
     assert np.array_equal(read_tensor(out / "Z.tensor"), np.eye(2))
 
 
-def test_reconstruct_underdetermined_override_warns_and_runs(sim_dir, tmp_path):
+def test_reconstruct_underdetermined_override_warns_and_runs(sim_dir, tmp_path, capsys):
     out = tmp_path / "under"
-    with pytest.warns(UserWarning, match="full column rank"):
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
         rc = main(["reconstruct", "--input", str(sim_dir), "--out", str(out), "--N", "40"])
-    assert rc == 0
+    assert rc == 0 and escaped == []
+    assert capsys.readouterr().err == (
+        "prosep reconstruct: warning: P = 32 < (N+1)(K+1) = 82: the linearized model cannot "
+        "have full column rank and recovery is not unique\n")
     summary = json.loads((out / "solver_report.json").read_text())
     assert summary["rank_margin"] == 64 - 81 * 2
     assert summary["block_rank_margin"] == 32 - 41 * 2  # 41 even harmonics of N = 40
@@ -767,6 +773,30 @@ def test_analyze_bounds_beyond_the_float_range_writes_inf(tmp_path, capsys):
     rows = [row.split(",") for row in (tmp_path / "bounds.csv").read_text().splitlines()[1:]]
     assert [float(b) for b in rows[0][1:]] == pytest.approx([1e300, 1e300], rel=1e-12)
     assert rows[1:] == [[str(K), "inf", "inf"] for K in range(1, 13)]
+
+
+@pytest.mark.parametrize("argv, text", [
+    # P = 16 < (2N+1)(K+1) = 21 without the symmetry, from ``solve``
+    (["reconstruct", "--input", "{run}", "--out", "{out}", "--K", "2", "--d", "3",
+      "--symmetric", "off"],
+     "P = 16 < (2N+1)(K+1) = 21: the linearized model cannot have full column rank and "
+     "recovery is not unique"),
+    # P = 16 < (N+1)(K+1) = 33, from ``analysis.rank_check_L1``
+    (["analyze", "--thm2", "--P", "16", "--K", "2", "--N", "10", "--trials", "2",
+      "--out", "{out}"],
+     "P = 16 < (N+1)(K+1) = 33: full column rank is impossible by dimension count"),
+], ids=["reconstruct", "analyze"])
+def test_a_warning_is_one_stderr_line(tmp_path, capsys, argv, text):
+    """A rank warning reaches stderr as ``prosep <command>: warning: ...`` and exits 0."""
+    run, cfg = tmp_path / "run", tmp_path / "tiny.json"
+    cfg.write_text(json.dumps(TINY_CONFIG))
+    assert main(["simulate", "--config", str(cfg), "--out", str(run)]) == 0
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as escaped:
+        warnings.simplefilter("always")
+        assert main([a.format(run=run, out=tmp_path / "out") for a in argv]) == 0
+    assert escaped == []
+    assert capsys.readouterr().err == f"prosep {argv[0]}: warning: {text}\n"
 
 
 def test_rank_shortfall_has_one_wording(tmp_path, capsys):

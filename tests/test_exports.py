@@ -1,4 +1,5 @@
 import importlib
+import json
 import os
 import pkgutil
 import subprocess
@@ -57,11 +58,84 @@ def test_cli_import_loads_no_scipy():
     assert out.stdout.strip() == "[]"
 
 
-def test_cli_import_leaves_out_analysis():
-    """Only ``analyze`` needs the conditioning studies; the other stages skip their import."""
-    out = run_python("import sys, prosep.cli\nprint('prosep.analysis' in sys.modules)")
+def loaded_after(argv=None):
+    """(exit code, loaded) of ``main(argv)`` in a fresh interpreter; None: the import alone.
+
+    ``loaded`` is the set of prosep modules it then holds, by their names in
+    the package, with "numpy" added when numpy is loaded.
+    """
+    code = ("import json, sys\n"
+            "from prosep.cli import main\n"
+            f"code = None if {argv!r} is None else main({argv!r})\n"
+            "names = [m[len('prosep.'):] for m in sys.modules if m.startswith('prosep.')]\n"
+            "print(json.dumps([code, names + ['numpy'] * ('numpy' in sys.modules)]))\n")
+    out = run_python(code)
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    code, loaded = json.loads(out.stdout.strip().splitlines()[-1])
+    return code, set(loaded)
+
+
+@pytest.fixture(scope="module")
+def run_dirs(tmp_path_factory):
+    """A small simulated and reconstructed run: (simulate dir, reconstruct dir)."""
+    sim, rec = (str(tmp_path_factory.mktemp(name)) for name in ("sim", "rec"))
+    assert prosep.cli.main(["simulate", "--out", sim, "--P", "16", "--width", "16",
+                            "--K", "1", "--N", "3", "--d", "2"]) == 0
+    assert prosep.cli.main(["reconstruct", "--input", sim, "--out", rec]) == 0
+    return sim, rec
+
+
+def test_cli_import_loads_no_numpy():
+    """``import prosep.cli`` loads the standard library, ``errors`` and ``settings`` only."""
+    assert loaded_after() == (None, {"cli", "errors", "settings"})
+
+
+def test_simulate_loads_neither_solver_nor_recon(tmp_path):
+    code, loaded = loaded_after(["simulate", "--out", str(tmp_path / "sim"), "--P", "16",
+                                  "--width", "16", "--K", "1", "--N", "3", "--d", "2"])
+    assert code == 0
+    assert {"phantom", "radon", "numpy"} <= loaded
+    assert not loaded & {"solver", "recon", "analysis"}
+
+
+def test_reconstruct_loads_no_phantom(run_dirs, tmp_path):
+    sim, _ = run_dirs
+    code, loaded = loaded_after(["reconstruct", "--input", sim, "--out", str(tmp_path)])
+    assert code == 0
+    assert {"solver", "recon"} <= loaded
+    assert not loaded & {"phantom", "analysis"}
+
+
+def test_metrics_loads_no_solver(run_dirs, tmp_path):
+    sim, rec = run_dirs
+    code, loaded = loaded_after(["metrics", "--movie", os.path.join(rec, "movie.tensor"),
+                                  "--benchmark", os.path.join(sim, "benchmark_movie.tensor"),
+                                  "--out", str(tmp_path / "metrics.csv")])
+    assert code == 0
+    assert {"phantom", "recon"} <= loaded
+    assert not loaded & {"solver", "analysis"}
+
+
+def test_analyze_loads_none_of_the_pipeline_modules(tmp_path):
+    code, loaded = loaded_after(["analyze", "--table1", "--thm2", "--P", "16", "--K", "1",
+                                  "--N", "3", "--trials", "2", "--out", str(tmp_path)])
+    assert code == 0
+    assert {"analysis", "numpy"} <= loaded
+    assert not loaded & {"phantom", "radon", "recon", "solver"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--out", "{out}"],  # no study chosen
+    ["simulate", "--out", "{out}", "--P", "1"],  # _FIELDS checks
+    ["simulate", "--out", "{out}", "--noise-sigma", "nan"],
+    ["reconstruct", "--input", "{sim}", "--out", "{out}", "--d", "0"],
+], ids=["analyze-no-study", "simulate-P", "simulate-nan", "reconstruct-d"])
+def test_error_paths_load_no_numpy(run_dirs, tmp_path, argv):
+    """A refusal that needs no numeric code exits 1 before it imports any, and writes nothing."""
+    out = tmp_path / "out"
+    argv = [a.format(out=out, sim=run_dirs[0]) for a in argv]
+    assert loaded_after(argv) == (1, {"cli", "errors", "settings"})
+    assert not out.exists()
 
 
 def test_simulate_and_reconstruct_load_no_numpy_ma(tmp_path):

@@ -708,6 +708,35 @@ def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
     assert _rel(*movies) < 1e-10
 
 
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("K, d", [(1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+def test_lifted_fit_is_a_lower_bound_on_the_objective(symmetric, K, d):
+    """F(Z) >= F of the lifted fit (K' = d-1, Z = I_d) for every orthonormal d x (K+1) Z.
+
+    The columns of U Z lie in range(U), so range(L1(Z)) lies in the range of
+    the lifted L1, which has Psi = U; with d = K+1 the two ranges are equal.
+    """
+    data, U, order = noisy_exact_data(P=32, K=K, N=3, d=d, J=12, seed=4 + K + d)
+    J = data.values.shape[0]
+    G = normalized(stacked_data(data, symmetric))
+    lifted = VarproProblem(data.angles, U, HarmonicOrder(N=order.N, K=d - 1, d=d), symmetric)
+    F_lifted = lifted.fit(np.eye(d), lifted.reduce(G), J)[1]
+    assert F_lifted > 1e-4  # the noisy data do not fit exactly
+    problem = VarproProblem(data.angles, U, order, symmetric)
+    Y = problem.reduce(G)
+    rng = np.random.default_rng(d)
+    for Z in [random_Z(rng, d, K) for _ in range(5)] + [np.eye(d)[:, : K + 1]]:
+        F = problem.fit(Z, Y, J)[1]
+        if d == K + 1:
+            assert F == pytest.approx(F_lifted, rel=1e-10)
+        else:
+            assert F >= F_lifted * (1 - 1e-12)
+    if d > K + 1:
+        _, _, report = solve(data, order, U, SolverConfig(max_iters=300, restarts=1),
+                             symmetric=symmetric)
+        assert report.final_objective >= F_lifted * (1 - 1e-12)
+
+
 def count_calls(monkeypatch, owner, name):
     """Replace owner.name by a wrapper that appends to the returned list per call."""
     calls = []
