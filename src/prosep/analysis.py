@@ -32,10 +32,10 @@ block shows cannot beat the least kappa so far (``_cannot_win``): the
 trial's kappa exceeds it by more than a relative margin of 1e-3 when some
 block's Gram matrix, shifted down by rho / kappa^2 with rho <= lambda_max,
 is not positive definite.  A trial that passes gets its kappa from the
-eigenvalues of the same Gram matrices (``_gram_kappa``), trusted while at
-most 1e3; beyond that the trial gets the SVD (``cond_L1``).  At the end
-only the trusted trials whose estimate ties the least one, within a
-relative 1e-4 that the estimate's error bound proves enough, get the
+eigenvalues of the same Gram matrices (``psmodel.gram_kappa``), trusted
+while at most 1e3; beyond that the trial gets the SVD (``cond_L1``).  At
+the end only the trusted trials whose estimate ties the least one, within
+a relative 1e-4 that the estimate's error bound proves enough, get the
 SVD.  The reported value is the SVD kappa of the exhaustive minimum
 either way (``table1`` gives the proof).
 """
@@ -52,10 +52,11 @@ from .psmodel import (
     HarmonicOrder,
     block_kappa,
     build_theta,
+    component_projections,
     condition_number,
+    gram_kappa,
     harmonic_blocks,
     l1_blocks,
-    l2_row_factors,
     legendre_basis,
 )
 from .sampling import AngularScheme, bit_reversed, progressive, random_scheme, span_for
@@ -127,10 +128,10 @@ def cond_L2(
     kappa(L2) is still computed and reported.
 
     L2 is not built: its row block i is kron(C_i, u_i), with the
-    J x (K+1) factor C_i of ``psmodel.l2_row_factors``.  C_i = Q_i R_i,
-    and the orthonormal Q_i drop out of the singular values, so the SVD
-    runs on the stacked kron(R_i, u_i), 2P min(J, K+1) rows instead of
-    2P J.
+    J x (K+1) factor C_i of ``psmodel.component_projections``.  C_i =
+    Q_i R_i, and the orthonormal Q_i drop out of the singular values, so
+    the SVD runs on the stacked kron(R_i, u_i), 2P min(J, K+1) rows
+    instead of 2P J.
     """
     order = HarmonicOrder(N=N, K=K, d=d)
     if scheme is None:
@@ -144,7 +145,8 @@ def cond_L2(
     # the QR of each row's J x (K+1) factor is independent: a block of rows at
     # a time bounds the complex factor stack at _L2_QR_ROWS rows
     R = np.concatenate([
-        np.linalg.qr(l2_row_factors(beta_cols, theta_hat[i:i + _L2_QR_ROWS], order), mode="r")
+        np.linalg.qr(component_projections(beta_cols, theta_hat[i:i + _L2_QR_ROWS], order),
+                     mode="r")
         for i in range(0, theta_hat.shape[0], _L2_QR_ROWS)
     ])
     reduced = (R[:, :, :, None] * U[:, None, None, :]).reshape(-1, order.n_temporal * d)
@@ -370,17 +372,6 @@ def _cannot_win(grams, kappa: float) -> bool:
     return False
 
 
-def _gram_kappa(grams) -> float:
-    """kappa(L1) as sqrt(lambda_max / lambda_min) over the eigenvalues of its blocks' Gram matrices.
-
-    The +inf sentinel when lambda_min <= 0.  ``table1`` bounds its error
-    where it is used, at most ``GRAM_TRUST_LIMIT``.
-    """
-    ev = [np.linalg.eigvalsh(G) for G in grams]
-    lo, hi = min(e[0] for e in ev), max(e[-1] for e in ev)
-    return math.sqrt(hi / lo) if lo > 0.0 else math.inf
-
-
 def _best_random_kappa(P: int, K: int, N: int, symmetric: bool, trials: int,
                        seed: int) -> float:
     """Least kappa(L1) (``cond_L1``) over ``trials`` seeded random schemes.
@@ -388,7 +379,7 @@ def _best_random_kappa(P: int, K: int, N: int, symmetric: bool, trials: int,
     One pass keeps ``best``, the least kappa so far.  While it is at most
     ``GRAM_TRUST_LIMIT``, a trial that ``_cannot_win`` against
     (1 + ``GRAM_MARGIN``) best is skipped.  Every other trial gets the
-    Gram estimate ``_gram_kappa`` from the same Gram matrices
+    Gram estimate ``gram_kappa`` from the same Gram matrices
     (``_trig_grams``); where that is at most the trust limit the trial is
     kept as a candidate, by its scheme, else it gets ``cond_L1``.  Either
     value updates ``best``.  At the end the candidates whose estimate is
@@ -404,7 +395,7 @@ def _best_random_kappa(P: int, K: int, N: int, symmetric: bool, trials: int,
         G = grams(scheme.angles)
         if best <= GRAM_TRUST_LIMIT and _cannot_win(G, (1.0 + GRAM_MARGIN) * best):
             continue
-        kappa = _gram_kappa(G)
+        kappa = gram_kappa(G)
         if kappa <= GRAM_TRUST_LIMIT:
             candidates.append((kappa, scheme))
         else:
@@ -439,7 +430,7 @@ def table1(
     products, a gather into buffers reused by every trial, and one
     Cholesky factorization per block (``_trig_grams``, ``_cannot_win``).
     A trial that the screen passes adds one symmetric eigenvalue solve
-    per block (``_gram_kappa``, about a third of an SVD), and each random
+    per block (``gram_kappa``, about a third of an SVD), and each random
     row ends with one SVD, more only when Gram estimates tie.
 
     Why the result is the SVD kappa of the exhaustive minimum.  The Gram

@@ -69,8 +69,9 @@ check load no numpy.  ``simulate`` loads ``phantom`` (with ``radon``,
 ``recon``; ``reconstruct`` loads neither ``phantom`` nor ``analysis``;
 ``metrics`` loads ``phantom`` and ``recon``, not ``solver``; ``analyze``
 loads ``analysis`` (with ``psmodel`` and ``sampling``) and ``tensorio``
-once a study is chosen, and none of ``phantom``, ``radon``, ``recon`` and
-``solver``.
+once a study is chosen and the flags given pass their checks, and none
+of ``phantom``, ``radon``, ``recon`` and ``solver``; only the test that
+a flag is read by a chosen study needs the studies' signatures.
 
 A movie passes through its tensor file a chunk of frames at a time
 (``tensorio.read_chunks`` and ``write_chunks``), so no stage holds two
@@ -81,8 +82,9 @@ P x W x W movies at once, and each movie stage has one entry point.
 its frames are written straight from the tile-major accumulator of its
 view loop; the acquisition (``phantom.simulate_acquisition``) then reads
 the truth back once more, and its noise is drawn last.  ``reconstruct``
-writes the movie as Psi Phi (``recon.movie_factors``), a chunk of frames
-per product (``recon.movie_chunks``).  ``metrics`` compares the shapes in
+writes the movie as Psi Phi, with Psi = U Z and the component images Phi
+of beta (``recon.component_images``), a chunk of frames per product
+(``recon.movie_chunks``).  ``metrics`` compares the shapes in
 the two files' headers before it reads any payload, finds the
 benchmark's peak in a first pass over its file, and then compares the
 frames one pair at a time (``phantom.MovieFile``, which masks and checks
@@ -439,8 +441,8 @@ def cmd_reconstruct(args) -> int:
                       force=True)
     from .psmodel import HarmonicOrder, spline_interpolator
     from .radon import DetectorGrid, Sinogram
-    from .recon import ProSepSolution, movie_chunks, movie_factors
-    from .sampling import AngularScheme, sample_times, span_for
+    from .recon import component_images, movie_chunks
+    from .sampling import AngularScheme, span_for
     from .solver import solve
     from .tensorio import read_tensor, write_chunks, write_tensor
 
@@ -474,12 +476,8 @@ def cmd_reconstruct(args) -> int:
     U = spline_interpolator(P, order.d)
     Z, beta, report = solve(data, order, U, SolverConfig(**cfg["solver"]),
                             symmetric=symmetric)
-    solution = ProSepSolution(
-        Z=Z, U=U, beta=beta, model=order, scheme=scheme, detector=detector,
-        times=sample_times(P), symmetric=symmetric,
-    )
-    psi, phi = movie_factors(solution, fbp_angles_count=cfg["fbp_angles_count"],
-                             width=cfg["grid"]["width"], pixel_size=pixel)
+    psi = U @ Z
+    phi = component_images(beta, detector, cfg["fbp_angles_count"], cfg["grid"]["width"], pixel)
 
     out = args.out or indir
     os.makedirs(out, exist_ok=True)
@@ -508,16 +506,13 @@ def cmd_reconstruct(args) -> int:
     return 0 if report.converged else 2
 
 
-def _analyze_flags(args, studies: dict) -> dict:
+def _analyze_flags(given: dict, studies: dict) -> dict:
     """The arguments of each chosen study: the flags given that it reads, then its defaults.
 
     ``studies`` maps each chosen switch to its ``analysis`` function, whose
-    parameters are the flags the study reads.  Each flag given must pass
-    its check and be read by some chosen study.
+    parameters are the flags the study reads.  Each flag ``given`` must be
+    read by some chosen study.
     """
-    given = {f: getattr(args, f) for f in _ANALYZE_FLAGS if getattr(args, f) is not None}
-    for flag, val in given.items():
-        _require(f"flag '--{flag}'", val, _ANALYZE_FLAGS[flag][1])
     reads = {s: inspect.signature(fn).parameters for s, fn in studies.items()}
     unread = [f for f in given if not any(f in params for params in reads.values())]
     if unread:
@@ -538,13 +533,14 @@ def _study(fn, ran: dict):
 def cmd_analyze(args) -> int:
     chosen = [s for s in _STUDIES if getattr(args, s)]
     if not chosen:
-        print(f"analyze: nothing to do (pass {' / '.join('--' + s for s in _STUDIES)})",
-              file=sys.stderr)
-        return 1
-    from . import analysis  # numpy and the studies load once a study is chosen
+        raise ConfigError(f"nothing to do (pass {' / '.join('--' + s for s in _STUDIES)})")
+    given = {f: getattr(args, f) for f in _ANALYZE_FLAGS if getattr(args, f) is not None}
+    for flag, val in given.items():
+        _require(f"flag '--{flag}'", val, _ANALYZE_FLAGS[flag][1])
+    from . import analysis  # numpy and the studies load once the checks above pass
 
     studies = {s: getattr(analysis, _STUDIES[s][0]) for s in chosen}
-    ran = _analyze_flags(args, studies)
+    ran = _analyze_flags(given, studies)
     out = args.out
     os.makedirs(out, exist_ok=True)
     for name, fn in studies.items():

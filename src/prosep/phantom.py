@@ -29,7 +29,6 @@ passes one for the truth it has written.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -40,6 +39,7 @@ from .radon import (
     DetectorGrid,
     Sinogram,
     TiledImages,
+    check_movie_shape,
     grid_coords,
     project_fbp,
     project_sequence,
@@ -239,14 +239,6 @@ def _rasterize(spec: PhantomSpec, Ainv: np.ndarray, b: np.ndarray):
         yield values
 
 
-def _check_movie_shape(shape: tuple) -> None:
-    """A movie is a nonempty P x W x W array."""
-    if math.prod(shape) == 0:
-        raise ValueError(f"movie is empty, shape {shape}")
-    if len(shape) != 3 or shape[1] != shape[2]:
-        raise ValueError(f"frame must be square: expected P x W x W, got shape {shape}")
-
-
 @dataclass(frozen=True)
 class MovieFile:
     """A movie in a tensor file, read back a chunk of frames at a time.
@@ -268,7 +260,7 @@ class MovieFile:
         object.__setattr__(self, "path", os.fspath(self.path))
         object.__setattr__(self, "shape", tensor_shape(self.path))
         try:
-            _check_movie_shape(self.shape)
+            check_movie_shape(self.shape)
         except ValueError as e:
             raise self._not_a_movie(e) from None
         if self.pixel_size <= 0:

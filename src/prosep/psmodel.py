@@ -8,11 +8,17 @@ where Theta collects circular harmonics of the view angles, Psi = U Z
 holds the sampled temporal functions, and beta(s) stacks the
 harmonic-by-temporal coefficients for detector offset s (harmonic-major,
 temporal-minor).  This module constructs the harmonic matrices, the
-column blocks of L1, the face-splitting products, the row factors of
-the operator L2 linear in vec(Z), and the fixed interpolators (cubic
-B-spline and Legendre bases).  ``condition_number`` is the one kappa
-rule that the solver's report and the conditioning study share, and
-``block_kappa`` applies it to the blocks of a block-diagonal matrix.
+column blocks of L1, the face-splitting products and the fixed
+interpolators (cubic B-spline and Legendre bases).  Each frame's
+projections are sum_k psi_k(t) g_k(theta, s), and
+``component_projections`` is the one contraction g_k(theta_a, s_j) =
+sum_n T[a, n] beta[(n, k), j] that gives the component sinograms to the
+synthesis and the row factors of the operator L2, linear in vec(Z), to
+the kappa(L2) study.  ``condition_number`` is the one kappa rule of
+singular values that the solver's report and the conditioning study
+share, ``block_kappa`` applies it to the blocks of a block-diagonal
+matrix, and ``gram_kappa`` is kappa from the eigenvalues of the blocks'
+Gram matrices instead.
 
 The half-turn identity g(-s, theta) = g(s, theta + pi) doubles the
 equations: L1_hat = [T; T diag((-1)^n)] * [U; U] Z has 2P rows, and rows
@@ -37,6 +43,7 @@ coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,7 +57,7 @@ __all__ = [
     "face_split",
     "spline_interpolator",
     "legendre_basis",
-    "l2_row_factors",
+    "component_projections",
     "real_trig_theta",
     "real_trig_theta_hat",
     "harmonic_parity",
@@ -59,6 +66,7 @@ __all__ = [
     "KAPPA_SINGULAR",
     "condition_number",
     "block_kappa",
+    "gram_kappa",
 ]
 
 # kappa beyond double precision is reported as the +inf sentinel
@@ -257,17 +265,21 @@ class HarmonicCoefficients:
         return self.beta.shape[1]
 
 
-def l2_row_factors(beta: np.ndarray, theta_hat: np.ndarray, order: HarmonicOrder) -> np.ndarray:
-    """C[i, j, k] = sum_n theta_hat[i, n] beta[(n, k), j], shape rows x J x (K+1).
+def component_projections(beta: np.ndarray, T: np.ndarray, order: HarmonicOrder) -> np.ndarray:
+    """C[a, j, k] = sum_n T[a, n] beta[(n, k), j], shape rows x J x (K+1).
 
-    L2(beta), the operator linear in vec(Z) with g_hat_stacked = L2(beta)
-    vec(Z) whenever g_hat(s) = L1(Z) beta(s), has row (i, j)
-    beta(s_j)^T A_i^T (I_{K+1} (x) u_hat[i]) with A_i = theta_hat[i] (x)
-    I_{K+1}: its row block i (J rows) is kron(C[i], u_hat[i]).  The sum
-    over n is one matrix product theta_hat @ beta as (2N+1) x (K+1)J.
+    With T the real trigonometric matrix of A angles, C[:, j, k] is the
+    component sinogram g_k(theta_a, s_j), and frame p's projections are
+    C @ Psi[p].  With T the rows theta_hat[i] of the harmonic matrix, C[i]
+    is the J x (K+1) row factor of L2(beta), the operator linear in
+    vec(Z) with g_hat_stacked = L2(beta) vec(Z) whenever g_hat(s) =
+    L1(Z) beta(s): its row (i, j) is beta(s_j)^T A_i^T (I_{K+1} (x)
+    u_hat[i]) with A_i = theta_hat[i] (x) I_{K+1}, so its row block i
+    (J rows) is kron(C[i], u_hat[i]).  The sum over n is one matrix
+    product T @ beta as (2N+1) x (K+1)J.
     """
-    C = theta_hat @ np.asarray(beta).reshape(order.n_harmonics, -1)
-    return C.reshape(theta_hat.shape[0], order.n_temporal, -1).transpose(0, 2, 1)
+    C = T @ np.asarray(beta).reshape(order.n_harmonics, -1)
+    return C.reshape(T.shape[0], order.n_temporal, -1).transpose(0, 2, 1)
 
 
 def real_trig_theta(scheme: AngularScheme | np.ndarray, N: int) -> np.ndarray:
@@ -345,3 +357,17 @@ def block_kappa(blocks) -> float:
     """
     s = [np.linalg.svd(B, compute_uv=False) for B in blocks]
     return condition_number(np.concatenate(s), sum(B.shape[1] for B in blocks))
+
+
+def gram_kappa(grams) -> float:
+    """kappa of the block-diagonal matrix whose blocks have the Gram matrices ``grams``.
+
+    sqrt(lambda_max / lambda_min) over the eigenvalues of all the G =
+    A^T A, the +inf sentinel when lambda_min <= 0.  About a third of an
+    SVD, but the squared spectrum costs accuracy as kappa grows: a caller
+    bounds its error where it uses it (``analysis.table1``), or compares
+    it with a bound that tolerates it (the solver's kappa(Z)).
+    """
+    ev = [np.linalg.eigvalsh(G) for G in grams]
+    lo, hi = min(e[0] for e in ev), max(e[-1] for e in ev)
+    return math.sqrt(hi / lo) if lo > 0.0 else math.inf

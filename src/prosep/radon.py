@@ -121,6 +121,14 @@ def support_masked(values, ndim: int = 2, copy: bool = True) -> np.ndarray:
     return v
 
 
+def check_movie_shape(shape: tuple) -> None:
+    """A movie is a nonempty P x W x W array; a ValueError says how ``shape`` is not."""
+    if math.prod(shape) == 0:
+        raise ValueError(f"movie is empty: expected a nonempty P x W x W, got shape {shape}")
+    if len(shape) != 3 or shape[1] != shape[2]:
+        raise ValueError(f"frame must be square: expected P x W x W, got shape {shape}")
+
+
 def grid_coords(width: int, pixel_size: float = 1.0):
     """Physical (X, Y) coordinates of pixel centers, y increasing upward."""
     x = (np.arange(width) - (width - 1) / 2.0) * pixel_size
@@ -477,8 +485,7 @@ def _tile_blocks(bins: np.ndarray, slots: np.ndarray, weights: np.ndarray, tiles
     flat *= _TILE**2
     flat += slots
     np.copyto(flat, tiles * depth * _TILE**2, where=dropped)
-    blocks = np.zeros(tiles * depth * _TILE**2 + 1)
-    np.add.at(blocks, flat.ravel(), weights.ravel())
+    blocks = np.bincount(flat.ravel(), weights.ravel(), minlength=tiles * depth * _TILE**2 + 1)
     return blocks[:-1].reshape(tiles, depth, _TILE**2), first[:tiles]
 
 
@@ -641,8 +648,7 @@ def project_fbp(frame_chunks, shape, pixel_size: float, angles,
         If fewer than 2 angles are supplied.
     """
     shape = tuple(shape)
-    if len(shape) != 3 or shape[1] != shape[2] or math.prod(shape) == 0:
-        raise ValueError(f"frames must be a nonempty P x W x W, got shape {shape}")
+    check_movie_shape(shape)
     P, W = shape[:2]
     _require_coverage(detector, W, pixel_size)
     angles = np.atleast_1d(np.asarray(angles, dtype=float))

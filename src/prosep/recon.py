@@ -5,15 +5,18 @@ coefficients beta.  The model has one synthesis rule: the sinogram of
 frame p is g(s, theta, t_p) = sum_k psi_k(t_p) g_k(s, theta), with Psi =
 U Z and the K+1 component sinograms g_k(s_j, theta) = sum_n
 basis_n(theta) beta_{n,k}(s_j) in the real trigonometric basis, at any
-angles (``_component_sinograms``).  ``synthesize_sinogram`` weights them
-by row p of Psi.  FBP is linear, so the movie is a partially separable
-image model too: ``movie_factors`` backprojects the g_k into images
-phi_k, and ``movie_chunks`` forms the rank-(K+1) product Psi Phi a few
-frames at a time, so ``cli`` writes the movie without holding it.  The
-caller names the output grid and the synthesis angle count: ``cli``
-resolves them once from the run configuration.  Metrics compare two
-movies frame by frame, each read a chunk at a time from its tensor file
-(``phantom.MovieFile``); the per-frame metrics take plain arrays.
+angles (``psmodel.component_projections``).  FBP is linear, so the movie
+is a partially separable image model too: ``component_images``
+backprojects the g_k of beta into images phi_k, and ``movie_chunks``
+forms the rank-(K+1) product Psi Phi a few frames at a time, so ``cli``
+writes the movie without holding it.  The caller names the output grid
+and the synthesis angle count: ``cli`` resolves them once from the run
+configuration, and forms Psi = U Z itself.  ``synthesize_sinogram``
+weights the g_k by row p of Psi for one frame; it takes a
+``ProSepSolution``, which bundles the fitted factors and their
+acquisition for its callers.  Metrics compare two movies frame by frame,
+each read a chunk at a time from its tensor file (``phantom.MovieFile``);
+the per-frame metrics take plain arrays.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .psmodel import HarmonicCoefficients, HarmonicOrder, real_trig_theta
+from .psmodel import HarmonicCoefficients, HarmonicOrder, component_projections, real_trig_theta
 # fbp is not called here; perfbench's tracer test wraps it at this import site
 from .radon import (  # noqa: F401
     DetectorGrid,
@@ -40,7 +43,7 @@ __all__ = [
     "ProSepSolution",
     "MetricsRow",
     "synthesize_sinogram",
-    "movie_factors",
+    "component_images",
     "movie_chunks",
     "psnr",
     "ssim",
@@ -56,7 +59,7 @@ _SSIM_RADIUS = 5
 
 @dataclass(frozen=True)
 class ProSepSolution:
-    """Everything needed to evaluate the fitted projection model."""
+    """The fitted factors with their acquisition, as ``synthesize_sinogram`` reads them."""
 
     Z: np.ndarray
     U: np.ndarray
@@ -89,42 +92,31 @@ class ProSepSolution:
         return self.scheme.P
 
 
-def _component_sinograms(solution: ProSepSolution, angles: np.ndarray) -> np.ndarray:
-    """The K+1 component sinograms g_k at ``angles``, as one J x A x (K+1) stack."""
-    order = solution.model
-    T = real_trig_theta(angles, order.N)  # A x (2N+1)
-    B3 = solution.beta.beta.reshape(order.n_harmonics, order.n_temporal, solution.beta.J)
-    return np.einsum("an,nkj->jak", T, B3)
-
-
 def synthesize_sinogram(solution: ProSepSolution, p: int, out_angles) -> Sinogram:
     """Model projections of frame p at arbitrary view angles: the g_k weighted by Psi[p]."""
     if not 0 <= p < solution.P:
         raise IndexError(f"frame index {p} out of range [0, {solution.P})")
     out_angles = np.atleast_1d(np.asarray(out_angles, dtype=float))
-    values = _component_sinograms(solution, out_angles) @ (solution.U[p] @ solution.Z)
+    order = solution.model
+    C = component_projections(solution.beta.beta, real_trig_theta(out_angles, order.N), order)
+    values = C.transpose(1, 0, 2) @ (solution.U[p] @ solution.Z)
     return Sinogram(values=values, angles=out_angles, detector=solution.detector)
 
 
-def movie_factors(
-    solution: ProSepSolution,
-    fbp_angles_count: int,
-    width: int,
-    pixel_size: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The factors (Psi, Phi) of the reconstructed movie, frame p = sum_k Psi[p, k] Phi[k].
+def component_images(beta: HarmonicCoefficients, detector: DetectorGrid, fbp_angles_count: int,
+                     width: int, pixel_size: float) -> np.ndarray:
+    """The (K+1) x W x W component images Phi of the movie, frame p = sum_k Psi[p, k] Phi[k].
 
-    The K+1 component sinograms, synthesized at ``fbp_angles_count``
-    uniform angles in [0, pi), are backprojected together (``fbp_stack``,
-    one backprojector per view) onto the ``width`` x ``width`` grid of
-    ``pixel_size``: Phi is the (K+1) x W x W stack of phi_k = FBP(g_k),
-    and Psi = U Z the P x (K+1) temporal factor.  Frame p equals FBP of
-    ``synthesize_sinogram`` at p up to rounding.
+    The K+1 component sinograms of ``beta`` on ``detector``, synthesized
+    at ``fbp_angles_count`` uniform angles in [0, pi), are backprojected
+    together (``fbp_stack``, one backprojector per view) onto the
+    ``width`` x ``width`` grid of ``pixel_size``: phi_k = FBP(g_k).  With
+    Psi = U Z, frame p equals FBP of ``synthesize_sinogram`` at p up to
+    rounding.
     """
     angles = progressive(fbp_angles_count, np.pi).angles
-    phi = fbp_stack(_component_sinograms(solution, angles), angles, solution.detector, width,
-                    pixel_size)  # (K+1) x W x W
-    return solution.U @ solution.Z, phi
+    C = component_projections(beta.beta, real_trig_theta(angles, beta.order.N), beta.order)
+    return fbp_stack(C.transpose(1, 0, 2), angles, detector, width, pixel_size)
 
 
 def _chunk_bounds(P: int, frame_values: int):
@@ -143,7 +135,8 @@ def _chunk_bounds(P: int, frame_values: int):
 def movie_chunks(psi: np.ndarray, phi: np.ndarray):
     """The frames of the movie Psi Phi in order, as masked C-order chunks (a generator).
 
-    ``psi`` and ``phi`` are as ``movie_factors`` returns them.  A chunk
+    ``psi`` is Psi = U Z, P x (K+1), and ``phi`` as ``component_images``
+    returns it.  A chunk
     holds as many frames as fit in ``tensorio.CHUNK_VALUES`` values, and
     at least two (``_chunk_bounds``); each is one matrix product of rows
     of Psi with Phi, whose rows equal those of the whole product.

@@ -34,7 +34,8 @@ beta is fitted on L~ in one of two ways.  The final fit, which gives the
 reported beta and objective, uses truncated least squares: singular
 values at or below 1e-10 of the largest one of the whole L1 are dropped.
 A descent step solves the normal equations of L~ while kappa(A) kappa(Z)
-<= 1e3, kappa(A) over all blocks (``psmodel.block_kappa``).
+<= 1e3, kappa(A) over all blocks (``psmodel.block_kappa``) and kappa(Z)
+from the eigenvalues of Z^T Z (``psmodel.gram_kappa``).
 sigma_min(A (I (x) Z)) >= sigma_min(A) sigma_min(Z), so the bound caps
 kappa(L1(Z)), nothing is truncated, and the normal equations give beta
 to a relative error of about n kappa^2 u (n unknowns, u the unit
@@ -68,6 +69,7 @@ from .psmodel import (
     HarmonicOrder,
     block_kappa,
     condition_number,
+    gram_kappa,
     harmonic_blocks,
     harmonic_parity,
     l1_blocks,
@@ -270,10 +272,8 @@ class VarproProblem:
         """
         d, k = Z.shape
         L_blocks = self.reduced_l1(Z)
-        ev = np.linalg.eigvalsh(Z.T @ Z)
-        kappa_Z = np.sqrt(ev[-1] / ev[0]) if ev[0] > 0.0 else np.inf
         y_blocks = [y for y, _ in Y]
-        if self.kappa_A * kappa_Z <= _NORMAL_EQUATIONS_KAPPA:
+        if self.kappa_A * gram_kappa([Z.T @ Z]) <= _NORMAL_EQUATIONS_KAPPA:
             betas = [np.linalg.solve(L.T @ L, L.T @ y) for L, y in zip(L_blocks, y_blocks)]
         else:
             betas = _qr_or_truncated_lstsq(L_blocks, y_blocks)

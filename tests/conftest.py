@@ -11,9 +11,9 @@ from prosep.cli import DEFAULT_CONFIG
 from prosep.phantom import MotionSpec, _render
 from prosep.psmodel import (
     HarmonicOrder,
+    component_projections,
     face_split,
     harmonic_parity,
-    l2_row_factors,
     real_trig_theta,
     real_trig_theta_hat,
     spline_interpolator,
@@ -292,7 +292,7 @@ def build_L2(beta, theta_hat, u_hat, order):
     vec(Z) whenever g_hat(s) = L1(Z) beta(s).  ``beta`` is the
     (2N+1)(K+1) x J coefficient array.
     """
-    C = l2_row_factors(beta, theta_hat, order)
+    C = component_projections(beta, theta_hat, order)
     rows, J, d = theta_hat.shape[0], beta.shape[1], u_hat.shape[1]
     return (C[:, :, :, None] * u_hat[:, None, None, :]).reshape(rows * J, order.n_temporal * d)
 

@@ -18,7 +18,6 @@ from prosep.analysis import (
     GRAM_TRUST_LIMIT,
     _best_random_kappa,
     _cannot_win,
-    _gram_kappa,
     _trig_grams,
     bounds_table,
     cond_L1,
@@ -32,6 +31,7 @@ from prosep.analysis import (
 from prosep.psmodel import (
     HarmonicOrder,
     build_theta,
+    gram_kappa,
     l1_blocks,
     legendre_basis,
 )
@@ -223,7 +223,7 @@ def test_gram_kappa_within_its_bound_of_the_svd_kappa(symmetric):
     span = np.pi if symmetric else 2 * np.pi
     checked = 0
     for scheme in _trial_schemes(P, span, 12, seed=0):
-        estimate = _gram_kappa(grams(scheme.angles))
+        estimate = gram_kappa(grams(scheme.angles))
         if estimate <= GRAM_TRUST_LIMIT:
             kappa = cond_L1(scheme, K, N, symmetric=symmetric)
             assert abs(estimate - kappa) <= GRAM_KAPPA_RTOL * kappa, (estimate, kappa)
@@ -234,8 +234,8 @@ def test_gram_kappa_within_its_bound_of_the_svd_kappa(symmetric):
 def test_gram_kappa_of_a_wide_or_singular_block_is_never_trusted():
     """P = 16 < (2N+1)(K+1) = 21: the Gram matrix is singular, and so is an all-zero one."""
     scheme = random_scheme(16, 2 * np.pi, seed=1)
-    assert _gram_kappa(_trig_grams(10, legendre_basis(16, 0), False)(scheme.angles)) > 1e5
-    assert _gram_kappa([np.zeros((3, 3))]) == math.inf
+    assert gram_kappa(_trig_grams(10, legendre_basis(16, 0), False)(scheme.angles)) > 1e5
+    assert gram_kappa([np.zeros((3, 3))]) == math.inf
 
 
 @pytest.mark.parametrize("symmetric", [False, True])

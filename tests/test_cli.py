@@ -36,7 +36,7 @@ from prosep.phantom import (
 )
 from prosep.psmodel import HarmonicCoefficients, HarmonicOrder, spline_interpolator
 from prosep.radon import DetectorGrid, Sinogram, support_mask
-from prosep.recon import ProSepSolution, movie_factors, movie_metrics
+from prosep.recon import component_images, movie_metrics
 from prosep.sampling import bit_reversed, random_scheme, sample_times, span_for
 from prosep.solver import SolverConfig, SolverReport, solve
 from prosep.tensorio import MAGIC, read_tensor, write_tensor
@@ -655,6 +655,14 @@ def test_analyze_thm2_and_no_flags(tmp_path, capsys):
     assert main(["analyze", "--out", str(tmp_path)]) == 1
 
 
+def test_analyze_with_no_study_is_one_prefixed_line(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["analyze", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "prosep analyze: nothing to do (pass --table1 / --thm2 / --thm3 / --bounds)\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--trials", "0"), ("--P", "0"), ("--d", "0"), ("--J", "0"),
     ("--K", "-1"), ("--N", "-1"), ("--seed", "-1"),
@@ -1075,17 +1083,15 @@ def test_streamed_movie_equals_movie_factors_product(tmp_path, P):
     cfg = json.loads((out / "manifest.json").read_text())
     order = HarmonicOrder(N=3, K=1, d=2)
     U = spline_interpolator(P, order.d)
-    solution = ProSepSolution(
-        Z=read_tensor(out / "Z.tensor"), U=U,
-        beta=HarmonicCoefficients(beta=read_tensor(out / "beta.tensor"), order=order),
-        model=order, scheme=random_scheme(P, span_for(True), seed=2),
-        detector=DetectorGrid(**cfg["detector"]), times=sample_times(P))
+    Z = read_tensor(out / "Z.tensor")
+    beta = HarmonicCoefficients(beta=read_tensor(out / "beta.tensor"), order=order)
     W = CHUNKED["width"]
-    psi, phi = movie_factors(solution, cfg["fbp_angles_count"], W,
-                             cfg["grid"]["support_diameter"] / W)
+    psi = U @ Z
+    phi = component_images(beta, DetectorGrid(**cfg["detector"]), cfg["fbp_angles_count"], W,
+                           cfg["grid"]["support_diameter"] / W)
     movie = (psi @ phi.reshape(len(phi), -1)).reshape(P, W, W) * support_mask(W)
     assert read_tensor(out / "movie.tensor").tobytes() == movie.tobytes()
-    assert read_tensor(out / "psi.tensor").tobytes() == (U @ solution.Z).tobytes()
+    assert read_tensor(out / "psi.tensor").tobytes() == (U @ Z).tobytes()
 
 
 def test_streamed_metrics_equal_movie_metrics(tmp_path, rng):

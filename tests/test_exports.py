@@ -126,10 +126,11 @@ def test_analyze_loads_none_of_the_pipeline_modules(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["analyze", "--out", "{out}"],  # no study chosen
+    ["analyze", "--bounds", "--bandwidth", "nan", "--out", "{out}"],  # _ANALYZE_FLAGS checks
     ["simulate", "--out", "{out}", "--P", "1"],  # _FIELDS checks
     ["simulate", "--out", "{out}", "--noise-sigma", "nan"],
     ["reconstruct", "--input", "{sim}", "--out", "{out}", "--d", "0"],
-], ids=["analyze-no-study", "simulate-P", "simulate-nan", "reconstruct-d"])
+], ids=["analyze-no-study", "analyze-nan", "simulate-P", "simulate-nan", "reconstruct-d"])
 def test_error_paths_load_no_numpy(run_dirs, tmp_path, argv):
     """A refusal that needs no numeric code exits 1 before it imports any, and writes nothing."""
     out = tmp_path / "out"

@@ -10,12 +10,13 @@ from prosep.psmodel import (
     _fix_column_signs,
     block_kappa,
     build_theta,
+    component_projections,
     condition_number,
     face_split,
+    gram_kappa,
     harmonic_blocks,
     harmonic_parity,
     l1_blocks,
-    l2_row_factors,
     legendre_basis,
     real_trig_theta,
     real_trig_theta_hat,
@@ -226,7 +227,7 @@ def test_L2_consistency_with_L1(rng):
 def test_l2_row_factors_match_the_harmonic_sum(rng):
     """C[i, j, k] = sum_n theta_hat[i, n] beta[(n, k), j], by loops over n."""
     scheme, order, theta_hat, _, _, beta = _setup(rng)
-    C = l2_row_factors(beta, theta_hat, order)
+    C = component_projections(beta, theta_hat, order)
     B3 = beta.reshape(order.n_harmonics, order.n_temporal, -1)
     want = sum(theta_hat[:, n, None, None] * B3[n].T[None] for n in range(order.n_harmonics))
     assert C.shape == (theta_hat.shape[0], beta.shape[1], order.n_temporal)
@@ -442,6 +443,18 @@ def test_block_kappa_with_no_odd_harmonics():
     want = np.linalg.cond(l1_2p(scheme, 0, Psi, np.eye(K + 1), True))
     assert block_kappa([even, odd]) == pytest.approx(want, rel=1e-12)
     assert block_kappa([even, odd]) == pytest.approx(np.linalg.cond(even), rel=1e-12)
+
+
+def test_gram_kappa_is_the_condition_number_of_the_singular_values(rng):
+    """From the Gram matrices: kappa of a well-conditioned Z, and of two blocks; inf if singular."""
+    Z = rng.standard_normal((6, 3))
+    want = condition_number(np.linalg.svd(Z, compute_uv=False), 3)
+    assert gram_kappa([Z.T @ Z]) == pytest.approx(want, rel=1e-12)
+    blocks = [rng.standard_normal((7, 3)) * 5.0, rng.standard_normal((4, 2)) * 0.1]
+    got = gram_kappa([B.T @ B for B in blocks])
+    assert got == pytest.approx(condition_number(_singular_values(blocks), 5), rel=1e-12)
+    Z[:, 1] = 0.0
+    assert gram_kappa([Z.T @ Z]) == np.inf
 
 
 def test_harmonic_coefficients_shape_guard():

@@ -8,9 +8,9 @@ from prosep import recon
 from prosep.recon import (
     MetricsRow,
     ProSepSolution,
+    component_images,
     mae,
     movie_chunks,
-    movie_factors,
     movie_metrics,
     psnr,
     ssim,
@@ -71,6 +71,20 @@ def test_synthesize_matches_fitted_values_at_acquired_points():
         assert np.allclose(g.values[:, 0], fitted[p, :], rtol=1e-10, atol=1e-10)
 
 
+def test_synthesize_is_the_double_sum_over_harmonics_and_components():
+    """g(s_j, theta_a, t_p) = sum_k psi_k(t_p) sum_n T[a, n] beta[(n, k), j], summed in loops."""
+    sol, *_ = solved_solution()
+    order, p = sol.model, 9
+    angles = np.array([0.0, 0.7, 2.9, 4.4])
+    T = real_trig_theta(angles, order.N)
+    psi = sol.U[p] @ sol.Z
+    B3 = sol.beta.beta.reshape(order.n_harmonics, order.n_temporal, -1)
+    want = sum(psi[k] * sum(T[:, n, None] * B3[n, k][None, :] for n in range(order.n_harmonics))
+               for k in range(order.n_temporal)).T
+    got = synthesize_sinogram(sol, p, angles).values
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def test_synthesize_bandlimited_in_angle():
     sol, *_ = solved_solution()
     A = 256
@@ -121,7 +135,8 @@ def test_movie_chunks_static_is_time_constant():
     P, d = 64, 3
     psi0 = np.ones((P, 1)) / np.sqrt(P)
     sol, *_ = solved_solution(P=P, K=0, N=5, d=d, J=16, seed=6, psi0=psi0)
-    movie = np.concatenate(list(movie_chunks(*movie_factors(sol, 32, *_detector_grid(sol)))))
+    phi = component_images(sol.beta, sol.detector, 32, *_detector_grid(sol))
+    movie = np.concatenate(list(movie_chunks(sol.U @ sol.Z, phi)))
     ref = movie[0]
     scale = max(np.abs(ref).max(), 1e-30)
     for f in movie[1:]:
@@ -132,7 +147,8 @@ def test_movie_chunks_static_is_time_constant():
 def test_movie_factors_shape_contract():
     sol, *_ = solved_solution(P=32, K=1, N=3, d=3, J=12, max_iters=300)
     W, h = sol.detector.count - 1, 1.1 * sol.detector.spacing
-    psi, phi = movie_factors(sol, fbp_angles_count=16, width=W, pixel_size=h)
+    psi = sol.U @ sol.Z
+    phi = component_images(sol.beta, sol.detector, fbp_angles_count=16, width=W, pixel_size=h)
     K1 = sol.model.n_temporal
     assert psi.shape == (sol.P, K1) and phi.shape == (K1, W, W)
     chunks = list(movie_chunks(psi, phi))
@@ -146,7 +162,8 @@ def test_movie_chunks_equal_per_frame_synthesis_fbp():
     count = 48
     angles = np.arange(count) * (np.pi / count)
     W, h = _detector_grid(sol)
-    movie = np.concatenate(list(movie_chunks(*movie_factors(sol, count, W, h))))
+    phi = component_images(sol.beta, sol.detector, count, W, h)
+    movie = np.concatenate(list(movie_chunks(sol.U @ sol.Z, phi)))
     assert len(movie) == sol.P
     for p in range(sol.P):
         ref = fbp(synthesize_sinogram(sol, p, angles), width=W, pixel_size=h)
@@ -160,7 +177,8 @@ def test_movie_chunks_match_truth_fbp():
     T = real_trig_theta(angles, order.N)
     Psi0 = U @ Z0
     W, pixel = _detector_grid(sol)
-    movie = np.concatenate(list(movie_chunks(*movie_factors(sol, 64, W, pixel))))
+    phi = component_images(sol.beta, sol.detector, 64, W, pixel)
+    movie = np.concatenate(list(movie_chunks(sol.U @ sol.Z, phi)))
     from prosep.radon import Sinogram
 
     peaks = []

@@ -24,7 +24,7 @@ from prosep.psmodel import (
     spline_interpolator,
 )
 from prosep.radon import DetectorGrid, Sinogram
-from prosep.recon import ProSepSolution, movie_chunks, movie_factors, synthesize_sinogram
+from prosep.recon import ProSepSolution, component_images, movie_chunks, synthesize_sinogram
 from prosep import solver as solver_module
 from prosep.sampling import AngularScheme, bit_reversed, random_scheme, sample_times
 from prosep.solver import (
@@ -704,7 +704,9 @@ def test_closed_form_matches_adam_when_d_equals_k_plus_1(symmetric, seed):
         assert _rel(synthesize_sinogram(ours, p, angles).values,
                     synthesize_sinogram(oracle, p, angles).values) < 1e-10
     grid = (24, data.detector.count, data.detector.spacing)
-    movies = [np.concatenate(list(movie_chunks(*movie_factors(s, *grid)))) for s in (ours, oracle)]
+    phis = [component_images(s.beta, s.detector, *grid) for s in (ours, oracle)]
+    movies = [np.concatenate(list(movie_chunks(s.U @ s.Z, phi)))
+              for s, phi in zip((ours, oracle), phis)]
     assert _rel(*movies) < 1e-10
 
 
