@@ -95,16 +95,16 @@ def cond_L1(scheme: AngularScheme, K: int, N: int, symmetric: bool = False) -> f
     Psi is the orthonormalized Legendre basis of degree 0..K.  With the
     symmetry the spectrum is the union of the two parity blocks'
     (``psmodel.l1_blocks``, ``psmodel.block_kappa``).  Returns the +inf
-    sentinel when the smallest singular value underflows or kappa exceeds
-    1e15, i.e. when the model is numerically singular, or when a block
-    has fewer rows than columns.
+    sentinel when the model is numerically singular, i.e. when the
+    solver's fit would drop a singular value (kappa >= 1e10,
+    ``psmodel.RANK_RTOL``), or when a block has fewer rows than columns.
     """
     return block_kappa(l1_blocks(scheme, N, legendre_basis(scheme.P, K), symmetric))
 
 
 class CondL2Result(NamedTuple):
     kappa_L2: float
-    kappa_Gamma: float
+    sqrt_kappa_Gamma: float
 
 
 def cond_L2(
@@ -117,15 +117,16 @@ def cond_L2(
     scheme: AngularScheme | None = None,
     orthonormal_u: bool = False,
 ) -> CondL2Result:
-    """Condition numbers of L2(beta) and of Gamma = sum_j beta(s_j) beta(s_j)^T.
+    """kappa(L2(beta)) and sqrt(kappa(Gamma)), Gamma = sum_j beta(s_j) beta(s_j)^T.
 
     Both the 2P x d interpolator entries and the coefficient vectors
     beta(s_j) are drawn iid standard normal, seeded.  With
     ``orthonormal_u`` the interpolator is orthonormalized first, which is
-    the premise of the kappa(L2) <= sqrt(kappa(Gamma)) guarantee; the raw
-    Gaussian draw matches the conditioning study setup.  kappa(Gamma) is
-    the +inf sentinel when Gamma is singular (needs J >= (2N+1)(K+1));
-    kappa(L2) is still computed and reported.
+    the premise of the Theorem 3 bound kappa(L2) <= sqrt(kappa(Gamma));
+    the raw Gaussian draw matches the conditioning study setup.
+    sqrt(kappa(Gamma)) is ``psmodel.gram_kappa`` of Gamma, the +inf
+    sentinel when Gamma is numerically singular (it needs J >=
+    (2N+1)(K+1)); kappa(L2) is still computed and reported.
 
     L2 is not built: its row block i is kron(C_i, u_i), with the
     J x (K+1) factor C_i of ``psmodel.component_projections``.  C_i =
@@ -152,9 +153,8 @@ def cond_L2(
     reduced = (R[:, :, :, None] * U[:, None, None, :]).reshape(-1, order.n_temporal * d)
     s = np.linalg.svd(reduced, compute_uv=False)
     kappa_L2 = condition_number(s, reduced.shape[1])
-    ev = np.linalg.eigvalsh(beta_cols @ beta_cols.T)
-    kappa_Gamma = np.inf if ev[0] <= ev[-1] * 1e-12 or ev[0] <= 0 else float(ev[-1] / ev[0])
-    return CondL2Result(kappa_L2=kappa_L2, kappa_Gamma=kappa_Gamma)
+    # Gamma is the Gram matrix of beta^T, so gram_kappa gives sqrt(kappa(Gamma))
+    return CondL2Result(kappa_L2, gram_kappa([beta_cols @ beta_cols.T]))
 
 
 def rank_check_L1(P: int = 64, K: int = 2, N: int = 10, trials: int = 100, seed: int = 0) -> int:
@@ -163,8 +163,9 @@ def rank_check_L1(P: int = 64, K: int = 2, N: int = 10, trials: int = 100, seed:
     Each trial draws P distinct angles uniform in [0, pi) and Psi
     uniformly from the Stiefel manifold (orthonormal factor of a Gaussian
     matrix); L1 is the half-turn augmented product, held as its two
-    parity blocks.  A trial passes when its ``block_kappa`` is below
-    1e12, i.e. s_min / s_max > 1e-12.  Full column rank requires every
+    parity blocks.  A trial passes when its ``block_kappa`` is finite,
+    i.e. when the solver's fit would drop no singular value
+    (``psmodel.RANK_RTOL``).  Full column rank requires every
     block to have at least as many rows as columns, P >= (N+1)(K+1)
     (``HarmonicOrder.shortfall``); otherwise it is impossible by
     dimension count and every trial fails.
@@ -180,7 +181,7 @@ def rank_check_L1(P: int = 64, K: int = 2, N: int = 10, trials: int = 100, seed:
         rng = np.random.default_rng(seeds[t])
         scheme = random_scheme(P, span=span_for(True), seed=rng.integers(2**63))
         Psi, _ = np.linalg.qr(rng.standard_normal((P, K + 1)))
-        if block_kappa(l1_blocks(scheme, N, Psi, symmetric=True)) < 1e12:
+        if np.isfinite(block_kappa(l1_blocks(scheme, N, Psi, symmetric=True))):
             passes += 1
     return passes
 
@@ -213,9 +214,9 @@ def theorem3_sweep(
         res = cond_L2(K=K, N=N, P=P, d=d, J=J, seed=seed + t,
                       scheme=random_scheme(P, span=span_for(True), seed=seed + t),
                       orthonormal_u=True)
-        if not np.isfinite(res.kappa_Gamma):
+        if not np.isfinite(res.sqrt_kappa_Gamma):
             continue
-        ratio = res.kappa_L2 / math.sqrt(res.kappa_Gamma)
+        ratio = res.kappa_L2 / res.sqrt_kappa_Gamma
         worst = max(worst, ratio)
         if ratio <= 1.0 + THEOREM3_SLACK:
             passes += 1
@@ -453,7 +454,8 @@ def table1(
     relative; kappa, the square root of the ratio, errs by at most
     delta = 3.6e-5 relative, which leaves room for the eigenvalue
     solver's own rounding (about n u lambda_max).  A wide block has
-    lambda_min(A^T A) = 0, so its estimate is at least 1e5 and never used.
+    lambda_min(A^T A) = 0, below ``gram_kappa``'s floor of 1e-12
+    lambda_max once rounded, so its estimate is +inf and never used.
 
     The screen: let kappa* be the least SVD kappa over the trials.  While
     best <= 1e3 it is a trusted estimate or an SVD kappa of some trial,

@@ -55,9 +55,14 @@ Exit codes: 0 success, 1 configuration or I/O error (also a malformed input
 tensor, named on one line), 2 the solver's descent reached the iteration
 cap before its stall test held (``SolverReport.converged`` is false; only
 when d > K+1: with d = K+1 or all-zero data no descent runs).  A warning
-raised while a command runs (a model that cannot have full column rank)
-is written to stderr as one line, ``prosep <command>: warning: <message>``,
-and leaves the exit code as it is.
+raised while a command runs (a model that cannot have full column rank,
+or a fit that dropped singular values of a numerically singular L1) is
+written to stderr as one line, ``prosep <command>: warning: <message>``,
+and leaves the exit code as it is: a fit that dropped values still writes
+its movie, and ``solver_report.json`` records the count beside
+``kappa_L1``, which is then null.  ``reconstruct`` prints kappa(L1) and
+the mean per-frame noise gain tr((L1^T L1)^+) / P (``SolverReport``) in
+its status line.
 
 Each command imports numpy and the prosep modules it calls when it runs,
 after its settings pass their checks.  The module level of ``cli`` imports
@@ -502,7 +507,9 @@ def cmd_reconstruct(args) -> int:
         status = "converged"
     else:
         status = "iteration cap reached"
-    print(f"reconstruct: objective {report.final_objective:.3e}, {status}")
+    kappa = report.kappa_L1 if report.kappa_L1 is not None else float("inf")
+    print(f"reconstruct: objective {report.final_objective:.3e}, kappa(L1) {kappa:.3g}, "
+          f"noise gain {report.noise_gain:.3g}, {status}")
     return 0 if report.converged else 2
 
 

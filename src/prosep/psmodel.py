@@ -14,11 +14,22 @@ projections are sum_k psi_k(t) g_k(theta, s), and
 ``component_projections`` is the one contraction g_k(theta_a, s_j) =
 sum_n T[a, n] beta[(n, k), j] that gives the component sinograms to the
 synthesis and the row factors of the operator L2, linear in vec(Z), to
-the kappa(L2) study.  ``condition_number`` is the one kappa rule of
-singular values that the solver's report and the conditioning study
-share, ``block_kappa`` applies it to the blocks of a block-diagonal
-matrix, and ``gram_kappa`` is kappa from the eigenvalues of the blocks'
-Gram matrices instead.
+the kappa(L2) study.
+
+This module is the one home of "numerically singular", by two rules.
+A singular value at or below ``RANK_RTOL`` (1e-10) times the largest is
+numerically zero: the solver's least-squares fits drop it, and
+``condition_number`` reads +inf exactly then (kappa at or above 1e10),
+or when a block is wider than tall.  So kappa(L1) in the solver's report
+(``block_kappa`` applies the rule to the blocks of a block-diagonal
+matrix), ``table1`` and the Theorem 2 rank check read inf exactly when
+the fit would drop a value.  ``gram_kappa`` takes kappa from the
+eigenvalues of Gram matrices instead, whose squared spectrum holds only
+about u lambda_max absolute accuracy (u the unit roundoff): it reads
++inf when lambda_min <= ``GRAM_RTOL`` (1e-12) lambda_max, i.e. kappa
+>= 1e6.  Its callers trust an estimate only up to 1e3 (the solver's
+kappa(Z), ``table1``'s screen), or take sqrt(kappa(Gamma)) from it (the
+Theorem 3 study).
 
 The half-turn identity g(-s, theta) = g(s, theta + pi) doubles the
 equations: L1_hat = [T; T diag((-1)^n)] * [U; U] Z has 2P rows, and rows
@@ -63,14 +74,17 @@ __all__ = [
     "harmonic_parity",
     "harmonic_blocks",
     "l1_blocks",
-    "KAPPA_SINGULAR",
+    "RANK_RTOL",
+    "GRAM_RTOL",
     "condition_number",
     "block_kappa",
     "gram_kappa",
 ]
 
-# kappa beyond double precision is reported as the +inf sentinel
-KAPPA_SINGULAR = 1e15
+# a singular value at or below this fraction of the largest is numerically zero
+RANK_RTOL = 1e-10
+# a Gram eigenvalue at or below this fraction of the largest is numerically zero
+GRAM_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -145,14 +159,14 @@ def condition_number(s: np.ndarray, n_cols: int) -> float:
     ``s`` may be the union, in any order, of the thin-SVD singular values
     of the blocks of a block-diagonal matrix, min(rows, columns) per block.
     The +inf sentinel when there are fewer singular values than columns (a
-    block is wider than tall), when the smallest underflows below 1e-300,
-    or when kappa exceeds ``KAPPA_SINGULAR``, beyond double precision.
+    block is wider than tall), or when the smallest is at or below
+    ``RANK_RTOL`` times the largest (kappa >= 1e10, or a zero or
+    underflowed value), where a truncated fit would drop it.
     """
     s = np.asarray(s)
-    if s.size < n_cols or s.min() < 1e-300:
+    if s.size < n_cols or s.min() <= RANK_RTOL * s.max():
         return np.inf
-    kappa = float(s.max() / s.min())
-    return np.inf if kappa > KAPPA_SINGULAR else kappa
+    return float(s.max() / s.min())
 
 
 def face_split(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -363,11 +377,12 @@ def gram_kappa(grams) -> float:
     """kappa of the block-diagonal matrix whose blocks have the Gram matrices ``grams``.
 
     sqrt(lambda_max / lambda_min) over the eigenvalues of all the G =
-    A^T A, the +inf sentinel when lambda_min <= 0.  About a third of an
-    SVD, but the squared spectrum costs accuracy as kappa grows: a caller
-    bounds its error where it uses it (``analysis.table1``), or compares
-    it with a bound that tolerates it (the solver's kappa(Z)).
+    A^T A, the +inf sentinel when lambda_min <= ``GRAM_RTOL`` lambda_max
+    (kappa >= 1e6, or G singular).  About a third of an SVD, but the
+    squared spectrum costs accuracy as kappa grows: a caller bounds its
+    error where it uses it (``analysis.table1``), or compares it with a
+    bound that tolerates it (the solver's kappa(Z)).
     """
     ev = [np.linalg.eigvalsh(G) for G in grams]
     lo, hi = min(e[0] for e in ev), max(e[-1] for e in ev)
-    return math.sqrt(hi / lo) if lo > 0.0 else math.inf
+    return math.inf if lo <= GRAM_RTOL * hi else math.sqrt(hi / lo)

@@ -32,7 +32,8 @@ squares of any beta, never negative.
 
 beta is fitted on L~ in one of two ways.  The final fit, which gives the
 reported beta and objective, uses truncated least squares: singular
-values at or below 1e-10 of the largest one of the whole L1 are dropped.
+values at or below ``psmodel.RANK_RTOL`` (1e-10) times the largest one
+of the whole L1 are dropped, and ``solve`` warns when that drops any.
 A descent step solves the normal equations of L~ while kappa(A) kappa(Z)
 <= 1e3, kappa(A) over all blocks (``psmodel.block_kappa``) and kappa(Z)
 from the eigenvalues of Z^T Z (``psmodel.gram_kappa``).
@@ -65,6 +66,7 @@ from functools import cached_property
 import numpy as np
 
 from .psmodel import (
+    RANK_RTOL,
     HarmonicCoefficients,
     HarmonicOrder,
     block_kappa,
@@ -97,9 +99,6 @@ _ADAM_EPS = 1e-8
 _PLATEAU_ITERS = 100
 _STEP_DECAY = 0.5
 _STALL_LIMIT = 350
-# every least-squares solve for beta drops singular values at or below
-# this fraction of the largest singular value of the whole L1
-_RANK_RTOL = 1e-10
 # a descent step solves the normal equations while kappa(A) kappa(Z), a
 # bound on kappa(L1(Z)), is at most this: beta then errs by at most about
 # n 1e6 u relative (on 160 random problems and Z with the bound at most 1e3
@@ -142,39 +141,42 @@ def stacked_data(data: Sinogram, symmetric: bool) -> list:
 def _truncated_lstsq(L_blocks, G_blocks):
     """Minimum-norm least-squares beta per block, truncated against the whole L1.
 
-    One thin SVD per block.  Singular values at or below ``_RANK_RTOL``
-    times the largest singular value over all blocks are dropped, so each
-    block truncates exactly what the stacked (block-diagonal) system
-    would, and a block with nothing above that cut-off gets beta = 0.
-    Returns (betas, kappa, truncated): kappa of the block-diagonal L from
-    the same SVDs (``psmodel.condition_number``), and the number of those
-    singular values the fit dropped.
+    One thin SVD per block.  Singular values at or below
+    ``psmodel.RANK_RTOL`` times the largest singular value over all
+    blocks are dropped, so each block truncates exactly what the stacked
+    (block-diagonal) system would, and a block with nothing above that
+    cut-off gets beta = 0.  Returns (betas, kappa, truncated, pinv_trace)
+    from the same SVDs: kappa of the block-diagonal L
+    (``psmodel.condition_number``, +inf exactly when a value was dropped
+    or a block is wide), the number of singular values dropped, and
+    tr((L^T L)^+), the sum of 1 / s^2 over the values kept.
     """
     svds = [np.linalg.svd(L, full_matrices=False) for L in L_blocks]
-    cut = _RANK_RTOL * max((s[0] for _, s, _ in svds if s.size), default=0.0)
-    betas, truncated = [], 0
+    cut = RANK_RTOL * max((s[0] for _, s, _ in svds if s.size), default=0.0)
+    betas, truncated, pinv_trace = [], 0, 0.0
     for (W, s, Vt), G in zip(svds, G_blocks):
         keep = s > cut
         truncated += s.size - int(np.count_nonzero(keep))
+        pinv_trace += float(np.sum(s[keep] ** -2.0))
         betas.append(Vt[keep].T @ ((W[:, keep].T @ G) / s[keep, None]))
     kappa = condition_number(np.concatenate([s for _, s, _ in svds]),
                              sum(L.shape[1] for L in L_blocks))
-    return betas, kappa, truncated
+    return betas, kappa, truncated, pinv_trace
 
 
 def _qr_or_truncated_lstsq(L_blocks, G_blocks) -> list:
     """Least-squares beta per block: by QR when L is safely of full column rank.
 
     Safely means every R is square and its least diagonal entry is above
-    ``_RANK_RTOL`` times the largest over all blocks (a QR is about 4x
-    cheaper than an SVD); otherwise truncated least squares.  R is square
-    and upper triangular, so the partial pivoting of np.linalg.solve
-    never swaps a row.
+    ``psmodel.RANK_RTOL`` times the largest over all blocks (a QR is about
+    4x cheaper than an SVD); otherwise truncated least squares.  R is
+    square and upper triangular, so the partial pivoting of
+    np.linalg.solve never swaps a row.
     """
     QR = [np.linalg.qr(L) for L in L_blocks]
     diag = np.concatenate([np.abs(np.diagonal(R)) for _, R in QR])
     if (all(R.shape[0] == R.shape[1] for _, R in QR)
-            and diag.min() > _RANK_RTOL * max(diag.max(), 1e-300)):
+            and diag.min() > RANK_RTOL * diag.max()):
         return [np.linalg.solve(R, Q.T @ G) for (Q, R), G in zip(QR, G_blocks)]
     return _truncated_lstsq(L_blocks, G_blocks)[0]
 
@@ -231,13 +233,13 @@ class VarproProblem:
     def fit(self, Z: np.ndarray, Y, J: int):
         """Truncated least-squares beta for the reduced data blocks Y of J detector bins.
 
-        Returns (beta, F, kappa, truncated): beta solved per block on L~_b
-        and scattered back to the (2N+1)(K+1) x J layout, F = sum_b rho_b +
-        ||y_b - L~_b beta_b||^2, the residual sum of squares of the fit on
-        the data Y was reduced from, kappa(L1) of the block-diagonal L1(Z)
-        from the fit's SVDs (``psmodel.condition_number``; L~_b has the
-        singular values of L1_b), and the number of those singular values
-        the fit dropped (``_truncated_lstsq``).  With the symmetry the
+        Returns (beta, F, kappa, truncated, pinv_trace): beta solved per
+        block on L~_b and scattered back to the (2N+1)(K+1) x J layout, F =
+        sum_b rho_b + ||y_b - L~_b beta_b||^2, the residual sum of squares
+        of the fit on the data Y was reduced from, and from the fit's SVDs
+        (``_truncated_lstsq``; L~_b has the singular values of L1_b)
+        kappa(L1) of the block-diagonal L1(Z), the number of its singular
+        values the fit dropped and tr((L1^T L1)^+).  With the symmetry the
         blocks hold the weighted first ceil(J/2) bins (``stacked_data``),
         which keep every sum of squares; bin J-1-j is bin j times (-1)^n,
         so even harmonic rows are mirror-symmetric in j and odd rows
@@ -245,7 +247,7 @@ class VarproProblem:
         """
         order = self.order
         L_blocks = self.reduced_l1(Z)
-        betas, kappa, truncated = _truncated_lstsq(L_blocks, [y for y, _ in Y])
+        betas, kappa, truncated, pinv_trace = _truncated_lstsq(L_blocks, [y for y, _ in Y])
         F = sum(rho + float(np.sum((y - L @ beta) ** 2))
                 for L, (y, rho), beta in zip(L_blocks, Y, betas))
         B = np.empty((order.n_harmonics, order.n_temporal, betas[0].shape[1]))
@@ -255,7 +257,7 @@ class VarproProblem:
             B /= _mirror_weights(J)
             mirror = harmonic_parity(order.N)[:, None, None] * B[:, :, : J // 2]
             B = np.concatenate([B, mirror[:, :, ::-1]], axis=2)
-        return B.reshape(order.cols, J), F, kappa, truncated
+        return B.reshape(order.cols, J), F, kappa, truncated, pinv_trace
 
     def objective_and_gradient_from_data(self, Z: np.ndarray, Y, mu: float = 0.0):
         """Penalized objective ||G - L1(Z) beta*||_F^2 and its exact gradient in Z.
@@ -323,14 +325,17 @@ class SolverReport:
     exactly when it is at least 0.  ``kappa_L1`` is the condition number
     of the fitted L1(Z), the largest over the smallest singular value
     over all its blocks, from the SVDs of the final fit; None when a
-    block has fewer rows than columns, when the smallest singular value
-    underflows, or above 1e15 (``psmodel.condition_number``), where
-    ``table1`` prints inf.  ``truncated_singular_values`` is the number of
-    those singular values the final fit dropped, at or below 1e-10 times
-    the largest: beta was then fitted on a lower rank than L1(Z) has
-    columns, whatever ``kappa_L1`` reads.  A wide block's missing
-    singular values are not counted here; ``block_rank_margin`` shows
-    them.
+    block has fewer rows than columns, or when the fit dropped a singular
+    value (``psmodel.condition_number``), where ``table1`` prints inf.
+    ``truncated_singular_values`` is the number of singular values the
+    final fit dropped, at or below ``psmodel.RANK_RTOL`` (1e-10) times the
+    largest: beta was then fitted on a lower rank than L1(Z) has columns,
+    it is not the least-squares fit, and ``solve`` warns.  A wide block's
+    missing singular values are not counted here; ``block_rank_margin``
+    shows them.  ``noise_gain`` is the mean per-frame noise gain
+    tr((L1^T L1)^+) / P, with L1 the 2P-row matrix under the symmetry:
+    the sum of 1 / s^2 over the singular values the final fit kept,
+    divided by the number of frames.
     """
 
     objective_trace: np.ndarray
@@ -345,6 +350,7 @@ class SolverReport:
     block_rank_margin: int
     kappa_L1: float | None
     truncated_singular_values: int
+    noise_gain: float
     restart_objectives: list = field(default_factory=list)
     aborted_restarts: list = field(default_factory=list)
 
@@ -434,7 +440,9 @@ def solve(
     2^k g (any k that keeps them finite) Z and the report are those of g
     and beta is exactly 2^k times that of g.  A warning is issued
     when some block of L1 has fewer rows than columns; it starts with the
-    rule's ``HarmonicOrder.shortfall`` text.
+    rule's ``HarmonicOrder.shortfall`` text.  Another is issued when the
+    final fit dropped singular values (``SolverReport``); it names their
+    number.
 
     Parameters
     ----------
@@ -486,7 +494,12 @@ def solve(
         Z_best, _, raw, converged = runs[chosen]
         Z = _polar_orthonormalize(Z_best)
 
-    beta_cols, final_obj, kappa, truncated = problem.fit(Z, Y, J)
+    beta_cols, final_obj, kappa, truncated, pinv_trace = problem.fit(Z, Y, J)
+    if truncated:
+        values = "value" if truncated == 1 else "values"
+        warnings.warn(f"L1 is numerically singular: the fit dropped {truncated} singular "
+                      f"{values} at or below {RANK_RTOL:g} of the largest, so beta is not "
+                      "the least-squares fit", stacklevel=2)
     trace = np.array([final_obj]) if raw is None else raw
     report = SolverReport(
         objective_trace=np.minimum.accumulate(trace),
@@ -501,6 +514,7 @@ def solve(
         block_rank_margin=model.block_margin(P, symmetric),
         kappa_L1=kappa if np.isfinite(kappa) else None,
         truncated_singular_values=truncated,
+        noise_gain=pinv_trace / P,
         restart_objectives=restart_objectives,
         aborted_restarts=[r for r, f in enumerate(restart_objectives) if f == np.inf],
     )

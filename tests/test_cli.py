@@ -807,6 +807,30 @@ def test_a_warning_is_one_stderr_line(tmp_path, capsys, argv, text):
     assert capsys.readouterr().err == f"prosep {argv[0]}: warning: {text}\n"
 
 
+@pytest.mark.parametrize("scheme, truncated", [("progressive", 1), ("bit_reversed", 0)])
+def test_reconstruct_warns_when_its_fit_drops_a_singular_value(tmp_path, capsys, scheme,
+                                                                truncated):
+    """P = 64, K = 2, N = 6: progressive angles make L1 numerically singular, bit-reversed not.
+
+    The dropped value is one stderr warning, kappa_L1 is null, and the exit code is 0; the
+    status line shows kappa(L1) and the noise gain either way.
+    """
+    run = tmp_path / "run"
+    assert main(["simulate", "--out", str(run), "--scheme", scheme, "--P", "64", "--width", "16",
+                 "--K", "2", "--N", "6", "--d", "3"]) == 0
+    capsys.readouterr()
+    assert main(["reconstruct", "--input", str(run)]) == 0
+    out, err = capsys.readouterr()
+    summary = json.loads((run / "solver_report.json").read_text())
+    assert summary["truncated_singular_values"] == truncated
+    assert (summary["kappa_L1"] is None) is bool(truncated)
+    assert err == ("prosep reconstruct: warning: L1 is numerically singular: the fit dropped 1 "
+                   "singular value at or below 1e-10 of the largest, so beta is not the "
+                   "least-squares fit\n" if truncated else "")
+    kappa = summary["kappa_L1"] or math.inf
+    assert f"kappa(L1) {kappa:.3g}, noise gain {summary['noise_gain']:.3g}, " in out
+
+
 def test_rank_shortfall_has_one_wording(tmp_path, capsys):
     """The simulate refusal, the solve warning and the thm2 warning open with the same text."""
     text = HarmonicOrder(N=10, K=2, d=3).shortfall(16, symmetric=True)
@@ -1071,7 +1095,7 @@ def test_simulate_in_chunks_writes_the_whole_array_library_results(tmp_path):
 
 
 @pytest.mark.parametrize("P", [37, 29])  # a short last chunk; a lone last frame (28 + 1)
-def test_streamed_movie_equals_movie_factors_product(tmp_path, P):
+def test_streamed_movie_equals_the_product_of_psi_and_component_images(tmp_path, P):
     """movie.tensor, written a chunk of frames at a time, is the one whole product Psi Phi, masked.
 
     P = 29 leaves a lone last frame, which joins the chunk before it:

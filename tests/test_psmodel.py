@@ -224,7 +224,7 @@ def test_L2_consistency_with_L1(rng):
     assert np.allclose(pred, stacked, rtol=1e-12, atol=1e-12 * np.abs(stacked).max())
 
 
-def test_l2_row_factors_match_the_harmonic_sum(rng):
+def test_component_projections_match_the_harmonic_sum(rng):
     """C[i, j, k] = sum_n theta_hat[i, n] beta[(n, k), j], by loops over n."""
     scheme, order, theta_hat, _, _, beta = _setup(rng)
     C = component_projections(beta, theta_hat, order)
@@ -412,8 +412,12 @@ def test_condition_number_is_inf_beyond_double_precision(s, reason):
     assert condition_number(np.array(s), 2) == np.inf, reason
 
 
-def test_condition_number_keeps_kappa_up_to_1e15():
-    assert condition_number(np.array([1.0, 1e-15]), 2) == pytest.approx(1e15, rel=1e-15)
+def test_condition_number_is_inf_from_the_cut_off_of_the_fit():
+    """Finite below kappa = 1e10, +inf at it: where the solver's fit drops a singular value."""
+    s = np.array([1.0, 1.0000001e-10])
+    assert condition_number(s, 2) == pytest.approx(1.0 / 1.0000001e-10, rel=1e-15)
+    assert condition_number(np.array([1.0, 1e-10]), 2) == np.inf
+    assert condition_number(np.array([3.0, 3e-10]), 2) == np.inf
 
 
 @pytest.mark.parametrize("symmetric", [True, False])
@@ -455,6 +459,14 @@ def test_gram_kappa_is_the_condition_number_of_the_singular_values(rng):
     assert got == pytest.approx(condition_number(_singular_values(blocks), 5), rel=1e-12)
     Z[:, 1] = 0.0
     assert gram_kappa([Z.T @ Z]) == np.inf
+
+
+def test_gram_kappa_is_inf_at_its_floor():
+    """+inf when lambda_min <= 1e-12 lambda_max (kappa >= 1e6), over all the blocks."""
+    assert gram_kappa([np.diag([4.0, 4.0000004e-12])]) == pytest.approx(
+        np.sqrt(4.0 / 4.0000004e-12), rel=1e-15)
+    assert gram_kappa([np.diag([4.0, 4e-12])]) == np.inf
+    assert gram_kappa([np.eye(2), np.array([[1e-12]])]) == np.inf
 
 
 def test_harmonic_coefficients_shape_guard():

@@ -144,7 +144,7 @@ def test_movie_chunks_static_is_time_constant():
         assert rms < 1e-6 * scale
 
 
-def test_movie_factors_shape_contract():
+def test_component_images_shape_contract():
     sol, *_ = solved_solution(P=32, K=1, N=3, d=3, J=12, max_iters=300)
     W, h = sol.detector.count - 1, 1.1 * sol.detector.spacing
     psi = sol.U @ sol.Z

@@ -88,7 +88,7 @@ def solve_fit(problem, Z, data, symmetric):
     to unit norm, beta scaled back."""
     G = stacked_data(data, symmetric)
     norm = np.sqrt(total_sq(G))
-    beta, F, _, _ = problem.fit(Z, problem.reduce([Gb / norm for Gb in G]), data.values.shape[0])
+    beta, F, *_ = problem.fit(Z, problem.reduce([Gb / norm for Gb in G]), data.values.shape[0])
     return beta * norm, F
 
 
@@ -169,17 +169,19 @@ def test_inner_beta_orthogonal_rhs_gives_zero(rng):
 def test_block_truncation_is_relative_to_the_whole_L1():
     """A block whose singular values are all below 1e-10 of the other block's is truncated.
 
-    Oracle: inner_beta on the block-diagonal stack, which sees one spectrum.
+    Oracle: inner_beta on the block-diagonal stack, which sees one spectrum.  kappa is
+    then +inf, and tr((L^T L)^+) sums 1 / s^2 over the kept values 3, 2 and 1.
     """
     r = np.random.default_rng(2)
     strong = np.linalg.qr(r.standard_normal((6, 3)))[0] * [3.0, 2.0, 1.0]
     weak = np.linalg.qr(r.standard_normal((5, 2)))[0] * [4e-11, 1e-11]
     G = [r.standard_normal((6, 4)), r.standard_normal((5, 4))]
-    got, _, truncated = _truncated_lstsq([strong, weak], G)
+    got, kappa, truncated, pinv_trace = _truncated_lstsq([strong, weak], G)
     stacked = np.zeros((11, 5))
     stacked[:6, :3], stacked[6:, 3:] = strong, weak
     want = inner_beta(stacked, np.vstack(G))
     assert np.all(got[1] == 0.0) and truncated == 2
+    assert kappa == np.inf and pinv_trace == pytest.approx(1 / 9 + 1 / 4 + 1, rel=1e-12)
     assert np.allclose(np.vstack(got), want, rtol=1e-12, atol=1e-12)
 
 
@@ -455,7 +457,7 @@ def test_fit_matches_inner_beta_on_2p_oracle(case, random_z):
     problem = VarproProblem(data.angles, U, HarmonicOrder(N=N, K=K, d=d), symmetric)
     Z = (np.random.default_rng(N).standard_normal((d, K + 1)) if random_z
          else np.eye(d)[:, :K + 1])
-    beta, F, _, _ = problem.fit(Z, problem.reduce(stacked_data(data, symmetric)), J)
+    beta, F, *_ = problem.fit(Z, problem.reduce(stacked_data(data, symmetric)), J)
     L1, G = l1_2p(data.angles, N, U, Z, symmetric), data_2p(data, symmetric)
     want = inner_beta(L1, G)
     assert np.abs(beta - want).max() <= 1e-10 * np.abs(want).max()
@@ -823,10 +825,12 @@ def test_symm_d4_w64_fit_truncates_nothing(tmp_path):
 
 
 def test_solve_reports_the_singular_values_its_fit_truncated():
-    """16 angles doubled 1e-11 apart: kappa_L1 is finite, yet the fit drops 5 of 37.
+    """16 angles doubled 1e-11 apart: the fit drops 5 of 37, kappa_L1 is None, and solve warns.
 
     N = 18, K = 0: the blocks hold 19 even and 18 odd harmonics on 32 rows.
-    A gap of 1e-10 keeps every singular value above the 1e-10 cut-off.
+    A gap of 1e-10 keeps every singular value above the 1e-10 cut-off, and
+    kappa_L1 is finite, above 1e9.  noise_gain sums 1 / s^2 over the kept
+    values of the unsplit L1 only.
     """
     base = np.linspace(0.05, np.pi - 0.05, 16)
     vals = np.random.default_rng(0).standard_normal((12, 32))
@@ -836,9 +840,21 @@ def test_solve_reports_the_singular_values_its_fit_truncated():
                                kind="custom")
         data = Sinogram(values=vals, angles=scheme.angles,
                         detector=DetectorGrid(count=12, spacing=2.0 / 12))
-        _, _, report = solve(data, order, U, SolverConfig(), symmetric=True)
-        assert report.kappa_L1 is not None and report.kappa_L1 > 1e9
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            _, _, report = solve(data, order, U, SolverConfig(), symmetric=True)
         assert report.truncated_singular_values == truncated, gap
+        assert (report.kappa_L1 is None) is (truncated > 0), gap
+        if not truncated:
+            assert report.kappa_L1 > 1e9
+        messages = [str(w.message) for w in caught]
+        assert messages == ([f"L1 is numerically singular: the fit dropped {truncated} singular "
+                             "values at or below 1e-10 of the largest, so beta is not the "
+                             "least-squares fit"] if truncated else []), gap
+        s = np.linalg.svd(l1_2p(scheme, order.N, U, np.eye(1), True), compute_uv=False)
+        kept = s[s > 1e-10 * s[0]]
+        assert kept.size == s.size - truncated
+        assert report.noise_gain == pytest.approx(np.sum(kept**-2.0) / 32, rel=1e-6), gap
 
 
 def test_descent_trace_grows_with_the_iterations_run():
@@ -858,15 +874,20 @@ def test_descent_trace_grows_with_the_iterations_run():
 @pytest.mark.parametrize("symmetric", [True, False])
 @pytest.mark.parametrize("d", [2, 3])
 def test_solve_reports_kappa_of_the_fitted_l1(symmetric, d):
-    """kappa_L1 is np.linalg.cond of the block-diagonal L1(Z) that beta was fitted on."""
+    """kappa_L1 is np.linalg.cond of the block-diagonal L1(Z) that beta was fitted on.
+
+    noise_gain is tr((L1^T L1)^-1) / P of the unsplit L1(Z), 2P rows with the symmetry.
+    """
     data, U, order = noisy_exact_data(P=32, K=1, N=3, d=d, J=12, seed=8)
     Z, _, report = solve(data, order, U, SolverConfig(max_iters=60, restarts=1),
                          symmetric=symmetric)
     stacked = block_diag(*l1_of_Z(data.angles, U, order, symmetric, Z))
     assert report.kappa_L1 == pytest.approx(np.linalg.cond(stacked), rel=1e-10)
     # the parity rotation is orthogonal: the unsplit 2P-row L1 has the same kappa
-    assert report.kappa_L1 == pytest.approx(np.linalg.cond(l1_2p(data.angles, order.N, U, Z,
-                                                                 symmetric)), rel=1e-10)
+    L1 = l1_2p(data.angles, order.N, U, Z, symmetric)
+    assert report.kappa_L1 == pytest.approx(np.linalg.cond(L1), rel=1e-10)
+    assert report.noise_gain == pytest.approx(np.trace(np.linalg.inv(L1.T @ L1)) / 32,
+                                              rel=1e-10)
 
 
 def test_solve_reports_no_kappa_when_a_block_is_wide():
